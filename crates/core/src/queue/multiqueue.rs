@@ -50,17 +50,22 @@
 //!   touches one line and adjacent queues never false-share. The
 //!   generation doubles as the change-rate signal
 //!   [`AdaptiveSticky`](crate::queue::AdaptiveSticky) adapts from.
-//! * Emptiness on the dequeue retry path is gated by a single padded
-//!   global approximate-size counter ([`MultiQueue::approx_size`]); the
-//!   exact O(m) sweep ([`MultiQueue::len`]) runs only to *confirm* an
-//!   empty observation, never per retry.
+//! * A successful operation touches **no structure-wide word**: only the
+//!   hints it sampled and the one queue it acquired, which is the
+//!   paper's premise (a shared size counter would be one cache line
+//!   written by every operation — the very fetch-and-add bottleneck the
+//!   MultiCounter exists to avoid). A dequeue proves emptiness with an
+//!   O(m) sweep of the per-queue headers, and runs it only after
+//!   *evidence* of emptiness — the policy found no candidate, or the
+//!   acquired queue turned out empty — never after mere contention and
+//!   never on the successful path.
 //! * Retry loops use [`Backoff`] instead of spinning hot on stale hints.
 //! * Sticky policies skip random draws and hint reads while camped, and
 //!   the batch operations amortize one lock acquisition and one hint
 //!   publish over a whole batch. Both trade rank quality for throughput
 //!   within the policy's documented envelope (O(s·m) for stickiness).
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 
 use dlz_pq::locked::EMPTY_HINT;
@@ -69,7 +74,6 @@ use dlz_pq::{
     InsertOutcome, SeqPriorityQueue, Substrate, SubstrateCfg,
 };
 
-use crate::padded::Padded;
 use crate::queue::policy::{
     AnyPolicy, ChoiceOp, ChoicePolicy, DChoice, PolicyCfg, QueueView, TwoChoice,
 };
@@ -121,16 +125,6 @@ where
     /// Default choice policy; every [`handle`](Self::handle) builds its
     /// own per-handle instance from this config.
     policy: PolicyCfg,
-    /// Padded global approximate size: one relaxed RMW per (batch of)
-    /// operation(s). Replaces the O(m) per-queue sweep on the dequeue
-    /// retry path; signed so transient reorderings cannot wrap.
-    size: Padded<AtomicI64>,
-    /// One flag per queue, set by the first operation that observes the
-    /// queue poisoned. The winner of that CAS subtracts the dead
-    /// queue's (stale) entry count from `size`, so the emptiness gate
-    /// never spins waiting for items no operation can reach. Cleared by
-    /// [`salvage`](Self::salvage) when the queue returns to service.
-    quarantined: Box<[AtomicBool]>,
 }
 
 /// What a [`MultiQueue::salvage`] sweep recovered.
@@ -174,6 +168,13 @@ impl std::error::Error for MqOpTimeout {}
 /// Consecutive poisoned choices an insert loop tolerates before it
 /// stops trusting the policy and linear-scans for a healthy queue.
 const POISON_RECHOOSE_LIMIT: u32 = 4;
+
+/// Backs off before a retry (see [`Backoff`]), counting the snooze.
+#[inline]
+fn snooze(backoff: &mut Backoff, stats: &mut ContentionStats) {
+    stats.note_snooze(backoff.is_yielding());
+    backoff.snooze();
+}
 
 impl<V: Send> MultiQueue<V> {
     /// Starts building a binary-heap-backed MultiQueue.
@@ -223,15 +224,11 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         assert!(!queues.is_empty(), "MultiQueue needs at least one queue");
         let queues: Box<[Substrate<V, Q>]> =
             queues.into_iter().map(|q| substrate.wrap(q)).collect();
-        let size: i64 = queues.iter().map(|q| q.approx_len() as i64).sum();
-        let quarantined = (0..queues.len()).map(|_| AtomicBool::new(false)).collect();
         MultiQueue {
             queues,
             mode,
             substrate,
             policy,
-            size: Padded::new(AtomicI64::new(size)),
-            quarantined,
         }
     }
 
@@ -271,8 +268,8 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
 
     /// Total entries across queues, via an O(m) sweep of the per-queue
     /// headers. Exact when quiescent; transiently off by in-flight
-    /// operations under concurrency. Hot paths should prefer
-    /// [`approx_size`](Self::approx_size), which is a single load.
+    /// operations under concurrency. No operation consults it: the
+    /// structure keeps no global count.
     pub fn len(&self) -> usize {
         self.queues.iter().map(|q| q.approx_len()).sum()
     }
@@ -283,73 +280,33 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         self.len() == 0
     }
 
-    /// Approximate total entries from the padded global counter: one
-    /// relaxed load, no sweep. Exact when quiescent; may lag in-flight
-    /// operations by their count. This is what the dequeue retry loops
-    /// consult — they fall back to the exact sweep only to *confirm* an
-    /// empty observation before returning `None`.
-    pub fn approx_size(&self) -> usize {
-        self.size.load(Ordering::Relaxed).max(0) as usize
-    }
-
-    #[inline]
-    fn note_inserted(&self, n: usize) {
-        self.size.fetch_add(n as i64, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn note_removed(&self, n: usize) {
-        self.size.fetch_sub(n as i64, Ordering::Relaxed);
-    }
-
-    /// Entries reachable through operations: the O(m) sweep of
-    /// [`len`](Self::len), minus poisoned queues — their items cannot
-    /// be served until [`salvage`](Self::salvage) runs, so counting
-    /// them would make the dequeue loops spin forever on a quarantined
-    /// remainder.
-    fn reachable_len(&self) -> usize {
-        self.queues
-            .iter()
-            .filter(|q| !q.is_poisoned())
-            .map(|q| q.approx_len())
-            .sum()
-    }
-
-    /// Number of currently poisoned (quarantined) queues.
+    /// Number of currently poisoned queues.
     pub fn poisoned_count(&self) -> usize {
         self.queues.iter().filter(|q| q.is_poisoned()).count()
     }
 
-    /// Records queue `i`'s poisoning exactly once: the first observer
-    /// wins the flag CAS and subtracts the dead queue's (stale) header
-    /// count from the global size counter, so
-    /// [`confirmed_empty`](Self::confirmed_empty) keeps working while
-    /// the queue is out of service.
-    fn quarantine(&self, i: usize) {
-        if self.quarantined[i]
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-        {
-            self.size
-                .fetch_sub(self.queues[i].approx_len() as i64, Ordering::Relaxed);
-        }
-    }
-
     /// First non-poisoned queue, if any — the insert loops' fallback
-    /// when the policy keeps landing on quarantined queues.
+    /// when the policy keeps landing on poisoned queues.
     fn any_healthy_queue(&self) -> Option<usize> {
         (0..self.queues.len()).find(|&i| !self.queues[i].is_poisoned())
     }
 
-    /// The dequeue loops' emptiness gate. Cheap path: one relaxed load
-    /// of the global counter. The exact O(m) sweep runs only when the
-    /// counter hints empty — or, as a drift safety net, once the
-    /// backoff has escalated past pure spinning. Quarantined queues'
-    /// items are unreachable, so they count as absent here.
-    #[inline]
-    fn confirmed_empty(&self, backoff: &Backoff) -> bool {
-        (self.size.load(Ordering::Relaxed) <= 0 || backoff.is_yielding())
-            && self.reachable_len() == 0
+    /// The dequeue loops' emptiness proof: an O(m) sweep of the
+    /// per-queue headers that stops at the first queue holding anything.
+    /// The loops call it only after *evidence* of emptiness (no
+    /// candidate from the policy, or an acquired queue that reported
+    /// `Empty`), so a successful dequeue never pays for it. A poisoned
+    /// queue's items cannot be served until [`salvage`](Self::salvage)
+    /// runs, so they count as absent — counting them would make the
+    /// loops spin forever on a stranded remainder. Counts a confirmed
+    /// observation in `stats`.
+    fn confirmed_empty(&self, stats: &mut ContentionStats) -> bool {
+        let empty = self
+            .queues
+            .iter()
+            .all(|q| q.is_poisoned() || q.approx_len() == 0);
+        stats.empty_confirms += u64::from(empty);
+        empty
     }
 
     // -----------------------------------------------------------------
@@ -407,8 +364,8 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     }
 
     /// Inserts a whole batch into one policy-chosen queue under a
-    /// single lock acquisition, with a single hint publish and one
-    /// global-counter update. Returns the number of items inserted.
+    /// single lock acquisition, with a single hint publish. Returns the
+    /// number of items inserted.
     ///
     /// The batch counts as *one* operation for camping policies; its
     /// rank effect is like stickiness with `s = batch` (the batch lands
@@ -469,7 +426,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             // After enough consecutive poisoned choices, stop trusting
             // the policy's draw and take any healthy queue directly —
             // inserts must land somewhere, and a small-m structure with
-            // most queues quarantined could otherwise redraw for a
+            // most queues poisoned could otherwise redraw for a
             // long time.
             let i = if poisoned_hits >= POISON_RECHOOSE_LIMIT {
                 self.any_healthy_queue()
@@ -479,7 +436,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             };
             match self.queues[i].insert(entry.0, entry.1, self.blocking(), stamper, stats) {
                 InsertOutcome::Done(stamp) => {
-                    self.note_inserted(1);
                     policy.on_success(ChoiceOp::Insert, i, self);
                     return stamp;
                 }
@@ -491,7 +447,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
                 }
                 InsertOutcome::Poisoned(p, v) => {
                     entry = (p, v);
-                    self.quarantine(i);
                     policy.on_poisoned(ChoiceOp::Insert, i);
                     poisoned_hits += 1;
                 }
@@ -510,18 +465,17 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     ) -> Option<(u64, V, u64)> {
         let mut backoff = Backoff::new();
         loop {
-            if self.confirmed_empty(&backoff) {
-                stats.empty_confirms += 1;
-                return None;
-            }
+            // Only *evidence* of emptiness — no candidate here, or an
+            // acquired queue that was empty below — pays for the sweep.
             let Some(k) = policy.choose_dequeue(rng, self) else {
-                stats.note_snooze(backoff.is_yielding());
-                backoff.snooze();
+                if self.confirmed_empty(stats) {
+                    return None;
+                }
+                snooze(&mut backoff, stats);
                 continue;
             };
             match self.queues[k].dequeue(self.blocking(), stamper, stats) {
                 DequeueOutcome::Served(p, v, s) => {
-                    self.note_removed(1);
                     policy.on_success(ChoiceOp::Dequeue, k, self);
                     return Some((p, v, s));
                 }
@@ -529,27 +483,31 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
                 // queue and re-choose immediately (the poisoned queue
                 // publishes the empty hint, so fresh samples steer
                 // clear — no snooze needed and none recorded).
-                DequeueOutcome::Poisoned => {
-                    self.quarantine(k);
-                    policy.on_poisoned(ChoiceOp::Dequeue, k);
-                }
+                DequeueOutcome::Poisoned => policy.on_poisoned(ChoiceOp::Dequeue, k),
                 // Stale hint / drained camp (`Empty`) or a contended
                 // acquisition (`Contended`): void any camp and back
                 // off rather than hammering the hint lines — the snooze
                 // is near-free at first and escalates to yielding under
                 // sustained contention so lock holders get CPU (vital
-                // when oversubscribed).
-                DequeueOutcome::Empty | DequeueOutcome::Contended => {
+                // when oversubscribed). Only `Empty` says anything about
+                // emptiness; a held lock does not.
+                DequeueOutcome::Empty => {
                     policy.on_contention(ChoiceOp::Dequeue, k);
-                    stats.note_snooze(backoff.is_yielding());
-                    backoff.snooze();
+                    if self.confirmed_empty(stats) {
+                        return None;
+                    }
+                    snooze(&mut backoff, stats);
+                }
+                DequeueOutcome::Contended => {
+                    policy.on_contention(ChoiceOp::Dequeue, k);
+                    snooze(&mut backoff, stats);
                 }
             }
         }
     }
 
-    /// The batch-insert path: one lock acquisition, one hint publish,
-    /// one counter update; per-item stamps when `stamped` is given.
+    /// The batch-insert path: one lock acquisition, one hint publish;
+    /// per-item stamps when `stamped` is given.
     fn insert_batch_inner(
         &self,
         policy: &mut impl ChoicePolicy,
@@ -574,7 +532,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             let relend = stamped.as_mut().map(|(s, v)| (*s, &mut **v));
             match self.queues[i].insert_batch(items, self.blocking(), relend, stats) {
                 BatchPush::Done(n) => {
-                    self.note_inserted(n);
                     if n > 0 {
                         policy.on_success(ChoiceOp::Insert, i, self);
                     }
@@ -583,12 +540,10 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
                 BatchPush::Contended(back) => {
                     items = back;
                     policy.on_contention(ChoiceOp::Insert, i);
-                    stats.note_snooze(backoff.is_yielding());
-                    backoff.snooze();
+                    snooze(&mut backoff, stats);
                 }
                 BatchPush::Poisoned(back) => {
                     items = back;
-                    self.quarantine(i);
                     policy.on_poisoned(ChoiceOp::Insert, i);
                     poisoned_hits += 1;
                 }
@@ -612,37 +567,37 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         }
         let mut backoff = Backoff::new();
         loop {
-            if self.confirmed_empty(&backoff) {
-                stats.empty_confirms += 1;
-                return 0;
-            }
             let Some(k) = policy.choose_dequeue(rng, self) else {
-                stats.note_snooze(backoff.is_yielding());
-                backoff.snooze();
+                if self.confirmed_empty(stats) {
+                    return 0;
+                }
+                snooze(&mut backoff, stats);
                 continue;
             };
             match self.queues[k].dequeue_batch(max, self.blocking(), stamper, &mut sink, stats) {
                 BatchPop::Served(n) => {
-                    self.note_removed(n);
                     policy.on_success(ChoiceOp::Dequeue, k, self);
                     return n;
                 }
-                BatchPop::Poisoned => {
-                    self.quarantine(k);
-                    policy.on_poisoned(ChoiceOp::Dequeue, k);
-                }
-                // Stale hint (acquired an empty queue) or a contended
-                // acquisition: back off before redrawing.
-                BatchPop::Empty | BatchPop::Contended => {
+                BatchPop::Poisoned => policy.on_poisoned(ChoiceOp::Dequeue, k),
+                // Stale hint (acquired an empty queue): evidence of
+                // emptiness, so sweep; back off before redrawing.
+                BatchPop::Empty => {
                     policy.on_contention(ChoiceOp::Dequeue, k);
-                    stats.note_snooze(backoff.is_yielding());
-                    backoff.snooze();
+                    if self.confirmed_empty(stats) {
+                        return 0;
+                    }
+                    snooze(&mut backoff, stats);
+                }
+                BatchPop::Contended => {
+                    policy.on_contention(ChoiceOp::Dequeue, k);
+                    snooze(&mut backoff, stats);
                 }
             }
         }
     }
 
-    /// Best-effort recovery of quarantined queues: for every poisoned
+    /// Best-effort recovery of poisoned queues: for every poisoned
     /// queue, acquires it past the poison, drains whatever entries the
     /// underlying sequential queue still serves consistently, returns
     /// the queue to service under a fresh generation (the normal guard
@@ -655,8 +610,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     /// `delete_min` until it reports empty. Entries the panicked
     /// critical section had half-removed may be lost — hence
     /// *best-effort* — but everything recovered is re-served exactly
-    /// once and the global size accounting ends exact for the
-    /// recovered set.
+    /// once.
     ///
     /// Safe to call concurrently with operations and with other
     /// salvagers (the sweep is per-queue idempotent). Returns what was
@@ -664,26 +618,17 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     pub fn salvage(&self) -> SalvageOutcome {
         let mut out = SalvageOutcome::default();
         let mut recovered: Vec<(u64, V)> = Vec::new();
-        for (i, q) in self.queues.iter().enumerate() {
-            if !q.is_poisoned() {
-                continue;
-            }
-            // Ensure the quarantine accounting ran even if no operation
-            // observed the poison before us: the reinsertions below go
-            // through the normal counted insert path, so the stale
-            // count must be gone from `size` first.
-            self.quarantine(i);
+        for q in self.queues.iter().filter(|q| q.is_poisoned()) {
             // The substrate drains everything still consistently served
             // (including a lock-free queue's unclaimed pending stack)
             // and releases under a fresh generation with the poison bit
             // cleared.
             q.salvage_into(&mut recovered);
-            self.quarantined[i].store(false, Ordering::Release);
             out.queues_salvaged += 1;
         }
         out.items_recovered = recovered.len();
         // Re-home the survivors through the normal insert path (which
-        // re-adds them to `size` and skips any queue poisoned since).
+        // skips any queue poisoned since).
         // Fresh two-choice with a fixed seed: salvage is a recovery
         // sweep, deterministic given the drained set.
         let mut policy = TwoChoice;
@@ -719,19 +664,16 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             // wait on an acquisition a stalled thread may hold.
             match self.queues[i].insert(entry.0, entry.1, false, None, stats) {
                 InsertOutcome::Done(_) => {
-                    self.note_inserted(1);
                     policy.on_success(ChoiceOp::Insert, i, self);
                     return Ok(());
                 }
                 InsertOutcome::Contended(p, v) => {
                     entry = (p, v);
                     policy.on_contention(ChoiceOp::Insert, i);
-                    stats.note_snooze(backoff.is_yielding());
-                    backoff.snooze();
+                    snooze(&mut backoff, stats);
                 }
                 InsertOutcome::Poisoned(p, v) => {
                     entry = (p, v);
-                    self.quarantine(i);
                     policy.on_poisoned(ChoiceOp::Insert, i);
                 }
             }
@@ -751,33 +693,33 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     ) -> Result<Option<(u64, V)>, ()> {
         let mut backoff = Backoff::new();
         loop {
-            if self.confirmed_empty(&backoff) {
-                stats.empty_confirms += 1;
-                return Ok(None);
-            }
             if Instant::now() >= deadline {
                 return Err(());
             }
             let Some(k) = policy.choose_dequeue(rng, self) else {
-                stats.note_snooze(backoff.is_yielding());
-                backoff.snooze();
+                if self.confirmed_empty(stats) {
+                    return Ok(None);
+                }
+                snooze(&mut backoff, stats);
                 continue;
             };
             // Non-blocking regardless of mode, like `insert_one_for`.
             match self.queues[k].dequeue(false, None, stats) {
                 DequeueOutcome::Served(p, v, _) => {
-                    self.note_removed(1);
                     policy.on_success(ChoiceOp::Dequeue, k, self);
                     return Ok(Some((p, v)));
                 }
-                DequeueOutcome::Poisoned => {
-                    self.quarantine(k);
-                    policy.on_poisoned(ChoiceOp::Dequeue, k);
-                }
-                DequeueOutcome::Empty | DequeueOutcome::Contended => {
+                DequeueOutcome::Poisoned => policy.on_poisoned(ChoiceOp::Dequeue, k),
+                DequeueOutcome::Empty => {
                     policy.on_contention(ChoiceOp::Dequeue, k);
-                    stats.note_snooze(backoff.is_yielding());
-                    backoff.snooze();
+                    if self.confirmed_empty(stats) {
+                        return Ok(None);
+                    }
+                    snooze(&mut backoff, stats);
+                }
+                DequeueOutcome::Contended => {
+                    policy.on_contention(ChoiceOp::Dequeue, k);
+                    snooze(&mut backoff, stats);
                 }
             }
         }
@@ -789,7 +731,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         for q in self.queues.iter() {
             q.salvage_into(&mut out);
         }
-        self.note_removed(out.len());
         out.sort_by_key(|(p, _)| *p);
         out
     }
@@ -1265,15 +1206,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_queue_returns_none() {
-        let mq: MultiQueue<u32> = MultiQueue::new(4);
-        let mut h = mq.handle(1);
-        assert_eq!(h.dequeue(), None);
-        assert!(mq.is_empty());
-        assert_eq!(mq.approx_size(), 0);
-    }
-
-    #[test]
     fn conservation_sequential() {
         let mq: MultiQueue<u64> = MultiQueue::new(8);
         let mut h = mq.handle(2);
@@ -1281,7 +1213,6 @@ mod tests {
             h.insert(p, p * 10);
         }
         assert_eq!(mq.len(), 1000);
-        assert_eq!(mq.approx_size(), 1000);
         let mut out = Vec::new();
         while let Some((p, v)) = h.dequeue() {
             assert_eq!(v, p * 10);
@@ -1290,7 +1221,7 @@ mod tests {
         assert_eq!(out.len(), 1000);
         out.sort_unstable();
         assert_eq!(out, (0..1000u64).collect::<Vec<_>>());
-        assert_eq!(mq.approx_size(), 0);
+        assert_eq!(mq.len(), 0);
     }
 
     #[test]
@@ -1345,51 +1276,6 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 500);
-    }
-
-    #[test]
-    fn concurrent_producers_consumers_conserve() {
-        const PRODUCERS: usize = 2;
-        const CONSUMERS: usize = 2;
-        const PER: u64 = 10_000;
-        let mq: Arc<MultiQueue<u64>> = Arc::new(MultiQueue::new(16));
-        let consumed: Vec<u64> = std::thread::scope(|s| {
-            for t in 0..PRODUCERS {
-                let mq = Arc::clone(&mq);
-                s.spawn(move || {
-                    let mut h = mq.handle(100 + t as u64);
-                    for i in 0..PER {
-                        let p = (t as u64) * PER + i;
-                        h.insert(p, p);
-                    }
-                });
-            }
-            let consumers: Vec<_> = (0..CONSUMERS)
-                .map(|t| {
-                    let mq = Arc::clone(&mq);
-                    s.spawn(move || {
-                        let mut h = mq.handle(200 + t as u64);
-                        let mut got = Vec::new();
-                        let target = PRODUCERS as u64 * PER / CONSUMERS as u64;
-                        while (got.len() as u64) < target {
-                            if let Some((_, v)) = h.dequeue() {
-                                got.push(v);
-                            }
-                        }
-                        got
-                    })
-                })
-                .collect();
-            consumers
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        });
-        let mut all = consumed;
-        all.sort_unstable();
-        assert_eq!(all, (0..PRODUCERS as u64 * PER).collect::<Vec<_>>());
-        assert!(mq.is_empty());
-        assert_eq!(mq.approx_size(), 0);
     }
 
     #[test]
@@ -1488,7 +1374,6 @@ mod tests {
         h.insert(2, 'b');
         assert_eq!(mq.drain_sorted(), vec![(1, 'a'), (2, 'b'), (3, 'c')]);
         assert!(mq.is_empty());
-        assert_eq!(mq.approx_size(), 0);
     }
 
     #[test]
@@ -1625,7 +1510,7 @@ mod tests {
             );
         }
         // Conservation still holds.
-        let mut n = mq.approx_size();
+        let mut n = mq.len();
         assert_eq!(n, 1_000);
         while h.dequeue().is_some() {
             n -= 1;
@@ -1645,63 +1530,13 @@ mod tests {
             for p in 0..2_000u64 {
                 h.insert(p, p);
             }
-            assert_eq!(mq.approx_size(), 2_000);
+            assert_eq!(mq.len(), 2_000);
             let mut n = 0;
             while h.dequeue().is_some() {
                 n += 1;
             }
             assert_eq!(n, 2_000, "{mode:?}");
-            assert_eq!(mq.approx_size(), 0);
-        }
-    }
-
-    #[test]
-    fn sticky_concurrent_producers_consumers_conserve() {
-        const PRODUCERS: usize = 2;
-        const CONSUMERS: usize = 2;
-        const PER: u64 = 8_000;
-        for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
-            let mq: Arc<MultiQueue<u64>> = Arc::new(MultiQueue::with_config(
-                (0..16).map(|_| BinaryHeap::new()).collect(),
-                mode,
-                PolicyCfg::Sticky { ops: 8 },
-            ));
-            let consumed: Vec<u64> = std::thread::scope(|s| {
-                for t in 0..PRODUCERS {
-                    let mq = Arc::clone(&mq);
-                    s.spawn(move || {
-                        let mut h = MqHandle::new(&mq, 300 + t as u64);
-                        for i in 0..PER {
-                            let p = (t as u64) * PER + i;
-                            h.insert(p, p);
-                        }
-                    });
-                }
-                let consumers: Vec<_> = (0..CONSUMERS)
-                    .map(|t| {
-                        let mq = Arc::clone(&mq);
-                        s.spawn(move || {
-                            let mut h = MqHandle::new(&mq, 400 + t as u64);
-                            let mut got = Vec::new();
-                            let target = PRODUCERS as u64 * PER / CONSUMERS as u64;
-                            while (got.len() as u64) < target {
-                                if let Some((_, v)) = h.dequeue() {
-                                    got.push(v);
-                                }
-                            }
-                            got
-                        })
-                    })
-                    .collect();
-                consumers
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap())
-                    .collect()
-            });
-            let mut all = consumed;
-            all.sort_unstable();
-            assert_eq!(all, (0..PRODUCERS as u64 * PER).collect::<Vec<_>>());
-            assert!(mq.is_empty(), "{mode:?}");
+            assert_eq!(mq.len(), 0);
         }
     }
 
@@ -1783,7 +1618,7 @@ mod tests {
                 inserted += h.insert_batch(items);
             }
             assert_eq!(inserted, 700);
-            assert_eq!(mq.approx_size(), 700);
+            assert_eq!(mq.len(), 700);
             let mut out = Vec::new();
             loop {
                 let n = h.dequeue_batch(16, &mut out);
@@ -1796,7 +1631,7 @@ mod tests {
             ps.sort_unstable();
             ps.dedup();
             assert_eq!(ps.len(), 700, "batch dequeue duplicated or lost items");
-            assert_eq!(mq.approx_size(), 0);
+            assert_eq!(mq.len(), 0);
         }
     }
 
@@ -1901,18 +1736,17 @@ mod tests {
     }
 
     #[test]
-    fn approx_size_tracks_len_when_quiescent() {
+    fn len_tracks_operations_when_quiescent() {
         let mq: MultiQueue<u64> = MultiQueue::new(4);
         let mut h = mq.handle(15);
         for p in 0..100u64 {
             h.insert(p, p);
         }
-        assert_eq!(mq.approx_size(), mq.len());
+        assert_eq!(mq.len(), 100);
         for _ in 0..40 {
             h.dequeue();
         }
-        assert_eq!(mq.approx_size(), mq.len());
-        assert_eq!(mq.approx_size(), 60);
+        assert_eq!(mq.len(), 60);
     }
 
     /// Panics inside queue `i`'s critical section (before mutating it),
@@ -1929,7 +1763,7 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_queue_is_quarantined_and_salvage_conserves_under_every_policy() {
+    fn poisoned_queue_is_routed_around_and_salvage_conserves_under_every_policy() {
         for cfg in [
             PolicyCfg::TwoChoice,
             PolicyCfg::DChoice { d: 3 },
@@ -1949,7 +1783,7 @@ mod tests {
             assert!(stranded > 0, "seed 31 should land items on queue 0");
             poison_queue(&mq, 0);
             assert_eq!(mq.poisoned_count(), 1);
-            // Inserts route around the quarantined queue (the policy's
+            // Inserts route around the poisoned queue (the policy's
             // random draw will hit it; `on_poisoned` re-chooses).
             for p in 200..300u64 {
                 h.insert(p, p);
@@ -1972,7 +1806,6 @@ mod tests {
             }
             got.sort_unstable();
             assert_eq!(got, (0..300u64).collect::<Vec<_>>(), "{cfg:?}");
-            assert_eq!(mq.approx_size(), 0, "{cfg:?}");
             assert!(mq.is_empty(), "{cfg:?}");
         }
     }
@@ -2083,15 +1916,18 @@ mod tests {
     }
 
     #[test]
-    fn preexisting_entries_seed_the_global_counter() {
+    fn preexisting_entries_are_counted_and_served() {
         let mut a = BinaryHeap::new();
         a.add(1u64, 1u64);
         a.add(2, 2);
         let mut b = BinaryHeap::new();
         b.add(3u64, 3u64);
         let mq: MultiQueue<u64> = MultiQueue::with_queues(vec![a, b], DeleteMode::Strict);
-        assert_eq!(mq.approx_size(), 3);
         assert_eq!(mq.len(), 3);
+        let mut h = mq.handle(16);
+        let mut got: Vec<u64> = std::iter::from_fn(|| h.dequeue().map(|(p, _)| p)).collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2, 3]);
     }
 
     /// A MultiQueue over every substrate, for the cross-substrate tests.
@@ -2278,6 +2114,154 @@ mod tests {
             }
             assert_eq!(n, 200, "entries lost through salvage on {cfg}");
             assert!(mq.is_empty());
+        }
+    }
+
+    const MODES: [DeleteMode; 2] = [DeleteMode::Strict, DeleteMode::TryLock];
+
+    #[test]
+    fn a_lone_item_among_64_queues_is_always_found() {
+        // Two samples out of 64 miss a lone item ~97% of the time: a
+        // missed sample is a reason to re-choose, never an answer.
+        for cfg in SubstrateCfg::all() {
+            for mode in MODES {
+                let mq = mq_on(cfg, 64, mode);
+                let mut h = mq.handle(51);
+                let mut out = Vec::new();
+                for round in 0..60u64 {
+                    h.insert(round, round);
+                    let got = match round % 3 {
+                        0 => h.dequeue(),
+                        1 => {
+                            assert_eq!(h.dequeue_batch(4, &mut out), 1);
+                            out.pop()
+                        }
+                        _ => h.try_dequeue_for(Duration::from_secs(60)).unwrap(),
+                    };
+                    assert_eq!(got, Some((round, round)), "{cfg} / {mode:?}");
+                }
+                assert_eq!(h.contention().empty_confirms, 0, "{cfg} / {mode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_fully_poisoned_structures_confirm_once_without_spinning() {
+        for cfg in SubstrateCfg::all() {
+            for mode in MODES {
+                for poisoned in [false, true] {
+                    let mq = mq_on(cfg, 8, mode);
+                    let mut h = mq.handle(52);
+                    if poisoned {
+                        // Stranded items are unreachable, so the
+                        // structure is empty as far as a dequeue goes.
+                        for p in 0..40u64 {
+                            h.insert(p, p);
+                        }
+                        for i in 0..8 {
+                            poison_substrate_queue(&mq, i);
+                        }
+                    }
+                    h.take_contention();
+                    let what = format!("{cfg} / {mode:?} / poisoned: {poisoned}");
+                    let mut out = Vec::new();
+                    assert_eq!(mq.is_empty(), !poisoned, "{what}");
+                    assert_eq!(h.dequeue(), None, "{what}");
+                    assert_eq!(h.contention().empty_confirms, 1, "{what}");
+                    assert_eq!(h.dequeue_batch(4, &mut out), 0, "{what}");
+                    assert_eq!(h.contention().empty_confirms, 2, "{what}");
+                    assert_eq!(h.try_dequeue_for(Duration::from_secs(60)), Ok(None));
+                    let c = h.take_contention();
+                    assert_eq!(c.empty_confirms, 3, "{what}");
+                    assert_eq!(c.backoff_spins + c.backoff_yields, 0, "{what}");
+                }
+            }
+        }
+    }
+
+    /// Two producers against two consumers (handles on the structure's
+    /// default policy) over a prefilled backlog: every item is delivered
+    /// exactly once, and no dequeue reports empty while items provably
+    /// stand in the structure.
+    fn assert_producers_vs_consumers(mq: &MultiQueue<u64>, what: &str) {
+        use std::sync::atomic::Ordering::SeqCst;
+        const PER: u64 = 4_000;
+        const BACKLOG: u64 = 512;
+        let total = BACKLOG + 2 * PER;
+        let mut h = mq.handle(53);
+        for p in 0..BACKLOG {
+            h.insert(p, p);
+        }
+        // `inserted` counts completed inserts, `started` the dequeues
+        // begun that may remove an item: at every instant of a call at
+        // least `inserted` (read before it) minus `started - 1` (read
+        // after it; the call itself removed nothing) items are present,
+        // so a `None` with `inserted >= started` was wrong.
+        let (inserted, started) = (AtomicU64::new(BACKLOG), AtomicU64::new(0));
+        let delivered = AtomicU64::new(0);
+        let mut all: Vec<u64> = std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let inserted = &inserted;
+                s.spawn(move || {
+                    let mut h = mq.handle(60 + t);
+                    for p in (BACKLOG + t * PER..).take(PER as usize) {
+                        h.insert(p, p);
+                        inserted.fetch_add(1, SeqCst);
+                    }
+                });
+            }
+            let consumers: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let (inserted, started, delivered) = (&inserted, &started, &delivered);
+                    s.spawn(move || {
+                        let mut h = mq.handle(70 + t);
+                        let mut got = Vec::new();
+                        while delivered.load(SeqCst) < total {
+                            let before = inserted.load(SeqCst);
+                            started.fetch_add(1, SeqCst);
+                            if let Some((_, v)) = h.dequeue() {
+                                delivered.fetch_add(1, SeqCst);
+                                got.push(v);
+                            } else {
+                                let after = started.fetch_sub(1, SeqCst);
+                                assert!(
+                                    before < after,
+                                    "None with {before} inserted, {after} dequeues begun on {what}"
+                                );
+                            }
+                        }
+                        got
+                    })
+                })
+                .collect();
+            consumers
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect()
+        });
+        all.sort_unstable();
+        assert_eq!(all, (0..total).collect::<Vec<_>>(), "{what}");
+        assert!(mq.is_empty(), "{what}");
+    }
+
+    #[test]
+    fn no_dequeue_reports_empty_over_a_standing_backlog() {
+        for cfg in SubstrateCfg::all() {
+            for mode in MODES {
+                assert_producers_vs_consumers(&mq_on(cfg, 8, mode), &format!("{cfg} / {mode:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn sticky_concurrent_producers_consumers_conserve() {
+        for mode in MODES {
+            let mq = MultiQueue::with_config(
+                (0..16).map(|_| BinaryHeap::new()).collect(),
+                mode,
+                PolicyCfg::Sticky { ops: 8 },
+            );
+            assert_producers_vs_consumers(&mq, &format!("sticky(8) / {mode:?}"));
         }
     }
 }

@@ -81,7 +81,7 @@ pub trait QueueView {
     /// that cannot be poisoned. Poisoned queues also publish the empty
     /// hint, so hint-driven dequeue sampling skips them without an
     /// extra check — this predicate exists for callers that need the
-    /// distinction (quarantine accounting, salvage sweeps).
+    /// distinction (emptiness and salvage sweeps).
     fn queue_poisoned(&self, i: usize) -> bool {
         let _ = i;
         false

@@ -579,7 +579,7 @@ impl<V, Q: SeqPriorityQueue<u64, V>> Drop for PqGuard<'_, V, Q> {
             // (no `read_min`, no `len`). Publish the empty hint so
             // choice policies stop sampling this queue, and release the
             // lock poisoned with the stale pre-lock count preserved as
-            // the best quarantine-accounting estimate.
+            // the best estimate of what is stranded.
             hot.top.store(EMPTY_HINT, Ordering::Release);
             let word = hot.header.load(Ordering::Relaxed);
             let gen = header::generation(word).wrapping_add(1);
@@ -972,8 +972,8 @@ mod tests {
         assert!(q.is_poisoned());
         assert!(!q.is_locked());
         // Poisoned queues advertise empty, so hint samplers skip them,
-        // and the stale pre-panic count survives for quarantine
-        // accounting.
+        // and the stale pre-panic count survives as the estimate of
+        // what is stranded.
         assert_eq!(q.min_hint(), EMPTY_HINT);
         assert_eq!(q.approx_len(), 2);
         // Checked entry points surface the poison without blocking and

@@ -175,18 +175,43 @@ impl<T> TimerWheel<T> {
     }
 
     /// Events whose intended time is at or before `now_ns` but not yet
-    /// popped — the arrival backlog. O(events held); callers sample it
-    /// at a coarse cadence rather than per pop.
+    /// popped — the arrival backlog. Exact, and O(slots) rather than
+    /// O(events held): a slot wholly before `now_ns` contributes its
+    /// length, and only the slots that can hold both due and undue
+    /// events are scanned — the one containing `now_ns` (likewise the
+    /// level-1 chunk containing it), the cursor's slot (late events
+    /// keep their original timestamp there) and the overflow list.
     pub fn due_len(&self, now_ns: u64) -> usize {
-        let in_levels = self
-            .l0
-            .iter()
-            .chain(self.l1.iter())
-            .flatten()
-            .filter(|e| e.at <= now_ns)
-            .count();
-        let in_overflow = self.overflow.iter().filter(|e| e.at <= now_ns).count();
-        self.ready.iter().filter(|&&(at, _)| at <= now_ns).count() + in_levels + in_overflow
+        let due = |slot: &Vec<Entry<T>>| slot.iter().filter(|e| e.at <= now_ns).count();
+        let now_slot = now_ns / self.slot_ns;
+        // Level 0 holds absolute slots `cur .. cur + SLOTS`, the one at
+        // offset `d` from the cursor in `l0[(cur + d) % SLOTS]`. Events
+        // sit in the slot of their own timestamp, except late ones,
+        // which `place` puts in the cursor's slot — and the cursor
+        // leaves a slot only once it is empty.
+        let l0_at = |d: u64| &self.l0[((self.cur % SLOTS as u64 + d) % SLOTS as u64) as usize];
+        let in_l0 = match now_slot.checked_sub(self.cur) {
+            None => due(l0_at(0)),
+            Some(d) => {
+                let whole: usize = (0..d.min(SLOTS as u64)).map(|d| l0_at(d).len()).sum();
+                whole + if d < SLOTS as u64 { due(l0_at(d)) } else { 0 }
+            }
+        };
+        // Level 1 holds chunks `cur_chunk + 1 ..= cur_chunk + SLOTS`
+        // (`place` sends nearer events to level 0, `cascade` empties the
+        // cursor's chunk), never late ones.
+        let cur_chunk = self.cur / SLOTS as u64;
+        let l1_at = |d: u64| &self.l1[((cur_chunk + d) % SLOTS as u64) as usize];
+        let in_l1 = match (now_slot / SLOTS as u64).checked_sub(cur_chunk) {
+            None | Some(0) => 0,
+            Some(d) => {
+                let whole: usize = (1..d.min(SLOTS as u64 + 1)).map(|d| l1_at(d).len()).sum();
+                whole + if d <= SLOTS as u64 { due(l1_at(d)) } else { 0 }
+            }
+        };
+        // `ready` is one drained slot, sorted by timestamp.
+        let in_ready = self.ready.partition_point(|&(at, _)| at <= now_ns);
+        in_ready + in_l0 + in_l1 + due(&self.overflow)
     }
 
     /// Moves the cursor forward one step (or jumps over a known-empty
@@ -374,6 +399,88 @@ mod tests {
         assert_eq!(w.len(), 30);
         assert_eq!(w.due_len(u64::MAX), 30);
         assert_eq!(w.peek_at(), Some(200_000));
+    }
+
+    /// `due_len` by definition: walk every event held.
+    fn due_len_brute(w: &TimerWheel<u32>, now_ns: u64) -> usize {
+        let held = w.l0.iter().chain(w.l1.iter()).flatten();
+        held.chain(w.overflow.iter())
+            .map(|e| e.at)
+            .chain(w.ready.iter().map(|&(at, _)| at))
+            .filter(|&at| at <= now_ns)
+            .count()
+    }
+
+    #[test]
+    fn due_len_matches_the_brute_force_count() {
+        let slot = 1_000u64;
+        let l1_span = slot * (SLOTS * SLOTS) as u64;
+        let mut x = 0x9e3779b97f4a7c15u64;
+        let mut rnd = move |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        let mut w = TimerWheel::new(slot);
+        // The clock the events are scheduled around: the last popped
+        // timestamp, so "late" means behind the cursor.
+        let mut now = 0u64;
+        let (mut late, mut level1, mut overflow) = (0, 0, 0);
+        for step in 0..4_000u32 {
+            match rnd(10) {
+                // Near future: level 0, often the cursor's own slot.
+                0 | 1 => w.schedule(now + rnd(slot * 40), step),
+                // Late: behind the cursor, timestamp kept.
+                2 | 3 => {
+                    late += (now > slot) as u32;
+                    w.schedule(now.saturating_sub(rnd(slot * 300)), step);
+                }
+                // Level 1, up to its horizon.
+                4 => {
+                    level1 += 1;
+                    w.schedule(now + slot * SLOTS as u64 + rnd(l1_span), step);
+                }
+                // Beyond the level-1 horizon.
+                5 => {
+                    overflow += 1;
+                    w.schedule(now + l1_span + slot * SLOTS as u64 + rnd(l1_span * 3), step);
+                }
+                // Pops leave a part-drained `ready` run behind and move
+                // the cursor (cascading the far events inward).
+                _ => {
+                    for _ in 0..rnd(5) {
+                        if let Some((at, _)) = w.pop() {
+                            now = now.max(at);
+                        }
+                    }
+                }
+            }
+            let probes = [
+                0,
+                now,
+                now + rnd(slot * 3),
+                now.saturating_sub(rnd(slot * 3)),
+                now + rnd(l1_span * 5),
+                u64::MAX / 2,
+                u64::MAX,
+            ];
+            for probe in probes {
+                assert_eq!(
+                    w.due_len(probe),
+                    due_len_brute(&w, probe),
+                    "step {step}, probe {probe}, cursor slot {}",
+                    w.cur
+                );
+            }
+            assert_eq!(w.due_len(u64::MAX), w.len());
+        }
+        assert!(late > 100 && level1 > 100 && overflow > 100);
+        assert!(
+            w.cur > (SLOTS * SLOTS) as u64,
+            "the cursor should outrun the first level-1 horizon, got slot {}",
+            w.cur
+        );
     }
 
     #[test]

@@ -48,9 +48,11 @@ const WHEEL_SLOT_NS: u64 = 65_536;
 /// capped at 1 s so a mis-set rate cannot hang a fixed-op run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ArrivalShape {
-    /// Closed loop: the next arrival is intended at the moment the
-    /// previous op completes (queueing delay is identically zero).
-    /// This is the legacy closed-loop engine as a degenerate shape.
+    /// Closed loop: a client's next arrival follows the completion of
+    /// its previous op and is intended at the instant its op is issued,
+    /// so queueing delay is identically zero — by construction, whatever
+    /// the driver's clock-read cadence (`latency_every`). This is the
+    /// legacy closed-loop engine as a degenerate shape.
     #[default]
     SelfPaced,
     /// Memoryless arrivals at `rate` per second.

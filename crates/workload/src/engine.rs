@@ -344,8 +344,9 @@ fn drive_clients(
     let stoppable = matches!(budget, Budget::Timed(_));
     let mix_total = scenario.mix.total() as u64;
     let latency_every = scenario.latency_every.max(1) as u64;
-    // Backlog sampling walks the wheel's due slots — keep it off the
-    // per-op path.
+    let self_paced = shape == ArrivalShape::SelfPaced;
+    // Backlog sampling sweeps the wheel's slot lengths — keep it off
+    // the per-op path.
     const BACKLOG_EVERY: u64 = 1024;
     let mut issued = 0u64;
     // Monotone lower bound on "now": the last clock reading. When an
@@ -375,6 +376,12 @@ fn drive_clients(
             }
         };
         last_now = issue;
+        // A self-paced client intends its arrival at the instant its op
+        // is issued, so its queueing delay is zero by construction. Its
+        // wheel timestamp only orders the population: under
+        // `latency_every > 1` that is a completion time as of the last
+        // timed op, not a moment anyone meant to arrive at.
+        let intended = if self_paced { issue } else { scheduled };
         let kind = scenario.mix.pick(set.kind_draw(client, mix_total));
         let op = sampler.draw_kind(kind);
         if timed {
@@ -383,10 +390,10 @@ fn drive_clients(
             last_now = end;
             // Total latency from the *intended* arrival — queueing
             // delay is part of the number, not silently omitted.
-            metrics.record(op.kind, completed, end.saturating_duration_since(scheduled));
+            metrics.record(op.kind, completed, end.saturating_duration_since(intended));
             cstats
                 .queueing
-                .record_duration(issue.saturating_duration_since(scheduled));
+                .record_duration(issue.saturating_duration_since(intended));
             cstats
                 .service
                 .record_duration(end.saturating_duration_since(issue));
@@ -1092,19 +1099,27 @@ mod tests {
 
     #[test]
     fn self_paced_clients_generalize_the_closed_loop() {
-        let s = small("t-clients-selfpaced", Family::Queue)
-            .mix(OpMix::new(50, 50, 0))
-            .clients(2)
-            .arrival_shape(ArrivalShape::SelfPaced)
-            .prefill(200)
-            .build();
-        let r = run(&s, &MultiQueueBackend::heap(4, DeleteMode::Strict));
-        assert!(r.verified(), "{:?}", r.verify_error);
-        let attempts =
-            r.counts.updates + r.counts.removes + r.counts.removes_empty + r.counts.reads;
-        assert_eq!(attempts, 4_000, "full budget through the client driver");
-        let c = r.clients.as_ref().expect("clients section");
-        assert_eq!(c.active, 2, "one self-paced client per worker");
+        for latency_every in [1, 8] {
+            let s = small("t-clients-selfpaced", Family::Queue)
+                .mix(OpMix::new(50, 50, 0))
+                .clients(2)
+                .arrival_shape(ArrivalShape::SelfPaced)
+                .latency_every(latency_every)
+                .prefill(200)
+                .build();
+            let r = run(&s, &MultiQueueBackend::heap(4, DeleteMode::Strict));
+            assert!(r.verified(), "{:?}", r.verify_error);
+            let attempts =
+                r.counts.updates + r.counts.removes + r.counts.removes_empty + r.counts.reads;
+            assert_eq!(attempts, 4_000, "full budget through the client driver");
+            let c = r.clients.as_ref().expect("clients section");
+            assert_eq!(c.active, 2, "one self-paced client per worker");
+            // The closed loop has no queue to wait in: every timed op
+            // was issued at its intended instant, whatever the cadence
+            // of the clock reads (the histogram's max is exact).
+            assert_eq!(c.queueing_ns.max_ns, 0, "latency_every = {latency_every}");
+            assert!(c.service_ns.max_ns > 0, "timed ops were recorded");
+        }
     }
 
     #[test]
