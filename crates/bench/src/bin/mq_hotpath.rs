@@ -23,27 +23,15 @@
 //! policy envelope each backend reports (`O(s·m)`, observed-s for
 //! adaptive), and the resulting metrics are embedded in the JSON.
 //!
-//! The **substrate head-to-head** runs the insert-heavy contended cell
-//! (`mq-hotpath-insert-heavy`) on all three per-queue substrates —
-//! packed lock, lock-free claim/drain, flat combining — at 8 and 16
-//! threads (override with `--threads` or `DLZ_BENCH_THREADS=8,16`),
-//! reporting each substrate's gain over the packed lock and, when the
-//! lock-free substrate misses its 10% target at the low point, the
-//! crossover thread count where it starts winning. The
-//! `mq-substrate-lockfree-audit` / `mq-substrate-combining-audit`
-//! scenarios replay each new substrate's stamped history through the
-//! checker as a rank guardrail.
-//!
 //! ```text
 //! cargo run --release -p dlz-bench --bin mq_hotpath
 //! cargo run --release -p dlz-bench --bin mq_hotpath -- --quick --json /tmp/out.json
-//! DLZ_BENCH_THREADS=8,16,32 cargo run --release -p dlz-bench --bin mq_hotpath
 //! ```
 
 use std::io::Write as _;
 
 use dlz_bench::{Config, Table};
-use dlz_core::{DeleteMode, PolicyCfg, SubstrateCfg};
+use dlz_core::{DeleteMode, PolicyCfg};
 use dlz_workload::backends::MultiQueueBackend;
 use dlz_workload::json::JsonObject;
 use dlz_workload::{engine, ArrivalShape, Backend, Budget, RunReport, Scenario};
@@ -53,9 +41,6 @@ const DEFAULT_OUT: &str = "BENCH_mq_hotpath.json";
 const TARGET_PCT: f64 = 15.0;
 /// Noise band for adaptive-vs-static stickiness throughput.
 const NOISE_PCT: f64 = 5.0;
-/// Acceptance target for the lock-free substrate on the insert-heavy
-/// contended cell (vs the packed lock).
-const SUBSTRATE_TARGET_PCT: f64 = 10.0;
 
 /// Applies thread/duration overrides and quick-mode shrinking.
 fn customize(mut s: Scenario, cfg: &Config, threads: usize) -> Scenario {
@@ -110,13 +95,8 @@ fn run_audit(name: &str, cfg: &Config) -> (RunReport, bool, bool) {
     if cfg.was_set("seed") {
         s.seed = cfg.seed;
     }
-    let backend = MultiQueueBackend::heap_full(
-        4 * s.threads,
-        DeleteMode::Strict,
-        s.choice_policy,
-        1,
-        s.substrate,
-    );
+    let backend =
+        MultiQueueBackend::heap_policy(4 * s.threads, DeleteMode::Strict, s.choice_policy, 1);
     eprintln!("running {} ({}) ...", s.name, backend.name());
     let r = engine::run(&s, &backend);
     assert!(r.verified(), "audit verify: {:?}", r.verify_error);
@@ -303,111 +283,6 @@ fn main() {
         }
     }
 
-    // Substrate head-to-head: the insert-heavy contended cell on the
-    // packed-lock, lock-free and flat-combining substrates at every
-    // comparison thread count (default 8 and 16; `DLZ_BENCH_THREADS`
-    // or `--threads` override). Insert is where the substrates differ
-    // most: the lock-free path turns it into one CAS push onto the
-    // pending stack, while the packed lock still round-trips the
-    // header word per op.
-    let mut sub_threads: Vec<usize> = match std::env::var("DLZ_BENCH_THREADS") {
-        Ok(v) => {
-            let parsed: Vec<usize> = v
-                .split(',')
-                .filter(|p| !p.trim().is_empty())
-                .filter_map(|p| p.trim().parse().ok())
-                .filter(|&t| t >= 1)
-                .collect();
-            if parsed.is_empty() {
-                eprintln!(
-                    "warning: DLZ_BENCH_THREADS='{v}' has no usable thread counts; using 8,16"
-                );
-                vec![8, 16]
-            } else {
-                parsed
-            }
-        }
-        Err(_) if cfg.was_set("threads") => cfg.threads.clone(),
-        Err(_) => vec![8, 16],
-    };
-    sub_threads.sort_unstable();
-    sub_threads.dedup();
-    let mut substrate_points: Vec<String> = Vec::new();
-    // Gain of the lock-free substrate at the lowest compared thread
-    // count (the acceptance point) and the best gain anywhere.
-    let mut lockfree_low_gain = f64::NAN;
-    let mut lockfree_best_gain = f64::NEG_INFINITY;
-    // Lowest thread count where lock-free clears its target — recorded
-    // honestly even when the low point misses.
-    let mut lockfree_crossover: Option<usize> = None;
-    for &t in &sub_threads {
-        let scenario = customize(
-            Scenario::named("mq-hotpath-insert-heavy").expect("catalog scenario"),
-            &cfg,
-            t,
-        );
-        let m = 8 * t;
-        let mut runs: Vec<Vec<RunReport>> = vec![Vec::new(); 3];
-        for round in 0..rounds {
-            eprintln!(
-                "running substrate head-to-head t={t} round {}/{rounds} ...",
-                round + 1
-            );
-            for (i, sub) in SubstrateCfg::all().into_iter().enumerate() {
-                let make = || {
-                    MultiQueueBackend::heap_full(
-                        m,
-                        DeleteMode::Strict,
-                        scenario.choice_policy,
-                        scenario.batch,
-                        sub,
-                    )
-                };
-                runs[i].push(run_once(&scenario, &make));
-            }
-        }
-        let meds: Vec<(SubstrateCfg, RunReport)> = SubstrateCfg::all()
-            .into_iter()
-            .zip(runs.into_iter().map(median))
-            .collect();
-        let locked_mops = meds[0].1.mops();
-        let lf_gain = (meds[1].1.mops() - locked_mops) / locked_mops * 100.0;
-        let fc_gain = (meds[2].1.mops() - locked_mops) / locked_mops * 100.0;
-        for (label, i, gain) in [("lockfree", 1usize, lf_gain), ("combining", 2, fc_gain)] {
-            table.row(vec![
-                format!("{} ({label})", scenario.name),
-                t.to_string(),
-                meds[0].1.backend.clone(),
-                meds[i].1.backend.clone(),
-                format!("{locked_mops:.3}"),
-                format!("{:.3}", meds[i].1.mops()),
-                format!("{gain:+.1}"),
-            ]);
-        }
-        let mut o = JsonObject::new();
-        o.str("scenario", &scenario.name)
-            .u64("threads", t as u64)
-            .str("choice_policy", &scenario.choice_policy.label())
-            .u64("batch", scenario.batch as u64)
-            .f64("mops_locked", locked_mops)
-            .f64("mops_lockfree", meds[1].1.mops())
-            .f64("mops_combining", meds[2].1.mops())
-            .f64("lockfree_gain_pct", lf_gain)
-            .f64("combining_gain_pct", fc_gain)
-            .bool("lockfree_meets_target", lf_gain >= SUBSTRATE_TARGET_PCT)
-            .raw("locked", &meds[0].1.to_json())
-            .raw("lockfree", &meds[1].1.to_json())
-            .raw("combining", &meds[2].1.to_json());
-        substrate_points.push(o.finish());
-        if lockfree_low_gain.is_nan() {
-            lockfree_low_gain = lf_gain;
-        }
-        lockfree_best_gain = lockfree_best_gain.max(lf_gain);
-        if lf_gain >= SUBSTRATE_TARGET_PCT && lockfree_crossover.is_none() {
-            lockfree_crossover = Some(t);
-        }
-    }
-
     // Telemetry-overhead point: the optimized balanced configuration
     // with interval snapshots off vs on. "Off" must match the optimized
     // median above within noise (the interval tracker is one untaken
@@ -563,17 +438,11 @@ fn main() {
     let (audit, within, linearizable) = run_audit("mq-hotpath-rank-audit", &cfg);
     let (adaptive_audit, adaptive_within, adaptive_linearizable) =
         run_audit("mq-hotpath-adaptive-audit", &cfg);
-    // The new substrates get the same treatment: their stamped
-    // histories must replay checker-linearizable with exact dequeue
-    // ranks inside the policy envelope.
-    let (lf_audit, lf_within, lf_linearizable) = run_audit("mq-substrate-lockfree-audit", &cfg);
-    let (fc_audit, fc_within, fc_linearizable) = run_audit("mq-substrate-combining-audit", &cfg);
-
     let mut root = JsonObject::new();
     root.str("bench", "mq_hotpath")
         .str(
             "change",
-            "lock-free & flat-combining PQ substrates: no lock bit on the contended insert path",
+            "one per-queue substrate: lock-free and combining queues removed",
         )
         .u64("threads", threads as u64)
         .f64("target_improvement_pct", TARGET_PCT)
@@ -582,22 +451,7 @@ fn main() {
         .f64("worst_improvement_pct", worst_gain)
         .f64("adaptive_vs_static_pct", adaptive_delta)
         .raw("points", &dlz_workload::json::array(&points))
-        .raw(
-            "substrate_comparison",
-            &dlz_workload::json::array(&substrate_points),
-        )
-        .f64("substrate_target_pct", SUBSTRATE_TARGET_PCT)
-        .f64("lockfree_insert_heavy_gain_pct", lockfree_low_gain)
-        .f64("lockfree_best_gain_pct", lockfree_best_gain)
-        .bool(
-            "lockfree_meets_substrate_target",
-            lockfree_best_gain >= SUBSTRATE_TARGET_PCT,
-        );
-    match lockfree_crossover {
-        Some(t) => root.u64("lockfree_crossover_threads", t as u64),
-        None => root.null("lockfree_crossover_threads"),
-    };
-    root.raw("telemetry_overhead", &telemetry_point)
+        .raw("telemetry_overhead", &telemetry_point)
         .raw("faults_overhead", &faults_point)
         .raw("client_driver_overhead", &clients_point);
     if let Some(a) = &adaptive_cmp {
@@ -608,13 +462,7 @@ fn main() {
         .bool("rank_audit_linearizable", linearizable)
         .raw("adaptive_rank_audit", &adaptive_audit.to_json())
         .bool("adaptive_rank_within_bound", adaptive_within)
-        .bool("adaptive_rank_audit_linearizable", adaptive_linearizable)
-        .raw("lockfree_rank_audit", &lf_audit.to_json())
-        .bool("lockfree_rank_within_bound", lf_within)
-        .bool("lockfree_rank_audit_linearizable", lf_linearizable)
-        .raw("combining_rank_audit", &fc_audit.to_json())
-        .bool("combining_rank_within_bound", fc_within)
-        .bool("combining_rank_audit_linearizable", fc_linearizable);
+        .bool("adaptive_rank_audit_linearizable", adaptive_linearizable);
     let snapshot = root.finish();
 
     let path = cfg.json.clone().unwrap_or_else(|| DEFAULT_OUT.to_string());
@@ -631,8 +479,6 @@ fn main() {
             adaptive_within,
             adaptive_linearizable,
         ),
-        ("lockfree", &lf_audit, lf_within, lf_linearizable),
-        ("combining", &fc_audit, fc_within, fc_linearizable),
     ] {
         let mean = r.quality.summary.map(|s| s.mean).unwrap_or(0.0);
         let bound = r.quality.get("rank_bound_policy").unwrap_or(0.0);
@@ -640,15 +486,7 @@ fn main() {
             "{label} rank audit: mean={mean:.1} bound={bound:.1} within={w} linearizable={l}"
         );
     }
-    if !within
-        || !linearizable
-        || !adaptive_within
-        || !adaptive_linearizable
-        || !lf_within
-        || !lf_linearizable
-        || !fc_within
-        || !fc_linearizable
-    {
+    if !within || !linearizable || !adaptive_within || !adaptive_linearizable {
         eprintln!("RANK GUARDRAIL VIOLATED");
         std::process::exit(1);
     }
@@ -656,17 +494,6 @@ fn main() {
         eprintln!(
             "note: dequeue-heavy improvement {target_gain:.1}% below the {TARGET_PCT}% target on this machine"
         );
-    }
-    match lockfree_crossover {
-        Some(t) if lockfree_low_gain < SUBSTRATE_TARGET_PCT => eprintln!(
-            "note: lock-free substrate crosses its {SUBSTRATE_TARGET_PCT}% target at {t} threads \
-             (low point {lockfree_low_gain:+.1}%)"
-        ),
-        Some(_) => {}
-        None => eprintln!(
-            "note: lock-free substrate best gain {lockfree_best_gain:+.1}% stays below the \
-             {SUBSTRATE_TARGET_PCT}% target at every compared thread count on this machine"
-        ),
     }
     if adaptive_delta.abs() > NOISE_PCT {
         eprintln!(

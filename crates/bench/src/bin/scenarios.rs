@@ -134,16 +134,6 @@ fn build_spec(base: Scenario, cfg: &Config) -> SweepSpec {
             );
         }
     }
-    if !cfg.substrates.is_empty() {
-        if family == Family::Queue {
-            spec = spec.substrates(&cfg.substrates);
-        } else {
-            eprintln!(
-                "note: --substrates only applies to queue scenarios; ignored for this {} scenario",
-                family.label()
-            );
-        }
-    }
     if !cfg.mixes.is_empty() {
         spec = spec.mixes(&cfg.mixes);
     }
@@ -404,33 +394,6 @@ mod tests {
 
         // --policies on a non-queue family is ignored (with a note).
         let cfg = Config::parse(vec!["--policies".into(), "sticky=4".into()]);
-        let base = customize(
-            Scenario::named("counter-read-heavy").expect("catalog"),
-            &cfg,
-        );
-        let spec = build_spec(base, &cfg);
-        assert_eq!(spec.len(), 1);
-    }
-
-    #[test]
-    fn substrate_axis_threads_into_the_grid() {
-        use dlz_core::SubstrateCfg;
-        let cfg = Config::parse(vec![
-            "--substrates".into(),
-            "locked,lockfree,combining".into(),
-            "--policies".into(),
-            "two-choice,sticky=16".into(),
-        ]);
-        let base = customize(Scenario::named("queue-balanced").expect("catalog"), &cfg);
-        let spec = build_spec(base, &cfg);
-        assert_eq!(spec.len(), 6, "3 substrates × 2 policies");
-        let cells = spec.cells();
-        assert!(cells[0].name.contains("/sub=locked"), "{}", cells[0].name);
-        assert!(cells
-            .iter()
-            .any(|c| c.scenario.substrate == SubstrateCfg::Combining
-                && c.name.contains("/sub=combining")));
-        // Non-queue families ignore the axis (with a note).
         let base = customize(
             Scenario::named("counter-read-heavy").expect("catalog"),
             &cfg,

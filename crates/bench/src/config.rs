@@ -18,7 +18,6 @@
 //! | `--json FILE` | | `scenarios`: also write the JSON to FILE |
 //! | `--sweep` | `DLZ_SWEEP=1` | `scenarios`: expand the full sweep grid |
 //! | `--policies a,b` | `DLZ_POLICIES` | choice-policy axis (`two-choice,sticky=16,...`) |
-//! | `--substrates a,b` | `DLZ_SUBSTRATES` | per-queue substrate axis (`locked,lockfree,combining`) |
 //! | `--mixes a,b` | `DLZ_MIXES` | op-mix axis (`50/50/0,90/0/10,...`) |
 //! | `--keys a,b` | | key-distribution axis (`uniform:1024,zipf:16384:0.9,...`) |
 //! | `--prios a,b` | | priority-distribution axis (same grammar) |
@@ -40,7 +39,7 @@
 
 use std::time::Duration;
 
-use dlz_core::{PolicyCfg, SubstrateCfg};
+use dlz_core::PolicyCfg;
 use dlz_workload::{ArrivalShape, Dist, FaultPlan, OpMix};
 
 /// Default key space for `--zipf` and `zipf:THETA` shorthands.
@@ -74,9 +73,6 @@ pub struct Config {
     pub sweep: bool,
     /// Choice-policy axis values (`--policies two-choice,sticky=16`).
     pub policies: Vec<PolicyCfg>,
-    /// Per-queue substrate axis values
-    /// (`--substrates locked,lockfree,combining`).
-    pub substrates: Vec<SubstrateCfg>,
     /// Op-mix axis values (`--mixes 50/50/0,90/0/10`).
     pub mixes: Vec<OpMix>,
     /// Key-distribution axis values (`--keys uniform:1024,zipf:16384:0.9`).
@@ -139,7 +135,6 @@ impl Default for Config {
             json: None,
             sweep: false,
             policies: Vec::new(),
-            substrates: Vec::new(),
             mixes: Vec::new(),
             keys: Vec::new(),
             prios: Vec::new(),
@@ -220,10 +215,6 @@ impl Config {
             cfg.policies = parse_policies(&v)?;
             cfg.set_flags.push("policies".into());
         }
-        if let Ok(v) = std::env::var("DLZ_SUBSTRATES") {
-            cfg.substrates = parse_substrates(&v, "DLZ_SUBSTRATES")?;
-            cfg.set_flags.push("substrates".into());
-        }
         if let Ok(v) = std::env::var("DLZ_MIXES") {
             cfg.mixes = parse_mixes(&v)?;
             cfg.set_flags.push("mixes".into());
@@ -300,11 +291,6 @@ impl Config {
                     let v = need(&mut it, "--policies")?;
                     cfg.policies = parse_policies(&v)?;
                     cfg.set_flags.push("policies".into());
-                }
-                "--substrates" | "--substrate" => {
-                    let v = need(&mut it, "--substrates")?;
-                    cfg.substrates = parse_substrates(&v, "--substrates")?;
-                    cfg.set_flags.push("substrates".into());
                 }
                 "--mixes" => {
                     let v = need(&mut it, "--mixes")?;
@@ -444,25 +430,6 @@ fn parse_policies(s: &str) -> Result<Vec<PolicyCfg>, String> {
     let out = out?;
     if out.is_empty() {
         return Err("--policies needs at least one policy".into());
-    }
-    Ok(out)
-}
-
-/// Parses a comma-separated substrate list
-/// (`locked,lockfree,combining`).
-fn parse_substrates(s: &str, flag: &str) -> Result<Vec<SubstrateCfg>, String> {
-    let out: Result<Vec<SubstrateCfg>, String> = s
-        .split(',')
-        .filter(|p| !p.trim().is_empty())
-        .map(|p| {
-            SubstrateCfg::parse(p).ok_or_else(|| {
-                format!("{flag}: unknown substrate '{p}' (expected locked, lockfree or combining)")
-            })
-        })
-        .collect();
-    let out = out?;
-    if out.is_empty() {
-        return Err(format!("{flag} needs at least one substrate"));
     }
     Ok(out)
 }
@@ -693,33 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn substrate_axis_parses_with_aliases_and_rejects_unknown() {
-        let c = Config::parse(vec![]);
-        assert!(c.substrates.is_empty());
-        let c = Config::parse(vec![
-            "--substrates".into(),
-            "locked,lock-free,combining".into(),
-        ]);
-        assert_eq!(
-            c.substrates,
-            vec![
-                SubstrateCfg::Locked,
-                SubstrateCfg::LockFree,
-                SubstrateCfg::Combining,
-            ]
-        );
-        assert!(c.was_set("substrates"));
-        // The singular spelling is an alias.
-        let c = Config::parse(vec!["--substrate".into(), "lockfree".into()]);
-        assert_eq!(c.substrates, vec![SubstrateCfg::LockFree]);
-        let e = Config::try_parse(vec!["--substrates".into(), "quantum".into()]).unwrap_err();
-        assert!(e.contains("quantum"), "{e}");
-        assert!(e.contains("lockfree"), "{e}");
-        let e = Config::try_parse(vec!["--substrates".into(), ",".into()]).unwrap_err();
-        assert!(e.contains("at least one"), "{e}");
-    }
-
-    #[test]
     fn dist_grammar_parses_compact_forms() {
         let c = Config::parse(vec![
             "--keys".into(),
@@ -897,7 +837,6 @@ mod tests {
             "--scenario",
             "--backends",
             "--policies",
-            "--substrates",
             "--mixes",
             "--keys",
             "--prios",
@@ -918,5 +857,16 @@ mod tests {
     #[should_panic(expected = "unknown flag")]
     fn unknown_flag_panics() {
         let _ = Config::parse(vec!["--bogus".into()]);
+    }
+
+    #[test]
+    fn the_removed_substrate_axis_is_an_unknown_flag() {
+        for flag in ["--substrates", "--substrate"] {
+            let e = Config::try_parse(vec![flag.into(), "lockfree".into()]).unwrap_err();
+            assert_eq!(
+                e,
+                format!("unknown flag {flag}; see crates/bench/src/config.rs")
+            );
+        }
     }
 }

@@ -219,3 +219,14 @@ fn unknown_scenario_exits_2_with_empty_stdout() {
     let stderr = String::from_utf8(out.stderr.clone()).expect("utf8 stderr");
     assert!(stderr.contains("unknown scenario"), "{stderr}");
 }
+
+#[test]
+fn removed_substrate_flags_exit_2_as_unknown_flags() {
+    for args in [["--substrates", "lockfree"], ["--substrate", "x"]] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty());
+        let stderr = String::from_utf8(out.stderr.clone()).expect("utf8 stderr");
+        assert!(stderr.contains("unknown flag"), "{stderr}");
+    }
+}

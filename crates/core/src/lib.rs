@@ -74,7 +74,6 @@ pub use counter::{
 };
 pub use dlz_pq::ContentionStats;
 pub use dlz_pq::Poisoned;
-pub use dlz_pq::SubstrateCfg;
 pub use queue::{
     AdaptiveSticky, AnyPolicy, ChoiceOp, ChoicePolicy, DChoice, DeleteMode, MqHandle, MqOpTimeout,
     MultiQueue, MultiQueueBuilder, PolicyCfg, QueueView, RelaxedFifo, SalvageOutcome, Stamped,

@@ -33,8 +33,12 @@
 //!   section for the Section 5 checker, instead of `*_stamped` method
 //!   clones.
 //!
-//! Callers that manage their own RNG (e.g. [`RelaxedFifo`]) use the
-//! [`MultiQueue`] ops directly, passing a policy and generator.
+//! Below the choice process there is one per-queue concurrency
+//! discipline — the paper's "m linearizable priority queues" are `m`
+//! packed-lock [`LockedPq`]s, held directly and driven through their
+//! whole-operation attempts (`attempt_insert`, `attempt_dequeue` and
+//! the two batch forms), whose outcomes (done / empty / contended /
+//! poisoned) are all the retry loops react to.
 //!
 //! The `ReadMin` step uses the lock-free hint published by
 //! [`LockedPq`] — by the time the chosen queue is locked, its minimum
@@ -71,7 +75,7 @@ use std::time::{Duration, Instant};
 use dlz_pq::locked::EMPTY_HINT;
 use dlz_pq::{
     Backoff, BatchPop, BatchPush, BinaryHeap, ConcurrentPq, ContentionStats, DequeueOutcome,
-    InsertOutcome, SeqPriorityQueue, Substrate, SubstrateCfg,
+    InsertOutcome, LockedPq, SeqPriorityQueue,
 };
 
 use crate::queue::policy::{
@@ -114,14 +118,10 @@ where
     Q: SeqPriorityQueue<u64, V> + Send,
     V: Send,
 {
-    /// Each per-queue substrate keeps its hot words cache padded, so
-    /// adjacent queues in this array never false-share.
-    queues: Box<[Substrate<V, Q>]>,
+    /// Each [`LockedPq`] keeps its hot words cache padded, so adjacent
+    /// queues in this array never false-share.
+    queues: Box<[LockedPq<V, Q>]>,
     mode: DeleteMode,
-    /// Which substrate every queue runs on (uniform across the
-    /// structure; mixing substrates within one MultiQueue would make
-    /// the rank envelope unattributable).
-    substrate: SubstrateCfg,
     /// Default choice policy; every [`handle`](Self::handle) builds its
     /// own per-handle instance from this config.
     policy: PolicyCfg,
@@ -202,32 +202,15 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     }
 
     /// Builds from explicit sequential queues, mode and default choice
-    /// policy, on the default (packed-lock) substrate.
+    /// policy.
     ///
     /// # Panics
     /// If `queues` is empty.
     pub fn with_config(queues: Vec<Q>, mode: DeleteMode, policy: PolicyCfg) -> Self {
-        Self::with_substrate(queues, mode, policy, SubstrateCfg::Locked)
-    }
-
-    /// Builds from explicit sequential queues, mode, default choice
-    /// policy and per-queue substrate.
-    ///
-    /// # Panics
-    /// If `queues` is empty.
-    pub fn with_substrate(
-        queues: Vec<Q>,
-        mode: DeleteMode,
-        policy: PolicyCfg,
-        substrate: SubstrateCfg,
-    ) -> Self {
         assert!(!queues.is_empty(), "MultiQueue needs at least one queue");
-        let queues: Box<[Substrate<V, Q>]> =
-            queues.into_iter().map(|q| substrate.wrap(q)).collect();
         MultiQueue {
-            queues,
+            queues: queues.into_iter().map(LockedPq::new).collect(),
             mode,
-            substrate,
             policy,
         }
     }
@@ -240,11 +223,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     /// The configured delete mode.
     pub fn mode(&self) -> DeleteMode {
         self.mode
-    }
-
-    /// The per-queue substrate every queue runs on.
-    pub fn substrate(&self) -> SubstrateCfg {
-        self.substrate
     }
 
     /// Whether a contended operation blocks on its chosen queue
@@ -310,108 +288,18 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     }
 
     // -----------------------------------------------------------------
-    // The five generic operations. Each takes the caller's policy and
-    // generator; `MqHandle` packages those and is the usual way in.
+    // The operation loops: one implementation per operation, stamped or
+    // not. Each takes the caller's policy, generator and counters;
+    // `MqHandle` packages those and is the way in from outside the crate.
     // -----------------------------------------------------------------
 
-    /// Enqueue: the policy picks the queue (Algorithm 2's Enqueue with
-    /// [`TwoChoice`]).
-    pub fn insert(
-        &self,
-        policy: &mut impl ChoicePolicy,
-        rng: &mut impl Rng64,
-        priority: u64,
-        value: V,
-    ) {
-        self.insert_one(
-            policy,
-            rng,
-            priority,
-            value,
-            None,
-            &mut ContentionStats::new(),
-        );
-    }
-
-    /// Dequeue: the policy picks the queue (Algorithm 2's Dequeue with
-    /// [`TwoChoice`]).
-    ///
-    /// Returns `None` only after observing a globally empty structure;
-    /// with concurrent enqueuers a `None` means "empty at some sample
-    /// point", the strongest statement a relaxed queue can make.
-    pub fn dequeue(
-        &self,
-        policy: &mut impl ChoicePolicy,
-        rng: &mut impl Rng64,
-    ) -> Option<(u64, V)> {
-        self.dequeue_one(policy, rng, None, &mut ContentionStats::new())
-            .map(|(p, v, _)| (p, v))
-    }
-
-    /// Dequeue sampling the best of `k` queues — a one-off
-    /// [`DChoice`] draw regardless of the caller's policy. `k = 1`
-    /// removes from a single random queue (rank relaxation degrades to
-    /// the divergent single-choice regime); `k = 2` is Algorithm 2;
-    /// larger `k` tightens the rank distribution at the price of `k`
-    /// hint reads per dequeue.
-    ///
-    /// # Panics
-    /// If `k == 0`.
-    pub fn dequeue_k(&self, rng: &mut impl Rng64, k: usize) -> Option<(u64, V)> {
-        assert!(k >= 1, "need at least one choice");
-        self.dequeue_one(&mut DChoice::new(k), rng, None, &mut ContentionStats::new())
-            .map(|(p, v, _)| (p, v))
-    }
-
-    /// Inserts a whole batch into one policy-chosen queue under a
-    /// single lock acquisition, with a single hint publish. Returns the
-    /// number of items inserted.
-    ///
-    /// The batch counts as *one* operation for camping policies; its
-    /// rank effect is like stickiness with `s = batch` (the batch lands
-    /// in one queue), degrading within the same O(s·m) envelope.
-    pub fn insert_batch(
-        &self,
-        policy: &mut impl ChoicePolicy,
-        rng: &mut impl Rng64,
-        items: impl IntoIterator<Item = (u64, V)>,
-    ) -> usize {
-        self.insert_batch_inner(policy, rng, items, None, &mut ContentionStats::new())
-    }
-
-    /// Removes up to `max` entries from one policy-chosen queue under a
-    /// single lock acquisition, appending them to `out` in ascending
-    /// (per-queue) priority order. Returns the number taken.
-    ///
-    /// Returns `0` only after observing a globally empty structure —
-    /// the same emptiness contract as [`dequeue`](Self::dequeue).
-    pub fn dequeue_batch(
-        &self,
-        policy: &mut impl ChoicePolicy,
-        rng: &mut impl Rng64,
-        max: usize,
-        out: &mut Vec<(u64, V)>,
-    ) -> usize {
-        self.dequeue_batch_inner(
-            policy,
-            rng,
-            max,
-            None,
-            |p, v, _| out.push((p, v)),
-            &mut ContentionStats::new(),
-        )
-    }
-
-    // -----------------------------------------------------------------
-    // Internals: one implementation per operation, stamped or not.
-    // -----------------------------------------------------------------
-
-    /// The insert path. When `stamper` is given, the stamp is drawn
-    /// *inside the queue's critical section*, i.e. at the operation's
-    /// linearization point in the underlying linearizable queue, and
-    /// returned (0 otherwise). Contention events land in `stats` (the
-    /// wrappers without a counter-carrying handle pass a throwaway).
-    fn insert_one(
+    /// The insert path (Algorithm 2's Enqueue with [`TwoChoice`]). When
+    /// `stamper` is given, the stamp is drawn *inside the queue's
+    /// critical section*, i.e. at the operation's linearization point in
+    /// the underlying linearizable queue, and returned (0 otherwise).
+    /// Contention events land in `stats` (in-crate callers without a
+    /// counter-carrying handle pass a throwaway).
+    pub(crate) fn insert_one(
         &self,
         policy: &mut impl ChoicePolicy,
         rng: &mut impl Rng64,
@@ -434,7 +322,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             } else {
                 policy.choose_insert(rng, self)
             };
-            match self.queues[i].insert(entry.0, entry.1, self.blocking(), stamper, stats) {
+            match self.queues[i].attempt_insert(entry.0, entry.1, self.blocking(), stamper, stats) {
                 InsertOutcome::Done(stamp) => {
                     policy.on_success(ChoiceOp::Insert, i, self);
                     return stamp;
@@ -454,9 +342,11 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         }
     }
 
-    /// The dequeue retry loop (stamp drawn inside the critical section
-    /// when `stamper` is given; third tuple field is 0 otherwise).
-    fn dequeue_one(
+    /// The dequeue retry loop (Algorithm 2's Dequeue with [`TwoChoice`];
+    /// stamp drawn inside the critical section when `stamper` is given,
+    /// third tuple field 0 otherwise). `None` is the confirmed-empty
+    /// observation documented on [`MqHandle::dequeue`].
+    pub(crate) fn dequeue_one(
         &self,
         policy: &mut impl ChoicePolicy,
         rng: &mut impl Rng64,
@@ -474,7 +364,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
                 snooze(&mut backoff, stats);
                 continue;
             };
-            match self.queues[k].dequeue(self.blocking(), stamper, stats) {
+            match self.queues[k].attempt_dequeue(self.blocking(), stamper, stats) {
                 DequeueOutcome::Served(p, v, s) => {
                     policy.on_success(ChoiceOp::Dequeue, k, self);
                     return Some((p, v, s));
@@ -518,8 +408,8 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     ) -> usize {
         let mut backoff = Backoff::new();
         let mut poisoned_hits = 0u32;
-        // The iterator round-trips through the substrate: a contended
-        // or poisoned attempt hands `items` back unconsumed, so the
+        // The iterator round-trips through the queue: a contended or
+        // poisoned attempt hands `items` back unconsumed, so the
         // retry loop rebinds it and redraws a queue.
         let mut items = items;
         loop {
@@ -530,7 +420,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
                 policy.choose_insert(rng, self)
             };
             let relend = stamped.as_mut().map(|(s, v)| (*s, &mut **v));
-            match self.queues[i].insert_batch(items, self.blocking(), relend, stats) {
+            match self.queues[i].attempt_insert_batch(items, self.blocking(), relend, stats) {
                 BatchPush::Done(n) => {
                     if n > 0 {
                         policy.on_success(ChoiceOp::Insert, i, self);
@@ -574,7 +464,13 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
                 snooze(&mut backoff, stats);
                 continue;
             };
-            match self.queues[k].dequeue_batch(max, self.blocking(), stamper, &mut sink, stats) {
+            match self.queues[k].attempt_dequeue_batch(
+                max,
+                self.blocking(),
+                stamper,
+                &mut sink,
+                stats,
+            ) {
                 BatchPop::Served(n) => {
                     policy.on_success(ChoiceOp::Dequeue, k, self);
                     return n;
@@ -619,10 +515,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         let mut out = SalvageOutcome::default();
         let mut recovered: Vec<(u64, V)> = Vec::new();
         for q in self.queues.iter().filter(|q| q.is_poisoned()) {
-            // The substrate drains everything still consistently served
-            // (including a lock-free queue's unclaimed pending stack)
-            // and releases under a fresh generation with the poison bit
-            // cleared.
             q.salvage_into(&mut recovered);
             out.queues_salvaged += 1;
         }
@@ -662,7 +554,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             let i = policy.choose_insert(rng, self);
             // Non-blocking regardless of mode: the point is to never
             // wait on an acquisition a stalled thread may hold.
-            match self.queues[i].insert(entry.0, entry.1, false, None, stats) {
+            match self.queues[i].attempt_insert(entry.0, entry.1, false, None, stats) {
                 InsertOutcome::Done(_) => {
                     policy.on_success(ChoiceOp::Insert, i, self);
                     return Ok(());
@@ -704,7 +596,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
                 continue;
             };
             // Non-blocking regardless of mode, like `insert_one_for`.
-            match self.queues[k].dequeue(false, None, stats) {
+            match self.queues[k].attempt_dequeue(false, None, stats) {
                 DequeueOutcome::Served(p, v, _) => {
                     policy.on_success(ChoiceOp::Dequeue, k, self);
                     return Ok(Some((p, v)));
@@ -764,11 +656,16 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> QueueView for MultiQueue<V, Q>
 /// generator; the choice process is fresh two-choice sampling.
 impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> ConcurrentPq<V> for MultiQueue<V, Q> {
     fn insert(&self, priority: u64, value: V) {
-        with_thread_rng(|rng| MultiQueue::insert(self, &mut TwoChoice, rng, priority, value));
+        let mut stats = ContentionStats::new();
+        with_thread_rng(|rng| {
+            self.insert_one(&mut TwoChoice, rng, priority, value, None, &mut stats)
+        });
     }
 
     fn remove_min(&self) -> Option<(u64, V)> {
-        with_thread_rng(|rng| MultiQueue::dequeue(self, &mut TwoChoice, rng))
+        let mut stats = ContentionStats::new();
+        with_thread_rng(|rng| self.dequeue_one(&mut TwoChoice, rng, None, &mut stats))
+            .map(|(p, v, _)| (p, v))
     }
 
     fn min_hint(&self) -> u64 {
@@ -792,7 +689,6 @@ pub struct MultiQueueBuilder {
     threads: Option<usize>,
     mode: DeleteMode,
     policy: PolicyCfg,
-    substrate: SubstrateCfg,
     seed: Option<u64>,
 }
 
@@ -830,13 +726,6 @@ impl MultiQueueBuilder {
         self
     }
 
-    /// Sets the per-queue substrate (default [`SubstrateCfg::Locked`],
-    /// the packed-lock heap).
-    pub fn substrate(mut self, substrate: SubstrateCfg) -> Self {
-        self.substrate = substrate;
-        self
-    }
-
     /// Reseeds the calling thread's convenience RNG (see
     /// [`MultiCounterBuilder::seed`](crate::counter::MultiCounterBuilder::seed)).
     pub fn seed(mut self, seed: u64) -> Self {
@@ -857,11 +746,10 @@ impl MultiQueueBuilder {
         if let Some(seed) = self.seed {
             crate::rng::reseed_thread_rng(seed);
         }
-        MultiQueue::with_substrate(
+        MultiQueue::with_config(
             (0..m).map(|_| BinaryHeap::new()).collect(),
             self.mode,
             self.policy,
-            self.substrate,
         )
     }
 }
@@ -965,16 +853,23 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
         );
     }
 
-    /// Dequeue through the handle's policy (see
-    /// [`MultiQueue::dequeue`] for the emptiness contract).
+    /// Dequeue through the handle's policy.
+    ///
+    /// Returns `None` only after observing a globally empty structure;
+    /// with concurrent enqueuers a `None` means "empty at some sample
+    /// point", the strongest statement a relaxed queue can make.
     pub fn dequeue(&mut self) -> Option<(u64, V)> {
         self.mq
             .dequeue_one(&mut self.policy, &mut self.rng, None, &mut self.stats)
             .map(|(p, v, _)| (p, v))
     }
 
-    /// Dequeue sampling the best of `k` queues, regardless of the
-    /// handle's policy (see [`MultiQueue::dequeue_k`]).
+    /// Dequeue sampling the best of `k` queues — a one-off
+    /// [`DChoice`] draw regardless of the handle's policy. `k = 1`
+    /// removes from a single random queue (rank relaxation degrades to
+    /// the divergent single-choice regime); `k = 2` is Algorithm 2;
+    /// larger `k` tightens the rank distribution at the price of `k`
+    /// hint reads per dequeue.
     ///
     /// # Panics
     /// If `k == 0`.
@@ -985,8 +880,13 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
             .map(|(p, v, _)| (p, v))
     }
 
-    /// Batch enqueue under one lock acquisition (see
-    /// [`MultiQueue::insert_batch`]).
+    /// Inserts a whole batch into one policy-chosen queue under a
+    /// single lock acquisition, with a single hint publish. Returns the
+    /// number of items inserted.
+    ///
+    /// The batch counts as *one* operation for camping policies; its
+    /// rank effect is like stickiness with `s = batch` (the batch lands
+    /// in one queue), degrading within the same O(s·m) envelope.
     pub fn insert_batch(&mut self, items: impl IntoIterator<Item = (u64, V)>) -> usize {
         self.mq.insert_batch_inner(
             &mut self.policy,
@@ -1041,8 +941,12 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
             })
     }
 
-    /// Batch dequeue under one lock acquisition (see
-    /// [`MultiQueue::dequeue_batch`]).
+    /// Removes up to `max` entries from one policy-chosen queue under a
+    /// single lock acquisition, appending them to `out` in ascending
+    /// (per-queue) priority order. Returns the number taken.
+    ///
+    /// Returns `0` only after observing a globally empty structure —
+    /// the same emptiness contract as [`dequeue`](Self::dequeue).
     pub fn dequeue_batch(&mut self, max: usize, out: &mut Vec<(u64, V)>) -> usize {
         self.mq.dequeue_batch_inner(
             &mut self.policy,
@@ -1753,10 +1657,7 @@ mod tests {
     /// leaving the queue poisoned with its entries intact.
     fn poison_queue(mq: &MultiQueue<u64>, i: usize) {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            mq.queues[i]
-                .as_locked()
-                .expect("default substrate is the packed lock")
-                .with_locked(|_| -> () { panic!("injected fault") })
+            mq.queues[i].with_locked(|_| -> () { panic!("injected fault") })
         }));
         assert!(r.is_err(), "the injected panic must propagate");
         assert!(mq.queues[i].is_poisoned(), "queue {i} should be poisoned");
@@ -1840,8 +1741,8 @@ mod tests {
         let mut h = mq.handle(33);
         h.insert(5, 5);
         // Emulate stalled lock holders: both locks held indefinitely.
-        let g0 = mq.queues[0].as_locked().unwrap().lock();
-        let g1 = mq.queues[1].as_locked().unwrap().lock();
+        let g0 = mq.queues[0].lock();
+        let g1 = mq.queues[1].lock();
         let short = Duration::from_millis(20);
         assert_eq!(
             h.try_dequeue_for(short),
@@ -1930,191 +1831,136 @@ mod tests {
         assert_eq!(got, vec![1, 2, 3]);
     }
 
-    /// A MultiQueue over every substrate, for the cross-substrate tests.
-    fn mq_on(substrate: SubstrateCfg, m: usize, mode: DeleteMode) -> MultiQueue<u64> {
-        MultiQueue::with_substrate(
-            (0..m).map(|_| BinaryHeap::new()).collect(),
-            mode,
-            PolicyCfg::TwoChoice,
-            substrate,
-        )
+    /// A two-choice binary-heap MultiQueue with `m` queues in `mode`.
+    fn mq_on(m: usize, mode: DeleteMode) -> MultiQueue<u64> {
+        MultiQueue::with_queues((0..m).map(|_| BinaryHeap::new()).collect(), mode)
     }
 
     #[test]
-    fn builder_selects_the_substrate() {
-        for cfg in SubstrateCfg::all() {
-            let mq: MultiQueue<u64> = MultiQueueBuilder::default()
-                .queues(4)
-                .substrate(cfg)
-                .build();
-            assert_eq!(mq.substrate(), cfg);
-            let mut h = mq.handle(7);
-            h.insert(3, 30);
-            assert_eq!(h.dequeue(), Some((3, 30)));
-        }
-    }
-
-    #[test]
-    fn every_substrate_conserves_under_concurrency() {
-        for cfg in SubstrateCfg::all() {
-            for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
-                let mq = Arc::new(mq_on(cfg, 4, mode));
-                let threads = 4usize;
-                let per = 2_000u64;
-                let popped: u64 = std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|t| {
-                            let mq = Arc::clone(&mq);
-                            s.spawn(move || {
-                                let mut h = mq.handle(t as u64 + 1);
-                                let mut got = 0u64;
-                                for i in 0..per {
-                                    h.insert(i, i);
-                                    if i % 3 == 0 && h.dequeue().is_some() {
-                                        got += 1;
-                                    }
+    fn mixed_ops_conserve_under_concurrency() {
+        for mode in MODES {
+            let mq = Arc::new(mq_on(4, mode));
+            let threads = 4usize;
+            let per = 2_000u64;
+            let popped: u64 = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let mq = Arc::clone(&mq);
+                        s.spawn(move || {
+                            let mut h = mq.handle(t as u64 + 1);
+                            let mut got = 0u64;
+                            for i in 0..per {
+                                h.insert(i, i);
+                                if i % 3 == 0 && h.dequeue().is_some() {
+                                    got += 1;
                                 }
-                                got
-                            })
+                            }
+                            got
                         })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).sum()
-                });
-                let left = mq.drain_sorted().len() as u64;
-                assert_eq!(
-                    popped + left,
-                    threads as u64 * per,
-                    "lost or duplicated entries on {cfg} / {mode:?}"
-                );
-                assert!(mq.is_empty());
-            }
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).sum()
+            });
+            let left = mq.drain_sorted().len() as u64;
+            assert_eq!(
+                popped + left,
+                threads as u64 * per,
+                "lost or duplicated entries in {mode:?}"
+            );
+            assert!(mq.is_empty());
         }
     }
 
     #[test]
-    fn every_policy_runs_on_every_substrate() {
-        let policies = [
+    fn every_policy_drains_what_it_inserted() {
+        for policy in [
             PolicyCfg::TwoChoice,
             PolicyCfg::DChoice { d: 4 },
             PolicyCfg::Sticky { ops: 4 },
             PolicyCfg::AdaptiveSticky { s_max: 8 },
-        ];
-        for cfg in SubstrateCfg::all() {
-            for policy in policies {
-                let mq: MultiQueue<u64> = MultiQueue::with_substrate(
-                    (0..4).map(|_| BinaryHeap::new()).collect(),
-                    DeleteMode::Strict,
-                    policy,
-                    cfg,
-                );
-                let mut h = mq.handle(9);
-                for p in 0..500u64 {
-                    h.insert(p, p);
-                }
-                let mut n = 0usize;
-                while h.dequeue().is_some() {
-                    n += 1;
-                }
-                assert_eq!(n, 500, "policy {policy:?} on {cfg} lost entries");
-            }
-        }
-    }
-
-    #[test]
-    fn stamps_are_unique_and_complete_on_every_substrate() {
-        use std::collections::BTreeSet;
-        for cfg in SubstrateCfg::all() {
-            let mq = Arc::new(mq_on(cfg, 4, DeleteMode::Strict));
-            let stamper = AtomicU64::new(0);
-            let threads = 4usize;
-            let per = 500u64;
-            let mut all: Vec<(u64, u64)> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let mq = Arc::clone(&mq);
-                        let stamper = &stamper;
-                        s.spawn(move || {
-                            let mut h = mq.handle(t as u64 + 11);
-                            let mut st = h.stamped(stamper);
-                            let mut out = Vec::new();
-                            for i in 0..per {
-                                let ins = st.insert(i, i);
-                                out.push((ins, 0));
-                                if let Some((_, _, deq)) = st.dequeue() {
-                                    out.push((deq, 1));
-                                }
-                            }
-                            while let Some((_, _, deq)) = st.dequeue() {
-                                out.push((deq, 1));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap())
-                    .collect()
-            });
-            let inserts = all.iter().filter(|(_, k)| *k == 0).count() as u64;
-            let dequeues = all.iter().filter(|(_, k)| *k == 1).count() as u64;
-            assert_eq!(
-                inserts,
-                threads as u64 * per,
-                "all inserts stamped on {cfg}"
+        ] {
+            let mq: MultiQueue<u64> = MultiQueue::with_config(
+                (0..4).map(|_| BinaryHeap::new()).collect(),
+                DeleteMode::Strict,
+                policy,
             );
-            assert_eq!(dequeues, inserts, "drain served everything on {cfg}");
-            all.sort_unstable();
-            let stamps: BTreeSet<u64> = all.iter().map(|(s, _)| *s).collect();
-            assert_eq!(stamps.len(), all.len(), "duplicate stamps issued on {cfg}");
-        }
-    }
-
-    /// Poisons queue `i` of `mq` through the substrate-appropriate
-    /// guard (panic inside the critical section / drain window).
-    fn poison_substrate_queue(mq: &MultiQueue<u64>, i: usize) {
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &mq.queues[i] {
-            dlz_pq::Substrate::Locked(q) => q.with_locked(|_| -> () { panic!("injected fault") }),
-            dlz_pq::Substrate::LockFree(q) => {
-                let mut stats = ContentionStats::new();
-                let _g = q
-                    .drain_lock(true, &mut stats)
-                    .expect("not yet poisoned")
-                    .expect("blocking acquire");
-                panic!("injected fault")
-            }
-            dlz_pq::Substrate::Combining(q) => {
-                let _g = q.core().lock();
-                panic!("injected fault")
-            }
-        }));
-        assert!(r.is_err(), "the injected panic must propagate");
-        assert!(mq.queues[i].is_poisoned(), "queue {i} should be poisoned");
-    }
-
-    #[test]
-    fn salvage_recovers_poisoned_queues_on_every_substrate() {
-        for cfg in SubstrateCfg::all() {
-            let mq = mq_on(cfg, 4, DeleteMode::Strict);
-            let mut h = mq.handle(21);
-            for p in 0..200u64 {
+            let mut h = mq.handle(9);
+            for p in 0..500u64 {
                 h.insert(p, p);
             }
-            poison_substrate_queue(&mq, 0);
-            poison_substrate_queue(&mq, 2);
-            let outcome = mq.salvage();
-            assert_eq!(outcome.queues_salvaged, 2, "on {cfg}");
-            assert!(!mq.queues[0].is_poisoned());
-            assert!(!mq.queues[2].is_poisoned());
-            // Every entry survives: the panics were injected before any
-            // mutation, so salvage re-homes the full contents.
             let mut n = 0usize;
             while h.dequeue().is_some() {
                 n += 1;
             }
-            assert_eq!(n, 200, "entries lost through salvage on {cfg}");
-            assert!(mq.is_empty());
+            assert_eq!(n, 500, "policy {policy:?} lost entries");
         }
+    }
+
+    #[test]
+    fn concurrent_stamps_are_unique_and_complete() {
+        use std::collections::BTreeSet;
+        let mq = Arc::new(mq_on(4, DeleteMode::Strict));
+        let stamper = AtomicU64::new(0);
+        let threads = 4usize;
+        let per = 500u64;
+        let mut all: Vec<(u64, u64)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let mq = Arc::clone(&mq);
+                    let stamper = &stamper;
+                    s.spawn(move || {
+                        let mut h = mq.handle(t as u64 + 11);
+                        let mut st = h.stamped(stamper);
+                        let mut out = Vec::new();
+                        for i in 0..per {
+                            let ins = st.insert(i, i);
+                            out.push((ins, 0));
+                            if let Some((_, _, deq)) = st.dequeue() {
+                                out.push((deq, 1));
+                            }
+                        }
+                        while let Some((_, _, deq)) = st.dequeue() {
+                            out.push((deq, 1));
+                        }
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        let inserts = all.iter().filter(|(_, k)| *k == 0).count() as u64;
+        let dequeues = all.iter().filter(|(_, k)| *k == 1).count() as u64;
+        assert_eq!(inserts, threads as u64 * per, "all inserts stamped");
+        assert_eq!(dequeues, inserts, "drain served everything");
+        all.sort_unstable();
+        let stamps: BTreeSet<u64> = all.iter().map(|(s, _)| *s).collect();
+        assert_eq!(stamps.len(), all.len(), "duplicate stamps issued");
+    }
+
+    #[test]
+    fn salvage_recovers_several_poisoned_queues() {
+        let mq = mq_on(4, DeleteMode::Strict);
+        let mut h = mq.handle(21);
+        for p in 0..200u64 {
+            h.insert(p, p);
+        }
+        poison_queue(&mq, 0);
+        poison_queue(&mq, 2);
+        let outcome = mq.salvage();
+        assert_eq!(outcome.queues_salvaged, 2);
+        assert!(!mq.queues[0].is_poisoned());
+        assert!(!mq.queues[2].is_poisoned());
+        // Every entry survives: the panics were injected before any
+        // mutation, so salvage re-homes the full contents.
+        let mut n = 0usize;
+        while h.dequeue().is_some() {
+            n += 1;
+        }
+        assert_eq!(n, 200, "entries lost through salvage");
+        assert!(mq.is_empty());
     }
 
     const MODES: [DeleteMode; 2] = [DeleteMode::Strict, DeleteMode::TryLock];
@@ -2123,58 +1969,54 @@ mod tests {
     fn a_lone_item_among_64_queues_is_always_found() {
         // Two samples out of 64 miss a lone item ~97% of the time: a
         // missed sample is a reason to re-choose, never an answer.
-        for cfg in SubstrateCfg::all() {
-            for mode in MODES {
-                let mq = mq_on(cfg, 64, mode);
-                let mut h = mq.handle(51);
-                let mut out = Vec::new();
-                for round in 0..60u64 {
-                    h.insert(round, round);
-                    let got = match round % 3 {
-                        0 => h.dequeue(),
-                        1 => {
-                            assert_eq!(h.dequeue_batch(4, &mut out), 1);
-                            out.pop()
-                        }
-                        _ => h.try_dequeue_for(Duration::from_secs(60)).unwrap(),
-                    };
-                    assert_eq!(got, Some((round, round)), "{cfg} / {mode:?}");
-                }
-                assert_eq!(h.contention().empty_confirms, 0, "{cfg} / {mode:?}");
+        for mode in MODES {
+            let mq = mq_on(64, mode);
+            let mut h = mq.handle(51);
+            let mut out = Vec::new();
+            for round in 0..60u64 {
+                h.insert(round, round);
+                let got = match round % 3 {
+                    0 => h.dequeue(),
+                    1 => {
+                        assert_eq!(h.dequeue_batch(4, &mut out), 1);
+                        out.pop()
+                    }
+                    _ => h.try_dequeue_for(Duration::from_secs(60)).unwrap(),
+                };
+                assert_eq!(got, Some((round, round)), "{mode:?}");
             }
+            assert_eq!(h.contention().empty_confirms, 0, "{mode:?}");
         }
     }
 
     #[test]
     fn empty_and_fully_poisoned_structures_confirm_once_without_spinning() {
-        for cfg in SubstrateCfg::all() {
-            for mode in MODES {
-                for poisoned in [false, true] {
-                    let mq = mq_on(cfg, 8, mode);
-                    let mut h = mq.handle(52);
-                    if poisoned {
-                        // Stranded items are unreachable, so the
-                        // structure is empty as far as a dequeue goes.
-                        for p in 0..40u64 {
-                            h.insert(p, p);
-                        }
-                        for i in 0..8 {
-                            poison_substrate_queue(&mq, i);
-                        }
+        for mode in MODES {
+            for poisoned in [false, true] {
+                let mq = mq_on(8, mode);
+                let mut h = mq.handle(52);
+                if poisoned {
+                    // Stranded items are unreachable, so the structure
+                    // is empty as far as a dequeue goes.
+                    for p in 0..40u64 {
+                        h.insert(p, p);
                     }
-                    h.take_contention();
-                    let what = format!("{cfg} / {mode:?} / poisoned: {poisoned}");
-                    let mut out = Vec::new();
-                    assert_eq!(mq.is_empty(), !poisoned, "{what}");
-                    assert_eq!(h.dequeue(), None, "{what}");
-                    assert_eq!(h.contention().empty_confirms, 1, "{what}");
-                    assert_eq!(h.dequeue_batch(4, &mut out), 0, "{what}");
-                    assert_eq!(h.contention().empty_confirms, 2, "{what}");
-                    assert_eq!(h.try_dequeue_for(Duration::from_secs(60)), Ok(None));
-                    let c = h.take_contention();
-                    assert_eq!(c.empty_confirms, 3, "{what}");
-                    assert_eq!(c.backoff_spins + c.backoff_yields, 0, "{what}");
+                    for i in 0..8 {
+                        poison_queue(&mq, i);
+                    }
                 }
+                h.take_contention();
+                let what = format!("{mode:?} / poisoned: {poisoned}");
+                let mut out = Vec::new();
+                assert_eq!(mq.is_empty(), !poisoned, "{what}");
+                assert_eq!(h.dequeue(), None, "{what}");
+                assert_eq!(h.contention().empty_confirms, 1, "{what}");
+                assert_eq!(h.dequeue_batch(4, &mut out), 0, "{what}");
+                assert_eq!(h.contention().empty_confirms, 2, "{what}");
+                assert_eq!(h.try_dequeue_for(Duration::from_secs(60)), Ok(None));
+                let c = h.take_contention();
+                assert_eq!(c.empty_confirms, 3, "{what}");
+                assert_eq!(c.backoff_spins + c.backoff_yields, 0, "{what}");
             }
         }
     }
@@ -2246,10 +2088,8 @@ mod tests {
 
     #[test]
     fn no_dequeue_reports_empty_over_a_standing_backlog() {
-        for cfg in SubstrateCfg::all() {
-            for mode in MODES {
-                assert_producers_vs_consumers(&mq_on(cfg, 8, mode), &format!("{cfg} / {mode:?}"));
-            }
+        for mode in MODES {
+            assert_producers_vs_consumers(&mq_on(8, mode), &format!("{mode:?}"));
         }
     }
 

@@ -8,7 +8,7 @@
 //! "how far from FIFO" the structure is — the quantity Theorem 7.1
 //! bounds by O(m) in expectation.
 
-use dlz_pq::{BinaryHeap, SeqPriorityQueue};
+use dlz_pq::{BinaryHeap, ContentionStats, SeqPriorityQueue};
 
 use crate::clock::{Clock, FaaClock};
 use crate::queue::{DeleteMode, MultiQueue, TwoChoice};
@@ -67,18 +67,27 @@ impl<V: Send, C: Clock, Q: SeqPriorityQueue<u64, V> + Send> RelaxedFifo<V, C, Q>
     /// clock at call time (Algorithm 2's `Clock.Read()`).
     pub fn enqueue_with(&self, rng: &mut impl Rng64, value: V) {
         let ts = self.clock.tick();
-        self.mq.insert(&mut TwoChoice, rng, ts, value);
+        self.mq.insert_one(
+            &mut TwoChoice,
+            rng,
+            ts,
+            value,
+            None,
+            &mut ContentionStats::new(),
+        );
     }
 
     /// Dequeue with an explicit generator: an approximately-oldest
     /// element, or `None` if observed empty.
     pub fn dequeue_with(&self, rng: &mut impl Rng64) -> Option<V> {
-        self.mq.dequeue(&mut TwoChoice, rng).map(|(_, v)| v)
+        self.dequeue_with_timestamp(rng).map(|(_, v)| v)
     }
 
     /// Dequeue returning the element's enqueue timestamp too.
     pub fn dequeue_with_timestamp(&self, rng: &mut impl Rng64) -> Option<(u64, V)> {
-        self.mq.dequeue(&mut TwoChoice, rng)
+        self.mq
+            .dequeue_one(&mut TwoChoice, rng, None, &mut ContentionStats::new())
+            .map(|(ts, v, _)| (ts, v))
     }
 
     /// Convenience enqueue using the thread-local generator.

@@ -235,25 +235,24 @@ mod tests {
         // intervals!) until the checker catches an out-of-order
         // dequeue: the structure is demonstrably not linearizable to
         // the exact PQ spec, which is why Definition 5.2 exists.
-        use crate::queue::{MultiQueue, TwoChoice};
-        use crate::rng::Xoshiro256;
+        use crate::queue::{MqHandle, MultiQueue, TwoChoice};
         use crate::spec::history::StampClock;
 
         let mut found_violation = false;
         'outer: for seed in 0..50u64 {
             let mq: MultiQueue<u64> = MultiQueue::new(4);
             let clock = StampClock::new();
-            let mut rng = Xoshiro256::new(seed);
+            let mut h = MqHandle::with_policy(&mq, seed, TwoChoice);
             let mut events = Vec::new();
             for p in 0..6u64 {
                 let inv = clock.stamp();
-                mq.insert(&mut TwoChoice, &mut rng, p, p);
+                h.insert(p, p);
                 let resp = clock.stamp();
                 events.push(ev_at(PqOp::Insert { priority: p }, inv, resp));
             }
             for _ in 0..6 {
                 let inv = clock.stamp();
-                if let Some((p, _)) = mq.dequeue(&mut TwoChoice, &mut rng) {
+                if let Some((p, _)) = h.dequeue() {
                     let resp = clock.stamp();
                     events.push(ev_at(PqOp::DeleteMin { removed: p }, inv, resp));
                 }

@@ -5,7 +5,7 @@
 use dlz_core::rng::{Rng64, SplitMix64, Xoshiro256};
 use dlz_core::spec::relaxation::quantitative_path;
 use dlz_core::spec::{CounterOp, CounterSpec, FifoOp, FifoSpec, Lts, PqOp, PqSpec, SequentialSpec};
-use dlz_core::{MultiCounter, MultiQueue, RelaxedCounter, TwoChoice};
+use dlz_core::{MultiCounter, MultiQueue, RelaxedCounter};
 use proptest::prelude::*;
 
 proptest! {
@@ -62,13 +62,13 @@ proptest! {
         priorities in proptest::collection::vec(0u64..1_000, 1..200),
     ) {
         let mq: MultiQueue<u64> = MultiQueue::new(m);
-        let mut rng = Xoshiro256::new(seed);
+        let mut h = mq.handle(seed);
         for (i, &p) in priorities.iter().enumerate() {
-            mq.insert(&mut TwoChoice, &mut rng, p, i as u64);
+            h.insert(p, i as u64);
         }
         let mut got_p = Vec::new();
         let mut got_v = Vec::new();
-        while let Some((p, v)) = mq.dequeue(&mut TwoChoice, &mut rng) {
+        while let Some((p, v)) = h.dequeue() {
             got_p.push(p);
             got_v.push(v);
         }

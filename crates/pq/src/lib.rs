@@ -13,8 +13,8 @@
 //!   them break priority ties in FIFO order using an internal sequence
 //!   number, which is what gives the MultiQueue its queue-like semantics
 //!   when priorities are timestamps.
-//! * [`SpinLock`] — a test-and-test-and-set lock with exponential backoff,
-//!   plus the [`Backoff`] helper it is built from.
+//! * [`Backoff`] — exponential backoff (spin, then yield) for contended
+//!   retry loops.
 //! * [`CachePadded`] — 128-byte cache-line padding, shared with
 //!   `dlz-core` so every hot word in the workspace uses one definition.
 //! * [`LockedPq`] — a linearizable concurrent priority queue whose lock
@@ -22,22 +22,17 @@
 //!   header word (see [`locked::header`]), cache-padded together with
 //!   the published minimum hint so that readers can perform the
 //!   *ReadMin* step of Algorithm 2 without taking the lock and without
-//!   false sharing.
-//! * [`LockFreePq`] — the lock-free substrate: inserts are a single CAS
-//!   push onto a Treiber-style pending stack (never touching a lock
-//!   bit), dequeues *claim* the whole pending stack with one swap and
-//!   drain it into a queue-local sequential heap.
-//! * [`CombiningPq`] — the claim-based flat combiner: contended
-//!   dequeuers deposit requests into cache-padded publication slots and
-//!   the current lock holder serves them all under one acquisition.
-//! * [`Substrate`] / [`SubstrateCfg`] — the per-queue substrate switch
-//!   that puts all three disciplines behind one whole-operation surface
-//!   for the MultiQueue.
+//!   false sharing. Its whole-operation attempts ([`InsertOutcome`],
+//!   [`DequeueOutcome`], [`BatchPush`], [`BatchPop`]) are the surface
+//!   the MultiQueue's choice loops drive. It is the only per-queue
+//!   concurrency discipline: a lock-free claim/drain queue and a flat
+//!   combiner were measured against it and removed (README, "Why one
+//!   per-queue substrate").
 //! * [`CoarsePq`] — an exact concurrent priority queue (one global lock),
 //!   used as the non-relaxed baseline in benchmarks.
 //! * [`ContentionStats`] — plain-`u64`, single-owner hot-path counters
-//!   recorded by the `*_with_stats` lock entry points and merged like
-//!   worker metrics.
+//!   recorded by [`LockedPq`]'s instrumented entry points and merged
+//!   like worker metrics.
 //!
 //! Everything in this crate is deterministic given its seeds: there is no
 //! global RNG and no dependence on wall-clock time.
@@ -46,27 +41,24 @@
 
 pub mod binary_heap;
 pub mod coarse;
-pub mod combining;
 pub mod locked;
-pub mod lockfree;
 pub mod padded;
 pub mod pairing_heap;
 pub mod parking_lot;
 pub mod skiplist;
 pub mod spinlock;
 pub mod stats;
-pub mod substrate;
 pub mod traits;
 
 pub use binary_heap::BinaryHeap;
 pub use coarse::CoarsePq;
-pub use combining::{CombiningPq, COMBINING_SLOTS};
-pub use locked::{Contended, LockedPq, ParkingLotPq, Poisoned, PqGuard};
-pub use lockfree::{DrainGuard, LockFreePq};
+pub use locked::{
+    BatchPop, BatchPush, Contended, DequeueOutcome, InsertOutcome, LockedPq, ParkingLotPq,
+    Poisoned, PqGuard,
+};
 pub use padded::CachePadded;
 pub use pairing_heap::PairingHeap;
 pub use skiplist::SkipListPq;
-pub use spinlock::{Backoff, SpinGuard, SpinLock};
+pub use spinlock::Backoff;
 pub use stats::ContentionStats;
-pub use substrate::{BatchPop, BatchPush, DequeueOutcome, InsertOutcome, Substrate, SubstrateCfg};
 pub use traits::{ConcurrentPq, SeqPriorityQueue};

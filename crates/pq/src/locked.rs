@@ -27,9 +27,26 @@
 //! precisely the relaxation the paper analyzes, so it is allowed by
 //! construction.
 //!
+//! # Whole-operation attempts
+//!
+//! The MultiQueue's choice loops do not hold guards; they ask one queue
+//! for one whole operation and act on how it ended: it happened (and at
+//! what stamp), the queue was empty, the lock was contended, or the
+//! queue is poisoned and must be routed around.
+//! [`attempt_insert`](LockedPq::attempt_insert),
+//! [`attempt_dequeue`](LockedPq::attempt_dequeue),
+//! [`attempt_insert_batch`](LockedPq::attempt_insert_batch) and
+//! [`attempt_dequeue_batch`](LockedPq::attempt_dequeue_batch) are that
+//! surface. Each takes `block` (wait out contention, or report it),
+//! an optional history `stamper` and the caller's [`ContentionStats`];
+//! failure outcomes hand the entry (or the items iterator) back
+//! unconsumed so the caller can re-route it. History stamps are drawn
+//! *inside* the critical section — the operation's linearization point
+//! in this linearizable queue.
+//!
 //! [`ParkingLotPq`] is the same interface over `parking_lot::Mutex`,
-//! used by the lock-substrate ablation benchmark; it keeps the
-//! separate-words layout and thereby doubles as the "unpacked" baseline.
+//! used by the lock ablation benchmark; it keeps the separate-words
+//! layout and thereby doubles as the "unpacked" baseline.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -60,6 +77,63 @@ impl std::fmt::Display for Poisoned {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("queue poisoned by a panicked critical section")
     }
+}
+
+/// Draws the next history stamp, or 0 when no stamper is active
+/// (stamps are ordering keys only; 0 marks "unstamped run").
+#[inline]
+pub fn draw_stamp(stamper: Option<&AtomicU64>) -> u64 {
+    stamper.map_or(0, |s| s.fetch_add(1, Ordering::AcqRel))
+}
+
+/// How a single-entry insert attempt on one queue ended. The failure
+/// variants hand the entry back so the caller can re-route it.
+#[derive(Debug)]
+pub enum InsertOutcome<V> {
+    /// Inserted; carries the history stamp (0 when unstamped).
+    Done(u64),
+    /// Lock contended (try mode); entry returned.
+    Contended(u64, V),
+    /// Queue poisoned; entry returned for re-routing.
+    Poisoned(u64, V),
+}
+
+/// How a single-entry dequeue attempt on one queue ended.
+#[derive(Debug)]
+pub enum DequeueOutcome<V> {
+    /// Served `(priority, value, stamp)` (stamp 0 when unstamped).
+    Served(u64, V, u64),
+    /// The queue was acquired but empty (a stale hint).
+    Empty,
+    /// Lock contended (try mode).
+    Contended,
+    /// Queue poisoned; re-choose.
+    Poisoned,
+}
+
+/// How a batch-insert attempt ended; failures return the items
+/// iterator **unconsumed**.
+#[derive(Debug)]
+pub enum BatchPush<I> {
+    /// All items inserted; carries the count.
+    Done(usize),
+    /// Lock contended (try mode); items returned.
+    Contended(I),
+    /// Queue poisoned; items returned.
+    Poisoned(I),
+}
+
+/// How a batch-dequeue attempt ended (entries stream into the sink).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchPop {
+    /// At least one entry was served; carries the count.
+    Served(usize),
+    /// Acquired but empty.
+    Empty,
+    /// Lock contended (try mode).
+    Contended,
+    /// Queue poisoned.
+    Poisoned,
 }
 
 /// Bit layout of the packed per-queue header word.
@@ -223,17 +297,6 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
         self.checked_lock().expect("queue poisoned")
     }
 
-    /// [`lock`](Self::lock) with contention accounting: backoff snoozes
-    /// while the lock is held and CAS acquire retries are recorded in
-    /// `stats`, and the release protocol records hint republishes.
-    ///
-    /// # Panics
-    /// If the queue is poisoned (see [`lock`](Self::lock)).
-    #[inline]
-    pub fn lock_with_stats<'g>(&'g self, stats: &'g mut ContentionStats) -> PqGuard<'g, V, Q> {
-        self.lock_inner(Some(stats)).expect("queue poisoned")
-    }
-
     /// Acquires the lock, or reports [`Poisoned`] without acquiring
     /// when a previous critical section panicked. A poisoned result is
     /// immediate — the caller is expected to re-choose another queue,
@@ -243,7 +306,10 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
         self.lock_inner(None)
     }
 
-    /// [`checked_lock`](Self::checked_lock) with contention accounting.
+    /// [`checked_lock`](Self::checked_lock) with contention accounting:
+    /// backoff snoozes while the lock is held and CAS acquire retries
+    /// are recorded in `stats`, and the release protocol records hint
+    /// republishes.
     #[inline]
     pub fn checked_lock_with_stats<'g>(
         &'g self,
@@ -308,22 +374,6 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
         self.try_lock_inner(None).expect("queue poisoned")
     }
 
-    /// [`try_lock`](Self::try_lock) with contention accounting: a `None`
-    /// return is recorded as a try-lock failure, CAS retries against
-    /// concurrent releases are counted, and the release protocol records
-    /// hint republishes. The failure is counted *here* rather than by
-    /// the caller so the borrow of `stats` ends with the return value.
-    ///
-    /// # Panics
-    /// If the queue is poisoned (see [`lock`](Self::lock)).
-    #[inline]
-    pub fn try_lock_with_stats<'g>(
-        &'g self,
-        stats: &'g mut ContentionStats,
-    ) -> Option<PqGuard<'g, V, Q>> {
-        self.try_lock_inner(Some(stats)).expect("queue poisoned")
-    }
-
     /// Non-blocking acquire that reports poison instead of panicking:
     /// `Ok(None)` means contended, `Err(Poisoned)` means a previous
     /// critical section panicked.
@@ -333,9 +383,12 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
     }
 
     /// [`checked_try_lock`](Self::checked_try_lock) with contention
-    /// accounting (a contended `Ok(None)` counts as a try-lock
-    /// failure; a poisoned return records nothing — poison is not
-    /// contention).
+    /// accounting: a contended `Ok(None)` counts as a try-lock failure
+    /// (counted *here* rather than by the caller so the borrow of
+    /// `stats` ends with the return value), CAS retries against
+    /// concurrent releases are counted, and the release protocol
+    /// records hint republishes. A poisoned return records nothing —
+    /// poison is not contention.
     #[inline]
     pub fn checked_try_lock_with_stats<'g>(
         &'g self,
@@ -412,6 +465,133 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
                 }
                 Err(now) => cur = now,
             }
+        }
+    }
+
+    /// The one place an operation's acquisition discipline is chosen:
+    /// `block = true` waits out contention (strict mode), `block =
+    /// false` reports it as `Ok(None)`.
+    #[inline]
+    fn acquire<'g>(
+        &'g self,
+        block: bool,
+        stats: &'g mut ContentionStats,
+    ) -> Result<Option<PqGuard<'g, V, Q>>, Poisoned> {
+        if block {
+            self.checked_lock_with_stats(stats).map(Some)
+        } else {
+            self.checked_try_lock_with_stats(stats)
+        }
+    }
+
+    /// One insert attempt. `block = true` waits out contention;
+    /// `block = false` reports [`InsertOutcome::Contended`] instead.
+    pub fn attempt_insert(
+        &self,
+        priority: u64,
+        value: V,
+        block: bool,
+        stamper: Option<&AtomicU64>,
+        stats: &mut ContentionStats,
+    ) -> InsertOutcome<V> {
+        match self.acquire(block, stats) {
+            Ok(Some(mut g)) => {
+                g.add(priority, value);
+                InsertOutcome::Done(draw_stamp(stamper))
+            }
+            Ok(None) => InsertOutcome::Contended(priority, value),
+            Err(Poisoned) => InsertOutcome::Poisoned(priority, value),
+        }
+    }
+
+    /// One dequeue attempt. `block` gates the lock acquisition only —
+    /// an acquired-but-empty queue reports [`DequeueOutcome::Empty`]
+    /// immediately in both modes (the MultiQueue re-chooses).
+    pub fn attempt_dequeue(
+        &self,
+        block: bool,
+        stamper: Option<&AtomicU64>,
+        stats: &mut ContentionStats,
+    ) -> DequeueOutcome<V> {
+        match self.acquire(block, stats) {
+            Ok(Some(mut g)) => match g.delete_min() {
+                Some((p, v)) => DequeueOutcome::Served(p, v, draw_stamp(stamper)),
+                None => DequeueOutcome::Empty,
+            },
+            Ok(None) => DequeueOutcome::Contended,
+            Err(Poisoned) => DequeueOutcome::Poisoned,
+        }
+    }
+
+    /// One batch-insert attempt: a single acquisition and a single hint
+    /// publish cover the whole batch. Per-item stamps land in
+    /// `stamped.1` in insertion order.
+    pub fn attempt_insert_batch<I>(
+        &self,
+        items: I,
+        block: bool,
+        mut stamped: Option<(&AtomicU64, &mut Vec<u64>)>,
+        stats: &mut ContentionStats,
+    ) -> BatchPush<I>
+    where
+        I: IntoIterator<Item = (u64, V)>,
+    {
+        match self.acquire(block, stats) {
+            Ok(Some(mut g)) => {
+                let mut n = 0usize;
+                for (p, v) in items {
+                    g.add(p, v);
+                    if let Some((stamper, stamps)) = stamped.as_mut() {
+                        stamps.push(draw_stamp(Some(*stamper)));
+                    }
+                    n += 1;
+                }
+                BatchPush::Done(n)
+            }
+            Ok(None) => BatchPush::Contended(items),
+            Err(Poisoned) => BatchPush::Poisoned(items),
+        }
+    }
+
+    /// One batch-dequeue attempt: up to `max` entries stream into
+    /// `sink` as `(priority, value, stamp)` under a single acquisition
+    /// and a single hint publish.
+    pub fn attempt_dequeue_batch(
+        &self,
+        max: usize,
+        block: bool,
+        stamper: Option<&AtomicU64>,
+        sink: &mut impl FnMut(u64, V, u64),
+        stats: &mut ContentionStats,
+    ) -> BatchPop {
+        match self.acquire(block, stats) {
+            Ok(Some(mut g)) => {
+                let mut n = 0usize;
+                while n < max {
+                    let Some((p, v)) = g.delete_min() else { break };
+                    sink(p, v, draw_stamp(stamper));
+                    n += 1;
+                }
+                if n > 0 {
+                    BatchPop::Served(n)
+                } else {
+                    BatchPop::Empty
+                }
+            }
+            Ok(None) => BatchPop::Contended,
+            Err(Poisoned) => BatchPop::Poisoned,
+        }
+    }
+
+    /// Salvages a poisoned queue: drains every entry the sequential
+    /// queue still serves into `out` and returns the queue to service
+    /// (the guard's release recounts, republishes the hint and clears
+    /// the poison bit). Also usable on a healthy queue as a blocking
+    /// drain.
+    pub fn salvage_into(&self, out: &mut Vec<(u64, V)>) {
+        let mut g = self.salvage_lock();
+        while let Some(e) = g.delete_min() {
+            out.push(e);
         }
     }
 
@@ -539,17 +719,6 @@ pub struct PqGuard<'a, V, Q: SeqPriorityQueue<u64, V>> {
     /// Counter sink for the release protocol (hint republishes); `None`
     /// from the uninstrumented entry points.
     stats: Option<&'a mut ContentionStats>,
-}
-
-impl<V, Q: SeqPriorityQueue<u64, V>> PqGuard<'_, V, Q> {
-    /// The counter sink this guard was acquired with, if any — lets a
-    /// layered substrate (the flat combiner) record events that happen
-    /// inside the critical section while the guard holds the exclusive
-    /// borrow of the stats.
-    #[inline]
-    pub(crate) fn stats_mut(&mut self) -> Option<&mut ContentionStats> {
-        self.stats.as_deref_mut()
-    }
 }
 
 impl<V, Q: SeqPriorityQueue<u64, V>> std::ops::Deref for PqGuard<'_, V, Q> {
@@ -703,18 +872,21 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn try_lock_with_stats_counts_failures_and_successes_leave_counts_alone() {
+    fn checked_try_lock_with_stats_counts_failures_and_successes_leave_counts_alone() {
         let q: LockedPq<u32> = LockedPq::new(BinaryHeap::new());
         let mut stats = ContentionStats::new();
         {
             let _held = q.lock();
-            assert!(q.try_lock_with_stats(&mut stats).is_none());
-            assert!(q.try_lock_with_stats(&mut stats).is_none());
+            assert!(q.checked_try_lock_with_stats(&mut stats).unwrap().is_none());
+            assert!(q.checked_try_lock_with_stats(&mut stats).unwrap().is_none());
         }
         assert_eq!(stats.try_lock_failures, 2);
         // Uncontended acquisition records nothing.
         let before = stats;
-        let mut g = q.try_lock_with_stats(&mut stats).expect("free lock");
+        let mut g = q
+            .checked_try_lock_with_stats(&mut stats)
+            .unwrap()
+            .expect("free lock");
         g.add(1, 7);
         drop(g);
         // The first insert into an empty queue moves the hint.
@@ -727,11 +899,177 @@ mod tests {
     fn hint_republish_counts_only_when_the_minimum_moves() {
         let q: LockedPq<u32> = LockedPq::new(BinaryHeap::new());
         let mut stats = ContentionStats::new();
-        q.lock_with_stats(&mut stats).add(5, 50); // empty -> 5: republish
-        q.lock_with_stats(&mut stats).add(9, 90); // min stays 5: no store
-        q.lock_with_stats(&mut stats).add(2, 20); // 5 -> 2: republish
+        q.checked_lock_with_stats(&mut stats).unwrap().add(5, 50); // empty -> 5: republish
+        q.checked_lock_with_stats(&mut stats).unwrap().add(9, 90); // min stays 5: no store
+        q.checked_lock_with_stats(&mut stats).unwrap().add(2, 20); // 5 -> 2: republish
         assert_eq!(stats.hint_republishes, 2);
         assert_eq!(q.min_hint(), 2);
+    }
+
+    #[test]
+    fn whole_op_attempts_serve_in_priority_order_and_report_empty() {
+        let q: LockedPq<u64> = LockedPq::default();
+        let mut stats = ContentionStats::new();
+        assert!(matches!(
+            q.attempt_insert(5, 50, true, None, &mut stats),
+            InsertOutcome::Done(0)
+        ));
+        assert!(matches!(
+            q.attempt_insert(3, 30, false, None, &mut stats),
+            InsertOutcome::Done(0)
+        ));
+        assert_eq!(q.min_hint(), 3);
+        assert_eq!(q.approx_len(), 2);
+        match q.attempt_dequeue(true, None, &mut stats) {
+            DequeueOutcome::Served(3, 30, 0) => {}
+            other => panic!("expected Served(3, 30, 0), got {other:?}"),
+        }
+        match q.attempt_dequeue(false, None, &mut stats) {
+            DequeueOutcome::Served(5, 50, 0) => {}
+            other => panic!("expected Served(5, 50, 0), got {other:?}"),
+        }
+        assert!(matches!(
+            q.attempt_dequeue(true, None, &mut stats),
+            DequeueOutcome::Empty
+        ));
+        assert_eq!(q.approx_len(), 0);
+    }
+
+    #[test]
+    fn batch_attempts_amortize_one_acquisition() {
+        let q: LockedPq<u64> = LockedPq::default();
+        let mut stats = ContentionStats::new();
+        let g0 = q.generation().unwrap();
+        match q.attempt_insert_batch(vec![(4, 40u64), (1, 10), (9, 90)], true, None, &mut stats) {
+            BatchPush::Done(3) => {}
+            other => panic!("expected Done(3), got {other:?}"),
+        }
+        assert_eq!(header::gen_delta(g0, q.generation().unwrap()), 1);
+        assert_eq!(q.approx_len(), 3);
+        let mut got = Vec::new();
+        let served =
+            q.attempt_dequeue_batch(2, true, None, &mut |p, v, _| got.push((p, v)), &mut stats);
+        assert_eq!(served, BatchPop::Served(2));
+        assert_eq!(got, vec![(1, 10), (4, 40)]);
+        let served = q.attempt_dequeue_batch(8, true, None, &mut |_, _, _| {}, &mut stats);
+        assert_eq!(served, BatchPop::Served(1));
+        let served = q.attempt_dequeue_batch(8, true, None, &mut |_, _, _| {}, &mut stats);
+        assert_eq!(served, BatchPop::Empty);
+    }
+
+    #[test]
+    fn attempt_stamps_are_monotone_and_an_insert_precedes_its_dequeue() {
+        let q: LockedPq<u64> = LockedPq::default();
+        let stamper = AtomicU64::new(1);
+        let mut stats = ContentionStats::new();
+        let mut stamps = Vec::new();
+        match q.attempt_insert(7, 70, true, Some(&stamper), &mut stats) {
+            InsertOutcome::Done(s) => stamps.push(s),
+            other => panic!("{other:?}"),
+        }
+        let mut batch_stamps = Vec::new();
+        match q.attempt_insert_batch(
+            vec![(2, 20u64), (8, 80)],
+            true,
+            Some((&stamper, &mut batch_stamps)),
+            &mut stats,
+        ) {
+            BatchPush::Done(2) => stamps.extend(batch_stamps),
+            other => panic!("{other:?}"),
+        }
+        match q.attempt_dequeue(true, Some(&stamper), &mut stats) {
+            DequeueOutcome::Served(2, 20, s) => stamps.push(s),
+            other => panic!("{other:?}"),
+        }
+        assert!(
+            stamps.windows(2).all(|w| w[0] < w[1]),
+            "stamps {stamps:?} not strictly increasing"
+        );
+        // The insert that produced entry (2, 20) must be stamped below
+        // the dequeue that served it.
+        assert!(stamps[1] < stamps[3], "insert stamped after its dequeue");
+    }
+
+    #[test]
+    fn non_blocking_attempts_hand_everything_back_while_the_lock_is_held() {
+        let q: LockedPq<u64> = LockedPq::default();
+        q.insert(1, 10);
+        let mut stats = ContentionStats::new();
+        let held = q.lock();
+        match q.attempt_insert(6, 60, false, None, &mut stats) {
+            InsertOutcome::Contended(6, 60) => {}
+            other => panic!("expected the entry back, got {other:?}"),
+        }
+        // Contended is not Empty: a held lock says nothing about what
+        // the queue holds (it holds an entry here).
+        assert!(matches!(
+            q.attempt_dequeue(false, None, &mut stats),
+            DequeueOutcome::Contended
+        ));
+        let mut items = vec![(4u64, 40u64), (2, 20)].into_iter();
+        items.next(); // a partially consumed iterator comes back as it was
+        match q.attempt_insert_batch(items, false, None, &mut stats) {
+            BatchPush::Contended(back) => assert_eq!(back.collect::<Vec<_>>(), vec![(2, 20)]),
+            other => panic!("expected the iterator back, got {other:?}"),
+        }
+        let mut sunk = 0usize;
+        let popped = q.attempt_dequeue_batch(4, false, None, &mut |_, _, _| sunk += 1, &mut stats);
+        assert_eq!(popped, BatchPop::Contended);
+        assert_eq!(sunk, 0, "a contended batch pop serves nothing");
+        assert_eq!(stats.try_lock_failures, 4);
+        drop(held);
+        // Released and drained: the same attempts now say Empty.
+        assert!(matches!(
+            q.attempt_dequeue(false, None, &mut stats),
+            DequeueOutcome::Served(1, 10, 0)
+        ));
+        assert!(matches!(
+            q.attempt_dequeue(false, None, &mut stats),
+            DequeueOutcome::Empty
+        ));
+        let popped = q.attempt_dequeue_batch(4, false, None, &mut |_, _, _| sunk += 1, &mut stats);
+        assert_eq!(popped, BatchPop::Empty);
+        assert_eq!(stats.try_lock_failures, 4);
+    }
+
+    #[test]
+    fn poisoned_attempts_return_entries_and_salvage_into_recovers_them() {
+        let q: LockedPq<u64> = LockedPq::default();
+        let mut stats = ContentionStats::new();
+        for p in [6u64, 2, 4] {
+            assert!(matches!(
+                q.attempt_insert(p, p * 10, true, None, &mut stats),
+                InsertOutcome::Done(_)
+            ));
+        }
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            q.with_locked(|_inner| panic!("injected"));
+        }));
+        assert!(unwound.is_err());
+        assert!(q.is_poisoned());
+        for block in [false, true] {
+            assert!(matches!(
+                q.attempt_insert(1, 1, block, None, &mut stats),
+                InsertOutcome::Poisoned(1, 1)
+            ));
+            assert!(matches!(
+                q.attempt_dequeue(block, None, &mut stats),
+                DequeueOutcome::Poisoned
+            ));
+            match q.attempt_insert_batch(vec![(9u64, 90u64)], block, None, &mut stats) {
+                BatchPush::Poisoned(back) => assert_eq!(back, vec![(9, 90)]),
+                other => panic!("{other:?}"),
+            }
+            assert_eq!(
+                q.attempt_dequeue_batch(4, block, None, &mut |_, _, _| {}, &mut stats),
+                BatchPop::Poisoned
+            );
+        }
+        let mut out = Vec::new();
+        q.salvage_into(&mut out);
+        assert!(!q.is_poisoned());
+        assert_eq!(out, vec![(2, 20), (4, 40), (6, 60)]);
+        assert_eq!(q.approx_len(), 0);
     }
 
     #[test]

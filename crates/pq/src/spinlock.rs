@@ -1,20 +1,17 @@
-//! A test-and-test-and-set spinlock with exponential backoff.
+//! Exponential backoff for contended retry loops.
 //!
 //! The MultiQueue takes a lock per internal queue for a handful of heap
-//! operations (tens of nanoseconds). For such short critical sections a
-//! TATAS spinlock outperforms OS mutexes, and its `try_lock` is exactly
-//! what the Rihani-et-al. "retry on contention" delete variant needs.
-
-use std::cell::UnsafeCell;
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, Ordering};
+//! operations (tens of nanoseconds). For such short critical sections
+//! spinning on the packed lock word of [`LockedPq`](crate::LockedPq)
+//! outperforms OS mutexes; [`Backoff`] is what keeps that spinning (and
+//! the MultiQueue's redraw loops) from hammering a contended line.
 
 /// Exponential backoff helper for contended retry loops.
 ///
 /// Starts with a few `spin_loop` hints and doubles the spin count on every
 /// call until a threshold, after which it yields to the OS scheduler. This
 /// mirrors the strategy used by crossbeam's `Backoff`, re-implemented here
-/// so the lock has no dependencies.
+/// so the crate has no dependencies.
 #[derive(Debug, Default)]
 pub struct Backoff {
     step: u32,
@@ -62,170 +59,9 @@ impl Backoff {
     }
 }
 
-/// A mutual-exclusion spinlock protecting a value of type `T`.
-///
-/// # Example
-/// ```
-/// use dlz_pq::SpinLock;
-/// let lock = SpinLock::new(0u64);
-/// *lock.lock() += 1;
-/// assert_eq!(*lock.lock(), 1);
-/// ```
-#[derive(Debug)]
-pub struct SpinLock<T: ?Sized> {
-    locked: AtomicBool,
-    data: UnsafeCell<T>,
-}
-
-// SAFETY: the lock provides exclusive access to `data`; `T: Send` is
-// enough because only one thread can observe `&mut T` at a time.
-unsafe impl<T: ?Sized + Send> Sync for SpinLock<T> {}
-unsafe impl<T: ?Sized + Send> Send for SpinLock<T> {}
-
-impl<T> SpinLock<T> {
-    /// Creates a new unlocked spinlock holding `value`.
-    pub const fn new(value: T) -> Self {
-        SpinLock {
-            locked: AtomicBool::new(false),
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    /// Consumes the lock and returns the inner value.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
-}
-
-impl<T: ?Sized> SpinLock<T> {
-    /// Acquires the lock, spinning with exponential backoff until free.
-    #[inline]
-    pub fn lock(&self) -> SpinGuard<'_, T> {
-        let mut backoff = Backoff::new();
-        loop {
-            if let Some(g) = self.try_lock() {
-                return g;
-            }
-            // Test-and-test-and-set: spin on a plain load to avoid
-            // hammering the cache line with RMW operations.
-            while self.locked.load(Ordering::Relaxed) {
-                backoff.snooze();
-            }
-        }
-    }
-
-    /// Attempts to acquire the lock without blocking.
-    #[inline]
-    pub fn try_lock(&self) -> Option<SpinGuard<'_, T>> {
-        if self
-            .locked
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            Some(SpinGuard { lock: self })
-        } else {
-            None
-        }
-    }
-
-    /// `true` if some thread currently holds the lock. Snapshot only.
-    #[inline]
-    pub fn is_locked(&self) -> bool {
-        self.locked.load(Ordering::Relaxed)
-    }
-
-    /// Returns a mutable reference to the data without locking.
-    /// Safe because `&mut self` proves no other reference exists.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
-}
-
-/// RAII guard: the lock is released when the guard is dropped.
-#[derive(Debug)]
-pub struct SpinGuard<'a, T: ?Sized> {
-    lock: &'a SpinLock<T>,
-}
-
-impl<T: ?Sized> Deref for SpinGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        // SAFETY: the guard proves exclusive ownership of the lock.
-        unsafe { &*self.lock.data.get() }
-    }
-}
-
-impl<T: ?Sized> DerefMut for SpinGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: the guard proves exclusive ownership of the lock.
-        unsafe { &mut *self.lock.data.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for SpinGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        self.lock.locked.store(false, Ordering::Release);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn lock_unlock_roundtrip() {
-        let lock = SpinLock::new(41);
-        {
-            let mut g = lock.lock();
-            *g += 1;
-        }
-        assert_eq!(*lock.lock(), 42);
-    }
-
-    #[test]
-    fn try_lock_fails_when_held() {
-        let lock = SpinLock::new(());
-        let g = lock.lock();
-        assert!(lock.try_lock().is_none());
-        assert!(lock.is_locked());
-        drop(g);
-        assert!(lock.try_lock().is_some());
-    }
-
-    #[test]
-    fn into_inner_returns_value() {
-        let lock = SpinLock::new(String::from("x"));
-        assert_eq!(lock.into_inner(), "x");
-    }
-
-    #[test]
-    fn get_mut_bypasses_lock() {
-        let mut lock = SpinLock::new(7);
-        *lock.get_mut() = 9;
-        assert_eq!(*lock.lock(), 9);
-    }
-
-    #[test]
-    fn mutual_exclusion_under_contention() {
-        const THREADS: usize = 4;
-        const ITERS: usize = 20_000;
-        let lock = Arc::new(SpinLock::new(0u64));
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                let lock = Arc::clone(&lock);
-                s.spawn(move || {
-                    for _ in 0..ITERS {
-                        *lock.lock() += 1;
-                    }
-                });
-            }
-        });
-        assert_eq!(*lock.lock(), (THREADS * ITERS) as u64);
-    }
 
     #[test]
     fn backoff_escalates_to_yield() {
@@ -237,20 +73,5 @@ mod tests {
         assert!(b.is_yielding());
         b.reset();
         assert!(!b.is_yielding());
-    }
-
-    #[test]
-    fn guard_releases_on_panic() {
-        let lock = Arc::new(SpinLock::new(0));
-        let l2 = Arc::clone(&lock);
-        let res = std::thread::spawn(move || {
-            let _g = l2.lock();
-            panic!("poison-free by design");
-        })
-        .join();
-        assert!(res.is_err());
-        // Spinlocks have no poisoning: lock is released by the unwinding
-        // guard and usable afterwards.
-        assert!(lock.try_lock().is_some());
     }
 }

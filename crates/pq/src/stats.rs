@@ -1,7 +1,7 @@
 //! Hot-path contention counters.
 //!
 //! Every counter here is a plain `u64` owned by exactly one thread (a
-//! worker's handle, or a throwaway local in the convenience wrappers) —
+//! worker's handle, or a throwaway local where no handle exists) —
 //! recording is a non-atomic increment, so the hot path pays one
 //! add-to-cache-resident-line per event and nothing when the event does
 //! not fire. Aggregation follows the same discipline as worker metrics:
@@ -11,7 +11,8 @@
 //!
 //! The lock-level counters (`try_lock_failures`, `cas_retries`,
 //! `hint_republishes`) are recorded by [`LockedPq`](crate::LockedPq)
-//! when its `*_with_stats` entry points are used; the backoff and
+//! when its `*_with_stats` entry points or whole-operation attempts
+//! are used; the backoff and
 //! choice-process counters are recorded by the layers that own those
 //! loops (the MultiQueue's operation loops and its choice policies).
 //!
@@ -20,12 +21,10 @@
 
 /// Per-thread contention counters for the relaxed-queue hot paths.
 ///
-/// All fields are monotone event counts except [`adaptive_s`] and
-/// [`drain_len`] (gauges, merged by maximum and preserved across
-/// [`take`]).
+/// All fields are monotone event counts except [`adaptive_s`] (a
+/// gauge, merged by maximum and preserved across [`take`]).
 ///
 /// [`adaptive_s`]: ContentionStats::adaptive_s
-/// [`drain_len`]: ContentionStats::drain_len
 /// [`take`]: ContentionStats::take
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContentionStats {
@@ -48,18 +47,9 @@ pub struct ContentionStats {
     pub s_widens: u64,
     /// Adaptive-`s` transitions that shrank the camp length.
     pub s_narrows: u64,
-    /// Lock-free drains that claimed a non-empty pending stack with a
-    /// single swap ([`LockFreePq`](crate::LockFreePq) dequeues).
-    pub claim_swaps: u64,
-    /// Flat-combined operations served for *other* threads by a lock
-    /// holder ([`CombiningPq`](crate::CombiningPq)).
-    pub combined_ops: u64,
     /// Gauge: the adaptive policy's current camp length `s` (0 when no
     /// adaptive policy is active). Merged by maximum, kept by `take`.
     pub adaptive_s: u64,
-    /// Gauge: the longest pending batch a single claim swap drained
-    /// into the queue-local heap. Merged by maximum, kept by `take`.
-    pub drain_len: u64,
 }
 
 impl ContentionStats {
@@ -80,7 +70,7 @@ impl ContentionStats {
     }
 
     /// Merges another thread's counters into this one: counts add,
-    /// the `adaptive_s` and `drain_len` gauges take the maximum.
+    /// the `adaptive_s` gauge takes the maximum.
     pub fn merge(&mut self, other: &ContentionStats) {
         self.try_lock_failures += other.try_lock_failures;
         self.cas_retries += other.cas_retries;
@@ -91,27 +81,23 @@ impl ContentionStats {
         self.camp_switches += other.camp_switches;
         self.s_widens += other.s_widens;
         self.s_narrows += other.s_narrows;
-        self.claim_swaps += other.claim_swaps;
-        self.combined_ops += other.combined_ops;
         self.adaptive_s = self.adaptive_s.max(other.adaptive_s);
-        self.drain_len = self.drain_len.max(other.drain_len);
     }
 
     /// Drains the counters for one snapshot interval: returns the
     /// current values and zeroes the counts in place. The `adaptive_s`
-    /// and `drain_len` gauges are copied out but *kept* (they describe
-    /// present state, not an interval's events).
+    /// gauge is copied out but *kept* (it describes present state, not
+    /// an interval's events).
     pub fn take(&mut self) -> ContentionStats {
         let out = *self;
         *self = ContentionStats {
             adaptive_s: self.adaptive_s,
-            drain_len: self.drain_len,
             ..ContentionStats::default()
         };
         out
     }
 
-    /// Sum of all event counts (the gauges excluded) — a cheap "did
+    /// Sum of all event counts (the gauge excluded) — a cheap "did
     /// anything contend at all" probe.
     pub fn total_events(&self) -> u64 {
         self.try_lock_failures
@@ -123,26 +109,16 @@ impl ContentionStats {
             + self.camp_switches
             + self.s_widens
             + self.s_narrows
-            + self.claim_swaps
-            + self.combined_ops
     }
 
-    /// `true` if no event has been recorded (gauges ignored).
+    /// `true` if no event has been recorded (gauge ignored).
     pub fn is_empty(&self) -> bool {
         self.total_events() == 0
     }
 
-    /// Records a claimed drain batch: bumps the claim-swap count and
-    /// widens the `drain_len` gauge if this batch is the longest seen.
-    #[inline]
-    pub fn note_claim(&mut self, drained: u64) {
-        self.claim_swaps += 1;
-        self.drain_len = self.drain_len.max(drained);
-    }
-
     /// The counter names and values in a fixed, export-stable order
-    /// (event counts first, then the gauges).
-    pub fn fields(&self) -> [(&'static str, u64); 13] {
+    /// (event counts first, then the gauge).
+    pub fn fields(&self) -> [(&'static str, u64); 10] {
         [
             ("try_lock_failures", self.try_lock_failures),
             ("cas_retries", self.cas_retries),
@@ -153,10 +129,7 @@ impl ContentionStats {
             ("camp_switches", self.camp_switches),
             ("s_widens", self.s_widens),
             ("s_narrows", self.s_narrows),
-            ("claim_swaps", self.claim_swaps),
-            ("combined_ops", self.combined_ops),
             ("adaptive_s", self.adaptive_s),
-            ("drain_len", self.drain_len),
         ]
     }
 }
@@ -176,10 +149,7 @@ mod tests {
             camp_switches: seed + 6,
             s_widens: seed + 7,
             s_narrows: seed + 8,
-            claim_swaps: seed + 9,
-            combined_ops: seed + 10,
             adaptive_s: seed % 7,
-            drain_len: seed % 5,
         }
     }
 
@@ -190,10 +160,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.try_lock_failures, 13);
         assert_eq!(a.s_narrows, 18 + 11);
-        assert_eq!(a.claim_swaps, 19 + 12);
-        assert_eq!(a.combined_ops, 20 + 13);
         assert_eq!(a.adaptive_s, 3); // max(10 % 7, 3 % 7)
-        assert_eq!(a.drain_len, 3); // max(10 % 5, 3 % 5)
     }
 
     #[test]
@@ -215,24 +182,10 @@ mod tests {
         assert_eq!(drained, sample(5));
         assert!(s.is_empty());
         assert_eq!(s.adaptive_s, 5, "gauge survives the drain");
-        assert_eq!(s.drain_len, 0, "5 % 5 — gauge value carried as-is");
-        // A second take returns only the gauges.
+        // A second take returns only the gauge.
         let again = s.take();
         assert!(again.is_empty());
         assert_eq!(again.adaptive_s, 5);
-    }
-
-    #[test]
-    fn take_keeps_drain_len_gauge() {
-        let mut s = ContentionStats::new();
-        s.note_claim(17);
-        s.note_claim(4);
-        assert_eq!(s.claim_swaps, 2);
-        assert_eq!(s.drain_len, 17, "gauge is a max, not a sum");
-        let drained = s.take();
-        assert_eq!(drained.claim_swaps, 2);
-        assert!(s.is_empty());
-        assert_eq!(s.drain_len, 17, "gauge survives the drain");
     }
 
     #[test]
@@ -249,10 +202,10 @@ mod tests {
     fn fields_cover_every_counter() {
         let s = sample(2);
         let f = s.fields();
-        assert_eq!(f.len(), 13);
+        assert_eq!(f.len(), 10);
         let total: u64 = f
             .iter()
-            .filter(|(n, _)| *n != "adaptive_s" && *n != "drain_len")
+            .filter(|(n, _)| *n != "adaptive_s")
             .map(|(_, v)| v)
             .sum();
         assert_eq!(total, s.total_events());

@@ -50,30 +50,17 @@ pub fn roster(scenario: &Scenario) -> Vec<Box<dyn Backend>> {
             // the tuned hot-path configurations, so one report carries
             // the before/after comparison.
             if tuned(scenario) {
-                backends.push(Box::new(MultiQueueBackend::heap_full(
+                backends.push(Box::new(MultiQueueBackend::heap_policy(
                     m,
                     DeleteMode::Strict,
                     scenario.choice_policy,
                     scenario.batch,
-                    scenario.substrate,
                 )));
-                backends.push(Box::new(MultiQueueBackend::heap_full(
+                backends.push(Box::new(MultiQueueBackend::heap_policy(
                     m,
                     DeleteMode::TryLock,
                     scenario.choice_policy,
                     scenario.batch,
-                    scenario.substrate,
-                )));
-            } else if !scenario.substrate.is_default() {
-                // A bare substrate dimension (default policy, no
-                // batching) still runs the selected substrate next to
-                // the packed-lock baseline already in the roster.
-                backends.push(Box::new(MultiQueueBackend::heap_full(
-                    m,
-                    DeleteMode::Strict,
-                    scenario.choice_policy,
-                    scenario.batch,
-                    scenario.substrate,
                 )));
             }
             backends
@@ -112,19 +99,17 @@ pub fn policy_roster(scenario: &Scenario) -> Vec<Box<dyn Backend>> {
     }
     let m = (4 * scenario.threads).max(8);
     vec![
-        Box::new(MultiQueueBackend::heap_full(
+        Box::new(MultiQueueBackend::heap_policy(
             m,
             DeleteMode::Strict,
             scenario.choice_policy,
             scenario.batch,
-            scenario.substrate,
         )),
-        Box::new(MultiQueueBackend::heap_full(
+        Box::new(MultiQueueBackend::heap_policy(
             m,
             DeleteMode::TryLock,
             scenario.choice_policy,
             scenario.batch,
-            scenario.substrate,
         )),
     ]
 }

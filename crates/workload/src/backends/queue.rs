@@ -8,9 +8,7 @@ use std::sync::Mutex;
 use dlz_core::spec::{
     check_distributional, Event, History, HistoryArtifact, PqOp, PqSpec, StampClock, ThreadLog,
 };
-use dlz_core::{
-    AnyPolicy, ChoicePolicy, DeleteMode, MqHandle, MultiQueue, PolicyCfg, SubstrateCfg,
-};
+use dlz_core::{AnyPolicy, ChoicePolicy, DeleteMode, MqHandle, MultiQueue, PolicyCfg};
 use dlz_pq::{
     BinaryHeap, CoarsePq, ConcurrentPq, LockedPq, PairingHeap, ParkingLotPq, SeqPriorityQueue,
     SkipListPq,
@@ -95,27 +93,12 @@ impl MultiQueueBackend<BinaryHeap<u64, u64>> {
     /// Binary-heap substrate with an explicit choice policy and batch
     /// size — the configurations the `mq-hotpath` scenarios measure.
     pub fn heap_policy(m: usize, mode: DeleteMode, policy: PolicyCfg, batch: usize) -> Self {
-        Self::heap_full(m, mode, policy, batch, SubstrateCfg::Locked)
-    }
-
-    /// The fully-dimensioned binary-heap constructor: choice policy,
-    /// batch size *and* per-queue substrate (packed lock, lock-free
-    /// pending stack, or flat combining) — the axis the substrate
-    /// head-to-heads sweep.
-    pub fn heap_full(
-        m: usize,
-        mode: DeleteMode,
-        policy: PolicyCfg,
-        batch: usize,
-        substrate: SubstrateCfg,
-    ) -> Self {
-        Self::with_queues_substrate(
+        Self::with_queues(
             (0..m).map(|_| BinaryHeap::new()).collect(),
             mode,
             policy,
             batch,
             "heap",
-            substrate,
         )
     }
 }
@@ -156,17 +139,6 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueBackend<Q> {
         batch: usize,
         seq: &str,
     ) -> Self {
-        Self::with_queues_substrate(queues, mode, policy, batch, seq, SubstrateCfg::Locked)
-    }
-
-    fn with_queues_substrate(
-        queues: Vec<Q>,
-        mode: DeleteMode,
-        policy: PolicyCfg,
-        batch: usize,
-        seq: &str,
-        substrate: SubstrateCfg,
-    ) -> Self {
         let m = queues.len();
         let batch = batch.max(1);
         let mode_tag = match mode {
@@ -178,17 +150,10 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueBackend<Q> {
         } else {
             String::new()
         };
-        // The substrate tag appears only when it deviates from the
-        // packed-lock default, so established labels stay unchanged.
-        let sub_tag = if substrate.is_default() {
-            String::new()
-        } else {
-            format!(",sub={}", substrate.label())
-        };
         MultiQueueBackend {
-            mq: MultiQueue::with_substrate(queues, mode, policy, substrate),
+            mq: MultiQueue::with_config(queues, mode, policy),
             batch,
-            label: format!("multiqueue-{seq}(m={m},{mode_tag}{tuning}{sub_tag})"),
+            label: format!("multiqueue-{seq}(m={m},{mode_tag}{tuning})"),
             clock: StampClock::new(),
             quality: QueueQuality::default(),
         }
@@ -207,11 +172,6 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueBackend<Q> {
     /// Operations buffered per lock acquisition (1 = unbatched).
     pub fn batch(&self) -> usize {
         self.batch
-    }
-
-    /// The per-queue substrate the MultiQueue runs on.
-    pub fn substrate(&self) -> SubstrateCfg {
-        self.mq.substrate()
     }
 
     /// The rank envelope for a given factor: `RANK_BOUND_C · f · m`.
@@ -867,38 +827,13 @@ mod tests {
     }
 
     #[test]
-    fn substrate_backends_conserve_and_tag_labels() {
-        for sub in SubstrateCfg::all() {
-            for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
-                let b = MultiQueueBackend::heap_full(4, mode, PolicyCfg::TwoChoice, 1, sub);
-                assert_eq!(b.substrate(), sub);
-                if sub.is_default() {
-                    assert!(!b.name().contains("sub="), "{}", b.name());
-                } else {
-                    assert!(
-                        b.name().contains(&format!("sub={}", sub.label())),
-                        "{}",
-                        b.name()
-                    );
-                }
-                let counts = drive(&b, 2_000, false);
-                b.verify(&counts)
-                    .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-            }
-        }
-    }
-
-    #[test]
-    fn substrate_history_mode_replays_linearizable() {
-        for sub in [SubstrateCfg::LockFree, SubstrateCfg::Combining] {
-            let b =
-                MultiQueueBackend::heap_full(4, DeleteMode::Strict, PolicyCfg::TwoChoice, 1, sub);
-            let counts = drive(&b, 1_000, true);
-            b.verify(&counts).expect("conservation");
-            let q = b.quality();
-            assert_eq!(q.metric, "dequeue_rank");
-            assert_eq!(q.get("linearizable"), Some(1.0), "{sub}: {q:?}");
-            assert!(q.summary.expect("costs").count > 0);
+    fn heap_backends_conserve_in_both_modes_and_labels_carry_no_sub_tag() {
+        for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
+            let b = MultiQueueBackend::heap_policy(4, mode, PolicyCfg::TwoChoice, 1);
+            assert!(!b.name().contains("sub="), "{}", b.name());
+            let counts = drive(&b, 2_000, false);
+            b.verify(&counts)
+                .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
         }
     }
 

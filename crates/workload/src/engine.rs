@@ -1579,49 +1579,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_panic_is_diagnosed_on_every_substrate() {
-        use dlz_core::{PolicyCfg, SubstrateCfg};
-        // The chaos plan must produce the same diagnosed outcome on the
-        // new substrates: the victim's partial state is salvaged (the
-        // lock-free pending stack and the combiner's publication slots
-        // fail loudly, never hang), conservation closes, and the
-        // surviving history replays linearizable. The test completing
-        // at all is the no-hang proof.
-        for sub in [SubstrateCfg::LockFree, SubstrateCfg::Combining] {
-            for policy in [PolicyCfg::TwoChoice, PolicyCfg::Sticky { ops: 8 }] {
-                let s = small("t-chaos-substrate", Family::Queue)
-                    .threads(4)
-                    .mix(OpMix::new(50, 50, 0))
-                    .budget(Budget::OpsPerWorker(600))
-                    .prefill(300)
-                    .record_history(true)
-                    .choice_policy(policy)
-                    .substrate(sub)
-                    .faults_spec("panic:1@200")
-                    .build();
-                let b = MultiQueueBackend::heap_full(8, DeleteMode::Strict, policy, 1, sub);
-                let r = run(&s, &b);
-                let ctx = format!("{}/{policy:?}", sub.label());
-                assert!(r.verified(), "{ctx}: {:?}", r.verify_error);
-                let f = r.faults.as_ref().expect("faults section");
-                assert!(!f.aborted, "{ctx}");
-                for (id, w) in f.workers.iter().enumerate() {
-                    if id == 1 {
-                        assert!(
-                            matches!(w, WorkerOutcome::Panicked(d) if d.contains("injected fault")),
-                            "{ctx}: worker 1 was {w:?}"
-                        );
-                    } else {
-                        assert_eq!(*w, WorkerOutcome::Completed, "{ctx}: worker {id}");
-                    }
-                }
-                assert_eq!(r.quality.get("linearizable"), Some(1.0), "{ctx}");
-                assert!(!r.ok(), "{ctx}: a panicked worker is not a clean run");
-            }
-        }
-    }
-
-    #[test]
     fn watchdog_converts_forever_stall_into_diagnosed_abort() {
         let s = small("t-chaos-stall", Family::Queue)
             .threads(2)

@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dlz_core::{PolicyCfg, SubstrateCfg};
+use dlz_core::PolicyCfg;
 
 use crate::clients::ArrivalShape;
 use crate::dist::{Arrival, Dist};
@@ -114,11 +114,6 @@ pub struct Scenario {
     /// lock acquisition (1 = unbatched). Ignored in history mode,
     /// which stamps individual operations.
     pub batch: usize,
-    /// Substrate dimension for queue backends: what each internal
-    /// queue runs on — the packed-lock heap (default), the lock-free
-    /// pending-stack variant, or the flat-combining variant. All four
-    /// choice policies run unchanged on every substrate.
-    pub substrate: SubstrateCfg,
     /// Latency-sampling cadence: timestamp every Nth operation
     /// (1 = every op). Counts are always exact; higher values keep the
     /// two clock reads per op off the throughput hot path, which
@@ -168,7 +163,6 @@ impl Scenario {
                 quality_every: 64,
                 choice_policy: PolicyCfg::TwoChoice,
                 batch: 1,
-                substrate: SubstrateCfg::Locked,
                 latency_every: 1,
                 telemetry_interval: None,
                 faults: None,
@@ -261,33 +255,6 @@ impl Scenario {
                 .choice_policy(PolicyCfg::Sticky { ops: 16 })
                 .batch(16)
                 .latency_every(8)
-                .build(),
-            Scenario::builder("mq-hotpath-insert-heavy", Family::Queue)
-                .about("70/30 enqueue:dequeue at 8 threads — the insert-contended cell where the lock-free pending stack's single-CAS push pays off")
-                .threads(8)
-                .mix(OpMix::new(70, 30, 0))
-                .budget(Budget::OpsPerWorker(40_000))
-                .priorities(Dist::Uniform { n: 1 << 20 })
-                .prefill(20_000)
-                .latency_every(8)
-                .build(),
-            Scenario::builder("mq-substrate-lockfree-audit", Family::Queue)
-                .about("lock-free substrate stamped history through the checker — claim-and-drain dequeues must replay within the policy envelope")
-                .threads(4)
-                .mix(OpMix::new(50, 50, 0))
-                .budget(Budget::OpsPerWorker(6_000))
-                .prefill(2_000)
-                .record_history(true)
-                .substrate(SubstrateCfg::LockFree)
-                .build(),
-            Scenario::builder("mq-substrate-combining-audit", Family::Queue)
-                .about("flat-combining substrate stamped history through the checker — combined dequeues must replay within the policy envelope")
-                .threads(4)
-                .mix(OpMix::new(50, 50, 0))
-                .budget(Budget::OpsPerWorker(6_000))
-                .prefill(2_000)
-                .record_history(true)
-                .substrate(SubstrateCfg::Combining)
                 .build(),
             Scenario::builder("mq-hotpath-rank-audit", Family::Queue)
                 .about("sticky-mode stamped history through the checker — verifies the O(s·m) rank envelope")
@@ -504,12 +471,6 @@ impl ScenarioBuilder {
     /// Batch dimension (queue backends; 1 disables).
     pub fn batch(mut self, k: usize) -> Self {
         self.s.batch = k.max(1);
-        self
-    }
-
-    /// Substrate dimension (queue backends; default packed lock).
-    pub fn substrate(mut self, substrate: SubstrateCfg) -> Self {
-        self.s.substrate = substrate;
         self
     }
 

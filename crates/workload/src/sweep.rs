@@ -33,7 +33,7 @@
 //! assert_eq!(cells[0].scenario.threads, 2);
 //! ```
 
-use dlz_core::{PolicyCfg, SubstrateCfg};
+use dlz_core::PolicyCfg;
 
 use crate::clients::ArrivalShape;
 use crate::dist::{Arrival, Dist};
@@ -42,11 +42,11 @@ use crate::scenario::Scenario;
 
 /// Display (and grid-key) order of the axes. Expansion nests in a
 /// fixed outer→inner order (seed, shape, clients, arrival, keys,
-/// priorities, mix, batch, substrate, policy, threads — threads varies
+/// priorities, mix, batch, policy, threads — threads varies
 /// fastest), but cell names and grid coordinates always list axes in
 /// this order.
-const AXIS_ORDER: [&str; 11] = [
-    "t", "policy", "sub", "mix", "keys", "prio", "batch", "arrival", "clients", "shape", "seed",
+const AXIS_ORDER: [&str; 10] = [
+    "t", "policy", "mix", "keys", "prio", "batch", "arrival", "clients", "shape", "seed",
 ];
 
 /// A base scenario plus the axes to sweep. Empty axes do not vary.
@@ -55,7 +55,6 @@ pub struct SweepSpec {
     base: Scenario,
     threads: Vec<usize>,
     policies: Vec<PolicyCfg>,
-    substrates: Vec<SubstrateCfg>,
     mixes: Vec<OpMix>,
     keys: Vec<Dist>,
     priorities: Vec<Dist>,
@@ -73,9 +72,9 @@ pub struct SweepCell {
     /// per swept axis, e.g. `queue-balanced/t=8/policy=sticky(s=16)`.
     pub name: String,
     /// The swept coordinates as `(axis, value-label)` pairs, in the
-    /// fixed display order (`t`, `policy`, `sub`, `mix`, `keys`,
-    /// `prio`, `batch`, `arrival`, `clients`, `shape`, `seed`); empty
-    /// for a 1×1 grid.
+    /// fixed display order (`t`, `policy`, `mix`, `keys`, `prio`,
+    /// `batch`, `arrival`, `clients`, `shape`, `seed`); empty for a
+    /// 1×1 grid.
     pub coords: Vec<(String, String)>,
     /// The fully concrete scenario for this cell (base values with the
     /// cell's coordinates applied; the name stays the base name).
@@ -89,7 +88,6 @@ impl SweepSpec {
             base,
             threads: Vec::new(),
             policies: Vec::new(),
-            substrates: Vec::new(),
             mixes: Vec::new(),
             keys: Vec::new(),
             priorities: Vec::new(),
@@ -123,13 +121,6 @@ impl SweepSpec {
     /// Sweep the choice policy (`policy=` coordinate; queue backends).
     pub fn policies(mut self, values: &[PolicyCfg]) -> Self {
         self.policies = values.to_vec();
-        self
-    }
-
-    /// Sweep the per-queue substrate (`sub=` coordinate; queue
-    /// backends — packed lock vs lock-free vs flat combining).
-    pub fn substrates(mut self, values: &[SubstrateCfg]) -> Self {
-        self.substrates = values.to_vec();
         self
     }
 
@@ -196,7 +187,6 @@ impl SweepSpec {
         [
             self.threads.len(),
             self.policies.len(),
-            self.substrates.len(),
             self.mixes.len(),
             self.keys.len(),
             self.priorities.len(),
@@ -221,7 +211,7 @@ impl SweepSpec {
     /// Expands the cartesian grid into concrete cells.
     ///
     /// Nesting order (outer→inner): seed, shape, clients, arrival,
-    /// keys, priorities, mix, batch, substrate, policy, threads — so
+    /// keys, priorities, mix, batch, policy, threads — so
     /// the threads axis varies fastest and a `keys × threads` sweep
     /// groups naturally by skew. The expansion is fully deterministic.
     pub fn cells(&self) -> Vec<SweepCell> {
@@ -273,13 +263,6 @@ impl SweepSpec {
             "batch",
             |s, &v| s.batch = v,
             |v| v.to_string(),
-        );
-        cells = apply_axis(
-            cells,
-            &self.substrates,
-            "sub",
-            |s, &v| s.substrate = v,
-            |v| v.label().to_string(),
         );
         cells = apply_axis(
             cells,
@@ -472,42 +455,6 @@ mod tests {
             cells[1].scenario.arrival_shape,
             ArrivalShape::Poisson { rate: 50.0 }
         );
-    }
-
-    #[test]
-    fn substrate_axis_expands_rectangular_with_correct_labels() {
-        let spec = SweepSpec::new(base())
-            .policies(&[PolicyCfg::TwoChoice, PolicyCfg::Sticky { ops: 16 }])
-            .substrates(&[
-                SubstrateCfg::Locked,
-                SubstrateCfg::LockFree,
-                SubstrateCfg::Combining,
-            ]);
-        assert_eq!(spec.len(), 6);
-        let cells = spec.cells();
-        assert_eq!(cells.len(), 6);
-        // Rectangular: every substrate appears under every policy.
-        for sub in SubstrateCfg::all() {
-            let with_sub: Vec<&SweepCell> = cells
-                .iter()
-                .filter(|c| c.scenario.substrate == sub)
-                .collect();
-            assert_eq!(with_sub.len(), 2, "ragged grid along sub={sub}");
-            for c in with_sub {
-                assert!(
-                    c.name.contains(&format!("sub={}", sub.label())),
-                    "cell {} missing its substrate coordinate",
-                    c.name
-                );
-            }
-        }
-        // Display order puts policy before sub.
-        assert_eq!(cells[0].name, "sweep-base/policy=two-choice/sub=locked");
-        // Every coordinate round-trips through the parser.
-        for c in &cells {
-            let (_, label) = c.coords.iter().find(|(k, _)| k == "sub").expect("sub");
-            assert_eq!(SubstrateCfg::parse(label), Some(c.scenario.substrate));
-        }
     }
 
     #[test]

@@ -181,8 +181,8 @@ pub fn write_prometheus(report: &RunReport) -> String {
         "Hot-path contention events over the whole run, by counter.",
     );
     for (name, v) in total.fields() {
-        if name == "adaptive_s" || name == "drain_len" {
-            continue; // gauges, not event counts
+        if name == "adaptive_s" {
+            continue; // a gauge, not an event count
         }
         sample(
             &mut out,
@@ -225,7 +225,7 @@ pub fn write_prometheus(report: &RunReport) -> String {
     );
     for s in &t.intervals {
         for (name, v) in s.contention.fields() {
-            if name == "adaptive_s" || name == "drain_len" {
+            if name == "adaptive_s" {
                 continue;
             }
             sample(
@@ -251,22 +251,6 @@ pub fn write_prometheus(report: &RunReport) -> String {
             &base,
             &[],
             s.contention.adaptive_s as f64,
-            Some(s.end_ms),
-        );
-    }
-    head(
-        &mut out,
-        "dlz_drain_len",
-        "gauge",
-        "Longest claimed drain batch observed at each interval boundary (lock-free substrate).",
-    );
-    for s in &t.intervals {
-        sample(
-            &mut out,
-            "dlz_drain_len",
-            &base,
-            &[],
-            s.contention.drain_len as f64,
             Some(s.end_ms),
         );
     }

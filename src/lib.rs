@@ -14,8 +14,8 @@
 //!   and the executable distributional-linearizability framework
 //!   (Section 5).
 //! * [`pq`] ([`dlz_pq`]) — priority-queue substrates: binary/pairing
-//!   heaps, a skip list, spinlocks, and the lock-based linearizable
-//!   queues Algorithm 2 builds on.
+//!   heaps, a skip list, and the lock-based linearizable queues
+//!   Algorithm 2 builds on.
 //! * [`sim`] ([`dlz_sim`]) — the analysis objects of Section 6 as code:
 //!   sequential, (1+β), adversarial stale-read and ε-corrupted
 //!   load-balancing processes, with potential-function tracking.
