@@ -3,7 +3,8 @@
 //! The commit protocol follows Dice–Shalev–Shavit (DISC 2006) §3:
 //!
 //! 1. Acquire write-set locks in ascending index order with `try_lock`
-//!    (abort on contention — no deadlock, bounded waiting).
+//!    (abort on contention — no deadlock, bounded waiting), recording
+//!    each cell's pre-lock word in its write-set entry.
 //! 2. Obtain the write version `wv` from the clock strategy.
 //! 3. Validate the read set against `rv` (skippable when the exact
 //!    clock yields `wv == rv + 1`: nothing can have committed between).
@@ -11,14 +12,24 @@
 //!    `wv` (the `Release` store publishes value and version together).
 //!
 //! On abort every acquired lock is restored to its pre-lock word and
-//! the transaction retries with exponential backoff.
+//! the clock strategy is told why ([`ClockStrategy::on_abort`]);
+//! [`TxThread::run`] then retries with exponential backoff.
+//!
+//! # Buffer ownership
+//!
+//! The read set and the write set belong to the [`TxThread`], not to
+//! the attempt: each attempt borrows them cleared, so once a thread has
+//! run its largest transaction shape, no begin, abort or commit touches
+//! the allocator. The write set is the only commit-time bookkeeping —
+//! entries `[..k]` are exactly the locks held after `k` acquisitions,
+//! and each carries the word to restore.
 
 use dlz_pq::Backoff;
 
 use crate::clock::ClockStrategy;
 use crate::stats::TxStats;
 use crate::tarray::TArray;
-use crate::tx::{Abort, AbortReason, Tx};
+use crate::tx::{Abort, AbortReason, Tx, TxBuffers, WriteEntry};
 use crate::vlock::{is_locked, version_of};
 
 /// A TL2 software transactional memory over a [`TArray`].
@@ -79,12 +90,14 @@ impl<C: ClockStrategy> Tl2<C> {
     }
 
     /// Creates a per-thread execution handle. Each OS thread should own
-    /// exactly one (it carries the thread's `tmax` and statistics).
+    /// exactly one (it carries the thread's `tmax`, statistics and
+    /// transaction buffers).
     pub fn thread(&self) -> TxThread<'_, C> {
         TxThread {
             stm: self,
             tmax: 0,
             stats: TxStats::default(),
+            buffers: TxBuffers::default(),
         }
     }
 }
@@ -97,6 +110,7 @@ pub struct TxThread<'a, C: ClockStrategy> {
     /// future-writing; unused by the exact clock).
     tmax: u64,
     stats: TxStats,
+    buffers: TxBuffers,
 }
 
 impl<'a, C: ClockStrategy> TxThread<'a, C> {
@@ -109,54 +123,38 @@ impl<'a, C: ClockStrategy> TxThread<'a, C> {
     pub fn run<R>(&mut self, mut body: impl FnMut(&mut Tx<'_>) -> Result<R, Abort>) -> R {
         let mut backoff = Backoff::new();
         loop {
-            let rv = self.stm.clock.read_version(self.tmax);
-            self.tmax = self.tmax.max(rv);
-            let mut tx = Tx::new(&self.stm.array, rv);
-            match body(&mut tx) {
-                Err(Abort(reason)) => {
-                    self.stats.record_abort(reason);
-                    self.stm.clock.on_abort(reason);
-                    backoff.snooze();
-                }
-                Ok(result) => match self.try_commit(tx) {
-                    Ok(()) => {
-                        self.stats.commits += 1;
-                        return result;
-                    }
-                    Err(reason) => {
-                        self.stats.record_abort(reason);
-                        self.stm.clock.on_abort(reason);
-                        backoff.snooze();
-                    }
-                },
+            match self.try_once(&mut body) {
+                Ok(result) => return result,
+                Err(_) => backoff.snooze(),
             }
         }
     }
 
-    /// Attempts to run `body` once (no retry). `Ok` on commit.
+    /// Attempts to run `body` once (no retry): one begin → body →
+    /// commit. `Ok` on commit; an abort is recorded and reported to the
+    /// clock before it is returned, so a caller's own retry loop gets
+    /// past a future stamp exactly as [`run`](Self::run) does.
+    #[inline]
     pub fn try_once<R>(
         &mut self,
         body: impl FnOnce(&mut Tx<'_>) -> Result<R, Abort>,
     ) -> Result<R, AbortReason> {
-        let rv = self.stm.clock.read_version(self.tmax);
+        let stm = self.stm;
+        let rv = stm.clock.read_version(self.tmax);
         self.tmax = self.tmax.max(rv);
-        let mut tx = Tx::new(&self.stm.array, rv);
-        match body(&mut tx) {
-            Err(Abort(reason)) => {
-                self.stats.record_abort(reason);
-                Err(reason)
+        let mut tx = Tx::new(&stm.array, rv, &mut self.buffers);
+        let outcome = match body(&mut tx) {
+            Ok(result) => Self::try_commit(stm, self.tmax, tx).map(|()| result),
+            Err(Abort(reason)) => Err(reason),
+        };
+        match &outcome {
+            Ok(_) => self.stats.commits += 1,
+            Err(reason) => {
+                self.stats.record_abort(*reason);
+                stm.clock.on_abort(*reason);
             }
-            Ok(result) => match self.try_commit(tx) {
-                Ok(()) => {
-                    self.stats.commits += 1;
-                    Ok(result)
-                }
-                Err(reason) => {
-                    self.stats.record_abort(reason);
-                    Err(reason)
-                }
-            },
         }
+        outcome
     }
 
     /// This thread's statistics so far.
@@ -169,13 +167,13 @@ impl<'a, C: ClockStrategy> TxThread<'a, C> {
         self.tmax
     }
 
-    /// TL2 commit (see module docs). Consumes the transaction.
-    fn try_commit(&mut self, tx: Tx<'_>) -> Result<(), AbortReason> {
-        let array = &self.stm.array;
+    /// TL2 commit (see module docs). `tmax` is the committing thread's.
+    fn try_commit(stm: &Tl2<C>, tmax: u64, tx: Tx<'_>) -> Result<(), AbortReason> {
+        let array = &stm.array;
         let rv = tx.rv();
         let Tx {
-            mut write_set,
             read_set,
+            write_set,
             ..
         } = tx;
 
@@ -186,49 +184,33 @@ impl<'a, C: ClockStrategy> TxThread<'a, C> {
         }
 
         // 1. Lock the write set in ascending index order.
-        write_set.sort_unstable_by_key(|&(i, _)| i);
-        let mut acquired: Vec<(u32, u64)> = Vec::with_capacity(write_set.len());
-        for &(i, _) in &write_set {
-            match array.slot(i as usize).lock.try_lock() {
-                Some(old_word) => acquired.push((i, old_word)),
-                None => {
-                    for &(j, old) in &acquired {
-                        array.slot(j as usize).lock.unlock_restore(old);
-                    }
-                    return Err(AbortReason::LockBusy);
-                }
-            }
+        write_set.sort_unstable_by_key(|e| e.index);
+        let mut max_old = 0;
+        for k in 0..write_set.len() {
+            let Some(old_word) = array.slot(write_set[k].index as usize).lock.try_lock() else {
+                restore(array, &write_set[..k]);
+                return Err(AbortReason::LockBusy);
+            };
+            write_set[k].old_word = old_word;
+            max_old = max_old.max(version_of(old_word));
         }
 
         // 2. Write version.
-        let max_old = acquired
-            .iter()
-            .map(|&(_, w)| version_of(w))
-            .max()
-            .unwrap_or(0);
-        let wv = self.stm.clock.write_version(self.tmax, max_old);
+        let wv = stm.clock.write_version(tmax, max_old);
 
         // 3. Read-set validation (skippable for exact clocks when no
         //    transaction can have interleaved).
-        let skip = self.stm.clock.is_exact() && wv == rv + 1;
+        let skip = stm.clock.is_exact() && wv == rv + 1;
         if !skip {
-            for &i in &read_set {
-                // Locations we also wrote: we hold their locks; the
-                // version at lock time must still be ≤ rv.
-                if let Some(&(_, old_word)) = acquired.iter().find(|&&(j, _)| j == i) {
-                    if version_of(old_word) > rv {
-                        for &(j, old) in &acquired {
-                            array.slot(j as usize).lock.unlock_restore(old);
-                        }
-                        return Err(AbortReason::ReadValidation);
-                    }
-                    continue;
-                }
-                let w = array.slot(i as usize).lock.load();
-                if is_locked(w) || version_of(w) > rv {
-                    for &(j, old) in &acquired {
-                        array.slot(j as usize).lock.unlock_restore(old);
-                    }
+            for &i in read_set.iter() {
+                // A location we also wrote is locked by us: judge it by
+                // its (unlocked) word at lock time.
+                let word = match write_set.iter().find(|e| e.index == i) {
+                    Some(entry) => entry.old_word,
+                    None => array.slot(i as usize).lock.load(),
+                };
+                if is_locked(word) || version_of(word) > rv {
+                    restore(array, write_set);
                     return Err(AbortReason::ReadValidation);
                 }
             }
@@ -236,14 +218,14 @@ impl<'a, C: ClockStrategy> TxThread<'a, C> {
 
         // 4. Write back, then release with wv. The Release store in
         //    unlock_with_version publishes the Relaxed value store.
-        for &(i, v) in &write_set {
+        for e in write_set.iter() {
             array
-                .slot(i as usize)
+                .slot(e.index as usize)
                 .value
-                .store(v, std::sync::atomic::Ordering::Relaxed);
+                .store(e.value, std::sync::atomic::Ordering::Relaxed);
         }
-        for &(i, _) in &acquired {
-            array.slot(i as usize).lock.unlock_with_version(wv);
+        for e in write_set.iter() {
+            array.slot(e.index as usize).lock.unlock_with_version(wv);
         }
         // Deliberately NOT folding wv into tmax: with the relaxed clock
         // wv is stamped Δ *in the future*, and a thread whose tmax
@@ -255,6 +237,14 @@ impl<'a, C: ClockStrategy> TxThread<'a, C> {
         // bounded wait the paper describes ("at least Δ operations
         // should occur" before the object is read again).
         Ok(())
+    }
+}
+
+/// Abort path of commit: releases `held` (locked write-set entries),
+/// restoring each cell's pre-lock word.
+fn restore(array: &TArray, held: &[WriteEntry]) {
+    for e in held {
+        array.slot(e.index as usize).lock.unlock_restore(e.old_word);
     }
 }
 
@@ -528,6 +518,86 @@ mod tests {
             .is_ok());
         assert_eq!(h.stats().commits, 1);
         assert_eq!(h.stats().lock_busy, 1);
+    }
+
+    /// A write on one handle, then `try_once(read)` retried from a
+    /// second handle with nobody else committing. Returns the attempt
+    /// that committed; only `on_abort` can move the clock past the stamp.
+    fn try_once_attempts_past_a_future_stamp<C: ClockStrategy>(stm: &Tl2<C>) -> u32 {
+        stm.thread().run(|tx| {
+            tx.write(0, 99);
+            Ok(())
+        });
+        let mut reader = stm.thread();
+        for attempt in 1..=64 {
+            match reader.try_once(|tx| tx.read(0)) {
+                Ok(v) => {
+                    assert_eq!(v, 99);
+                    assert_eq!(reader.stats().aborts, u64::from(attempt) - 1);
+                    return attempt;
+                }
+                Err(reason) => assert_eq!(reason, AbortReason::FutureVersion),
+            }
+        }
+        panic!("try_once still FutureVersion after 64 attempts: on_abort never ran");
+    }
+
+    #[test]
+    fn try_once_retries_get_past_a_future_stamp() {
+        use crate::clock::Gv5Clock;
+        let relaxed = Tl2::new(2, RelaxedClock::new(MultiCounter::new(4), 16));
+        assert!(try_once_attempts_past_a_future_stamp(&relaxed) > 1);
+        // GV5 stamps one ahead and its on_abort ticks once: exactly the
+        // two attempts `run` needs.
+        let gv5 = Tl2::new(2, Gv5Clock::new());
+        assert_eq!(try_once_attempts_past_a_future_stamp(&gv5), 2);
+    }
+
+    #[test]
+    fn failed_commit_restores_every_lock_it_took() {
+        // Write set {0, 1, 2} with slot 2 held elsewhere: commit locks
+        // 0 and 1, fails on 2, and must hand 0 and 1 back at their old
+        // versions — the write set is the only record of what it holds.
+        let stm = Tl2::new(3, ExactClock::new());
+        let mut h = stm.thread();
+        h.run(|tx| {
+            tx.write(0, 7);
+            tx.write(1, 8);
+            Ok(())
+        });
+        let words = || [0, 1, 2].map(|i| stm.array().slot(i).lock.load());
+        let before = words();
+        let held = stm.array().slot(2).lock.try_lock().unwrap();
+        let r = h.try_once(|tx| {
+            for i in [2, 0, 1] {
+                tx.write(i, 1);
+            }
+            Ok(())
+        });
+        assert_eq!(r, Err(AbortReason::LockBusy));
+        stm.array().slot(2).lock.unlock_restore(held);
+        assert_eq!(words(), before);
+        assert_eq!(stm.array().snapshot(), [7, 8, 0]);
+    }
+
+    #[test]
+    fn overwritten_read_of_an_own_written_slot_fails_validation() {
+        // h1 reads slot 0, h2 commits over it, h1 then writes slot 0:
+        // h1 holds the lock at validation time, so the verdict has to
+        // come from the pre-lock word kept in its write-set entry.
+        let stm = Tl2::new(1, ExactClock::new());
+        let (mut h1, mut h2) = (stm.thread(), stm.thread());
+        let r = h1.try_once(|tx| {
+            let v = tx.read(0)?;
+            h2.run(|tx2| tx2.add(0, 10));
+            tx.write(0, v + 1);
+            Ok(())
+        });
+        assert_eq!(r, Err(AbortReason::ReadValidation));
+        assert!(!stm.array().any_locked());
+        assert_eq!(stm.array().read_quiescent(0), 10);
+        h1.run(|tx| tx.add(0, 1));
+        assert_eq!(stm.array().read_quiescent(0), 11);
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! TL2 transactions never write to shared memory before commit. Reads
 //! are validated at read time against the transaction's read version
 //! (`rv`) using the lock/version double-check; writes go to a private
-//! buffer. The commit protocol lives in [`engine`](crate::engine).
+//! buffer. The commit protocol lives in [`engine`](crate::engine), and so
+//! do the buffers: a [`Tx`] only borrows its read and write set from the
+//! thread's [`TxThread`](crate::engine::TxThread), so starting a
+//! transaction allocates nothing.
 
 use std::sync::atomic::{fence, Ordering};
 
@@ -33,6 +36,27 @@ pub enum AbortReason {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Abort(pub AbortReason);
 
+/// One buffered write.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WriteEntry {
+    pub(crate) index: u32,
+    pub(crate) value: u64,
+    /// The cell's pre-lock word. Meaningless until commit holds the
+    /// cell's lock; from then on it is what an abort restores and what
+    /// read-set validation checks for a cell the transaction also read.
+    pub(crate) old_word: u64,
+}
+
+/// The read set and write set of one thread's transactions. Every
+/// attempt borrows them cleared, so their capacity outlives the attempt
+/// and only a transaction larger than any before it on this thread
+/// allocates.
+#[derive(Debug, Default)]
+pub(crate) struct TxBuffers {
+    read_set: Vec<u32>,
+    write_set: Vec<WriteEntry>,
+}
+
 /// An in-flight transaction over a [`TArray`].
 ///
 /// Obtained from [`TxThread::run`](crate::engine::TxThread::run); all
@@ -41,17 +65,19 @@ pub struct Abort(pub AbortReason);
 pub struct Tx<'a> {
     array: &'a TArray,
     rv: u64,
-    pub(crate) read_set: Vec<u32>,
-    pub(crate) write_set: Vec<(u32, u64)>,
+    pub(crate) read_set: &'a mut Vec<u32>,
+    pub(crate) write_set: &'a mut Vec<WriteEntry>,
 }
 
 impl<'a> Tx<'a> {
-    pub(crate) fn new(array: &'a TArray, rv: u64) -> Self {
+    pub(crate) fn new(array: &'a TArray, rv: u64, buffers: &'a mut TxBuffers) -> Self {
+        buffers.read_set.clear();
+        buffers.write_set.clear();
         Tx {
             array,
             rv,
-            read_set: Vec::new(),
-            write_set: Vec::new(),
+            read_set: &mut buffers.read_set,
+            write_set: &mut buffers.write_set,
         }
     }
 
@@ -72,8 +98,8 @@ impl<'a> Tx<'a> {
     /// should propagate the abort with `?` and let the engine retry.
     pub fn read(&mut self, i: usize) -> Result<u64, Abort> {
         // Read-after-write: serve from the buffer.
-        if let Some(&(_, v)) = self.write_set.iter().find(|&&(j, _)| j as usize == i) {
-            return Ok(v);
+        if let Some(entry) = self.write_set.iter().find(|e| e.index as usize == i) {
+            return Ok(entry.value);
         }
         let slot = self.array.slot(i);
         // Seqlock-style validated read (see Mara Bos, ch. 9 patterns):
@@ -102,10 +128,14 @@ impl<'a> Tx<'a> {
     /// after a successful commit).
     pub fn write(&mut self, i: usize, v: u64) {
         assert!(i < self.array.len(), "index {i} out of bounds");
-        if let Some(entry) = self.write_set.iter_mut().find(|(j, _)| *j as usize == i) {
-            entry.1 = v;
+        if let Some(entry) = self.write_set.iter_mut().find(|e| e.index as usize == i) {
+            entry.value = v;
         } else {
-            self.write_set.push((i as u32, v));
+            self.write_set.push(WriteEntry {
+                index: i as u32,
+                value: v,
+                old_word: 0,
+            });
         }
     }
 
@@ -129,7 +159,8 @@ mod tests {
     #[test]
     fn read_your_own_writes() {
         let a = TArray::new(4);
-        let mut tx = Tx::new(&a, 0);
+        let mut buffers = TxBuffers::default();
+        let mut tx = Tx::new(&a, 0, &mut buffers);
         assert_eq!(tx.read(0).unwrap(), 0);
         tx.write(0, 42);
         assert_eq!(tx.read(0).unwrap(), 42);
@@ -140,7 +171,8 @@ mod tests {
     #[test]
     fn double_write_overwrites_buffer() {
         let a = TArray::new(2);
-        let mut tx = Tx::new(&a, 0);
+        let mut buffers = TxBuffers::default();
+        let mut tx = Tx::new(&a, 0, &mut buffers);
         tx.write(1, 5);
         tx.write(1, 6);
         assert_eq!(tx.write_set_len(), 1);
@@ -156,10 +188,11 @@ mod tests {
         slot.value.store(7, Ordering::Relaxed);
         slot.lock.unlock_with_version(10);
         // A transaction with rv = 5 must abort reading it.
-        let mut tx = Tx::new(&a, 5);
+        let mut buffers = TxBuffers::default();
+        let mut tx = Tx::new(&a, 5, &mut buffers);
         assert_eq!(tx.read(0), Err(Abort(AbortReason::FutureVersion)));
         // With rv = 10 it reads fine.
-        let mut tx = Tx::new(&a, 10);
+        let mut tx = Tx::new(&a, 10, &mut buffers);
         assert_eq!(tx.read(0).unwrap(), 7);
     }
 
@@ -167,7 +200,8 @@ mod tests {
     fn locked_read_aborts() {
         let a = TArray::new(1);
         let old = a.slot(0).lock.try_lock().unwrap();
-        let mut tx = Tx::new(&a, 100);
+        let mut buffers = TxBuffers::default();
+        let mut tx = Tx::new(&a, 100, &mut buffers);
         assert_eq!(tx.read(0), Err(Abort(AbortReason::LockedRead)));
         a.slot(0).lock.unlock_restore(old);
         assert!(tx.read(0).is_ok());
@@ -176,7 +210,8 @@ mod tests {
     #[test]
     fn add_combines_read_and_write() {
         let a = TArray::from_values(&[10]);
-        let mut tx = Tx::new(&a, 0);
+        let mut buffers = TxBuffers::default();
+        let mut tx = Tx::new(&a, 0, &mut buffers);
         tx.add(0, 5).unwrap();
         assert_eq!(tx.read(0).unwrap(), 15);
     }
@@ -184,7 +219,8 @@ mod tests {
     #[test]
     fn user_abort() {
         let a = TArray::new(1);
-        let tx = Tx::new(&a, 0);
+        let mut buffers = TxBuffers::default();
+        let tx = Tx::new(&a, 0, &mut buffers);
         let r: Result<(), Abort> = tx.abort();
         assert_eq!(r, Err(Abort(AbortReason::User)));
     }
