@@ -9,12 +9,13 @@
 use std::sync::atomic::AtomicBool;
 
 use dlz_bench::tables::f3;
-use dlz_bench::{count_until_stopped, run_throughput, Config, Table};
+use dlz_bench::{Config, Table};
 use dlz_core::rng::Xoshiro256;
 use dlz_core::{DChoiceCounter, DeleteMode, MultiQueue};
 use dlz_pq::{
     BinaryHeap, ConcurrentPq, LockedPq, PairingHeap, ParkingLotPq, SeqPriorityQueue, SkipListPq,
 };
+use dlz_workload::{count_until_stopped, run_throughput};
 
 /// d-choice: gap and throughput as d varies (d=1 diverges, d=2 is the
 /// paper's algorithm, d=4 buys little at 2x the read cost).

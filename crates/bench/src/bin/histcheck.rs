@@ -35,10 +35,11 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use dlz_bench::Table;
+use dlz_core::json;
 use dlz_core::spec::{replay_artifact, HistoryArtifact, ReplayOutcome};
 use dlz_workload::backends::counter::DEVIATION_BOUND_C;
 use dlz_workload::backends::queue::RANK_BOUND_C;
-use dlz_workload::{json, QualitySummary};
+use dlz_workload::QualitySummary;
 
 fn usage() -> ! {
     eprintln!("usage: histcheck [--json FILE] <artifact.histjsonl | directory>...");

@@ -31,9 +31,9 @@
 use std::io::Write as _;
 
 use dlz_bench::{Config, Table};
+use dlz_core::json::JsonObject;
 use dlz_core::{DeleteMode, PolicyCfg};
 use dlz_workload::backends::MultiQueueBackend;
-use dlz_workload::json::JsonObject;
 use dlz_workload::{engine, ArrivalShape, Backend, Budget, RunReport, Scenario};
 
 const DEFAULT_OUT: &str = "BENCH_mq_hotpath.json";
@@ -450,7 +450,7 @@ fn main() {
         .bool("meets_target", target_gain >= TARGET_PCT)
         .f64("worst_improvement_pct", worst_gain)
         .f64("adaptive_vs_static_pct", adaptive_delta)
-        .raw("points", &dlz_workload::json::array(&points))
+        .raw("points", &dlz_core::json::array(&points))
         .raw("telemetry_overhead", &telemetry_point)
         .raw("faults_overhead", &faults_point)
         .raw("client_driver_overhead", &clients_point);

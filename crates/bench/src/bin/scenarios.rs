@@ -30,8 +30,9 @@ use std::time::Duration;
 
 use dlz_bench::config::DEFAULT_DIST_N;
 use dlz_bench::{Config, Table};
+use dlz_core::json;
 use dlz_workload::backends::{policy_roster, roster};
-use dlz_workload::{engine, json, Budget, Dist, Family, RunReport, Scenario, SweepSpec};
+use dlz_workload::{engine, Budget, Dist, Family, RunReport, Scenario, SweepSpec};
 
 fn list(catalog: &[Scenario]) {
     let mut table = Table::new(&["scenario", "family", "threads", "description"]);

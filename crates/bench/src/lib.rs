@@ -4,9 +4,6 @@
 //! the paper (see `src/bin/`) and for the criterion micro-benchmarks
 //! (see `benches/`):
 //!
-//! * [`harness`] — multi-threaded timed throughput runs (barrier start,
-//!   stop flag, per-thread op counts); a façade over
-//!   [`dlz_workload::driver`].
 //! * [`tables`] — aligned-column table / CSV output.
 //! * [`config`] — tiny CLI/env configuration shared by all binaries
 //!   (`--threads 1,2,4`, `--duration-ms 300`, `--quick`, ...).
@@ -23,9 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod harness;
 pub mod tables;
 
 pub use config::Config;
-pub use harness::{count_until_stopped, run_throughput, Throughput};
 pub use tables::Table;

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::counter::{MultiCounter, RelaxedCounter};
-use crate::padded::Padded;
+use dlz_pq::CachePadded;
 
 /// A source of 64-bit timestamps shared by many threads.
 pub trait Clock: Send + Sync {
@@ -44,21 +44,21 @@ pub trait Clock: Send + Sync {
 /// Section 8 attacks.
 #[derive(Debug, Default)]
 pub struct FaaClock {
-    time: Padded<AtomicU64>,
+    time: CachePadded<AtomicU64>,
 }
 
 impl FaaClock {
     /// Creates a clock at time zero.
     pub const fn new() -> Self {
         FaaClock {
-            time: Padded::new(AtomicU64::new(0)),
+            time: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
     /// Creates a clock starting at `t`.
     pub const fn starting_at(t: u64) -> Self {
         FaaClock {
-            time: Padded::new(AtomicU64::new(t)),
+            time: CachePadded::new(AtomicU64::new(t)),
         }
     }
 }

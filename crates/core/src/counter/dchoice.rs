@@ -15,8 +15,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::counter::RelaxedCounter;
-use crate::padded::Padded;
 use crate::rng::{with_thread_rng, Rng64};
+use dlz_pq::CachePadded;
 
 /// A relaxed counter that increments the smallest of `d` sampled cells.
 ///
@@ -34,7 +34,7 @@ use crate::rng::{with_thread_rng, Rng64};
 /// ```
 #[derive(Debug)]
 pub struct DChoiceCounter {
-    cells: Box<[Padded<AtomicU64>]>,
+    cells: Box<[CachePadded<AtomicU64>]>,
     d: usize,
 }
 
@@ -50,7 +50,9 @@ impl DChoiceCounter {
         assert!(d >= 1, "need at least one choice");
         crate::rng::reseed_thread_rng(seed);
         DChoiceCounter {
-            cells: (0..m).map(|_| Padded::new(AtomicU64::new(0))).collect(),
+            cells: (0..m)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
             d,
         }
     }

@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::counter::RelaxedCounter;
-use crate::padded::Padded;
+use dlz_pq::CachePadded;
 
 /// A linearizable counter: one padded `AtomicU64`.
 ///
@@ -23,21 +23,21 @@ use crate::padded::Padded;
 /// ```
 #[derive(Debug, Default)]
 pub struct ExactCounter {
-    value: Padded<AtomicU64>,
+    value: CachePadded<AtomicU64>,
 }
 
 impl ExactCounter {
     /// Creates a counter at zero.
     pub const fn new() -> Self {
         ExactCounter {
-            value: Padded::new(AtomicU64::new(0)),
+            value: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
     /// Creates a counter starting at `v`.
     pub const fn with_value(v: u64) -> Self {
         ExactCounter {
-            value: Padded::new(AtomicU64::new(v)),
+            value: CachePadded::new(AtomicU64::new(v)),
         }
     }
 

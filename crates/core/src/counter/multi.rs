@@ -21,8 +21,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::counter::RelaxedCounter;
-use crate::padded::Padded;
 use crate::rng::{with_thread_rng, Rng64};
+use dlz_pq::CachePadded;
 
 /// Relaxed approximate counter over `m` distributed atomic cells.
 ///
@@ -44,7 +44,7 @@ use crate::rng::{with_thread_rng, Rng64};
 /// ```
 #[derive(Debug)]
 pub struct MultiCounter {
-    cells: Box<[Padded<AtomicU64>]>,
+    cells: Box<[CachePadded<AtomicU64>]>,
 }
 
 impl MultiCounter {
@@ -57,7 +57,9 @@ impl MultiCounter {
     pub fn new(m: usize) -> Self {
         assert!(m >= 1, "MultiCounter needs at least one cell");
         MultiCounter {
-            cells: (0..m).map(|_| Padded::new(AtomicU64::new(0))).collect(),
+            cells: (0..m)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
         }
     }
 

@@ -17,8 +17,8 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::counter::RelaxedCounter;
-use crate::padded::Padded;
 use crate::rng::Rng64;
+use dlz_pq::CachePadded;
 
 /// A striped counter: increments hit a per-thread stripe.
 ///
@@ -31,7 +31,7 @@ use crate::rng::Rng64;
 /// ```
 #[derive(Debug)]
 pub struct ShardedCounter {
-    cells: Box<[Padded<AtomicU64>]>,
+    cells: Box<[CachePadded<AtomicU64>]>,
     /// Round-robin stripe assignment for threads.
     next_stripe: AtomicUsize,
 }
@@ -50,7 +50,9 @@ impl ShardedCounter {
     pub fn new(m: usize) -> Self {
         assert!(m >= 1, "ShardedCounter needs at least one stripe");
         ShardedCounter {
-            cells: (0..m).map(|_| Padded::new(AtomicU64::new(0))).collect(),
+            cells: (0..m)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
             next_stripe: AtomicUsize::new(0),
         }
     }

@@ -62,7 +62,6 @@
 pub mod clock;
 pub mod counter;
 pub mod json;
-pub mod padded;
 pub mod queue;
 pub mod rng;
 pub mod spec;
@@ -73,7 +72,6 @@ pub use counter::{
     RelaxedCounter, ShardedCounter,
 };
 pub use dlz_pq::ContentionStats;
-pub use dlz_pq::Poisoned;
 pub use queue::{
     AdaptiveSticky, AnyPolicy, ChoiceOp, ChoicePolicy, DChoice, DeleteMode, MqHandle, MqOpTimeout,
     MultiQueue, MultiQueueBuilder, PolicyCfg, QueueView, RelaxedFifo, SalvageOutcome, Stamped,

@@ -15,30 +15,48 @@
 //! priorities); [`RelaxedFifo`](crate::queue::RelaxedFifo) adds the
 //! timestamping of the paper's queue semantics on top.
 //!
-//! # Architecture: structure × choice policy × handle
+//! # Architecture: structure × choice policy × handle, one loop
 //!
 //! The paper's guarantee is a property of the **choice process** layered
 //! over the `m` queues, not of one hard-coded method, so the selection
 //! layer is a pluggable [`ChoicePolicy`] (two-choice, d-choice, static
 //! and adaptive stickiness — see [`policy`](crate::queue::policy)).
 //! The shared [`MultiQueue`] holds only the queues and a default
-//! [`PolicyCfg`]; all per-thread state — the RNG and the policy
-//! instance — lives in an [`MqHandle`], the operational surface:
+//! [`PolicyCfg`]; all per-thread state — the RNG, the policy instance
+//! and the contention counters — lives in an [`MqHandle`], the
+//! operational surface:
 //!
 //! * [`MqHandle::insert`] / [`MqHandle::dequeue`] /
 //!   [`MqHandle::dequeue_k`] / [`MqHandle::insert_batch`] /
-//!   [`MqHandle::dequeue_batch`] — the five operations;
+//!   [`MqHandle::dequeue_batch`] — the five operations, plus the
+//!   deadline-bounded [`MqHandle::try_insert_for`] /
+//!   [`MqHandle::try_dequeue_for`];
 //! * [`MqHandle::stamped`] — the orthogonal history mode: the same five
 //!   operations, each drawing an update-point stamp inside its critical
-//!   section for the Section 5 checker, instead of `*_stamped` method
-//!   clones.
+//!   section for the Section 5 checker.
+//!
+//! Every one of them is the same three steps — choose a queue, run the
+//! operation on it if its lock can be had, react to how that ended —
+//! so there is **one operation loop**, private to [`MultiQueue`]. It
+//! takes the operation kind, the caller's per-thread context, an
+//! optional deadline and the operation itself as a closure over the
+//! chosen sequential queue; choosing, the poisoned-queue fallback,
+//! backoff, the policy callbacks, the emptiness proof and the deadline
+//! check exist there and nowhere else. Insert, dequeue and their batch
+//! forms are short closures over it; a deadline only forces try-lock
+//! acquisition (never wait on a lock a stalled thread may hold) and
+//! carries the error to return, so an unbounded operation has none.
+//! History stamping is a type parameter of those closures, not a
+//! second set of methods: the unstamped form draws `()`, the stamped
+//! form draws a `u64` from the caller's counter, in both cases right
+//! after the mutation and inside the critical section.
 //!
 //! Below the choice process there is one per-queue concurrency
 //! discipline — the paper's "m linearizable priority queues" are `m`
-//! packed-lock [`LockedPq`]s, held directly and driven through their
-//! whole-operation attempts (`attempt_insert`, `attempt_dequeue` and
-//! the two batch forms), whose outcomes (done / empty / contended /
-//! poisoned) are all the retry loops react to.
+//! packed-lock [`LockedPq`]s, held directly and driven through
+//! [`LockedPq::attempt`], whose [`Attempt`] (ran / contended /
+//! poisoned) plus the closure's own "found it empty" are all the loop
+//! reacts to.
 //!
 //! The `ReadMin` step uses the lock-free hint published by
 //! [`LockedPq`] — by the time the chosen queue is locked, its minimum
@@ -63,19 +81,19 @@
 //!   *evidence* of emptiness — the policy found no candidate, or the
 //!   acquired queue turned out empty — never after mere contention and
 //!   never on the successful path.
-//! * Retry loops use [`Backoff`] instead of spinning hot on stale hints.
+//! * The loop uses [`Backoff`] instead of spinning hot on stale hints.
 //! * Sticky policies skip random draws and hint reads while camped, and
 //!   the batch operations amortize one lock acquisition and one hint
 //!   publish over a whole batch. Both trade rank quality for throughput
 //!   within the policy's documented envelope (O(s·m) for stickiness).
 
-use std::sync::atomic::AtomicU64;
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use dlz_pq::locked::EMPTY_HINT;
 use dlz_pq::{
-    Backoff, BatchPop, BatchPush, BinaryHeap, ConcurrentPq, ContentionStats, DequeueOutcome,
-    InsertOutcome, LockedPq, SeqPriorityQueue,
+    Attempt, Backoff, BinaryHeap, ConcurrentPq, ContentionStats, LockedPq, SeqPriorityQueue,
 };
 
 use crate::queue::policy::{
@@ -165,9 +183,63 @@ impl std::fmt::Display for MqOpTimeout {
 
 impl std::error::Error for MqOpTimeout {}
 
-/// Consecutive poisoned choices an insert loop tolerates before it
-/// stops trusting the policy and linear-scans for a healthy queue.
+/// Consecutive poisoned choices an insert tolerates before it stops
+/// trusting the policy and linear-scans for a healthy queue.
 const POISON_RECHOOSE_LIMIT: u32 = 4;
+
+/// When an operation gives up, and the error it then returns — the
+/// operation loop's only failure.
+type Deadline<E> = Option<(Instant, E)>;
+
+/// Retry until the operation lands: no error exists, so the callers
+/// that pass this have none to handle.
+const NO_DEADLINE: Deadline<Infallible> = None;
+
+/// The per-thread state one operation runs with. An [`MqHandle`] lends
+/// its own; callers without a handle assemble a throwaway (see
+/// [`MultiQueue::insert_two_choice`]).
+struct OpCtx<'c, P, G> {
+    policy: &'c mut P,
+    rng: &'c mut G,
+    stats: &'c mut ContentionStats,
+}
+
+/// How an operation marks its linearization point. The mark is drawn
+/// inside the chosen queue's critical section, right after the
+/// mutation it belongs to — the operation's linearization point in the
+/// underlying linearizable queue — and there is no other place to draw
+/// one from.
+trait Stamp: Copy {
+    /// What one draw yields.
+    type Mark;
+    /// Draws the next mark.
+    fn draw(self) -> Self::Mark;
+}
+
+/// Plain operation: nothing is drawn, nothing is carried.
+#[derive(Clone, Copy)]
+struct NoStamp;
+
+impl Stamp for NoStamp {
+    type Mark = ();
+    #[inline]
+    fn draw(self) {}
+}
+
+/// History mode: update stamps from the caller's shared counter.
+impl Stamp for &AtomicU64 {
+    type Mark = u64;
+    #[inline]
+    fn draw(self) -> u64 {
+        self.fetch_add(1, Ordering::AcqRel)
+    }
+}
+
+/// Drops the unit mark of an unstamped dequeue.
+#[inline]
+fn unstamped<V>((priority, value, ()): (u64, V, ())) -> (u64, V) {
+    (priority, value)
+}
 
 /// Backs off before a retry (see [`Backoff`]), counting the snooze.
 #[inline]
@@ -225,13 +297,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         self.mode
     }
 
-    /// Whether a contended operation blocks on its chosen queue
-    /// (strict mode) or reports back for a redraw (try-lock mode).
-    #[inline]
-    fn blocking(&self) -> bool {
-        matches!(self.mode, DeleteMode::Strict)
-    }
-
     /// The structure's default choice policy (what [`handle`](Self::handle)
     /// builds instances from).
     pub fn policy(&self) -> PolicyCfg {
@@ -263,20 +328,20 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         self.queues.iter().filter(|q| q.is_poisoned()).count()
     }
 
-    /// First non-poisoned queue, if any — the insert loops' fallback
-    /// when the policy keeps landing on poisoned queues.
+    /// First non-poisoned queue, if any — an insert's fallback when the
+    /// policy keeps landing on poisoned queues.
     fn any_healthy_queue(&self) -> Option<usize> {
         (0..self.queues.len()).find(|&i| !self.queues[i].is_poisoned())
     }
 
-    /// The dequeue loops' emptiness proof: an O(m) sweep of the
-    /// per-queue headers that stops at the first queue holding anything.
-    /// The loops call it only after *evidence* of emptiness (no
-    /// candidate from the policy, or an acquired queue that reported
-    /// `Empty`), so a successful dequeue never pays for it. A poisoned
+    /// A dequeue's emptiness proof: an O(m) sweep of the per-queue
+    /// headers that stops at the first queue holding anything. The
+    /// operation loop calls it only after *evidence* of emptiness (no
+    /// candidate from the policy, or an acquired queue that had
+    /// nothing), so a successful dequeue never pays for it. A poisoned
     /// queue's items cannot be served until [`salvage`](Self::salvage)
     /// runs, so they count as absent — counting them would make the
-    /// loops spin forever on a stranded remainder. Counts a confirmed
+    /// loop spin forever on a stranded remainder. Counts a confirmed
     /// observation in `stats`.
     fn confirmed_empty(&self, stats: &mut ContentionStats) -> bool {
         let empty = self
@@ -287,210 +352,217 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         empty
     }
 
-    // -----------------------------------------------------------------
-    // The operation loops: one implementation per operation, stamped or
-    // not. Each takes the caller's policy, generator and counters;
-    // `MqHandle` packages those and is the way in from outside the crate.
-    // -----------------------------------------------------------------
-
-    /// The insert path (Algorithm 2's Enqueue with [`TwoChoice`]). When
-    /// `stamper` is given, the stamp is drawn *inside the queue's
-    /// critical section*, i.e. at the operation's linearization point in
-    /// the underlying linearizable queue, and returned (0 otherwise).
-    /// Contention events land in `stats` (in-crate callers without a
-    /// counter-carrying handle pass a throwaway).
-    pub(crate) fn insert_one(
+    /// The operation loop — the only one. Chooses a queue for `op`
+    /// through the context's policy, runs `body` on it if its lock can
+    /// be had (waiting for it only in strict mode without a deadline),
+    /// and reacts to how that ended until the operation lands, the
+    /// structure is confirmed empty (`Ok(None)`, dequeues only) or the
+    /// deadline passes (`Err` of the error the deadline carries).
+    ///
+    /// `body` runs inside the chosen queue's critical section, at most
+    /// once per acquisition and never after it returned `Some`: an
+    /// insert body moves its entries in and always returns `Some`; a
+    /// dequeue body returns `None` when the queue it was given turned
+    /// out empty. The lock is released before any policy callback runs,
+    /// so `on_success` observes the generation this operation left.
+    #[inline]
+    fn run<R, E: Copy>(
         &self,
-        policy: &mut impl ChoicePolicy,
-        rng: &mut impl Rng64,
-        priority: u64,
-        value: V,
-        stamper: Option<&AtomicU64>,
-        stats: &mut ContentionStats,
-    ) -> u64 {
-        let mut poisoned_hits = 0u32;
-        let mut entry = (priority, value);
-        loop {
-            // After enough consecutive poisoned choices, stop trusting
-            // the policy's draw and take any healthy queue directly —
-            // inserts must land somewhere, and a small-m structure with
-            // most queues poisoned could otherwise redraw for a
-            // long time.
-            let i = if poisoned_hits >= POISON_RECHOOSE_LIMIT {
-                self.any_healthy_queue()
-                    .expect("every queue is poisoned; salvage() before inserting")
-            } else {
-                policy.choose_insert(rng, self)
-            };
-            match self.queues[i].attempt_insert(entry.0, entry.1, self.blocking(), stamper, stats) {
-                InsertOutcome::Done(stamp) => {
-                    policy.on_success(ChoiceOp::Insert, i, self);
-                    return stamp;
-                }
-                // Contention voids any camp; the next choice draws
-                // elsewhere (redraw is this mode's point).
-                InsertOutcome::Contended(p, v) => {
-                    entry = (p, v);
-                    policy.on_contention(ChoiceOp::Insert, i);
-                }
-                InsertOutcome::Poisoned(p, v) => {
-                    entry = (p, v);
-                    policy.on_poisoned(ChoiceOp::Insert, i);
-                    poisoned_hits += 1;
-                }
-            }
-        }
-    }
-
-    /// The dequeue retry loop (Algorithm 2's Dequeue with [`TwoChoice`];
-    /// stamp drawn inside the critical section when `stamper` is given,
-    /// third tuple field 0 otherwise). `None` is the confirmed-empty
-    /// observation documented on [`MqHandle::dequeue`].
-    pub(crate) fn dequeue_one(
-        &self,
-        policy: &mut impl ChoicePolicy,
-        rng: &mut impl Rng64,
-        stamper: Option<&AtomicU64>,
-        stats: &mut ContentionStats,
-    ) -> Option<(u64, V, u64)> {
+        op: ChoiceOp,
+        ctx: OpCtx<'_, impl ChoicePolicy, impl Rng64>,
+        deadline: Deadline<E>,
+        mut body: impl FnMut(&mut Q) -> Option<R>,
+    ) -> Result<Option<R>, E> {
+        let OpCtx { policy, rng, stats } = ctx;
+        // Strict mode waits for the chosen queue's lock; try-lock mode
+        // redraws instead, and so does any operation with a deadline —
+        // the point of one is to never wait on an acquisition a stalled
+        // thread may hold.
+        let block = self.mode == DeleteMode::Strict && deadline.is_none();
         let mut backoff = Backoff::new();
+        let mut poisoned_hits = 0u32;
         loop {
-            // Only *evidence* of emptiness — no candidate here, or an
-            // acquired queue that was empty below — pays for the sweep.
-            let Some(k) = policy.choose_dequeue(rng, self) else {
-                if self.confirmed_empty(stats) {
-                    return None;
+            if let Some((_, passed)) = deadline.filter(|(at, _)| Instant::now() >= *at) {
+                return Err(passed);
+            }
+            let chosen = match op {
+                // After enough consecutive poisoned choices, stop
+                // trusting the policy's draw and take any healthy queue
+                // directly — inserts must land somewhere, and a small-m
+                // structure with most queues poisoned could otherwise
+                // redraw for a long time.
+                ChoiceOp::Insert if poisoned_hits >= POISON_RECHOOSE_LIMIT => {
+                    self.any_healthy_queue()
+                }
+                ChoiceOp::Insert => Some(policy.choose_insert(rng, self)),
+                ChoiceOp::Dequeue => policy.choose_dequeue(rng, self),
+            };
+            let Some(i) = chosen else {
+                match op {
+                    // Nowhere to land. Without a deadline that is fatal
+                    // (nothing here can un-poison a queue); with one,
+                    // wait it out in case a salvager gets there first.
+                    ChoiceOp::Insert => assert!(
+                        deadline.is_some(),
+                        "every queue is poisoned; salvage() before inserting"
+                    ),
+                    // Only *evidence* of emptiness — no candidate here,
+                    // or an acquired queue that was empty below — pays
+                    // for the sweep.
+                    ChoiceOp::Dequeue => {
+                        if self.confirmed_empty(stats) {
+                            return Ok(None);
+                        }
+                    }
                 }
                 snooze(&mut backoff, stats);
                 continue;
             };
-            match self.queues[k].attempt_dequeue(self.blocking(), stamper, stats) {
-                DequeueOutcome::Served(p, v, s) => {
-                    policy.on_success(ChoiceOp::Dequeue, k, self);
-                    return Some((p, v, s));
+            match self.queues[i].attempt(block, stats, &mut body) {
+                Attempt::Ran(Some(done)) => {
+                    policy.on_success(op, i, self);
+                    return Ok(Some(done));
                 }
                 // Poison is not contention: evict any camp on the dead
                 // queue and re-choose immediately (the poisoned queue
                 // publishes the empty hint, so fresh samples steer
                 // clear — no snooze needed and none recorded).
-                DequeueOutcome::Poisoned => policy.on_poisoned(ChoiceOp::Dequeue, k),
-                // Stale hint / drained camp (`Empty`) or a contended
-                // acquisition (`Contended`): void any camp and back
-                // off rather than hammering the hint lines — the snooze
-                // is near-free at first and escalates to yielding under
-                // sustained contention so lock holders get CPU (vital
-                // when oversubscribed). Only `Empty` says anything about
-                // emptiness; a held lock does not.
-                DequeueOutcome::Empty => {
-                    policy.on_contention(ChoiceOp::Dequeue, k);
-                    if self.confirmed_empty(stats) {
-                        return None;
-                    }
-                    snooze(&mut backoff, stats);
-                }
-                DequeueOutcome::Contended => {
-                    policy.on_contention(ChoiceOp::Dequeue, k);
-                    snooze(&mut backoff, stats);
-                }
-            }
-        }
-    }
-
-    /// The batch-insert path: one lock acquisition, one hint publish;
-    /// per-item stamps when `stamped` is given.
-    fn insert_batch_inner(
-        &self,
-        policy: &mut impl ChoicePolicy,
-        rng: &mut impl Rng64,
-        items: impl IntoIterator<Item = (u64, V)>,
-        mut stamped: Option<(&AtomicU64, &mut Vec<u64>)>,
-        stats: &mut ContentionStats,
-    ) -> usize {
-        let mut backoff = Backoff::new();
-        let mut poisoned_hits = 0u32;
-        // The iterator round-trips through the queue: a contended or
-        // poisoned attempt hands `items` back unconsumed, so the
-        // retry loop rebinds it and redraws a queue.
-        let mut items = items;
-        loop {
-            let i = if poisoned_hits >= POISON_RECHOOSE_LIMIT {
-                self.any_healthy_queue()
-                    .expect("every queue is poisoned; salvage() before inserting")
-            } else {
-                policy.choose_insert(rng, self)
-            };
-            let relend = stamped.as_mut().map(|(s, v)| (*s, &mut **v));
-            match self.queues[i].attempt_insert_batch(items, self.blocking(), relend, stats) {
-                BatchPush::Done(n) => {
-                    if n > 0 {
-                        policy.on_success(ChoiceOp::Insert, i, self);
-                    }
-                    return n;
-                }
-                BatchPush::Contended(back) => {
-                    items = back;
-                    policy.on_contention(ChoiceOp::Insert, i);
-                    snooze(&mut backoff, stats);
-                }
-                BatchPush::Poisoned(back) => {
-                    items = back;
-                    policy.on_poisoned(ChoiceOp::Insert, i);
+                Attempt::Poisoned => {
+                    policy.on_poisoned(op, i);
                     poisoned_hits += 1;
+                    continue;
                 }
+                // A stale hint or drained camp (ran, found nothing) or
+                // a contended acquisition: void any camp — the next
+                // choice draws elsewhere — and back off below rather
+                // than hammering the hint lines. Only the former says
+                // anything about emptiness; a held lock does not.
+                Attempt::Ran(None) => {
+                    policy.on_contention(op, i);
+                    if self.confirmed_empty(stats) {
+                        return Ok(None);
+                    }
+                }
+                Attempt::Contended => policy.on_contention(op, i),
             }
+            // Near-free at first, escalating to yielding under
+            // sustained contention so lock holders get CPU (vital when
+            // oversubscribed).
+            snooze(&mut backoff, stats);
         }
     }
 
-    /// The batch-dequeue path; `sink` receives `(priority, value,
-    /// stamp)` per entry (stamp 0 when unstamped).
-    fn dequeue_batch_inner(
+    /// Enqueue (Algorithm 2's Enqueue under [`TwoChoice`]); returns the
+    /// insert's mark.
+    #[inline]
+    fn insert_op<S: Stamp, E: Copy>(
         &self,
-        policy: &mut impl ChoicePolicy,
-        rng: &mut impl Rng64,
+        ctx: OpCtx<'_, impl ChoicePolicy, impl Rng64>,
+        deadline: Deadline<E>,
+        stamp: S,
+        priority: u64,
+        value: V,
+    ) -> Result<S::Mark, E> {
+        let mut entry = Some((priority, value));
+        self.run(ChoiceOp::Insert, ctx, deadline, |q| {
+            let (p, v) = entry.take()?;
+            q.add(p, v);
+            Some(stamp.draw())
+        })
+        .map(|mark| mark.expect("an insert lands on the first queue it acquires"))
+    }
+
+    /// Dequeue (Algorithm 2's Dequeue under [`TwoChoice`]). `Ok(None)`
+    /// is the confirmed-empty observation documented on
+    /// [`MqHandle::dequeue`].
+    #[inline]
+    fn dequeue_op<S: Stamp, E: Copy>(
+        &self,
+        ctx: OpCtx<'_, impl ChoicePolicy, impl Rng64>,
+        deadline: Deadline<E>,
+        stamp: S,
+    ) -> Result<Option<(u64, V, S::Mark)>, E> {
+        self.run(ChoiceOp::Dequeue, ctx, deadline, |q| {
+            q.delete_min().map(|(p, v)| (p, v, stamp.draw()))
+        })
+    }
+
+    /// Batch enqueue into one chosen queue: one lock acquisition, one
+    /// hint publish, one mark per item handed to `marks` in insertion
+    /// order. An empty batch chooses and locks nothing.
+    fn insert_batch_op<S: Stamp>(
+        &self,
+        ctx: OpCtx<'_, impl ChoicePolicy, impl Rng64>,
+        stamp: S,
+        items: impl IntoIterator<Item = (u64, V)>,
+        mut marks: impl FnMut(S::Mark),
+    ) -> usize {
+        let mut items = items.into_iter().peekable();
+        if items.peek().is_none() {
+            return 0;
+        }
+        let Ok(n) = self.run(ChoiceOp::Insert, ctx, NO_DEADLINE, |q| {
+            let mut n = 0usize;
+            for (p, v) in items.by_ref() {
+                q.add(p, v);
+                marks(stamp.draw());
+                n += 1;
+            }
+            Some(n)
+        });
+        n.expect("a batch lands on the first queue it acquires")
+    }
+
+    /// Batch dequeue of up to `max` entries from one chosen queue under
+    /// one lock acquisition; `sink` receives `(priority, value, mark)`
+    /// per entry. `0` is the confirmed-empty observation.
+    fn dequeue_batch_op<S: Stamp>(
+        &self,
+        ctx: OpCtx<'_, impl ChoicePolicy, impl Rng64>,
+        stamp: S,
         max: usize,
-        stamper: Option<&AtomicU64>,
-        mut sink: impl FnMut(u64, V, u64),
-        stats: &mut ContentionStats,
+        mut sink: impl FnMut(u64, V, S::Mark),
     ) -> usize {
         if max == 0 {
             return 0;
         }
-        let mut backoff = Backoff::new();
-        loop {
-            let Some(k) = policy.choose_dequeue(rng, self) else {
-                if self.confirmed_empty(stats) {
-                    return 0;
-                }
-                snooze(&mut backoff, stats);
-                continue;
-            };
-            match self.queues[k].attempt_dequeue_batch(
-                max,
-                self.blocking(),
-                stamper,
-                &mut sink,
-                stats,
-            ) {
-                BatchPop::Served(n) => {
-                    policy.on_success(ChoiceOp::Dequeue, k, self);
-                    return n;
-                }
-                BatchPop::Poisoned => policy.on_poisoned(ChoiceOp::Dequeue, k),
-                // Stale hint (acquired an empty queue): evidence of
-                // emptiness, so sweep; back off before redrawing.
-                BatchPop::Empty => {
-                    policy.on_contention(ChoiceOp::Dequeue, k);
-                    if self.confirmed_empty(stats) {
-                        return 0;
-                    }
-                    snooze(&mut backoff, stats);
-                }
-                BatchPop::Contended => {
-                    policy.on_contention(ChoiceOp::Dequeue, k);
-                    snooze(&mut backoff, stats);
-                }
+        let Ok(n) = self.run(ChoiceOp::Dequeue, ctx, NO_DEADLINE, |q| {
+            let mut n = 0usize;
+            while n < max {
+                let Some((p, v)) = q.delete_min() else { break };
+                sink(p, v, stamp.draw());
+                n += 1;
             }
-        }
+            (n > 0).then_some(n)
+        });
+        n.unwrap_or(0)
+    }
+
+    /// Insert for callers without a handle ([`RelaxedFifo`], the
+    /// [`ConcurrentPq`] impl, [`salvage`](Self::salvage)): fresh
+    /// two-choice sampling from the caller's generator, contention
+    /// counters discarded.
+    ///
+    /// [`RelaxedFifo`]: crate::queue::RelaxedFifo
+    pub(crate) fn insert_two_choice(&self, rng: &mut impl Rng64, priority: u64, value: V) {
+        let ctx = OpCtx {
+            policy: &mut TwoChoice,
+            rng,
+            stats: &mut ContentionStats::new(),
+        };
+        let Ok(()) = self.insert_op(ctx, NO_DEADLINE, NoStamp, priority, value);
+    }
+
+    /// Dequeue for callers without a handle; see
+    /// [`insert_two_choice`](Self::insert_two_choice).
+    pub(crate) fn dequeue_two_choice(&self, rng: &mut impl Rng64) -> Option<(u64, V)> {
+        let ctx = OpCtx {
+            policy: &mut TwoChoice,
+            rng,
+            stats: &mut ContentionStats::new(),
+        };
+        let Ok(served) = self.dequeue_op(ctx, NO_DEADLINE, NoStamp);
+        served.map(unstamped)
     }
 
     /// Best-effort recovery of poisoned queues: for every poisoned
@@ -520,101 +592,13 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         }
         out.items_recovered = recovered.len();
         // Re-home the survivors through the normal insert path (which
-        // skips any queue poisoned since).
-        // Fresh two-choice with a fixed seed: salvage is a recovery
-        // sweep, deterministic given the drained set.
-        let mut policy = TwoChoice;
+        // skips any queue poisoned since), under a fixed seed: salvage
+        // is a recovery sweep, deterministic given the drained set.
         let mut rng = Xoshiro256::new(0x5a17a9e);
-        let mut stats = ContentionStats::new();
         for (p, v) in recovered {
-            self.insert_one(&mut policy, &mut rng, p, v, None, &mut stats);
+            self.insert_two_choice(&mut rng, p, v);
         }
         out
-    }
-
-    /// The bounded-retry insert loop behind
-    /// [`MqHandle::try_insert_for`]. Uses try-lock acquisition
-    /// regardless of mode — the point is to never block on a lock a
-    /// stalled thread may hold — and gives up at `deadline`.
-    fn insert_one_for(
-        &self,
-        policy: &mut impl ChoicePolicy,
-        rng: &mut impl Rng64,
-        priority: u64,
-        value: V,
-        deadline: Instant,
-        stats: &mut ContentionStats,
-    ) -> Result<(), ()> {
-        let mut backoff = Backoff::new();
-        let mut entry = (priority, value);
-        loop {
-            if Instant::now() >= deadline {
-                return Err(());
-            }
-            let i = policy.choose_insert(rng, self);
-            // Non-blocking regardless of mode: the point is to never
-            // wait on an acquisition a stalled thread may hold.
-            match self.queues[i].attempt_insert(entry.0, entry.1, false, None, stats) {
-                InsertOutcome::Done(_) => {
-                    policy.on_success(ChoiceOp::Insert, i, self);
-                    return Ok(());
-                }
-                InsertOutcome::Contended(p, v) => {
-                    entry = (p, v);
-                    policy.on_contention(ChoiceOp::Insert, i);
-                    snooze(&mut backoff, stats);
-                }
-                InsertOutcome::Poisoned(p, v) => {
-                    entry = (p, v);
-                    policy.on_poisoned(ChoiceOp::Insert, i);
-                }
-            }
-        }
-    }
-
-    /// The bounded-retry dequeue loop behind
-    /// [`MqHandle::try_dequeue_for`]: try-lock only, deadline-bounded.
-    /// `Ok(None)` is a *confirmed-empty* observation, exactly like the
-    /// blocking dequeue's `None`.
-    fn dequeue_one_for(
-        &self,
-        policy: &mut impl ChoicePolicy,
-        rng: &mut impl Rng64,
-        deadline: Instant,
-        stats: &mut ContentionStats,
-    ) -> Result<Option<(u64, V)>, ()> {
-        let mut backoff = Backoff::new();
-        loop {
-            if Instant::now() >= deadline {
-                return Err(());
-            }
-            let Some(k) = policy.choose_dequeue(rng, self) else {
-                if self.confirmed_empty(stats) {
-                    return Ok(None);
-                }
-                snooze(&mut backoff, stats);
-                continue;
-            };
-            // Non-blocking regardless of mode, like `insert_one_for`.
-            match self.queues[k].attempt_dequeue(false, None, stats) {
-                DequeueOutcome::Served(p, v, _) => {
-                    policy.on_success(ChoiceOp::Dequeue, k, self);
-                    return Ok(Some((p, v)));
-                }
-                DequeueOutcome::Poisoned => policy.on_poisoned(ChoiceOp::Dequeue, k),
-                DequeueOutcome::Empty => {
-                    policy.on_contention(ChoiceOp::Dequeue, k);
-                    if self.confirmed_empty(stats) {
-                        return Ok(None);
-                    }
-                    snooze(&mut backoff, stats);
-                }
-                DequeueOutcome::Contended => {
-                    policy.on_contention(ChoiceOp::Dequeue, k);
-                    snooze(&mut backoff, stats);
-                }
-            }
-        }
     }
 
     /// Drains everything into a sorted vector (sequential; for tests).
@@ -656,16 +640,11 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> QueueView for MultiQueue<V, Q>
 /// generator; the choice process is fresh two-choice sampling.
 impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> ConcurrentPq<V> for MultiQueue<V, Q> {
     fn insert(&self, priority: u64, value: V) {
-        let mut stats = ContentionStats::new();
-        with_thread_rng(|rng| {
-            self.insert_one(&mut TwoChoice, rng, priority, value, None, &mut stats)
-        });
+        with_thread_rng(|rng| self.insert_two_choice(rng, priority, value));
     }
 
     fn remove_min(&self) -> Option<(u64, V)> {
-        let mut stats = ContentionStats::new();
-        with_thread_rng(|rng| self.dequeue_one(&mut TwoChoice, rng, None, &mut stats))
-            .map(|(p, v, _)| (p, v))
+        with_thread_rng(|rng| self.dequeue_two_choice(rng))
     }
 
     fn min_hint(&self) -> u64 {
@@ -841,16 +820,34 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
         self.stats.take()
     }
 
+    /// Lends the handle's per-thread state to one operation.
+    #[inline]
+    fn ctx(&mut self) -> OpCtx<'_, P, Xoshiro256> {
+        OpCtx {
+            policy: &mut self.policy,
+            rng: &mut self.rng,
+            stats: &mut self.stats,
+        }
+    }
+
+    /// Best-of-`k` dequeue: a one-off [`DChoice`] draw on the handle's
+    /// generator and counters, whatever the handle's own policy.
+    fn dequeue_k_op<S: Stamp>(&mut self, k: usize, stamp: S) -> Option<(u64, V, S::Mark)> {
+        assert!(k >= 1, "need at least one choice");
+        let ctx = OpCtx {
+            policy: &mut DChoice::new(k),
+            rng: &mut self.rng,
+            stats: &mut self.stats,
+        };
+        let Ok(served) = self.mq.dequeue_op(ctx, NO_DEADLINE, stamp);
+        served
+    }
+
     /// Enqueue through the handle's policy.
     pub fn insert(&mut self, priority: u64, value: V) {
-        self.mq.insert_one(
-            &mut self.policy,
-            &mut self.rng,
-            priority,
-            value,
-            None,
-            &mut self.stats,
-        );
+        let Ok(()) = self
+            .mq
+            .insert_op(self.ctx(), NO_DEADLINE, NoStamp, priority, value);
     }
 
     /// Dequeue through the handle's policy.
@@ -859,9 +856,8 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
     /// with concurrent enqueuers a `None` means "empty at some sample
     /// point", the strongest statement a relaxed queue can make.
     pub fn dequeue(&mut self) -> Option<(u64, V)> {
-        self.mq
-            .dequeue_one(&mut self.policy, &mut self.rng, None, &mut self.stats)
-            .map(|(p, v, _)| (p, v))
+        let Ok(served) = self.mq.dequeue_op(self.ctx(), NO_DEADLINE, NoStamp);
+        served.map(unstamped)
     }
 
     /// Dequeue sampling the best of `k` queues — a one-off
@@ -874,27 +870,18 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
     /// # Panics
     /// If `k == 0`.
     pub fn dequeue_k(&mut self, k: usize) -> Option<(u64, V)> {
-        assert!(k >= 1, "need at least one choice");
-        self.mq
-            .dequeue_one(&mut DChoice::new(k), &mut self.rng, None, &mut self.stats)
-            .map(|(p, v, _)| (p, v))
+        self.dequeue_k_op(k, NoStamp).map(unstamped)
     }
 
     /// Inserts a whole batch into one policy-chosen queue under a
     /// single lock acquisition, with a single hint publish. Returns the
-    /// number of items inserted.
+    /// number of items inserted; an empty batch is a no-op.
     ///
     /// The batch counts as *one* operation for camping policies; its
     /// rank effect is like stickiness with `s = batch` (the batch lands
     /// in one queue), degrading within the same O(s·m) envelope.
     pub fn insert_batch(&mut self, items: impl IntoIterator<Item = (u64, V)>) -> usize {
-        self.mq.insert_batch_inner(
-            &mut self.policy,
-            &mut self.rng,
-            items,
-            None,
-            &mut self.stats,
-        )
+        self.mq.insert_batch_op(self.ctx(), NoStamp, items, |()| {})
     }
 
     /// Bounded-retry insert: like [`insert`](Self::insert) but never
@@ -902,27 +889,21 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
     /// structure's [`DeleteMode`]) and gives up with a structured
     /// [`MqOpTimeout`] once `timeout` elapses — e.g. when stalled
     /// threads hold every lock the policy samples, or every queue is
-    /// poisoned. On `Err` the value is dropped, not inserted.
+    /// poisoned (where [`insert`](Self::insert) panics). On `Err` the
+    /// value is dropped, not inserted.
     pub fn try_insert_for(
         &mut self,
         priority: u64,
         value: V,
         timeout: Duration,
     ) -> Result<(), MqOpTimeout> {
-        let deadline = Instant::now() + timeout;
+        let timed_out = MqOpTimeout {
+            op: ChoiceOp::Insert,
+            timeout,
+        };
+        let deadline = Some((Instant::now() + timeout, timed_out));
         self.mq
-            .insert_one_for(
-                &mut self.policy,
-                &mut self.rng,
-                priority,
-                value,
-                deadline,
-                &mut self.stats,
-            )
-            .map_err(|()| MqOpTimeout {
-                op: ChoiceOp::Insert,
-                timeout,
-            })
+            .insert_op(self.ctx(), deadline, NoStamp, priority, value)
     }
 
     /// Bounded-retry dequeue: like [`dequeue`](Self::dequeue) but never
@@ -932,13 +913,14 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
     /// `Err` means the structure could not be served in time (not that
     /// it is empty).
     pub fn try_dequeue_for(&mut self, timeout: Duration) -> Result<Option<(u64, V)>, MqOpTimeout> {
-        let deadline = Instant::now() + timeout;
+        let timed_out = MqOpTimeout {
+            op: ChoiceOp::Dequeue,
+            timeout,
+        };
+        let deadline = Some((Instant::now() + timeout, timed_out));
         self.mq
-            .dequeue_one_for(&mut self.policy, &mut self.rng, deadline, &mut self.stats)
-            .map_err(|()| MqOpTimeout {
-                op: ChoiceOp::Dequeue,
-                timeout,
-            })
+            .dequeue_op(self.ctx(), deadline, NoStamp)
+            .map(|served| served.map(unstamped))
     }
 
     /// Removes up to `max` entries from one policy-chosen queue under a
@@ -948,20 +930,15 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
     /// Returns `0` only after observing a globally empty structure —
     /// the same emptiness contract as [`dequeue`](Self::dequeue).
     pub fn dequeue_batch(&mut self, max: usize, out: &mut Vec<(u64, V)>) -> usize {
-        self.mq.dequeue_batch_inner(
-            &mut self.policy,
-            &mut self.rng,
-            max,
-            None,
-            |p, v, _| out.push((p, v)),
-            &mut self.stats,
-        )
+        self.mq
+            .dequeue_batch_op(self.ctx(), NoStamp, max, |p, v, ()| out.push((p, v)))
     }
 
     /// Switches the handle into **history mode**: the same five
-    /// operations, each drawing an update-point stamp from `stamper`
-    /// inside its critical section — i.e. at the operation's
-    /// linearization point in the underlying linearizable queue. The
+    /// operations over the same loop, each drawing an update-point
+    /// stamp from `stamper` inside its critical section — i.e. at the
+    /// operation's linearization point in the underlying linearizable
+    /// queue, right after the mutation. The
     /// distributional-linearizability checker replays histories in
     /// stamp order (Definition 5.2's mapping).
     ///
@@ -987,8 +964,8 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
 }
 
 /// The handle's history mode — see [`MqHandle::stamped`]. Same policy,
-/// same RNG, same five operations; every operation returns the update
-/// stamp drawn inside its critical section.
+/// same RNG, same five operations over the same loop; every operation
+/// returns the update stamp drawn inside its critical section.
 pub struct Stamped<'s, 'a, V, Q = BinaryHeap<u64, V>, P = AnyPolicy>
 where
     V: Send,
@@ -1002,24 +979,23 @@ where
 impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> Stamped<'_, '_, V, Q, P> {
     /// Stamped enqueue; returns the update stamp.
     pub fn insert(&mut self, priority: u64, value: V) -> u64 {
-        self.handle.mq.insert_one(
-            &mut self.handle.policy,
-            &mut self.handle.rng,
+        let Ok(stamp) = self.handle.mq.insert_op(
+            self.handle.ctx(),
+            NO_DEADLINE,
+            self.stamper,
             priority,
             value,
-            Some(self.stamper),
-            &mut self.handle.stats,
-        )
+        );
+        stamp
     }
 
     /// Stamped dequeue; returns `(priority, value, update stamp)`.
     pub fn dequeue(&mut self) -> Option<(u64, V, u64)> {
-        self.handle.mq.dequeue_one(
-            &mut self.handle.policy,
-            &mut self.handle.rng,
-            Some(self.stamper),
-            &mut self.handle.stats,
-        )
+        let Ok(served) = self
+            .handle
+            .mq
+            .dequeue_op(self.handle.ctx(), NO_DEADLINE, self.stamper);
+        served
     }
 
     /// Stamped best-of-`k` dequeue (see [`MqHandle::dequeue_k`]).
@@ -1027,13 +1003,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> Stamped<'_, '
     /// # Panics
     /// If `k == 0`.
     pub fn dequeue_k(&mut self, k: usize) -> Option<(u64, V, u64)> {
-        assert!(k >= 1, "need at least one choice");
-        self.handle.mq.dequeue_one(
-            &mut DChoice::new(k),
-            &mut self.handle.rng,
-            Some(self.stamper),
-            &mut self.handle.stats,
-        )
+        self.handle.dequeue_k_op(k, self.stamper)
     }
 
     /// Stamped batch enqueue: one lock acquisition, one stamp per item
@@ -1043,26 +1013,19 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> Stamped<'_, '
         items: impl IntoIterator<Item = (u64, V)>,
         stamps: &mut Vec<u64>,
     ) -> usize {
-        self.handle.mq.insert_batch_inner(
-            &mut self.handle.policy,
-            &mut self.handle.rng,
-            items,
-            Some((self.stamper, stamps)),
-            &mut self.handle.stats,
-        )
+        self.handle
+            .mq
+            .insert_batch_op(self.handle.ctx(), self.stamper, items, |s| stamps.push(s))
     }
 
     /// Stamped batch dequeue: one lock acquisition, one stamp per
     /// entry, appended to `out` as `(priority, value, stamp)`.
     pub fn dequeue_batch(&mut self, max: usize, out: &mut Vec<(u64, V, u64)>) -> usize {
-        self.handle.mq.dequeue_batch_inner(
-            &mut self.handle.policy,
-            &mut self.handle.rng,
-            max,
-            Some(self.stamper),
-            |p, v, s| out.push((p, v, s)),
-            &mut self.handle.stats,
-        )
+        self.handle
+            .mq
+            .dequeue_batch_op(self.handle.ctx(), self.stamper, max, |p, v, s| {
+                out.push((p, v, s))
+            })
     }
 }
 
@@ -1110,25 +1073,6 @@ mod tests {
     }
 
     #[test]
-    fn conservation_sequential() {
-        let mq: MultiQueue<u64> = MultiQueue::new(8);
-        let mut h = mq.handle(2);
-        for p in 0..1000u64 {
-            h.insert(p, p * 10);
-        }
-        assert_eq!(mq.len(), 1000);
-        let mut out = Vec::new();
-        while let Some((p, v)) = h.dequeue() {
-            assert_eq!(v, p * 10);
-            out.push(p);
-        }
-        assert_eq!(out.len(), 1000);
-        out.sort_unstable();
-        assert_eq!(out, (0..1000u64).collect::<Vec<_>>());
-        assert_eq!(mq.len(), 0);
-    }
-
-    #[test]
     fn single_queue_is_exact() {
         // m = 1: both choices are the same queue, so dequeues are the
         // true minimum — the structure degenerates to an exact PQ.
@@ -1163,23 +1107,6 @@ mod tests {
         }
         // Theory: expected rank O(m), max over n steps O(m log n)-ish.
         assert!(max_rank <= 30 * m, "max rank {max_rank} too large");
-    }
-
-    #[test]
-    fn trylock_mode_conserves() {
-        let mq: MultiQueue<u64> = MultiQueue::with_queues(
-            (0..4).map(|_| BinaryHeap::new()).collect(),
-            DeleteMode::TryLock,
-        );
-        let mut h = mq.handle(5);
-        for p in 0..500u64 {
-            h.insert(p, p);
-        }
-        let mut n = 0;
-        while h.dequeue().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 500);
     }
 
     #[test]
@@ -1834,6 +1761,78 @@ mod tests {
     /// A two-choice binary-heap MultiQueue with `m` queues in `mode`.
     fn mq_on(m: usize, mode: DeleteMode) -> MultiQueue<u64> {
         MultiQueue::with_queues((0..m).map(|_| BinaryHeap::new()).collect(), mode)
+    }
+
+    /// Drives one operation form through fill-then-drain at the generic
+    /// ops every public method is a one-line call into, checking
+    /// conservation (each of `N` entries served exactly once, value
+    /// intact, structure empty after). Returns each entry's insert and
+    /// dequeue marks, keyed by priority.
+    fn fill_and_drain<S: Stamp>(
+        mode: DeleteMode,
+        bounded: bool,
+        batch: bool,
+        stamp: S,
+    ) -> [Vec<(u64, S::Mark)>; 2] {
+        const N: u64 = 600;
+        let mq = mq_on(8, mode);
+        let mut h = mq.handle(90);
+        let deadline = || bounded.then(|| (Instant::now() + Duration::from_secs(3_600), "late"));
+        let (mut inserted, mut served) = (Vec::new(), Vec::new());
+        if batch {
+            for first in (0..N).step_by(6) {
+                let items = (first..first + 6).map(|p| (p, p * 10));
+                let mut marks = Vec::new();
+                let n = mq.insert_batch_op(h.ctx(), stamp, items, |m| marks.push(m));
+                assert_eq!((n, marks.len()), (6, 6));
+                inserted.extend((first..).zip(marks));
+            }
+        } else {
+            for p in 0..N {
+                let mark = mq.insert_op(h.ctx(), deadline(), stamp, p, p * 10);
+                inserted.push((p, mark.expect("uncontended")));
+            }
+        }
+        assert_eq!(mq.len(), N as usize);
+        loop {
+            let before = served.len();
+            if batch {
+                mq.dequeue_batch_op(h.ctx(), stamp, 5, |p, v, m| served.push((p, v, m)));
+            } else {
+                let got = mq.dequeue_op(h.ctx(), deadline(), stamp);
+                served.extend(got.expect("uncontended"));
+            }
+            if served.len() == before {
+                break;
+            }
+        }
+        assert!(mq.is_empty());
+        assert!(served.iter().all(|(p, v, _)| *v == p * 10));
+        let mut priorities: Vec<u64> = served.iter().map(|(p, _, _)| *p).collect();
+        priorities.sort_unstable();
+        assert_eq!(priorities, (0..N).collect::<Vec<_>>());
+        let served = served.into_iter().map(|(p, _, m)| (p, m)).collect();
+        [inserted, served]
+    }
+
+    #[test]
+    fn every_op_form_conserves_under_every_acquisition_and_stamp_mode() {
+        for mode in MODES {
+            // (bounded, batch): the batch forms take no deadline.
+            for (bounded, batch) in [(false, false), (true, false), (false, true)] {
+                fill_and_drain(mode, bounded, batch, NoStamp);
+                let stamper = AtomicU64::new(1);
+                let [inserted, served] = fill_and_drain(mode, bounded, batch, &stamper);
+                let what = format!("{mode:?} / bounded: {bounded} / batch: {batch}");
+                let mut stamps: Vec<u64> = inserted.iter().chain(&served).map(|e| e.1).collect();
+                stamps.sort_unstable();
+                stamps.dedup();
+                assert_eq!(stamps.len(), 1_200, "stamps must be unique: {what}");
+                for (p, s) in served {
+                    assert!(inserted[p as usize].1 < s, "entry {p} served first: {what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -140,7 +140,7 @@ pub trait ChoicePolicy {
     }
 
     /// The chosen queue turned out poisoned (a critical section
-    /// panicked in it — see [`dlz_pq::Poisoned`]). The queue is
+    /// panicked in it — see [`dlz_pq::Attempt::Poisoned`]). The queue is
     /// quarantined: it will keep refusing locks until salvaged, so a
     /// camping policy must abandon any camp on it and the next
     /// `choose_*` call must pick somewhere else. Poison is **not**

@@ -8,10 +8,10 @@
 //! "how far from FIFO" the structure is — the quantity Theorem 7.1
 //! bounds by O(m) in expectation.
 
-use dlz_pq::{BinaryHeap, ContentionStats, SeqPriorityQueue};
+use dlz_pq::{BinaryHeap, SeqPriorityQueue};
 
 use crate::clock::{Clock, FaaClock};
-use crate::queue::{DeleteMode, MultiQueue, TwoChoice};
+use crate::queue::{DeleteMode, MultiQueue};
 use crate::rng::{with_thread_rng, Rng64};
 
 /// A relaxed FIFO queue: MultiQueue + clock-assigned priorities.
@@ -66,15 +66,7 @@ impl<V: Send, C: Clock, Q: SeqPriorityQueue<u64, V> + Send> RelaxedFifo<V, C, Q>
     /// Enqueue with an explicit generator; the timestamp comes from the
     /// clock at call time (Algorithm 2's `Clock.Read()`).
     pub fn enqueue_with(&self, rng: &mut impl Rng64, value: V) {
-        let ts = self.clock.tick();
-        self.mq.insert_one(
-            &mut TwoChoice,
-            rng,
-            ts,
-            value,
-            None,
-            &mut ContentionStats::new(),
-        );
+        self.mq.insert_two_choice(rng, self.clock.tick(), value);
     }
 
     /// Dequeue with an explicit generator: an approximately-oldest
@@ -85,9 +77,7 @@ impl<V: Send, C: Clock, Q: SeqPriorityQueue<u64, V> + Send> RelaxedFifo<V, C, Q>
 
     /// Dequeue returning the element's enqueue timestamp too.
     pub fn dequeue_with_timestamp(&self, rng: &mut impl Rng64) -> Option<(u64, V)> {
-        self.mq
-            .dequeue_one(&mut TwoChoice, rng, None, &mut ContentionStats::new())
-            .map(|(ts, v, _)| (ts, v))
+        self.mq.dequeue_two_choice(rng)
     }
 
     /// Convenience enqueue using the thread-local generator.

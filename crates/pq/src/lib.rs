@@ -22,17 +22,16 @@
 //!   header word (see [`locked::header`]), cache-padded together with
 //!   the published minimum hint so that readers can perform the
 //!   *ReadMin* step of Algorithm 2 without taking the lock and without
-//!   false sharing. Its whole-operation attempts ([`InsertOutcome`],
-//!   [`DequeueOutcome`], [`BatchPush`], [`BatchPop`]) are the surface
-//!   the MultiQueue's choice loops drive. It is the only per-queue
+//!   false sharing. [`LockedPq::attempt`] — one whole operation as a
+//!   closure, ending in an [`Attempt`] — is the surface the
+//!   MultiQueue's operation loop drives. It is the only per-queue
 //!   concurrency discipline: a lock-free claim/drain queue and a flat
 //!   combiner were measured against it and removed (README, "Why one
 //!   per-queue substrate").
 //! * [`CoarsePq`] — an exact concurrent priority queue (one global lock),
 //!   used as the non-relaxed baseline in benchmarks.
 //! * [`ContentionStats`] — plain-`u64`, single-owner hot-path counters
-//!   recorded by [`LockedPq`]'s instrumented entry points and merged
-//!   like worker metrics.
+//!   recorded by [`LockedPq::attempt`] and merged like worker metrics.
 //!
 //! Everything in this crate is deterministic given its seeds: there is no
 //! global RNG and no dependence on wall-clock time.
@@ -52,10 +51,7 @@ pub mod traits;
 
 pub use binary_heap::BinaryHeap;
 pub use coarse::CoarsePq;
-pub use locked::{
-    BatchPop, BatchPush, Contended, DequeueOutcome, InsertOutcome, LockedPq, ParkingLotPq,
-    Poisoned, PqGuard,
-};
+pub use locked::{Attempt, LockedPq, ParkingLotPq, PqGuard};
 pub use padded::CachePadded;
 pub use pairing_heap::PairingHeap;
 pub use skiplist::SkipListPq;

@@ -29,20 +29,22 @@
 //!
 //! # Whole-operation attempts
 //!
-//! The MultiQueue's choice loops do not hold guards; they ask one queue
-//! for one whole operation and act on how it ended: it happened (and at
-//! what stamp), the queue was empty, the lock was contended, or the
-//! queue is poisoned and must be routed around.
-//! [`attempt_insert`](LockedPq::attempt_insert),
-//! [`attempt_dequeue`](LockedPq::attempt_dequeue),
-//! [`attempt_insert_batch`](LockedPq::attempt_insert_batch) and
-//! [`attempt_dequeue_batch`](LockedPq::attempt_dequeue_batch) are that
-//! surface. Each takes `block` (wait out contention, or report it),
-//! an optional history `stamper` and the caller's [`ContentionStats`];
-//! failure outcomes hand the entry (or the items iterator) back
-//! unconsumed so the caller can re-route it. History stamps are drawn
-//! *inside* the critical section — the operation's linearization point
-//! in this linearizable queue.
+//! The MultiQueue's operation loop does not hold guards; it asks one
+//! queue to run one whole operation and reacts to how that ended.
+//! [`LockedPq::attempt`] is that surface: it takes `block` (wait out
+//! contention, or report it), the caller's [`ContentionStats`] and the
+//! operation as a closure over the sequential queue, and returns an
+//! [`Attempt`] — the closure's result if it ran, or why it did not
+//! (lock contended, queue poisoned and to be routed around). A closure
+//! that did not run consumed nothing, so the caller re-routes whatever
+//! it captured. The closure runs *inside* the critical section, so a
+//! history stamp drawn in it marks the operation's linearization point
+//! in this linearizable queue, and the lock is released (hint
+//! republished, generation bumped) before `attempt` returns.
+//!
+//! `attempt`, [`lock`](LockedPq::lock), [`try_lock`](LockedPq::try_lock)
+//! and [`salvage_lock`](LockedPq::salvage_lock) are four disciplines
+//! over one acquire loop.
 //!
 //! [`ParkingLotPq`] is the same interface over `parking_lot::Mutex`,
 //! used by the lock ablation benchmark; it keeps the separate-words
@@ -61,78 +63,21 @@ use crate::traits::{ConcurrentPq, SeqPriorityQueue};
 /// Value published in the hint word when the queue is (believed) empty.
 pub const EMPTY_HINT: u64 = u64::MAX;
 
-/// Error of the `try_*` operations: the lock was held by someone else.
+/// How one acquisition — and, through [`LockedPq::attempt`], one whole
+/// operation — on one queue ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Contended;
-
-/// Error of the `checked_*` lock operations: a previous critical
-/// section panicked mid-mutation, so the sequential queue behind the
-/// lock may be inconsistent. Recover with
-/// [`LockedPq::salvage_lock`], which drains whatever is still readable
-/// under a fresh generation and clears the mark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Poisoned;
-
-impl std::fmt::Display for Poisoned {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("queue poisoned by a panicked critical section")
-    }
-}
-
-/// Draws the next history stamp, or 0 when no stamper is active
-/// (stamps are ordering keys only; 0 marks "unstamped run").
-#[inline]
-pub fn draw_stamp(stamper: Option<&AtomicU64>) -> u64 {
-    stamper.map_or(0, |s| s.fetch_add(1, Ordering::AcqRel))
-}
-
-/// How a single-entry insert attempt on one queue ended. The failure
-/// variants hand the entry back so the caller can re-route it.
-#[derive(Debug)]
-pub enum InsertOutcome<V> {
-    /// Inserted; carries the history stamp (0 when unstamped).
-    Done(u64),
-    /// Lock contended (try mode); entry returned.
-    Contended(u64, V),
-    /// Queue poisoned; entry returned for re-routing.
-    Poisoned(u64, V),
-}
-
-/// How a single-entry dequeue attempt on one queue ended.
-#[derive(Debug)]
-pub enum DequeueOutcome<V> {
-    /// Served `(priority, value, stamp)` (stamp 0 when unstamped).
-    Served(u64, V, u64),
-    /// The queue was acquired but empty (a stale hint).
-    Empty,
-    /// Lock contended (try mode).
+pub enum Attempt<R> {
+    /// The lock was acquired and the operation ran; carries its result.
+    Ran(R),
+    /// The lock was held by someone else (non-blocking mode only).
+    /// Says nothing about what the queue holds.
     Contended,
-    /// Queue poisoned; re-choose.
-    Poisoned,
-}
-
-/// How a batch-insert attempt ended; failures return the items
-/// iterator **unconsumed**.
-#[derive(Debug)]
-pub enum BatchPush<I> {
-    /// All items inserted; carries the count.
-    Done(usize),
-    /// Lock contended (try mode); items returned.
-    Contended(I),
-    /// Queue poisoned; items returned.
-    Poisoned(I),
-}
-
-/// How a batch-dequeue attempt ended (entries stream into the sink).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchPop {
-    /// At least one entry was served; carries the count.
-    Served(usize),
-    /// Acquired but empty.
-    Empty,
-    /// Lock contended (try mode).
-    Contended,
-    /// Queue poisoned.
+    /// A previous critical section panicked mid-mutation, so the
+    /// sequential queue behind the lock may be inconsistent: re-choose
+    /// another queue. Recover with [`LockedPq::salvage_lock`], which
+    /// drains whatever is still readable under a fresh generation and
+    /// clears the mark. Reported immediately, never waited on, and not
+    /// counted as contention.
     Poisoned,
 }
 
@@ -281,6 +226,64 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
         }
     }
 
+    /// The one acquire loop, test-and-test-and-set on the packed header.
+    /// `block` waits out a held lock (else reports [`Attempt::Contended`]
+    /// and counts a try-lock failure); `salvage` acquires *despite*
+    /// poison (else reports [`Attempt::Poisoned`] without acquiring).
+    /// Snoozes while the lock is held and CAS retries lost to a
+    /// concurrent release land in `stats`, which the guard keeps for
+    /// the release protocol's hint republishes; every `stats` branch
+    /// folds away when inlined with a constant `None`.
+    #[inline]
+    fn acquire<'g>(
+        &'g self,
+        block: bool,
+        salvage: bool,
+        mut stats: Option<&'g mut ContentionStats>,
+    ) -> Attempt<PqGuard<'g, V, Q>> {
+        let mut backoff = Backoff::new();
+        let mut cur = self.hot.header.load(Ordering::Relaxed);
+        loop {
+            // Poison outranks the lock state: a locked+poisoned word is
+            // a salvage in progress, and waiting for it would just win
+            // a lock on a queue we must not touch.
+            if header::is_poisoned(cur) && !salvage {
+                return Attempt::Poisoned;
+            }
+            if header::is_locked(cur) {
+                if !block {
+                    if let Some(s) = stats {
+                        s.try_lock_failures += 1;
+                    }
+                    return Attempt::Contended;
+                }
+                if let Some(s) = stats.as_deref_mut() {
+                    s.note_snooze(backoff.is_yielding());
+                }
+                backoff.snooze();
+                cur = self.hot.header.load(Ordering::Relaxed);
+                continue;
+            }
+            // CAS only on an unlocked snapshot, and retry while the
+            // word changes under us but stays unlocked (another
+            // thread's release updated count/generation).
+            match self.hot.header.compare_exchange_weak(
+                cur,
+                cur | header::LOCK_BIT,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Attempt::Ran(PqGuard { pq: self, stats }),
+                Err(now) => {
+                    if let Some(s) = stats.as_deref_mut() {
+                        s.cas_retries += 1;
+                    }
+                    cur = now;
+                }
+            }
+        }
+    }
+
     /// Acquires the lock, spinning with exponential backoff until free.
     ///
     /// The returned guard dereferences to the sequential queue; dropping
@@ -291,295 +294,67 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
     /// # Panics
     /// If the queue is poisoned (a previous critical section panicked) —
     /// the `Mutex::lock().unwrap()` idiom. Poison-aware callers use
-    /// [`checked_lock`](Self::checked_lock).
+    /// [`attempt`](Self::attempt).
     #[inline]
     pub fn lock(&self) -> PqGuard<'_, V, Q> {
-        self.checked_lock().expect("queue poisoned")
-    }
-
-    /// Acquires the lock, or reports [`Poisoned`] without acquiring
-    /// when a previous critical section panicked. A poisoned result is
-    /// immediate — the caller is expected to re-choose another queue,
-    /// not to spin here.
-    #[inline]
-    pub fn checked_lock(&self) -> Result<PqGuard<'_, V, Q>, Poisoned> {
-        self.lock_inner(None)
-    }
-
-    /// [`checked_lock`](Self::checked_lock) with contention accounting:
-    /// backoff snoozes while the lock is held and CAS acquire retries
-    /// are recorded in `stats`, and the release protocol records hint
-    /// republishes.
-    #[inline]
-    pub fn checked_lock_with_stats<'g>(
-        &'g self,
-        stats: &'g mut ContentionStats,
-    ) -> Result<PqGuard<'g, V, Q>, Poisoned> {
-        self.lock_inner(Some(stats))
-    }
-
-    // Shared acquire loop; the `stats` branches fold away when inlined
-    // with a constant `None` from the uninstrumented entry point.
-    #[inline]
-    fn lock_inner<'g>(
-        &'g self,
-        mut stats: Option<&'g mut ContentionStats>,
-    ) -> Result<PqGuard<'g, V, Q>, Poisoned> {
-        let mut backoff = Backoff::new();
-        let mut cur = self.hot.header.load(Ordering::Relaxed);
-        loop {
-            // Poison outranks the lock state: a locked+poisoned word is
-            // a salvage in progress, and waiting for it would just win
-            // a lock on a queue we must not touch.
-            if header::is_poisoned(cur) {
-                return Err(Poisoned);
-            }
-            if header::is_locked(cur) {
-                if let Some(s) = stats.as_deref_mut() {
-                    s.note_snooze(backoff.is_yielding());
-                }
-                backoff.snooze();
-                cur = self.hot.header.load(Ordering::Relaxed);
-                continue;
-            }
-            // Test-and-test-and-set: CAS only on an unlocked snapshot.
-            match self.hot.header.compare_exchange_weak(
-                cur,
-                cur | header::LOCK_BIT,
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Ok(PqGuard { pq: self, stats }),
-                Err(now) => {
-                    if let Some(s) = stats.as_deref_mut() {
-                        s.cas_retries += 1;
-                    }
-                    cur = now;
-                }
-            }
+        match self.acquire(true, false, None) {
+            Attempt::Ran(guard) => guard,
+            _ => panic!("queue poisoned"),
         }
     }
 
-    /// Attempts to acquire the lock without blocking.
-    ///
-    /// The CAS loop retries while the word changes under us but stays
-    /// unlocked (another thread's release updated count/generation);
-    /// it fails only on an actually-held lock.
+    /// Attempts to acquire the lock without blocking; `None` only on an
+    /// actually-held lock.
     ///
     /// # Panics
     /// If the queue is poisoned (see [`lock`](Self::lock)).
-    /// Poison-aware callers use [`checked_try_lock`](Self::checked_try_lock).
     #[inline]
     pub fn try_lock(&self) -> Option<PqGuard<'_, V, Q>> {
-        self.try_lock_inner(None).expect("queue poisoned")
-    }
-
-    /// Non-blocking acquire that reports poison instead of panicking:
-    /// `Ok(None)` means contended, `Err(Poisoned)` means a previous
-    /// critical section panicked.
-    #[inline]
-    pub fn checked_try_lock(&self) -> Result<Option<PqGuard<'_, V, Q>>, Poisoned> {
-        self.try_lock_inner(None)
-    }
-
-    /// [`checked_try_lock`](Self::checked_try_lock) with contention
-    /// accounting: a contended `Ok(None)` counts as a try-lock failure
-    /// (counted *here* rather than by the caller so the borrow of
-    /// `stats` ends with the return value), CAS retries against
-    /// concurrent releases are counted, and the release protocol
-    /// records hint republishes. A poisoned return records nothing —
-    /// poison is not contention.
-    #[inline]
-    pub fn checked_try_lock_with_stats<'g>(
-        &'g self,
-        stats: &'g mut ContentionStats,
-    ) -> Result<Option<PqGuard<'g, V, Q>>, Poisoned> {
-        self.try_lock_inner(Some(stats))
-    }
-
-    #[inline]
-    fn try_lock_inner<'g>(
-        &'g self,
-        mut stats: Option<&'g mut ContentionStats>,
-    ) -> Result<Option<PqGuard<'g, V, Q>>, Poisoned> {
-        let mut cur = self.hot.header.load(Ordering::Relaxed);
-        loop {
-            if header::is_poisoned(cur) {
-                return Err(Poisoned);
-            }
-            if header::is_locked(cur) {
-                if let Some(s) = stats.as_deref_mut() {
-                    s.try_lock_failures += 1;
-                }
-                return Ok(None);
-            }
-            match self.hot.header.compare_exchange_weak(
-                cur,
-                cur | header::LOCK_BIT,
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Ok(Some(PqGuard { pq: self, stats })),
-                Err(now) => {
-                    if let Some(s) = stats.as_deref_mut() {
-                        s.cas_retries += 1;
-                    }
-                    cur = now;
-                }
-            }
+        match self.acquire(false, false, None) {
+            Attempt::Ran(guard) => Some(guard),
+            Attempt::Contended => None,
+            Attempt::Poisoned => panic!("queue poisoned"),
         }
     }
 
     /// Acquires the lock *despite* poison, for recovery: spins past
     /// contention and keeps the poison flag set for the duration of the
-    /// critical section (so concurrent `checked_*` callers keep seeing
-    /// `Poisoned` rather than blocking on the salvage). Dropping the
-    /// guard runs the normal release protocol — it recounts the queue,
-    /// republishes the real min hint, bumps the generation and clears
-    /// the poison flag, returning the queue to service.
+    /// critical section (so concurrent [`attempt`](Self::attempt)s keep
+    /// seeing [`Attempt::Poisoned`] rather than blocking on the
+    /// salvage). Dropping the guard runs the normal release protocol —
+    /// it recounts the queue, republishes the real min hint, bumps the
+    /// generation and clears the poison flag, returning the queue to
+    /// service.
     ///
     /// The sequential queue may be in whatever state the panicked
     /// mutation left it; callers should restrict themselves to
     /// operations that tolerate that (draining via `delete_min`, or
     /// replacing the contents outright).
     pub fn salvage_lock(&self) -> PqGuard<'_, V, Q> {
-        let mut backoff = Backoff::new();
-        let mut cur = self.hot.header.load(Ordering::Relaxed);
-        loop {
-            if header::is_locked(cur) {
-                backoff.snooze();
-                cur = self.hot.header.load(Ordering::Relaxed);
-                continue;
-            }
-            match self.hot.header.compare_exchange_weak(
-                cur,
-                cur | header::LOCK_BIT,
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    return PqGuard {
-                        pq: self,
-                        stats: None,
-                    }
-                }
-                Err(now) => cur = now,
-            }
+        match self.acquire(true, true, None) {
+            Attempt::Ran(guard) => guard,
+            _ => unreachable!("a salvage acquisition waits out contention and ignores poison"),
         }
     }
 
-    /// The one place an operation's acquisition discipline is chosen:
-    /// `block = true` waits out contention (strict mode), `block =
-    /// false` reports it as `Ok(None)`.
+    /// Runs one whole operation on the queue if its lock can be had:
+    /// `body` executes inside the critical section and the lock is
+    /// released before this returns. `block = true` waits out
+    /// contention (snoozes counted in `stats`); `block = false` reports
+    /// [`Attempt::Contended`] instead and counts one try-lock failure.
+    /// A poisoned queue is reported in both modes, uncounted. When the
+    /// result is not [`Attempt::Ran`], `body` was not called.
     #[inline]
-    fn acquire<'g>(
-        &'g self,
-        block: bool,
-        stats: &'g mut ContentionStats,
-    ) -> Result<Option<PqGuard<'g, V, Q>>, Poisoned> {
-        if block {
-            self.checked_lock_with_stats(stats).map(Some)
-        } else {
-            self.checked_try_lock_with_stats(stats)
-        }
-    }
-
-    /// One insert attempt. `block = true` waits out contention;
-    /// `block = false` reports [`InsertOutcome::Contended`] instead.
-    pub fn attempt_insert(
-        &self,
-        priority: u64,
-        value: V,
-        block: bool,
-        stamper: Option<&AtomicU64>,
-        stats: &mut ContentionStats,
-    ) -> InsertOutcome<V> {
-        match self.acquire(block, stats) {
-            Ok(Some(mut g)) => {
-                g.add(priority, value);
-                InsertOutcome::Done(draw_stamp(stamper))
-            }
-            Ok(None) => InsertOutcome::Contended(priority, value),
-            Err(Poisoned) => InsertOutcome::Poisoned(priority, value),
-        }
-    }
-
-    /// One dequeue attempt. `block` gates the lock acquisition only —
-    /// an acquired-but-empty queue reports [`DequeueOutcome::Empty`]
-    /// immediately in both modes (the MultiQueue re-chooses).
-    pub fn attempt_dequeue(
+    pub fn attempt<R>(
         &self,
         block: bool,
-        stamper: Option<&AtomicU64>,
         stats: &mut ContentionStats,
-    ) -> DequeueOutcome<V> {
-        match self.acquire(block, stats) {
-            Ok(Some(mut g)) => match g.delete_min() {
-                Some((p, v)) => DequeueOutcome::Served(p, v, draw_stamp(stamper)),
-                None => DequeueOutcome::Empty,
-            },
-            Ok(None) => DequeueOutcome::Contended,
-            Err(Poisoned) => DequeueOutcome::Poisoned,
-        }
-    }
-
-    /// One batch-insert attempt: a single acquisition and a single hint
-    /// publish cover the whole batch. Per-item stamps land in
-    /// `stamped.1` in insertion order.
-    pub fn attempt_insert_batch<I>(
-        &self,
-        items: I,
-        block: bool,
-        mut stamped: Option<(&AtomicU64, &mut Vec<u64>)>,
-        stats: &mut ContentionStats,
-    ) -> BatchPush<I>
-    where
-        I: IntoIterator<Item = (u64, V)>,
-    {
-        match self.acquire(block, stats) {
-            Ok(Some(mut g)) => {
-                let mut n = 0usize;
-                for (p, v) in items {
-                    g.add(p, v);
-                    if let Some((stamper, stamps)) = stamped.as_mut() {
-                        stamps.push(draw_stamp(Some(*stamper)));
-                    }
-                    n += 1;
-                }
-                BatchPush::Done(n)
-            }
-            Ok(None) => BatchPush::Contended(items),
-            Err(Poisoned) => BatchPush::Poisoned(items),
-        }
-    }
-
-    /// One batch-dequeue attempt: up to `max` entries stream into
-    /// `sink` as `(priority, value, stamp)` under a single acquisition
-    /// and a single hint publish.
-    pub fn attempt_dequeue_batch(
-        &self,
-        max: usize,
-        block: bool,
-        stamper: Option<&AtomicU64>,
-        sink: &mut impl FnMut(u64, V, u64),
-        stats: &mut ContentionStats,
-    ) -> BatchPop {
-        match self.acquire(block, stats) {
-            Ok(Some(mut g)) => {
-                let mut n = 0usize;
-                while n < max {
-                    let Some((p, v)) = g.delete_min() else { break };
-                    sink(p, v, draw_stamp(stamper));
-                    n += 1;
-                }
-                if n > 0 {
-                    BatchPop::Served(n)
-                } else {
-                    BatchPop::Empty
-                }
-            }
-            Ok(None) => BatchPop::Contended,
-            Err(Poisoned) => BatchPop::Poisoned,
+        body: impl FnOnce(&mut Q) -> R,
+    ) -> Attempt<R> {
+        match self.acquire(block, false, Some(stats)) {
+            Attempt::Ran(mut guard) => Attempt::Ran(body(&mut guard)),
+            Attempt::Contended => Attempt::Contended,
+            Attempt::Poisoned => Attempt::Poisoned,
         }
     }
 
@@ -600,26 +375,6 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
     pub fn with_locked<R>(&self, f: impl FnOnce(&mut Q) -> R) -> R {
         let mut guard = self.lock();
         f(&mut guard)
-    }
-
-    /// Non-blocking `remove_min`: `Err(Contended)` if the lock is held.
-    /// This is the Rihani-et-al. "retry elsewhere" building block.
-    pub fn try_remove_min(&self) -> Result<Option<(u64, V)>, Contended> {
-        match self.try_lock() {
-            Some(mut guard) => Ok(guard.delete_min()),
-            None => Err(Contended),
-        }
-    }
-
-    /// Non-blocking insert: `Err(())` if the lock is contended.
-    pub fn try_insert(&self, priority: u64, value: V) -> Result<(), (u64, V)> {
-        match self.try_lock() {
-            Some(mut guard) => {
-                guard.add(priority, value);
-                Ok(())
-            }
-            None => Err((priority, value)),
-        }
     }
 
     /// `true` if the lock is currently held. Snapshot only.
@@ -717,7 +472,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> ConcurrentPq<V> for LockedPq<V
 pub struct PqGuard<'a, V, Q: SeqPriorityQueue<u64, V>> {
     pq: &'a LockedPq<V, Q>,
     /// Counter sink for the release protocol (hint republishes); `None`
-    /// from the uninstrumented entry points.
+    /// unless acquired through [`LockedPq::attempt`].
     stats: Option<&'a mut ContentionStats>,
 }
 
@@ -822,18 +577,6 @@ impl<V, Q: SeqPriorityQueue<u64, V>> ParkingLotPq<V, Q> {
         }
         self.count.store(guard.len(), Ordering::Release);
     }
-
-    /// Non-blocking `remove_min`: `Err(Contended)` if the lock is held.
-    pub fn try_remove_min(&self) -> Result<Option<(u64, V)>, Contended> {
-        match self.inner.try_lock() {
-            Some(mut guard) => {
-                let out = guard.delete_min();
-                self.publish(&guard);
-                Ok(out)
-            }
-            None => Err(Contended),
-        }
-    }
 }
 
 impl<V, Q: SeqPriorityQueue<u64, V> + Default> Default for ParkingLotPq<V, Q> {
@@ -871,24 +614,25 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// An insert as an [`LockedPq::attempt`] body.
+    fn add(p: u64, v: u64) -> impl FnOnce(&mut BinaryHeap<u64, u64>) {
+        move |q| q.add(p, v)
+    }
+
     #[test]
-    fn checked_try_lock_with_stats_counts_failures_and_successes_leave_counts_alone() {
-        let q: LockedPq<u32> = LockedPq::new(BinaryHeap::new());
+    fn contended_attempts_count_failures_and_successes_leave_counts_alone() {
+        let q: LockedPq<u64> = LockedPq::new(BinaryHeap::new());
         let mut stats = ContentionStats::new();
         {
             let _held = q.lock();
-            assert!(q.checked_try_lock_with_stats(&mut stats).unwrap().is_none());
-            assert!(q.checked_try_lock_with_stats(&mut stats).unwrap().is_none());
+            assert_eq!(q.attempt(false, &mut stats, add(1, 7)), Attempt::Contended);
+            assert_eq!(q.attempt(false, &mut stats, add(1, 7)), Attempt::Contended);
         }
         assert_eq!(stats.try_lock_failures, 2);
+        assert_eq!(q.approx_len(), 0, "a contended attempt runs no body");
         // Uncontended acquisition records nothing.
         let before = stats;
-        let mut g = q
-            .checked_try_lock_with_stats(&mut stats)
-            .unwrap()
-            .expect("free lock");
-        g.add(1, 7);
-        drop(g);
+        assert_eq!(q.attempt(false, &mut stats, add(1, 7)), Attempt::Ran(()));
         // The first insert into an empty queue moves the hint.
         assert_eq!(stats.try_lock_failures, before.try_lock_failures);
         assert_eq!(stats.cas_retries, before.cas_retries);
@@ -897,90 +641,90 @@ mod tests {
 
     #[test]
     fn hint_republish_counts_only_when_the_minimum_moves() {
-        let q: LockedPq<u32> = LockedPq::new(BinaryHeap::new());
+        let q: LockedPq<u64> = LockedPq::new(BinaryHeap::new());
         let mut stats = ContentionStats::new();
-        q.checked_lock_with_stats(&mut stats).unwrap().add(5, 50); // empty -> 5: republish
-        q.checked_lock_with_stats(&mut stats).unwrap().add(9, 90); // min stays 5: no store
-        q.checked_lock_with_stats(&mut stats).unwrap().add(2, 20); // 5 -> 2: republish
+        q.attempt(true, &mut stats, add(5, 50)); // empty -> 5: republish
+        q.attempt(true, &mut stats, add(9, 90)); // min stays 5: no store
+        q.attempt(true, &mut stats, add(2, 20)); // 5 -> 2: republish
         assert_eq!(stats.hint_republishes, 2);
         assert_eq!(q.min_hint(), 2);
     }
 
     #[test]
-    fn whole_op_attempts_serve_in_priority_order_and_report_empty() {
+    fn attempts_serve_in_priority_order_and_report_an_empty_queue_as_ran() {
         let q: LockedPq<u64> = LockedPq::default();
         let mut stats = ContentionStats::new();
-        assert!(matches!(
-            q.attempt_insert(5, 50, true, None, &mut stats),
-            InsertOutcome::Done(0)
-        ));
-        assert!(matches!(
-            q.attempt_insert(3, 30, false, None, &mut stats),
-            InsertOutcome::Done(0)
-        ));
+        assert_eq!(q.attempt(true, &mut stats, add(5, 50)), Attempt::Ran(()));
+        assert_eq!(q.attempt(false, &mut stats, add(3, 30)), Attempt::Ran(()));
         assert_eq!(q.min_hint(), 3);
         assert_eq!(q.approx_len(), 2);
-        match q.attempt_dequeue(true, None, &mut stats) {
-            DequeueOutcome::Served(3, 30, 0) => {}
-            other => panic!("expected Served(3, 30, 0), got {other:?}"),
-        }
-        match q.attempt_dequeue(false, None, &mut stats) {
-            DequeueOutcome::Served(5, 50, 0) => {}
-            other => panic!("expected Served(5, 50, 0), got {other:?}"),
-        }
-        assert!(matches!(
-            q.attempt_dequeue(true, None, &mut stats),
-            DequeueOutcome::Empty
-        ));
+        let pop = |q: &mut BinaryHeap<u64, u64>| q.delete_min();
+        assert_eq!(
+            q.attempt(true, &mut stats, pop),
+            Attempt::Ran(Some((3, 30)))
+        );
+        assert_eq!(
+            q.attempt(false, &mut stats, pop),
+            Attempt::Ran(Some((5, 50)))
+        );
+        // Acquired but empty is the body's own answer, not a failure to
+        // acquire.
+        assert_eq!(q.attempt(true, &mut stats, pop), Attempt::Ran(None));
         assert_eq!(q.approx_len(), 0);
     }
 
     #[test]
-    fn batch_attempts_amortize_one_acquisition() {
+    fn a_batch_body_amortizes_one_acquisition_and_one_hint_publish() {
         let q: LockedPq<u64> = LockedPq::default();
         let mut stats = ContentionStats::new();
         let g0 = q.generation().unwrap();
-        match q.attempt_insert_batch(vec![(4, 40u64), (1, 10), (9, 90)], true, None, &mut stats) {
-            BatchPush::Done(3) => {}
-            other => panic!("expected Done(3), got {other:?}"),
-        }
+        let pushed = q.attempt(true, &mut stats, |q| {
+            [(4, 40u64), (1, 10), (9, 90)]
+                .into_iter()
+                .map(|(p, v)| q.add(p, v))
+                .count()
+        });
+        assert_eq!(pushed, Attempt::Ran(3));
         assert_eq!(header::gen_delta(g0, q.generation().unwrap()), 1);
+        assert_eq!(stats.hint_republishes, 1, "4, then 1, published once as 1");
         assert_eq!(q.approx_len(), 3);
         let mut got = Vec::new();
-        let served =
-            q.attempt_dequeue_batch(2, true, None, &mut |p, v, _| got.push((p, v)), &mut stats);
-        assert_eq!(served, BatchPop::Served(2));
+        let popped = q.attempt(true, &mut stats, |q| {
+            got.extend((0..2).map_while(|_| q.delete_min()));
+        });
+        assert_eq!(popped, Attempt::Ran(()));
         assert_eq!(got, vec![(1, 10), (4, 40)]);
-        let served = q.attempt_dequeue_batch(8, true, None, &mut |_, _, _| {}, &mut stats);
-        assert_eq!(served, BatchPop::Served(1));
-        let served = q.attempt_dequeue_batch(8, true, None, &mut |_, _, _| {}, &mut stats);
-        assert_eq!(served, BatchPop::Empty);
+        assert_eq!(header::gen_delta(g0, q.generation().unwrap()), 2);
+        assert_eq!(stats.hint_republishes, 2);
     }
 
     #[test]
-    fn attempt_stamps_are_monotone_and_an_insert_precedes_its_dequeue() {
+    fn stamps_drawn_in_bodies_are_monotone_and_an_insert_precedes_its_dequeue() {
         let q: LockedPq<u64> = LockedPq::default();
         let stamper = AtomicU64::new(1);
+        let draw = || stamper.fetch_add(1, Ordering::AcqRel);
         let mut stats = ContentionStats::new();
         let mut stamps = Vec::new();
-        match q.attempt_insert(7, 70, true, Some(&stamper), &mut stats) {
-            InsertOutcome::Done(s) => stamps.push(s),
-            other => panic!("{other:?}"),
-        }
-        let mut batch_stamps = Vec::new();
-        match q.attempt_insert_batch(
-            vec![(2, 20u64), (8, 80)],
-            true,
-            Some((&stamper, &mut batch_stamps)),
-            &mut stats,
-        ) {
-            BatchPush::Done(2) => stamps.extend(batch_stamps),
-            other => panic!("{other:?}"),
-        }
-        match q.attempt_dequeue(true, Some(&stamper), &mut stats) {
-            DequeueOutcome::Served(2, 20, s) => stamps.push(s),
-            other => panic!("{other:?}"),
-        }
+        let one = q.attempt(true, &mut stats, |q| {
+            q.add(7, 70);
+            draw()
+        });
+        let Attempt::Ran(s) = one else {
+            panic!("{one:?}")
+        };
+        stamps.push(s);
+        let batch = q.attempt(true, &mut stats, |q| {
+            for (p, v) in [(2, 20u64), (8, 80)] {
+                q.add(p, v);
+                stamps.push(draw());
+            }
+        });
+        assert_eq!(batch, Attempt::Ran(()));
+        let served = q.attempt(true, &mut stats, |q| q.delete_min().map(|e| (e, draw())));
+        let Attempt::Ran(Some(((2, 20), s))) = served else {
+            panic!("{served:?}")
+        };
+        stamps.push(s);
         assert!(
             stamps.windows(2).all(|w| w[0] < w[1]),
             "stamps {stamps:?} not strictly increasing"
@@ -991,80 +735,68 @@ mod tests {
     }
 
     #[test]
-    fn non_blocking_attempts_hand_everything_back_while_the_lock_is_held() {
+    fn non_blocking_attempts_run_no_body_while_the_lock_is_held() {
         let q: LockedPq<u64> = LockedPq::default();
         q.insert(1, 10);
         let mut stats = ContentionStats::new();
+        let pop = |q: &mut BinaryHeap<u64, u64>| q.delete_min();
+        assert!(!q.is_locked());
         let held = q.lock();
-        match q.attempt_insert(6, 60, false, None, &mut stats) {
-            InsertOutcome::Contended(6, 60) => {}
-            other => panic!("expected the entry back, got {other:?}"),
-        }
-        // Contended is not Empty: a held lock says nothing about what
-        // the queue holds (it holds an entry here).
-        assert!(matches!(
-            q.attempt_dequeue(false, None, &mut stats),
-            DequeueOutcome::Contended
-        ));
+        assert!(q.is_locked());
+        // What a body captured stays with the caller for re-routing.
+        let mut entry = Some((6u64, 60u64));
         let mut items = vec![(4u64, 40u64), (2, 20)].into_iter();
-        items.next(); // a partially consumed iterator comes back as it was
-        match q.attempt_insert_batch(items, false, None, &mut stats) {
-            BatchPush::Contended(back) => assert_eq!(back.collect::<Vec<_>>(), vec![(2, 20)]),
-            other => panic!("expected the iterator back, got {other:?}"),
+        items.next(); // a partially consumed iterator stays as it was
+        let mut ran = 0usize;
+        for _ in 0..2 {
+            let outcome = q.attempt(false, &mut stats, |q| {
+                ran += 1;
+                let (p, v) = entry.take().unwrap();
+                q.add(p, v);
+                items.by_ref().for_each(|(p, v)| q.add(p, v));
+            });
+            assert_eq!(outcome, Attempt::Contended);
         }
-        let mut sunk = 0usize;
-        let popped = q.attempt_dequeue_batch(4, false, None, &mut |_, _, _| sunk += 1, &mut stats);
-        assert_eq!(popped, BatchPop::Contended);
-        assert_eq!(sunk, 0, "a contended batch pop serves nothing");
-        assert_eq!(stats.try_lock_failures, 4);
+        // Contended is not "ran and found it empty": a held lock says
+        // nothing about what the queue holds (it holds an entry here).
+        assert_eq!(q.attempt(false, &mut stats, pop), Attempt::Contended);
+        assert_eq!(ran, 0, "a contended attempt serves nothing");
+        assert_eq!(entry, Some((6, 60)));
+        assert_eq!(items.collect::<Vec<_>>(), vec![(2, 20)]);
+        assert_eq!(stats.try_lock_failures, 3);
         drop(held);
-        // Released and drained: the same attempts now say Empty.
-        assert!(matches!(
-            q.attempt_dequeue(false, None, &mut stats),
-            DequeueOutcome::Served(1, 10, 0)
-        ));
-        assert!(matches!(
-            q.attempt_dequeue(false, None, &mut stats),
-            DequeueOutcome::Empty
-        ));
-        let popped = q.attempt_dequeue_batch(4, false, None, &mut |_, _, _| sunk += 1, &mut stats);
-        assert_eq!(popped, BatchPop::Empty);
-        assert_eq!(stats.try_lock_failures, 4);
+        // Released and drained: the same attempts now run, and say empty.
+        assert_eq!(
+            q.attempt(false, &mut stats, pop),
+            Attempt::Ran(Some((1, 10)))
+        );
+        assert_eq!(q.attempt(false, &mut stats, pop), Attempt::Ran(None));
+        assert_eq!(stats.try_lock_failures, 3);
     }
 
     #[test]
-    fn poisoned_attempts_return_entries_and_salvage_into_recovers_them() {
+    fn poisoned_attempts_run_no_body_and_salvage_into_recovers_the_entries() {
         let q: LockedPq<u64> = LockedPq::default();
         let mut stats = ContentionStats::new();
         for p in [6u64, 2, 4] {
-            assert!(matches!(
-                q.attempt_insert(p, p * 10, true, None, &mut stats),
-                InsertOutcome::Done(_)
-            ));
+            assert_eq!(
+                q.attempt(true, &mut stats, add(p, p * 10)),
+                Attempt::Ran(())
+            );
         }
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             q.with_locked(|_inner| panic!("injected"));
         }));
         assert!(unwound.is_err());
         assert!(q.is_poisoned());
+        let before = stats;
         for block in [false, true] {
-            assert!(matches!(
-                q.attempt_insert(1, 1, block, None, &mut stats),
-                InsertOutcome::Poisoned(1, 1)
-            ));
-            assert!(matches!(
-                q.attempt_dequeue(block, None, &mut stats),
-                DequeueOutcome::Poisoned
-            ));
-            match q.attempt_insert_batch(vec![(9u64, 90u64)], block, None, &mut stats) {
-                BatchPush::Poisoned(back) => assert_eq!(back, vec![(9, 90)]),
-                other => panic!("{other:?}"),
-            }
-            assert_eq!(
-                q.attempt_dequeue_batch(4, block, None, &mut |_, _, _| {}, &mut stats),
-                BatchPop::Poisoned
-            );
+            let mut ran = false;
+            let outcome = q.attempt(block, &mut stats, |_| ran = true);
+            assert_eq!(outcome, Attempt::Poisoned);
+            assert!(!ran, "a poisoned attempt must not touch the queue");
         }
+        assert_eq!(stats, before, "poison is not contention");
         let mut out = Vec::new();
         q.salvage_into(&mut out);
         assert!(!q.is_poisoned());
@@ -1172,30 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn try_remove_fails_while_locked() {
-        let q: Arc<LockedPq<u32>> = Arc::new(LockedPq::default());
-        q.insert(1, 1);
-        q.with_locked(|_inner| {
-            assert_eq!(q.try_remove_min(), Err(Contended));
-            assert!(q.is_locked());
-        });
-        assert!(!q.is_locked());
-        assert_eq!(q.try_remove_min(), Ok(Some((1, 1))));
-        assert_eq!(q.try_remove_min(), Ok(None));
-    }
-
-    #[test]
-    fn try_insert_returns_value_on_contention() {
-        let q: LockedPq<u32> = LockedPq::default();
-        q.with_locked(|_inner| {
-            assert_eq!(q.try_insert(9, 99), Err((9, 99)));
-        });
-        assert_eq!(q.try_insert(9, 99), Ok(()));
-        assert_eq!(q.min_hint(), 9);
-        assert_eq!(q.approx_len(), 1);
-    }
-
-    #[test]
     fn guard_api_publishes_on_drop() {
         let q: LockedPq<u32> = LockedPq::default();
         {
@@ -1236,7 +944,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_try_ops_under_contention_conserve() {
+    fn mixed_non_blocking_attempts_under_contention_conserve() {
         const THREADS: usize = 4;
         const PER: u64 = 3_000;
         let q: Arc<LockedPq<u64>> = Arc::new(LockedPq::default());
@@ -1246,27 +954,37 @@ mod tests {
                 let q = Arc::clone(&q);
                 let removed = Arc::clone(&removed);
                 s.spawn(move || {
+                    let mut stats = ContentionStats::new();
+                    let mut spins = 0u64;
                     for i in 0..PER {
                         let mut item = Some((t as u64 * PER + i, i));
-                        while let Some((p, v)) = item.take() {
-                            if let Err(back) = q.try_insert(p, v) {
-                                item = Some(back);
-                                std::hint::spin_loop();
-                            }
+                        while q.attempt(false, &mut stats, |q| {
+                            let (p, v) = item.take().expect("ran once");
+                            q.add(p, v);
+                        }) == Attempt::Contended
+                        {
+                            spins += 1;
+                            std::hint::spin_loop();
                         }
+                        assert_eq!(item, None, "the insert landed exactly once");
                         if i % 2 == 0 {
                             loop {
-                                match q.try_remove_min() {
-                                    Ok(Some(_)) => {
+                                match q.attempt(false, &mut stats, |q| q.delete_min()) {
+                                    Attempt::Ran(Some(_)) => {
                                         removed.fetch_add(1, Ordering::Relaxed);
                                         break;
                                     }
-                                    Ok(None) => break,
-                                    Err(Contended) => std::hint::spin_loop(),
+                                    Attempt::Ran(None) => break,
+                                    Attempt::Contended => {
+                                        spins += 1;
+                                        std::hint::spin_loop();
+                                    }
+                                    Attempt::Poisoned => panic!("nothing panicked"),
                                 }
                             }
                         }
                     }
+                    assert_eq!(stats.try_lock_failures, spins);
                 });
             }
         });
@@ -1314,13 +1032,11 @@ mod tests {
         // what is stranded.
         assert_eq!(q.min_hint(), EMPTY_HINT);
         assert_eq!(q.approx_len(), 2);
-        // Checked entry points surface the poison without blocking and
-        // without charging contention counters.
+        // Attempts surface the poison without blocking and without
+        // charging contention counters.
         let mut stats = ContentionStats::new();
-        assert_eq!(q.checked_lock().err(), Some(Poisoned));
-        assert!(matches!(q.checked_try_lock(), Err(Poisoned)));
-        assert!(q.checked_lock_with_stats(&mut stats).is_err());
-        assert!(q.checked_try_lock_with_stats(&mut stats).is_err());
+        assert_eq!(q.attempt(true, &mut stats, |_| ()), Attempt::Poisoned);
+        assert_eq!(q.attempt(false, &mut stats, |_| ()), Attempt::Poisoned);
         assert!(stats.is_empty(), "poison is not contention: {stats:?}");
         // Salvage: drain what survived; the release protocol recounts,
         // republishes the real hint and clears the poison.
@@ -1329,7 +1045,7 @@ mod tests {
             let mut g = q.salvage_lock();
             // Mid-salvage the queue still reads poisoned to everyone
             // else (locked + poisoned), so nobody camps on its lock.
-            assert!(matches!(q.checked_try_lock(), Err(Poisoned)));
+            assert_eq!(q.attempt(false, &mut stats, |_| ()), Attempt::Poisoned);
             while let Some(item) = g.delete_min() {
                 salvaged.push(item);
             }

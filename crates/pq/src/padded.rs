@@ -12,8 +12,7 @@
 //!
 //! This lives in `dlz-pq` (the lowest crate in the workspace) so that
 //! both the per-queue concurrency header ([`LockedPq`](crate::LockedPq))
-//! and `dlz-core`'s counters share one definition; `dlz_core::padded`
-//! re-exports it as `Padded`.
+//! and `dlz-core`'s counters share one definition.
 
 use std::ops::{Deref, DerefMut};
 

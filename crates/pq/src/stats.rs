@@ -10,11 +10,10 @@
 //! snapshots).
 //!
 //! The lock-level counters (`try_lock_failures`, `cas_retries`,
-//! `hint_republishes`) are recorded by [`LockedPq`](crate::LockedPq)
-//! when its `*_with_stats` entry points or whole-operation attempts
-//! are used; the backoff and
-//! choice-process counters are recorded by the layers that own those
-//! loops (the MultiQueue's operation loops and its choice policies).
+//! `hint_republishes`) are recorded by
+//! [`LockedPq::attempt`](crate::LockedPq::attempt); the backoff and
+//! choice-process counters are recorded by the layers that own them
+//! (the MultiQueue's operation loop and its choice policies).
 //!
 //! [`merge`]: ContentionStats::merge
 //! [`take`]: ContentionStats::take

@@ -102,7 +102,7 @@ impl ClockStrategy for ExactClock {
 /// short-cut — so [`is_exact`](ClockStrategy::is_exact) is `false`.
 #[derive(Debug, Default)]
 pub struct Gv4Clock {
-    time: dlz_core::padded::Padded<std::sync::atomic::AtomicU64>,
+    time: dlz_pq::CachePadded<std::sync::atomic::AtomicU64>,
 }
 
 impl Gv4Clock {
@@ -154,7 +154,7 @@ impl ClockStrategy for Gv4Clock {
 /// single word.
 #[derive(Debug, Default)]
 pub struct Gv5Clock {
-    time: dlz_core::padded::Padded<std::sync::atomic::AtomicU64>,
+    time: dlz_pq::CachePadded<std::sync::atomic::AtomicU64>,
 }
 
 impl Gv5Clock {

@@ -41,16 +41,17 @@ pub enum AnyCounter {
 /// `Update` applies the op's weight (a weight-w add for the
 /// MultiCounter, w unit increments for substrates without a weighted
 /// add, so conservation laws stay exact). `Read` draws a sampled
-/// relaxed read and, every `quality_every` reads, records the absolute
-/// deviation from the exact sum — the paper's read-error metric
-/// (Lemma 6.8). `Remove` is treated as a read: counters don't consume.
+/// relaxed read and, every `quality_every` reads, records its distance
+/// to the interval two exact sums taken around it span — the paper's
+/// read-error metric (Lemma 6.8) without the error of racing a single
+/// exact sum. `Remove` is treated as a read: counters don't consume.
 ///
 /// With `record_history` on, workers record a stamped
 /// [`CounterOp`] history (unit increments; reads with their returned
 /// values) and [`quality`](Backend::quality) replays it through the
 /// relaxed-counter checker: each read's cost is its deviation from the
 /// true count *at its linearization point* — the exact Lemma 6.8
-/// metric, rather than the racy online sample.
+/// metric, rather than the bracketed online sample.
 #[derive(Debug)]
 pub struct CounterBackend {
     inner: AnyCounter,
@@ -245,6 +246,11 @@ impl Backend for CounterBackend {
     }
 }
 
+/// How far `read` lies outside `[lo, hi]` (0 anywhere inside it).
+fn distance_to_bracket(read: u64, lo: u64, hi: u64) -> u64 {
+    lo.saturating_sub(read).max(read.saturating_sub(hi))
+}
+
 struct CounterWorker<'a> {
     backend: &'a CounterBackend,
     rng: Xoshiro256,
@@ -355,11 +361,20 @@ impl Worker for CounterWorker<'_> {
                     }
                     return true;
                 }
-                let approx = self.sampled_read();
                 self.reads_seen += 1;
                 if self.quality_every > 0 && self.reads_seen.is_multiple_of(self.quality_every) {
-                    let exact = self.backend.read_exact();
-                    self.deviations.push(approx.abs_diff(exact) as f64);
+                    // Bracket the relaxed read between two exact sums:
+                    // the counter is monotone, so the true count at the
+                    // read lies in `[lo, hi]` however long this thread
+                    // was preempted in between, and only the distance
+                    // to that interval is the read's own error.
+                    let lo = self.backend.read_exact();
+                    let approx = self.sampled_read();
+                    let hi = self.backend.read_exact();
+                    self.deviations
+                        .push(distance_to_bracket(approx, lo, hi) as f64);
+                } else {
+                    self.sampled_read();
                 }
                 true
             }
@@ -408,6 +423,18 @@ mod tests {
             });
         }
         w.finish();
+    }
+
+    #[test]
+    fn a_read_anywhere_inside_the_exact_bracket_scores_zero() {
+        for read in 100..=140u64 {
+            assert_eq!(distance_to_bracket(read, 100, 140), 0, "read {read}");
+        }
+        assert_eq!(distance_to_bracket(97, 100, 140), 3);
+        assert_eq!(distance_to_bracket(150, 100, 140), 10);
+        // A quiescent counter brackets to a point: plain |read - exact|.
+        assert_eq!(distance_to_bracket(90, 100, 100), 10);
+        assert_eq!(distance_to_bracket(0, u64::MAX, u64::MAX), u64::MAX);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use std::io::Write;
 use std::path::Path;
 
-use crate::json::{parse, JsonObject, JsonValue};
+use dlz_core::json::{parse, JsonObject, JsonValue};
 
 /// File name of the calibration store inside an export directory.
 pub const CALIBRATION_FILE: &str = "calibration.jsonl";

@@ -4,9 +4,8 @@
 //! This is the discipline every scaling figure uses (spawn workers,
 //! release them simultaneously, run against a stop flag for a fixed
 //! wall-clock duration, sum per-thread counts). It lives here so both
-//! the scenario [`engine`](crate::engine) and the `dlz-bench` harness
-//! drive threads exactly the same way; `dlz_bench::harness` re-exports
-//! these items unchanged.
+//! the scenario [`engine`](crate::engine) and the `dlz-bench` ablation
+//! binary drive threads exactly the same way.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;

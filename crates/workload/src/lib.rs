@@ -67,7 +67,6 @@ pub mod dist;
 pub mod driver;
 pub mod engine;
 pub mod faults;
-pub mod json;
 pub mod metrics;
 pub mod op;
 pub mod report;

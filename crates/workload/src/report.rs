@@ -5,10 +5,10 @@ use std::time::Duration;
 use crate::backend::QualityReport;
 use crate::clients::ClientReport;
 use crate::dist::Arrival;
-use crate::json::JsonObject;
 use crate::metrics::{LatencySummary, TelemetrySeries};
 use crate::op::OpCounts;
 use crate::scenario::{Budget, Scenario};
+use dlz_core::json::{self, JsonObject};
 
 /// How one worker thread ended its run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -289,7 +289,7 @@ impl RunReport {
             o.obj("telemetry", |to| {
                 to.u64("interval_ms", t.interval_ms)
                     .u64("intervals", t.intervals.len() as u64)
-                    .raw("series", &crate::json::array(&rows));
+                    .raw("series", &json::array(&rows));
             });
         }
         if let Some(f) = &self.faults {
@@ -309,7 +309,7 @@ impl RunReport {
             o.obj("faults", |fo| {
                 fo.str("plan", &f.plan)
                     .bool("aborted", f.aborted)
-                    .raw("workers", &crate::json::array(&rows));
+                    .raw("workers", &json::array(&rows));
             });
         }
         if !self.export_errors.is_empty() {
@@ -318,11 +318,11 @@ impl RunReport {
                 .iter()
                 .map(|e| {
                     let mut s = String::new();
-                    crate::json::escape_into(&mut s, e);
+                    json::escape_into(&mut s, e);
                     s
                 })
                 .collect();
-            o.raw("export_errors", &crate::json::array(&rows));
+            o.raw("export_errors", &json::array(&rows));
         }
         o.u64("residual", self.residual);
         o.bool("verified", self.verified());

@@ -182,3 +182,130 @@ fn corrupt_and_truncated_artifacts_error_with_line_numbers() {
     let e = HistoryArtifact::from_json_lines(torn).unwrap_err();
     assert_eq!(e.line, lines.len(), "{e}");
 }
+
+/// Folds one `(kind, priority, stamp)` observation into an FNV-1a
+/// style 64-bit digest.
+fn fold(digest: &mut u64, kind: u64, priority: u64, stamp: u64) {
+    for word in [kind, priority, stamp] {
+        *digest = (*digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// One thread, one seeded handle, every operation form (single, best-of-k,
+/// batch, bounded; stamped and unstamped interleaved on the same RNG and
+/// policy state): the exact `(kind, priority, stamp)` sequence is a
+/// function of the seed alone, so its digest pins the choice process —
+/// one extra RNG draw, a stamp drawn away from its mutation, or a policy
+/// callback that observes a still-held lock changes it.
+fn pinned_op_sequence_digest(policy: PolicyCfg, mode: DeleteMode) -> u64 {
+    use distlin::core::rng::{Rng64, Xoshiro256};
+    use distlin::core::MultiQueue;
+    use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
+
+    const INSERT: u64 = 1;
+    const DEQUEUE: u64 = 2;
+    const EMPTY: u64 = 3;
+    let mq: MultiQueue<u64> = MultiQueue::<u64>::builder()
+        .queues(8)
+        .delete_mode(mode)
+        .policy(policy)
+        .build();
+    let stamper = AtomicU64::new(1);
+    let mut h = mq.handle(0xd16e_57ed);
+    let mut script = Xoshiro256::new(0x5c21_97ed);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut next_priority = 0u64;
+    let mut stamps = Vec::new();
+    let mut out = Vec::new();
+    let long = Duration::from_secs(3_600);
+    for _ in 0..4_000 {
+        let op = script.bounded(12);
+        let mut fresh = || {
+            next_priority += 1 + script.bounded(3);
+            (next_priority, next_priority)
+        };
+        match op {
+            0..=3 => {
+                let (p, v) = fresh();
+                let s = h.stamped(&stamper).insert(p, v);
+                fold(&mut digest, INSERT, p, s);
+            }
+            4 => {
+                stamps.clear();
+                let items: Vec<(u64, u64)> = (0..5).map(|_| fresh()).collect();
+                let n = h.stamped(&stamper).insert_batch(items.clone(), &mut stamps);
+                assert_eq!((n, stamps.len()), (5, 5));
+                for ((p, _), s) in items.iter().zip(&stamps) {
+                    fold(&mut digest, INSERT, *p, *s);
+                }
+            }
+            // Unstamped forms share the handle's RNG and policy state:
+            // they must consume exactly the draws their stamped twins do.
+            5 => {
+                let (p, v) = fresh();
+                h.insert(p, v);
+                fold(&mut digest, INSERT, p, 0);
+            }
+            6 => {
+                let (p, v) = fresh();
+                h.try_insert_for(p, v, long).expect("uncontended");
+                fold(&mut digest, INSERT, p, 0);
+            }
+            7..=8 => match h.stamped(&stamper).dequeue() {
+                Some((p, _, s)) => fold(&mut digest, DEQUEUE, p, s),
+                None => fold(&mut digest, EMPTY, 0, 0),
+            },
+            9 => match h.stamped(&stamper).dequeue_k(3) {
+                Some((p, _, s)) => fold(&mut digest, DEQUEUE, p, s),
+                None => fold(&mut digest, EMPTY, 0, 0),
+            },
+            10 => {
+                out.clear();
+                let n = h.stamped(&stamper).dequeue_batch(4, &mut out);
+                assert_eq!(n, out.len());
+                if n == 0 {
+                    fold(&mut digest, EMPTY, 0, 0);
+                }
+                for &(p, _, s) in &out {
+                    fold(&mut digest, DEQUEUE, p, s);
+                }
+            }
+            _ => match h.try_dequeue_for(long).expect("uncontended") {
+                Some((p, _)) => fold(&mut digest, DEQUEUE, p, 0),
+                None => fold(&mut digest, EMPTY, 0, 0),
+            },
+        }
+    }
+    // Drain: conservation closes the sequence, and the tail is pinned too.
+    while let Some((p, _, s)) = h.stamped(&stamper).dequeue() {
+        fold(&mut digest, DEQUEUE, p, s);
+    }
+    assert!(mq.is_empty());
+    digest
+}
+
+#[test]
+fn single_thread_op_sequences_are_pinned_per_policy_and_mode() {
+    // Recorded at the commit before the six retry loops became one; the
+    // collapse had to reproduce them exactly. One thread never contends,
+    // so try-lock mode must replay strict mode's sequence too.
+    let pinned = [
+        (PolicyCfg::TwoChoice, 0x7882_7b8a_88c5_5ffcu64),
+        (PolicyCfg::Sticky { ops: 4 }, 0x6b25_2130_f906_b48e),
+        (PolicyCfg::DChoice { d: 3 }, 0x14c5_58bc_e2e3_a1d4),
+        (
+            PolicyCfg::AdaptiveSticky { s_max: 8 },
+            0x3792_a0f3_e8b0_f5b2,
+        ),
+    ];
+    for (policy, expected) in pinned {
+        for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
+            let got = pinned_op_sequence_digest(policy, mode);
+            assert_eq!(
+                got, expected,
+                "{policy:?}/{mode:?}: digest {got:#018x} != pinned {expected:#018x}"
+            );
+        }
+    }
+}

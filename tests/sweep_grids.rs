@@ -6,11 +6,11 @@
 //! (`dlz_core::json`) — the same code `histcheck` trusts to read
 //! history artifacts.
 
-use distlin::core::json::{parse, JsonValue};
+use distlin::core::json::{self, parse, JsonValue};
 use distlin::core::{DeleteMode, PolicyCfg};
 use distlin::workload::backends::MultiQueueBackend;
 use distlin::workload::{
-    engine, json, Backend, Budget, Dist, Family, OpMix, RunReport, Scenario, SweepSpec,
+    engine, Backend, Budget, Dist, Family, OpMix, RunReport, Scenario, SweepSpec,
 };
 
 const SEED: u64 = 0x5eed_9d1d;
