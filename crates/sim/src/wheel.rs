@@ -11,12 +11,22 @@
 //!
 //! Two levels of 256 slots each cover `256 · slot_ns` and
 //! `256² · slot_ns` of virtual time; events beyond that horizon wait in
-//! an overflow list and cascade inward as the cursor advances. Events
-//! within one slot are delivered sorted by `(virtual time, insertion
-//! sequence)`, so the pop order is a pure function of the scheduled
-//! times and the insertion order — independent of wall-clock execution
-//! speed. That property is what makes a fixed-seed client run replay
-//! bit-identically.
+//! an overflow list and cascade inward as the cursor advances.
+//!
+//! Delivery has one ordering step, shared by [`TimerWheel::pop`] and
+//! [`TimerWheel::peek_at`]: when the run of events awaiting delivery is
+//! exhausted, advance the cursor to the next occupied slot, sort that
+//! slot by `(virtual time, insertion sequence)` and move it, whole, into
+//! the run. The key is unique, so the (unstable, in-place) sort has one
+//! possible outcome and the pop order is a pure function of the
+//! scheduled times and the order of the calls — independent of
+//! wall-clock execution speed. That property is what makes a fixed-seed
+//! client run replay bit-identically. An event scheduled into a slot
+//! whose run is already out for delivery waits for the next run, so a
+//! peek *commits* the wheel to the slot it looked at: it never changes
+//! what the next pop returns, and the pop order is the un-peeked one as
+//! long as nothing is scheduled between a peek and the pop that follows
+//! it — the driver's `pop, schedule, peek, pop, …` pattern.
 //!
 //! Times are virtual nanoseconds since the run began (`u64`). The wheel
 //! never blocks: pacing against the wall clock is the caller's job.
@@ -46,6 +56,9 @@ struct Entry<T> {
 #[derive(Debug)]
 pub struct TimerWheel<T> {
     slot_ns: u64,
+    /// `log2(slot_ns)` when the slot width is a power of two (the
+    /// driver's is), so a timestamp maps to its slot with a shift.
+    slot_shift: Option<u32>,
     /// Level 0: slot `abs % SLOTS` holds events whose absolute slot
     /// `abs` satisfies `abs - cur < SLOTS`.
     l0: Vec<Vec<Entry<T>>>,
@@ -80,6 +93,7 @@ impl<T> TimerWheel<T> {
         assert!(slot_ns > 0, "slot width must be positive");
         TimerWheel {
             slot_ns,
+            slot_shift: slot_ns.is_power_of_two().then(|| slot_ns.trailing_zeros()),
             l0: (0..SLOTS).map(|_| Vec::new()).collect(),
             l0_len: 0,
             l1: (0..SLOTS).map(|_| Vec::new()).collect(),
@@ -115,8 +129,17 @@ impl<T> TimerWheel<T> {
         self.place(entry);
     }
 
+    /// The absolute slot a timestamp falls in.
+    #[inline]
+    fn slot_of(&self, at_ns: u64) -> u64 {
+        match self.slot_shift {
+            Some(shift) => at_ns >> shift,
+            None => at_ns / self.slot_ns,
+        }
+    }
+
     fn place(&mut self, entry: Entry<T>) {
-        let abs = (entry.at / self.slot_ns).max(self.cur);
+        let abs = self.slot_of(entry.at).max(self.cur);
         if abs - self.cur < SLOTS as u64 {
             self.l0[(abs % SLOTS as u64) as usize].push(entry);
             self.l0_len += 1;
@@ -132,46 +155,40 @@ impl<T> TimerWheel<T> {
     ///
     /// Ties (same slot, same timestamp) break by insertion order.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        loop {
-            if let Some(x) = self.ready.pop_front() {
-                self.len -= 1;
-                return Some(x);
-            }
-            if self.len == 0 {
-                return None;
-            }
-            let slot = (self.cur % SLOTS as u64) as usize;
-            let n = self.l0[slot].len();
-            if n > 0 {
-                self.l0_len -= n;
-                self.l0[slot].sort_by_key(|e| (e.at, e.seq));
-                // Drain in place: the slot Vec keeps its capacity, so
-                // the steady pop/reschedule cycle never reallocates.
-                let TimerWheel { l0, ready, .. } = self;
-                ready.extend(l0[slot].drain(..).map(|e| (e.at, e.item)));
-                continue;
-            }
-            self.advance();
-        }
+        self.refill();
+        let next = self.ready.pop_front()?;
+        self.len -= 1;
+        Some(next)
     }
 
-    /// The earliest pending event's intended time, without extracting.
+    /// The intended time of the event the next [`pop`](Self::pop) will
+    /// return, without extracting it.
     pub fn peek_at(&mut self) -> Option<u64> {
-        if let Some(&(at, _)) = self.ready.front() {
-            return Some(at);
+        self.refill();
+        self.ready.front().map(|&(at, _)| at)
+    }
+
+    /// The ordering step: if the ready run is exhausted and anything is
+    /// pending, advances to the next occupied slot (never past one),
+    /// sorts it and moves it into the run.
+    fn refill(&mut self) {
+        if !self.ready.is_empty() || self.len == 0 {
+            return;
         }
-        if self.len == 0 {
-            return None;
-        }
-        // Advance (never past an occupied slot) until the current slot
-        // is occupied, then report its earliest timestamp.
-        loop {
+        let slot = loop {
             let slot = (self.cur % SLOTS as u64) as usize;
             if !self.l0[slot].is_empty() {
-                return self.l0[slot].iter().map(|e| e.at).min();
+                break slot;
             }
             self.advance();
-        }
+        };
+        // `(at, seq)` is unique, so the unstable sort is deterministic.
+        self.l0[slot].sort_unstable_by_key(|e| (e.at, e.seq));
+        self.l0_len -= self.l0[slot].len();
+        // Drain in place: the slot Vec keeps its capacity, so the
+        // steady pop/reschedule cycle never reallocates.
+        let TimerWheel { l0, ready, .. } = self;
+        ready.extend(l0[slot].drain(..).map(|e| (e.at, e.item)));
     }
 
     /// Events whose intended time is at or before `now_ns` but not yet
@@ -183,7 +200,7 @@ impl<T> TimerWheel<T> {
     /// keep their original timestamp there) and the overflow list.
     pub fn due_len(&self, now_ns: u64) -> usize {
         let due = |slot: &Vec<Entry<T>>| slot.iter().filter(|e| e.at <= now_ns).count();
-        let now_slot = now_ns / self.slot_ns;
+        let now_slot = self.slot_of(now_ns);
         // Level 0 holds absolute slots `cur .. cur + SLOTS`, the one at
         // offset `d` from the cursor in `l0[(cur + d) % SLOTS]`. Events
         // sit in the slot of their own timestamp, except late ones,
@@ -238,7 +255,7 @@ impl<T> TimerWheel<T> {
             best = best.min(c);
         }
         for e in &self.overflow {
-            best = best.min(e.at / self.slot_ns / SLOTS as u64);
+            best = best.min(self.slot_of(e.at) / SLOTS as u64);
         }
         debug_assert!(best != u64::MAX, "advance() called on an empty wheel");
         self.cur = best * SLOTS as u64;
@@ -256,10 +273,9 @@ impl<T> TimerWheel<T> {
         }
         if !self.overflow.is_empty() {
             let cur_chunk = self.cur / SLOTS as u64;
-            let slot_ns = self.slot_ns;
             let mut i = 0;
             while i < self.overflow.len() {
-                let chunk = self.overflow[i].at / slot_ns / SLOTS as u64;
+                let chunk = self.slot_of(self.overflow[i].at) / SLOTS as u64;
                 if chunk.saturating_sub(cur_chunk) <= SLOTS as u64 {
                     let e = self.overflow.swap_remove(i);
                     self.place(e);
@@ -481,6 +497,88 @@ mod tests {
             "the cursor should outrun the first level-1 horizon, got slot {}",
             w.cur
         );
+    }
+
+    #[test]
+    fn a_peek_before_a_pop_changes_nothing_observable() {
+        // Twin wheels fed one schedule/pop script; `peeked` is also
+        // peeked, at random, ahead of its pops (where the driver peeks:
+        // a peek commits to the slot it looked at, so a script that
+        // scheduled between a peek and the next pop would be a
+        // different script). Pop sequences and every `len`/`due_len`
+        // probe must agree, at a division and at a shift slot width.
+        for slot in [1_000u64, 1_024] {
+            let l0_span = slot * SLOTS as u64;
+            let l1_span = l0_span * SLOTS as u64;
+            let mut x = 0x2545f4914f6cdd1du64 ^ slot;
+            let mut rnd = move |bound: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % bound
+            };
+            let (mut plain, mut peeked) = (TimerWheel::new(slot), TimerWheel::new(slot));
+            let mut now = 0u64;
+            let (mut late, mut level1, mut overflow, mut peeks) = (0, 0, 0, 0);
+            for step in 0..6_000u32 {
+                let kind = rnd(10);
+                let at = match kind {
+                    0 | 1 => Some(now + rnd(slot * 40)),
+                    2 | 3 => {
+                        late += (now > slot) as u32;
+                        Some(now.saturating_sub(rnd(slot * 300)))
+                    }
+                    4 => {
+                        level1 += 1;
+                        Some(now + l0_span + rnd(l1_span))
+                    }
+                    5 => {
+                        overflow += 1;
+                        Some(now + l1_span + l0_span + rnd(l1_span * 3))
+                    }
+                    _ => None,
+                };
+                if let Some(at) = at {
+                    plain.schedule(at, step);
+                    peeked.schedule(at, step);
+                }
+                let probes = [
+                    0,
+                    now,
+                    now + rnd(slot * 3),
+                    now + rnd(l1_span * 5),
+                    u64::MAX,
+                ];
+                for _ in 0..at.map_or(rnd(5), |_| 0) {
+                    let ahead = (rnd(2) == 0).then(|| {
+                        peeks += 1;
+                        let at = peeked.peek_at();
+                        assert_eq!(peeked.peek_at(), at, "a second peek sees the same event");
+                        for probe in probes {
+                            assert_eq!(peeked.due_len(probe), plain.due_len(probe), "step {step}");
+                        }
+                        at
+                    });
+                    let got = peeked.pop();
+                    assert_eq!(got, plain.pop(), "step {step}");
+                    if let Some(at) = ahead {
+                        assert_eq!(at, got.map(|e| e.0), "step {step}");
+                    }
+                    now = now.max(got.map_or(0, |e| e.0));
+                }
+                assert_eq!(peeked.len(), plain.len(), "step {step}");
+                for probe in probes {
+                    assert_eq!(peeked.due_len(probe), plain.due_len(probe), "step {step}");
+                }
+            }
+            assert!(late > 100 && level1 > 100 && overflow > 100 && peeks > 1_000);
+            assert!(
+                plain.cur > (SLOTS * SLOTS) as u64,
+                "cursor at {}",
+                plain.cur
+            );
+            assert_eq!(drain(&mut peeked), drain(&mut plain));
+        }
     }
 
     #[test]

@@ -19,6 +19,15 @@
 //!   loop as a degenerate shape), and its own op-mix stream. Per-event
 //!   randomness is *stateless* — a SplitMix64 hash of (client seed,
 //!   event index) — so a million clients cost no per-client RNG state.
+//! * The driver takes arrivals off the wheel in *runs* (see
+//!   `drive_clients` in [`engine`](crate::engine)): one admit step pops
+//!   an arrival, draws its op kind and — for every open-loop shape —
+//!   schedules the client's next arrival on the spot, since that depends
+//!   only on this arrival's intended time. The wheel therefore sees the
+//!   same `pop, schedule, pop, schedule, …` sequence whether the worker
+//!   admits one arrival or thirty-two before it issues any, and the
+//!   schedule digest cannot tell. An arrival counts as delivered
+//!   (`arrivals`, `active`) when its op is issued, not when admitted.
 //! * Latency is measured from the **intended** arrival time and split
 //!   into queueing (intended → issue) and service (issue → completion)
 //!   components; the total (intended → completion) feeds the run's main
@@ -283,7 +292,7 @@ impl ArrivalShape {
     /// `0..total` from the client's kind stream (independent of the
     /// arrival-time stream by construction).
     #[inline]
-    pub(crate) fn kind_draw(client_seed: u64, event: u64, total: u64) -> u32 {
+    fn kind_draw(client_seed: u64, event: u64, total: u64) -> u32 {
         let bits = event_bits(client_seed ^ 0xa5a5_a5a5_5a5a_5a5a, event);
         (((bits as u128) * (total as u128)) >> 64) as u32
     }
@@ -386,45 +395,56 @@ impl ClientSet {
         set
     }
 
-    /// Delivers the earliest pending arrival as
-    /// `(intended_ns, local client index)`.
-    pub(crate) fn pop(&mut self, stats: &mut ClientStats) -> Option<(u64, u32)> {
-        let (at, local) = self.wheel.pop()?;
+    /// `true` when the arrival the next [`admit`](Self::admit) will
+    /// return was intended at or before `now_ns`.
+    #[inline]
+    pub(crate) fn next_is_due(&mut self, now_ns: u64) -> bool {
+        self.wheel.peek_at().is_some_and(|at| at <= now_ns)
+    }
+
+    /// Admits the earliest pending arrival as `(intended_ns, local
+    /// client index, op-kind draw in 0..mix_total)` — one hash of the
+    /// client's seed serves both its kind stream and its arrival
+    /// stream. Unless the shape is self-paced the client's next arrival
+    /// is scheduled here too: it depends only on this one's intended
+    /// time, so the wheel sees `pop, schedule, pop, schedule, …`
+    /// however many arrivals the driver admits before it issues any.
+    #[inline]
+    pub(crate) fn admit(
+        &mut self,
+        mix_total: u64,
+        stats: &mut ClientStats,
+    ) -> Option<(u64, u32, u32)> {
+        let (at_ns, local) = self.wheel.pop()?;
+        let seed = client_seed(self.run_seed, self.first_id + local as u64);
+        let event = self.next_event[local as usize];
+        let kind = ArrivalShape::kind_draw(seed, event - 1, mix_total);
+        if let Some(next_ns) = self.shape.next_ns(seed, event, at_ns) {
+            self.schedule(local, next_ns, stats);
+        }
+        Some((at_ns, local, kind))
+    }
+
+    /// Schedules the client's next arrival at `at_ns`. The driver calls
+    /// this itself only for self-paced clients, at completion time.
+    #[inline]
+    pub(crate) fn schedule(&mut self, local: u32, at_ns: u64, stats: &mut ClientStats) {
+        self.next_event[local as usize] += 1;
+        self.wheel.schedule(at_ns, local);
+        stats.note_scheduled(self.first_id + local as u64, at_ns);
+    }
+
+    /// Counts an admitted arrival as delivered. Called when its op is
+    /// issued, not when it is admitted, so a worker that dies holding
+    /// admitted arrivals still reports one arrival per issued op.
+    #[inline]
+    pub(crate) fn note_issued(&mut self, local: u32, stats: &mut ClientStats) {
         stats.arrivals += 1;
         let (word, bit) = (local as usize / 64, local as usize % 64);
         if self.served[word] & (1 << bit) == 0 {
             self.served[word] |= 1 << bit;
             stats.active += 1;
         }
-        Some((at, local))
-    }
-
-    /// The client's op-kind draw for its current event.
-    #[inline]
-    pub(crate) fn kind_draw(&self, local: u32, mix_total: u64) -> u32 {
-        let id = self.first_id + local as u64;
-        let event = self.next_event[local as usize] - 1;
-        ArrivalShape::kind_draw(client_seed(self.run_seed, id), event, mix_total)
-    }
-
-    /// Schedules the client's next arrival after an event intended at
-    /// `prev_ns` that completed at virtual time `now_ns`.
-    pub(crate) fn reschedule(
-        &mut self,
-        local: u32,
-        prev_ns: u64,
-        now_ns: u64,
-        stats: &mut ClientStats,
-    ) {
-        let id = self.first_id + local as u64;
-        let event = self.next_event[local as usize];
-        self.next_event[local as usize] = event + 1;
-        let next = self
-            .shape
-            .next_ns(client_seed(self.run_seed, id), event, prev_ns)
-            .unwrap_or(now_ns);
-        self.wheel.schedule(next, local);
-        stats.note_scheduled(id, next);
     }
 
     /// Arrivals past their intended time but not yet delivered.
@@ -661,17 +681,35 @@ mod tests {
     }
 
     #[test]
-    fn pop_and_reschedule_track_active_and_arrivals() {
+    fn admit_schedules_and_issue_counts() {
         let shape = ArrivalShape::Periodic { rate: 1_000.0 };
         let mut stats = ClientStats::default();
         let mut set = ClientSet::new(shape, 4, 0, 1, 9, &mut stats);
-        for _ in 0..8 {
-            let (at, local) = set.pop(&mut stats).expect("arrival");
-            set.reschedule(local, at, at, &mut stats);
+        assert!(set.next_is_due(1_000_000) && !set.next_is_due(0));
+        let mut last = 0;
+        for i in 0..8 {
+            let (at, local, kind) = set.admit(100, &mut stats).expect("arrival");
+            assert!(at >= last && kind < 100);
+            last = at;
+            // Admission schedules the next arrival; only issue counts.
+            assert_eq!(stats.scheduled, 4 + i + 1);
+            assert_eq!(stats.arrivals, i);
+            set.note_issued(local, &mut stats);
         }
         assert_eq!(stats.arrivals, 8);
         assert_eq!(stats.active, 4, "every client served in two rounds");
-        assert_eq!(stats.scheduled, 4 + 8);
+    }
+
+    #[test]
+    fn self_paced_clients_wait_for_the_driver_to_reschedule_them() {
+        let mut stats = ClientStats::default();
+        let mut set = ClientSet::new(ArrivalShape::SelfPaced, 2, 0, 1, 9, &mut stats);
+        let (_, a, _) = set.admit(2, &mut stats).expect("first client");
+        let (_, b, _) = set.admit(2, &mut stats).expect("second client");
+        assert_eq!((a, b, stats.scheduled), (0, 1, 2));
+        assert!(set.admit(2, &mut stats).is_none(), "both are in flight");
+        set.schedule(b, 700, &mut stats);
+        assert_eq!(set.admit(2, &mut stats).map(|x| (x.0, x.1)), Some((700, b)));
     }
 
     #[test]

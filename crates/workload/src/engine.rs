@@ -105,21 +105,34 @@ fn budget_done(budget: &Budget, issued: u64, stop: &AtomicBool) -> bool {
     }
 }
 
-/// Waits until `deadline`; returns the clock reading that crossed it,
-/// or `None` if the stop flag fired first (timed budgets only —
-/// fixed-op budgets always complete their ops).
-fn wait_until(deadline: Instant, stop: &AtomicBool, stoppable: bool) -> Option<Instant> {
+/// Nanoseconds since `begin`: the client driver's clock. One
+/// conversion per reading; everything downstream is `u64` arithmetic.
+#[inline]
+fn ns_since(begin: Instant) -> u64 {
+    begin.elapsed().as_nanos() as u64
+}
+
+/// Waits until `deadline_ns` after `begin`; returns the clock reading
+/// that crossed it, or `None` if the stop flag fired first (timed
+/// budgets only — fixed-op budgets always complete their ops). A
+/// stoppable wait naps in steps of at most 1 ms, so a far-off arrival
+/// cannot carry the worker past the end of a timed budget.
+fn wait_until(begin: Instant, deadline_ns: u64, stop: &AtomicBool, stoppable: bool) -> Option<u64> {
+    const MS: u64 = 1_000_000;
     loop {
-        let now = Instant::now();
-        if now >= deadline {
+        let now = ns_since(begin);
+        if now >= deadline_ns {
             return Some(now);
         }
         if stoppable && stop.load(Ordering::Relaxed) {
             return None;
         }
-        let remaining = deadline - now;
-        if remaining > Duration::from_millis(1) {
-            std::thread::sleep(remaining - Duration::from_micros(500));
+        let remaining = deadline_ns - now;
+        if remaining > MS {
+            // Wake half a millisecond early and spin the rest.
+            let nap = remaining - MS / 2;
+            let nap = if stoppable { nap.min(MS) } else { nap };
+            std::thread::sleep(Duration::from_nanos(nap));
         } else {
             std::hint::spin_loop();
         }
@@ -222,16 +235,18 @@ impl<'m> IntervalTracker<'m> {
 
     /// Called once per completed op. Cheap path: one decrement; every
     /// `TELEMETRY_CHECK_EVERY` ops, one clock read and a boundary test.
+    /// Returns `true` when it took the slow path, i.e. measurable time
+    /// has passed since the caller's last clock reading.
     #[inline]
-    fn tick(&mut self, cur: &mut WorkerMetrics, worker: &mut dyn Worker) {
+    fn tick(&mut self, cur: &mut WorkerMetrics, worker: &mut dyn Worker) -> bool {
         self.countdown -= 1;
         if self.countdown != 0 {
-            return;
+            return false;
         }
         self.countdown = TELEMETRY_CHECK_EVERY;
         let now = Instant::now();
         if now < self.next {
-            return;
+            return true;
         }
         // Catch up to the most recent passed boundary: a stalled worker
         // emits one snapshot covering every interval it slept through,
@@ -244,6 +259,7 @@ impl<'m> IntervalTracker<'m> {
         let end = boundary.duration_since(self.start);
         let index = (end.as_nanos() / self.interval.as_nanos().max(1)) as u64 - 1;
         self.flush(index, end, cur, worker);
+        true
     }
 
     /// Moves the accumulated delta plus the worker's drained telemetry
@@ -318,12 +334,25 @@ fn client_mode(scenario: &Scenario) -> Option<(usize, ArrivalShape)> {
     }
 }
 
-/// The client-driven op loop: pops intended arrivals off the worker's
-/// shard of the population, paces to them, executes the client's op,
-/// and records the queueing/service split (total latency — intended to
-/// completion — feeds the main histogram). Per-op order matches the
-/// closed loop exactly (chaos gate → op → tick), so fault arithmetic
-/// and watchdog semantics carry over unchanged.
+/// The client-driven op loop, in two alternating phases.
+///
+/// *Admit* takes every arrival that is already due off the worker's
+/// shard of the population — intended at or before the last clock
+/// reading; always at least one, so a paced worker admits the arrival
+/// it then waits for — and draws its op. Open-loop clients are
+/// rescheduled as they are admitted (see [`ClientSet::admit`]), so the
+/// arrival schedule and its digest do not depend on the run length.
+///
+/// *Issue* then runs the admitted ops back to back, each as chaos gate
+/// → op → clock read → record → tick: the closed loop's per-op order,
+/// so fault arithmetic and watchdog semantics carry over unchanged.
+/// Latency is split at three stamps per timed op — intended, issue,
+/// completion — with the total (intended → completion) feeding the main
+/// histogram. An op's issue stamp is the previous op's completion stamp
+/// whenever only histogram recording ran between the two; otherwise it
+/// is a fresh reading from the pacing wait. A saturated worker so pays
+/// one clock read per timed op; a paced one, whose every arrival is a
+/// run of one, pays the wait plus the completion read as before.
 #[allow(clippy::too_many_arguments)]
 fn drive_clients(
     worker: &mut dyn Worker,
@@ -339,81 +368,99 @@ fn drive_clients(
     shape: ArrivalShape,
     cstats: &mut ClientStats,
 ) {
+    /// Most arrivals admitted before any is issued. Bounded so that a
+    /// fixed-op budget is met exactly, a stop flag is honoured and a
+    /// dying worker strands admitted arrivals all within this many ops;
+    /// a longer run would save nothing, the one fresh clock read a run
+    /// costs being spread over 32 ops already.
+    const RUN: usize = 32;
+    // Backlog sampling sweeps the wheel's slot lengths — keep it off
+    // the per-op path.
+    const BACKLOG_EVERY: u64 = 1024;
     let mut set = ClientSet::new(shape, total, id, scenario.threads, scenario.seed, cstats);
     let budget = &scenario.budget;
     let stoppable = matches!(budget, Budget::Timed(_));
     let mix_total = scenario.mix.total() as u64;
     let latency_every = scenario.latency_every.max(1) as u64;
     let self_paced = shape == ArrivalShape::SelfPaced;
-    // Backlog sampling sweeps the wheel's slot lengths — keep it off
-    // the per-op path.
-    const BACKLOG_EVERY: u64 = 1024;
+    // A completion stamp can stand in for the next issue stamp only if
+    // nothing that takes time sits between the two ops: armed faults
+    // may sleep in the gate, and a self-paced client is rescheduled
+    // there.
+    let chains = chaos.is_none() && !self_paced;
+    let mut run: Vec<(u64, u32, Op)> = Vec::with_capacity(RUN);
     let mut issued = 0u64;
-    // Monotone lower bound on "now": the last clock reading. When an
-    // arrival's intended time is already at or below it, the deadline
-    // is provably past and the pacing clock read can be skipped — the
-    // backlogged regime (self-paced clients included) then costs the
-    // same number of clock reads per op as the closed loop.
-    let mut last_now = begin;
+    // The last clock reading, ns since `begin`: a monotone lower bound
+    // on "now", so an arrival intended at or before it is provably due.
+    let mut now = 0u64;
     while !budget_done(budget, issued, stop) {
-        if !chaos_gate(chaos, issued) {
-            return;
-        }
-        let Some((at_ns, client)) = set.pop(cstats) else {
-            break; // a worker with an empty client shard has no work
+        let room = match budget {
+            Budget::OpsPerWorker(n) => (n - issued).min(RUN as u64) as usize,
+            Budget::Timed(_) => RUN,
         };
-        let scheduled = begin + Duration::from_nanos(at_ns);
-        let timed = issued.is_multiple_of(latency_every);
-        // `issue` is the moment pacing ended: exact on timed ops (fresh
-        // read), possibly a hair early on skipped reads (bounded by one
-        // op's work since `last_now`).
-        let issue = if !timed && scheduled <= last_now {
-            last_now
-        } else {
-            match wait_until(scheduled, stop, stoppable) {
-                Some(now) => now,
-                None => break,
+        run.clear();
+        while run.len() < room && (run.is_empty() || set.next_is_due(now)) {
+            let Some((at_ns, client, kind)) = set.admit(mix_total, cstats) else {
+                return; // a worker with an empty client shard has no work
+            };
+            let op = sampler.draw_kind(scenario.mix.pick(kind));
+            run.push((at_ns, client, op));
+        }
+        // `now` was read before the admit phase ran.
+        let mut stamped = false;
+        for &(at_ns, client, op) in &run {
+            if !chaos_gate(chaos, issued) {
+                return;
             }
-        };
-        last_now = issue;
-        // A self-paced client intends its arrival at the instant its op
-        // is issued, so its queueing delay is zero by construction. Its
-        // wheel timestamp only orders the population: under
-        // `latency_every > 1` that is a completion time as of the last
-        // timed op, not a moment anyone meant to arrive at.
-        let intended = if self_paced { issue } else { scheduled };
-        let kind = scenario.mix.pick(set.kind_draw(client, mix_total));
-        let op = sampler.draw_kind(kind);
-        if timed {
+            let timed = issued.is_multiple_of(latency_every);
+            // Exact on timed ops (the previous completion stamp, or a
+            // fresh read); on untimed ones possibly a hair early, as in
+            // the closed loop's sampling mode, which reads no clock.
+            let issue = if at_ns <= now && (stamped || !timed) {
+                now
+            } else {
+                match wait_until(begin, at_ns, stop, stoppable) {
+                    Some(t) => t,
+                    None => return,
+                }
+            };
+            now = issue;
+            set.note_issued(client, cstats);
             let completed = worker.execute(&op);
-            let end = Instant::now();
-            last_now = end;
-            // Total latency from the *intended* arrival — queueing
-            // delay is part of the number, not silently omitted.
-            metrics.record(op.kind, completed, end.saturating_duration_since(intended));
-            cstats
-                .queueing
-                .record_duration(issue.saturating_duration_since(intended));
-            cstats
-                .service
-                .record_duration(end.saturating_duration_since(issue));
-        } else {
-            // Latency-sampling mode (same convention as the closed
-            // loop): count the op, skip the completion clock read.
-            let completed = worker.execute(&op);
-            metrics.record_untimed(op.kind, completed);
-        }
-        issued += 1;
-        if let Some(t) = tracker.as_mut() {
-            t.tick(metrics, worker);
-        }
-        let now_ns = last_now
-            .saturating_duration_since(begin)
-            .as_nanos()
-            .min(u64::MAX as u128) as u64;
-        set.reschedule(client, at_ns, now_ns, cstats);
-        if issued.is_multiple_of(BACKLOG_EVERY) {
-            cstats.backlog_max = cstats.backlog_max.max(set.backlog(now_ns));
+            // From here on `stamped` says that `now` is this op's
+            // completion stamp and nothing slow has run since.
+            stamped = timed && chains;
+            if timed {
+                let end = ns_since(begin);
+                now = end;
+                // A self-paced client intends its arrival at the
+                // instant its op is issued, so its queueing delay is
+                // zero by construction. Its wheel timestamp only orders
+                // the population: under `latency_every > 1` that is a
+                // completion time as of the last timed op, not a moment
+                // anyone meant to arrive at.
+                let intended = if self_paced { issue } else { at_ns };
+                // Total latency from the *intended* arrival — queueing
+                // delay is part of the number, not silently omitted.
+                metrics.record_ns(op.kind, completed, end - intended);
+                cstats.queueing.record(issue - intended);
+                cstats.service.record(end - issue);
+            } else {
+                // Latency-sampling mode (same convention as the closed
+                // loop): count the op, skip the completion clock read.
+                metrics.record_untimed(op.kind, completed);
+            }
+            issued += 1;
+            if let Some(t) = tracker.as_mut() {
+                stamped &= !t.tick(metrics, worker);
+            }
+            if self_paced {
+                set.schedule(client, now, cstats);
+            }
+            if issued.is_multiple_of(BACKLOG_EVERY) {
+                cstats.backlog_max = cstats.backlog_max.max(set.backlog(now));
+                stamped = false;
+            }
         }
     }
 }
@@ -1157,6 +1204,126 @@ mod tests {
         assert_eq!(totals.updates, r.counts.updates);
         assert_eq!(totals.removes, r.counts.removes);
         assert_eq!(totals.removes_empty, r.counts.removes_empty);
+    }
+
+    #[test]
+    fn a_panic_inside_a_run_keeps_one_arrival_per_issued_op() {
+        // An arrival every 5 ns per worker: every run after the first
+        // op is full, so the victim dies at op 200 part-way through a
+        // run, holding arrivals it has admitted and will never issue.
+        // They must not be counted.
+        let s = small("t-clients-chaos-saturated", Family::Queue)
+            .threads(4)
+            .mix(OpMix::new(50, 50, 0))
+            .budget(Budget::OpsPerWorker(600))
+            .clients(8_000)
+            .arrival_shape(ArrivalShape::Poisson { rate: 100_000.0 })
+            .prefill(300)
+            .telemetry_interval(Duration::from_millis(25))
+            .faults_spec("panic:1@200")
+            .build();
+        let r = run(&s, &MultiQueueBackend::heap(8, DeleteMode::Strict));
+        assert!(r.verified(), "{:?}", r.verify_error);
+        let f = r.faults.as_ref().expect("faults section");
+        assert_eq!(f.workers[1].label(), "panicked", "{:?}", f.workers[1]);
+        let attempts =
+            r.counts.updates + r.counts.removes + r.counts.removes_empty + r.counts.reads;
+        assert_eq!(attempts, 3 * 600 + 200);
+        let c = r.clients.as_ref().expect("clients section");
+        assert_eq!(c.arrivals, attempts);
+        assert!(c.active > 0 && c.active <= c.arrivals, "{c:?}");
+        assert_eq!(
+            r.telemetry.as_ref().expect("series").totals().updates,
+            r.counts.updates
+        );
+    }
+
+    /// Runs one worker's client driver bare — no harness, no backend —
+    /// and returns the ops executed with the stats it filled.
+    fn drive_bare(s: &Scenario) -> (u64, WorkerMetrics, ClientStats) {
+        struct Counting(u64);
+        impl Worker for Counting {
+            fn execute(&mut self, _: &Op) -> bool {
+                self.0 += 1;
+                true
+            }
+        }
+        let (total, shape) = client_mode(s).expect("a client scenario");
+        let mut worker = Counting(0);
+        let (mut metrics, mut cstats) = (WorkerMetrics::default(), ClientStats::default());
+        drive_clients(
+            &mut worker,
+            &mut OpSampler::new(s, 0),
+            s,
+            &AtomicBool::new(false),
+            &mut None,
+            &mut metrics,
+            &mut None,
+            0,
+            Instant::now(),
+            total,
+            shape,
+            &mut cstats,
+        );
+        (worker.0, metrics, cstats)
+    }
+
+    #[test]
+    fn runs_issue_exactly_the_budget_and_split_every_timed_op_at_three_stamps() {
+        // Saturated (full runs, chained stamps) and paced (runs of one,
+        // a fresh stamp per op); 1_003 = 31 · 32 + 11 ops.
+        let saturated = ArrivalShape::Poisson { rate: 1e6 };
+        let paced = ArrivalShape::Periodic { rate: 50_000.0 };
+        for (shape, clients, ops) in [(saturated, 500u64, 1_003u64), (paced, 4, 203)] {
+            for every in [1u64, 8] {
+                let s = small("t-clients-bare", Family::Queue)
+                    .threads(1)
+                    .budget(Budget::OpsPerWorker(ops))
+                    .clients(clients as usize)
+                    .arrival_shape(shape)
+                    .latency_every(every as u32)
+                    .build();
+                let (executed, metrics, c) = drive_bare(&s);
+                let what = format!("{} every={every}", shape.label());
+                assert_eq!(executed, ops, "{what}");
+                assert_eq!((c.arrivals, c.scheduled), (ops, clients + ops), "{what}");
+                let timed = ops.div_ceil(every);
+                assert_eq!(c.queueing.len(), timed, "{what}");
+                assert_eq!(c.service.len(), timed, "{what}");
+                assert_eq!(metrics.latency.len(), timed, "{what}");
+                // queueing + service == total, op by op, so also summed.
+                let sum = |h: &crate::metrics::LogHistogram| (h.mean() * timed as f64).round();
+                assert_eq!(
+                    sum(&c.queueing) + sum(&c.service),
+                    sum(&metrics.latency),
+                    "{what}"
+                );
+                assert!(c.service.max() > 0 && c.queueing.max() > 0, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_timed_budget_ends_a_wait_for_a_far_off_arrival() {
+        // One 1/s periodic client per worker, both first due more than
+        // 600 ms in: a 50 ms budget must not be slept through.
+        let shape = ArrivalShape::Periodic { rate: 1.0 };
+        let first_ns = |seed, id| shape.next_ns(crate::clients::client_seed(seed, id), 0, 0);
+        let seed = (0..)
+            .find(|&seed| (0..2).all(|id| first_ns(seed, id) > Some(600_000_000)))
+            .expect("some seed starts late");
+        let s = small("t-clients-stop", Family::Counter)
+            .mix(OpMix::new(100, 0, 0))
+            .budget(Budget::Timed(Duration::from_millis(50)))
+            .clients(2)
+            .arrival_shape(shape)
+            .seed(seed)
+            .build();
+        let t0 = Instant::now();
+        let r = run(&s, &CounterBackend::exact());
+        let took = t0.elapsed();
+        assert!(r.verified() && r.total_ops() == 0, "{}", r.total_ops());
+        assert!(took < Duration::from_millis(400), "took {took:?}");
     }
 
     #[test]

@@ -86,12 +86,6 @@ impl LogHistogram {
         }
     }
 
-    /// Records a [`Duration`] in nanoseconds.
-    #[inline]
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
     /// Number of recorded samples.
     pub fn len(&self) -> u64 {
         self.total
@@ -157,6 +151,16 @@ impl WorkerMetrics {
     /// Records one completed (or empty-remove) operation.
     #[inline]
     pub fn record(&mut self, kind: OpKind, completed: bool, latency: Duration) {
+        self.record_ns(
+            kind,
+            completed,
+            latency.as_nanos().min(u64::MAX as u128) as u64,
+        );
+    }
+
+    /// [`record`](Self::record) for a latency already in nanoseconds.
+    #[inline]
+    pub(crate) fn record_ns(&mut self, kind: OpKind, completed: bool, latency_ns: u64) {
         match (kind, completed) {
             (OpKind::Update, _) => self.counts.updates += 1,
             (OpKind::Remove, true) => self.counts.removes += 1,
@@ -166,7 +170,7 @@ impl WorkerMetrics {
             }
             (OpKind::Read, _) => self.counts.reads += 1,
         }
-        self.latency.record_duration(latency);
+        self.latency.record(latency_ns);
     }
 
     /// Records a completed operation without a latency sample — the

@@ -14,7 +14,9 @@ use distlin::core::{DeleteMode, PolicyCfg};
 use distlin::workload::backends::{
     ConcurrentPqBackend, CounterBackend, MultiQueueBackend, StmBackend,
 };
-use distlin::workload::{engine, Arrival, Backend, Budget, Dist, Family, OpMix, Scenario};
+use distlin::workload::{
+    engine, Arrival, ArrivalShape, Backend, Budget, Dist, Family, OpMix, Scenario,
+};
 
 const SEED: u64 = 0x5eed_cafe;
 
@@ -324,6 +326,83 @@ fn every_catalog_scenario_runs_shrunk_against_its_roster() {
             assert!(json.contains("\"mops\":"), "JSON missing throughput");
             assert!(json.contains("\"p99\":"), "JSON missing latency");
             assert!(json.contains("\"metric\":"), "JSON missing quality");
+        }
+    }
+}
+
+#[test]
+fn backlogged_client_schedules_are_pinned() {
+    // The arrival schedule of a fixed-seed, fixed-op client run is a
+    // pure function of the seed: which client arrives when, in what
+    // order the wheel delivers them, and which op kind each draws — not
+    // of how fast the worker runs or which ops it times. These rows
+    // were recorded on the one-arrival-at-a-time driver; a driver that
+    // admits arrivals in runs must reproduce them bit for bit.
+    //
+    // (shape, clients, ops per worker, per thread count 1 and 2:
+    //  (arrival digest, active clients, updates, remove attempts))
+    type Row = (u64, u64, u64, u64);
+    let cases: [(ArrivalShape, usize, u64, [Row; 2]); 3] = [
+        // 20M arrivals/s offered: far beyond capacity, always a backlog.
+        (
+            ArrivalShape::Poisson { rate: 5_000.0 },
+            4_000,
+            6_000,
+            [
+                (0x690c_8d1c_a2d4_67f5, 3_139, 3_020, 2_980),
+                (0x0883_a929_5059_c2f1, 3_814, 6_000, 6_000),
+            ],
+        ),
+        // Bursts of 16 sharing one instant, every 320 µs per client.
+        (
+            ArrivalShape::Bursty {
+                rate: 50_000.0,
+                burst: 16,
+            },
+            500,
+            4_000,
+            [
+                (0xfae4_2528_5daa_21d5, 312, 2_021, 1_979),
+                (0x1a3c_e0fb_bd1f_c141, 500, 4_024, 3_976),
+            ],
+        ),
+        // 2M arrivals/s offered, in phase-shifted lockstep.
+        (
+            ArrivalShape::Periodic { rate: 2_000.0 },
+            1_000,
+            3_000,
+            [
+                (0x80bc_fc68_6e3d_2af7, 1_000, 1_537, 1_463),
+                (0x16a6_2f66_4664_62dd, 1_000, 3_032, 2_968),
+            ],
+        ),
+    ];
+    for (shape, clients, ops, want) in cases {
+        for (threads, want) in [1usize, 2].into_iter().zip(want) {
+            for latency_every in [1, 8] {
+                let s = Scenario::builder("it-clients-pinned", Family::Queue)
+                    .threads(threads)
+                    .budget(Budget::OpsPerWorker(ops))
+                    .mix(OpMix::new(50, 50, 0))
+                    .clients(clients)
+                    .arrival_shape(shape)
+                    .latency_every(latency_every)
+                    .prefill(500)
+                    .seed(SEED)
+                    .build();
+                let r = engine::run(&s, &MultiQueueBackend::heap(4, DeleteMode::Strict));
+                let what = format!("{} t={threads} every={latency_every}", shape.label());
+                assert!(r.verified(), "{what}: {:?}", r.verify_error);
+                let c = r.clients.as_ref().expect("clients section");
+                assert_eq!(c.arrivals, threads as u64 * ops, "{what}");
+                let got: Row = (
+                    c.arrival_digest,
+                    c.active,
+                    r.counts.updates,
+                    r.counts.removes + r.counts.removes_empty,
+                );
+                assert_eq!(got, want, "{what}");
+            }
         }
     }
 }
