@@ -420,7 +420,7 @@ fn parse_list<T: std::str::FromStr>(s: &str, flag: &str, what: &str) -> Result<V
 }
 
 /// Parses a comma-separated choice-policy list
-/// (`two-choice,sticky=16,d-choice=4,adaptive=8`).
+/// (`two-choice,sticky=16,d-choice=4`).
 fn parse_policies(s: &str) -> Result<Vec<PolicyCfg>, String> {
     let out: Result<Vec<PolicyCfg>, String> = s
         .split(',')
@@ -641,7 +641,7 @@ mod tests {
         let c = Config::parse(vec![
             "--sweep".into(),
             "--policies".into(),
-            "two-choice,sticky=16,adaptive=8".into(),
+            "two-choice,sticky=16,d-choice=4".into(),
             "--mixes".into(),
             "50/50/0,90/0/10".into(),
         ]);
@@ -651,7 +651,7 @@ mod tests {
             vec![
                 PolicyCfg::TwoChoice,
                 PolicyCfg::Sticky { ops: 16 },
-                PolicyCfg::AdaptiveSticky { s_max: 8 },
+                PolicyCfg::DChoice { d: 4 },
             ]
         );
         assert_eq!(c.mixes, vec![OpMix::new(50, 50, 0), OpMix::new(90, 0, 10)]);

@@ -1,8 +1,7 @@
 //! # dlz-bench — figure regeneration harness
 //!
 //! Shared machinery for the binaries that regenerate every figure of
-//! the paper (see `src/bin/`) and for the criterion micro-benchmarks
-//! (see `benches/`):
+//! the paper (see `src/bin/`):
 //!
 //! * [`tables`] — aligned-column table / CSV output.
 //! * [`config`] — tiny CLI/env configuration shared by all binaries

@@ -160,6 +160,32 @@ fn infinite_envelope_factor_passes_on_verdict_alone() {
 }
 
 #[test]
+fn artifact_of_the_removed_adaptive_policy_still_replays() {
+    // The policy label is an opaque string to the checker: an artifact
+    // recorded while `adaptive(s_max=N)` existed (observed factor 4
+    // under s_max = 16) replays against the factor its header carries.
+    let dir = scratch("adaptive-label");
+    let text = valid_artifact().replacen(
+        "\"policy\":\"two-choice\",\"envelope_factor\":1",
+        "\"policy\":\"adaptive(s_max=16)\",\"envelope_factor\":4",
+        1,
+    );
+    assert!(text.contains("adaptive(s_max=16)"), "{text}");
+    let path = dir.join("old.histjsonl");
+    std::fs::write(&path, text).expect("write");
+    let out = run(&[path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("\"policy\":\"adaptive(s_max=16)\""),
+        "{stdout}"
+    );
+    assert!(stdout.contains("\"envelope_factor\":4"), "{stdout}");
+    assert!(stdout.contains("\"within_bound\":true"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn exceeded_envelope_is_reported_not_fatal() {
     use dlz_core::spec::CounterOp;
     // A counter history whose read deviation blows the 4·scale bound:

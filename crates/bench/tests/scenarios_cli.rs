@@ -230,3 +230,22 @@ fn removed_substrate_flags_exit_2_as_unknown_flags() {
         assert!(stderr.contains("unknown flag"), "{stderr}");
     }
 }
+
+#[test]
+fn removed_adaptive_policy_exits_2_listing_the_accepted_forms() {
+    let out = run(&[
+        "--scenario",
+        "queue-balanced",
+        "--policies",
+        "two-choice,adaptive=8",
+        "--quick",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8(out.stderr.clone()).expect("utf8 stderr");
+    assert!(
+        stderr
+            .contains("unknown policy 'adaptive=8' (expected two-choice, d-choice=N or sticky=N)"),
+        "{stderr}"
+    );
+}

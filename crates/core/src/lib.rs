@@ -73,7 +73,7 @@ pub use counter::{
 };
 pub use dlz_pq::ContentionStats;
 pub use queue::{
-    AdaptiveSticky, AnyPolicy, ChoiceOp, ChoicePolicy, DChoice, DeleteMode, MqHandle, MqOpTimeout,
-    MultiQueue, MultiQueueBuilder, PolicyCfg, QueueView, RelaxedFifo, SalvageOutcome, Stamped,
-    Sticky, TwoChoice,
+    AnyPolicy, ChoiceOp, ChoicePolicy, DChoice, DeleteMode, MqHandle, MqOpTimeout, MultiQueue,
+    MultiQueueBuilder, PolicyCfg, QueueView, RelaxedFifo, SalvageOutcome, Stamped, Sticky,
+    TwoChoice,
 };

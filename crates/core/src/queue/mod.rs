@@ -7,8 +7,7 @@
 //!   state, the five generic operations, and the orthogonal
 //!   [`stamped`](MqHandle::stamped) history mode.
 //! * [`policy`] — the choice processes: [`TwoChoice`], [`DChoice`],
-//!   [`Sticky`], [`AdaptiveSticky`], plus the declarative
-//!   [`PolicyCfg`].
+//!   [`Sticky`], plus the declarative [`PolicyCfg`].
 //! * [`RelaxedFifo`] — the queue-like façade: priorities are timestamps
 //!   drawn from a [`Clock`](crate::clock::Clock), so dequeues return an
 //!   element among the roughly O(m log m) oldest (Theorem 7.1).
@@ -21,7 +20,6 @@ pub use multiqueue::{
     DeleteMode, MqHandle, MqOpTimeout, MultiQueue, MultiQueueBuilder, SalvageOutcome, Stamped,
 };
 pub use policy::{
-    AdaptiveSticky, AnyPolicy, ChoiceOp, ChoicePolicy, DChoice, PolicyCfg, QueueView, Sticky,
-    TwoChoice,
+    AnyPolicy, ChoiceOp, ChoicePolicy, DChoice, PolicyCfg, QueueView, Sticky, TwoChoice,
 };
 pub use relaxed_fifo::RelaxedFifo;

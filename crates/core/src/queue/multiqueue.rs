@@ -19,8 +19,8 @@
 //!
 //! The paper's guarantee is a property of the **choice process** layered
 //! over the `m` queues, not of one hard-coded method, so the selection
-//! layer is a pluggable [`ChoicePolicy`] (two-choice, d-choice, static
-//! and adaptive stickiness — see [`policy`](crate::queue::policy)).
+//! layer is a pluggable [`ChoicePolicy`] (two-choice, d-choice and
+//! stickiness — see [`policy`](crate::queue::policy)).
 //! The shared [`MultiQueue`] holds only the queues and a default
 //! [`PolicyCfg`]; all per-thread state — the RNG, the policy instance
 //! and the contention counters — lives in an [`MqHandle`], the
@@ -69,9 +69,7 @@
 //!
 //! * Each [`LockedPq`] packs lock flag, generation and entry count into
 //!   one cache-padded atomic header next to the min hint, so a `ReadMin`
-//!   touches one line and adjacent queues never false-share. The
-//!   generation doubles as the change-rate signal
-//!   [`AdaptiveSticky`](crate::queue::AdaptiveSticky) adapts from.
+//!   touches one line and adjacent queues never false-share.
 //! * A successful operation touches **no structure-wide word**: only the
 //!   hints it sampled and the one queue it acquired, which is the
 //!   paper's premise (a shared size counter would be one cache line
@@ -363,8 +361,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     /// once per acquisition and never after it returned `Some`: an
     /// insert body moves its entries in and always returns `Some`; a
     /// dequeue body returns `None` when the queue it was given turned
-    /// out empty. The lock is released before any policy callback runs,
-    /// so `on_success` observes the generation this operation left.
+    /// out empty. The lock is released before any policy callback runs.
     #[inline]
     fn run<R, E: Copy>(
         &self,
@@ -420,7 +417,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             };
             match self.queues[i].attempt(block, stats, &mut body) {
                 Attempt::Ran(Some(done)) => {
-                    policy.on_success(op, i, self);
+                    policy.on_success(op, i);
                     return Ok(Some(done));
                 }
                 // Poison is not contention: evict any camp on the dead
@@ -613,8 +610,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
 }
 
 /// Policies observe the structure through this read-only view: hint
-/// reads are Algorithm 2's lock-free `ReadMin`, and the generation is
-/// the packed header's change-rate signal.
+/// reads are Algorithm 2's lock-free `ReadMin`.
 impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> QueueView for MultiQueue<V, Q> {
     fn num_queues(&self) -> usize {
         self.queues.len()
@@ -622,10 +618,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> QueueView for MultiQueue<V, Q>
 
     fn queue_hint(&self, i: usize) -> u64 {
         self.queues[i].min_hint()
-    }
-
-    fn queue_generation(&self, i: usize) -> Option<u64> {
-        self.queues[i].generation()
     }
 
     fn queue_poisoned(&self, i: usize) -> bool {
@@ -794,16 +786,15 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
         self.mq
     }
 
-    /// The handle's policy instance (e.g. to read an adaptive policy's
-    /// observed stickiness after a run).
+    /// The handle's policy instance (e.g. to read back what a
+    /// caller-supplied policy recorded).
     pub fn policy(&self) -> &P {
         &self.policy
     }
 
     /// The contention counters accumulated by this handle's operations
     /// since creation (or the last [`take_contention`]), with the
-    /// policy's own counters (camp switches, adaptive-`s` transitions)
-    /// flushed in.
+    /// policy's own counters (camp switches) flushed in.
     ///
     /// [`take_contention`]: Self::take_contention
     pub fn contention(&mut self) -> &ContentionStats {
@@ -813,8 +804,7 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
 
     /// Drains the handle's contention counters for one telemetry
     /// interval: flushes the policy's counters, returns the totals and
-    /// resets the event counts (the adaptive-`s` gauge is kept — it is
-    /// state, not an event).
+    /// resets them.
     pub fn take_contention(&mut self) -> ContentionStats {
         self.policy.flush_telemetry(&mut self.stats);
         self.stats.take()
@@ -1032,7 +1022,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> Stamped<'_, '
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::policy::{AdaptiveSticky, Sticky};
+    use crate::queue::policy::Sticky;
     use std::sync::Arc;
 
     #[test]
@@ -1051,25 +1041,6 @@ mod tests {
         assert_eq!(drained.empty_confirms, 1);
         // The drain reset everything; nothing new happened since.
         assert!(h.contention().is_empty());
-    }
-
-    #[test]
-    fn adaptive_handle_reports_gauge_and_transitions() {
-        let mq: MultiQueue<u64> = MultiQueue::new(4);
-        let mut h = MqHandle::with_policy(&mq, 3, AdaptiveSticky::new(8));
-        for p in 0..200u64 {
-            h.insert(p, p);
-        }
-        while h.dequeue().is_some() {}
-        let current = h.policy().current() as u64;
-        let c = h.take_contention();
-        assert_eq!(c.adaptive_s, current, "gauge mirrors the live s");
-        assert!(c.camp_switches > 0, "camps were started");
-        // Solo camps are quiet, so the policy widened at least once
-        // (s starts at 2 with s_max = 8).
-        assert!(c.s_widens >= 1, "quiet camps widen s");
-        // The gauge survives a drain even when no new events arrive.
-        assert_eq!(h.take_contention().adaptive_s, current);
     }
 
     #[test]
@@ -1109,11 +1080,37 @@ mod tests {
         assert!(max_rank <= 30 * m, "max rank {max_rank} too large");
     }
 
+    /// A `Q` that is not [`BinaryHeap`]: an ordered map keyed by
+    /// (priority, arrival number), so ties leave in FIFO order.
+    #[derive(Default)]
+    struct MapQueue<V> {
+        map: std::collections::BTreeMap<(u64, u64), V>,
+        arrivals: u64,
+    }
+
+    impl<V> SeqPriorityQueue<u64, V> for MapQueue<V> {
+        fn add(&mut self, priority: u64, value: V) {
+            self.map.insert((priority, self.arrivals), value);
+            self.arrivals += 1;
+        }
+        fn delete_min(&mut self) -> Option<(u64, V)> {
+            self.map.pop_first().map(|((p, _), v)| (p, v))
+        }
+        fn read_min(&self) -> Option<(&u64, &V)> {
+            self.map.iter().next().map(|((p, _), v)| (p, v))
+        }
+        fn len(&self) -> usize {
+            self.map.len()
+        }
+        fn clear(&mut self) {
+            self.map.clear();
+        }
+    }
+
     #[test]
-    fn works_with_skiplist_substrate() {
-        use dlz_pq::SkipListPq;
-        let mq: MultiQueue<u64, SkipListPq<u64, u64>> = MultiQueue::with_queues(
-            (0..4).map(|i| SkipListPq::with_seed(i as u64)).collect(),
+    fn works_over_a_second_sequential_queue() {
+        let mq: MultiQueue<u64, MapQueue<u64>> = MultiQueue::with_queues(
+            (0..4).map(|_| MapQueue::default()).collect(),
             DeleteMode::Strict,
         );
         let mut h = mq.handle(6);
@@ -1303,8 +1300,8 @@ mod tests {
             ) -> Option<usize> {
                 self.inner.choose_dequeue(rng, view)
             }
-            fn on_success(&mut self, op: ChoiceOp, queue: usize, view: &impl QueueView) {
-                self.inner.on_success(op, queue, view);
+            fn on_success(&mut self, op: ChoiceOp, queue: usize) {
+                self.inner.on_success(op, queue);
             }
             fn on_contention(&mut self, op: ChoiceOp, queue: usize) {
                 self.inner.on_contention(op, queue);
@@ -1369,48 +1366,6 @@ mod tests {
             assert_eq!(n, 2_000, "{mode:?}");
             assert_eq!(mq.len(), 0);
         }
-    }
-
-    #[test]
-    fn adaptive_concurrent_conserves_and_respects_s_max() {
-        const THREADS: usize = 4;
-        const PER: u64 = 6_000;
-        let s_max = 16;
-        let mq: Arc<MultiQueue<u64>> = Arc::new(MultiQueue::with_config(
-            (0..16).map(|_| BinaryHeap::new()).collect(),
-            DeleteMode::Strict,
-            PolicyCfg::AdaptiveSticky { s_max },
-        ));
-        let observed: Vec<usize> = std::thread::scope(|s| {
-            let hs: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let mq = Arc::clone(&mq);
-                    s.spawn(move || {
-                        let mut h =
-                            MqHandle::with_policy(&mq, 500 + t as u64, AdaptiveSticky::new(s_max));
-                        for i in 0..PER {
-                            h.insert(t as u64 * PER + i, i);
-                            if i % 2 == 1 {
-                                let _ = h.dequeue();
-                            }
-                        }
-                        h.policy().observed_max()
-                    })
-                })
-                .collect();
-            hs.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for s in observed {
-            assert!(s <= s_max, "adaptive stickiness {s} exceeded s_max {s_max}");
-            assert!(s >= 1);
-        }
-        // Drain and verify conservation.
-        let mut h = mq.handle(999);
-        let mut left = 0u64;
-        while h.dequeue().is_some() {
-            left += 1;
-        }
-        assert_eq!(left, THREADS as u64 * PER - THREADS as u64 * PER / 2);
     }
 
     #[test]
@@ -1538,35 +1493,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_rank_stays_within_observed_envelope() {
-        use std::collections::BTreeSet;
-        let m = 8usize;
-        let s_max = 8usize;
-        let mq: MultiQueue<u64> = MultiQueue::with_config(
-            (0..m).map(|_| BinaryHeap::new()).collect(),
-            DeleteMode::Strict,
-            PolicyCfg::AdaptiveSticky { s_max },
-        );
-        let mut h = MqHandle::with_policy(&mq, 15, AdaptiveSticky::new(s_max));
-        let n = 8_000u64;
-        for p in 0..n {
-            h.insert(p, p);
-        }
-        let mut present: BTreeSet<u64> = (0..n).collect();
-        let mut sum = 0usize;
-        for _ in 0..n {
-            let (p, _) = h.dequeue().unwrap();
-            sum += present.range(..p).count();
-            present.remove(&p);
-        }
-        let mean = sum as f64 / n as f64;
-        let observed = h.policy().envelope_factor();
-        assert!(observed >= 1.0 && observed <= s_max as f64);
-        let bound = 30.0 * observed * m as f64;
-        assert!(mean <= bound, "mean adaptive rank {mean} above {bound}");
-    }
-
-    #[test]
     fn len_tracks_operations_when_quiescent() {
         let mq: MultiQueue<u64> = MultiQueue::new(4);
         let mut h = mq.handle(15);
@@ -1596,7 +1522,6 @@ mod tests {
             PolicyCfg::TwoChoice,
             PolicyCfg::DChoice { d: 3 },
             PolicyCfg::Sticky { ops: 6 },
-            PolicyCfg::AdaptiveSticky { s_max: 8 },
         ] {
             let mq: MultiQueue<u64> = MultiQueue::with_config(
                 (0..4).map(|_| BinaryHeap::new()).collect(),
@@ -1876,7 +1801,6 @@ mod tests {
             PolicyCfg::TwoChoice,
             PolicyCfg::DChoice { d: 4 },
             PolicyCfg::Sticky { ops: 4 },
-            PolicyCfg::AdaptiveSticky { s_max: 8 },
         ] {
             let mq: MultiQueue<u64> = MultiQueue::with_config(
                 (0..4).map(|_| BinaryHeap::new()).collect(),

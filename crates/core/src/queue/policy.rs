@@ -22,7 +22,6 @@
 //! | [`TwoChoice`] | best of 2 sampled hints (Algorithm 2) | O(m) |
 //! | [`DChoice`] | best of `d` sampled hints | O(m) for `d ≥ 2` |
 //! | [`Sticky`] | camp on one queue for `s` same-kind ops | O(s·m) |
-//! | [`AdaptiveSticky`] | camp, widening/narrowing `s` online | O(s_observed·m), `s ≤ s_max` |
 //!
 //! # Example
 //!
@@ -48,16 +47,14 @@
 //! assert_eq!(drained, 100);
 //! ```
 
-use dlz_pq::locked::header::gen_delta;
 use dlz_pq::locked::EMPTY_HINT;
 use dlz_pq::ContentionStats;
 
 use crate::rng::Rng64;
 
 /// What a policy can observe about the structure it is choosing over:
-/// the queue count `m`, the lock-free per-queue min hints (Algorithm
-/// 2's `ReadMin`), and the packed-header generation — a cheap
-/// change-rate signal adaptive policies consume.
+/// the queue count `m` and the lock-free per-queue min hints (Algorithm
+/// 2's `ReadMin`).
 ///
 /// Implemented by [`MultiQueue`](crate::queue::MultiQueue); policies
 /// never see the queues themselves, only this read-only view.
@@ -69,12 +66,6 @@ pub trait QueueView {
     /// queue is believed empty). Lock-free and possibly stale — that
     /// staleness is the relaxation the paper analyzes.
     fn queue_hint(&self, i: usize) -> u64;
-
-    /// Queue `i`'s header generation, or `None` while its lock is held.
-    /// The generation bumps once per unlock, so the delta between two
-    /// snapshots counts the critical sections that completed in
-    /// between (see [`dlz_pq::locked::header::gen_delta`]).
-    fn queue_generation(&self, i: usize) -> Option<u64>;
 
     /// `true` if queue `i` is poisoned (a critical section panicked in
     /// it) and should be chosen around. Defaults to `false` for views
@@ -129,8 +120,8 @@ pub trait ChoicePolicy {
     fn choose_dequeue(&mut self, rng: &mut impl Rng64, view: &impl QueueView) -> Option<usize>;
 
     /// The chosen queue served the operation.
-    fn on_success(&mut self, op: ChoiceOp, queue: usize, view: &impl QueueView) {
-        let _ = (op, queue, view);
+    fn on_success(&mut self, op: ChoiceOp, queue: usize) {
+        let _ = (op, queue);
     }
 
     /// The chosen queue was contended or observed empty; the next
@@ -152,19 +143,8 @@ pub trait ChoicePolicy {
         let _ = (op, queue);
     }
 
-    /// The policy's rank-envelope factor `f`: expected dequeue rank is
-    /// O(`f`·m) in the style of Theorem 7.1 (1 for fresh two-choice
-    /// sampling, `s` for stickiness). Adaptive policies report the
-    /// widest stickiness they actually used, so the envelope is sound
-    /// for the run that just happened. Non-finite means "no bound"
-    /// (single-choice sampling diverges).
-    fn envelope_factor(&self) -> f64 {
-        1.0
-    }
-
-    /// Drains the policy's internal telemetry counters (camp switches,
-    /// adaptive-`s` transitions) into `stats` and refreshes the
-    /// `adaptive_s` gauge. Policies without internal counters need not
+    /// Drains the policy's internal telemetry counters (camp switches)
+    /// into `stats`. Policies without internal counters need not
     /// implement this. Must not affect choice behaviour or consume
     /// randomness — telemetry reads state, it never perturbs it.
     fn flush_telemetry(&mut self, stats: &mut ContentionStats) {
@@ -252,14 +232,6 @@ impl ChoicePolicy for DChoice {
             Some(best)
         }
     }
-
-    fn envelope_factor(&self) -> f64 {
-        if self.d >= 2 {
-            1.0
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 /// One camp: the queue an operation kind is parked on and how many
@@ -342,7 +314,7 @@ impl ChoicePolicy for Sticky {
         two_choice_sample(rng, view)
     }
 
-    fn on_success(&mut self, op: ChoiceOp, queue: usize, _view: &impl QueueView) {
+    fn on_success(&mut self, op: ChoiceOp, queue: usize) {
         // Dequeue camps start on a *successful* fresh sample (camping on
         // a queue that just proved empty would waste the whole camp);
         // insert camps were already started in `choose_insert`.
@@ -374,303 +346,9 @@ impl ChoicePolicy for Sticky {
         }
     }
 
-    fn envelope_factor(&self) -> f64 {
-        self.ops as f64
-    }
-
     fn flush_telemetry(&mut self, stats: &mut ContentionStats) {
         stats.camp_switches += self.camp_switches;
         self.camp_switches = 0;
-    }
-}
-
-/// How many consecutive uncontended fresh samples it takes an
-/// [`AdaptiveSticky`] at `s = 1` to start camping again.
-const ADAPTIVE_REARM: u32 = 8;
-
-/// Adaptive stickiness: camps like [`Sticky`], but widens/narrows the
-/// camp length `s` online from the packed-header **generation**
-/// change-rate signal (see
-/// [`QueueView::queue_generation`]).
-///
-/// When a dequeue camp ends, the policy compares the camped queue's
-/// generation delta against its own completed operations there. Each of
-/// our operations bumps the generation once, so any excess is foreign
-/// traffic on the same queue:
-///
-/// * excess **> own ops** (the queue is shared) → halve `s`;
-/// * little or no excess (the camp was quiet) → double `s`, up to
-///   `s_max`.
-///
-/// Contention (a failed try-lock, a drained camp, a locked generation
-/// read) halves `s` immediately. At `s = 1` the policy behaves as
-/// [`TwoChoice`] and re-arms after a short streak of consecutive
-/// uncontended operations, so it can recover from a contention burst.
-///
-/// The **insert side adapts independently**: inserts have no
-/// generation measurement (nothing is read back), so their camp length
-/// `s_insert` is driven purely by the try-lock failure rate — a failed
-/// insert lock halves `s_insert`, and every `ADAPTIVE_REARM`
-/// consecutive uncontended inserts double it. A dequeue-side congestion
-/// collapse therefore does not shrink insert camps (and vice versa),
-/// which matters under asymmetric load where one kind dominates.
-/// [`current`](Self::current) reports the dequeue-side `s` (the one the
-/// rank envelope cares about and the `adaptive_s` gauge exports);
-/// [`current_insert`](Self::current_insert) reports the insert side.
-///
-/// Neither `s` ever exceeds the configured `s_max`, so the rank
-/// envelope O(s_max·m) always holds a priori;
-/// [`envelope_factor`](ChoicePolicy::envelope_factor) reports the
-/// widest `s` either side actually reached, giving the tighter
-/// observed-s envelope for the run.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveSticky {
-    s_max: usize,
-    s: usize,
-    /// Insert-side camp length, adapted from try-lock failures alone.
-    s_insert: usize,
-    observed_max: usize,
-    insert: Camp,
-    dequeue: Camp,
-    dequeue_was_fresh: bool,
-    /// Generation of the dequeue camp's queue at camp start, if a camp
-    /// is being measured.
-    camp_gen: Option<u64>,
-    /// Our completed dequeues in the measured camp.
-    camp_ops: u64,
-    /// Consecutive uncontended successes while `s == 1`.
-    quiet_streak: u32,
-    /// Consecutive uncontended insert successes (insert-side widening
-    /// signal — inserts have no generation measurement to consume).
-    insert_quiet: u32,
-    /// Fresh camps started since the last telemetry flush.
-    camp_switches: u64,
-    /// `s`-doubling transitions since the last telemetry flush (both
-    /// sides).
-    widens: u64,
-    /// `s`-halving transitions since the last telemetry flush (both
-    /// sides).
-    narrows: u64,
-}
-
-impl AdaptiveSticky {
-    /// A policy that adapts its stickiness within `1..=s_max`
-    /// (`s_max = 0` is treated as 1, i.e. never camp). Starts at
-    /// `min(2, s_max)` so the first camps generate an adaptation
-    /// signal immediately.
-    pub fn new(s_max: usize) -> Self {
-        let s_max = s_max.max(1);
-        let s = s_max.min(2);
-        AdaptiveSticky {
-            s_max,
-            s,
-            s_insert: s,
-            observed_max: s,
-            insert: Camp::default(),
-            dequeue: Camp::default(),
-            dequeue_was_fresh: false,
-            camp_gen: None,
-            camp_ops: 0,
-            quiet_streak: 0,
-            insert_quiet: 0,
-            camp_switches: 0,
-            widens: 0,
-            narrows: 0,
-        }
-    }
-
-    /// The configured upper bound on stickiness.
-    pub fn s_max(&self) -> usize {
-        self.s_max
-    }
-
-    /// The current dequeue-side camp length (the `adaptive_s` gauge).
-    pub fn current(&self) -> usize {
-        self.s
-    }
-
-    /// The current insert-side camp length, adapted independently from
-    /// the insert try-lock failure rate.
-    pub fn current_insert(&self) -> usize {
-        self.s_insert
-    }
-
-    /// The widest camp length the policy has used so far (either side).
-    pub fn observed_max(&self) -> usize {
-        self.observed_max
-    }
-
-    fn widen(&mut self) {
-        let before = self.s;
-        self.s = (self.s * 2).clamp(1, self.s_max);
-        self.observed_max = self.observed_max.max(self.s);
-        if self.s != before {
-            self.widens += 1;
-        }
-    }
-
-    fn narrow(&mut self) {
-        let before = self.s;
-        self.s = (self.s / 2).max(1);
-        self.quiet_streak = 0;
-        if self.s != before {
-            self.narrows += 1;
-        }
-    }
-
-    fn widen_insert(&mut self) {
-        let before = self.s_insert;
-        self.s_insert = (self.s_insert * 2).clamp(1, self.s_max);
-        self.observed_max = self.observed_max.max(self.s_insert);
-        if self.s_insert != before {
-            self.widens += 1;
-        }
-    }
-
-    fn narrow_insert(&mut self) {
-        let before = self.s_insert;
-        self.s_insert = (self.s_insert / 2).max(1);
-        self.insert_quiet = 0;
-        if self.s_insert != before {
-            self.narrows += 1;
-        }
-    }
-
-    /// Consumes the finished camp's generation measurement and adapts.
-    fn adapt_from_camp(&mut self, view: &impl QueueView) {
-        let Some(start) = self.camp_gen.take() else {
-            return;
-        };
-        let own = self.camp_ops;
-        self.camp_ops = 0;
-        match view.queue_generation(self.dequeue.queue) {
-            // Locked right now: someone else is inside our queue.
-            None => self.narrow(),
-            Some(now) => {
-                let total = gen_delta(start, now);
-                let foreign = total.saturating_sub(own);
-                if foreign > own {
-                    self.narrow();
-                } else {
-                    self.widen();
-                }
-            }
-        }
-    }
-}
-
-impl ChoicePolicy for AdaptiveSticky {
-    fn choose_insert(&mut self, rng: &mut impl Rng64, view: &impl QueueView) -> usize {
-        if self.insert.left > 0 {
-            self.insert.left -= 1;
-            return self.insert.queue;
-        }
-        let q = rng.bounded(view.num_queues() as u64) as usize;
-        self.insert = Camp {
-            queue: q,
-            left: self.s_insert - 1,
-        };
-        if self.s_insert > 1 {
-            self.camp_switches += 1;
-        }
-        q
-    }
-
-    fn choose_dequeue(&mut self, rng: &mut impl Rng64, view: &impl QueueView) -> Option<usize> {
-        if self.dequeue.left > 0 {
-            self.dequeue.left -= 1;
-            self.dequeue_was_fresh = false;
-            return Some(self.dequeue.queue);
-        }
-        self.adapt_from_camp(view);
-        self.dequeue_was_fresh = true;
-        two_choice_sample(rng, view)
-    }
-
-    fn on_success(&mut self, op: ChoiceOp, queue: usize, view: &impl QueueView) {
-        match op {
-            ChoiceOp::Insert => {
-                // Inserts have no generation measurement: the only
-                // signal is the try-lock failure rate, so a streak of
-                // uncontended inserts is the widening condition.
-                self.insert_quiet += 1;
-                if self.insert_quiet >= ADAPTIVE_REARM {
-                    self.insert_quiet = 0;
-                    self.widen_insert();
-                }
-            }
-            ChoiceOp::Dequeue if self.dequeue_was_fresh => {
-                if self.s > 1 {
-                    self.dequeue = Camp {
-                        queue,
-                        left: self.s - 1,
-                    };
-                    // The baseline generation is read *after* our
-                    // successful dequeue bumped it, so it already
-                    // accounts for that op: own bumps since the
-                    // baseline start at 0 and foreign = delta - own
-                    // is exact.
-                    self.camp_gen = view.queue_generation(queue);
-                    self.camp_ops = 0;
-                    self.camp_switches += 1;
-                } else {
-                    self.quiet_streak += 1;
-                    if self.quiet_streak >= ADAPTIVE_REARM {
-                        self.quiet_streak = 0;
-                        self.widen();
-                    }
-                }
-            }
-            ChoiceOp::Dequeue => self.camp_ops += 1,
-        }
-    }
-
-    fn on_contention(&mut self, op: ChoiceOp, _queue: usize) {
-        // Each kind narrows only its own side: an insert-lock pile-up
-        // says nothing about dequeue congestion (and vice versa), so
-        // under asymmetric load the two camp lengths diverge.
-        match op {
-            ChoiceOp::Insert => {
-                self.insert.left = 0;
-                self.narrow_insert();
-            }
-            ChoiceOp::Dequeue => {
-                self.dequeue.left = 0;
-                // The measurement is void: the camp ended abnormally.
-                self.camp_gen = None;
-                self.camp_ops = 0;
-                self.narrow();
-            }
-        }
-    }
-
-    fn on_poisoned(&mut self, _op: ChoiceOp, queue: usize) {
-        // Evict camps pinned to the quarantined queue; unlike
-        // `on_contention`, do NOT narrow `s` — poison says nothing
-        // about traffic, and adapting to it would punish the survivors.
-        if self.insert.queue == queue {
-            self.insert.left = 0;
-        }
-        if self.dequeue.queue == queue {
-            self.dequeue.left = 0;
-            // Any generation measurement of a dead queue is void.
-            self.camp_gen = None;
-            self.camp_ops = 0;
-        }
-    }
-
-    fn envelope_factor(&self) -> f64 {
-        self.observed_max as f64
-    }
-
-    fn flush_telemetry(&mut self, stats: &mut ContentionStats) {
-        stats.camp_switches += self.camp_switches;
-        stats.s_widens += self.widens;
-        stats.s_narrows += self.narrows;
-        self.camp_switches = 0;
-        self.widens = 0;
-        self.narrows = 0;
-        stats.adaptive_s = self.s as u64;
     }
 }
 
@@ -693,12 +371,6 @@ pub enum PolicyCfg {
         /// Consecutive same-kind operations per chosen queue (≥ 1).
         ops: usize,
     },
-    /// Stickiness adapted online within `1..=s_max` from the
-    /// generation change-rate signal.
-    AdaptiveSticky {
-        /// Upper bound on the adapted camp length.
-        s_max: usize,
-    },
 }
 
 impl PolicyCfg {
@@ -708,15 +380,13 @@ impl PolicyCfg {
             PolicyCfg::TwoChoice => AnyPolicy::TwoChoice(TwoChoice),
             PolicyCfg::DChoice { d } => AnyPolicy::DChoice(DChoice::new(d)),
             PolicyCfg::Sticky { ops } => AnyPolicy::Sticky(Sticky::new(ops)),
-            PolicyCfg::AdaptiveSticky { s_max } => {
-                AnyPolicy::AdaptiveSticky(AdaptiveSticky::new(s_max))
-            }
         }
     }
 
-    /// The a-priori rank-envelope factor (see
-    /// [`ChoicePolicy::envelope_factor`]): the worst the policy can do
-    /// before observing anything.
+    /// The policy's rank-envelope factor `f`: expected dequeue rank is
+    /// O(`f`·m) in the style of Theorem 7.1 (1 for fresh two-choice
+    /// sampling, `s` for stickiness). Non-finite means "no bound"
+    /// (single-choice sampling diverges).
     pub fn envelope_factor(self) -> f64 {
         match self {
             PolicyCfg::TwoChoice => 1.0,
@@ -728,7 +398,6 @@ impl PolicyCfg {
                 }
             }
             PolicyCfg::Sticky { ops } => ops.max(1) as f64,
-            PolicyCfg::AdaptiveSticky { s_max } => s_max.max(1) as f64,
         }
     }
 
@@ -737,10 +406,7 @@ impl PolicyCfg {
     pub fn is_default(self) -> bool {
         matches!(
             self,
-            PolicyCfg::TwoChoice
-                | PolicyCfg::DChoice { d: 2 }
-                | PolicyCfg::Sticky { ops: 1 }
-                | PolicyCfg::AdaptiveSticky { s_max: 1 }
+            PolicyCfg::TwoChoice | PolicyCfg::DChoice { d: 2 } | PolicyCfg::Sticky { ops: 1 }
         )
     }
 
@@ -750,7 +416,6 @@ impl PolicyCfg {
             PolicyCfg::TwoChoice => "two-choice".to_string(),
             PolicyCfg::DChoice { d } => format!("d-choice(d={d})"),
             PolicyCfg::Sticky { ops } => format!("sticky(s={ops})"),
-            PolicyCfg::AdaptiveSticky { s_max } => format!("adaptive(s_max={s_max})"),
         }
     }
 
@@ -760,13 +425,11 @@ impl PolicyCfg {
     /// * `two-choice` (also `twochoice`, `2choice`)
     /// * `d-choice=4` (also `dchoice4`, `d-choice(d=4)`)
     /// * `sticky=16` (also `sticky16`, `sticky(s=16)`)
-    /// * `adaptive=16` (also `adaptive16`, `adaptive(s_max=16)`)
     pub fn parse(s: &str) -> Result<PolicyCfg, String> {
         // Normalize the label round-trip forms down to `name=N`.
         let t = s
             .trim()
             .to_lowercase()
-            .replace("(s_max=", "=")
             .replace("(s=", "=")
             .replace("(d=", "=")
             .replace(['(', ')'], "");
@@ -794,13 +457,8 @@ impl PolicyCfg {
             "sticky" | "s" => Ok(PolicyCfg::Sticky {
                 ops: parse_num("camp length")?,
             }),
-            "adaptive" | "adaptivesticky" | "adaptive-sticky" | "adaptive_sticky" => {
-                Ok(PolicyCfg::AdaptiveSticky {
-                    s_max: parse_num("s_max")?,
-                })
-            }
             _ => Err(format!(
-                "unknown policy '{s}' (expected two-choice, d-choice=N, sticky=N or adaptive=N)"
+                "unknown policy '{s}' (expected two-choice, d-choice=N or sticky=N)"
             )),
         }
     }
@@ -827,8 +485,6 @@ pub enum AnyPolicy {
     DChoice(DChoice),
     /// See [`Sticky`].
     Sticky(Sticky),
-    /// See [`AdaptiveSticky`].
-    AdaptiveSticky(AdaptiveSticky),
 }
 
 impl ChoicePolicy for AnyPolicy {
@@ -837,7 +493,6 @@ impl ChoicePolicy for AnyPolicy {
             AnyPolicy::TwoChoice(p) => p.choose_insert(rng, view),
             AnyPolicy::DChoice(p) => p.choose_insert(rng, view),
             AnyPolicy::Sticky(p) => p.choose_insert(rng, view),
-            AnyPolicy::AdaptiveSticky(p) => p.choose_insert(rng, view),
         }
     }
 
@@ -846,16 +501,14 @@ impl ChoicePolicy for AnyPolicy {
             AnyPolicy::TwoChoice(p) => p.choose_dequeue(rng, view),
             AnyPolicy::DChoice(p) => p.choose_dequeue(rng, view),
             AnyPolicy::Sticky(p) => p.choose_dequeue(rng, view),
-            AnyPolicy::AdaptiveSticky(p) => p.choose_dequeue(rng, view),
         }
     }
 
-    fn on_success(&mut self, op: ChoiceOp, queue: usize, view: &impl QueueView) {
+    fn on_success(&mut self, op: ChoiceOp, queue: usize) {
         match self {
-            AnyPolicy::TwoChoice(p) => p.on_success(op, queue, view),
-            AnyPolicy::DChoice(p) => p.on_success(op, queue, view),
-            AnyPolicy::Sticky(p) => p.on_success(op, queue, view),
-            AnyPolicy::AdaptiveSticky(p) => p.on_success(op, queue, view),
+            AnyPolicy::TwoChoice(p) => p.on_success(op, queue),
+            AnyPolicy::DChoice(p) => p.on_success(op, queue),
+            AnyPolicy::Sticky(p) => p.on_success(op, queue),
         }
     }
 
@@ -864,7 +517,6 @@ impl ChoicePolicy for AnyPolicy {
             AnyPolicy::TwoChoice(p) => p.on_contention(op, queue),
             AnyPolicy::DChoice(p) => p.on_contention(op, queue),
             AnyPolicy::Sticky(p) => p.on_contention(op, queue),
-            AnyPolicy::AdaptiveSticky(p) => p.on_contention(op, queue),
         }
     }
 
@@ -873,16 +525,6 @@ impl ChoicePolicy for AnyPolicy {
             AnyPolicy::TwoChoice(p) => p.on_poisoned(op, queue),
             AnyPolicy::DChoice(p) => p.on_poisoned(op, queue),
             AnyPolicy::Sticky(p) => p.on_poisoned(op, queue),
-            AnyPolicy::AdaptiveSticky(p) => p.on_poisoned(op, queue),
-        }
-    }
-
-    fn envelope_factor(&self) -> f64 {
-        match self {
-            AnyPolicy::TwoChoice(p) => p.envelope_factor(),
-            AnyPolicy::DChoice(p) => p.envelope_factor(),
-            AnyPolicy::Sticky(p) => p.envelope_factor(),
-            AnyPolicy::AdaptiveSticky(p) => p.envelope_factor(),
         }
     }
 
@@ -891,7 +533,6 @@ impl ChoicePolicy for AnyPolicy {
             AnyPolicy::TwoChoice(p) => p.flush_telemetry(stats),
             AnyPolicy::DChoice(p) => p.flush_telemetry(stats),
             AnyPolicy::Sticky(p) => p.flush_telemetry(stats),
-            AnyPolicy::AdaptiveSticky(p) => p.flush_telemetry(stats),
         }
     }
 }
@@ -901,16 +542,14 @@ mod tests {
     use super::*;
     use crate::rng::Xoshiro256;
 
-    /// A scriptable view: fixed m, programmable hints/generations.
+    /// A scriptable view: fixed m, programmable hints.
     struct FakeView {
         hints: Vec<u64>,
-        gens: Vec<Option<u64>>,
     }
 
     impl FakeView {
         fn new(hints: Vec<u64>) -> Self {
-            let gens = vec![Some(0); hints.len()];
-            FakeView { hints, gens }
+            FakeView { hints }
         }
     }
 
@@ -920,9 +559,6 @@ mod tests {
         }
         fn queue_hint(&self, i: usize) -> u64 {
             self.hints[i]
-        }
-        fn queue_generation(&self, i: usize) -> Option<u64> {
-            self.gens[i]
         }
     }
 
@@ -961,8 +597,8 @@ mod tests {
                 assert_eq!(a, b);
                 if let Some(q) = b {
                     // Successes must not start a camp at s = 1.
-                    tc.on_success(ChoiceOp::Dequeue, q, &view);
-                    st.on_success(ChoiceOp::Dequeue, q, &view);
+                    tc.on_success(ChoiceOp::Dequeue, q);
+                    st.on_success(ChoiceOp::Dequeue, q);
                 }
                 if step % 3 == 0 {
                     assert_eq!(
@@ -984,13 +620,13 @@ mod tests {
         let mut p = Sticky::new(s);
         let iq = p.choose_insert(&mut rng, &view);
         let dq = p.choose_dequeue(&mut rng, &view).unwrap();
-        p.on_success(ChoiceOp::Dequeue, dq, &view);
+        p.on_success(ChoiceOp::Dequeue, dq);
         // Strictly alternate kinds; both camps must hold for their
         // remaining s-1 operations despite the interleaving.
         for _ in 0..s - 1 {
             assert_eq!(p.choose_insert(&mut rng, &view), iq);
             assert_eq!(p.choose_dequeue(&mut rng, &view), Some(dq));
-            p.on_success(ChoiceOp::Dequeue, dq, &view);
+            p.on_success(ChoiceOp::Dequeue, dq);
         }
     }
 
@@ -1001,7 +637,7 @@ mod tests {
         let mut p = Sticky::new(8);
         let iq = p.choose_insert(&mut rng, &view);
         let dq = p.choose_dequeue(&mut rng, &view).unwrap();
-        p.on_success(ChoiceOp::Dequeue, dq, &view);
+        p.on_success(ChoiceOp::Dequeue, dq);
         p.on_contention(ChoiceOp::Dequeue, dq);
         // Insert camp survives a dequeue contention.
         assert_eq!(p.choose_insert(&mut rng, &view), iq);
@@ -1010,10 +646,10 @@ mod tests {
         // zero, so it consults the hints again: observable through the
         // fresh-sample flag by camping anew on success).
         let fresh = p.choose_dequeue(&mut rng, &view).unwrap();
-        p.on_success(ChoiceOp::Dequeue, fresh, &view);
+        p.on_success(ChoiceOp::Dequeue, fresh);
         for _ in 0..7 {
             assert_eq!(p.choose_dequeue(&mut rng, &view), Some(fresh));
-            p.on_success(ChoiceOp::Dequeue, fresh, &view);
+            p.on_success(ChoiceOp::Dequeue, fresh);
         }
     }
 
@@ -1024,22 +660,22 @@ mod tests {
         let mut p = Sticky::new(8);
         let iq = p.choose_insert(&mut rng, &view);
         let dq = p.choose_dequeue(&mut rng, &view).unwrap();
-        p.on_success(ChoiceOp::Dequeue, dq, &view);
+        p.on_success(ChoiceOp::Dequeue, dq);
         // Poison on an unrelated queue disturbs neither camp.
         let other = (0..8).find(|q| *q != iq && *q != dq).unwrap();
         p.on_poisoned(ChoiceOp::Dequeue, other);
         assert_eq!(p.choose_insert(&mut rng, &view), iq);
         assert_eq!(p.choose_dequeue(&mut rng, &view), Some(dq));
-        p.on_success(ChoiceOp::Dequeue, dq, &view);
+        p.on_success(ChoiceOp::Dequeue, dq);
         // Poison on the camped dequeue queue evicts that camp; a camp
         // restarts on the next fresh success, never on the dead queue
         // implicitly.
         p.on_poisoned(ChoiceOp::Dequeue, dq);
         let fresh = p.choose_dequeue(&mut rng, &view).unwrap();
-        p.on_success(ChoiceOp::Dequeue, fresh, &view);
+        p.on_success(ChoiceOp::Dequeue, fresh);
         for _ in 0..7 {
             assert_eq!(p.choose_dequeue(&mut rng, &view), Some(fresh));
-            p.on_success(ChoiceOp::Dequeue, fresh, &view);
+            p.on_success(ChoiceOp::Dequeue, fresh);
         }
         // The insert camp (different queue) survived throughout.
         if iq != dq {
@@ -1048,131 +684,19 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_poison_evicts_camp_without_narrowing() {
-        let view = FakeView::new(vec![0, 1]);
-        let mut rng = Xoshiro256::new(22);
-        let mut p = AdaptiveSticky::new(8);
-        // Quiet camps widen s first.
-        for _ in 0..100 {
-            let q = p.choose_dequeue(&mut rng, &view).unwrap();
-            p.on_success(ChoiceOp::Dequeue, q, &view);
-        }
-        let wide = p.current();
-        assert!(wide > 1);
-        // Poison is not a congestion signal: s must be untouched.
-        p.on_poisoned(ChoiceOp::Dequeue, 0);
-        p.on_poisoned(ChoiceOp::Insert, 0);
-        assert_eq!(p.current(), wide, "poison must not narrow s");
-    }
-
-    #[test]
-    fn adaptive_never_exceeds_s_max_and_widens_when_quiet() {
-        let mut view = FakeView::new(vec![0, 1, 2, 3]);
-        let mut rng = Xoshiro256::new(11);
-        let s_max = 16;
-        let mut p = AdaptiveSticky::new(s_max);
-        assert_eq!(p.current(), 2);
-        // Quiet camps (generation advances exactly by our own ops):
-        // s must widen to s_max and never beyond.
-        for _ in 0..200 {
-            let q = p.choose_dequeue(&mut rng, &view).unwrap();
-            p.on_success(ChoiceOp::Dequeue, q, &view);
-            // Each success = one unlock = one generation bump.
-            view.gens[q] = view.gens[q].map(|g| g + 1);
-            assert!(p.current() <= s_max, "s {} > s_max", p.current());
-            assert!(p.observed_max() <= s_max);
-        }
-        assert_eq!(p.current(), s_max, "quiet run should widen to s_max");
-        assert!(p.envelope_factor() <= s_max as f64);
-    }
-
-    #[test]
-    fn adaptive_narrows_under_foreign_traffic_and_rearms() {
-        let mut view = FakeView::new(vec![0, 1, 2, 3]);
-        let mut rng = Xoshiro256::new(12);
-        let mut p = AdaptiveSticky::new(32);
-        // Foreign traffic: every generation jumps far beyond our ops.
-        for _ in 0..200 {
-            let q = p.choose_dequeue(&mut rng, &view).unwrap();
-            p.on_success(ChoiceOp::Dequeue, q, &view);
-            view.gens[q] = view.gens[q].map(|g| g + 100);
-        }
-        // The policy oscillates between the floor and a short-lived
-        // re-armed camp; it must never stay wide under foreign traffic.
-        assert!(p.current() <= 2, "contended run stuck at {}", p.current());
-        // Re-arm: after enough quiet successes at s = 1 it widens again.
-        for _ in 0..2 * ADAPTIVE_REARM {
-            let q = p.choose_dequeue(&mut rng, &view).unwrap();
-            p.on_success(ChoiceOp::Dequeue, q, &view);
-        }
-        assert!(p.current() > 1, "policy failed to re-arm");
-    }
-
-    #[test]
-    fn insert_and_dequeue_stickiness_diverge_under_asymmetric_load() {
-        let view = FakeView::new(vec![0, 1, 2, 3]);
-        let mut rng = Xoshiro256::new(14);
-        let mut p = AdaptiveSticky::new(32);
-        assert_eq!(p.current(), p.current_insert(), "both sides start equal");
-        // Asymmetric load, phase 1: every insert try-lock fails while
-        // dequeues run quiet (static generations = no foreign traffic).
-        for _ in 0..300 {
-            let q = p.choose_insert(&mut rng, &view);
-            p.on_contention(ChoiceOp::Insert, q);
-            let q = p.choose_dequeue(&mut rng, &view).unwrap();
-            p.on_success(ChoiceOp::Dequeue, q, &view);
-        }
-        assert_eq!(p.current_insert(), 1, "contended insert side must collapse");
-        assert_eq!(p.current(), 32, "quiet dequeue side must widen to s_max");
-        // Phase 2, roles reversed: quiet inserts re-widen their side via
-        // the uncontended streak while dequeue contention collapses only
-        // the dequeue camp length.
-        for _ in 0..300 {
-            let q = p.choose_insert(&mut rng, &view);
-            p.on_success(ChoiceOp::Insert, q, &view);
-            let q = p.choose_dequeue(&mut rng, &view).unwrap();
-            p.on_contention(ChoiceOp::Dequeue, q);
-        }
-        assert_eq!(p.current_insert(), 32, "quiet insert side must re-widen");
-        assert_eq!(p.current(), 1, "contended dequeue side must collapse");
-        // The envelope covers the widest camp either side reached.
-        assert_eq!(p.envelope_factor(), 32.0);
-    }
-
-    #[test]
-    fn adaptive_contention_narrows_immediately() {
-        let view = FakeView::new(vec![0, 1]);
-        let mut rng = Xoshiro256::new(13);
-        let mut p = AdaptiveSticky::new(8);
-        // Force s wide first.
-        for _ in 0..100 {
-            let q = p.choose_dequeue(&mut rng, &view).unwrap();
-            p.on_success(ChoiceOp::Dequeue, q, &view);
-        }
-        let before = p.current();
-        p.on_contention(ChoiceOp::Dequeue, 0);
-        assert!(p.current() < before.max(2));
-    }
-
-    #[test]
     fn policy_cfg_roundtrip_and_labels() {
         assert_eq!(PolicyCfg::default(), PolicyCfg::TwoChoice);
         assert!(PolicyCfg::TwoChoice.is_default());
         assert!(PolicyCfg::Sticky { ops: 1 }.is_default());
         assert!(!PolicyCfg::Sticky { ops: 8 }.is_default());
-        assert!(!PolicyCfg::AdaptiveSticky { s_max: 4 }.is_default());
         assert_eq!(PolicyCfg::TwoChoice.label(), "two-choice");
         assert_eq!(PolicyCfg::Sticky { ops: 8 }.label(), "sticky(s=8)");
         assert_eq!(PolicyCfg::DChoice { d: 4 }.label(), "d-choice(d=4)");
-        assert_eq!(
-            PolicyCfg::AdaptiveSticky { s_max: 16 }.label(),
-            "adaptive(s_max=16)"
-        );
         assert_eq!(PolicyCfg::Sticky { ops: 8 }.envelope_factor(), 8.0);
         assert_eq!(PolicyCfg::TwoChoice.envelope_factor(), 1.0);
         assert!(PolicyCfg::DChoice { d: 1 }.envelope_factor().is_infinite());
-        match (PolicyCfg::AdaptiveSticky { s_max: 0 }).build() {
-            AnyPolicy::AdaptiveSticky(p) => assert_eq!(p.s_max(), 1),
+        match (PolicyCfg::Sticky { ops: 0 }).build() {
+            AnyPolicy::Sticky(p) => assert_eq!(p.ops(), 1),
             other => panic!("wrong build: {other:?}"),
         }
     }
@@ -1188,8 +712,6 @@ mod tests {
             ("sticky=16", PolicyCfg::Sticky { ops: 16 }),
             ("sticky16", PolicyCfg::Sticky { ops: 16 }),
             ("Sticky(s=8)", PolicyCfg::Sticky { ops: 8 }),
-            ("adaptive=16", PolicyCfg::AdaptiveSticky { s_max: 16 }),
-            ("adaptive8", PolicyCfg::AdaptiveSticky { s_max: 8 }),
         ] {
             assert_eq!(PolicyCfg::parse(text), Ok(want), "{text}");
             // FromStr delegates.
@@ -1200,7 +722,6 @@ mod tests {
             PolicyCfg::TwoChoice,
             PolicyCfg::DChoice { d: 3 },
             PolicyCfg::Sticky { ops: 16 },
-            PolicyCfg::AdaptiveSticky { s_max: 16 },
         ] {
             assert_eq!(PolicyCfg::parse(&cfg.label()), Ok(cfg), "{}", cfg.label());
         }
@@ -1217,6 +738,15 @@ mod tests {
         ] {
             assert!(PolicyCfg::parse(bad).is_err(), "{bad} should not parse");
         }
+        // The removed adaptive policy is an unknown name in every form it
+        // used to take, and the message lists exactly the accepted ones.
+        for gone in ["adaptive=16", "adaptive8", "adaptive(s_max=16)"] {
+            let e = PolicyCfg::parse(gone).expect_err(gone);
+            assert!(
+                e.ends_with("(expected two-choice, d-choice=N or sticky=N)"),
+                "{e}"
+            );
+        }
     }
 
     #[test]
@@ -1226,7 +756,6 @@ mod tests {
             PolicyCfg::TwoChoice,
             PolicyCfg::DChoice { d: 3 },
             PolicyCfg::Sticky { ops: 4 },
-            PolicyCfg::AdaptiveSticky { s_max: 8 },
         ] {
             let mut r1 = Xoshiro256::new(77);
             let mut r2 = Xoshiro256::new(77);
@@ -1244,10 +773,6 @@ mod tests {
                 }
                 PolicyCfg::Sticky { ops } => {
                     let mut p = Sticky::new(ops);
-                    Box::new(move |r, v| p.choose_dequeue(r, v))
-                }
-                PolicyCfg::AdaptiveSticky { s_max } => {
-                    let mut p = AdaptiveSticky::new(s_max);
                     Box::new(move |r, v| p.choose_dequeue(r, v))
                 }
             };

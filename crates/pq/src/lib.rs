@@ -8,11 +8,11 @@
 //!
 //! * [`SeqPriorityQueue`] — the sequential interface (`add`, `delete_min`,
 //!   `read_min`) that the paper's MultiQueue builds on.
-//! * Three interchangeable implementations with different constant-factor
-//!   trade-offs: [`BinaryHeap`], [`PairingHeap`] and [`SkipListPq`]. All of
-//!   them break priority ties in FIFO order using an internal sequence
-//!   number, which is what gives the MultiQueue its queue-like semantics
-//!   when priorities are timestamps.
+//! * [`BinaryHeap`] — the one implementation: an array heap that breaks
+//!   priority ties in FIFO order using an internal sequence number,
+//!   which is what gives the MultiQueue its queue-like semantics when
+//!   priorities are timestamps. A pairing heap and a skip list were
+//!   measured against it and removed (README, "Verdicts").
 //! * [`Backoff`] — exponential backoff (spin, then yield) for contended
 //!   retry loops.
 //! * [`CachePadded`] — 128-byte cache-line padding, shared with
@@ -25,9 +25,9 @@
 //!   false sharing. [`LockedPq::attempt`] — one whole operation as a
 //!   closure, ending in an [`Attempt`] — is the surface the
 //!   MultiQueue's operation loop drives. It is the only per-queue
-//!   concurrency discipline: a lock-free claim/drain queue and a flat
-//!   combiner were measured against it and removed (README, "Why one
-//!   per-queue substrate").
+//!   concurrency discipline: a lock-free claim/drain queue, a flat
+//!   combiner and a `std::sync::Mutex` twin of the packed lock were
+//!   measured against it and removed (README, "Verdicts").
 //! * [`CoarsePq`] — an exact concurrent priority queue (one global lock),
 //!   used as the non-relaxed baseline in benchmarks.
 //! * [`ContentionStats`] — plain-`u64`, single-owner hot-path counters
@@ -42,19 +42,14 @@ pub mod binary_heap;
 pub mod coarse;
 pub mod locked;
 pub mod padded;
-pub mod pairing_heap;
-pub mod parking_lot;
-pub mod skiplist;
 pub mod spinlock;
 pub mod stats;
 pub mod traits;
 
 pub use binary_heap::BinaryHeap;
 pub use coarse::CoarsePq;
-pub use locked::{Attempt, LockedPq, ParkingLotPq, PqGuard};
+pub use locked::{Attempt, LockedPq, PqGuard};
 pub use padded::CachePadded;
-pub use pairing_heap::PairingHeap;
-pub use skiplist::SkipListPq;
 pub use spinlock::Backoff;
 pub use stats::ContentionStats;
 pub use traits::{ConcurrentPq, SeqPriorityQueue};

@@ -45,17 +45,12 @@
 //! `attempt`, [`lock`](LockedPq::lock), [`try_lock`](LockedPq::try_lock)
 //! and [`salvage_lock`](LockedPq::salvage_lock) are four disciplines
 //! over one acquire loop.
-//!
-//! [`ParkingLotPq`] is the same interface over `parking_lot::Mutex`,
-//! used by the lock ablation benchmark; it keeps the separate-words
-//! layout and thereby doubles as the "unpacked" baseline.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::binary_heap::BinaryHeap;
 use crate::padded::CachePadded;
-use crate::parking_lot;
 use crate::spinlock::Backoff;
 use crate::stats::ContentionStats;
 use crate::traits::{ConcurrentPq, SeqPriorityQueue};
@@ -150,19 +145,6 @@ pub mod header {
     #[inline]
     pub const fn count(word: u64) -> u64 {
         word & COUNT_MASK
-    }
-
-    /// Wrapping distance from generation `from` to generation `to`
-    /// within the [`GEN_BITS`]-bit field.
-    ///
-    /// The generation bumps once per unlock, so this is "how many
-    /// critical sections completed on the queue between two snapshots"
-    /// — the cheap change-rate signal adaptive choice policies consume.
-    /// Both arguments are field values (as returned by
-    /// [`generation`]), not packed words.
-    #[inline]
-    pub const fn gen_delta(from: u64, to: u64) -> u64 {
-        to.wrapping_sub(from) & ((1 << GEN_BITS) - 1)
     }
 }
 
@@ -539,76 +521,6 @@ impl<V, Q: SeqPriorityQueue<u64, V>> Drop for PqGuard<'_, V, Q> {
     }
 }
 
-/// [`LockedPq`]'s twin over `parking_lot::Mutex`, for the lock ablation.
-///
-/// Under heavy contention an OS-assisted lock parks waiting threads
-/// instead of burning cycles; the ablation benchmark quantifies what
-/// that costs on the short critical sections of a MultiQueue. It keeps
-/// the original three-word layout (mutex, hint, count), so it also
-/// serves as the unpacked baseline for the packed-header comparison.
-#[derive(Debug)]
-pub struct ParkingLotPq<V, Q = BinaryHeap<u64, V>>
-where
-    Q: SeqPriorityQueue<u64, V>,
-{
-    inner: parking_lot::Mutex<Q>,
-    top: AtomicU64,
-    count: AtomicUsize,
-    _marker: std::marker::PhantomData<fn() -> V>,
-}
-
-impl<V, Q: SeqPriorityQueue<u64, V>> ParkingLotPq<V, Q> {
-    /// Wraps a sequential queue.
-    pub fn new(queue: Q) -> Self {
-        let top = queue.read_min().map(|(p, _)| *p).unwrap_or(EMPTY_HINT);
-        let count = queue.len();
-        ParkingLotPq {
-            inner: parking_lot::Mutex::new(queue),
-            top: AtomicU64::new(top),
-            count: AtomicUsize::new(count),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    fn publish(&self, guard: &parking_lot::MutexGuard<'_, Q>) {
-        let top = guard.read_min().map(|(p, _)| *p).unwrap_or(EMPTY_HINT);
-        if self.top.load(Ordering::Relaxed) != top {
-            self.top.store(top, Ordering::Release);
-        }
-        self.count.store(guard.len(), Ordering::Release);
-    }
-}
-
-impl<V, Q: SeqPriorityQueue<u64, V> + Default> Default for ParkingLotPq<V, Q> {
-    fn default() -> Self {
-        Self::new(Q::default())
-    }
-}
-
-impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> ConcurrentPq<V> for ParkingLotPq<V, Q> {
-    fn insert(&self, priority: u64, value: V) {
-        let mut guard = self.inner.lock();
-        guard.add(priority, value);
-        self.publish(&guard);
-    }
-
-    fn remove_min(&self) -> Option<(u64, V)> {
-        let mut guard = self.inner.lock();
-        let out = guard.delete_min();
-        self.publish(&guard);
-        out
-    }
-
-    #[inline]
-    fn min_hint(&self) -> u64 {
-        self.top.load(Ordering::Acquire)
-    }
-
-    fn approx_len(&self) -> usize {
-        self.count.load(Ordering::Acquire)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,7 +597,7 @@ mod tests {
                 .count()
         });
         assert_eq!(pushed, Attempt::Ran(3));
-        assert_eq!(header::gen_delta(g0, q.generation().unwrap()), 1);
+        assert_eq!(q.generation().unwrap(), g0 + 1);
         assert_eq!(stats.hint_republishes, 1, "4, then 1, published once as 1");
         assert_eq!(q.approx_len(), 3);
         let mut got = Vec::new();
@@ -694,7 +606,7 @@ mod tests {
         });
         assert_eq!(popped, Attempt::Ran(()));
         assert_eq!(got, vec![(1, 10), (4, 40)]);
-        assert_eq!(header::gen_delta(g0, q.generation().unwrap()), 2);
+        assert_eq!(q.generation().unwrap(), g0 + 2);
         assert_eq!(stats.hint_republishes, 2);
     }
 
@@ -817,24 +729,6 @@ mod tests {
             assert_eq!(header::generation(w), gen & ((1 << header::GEN_BITS) - 1));
             assert_eq!(header::count(w), count.min(header::COUNT_MASK));
         }
-    }
-
-    #[test]
-    fn gen_delta_counts_unlocks_and_wraps() {
-        assert_eq!(header::gen_delta(0, 0), 0);
-        assert_eq!(header::gen_delta(3, 10), 7);
-        // Wrap across the 23-bit field boundary.
-        let top = (1 << header::GEN_BITS) - 1;
-        assert_eq!(header::gen_delta(top, 0), 1);
-        assert_eq!(header::gen_delta(top - 1, 2), 4);
-        // Matches the observable generation stream of a real queue.
-        let q: LockedPq<u32> = LockedPq::default();
-        let g0 = q.generation().expect("unlocked");
-        q.insert(1, 1);
-        q.insert(2, 2);
-        q.remove_min();
-        let g1 = q.generation().expect("unlocked");
-        assert_eq!(header::gen_delta(g0, g1), 3);
     }
 
     #[test]
@@ -994,18 +888,6 @@ mod tests {
     }
 
     #[test]
-    fn parking_lot_variant_basics() {
-        let q: ParkingLotPq<char> = ParkingLotPq::default();
-        q.insert(2, 'b');
-        q.insert(1, 'a');
-        assert_eq!(q.min_hint(), 1);
-        assert_eq!(q.remove_min(), Some((1, 'a')));
-        assert_eq!(q.remove_min(), Some((2, 'b')));
-        assert_eq!(q.remove_min(), None);
-        assert_eq!(q.min_hint(), EMPTY_HINT);
-    }
-
-    #[test]
     fn header_pack_never_sets_poison_and_poison_preserves_fields() {
         let w = header::pack(true, 5, 9);
         assert!(!header::is_poisoned(w));
@@ -1087,15 +969,43 @@ mod tests {
         assert!(q.is_poisoned());
     }
 
+    /// A `Q` that is not [`BinaryHeap`]: an ordered map keyed by
+    /// (priority, arrival number), so ties leave in FIFO order.
+    #[derive(Default)]
+    struct MapQueue<V> {
+        map: std::collections::BTreeMap<(u64, u64), V>,
+        arrivals: u64,
+    }
+
+    impl<V> SeqPriorityQueue<u64, V> for MapQueue<V> {
+        fn add(&mut self, priority: u64, value: V) {
+            self.map.insert((priority, self.arrivals), value);
+            self.arrivals += 1;
+        }
+        fn delete_min(&mut self) -> Option<(u64, V)> {
+            self.map.pop_first().map(|((p, _), v)| (p, v))
+        }
+        fn read_min(&self) -> Option<(&u64, &V)> {
+            self.map.iter().next().map(|((p, _), v)| (p, v))
+        }
+        fn len(&self) -> usize {
+            self.map.len()
+        }
+        fn clear(&mut self) {
+            self.map.clear();
+        }
+    }
+
     #[test]
-    fn works_with_skiplist_substrate() {
-        use crate::skiplist::SkipListPq;
-        let q: LockedPq<u64, SkipListPq<u64, u64>> = LockedPq::new(SkipListPq::with_seed(3));
+    fn works_over_a_second_sequential_queue() {
+        let q: LockedPq<u64, MapQueue<u64>> = LockedPq::default();
         for i in (0..100u64).rev() {
             q.insert(i, i);
         }
+        assert_eq!(q.min_hint(), 0);
         for i in 0..100u64 {
             assert_eq!(q.remove_min(), Some((i, i)));
         }
+        assert_eq!(q.min_hint(), EMPTY_HINT);
     }
 }

@@ -20,11 +20,7 @@
 
 /// Per-thread contention counters for the relaxed-queue hot paths.
 ///
-/// All fields are monotone event counts except [`adaptive_s`] (a
-/// gauge, merged by maximum and preserved across [`take`]).
-///
-/// [`adaptive_s`]: ContentionStats::adaptive_s
-/// [`take`]: ContentionStats::take
+/// All fields are monotone event counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContentionStats {
     /// `try_lock` attempts that found the lock held by another thread.
@@ -40,15 +36,8 @@ pub struct ContentionStats {
     pub hint_republishes: u64,
     /// Dequeue attempts that ended with a confirmed-empty sweep.
     pub empty_confirms: u64,
-    /// Fresh camps started by a sticky (or adaptive-sticky) policy.
+    /// Fresh camps started by a sticky policy.
     pub camp_switches: u64,
-    /// Adaptive-`s` transitions that grew the camp length.
-    pub s_widens: u64,
-    /// Adaptive-`s` transitions that shrank the camp length.
-    pub s_narrows: u64,
-    /// Gauge: the adaptive policy's current camp length `s` (0 when no
-    /// adaptive policy is active). Merged by maximum, kept by `take`.
-    pub adaptive_s: u64,
 }
 
 impl ContentionStats {
@@ -68,8 +57,7 @@ impl ContentionStats {
         }
     }
 
-    /// Merges another thread's counters into this one: counts add,
-    /// the `adaptive_s` gauge takes the maximum.
+    /// Merges another thread's counters into this one.
     pub fn merge(&mut self, other: &ContentionStats) {
         self.try_lock_failures += other.try_lock_failures;
         self.cas_retries += other.cas_retries;
@@ -78,26 +66,16 @@ impl ContentionStats {
         self.hint_republishes += other.hint_republishes;
         self.empty_confirms += other.empty_confirms;
         self.camp_switches += other.camp_switches;
-        self.s_widens += other.s_widens;
-        self.s_narrows += other.s_narrows;
-        self.adaptive_s = self.adaptive_s.max(other.adaptive_s);
     }
 
     /// Drains the counters for one snapshot interval: returns the
-    /// current values and zeroes the counts in place. The `adaptive_s`
-    /// gauge is copied out but *kept* (it describes present state, not
-    /// an interval's events).
+    /// current values and zeroes them in place.
     pub fn take(&mut self) -> ContentionStats {
-        let out = *self;
-        *self = ContentionStats {
-            adaptive_s: self.adaptive_s,
-            ..ContentionStats::default()
-        };
-        out
+        std::mem::take(self)
     }
 
-    /// Sum of all event counts (the gauge excluded) — a cheap "did
-    /// anything contend at all" probe.
+    /// Sum of all event counts — a cheap "did anything contend at all"
+    /// probe.
     pub fn total_events(&self) -> u64 {
         self.try_lock_failures
             + self.cas_retries
@@ -106,18 +84,15 @@ impl ContentionStats {
             + self.hint_republishes
             + self.empty_confirms
             + self.camp_switches
-            + self.s_widens
-            + self.s_narrows
     }
 
-    /// `true` if no event has been recorded (gauge ignored).
+    /// `true` if no event has been recorded.
     pub fn is_empty(&self) -> bool {
         self.total_events() == 0
     }
 
-    /// The counter names and values in a fixed, export-stable order
-    /// (event counts first, then the gauge).
-    pub fn fields(&self) -> [(&'static str, u64); 10] {
+    /// The counter names and values in a fixed, export-stable order.
+    pub fn fields(&self) -> [(&'static str, u64); 7] {
         [
             ("try_lock_failures", self.try_lock_failures),
             ("cas_retries", self.cas_retries),
@@ -126,9 +101,6 @@ impl ContentionStats {
             ("hint_republishes", self.hint_republishes),
             ("empty_confirms", self.empty_confirms),
             ("camp_switches", self.camp_switches),
-            ("s_widens", self.s_widens),
-            ("s_narrows", self.s_narrows),
-            ("adaptive_s", self.adaptive_s),
         ]
     }
 }
@@ -146,20 +118,16 @@ mod tests {
             hint_republishes: seed + 4,
             empty_confirms: seed + 5,
             camp_switches: seed + 6,
-            s_widens: seed + 7,
-            s_narrows: seed + 8,
-            adaptive_s: seed % 7,
         }
     }
 
     #[test]
-    fn merge_adds_counts_and_maxes_gauge() {
+    fn merge_adds_counts() {
         let mut a = sample(10);
         let b = sample(3);
         a.merge(&b);
         assert_eq!(a.try_lock_failures, 13);
-        assert_eq!(a.s_narrows, 18 + 11);
-        assert_eq!(a.adaptive_s, 3); // max(10 % 7, 3 % 7)
+        assert_eq!(a.camp_switches, 16 + 9);
     }
 
     #[test]
@@ -175,16 +143,10 @@ mod tests {
     }
 
     #[test]
-    fn take_zeroes_counts_but_keeps_gauge() {
+    fn take_drains_and_zeroes() {
         let mut s = sample(5);
-        let drained = s.take();
-        assert_eq!(drained, sample(5));
-        assert!(s.is_empty());
-        assert_eq!(s.adaptive_s, 5, "gauge survives the drain");
-        // A second take returns only the gauge.
-        let again = s.take();
-        assert!(again.is_empty());
-        assert_eq!(again.adaptive_s, 5);
+        assert_eq!(s.take(), sample(5));
+        assert_eq!(s.take(), ContentionStats::new());
     }
 
     #[test]
@@ -201,12 +163,8 @@ mod tests {
     fn fields_cover_every_counter() {
         let s = sample(2);
         let f = s.fields();
-        assert_eq!(f.len(), 10);
-        let total: u64 = f
-            .iter()
-            .filter(|(n, _)| *n != "adaptive_s")
-            .map(|(_, v)| v)
-            .sum();
+        assert_eq!(f.len(), 7);
+        let total: u64 = f.iter().map(|(_, v)| v).sum();
         assert_eq!(total, s.total_events());
     }
 }

@@ -76,10 +76,10 @@ pub trait Worker {
     fn finish(&mut self) {}
 
     /// Drains backend-internal telemetry accumulated since the last
-    /// drain (hot-path contention counters, the policy's observed
-    /// envelope). Called by the engine at interval boundaries when the
-    /// scenario enables time-resolved telemetry; never called
-    /// otherwise, so counters cost nothing to backends that skip it.
+    /// drain (hot-path contention counters). Called by the engine at
+    /// interval boundaries when the scenario enables time-resolved
+    /// telemetry; never called otherwise, so counters cost nothing to
+    /// backends that skip it.
     /// `None` (the default) means the backend records none.
     fn telemetry_sample(&mut self) -> Option<TelemetrySample> {
         None

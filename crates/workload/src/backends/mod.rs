@@ -38,11 +38,7 @@ pub fn roster(scenario: &Scenario) -> Vec<Box<dyn Backend>> {
             let m = (4 * n).max(8);
             let mut backends: Vec<Box<dyn Backend>> = vec![
                 Box::new(MultiQueueBackend::heap(m, DeleteMode::Strict)),
-                Box::new(MultiQueueBackend::skiplist(
-                    m,
-                    DeleteMode::TryLock,
-                    scenario.seed,
-                )),
+                Box::new(MultiQueueBackend::heap(m, DeleteMode::TryLock)),
                 Box::new(ConcurrentPqBackend::coarse()),
                 Box::new(ConcurrentPqBackend::locked_heap()),
             ];

@@ -1,6 +1,5 @@
-//! Queue-family backends: the MultiQueue (any sequential substrate,
-//! both delete modes, any choice policy) and every linearizable
-//! `dlz-pq` queue.
+//! Queue-family backends: the MultiQueue (both delete modes, any choice
+//! policy) and every linearizable `dlz-pq` queue.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -8,11 +7,8 @@ use std::sync::Mutex;
 use dlz_core::spec::{
     check_distributional, Event, History, HistoryArtifact, PqOp, PqSpec, StampClock, ThreadLog,
 };
-use dlz_core::{AnyPolicy, ChoicePolicy, DeleteMode, MqHandle, MultiQueue, PolicyCfg};
-use dlz_pq::{
-    BinaryHeap, CoarsePq, ConcurrentPq, LockedPq, PairingHeap, ParkingLotPq, SeqPriorityQueue,
-    SkipListPq,
-};
+use dlz_core::{DeleteMode, MqHandle, MultiQueue, PolicyCfg};
+use dlz_pq::{BinaryHeap, CoarsePq, ConcurrentPq, LockedPq};
 
 use crate::backend::{Backend, QualityReport, QualitySummary, Worker, WorkerCfg};
 use crate::metrics::TelemetrySample;
@@ -34,22 +30,10 @@ struct QueueQuality {
     /// time — a priority-space proxy for dequeue rank, exact-ish when
     /// priorities are dense and monotone.
     proxies: Mutex<Vec<f64>>,
-    /// Widest policy envelope factor any worker observed this run
-    /// (0 = no worker reported; fall back to the a-priori factor).
-    factor: Mutex<f64>,
     /// The last run's history, packaged for export. Stashed by
     /// `quality()` (which replays it), drained by
     /// `take_history_artifact()`.
     artifact: Mutex<Option<HistoryArtifact>>,
-}
-
-impl QueueQuality {
-    fn note_factor(&self, f: f64) {
-        let mut g = self.factor.lock().expect("factor");
-        if f.is_finite() && f > *g {
-            *g = f;
-        }
-    }
 }
 
 /// The paper's MultiQueue behind the [`Backend`] interface.
@@ -62,84 +46,31 @@ impl QueueQuality {
 /// distribution of Theorem 7.1.
 ///
 /// Every worker operates through its own [`MqHandle`], so the
-/// scenario's `choice_policy` dimension (two-choice, d-choice, static
-/// or adaptive stickiness) is per-worker state by construction; the
+/// scenario's `choice_policy` dimension (two-choice, d-choice,
+/// stickiness) is per-worker state by construction; the
 /// `batch` dimension buffers `k` ops per lock acquisition on top.
 /// History mode stamps individual operations, so it honours the policy
 /// but ignores batching. The quality report carries the policy's rank
 /// envelope — `RANK_BOUND_C · factor · m`, where `factor` is the
-/// widest [`envelope_factor`](dlz_core::ChoicePolicy::envelope_factor)
-/// any worker observed (`s` for sticky policies, the observed max `s`
-/// for adaptive ones).
+/// policy's [`envelope_factor`](PolicyCfg::envelope_factor) (`s` for
+/// sticky policies).
 #[derive(Debug)]
-pub struct MultiQueueBackend<Q = BinaryHeap<u64, u64>>
-where
-    Q: SeqPriorityQueue<u64, u64> + Send,
-{
-    mq: MultiQueue<u64, Q>,
+pub struct MultiQueueBackend {
+    mq: MultiQueue<u64>,
     batch: usize,
     label: String,
     clock: StampClock,
     quality: QueueQuality,
 }
 
-impl MultiQueueBackend<BinaryHeap<u64, u64>> {
-    /// Binary-heap substrate (the default configuration: two-choice,
-    /// unbatched).
+impl MultiQueueBackend {
+    /// The default configuration: two-choice, unbatched.
     pub fn heap(m: usize, mode: DeleteMode) -> Self {
         Self::heap_policy(m, mode, PolicyCfg::TwoChoice, 1)
     }
 
-    /// Binary-heap substrate with an explicit choice policy and batch
-    /// size — the configurations the `mq-hotpath` scenarios measure.
+    /// An explicit choice policy and batch size.
     pub fn heap_policy(m: usize, mode: DeleteMode, policy: PolicyCfg, batch: usize) -> Self {
-        Self::with_queues(
-            (0..m).map(|_| BinaryHeap::new()).collect(),
-            mode,
-            policy,
-            batch,
-            "heap",
-        )
-    }
-}
-
-impl MultiQueueBackend<PairingHeap<u64, u64>> {
-    /// Pairing-heap substrate.
-    pub fn pairing(m: usize, mode: DeleteMode) -> Self {
-        Self::with_queues(
-            (0..m).map(|_| PairingHeap::new()).collect(),
-            mode,
-            PolicyCfg::TwoChoice,
-            1,
-            "pairing",
-        )
-    }
-}
-
-impl MultiQueueBackend<SkipListPq<u64, u64>> {
-    /// Skip-list substrate.
-    pub fn skiplist(m: usize, mode: DeleteMode, seed: u64) -> Self {
-        Self::with_queues(
-            (0..m)
-                .map(|i| SkipListPq::with_seed(seed ^ i as u64))
-                .collect(),
-            mode,
-            PolicyCfg::TwoChoice,
-            1,
-            "skiplist",
-        )
-    }
-}
-
-impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueBackend<Q> {
-    fn with_queues(
-        queues: Vec<Q>,
-        mode: DeleteMode,
-        policy: PolicyCfg,
-        batch: usize,
-        seq: &str,
-    ) -> Self {
-        let m = queues.len();
         let batch = batch.max(1);
         let mode_tag = match mode {
             DeleteMode::Strict => "strict",
@@ -151,16 +82,16 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueBackend<Q> {
             String::new()
         };
         MultiQueueBackend {
-            mq: MultiQueue::with_config(queues, mode, policy),
+            mq: MultiQueue::with_config((0..m).map(|_| BinaryHeap::new()).collect(), mode, policy),
             batch,
-            label: format!("multiqueue-{seq}(m={m},{mode_tag}{tuning})"),
+            label: format!("multiqueue-heap(m={m},{mode_tag}{tuning})"),
             clock: StampClock::new(),
             quality: QueueQuality::default(),
         }
     }
 
     /// The wrapped MultiQueue.
-    pub fn multiqueue(&self) -> &MultiQueue<u64, Q> {
+    pub fn multiqueue(&self) -> &MultiQueue<u64> {
         &self.mq
     }
 
@@ -173,25 +104,9 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueBackend<Q> {
     pub fn batch(&self) -> usize {
         self.batch
     }
-
-    /// The rank envelope for a given factor: `RANK_BOUND_C · f · m`.
-    fn rank_bound(&self, factor: f64) -> f64 {
-        RANK_BOUND_C * factor * self.mq.num_queues() as f64
-    }
-
-    /// The factor the report uses: widest worker-observed factor when
-    /// any worker reported one, else the policy's a-priori factor.
-    fn report_factor(&self) -> f64 {
-        let observed = std::mem::take(&mut *self.quality.factor.lock().expect("factor"));
-        if observed > 0.0 {
-            observed
-        } else {
-            self.mq.policy().envelope_factor()
-        }
-    }
 }
 
-impl<Q: SeqPriorityQueue<u64, u64> + Send> Backend for MultiQueueBackend<Q> {
+impl Backend for MultiQueueBackend {
     fn name(&self) -> String {
         self.label.clone()
     }
@@ -242,8 +157,8 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> Backend for MultiQueueBackend<Q> {
         // The policy's envelope: expected rank O(factor·m), with the
         // same generous constant the test suite uses for the
         // two-choice Theorem 7.1 checks.
-        let factor = self.report_factor();
-        let rank_bound = self.rank_bound(factor);
+        let factor = self.mq.policy().envelope_factor();
+        let rank_bound = RANK_BOUND_C * factor * m;
         if !logs.is_empty() {
             let history = History::from_logs(logs);
             let outcome = check_distributional(&PqSpec, &history);
@@ -305,7 +220,7 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> Backend for MultiQueueBackend<Q> {
                 }
             }
             // Package the checked history for export: the policy label
-            // and (observed) envelope factor travel with the events.
+            // and envelope factor travel with the events.
             *self.quality.artifact.lock().expect("artifact") = Some(HistoryArtifact::pq(
                 history,
                 self.mq.policy().label(),
@@ -334,10 +249,10 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> Backend for MultiQueueBackend<Q> {
     }
 }
 
-struct MultiQueueWorker<'a, Q: SeqPriorityQueue<u64, u64> + Send> {
-    backend: &'a MultiQueueBackend<Q>,
+struct MultiQueueWorker<'a> {
+    backend: &'a MultiQueueBackend,
     /// The worker's operational surface: private RNG + policy instance.
-    handle: MqHandle<'a, u64, Q, AnyPolicy>,
+    handle: MqHandle<'a, u64>,
     thread: usize,
     log: Option<ThreadLog<PqOp>>,
     quality_every: u32,
@@ -360,7 +275,7 @@ struct MultiQueueWorker<'a, Q: SeqPriorityQueue<u64, u64> + Send> {
     settled: bool,
 }
 
-impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueWorker<'_, Q> {
+impl MultiQueueWorker<'_> {
     fn flush_pending(&mut self) {
         if !self.pending_inserts.is_empty() {
             self.handle.insert_batch(self.pending_inserts.drain(..));
@@ -393,7 +308,7 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueWorker<'_, Q> {
     }
 }
 
-impl<Q: SeqPriorityQueue<u64, u64> + Send> Worker for MultiQueueWorker<'_, Q> {
+impl Worker for MultiQueueWorker<'_> {
     fn execute(&mut self, op: &Op) -> bool {
         let clock = &self.backend.clock;
         match op.kind {
@@ -500,17 +415,11 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> Worker for MultiQueueWorker<'_, Q> {
 
     fn telemetry_sample(&mut self) -> Option<TelemetrySample> {
         // Drains the handle's plain-u64 counters (which flushes the
-        // policy's pending camp/adaptation events first) — the engine
-        // calls this only at interval boundaries, so nothing here
-        // touches the op hot path.
-        let envelope_factor = self.handle.policy().envelope_factor();
+        // policy's pending camp events first) — the engine calls this
+        // only at interval boundaries, so nothing here touches the op
+        // hot path.
         Some(TelemetrySample {
             contention: self.handle.take_contention(),
-            envelope_factor: if envelope_factor.is_finite() {
-                envelope_factor
-            } else {
-                0.0
-            },
         })
     }
 
@@ -519,7 +428,7 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> Worker for MultiQueueWorker<'_, Q> {
     }
 }
 
-impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueWorker<'_, Q> {
+impl MultiQueueWorker<'_> {
     /// Flush buffered updates, then return undelivered prefetched
     /// entries (already removed from the MultiQueue but never handed
     /// to an op) so the conservation law sees them as residual, and
@@ -545,15 +454,10 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueWorker<'_, Q> {
             .lock()
             .expect("proxies")
             .append(&mut self.proxies);
-        // The policy's observed envelope (e.g. adaptive stickiness'
-        // widest s) feeds the reported rank bound.
-        self.backend
-            .quality
-            .note_factor(self.handle.policy().envelope_factor());
     }
 }
 
-impl<Q: SeqPriorityQueue<u64, u64> + Send> Drop for MultiQueueWorker<'_, Q> {
+impl Drop for MultiQueueWorker<'_> {
     fn drop(&mut self) {
         // The engine catches worker panics *before* dropping the
         // worker, so the salvage path runs outside any unwind. If we
@@ -566,8 +470,8 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> Drop for MultiQueueWorker<'_, Q> {
 }
 
 /// Any linearizable [`ConcurrentPq`] behind the [`Backend`] interface —
-/// [`CoarsePq`], [`LockedPq`], [`ParkingLotPq`] (and, via its trait
-/// impl, the MultiQueue itself when thread-local randomness is fine).
+/// [`CoarsePq`], [`LockedPq`] (and, via its trait impl, the MultiQueue
+/// itself when thread-local randomness is fine).
 #[derive(Debug)]
 pub struct ConcurrentPqBackend<C: ConcurrentPq<u64>> {
     pq: C,
@@ -587,13 +491,6 @@ impl ConcurrentPqBackend<LockedPq<u64, BinaryHeap<u64, u64>>> {
     /// One spinlocked binary heap (exact, hint-published).
     pub fn locked_heap() -> Self {
         Self::new(LockedPq::new(BinaryHeap::new()), "locked-heap", true)
-    }
-}
-
-impl ConcurrentPqBackend<ParkingLotPq<u64, BinaryHeap<u64, u64>>> {
-    /// One OS-mutex binary heap (exact, hint-published).
-    pub fn parking_heap() -> Self {
-        Self::new(ParkingLotPq::new(BinaryHeap::new()), "parking-heap", true)
     }
 }
 
@@ -760,13 +657,10 @@ mod tests {
     }
 
     #[test]
-    fn substrate_and_exact_backends_conserve() {
+    fn exact_backends_conserve() {
         let backends: Vec<Box<dyn Backend>> = vec![
-            Box::new(MultiQueueBackend::pairing(4, DeleteMode::TryLock)),
-            Box::new(MultiQueueBackend::skiplist(4, DeleteMode::Strict, 3)),
             Box::new(ConcurrentPqBackend::coarse()),
             Box::new(ConcurrentPqBackend::locked_heap()),
-            Box::new(ConcurrentPqBackend::parking_heap()),
         ];
         for b in &backends {
             let counts = drive(b.as_ref(), 1_000, false);
@@ -789,23 +683,6 @@ mod tests {
             assert_eq!(q.get("batch"), Some(8.0));
             assert!(q.get("rank_bound_policy").unwrap_or(0.0) > 0.0);
         }
-    }
-
-    #[test]
-    fn adaptive_backend_reports_observed_factor() {
-        let b = MultiQueueBackend::heap_policy(
-            8,
-            DeleteMode::Strict,
-            PolicyCfg::AdaptiveSticky { s_max: 8 },
-            1,
-        );
-        assert!(b.name().contains("adaptive(s_max=8)"), "{}", b.name());
-        let counts = drive(&b, 4_000, false);
-        b.verify(&counts).expect("conservation");
-        let q = b.quality();
-        let f = q.get("policy_factor").expect("factor");
-        assert!((1.0..=8.0).contains(&f), "observed factor {f} out of range");
-        assert!(q.get("rank_bound_policy").unwrap_or(0.0) >= RANK_BOUND_C * 8.0);
     }
 
     #[test]

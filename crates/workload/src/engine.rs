@@ -28,7 +28,6 @@ use std::time::{Duration, Instant};
 use dlz_core::rng::{Rng64, Xoshiro256};
 
 use crate::backend::{Backend, Worker, WorkerCfg};
-use crate::calibration;
 use crate::clients::{ArrivalShape, ClientReport, ClientSet, ClientStats};
 use crate::dist::{Arrival, Sampler};
 use crate::faults::WorkerFaults;
@@ -279,7 +278,6 @@ impl<'m> IntervalTracker<'m> {
             counts: m.counts,
             latency: m.latency,
             contention: sample.contention,
-            envelope_factor: sample.envelope_factor,
         };
         if let Some(slot) = self.mirror {
             *slot.lock().expect("snapshot mirror") = Some(snap.clone());
@@ -547,34 +545,6 @@ fn run_cell(scenario: &Scenario, backend: &dyn Backend, cell: Option<&SweepCell>
             if let Err(e) = export_prometheus(dir, &report) {
                 eprintln!("warning: {e}");
                 report.export_errors.push(e);
-            }
-        }
-        // Rank-proxy calibration store: history runs deposit their
-        // checker-exact ratio; proxy-only runs with a stored factor for
-        // the same (backend, policy, skew) report a corrected-rank
-        // estimate next to the raw proxy.
-        let key = calibration::CalibrationKey::new(
-            &report.backend,
-            &scenario.choice_policy.label(),
-            &scenario.priorities.label(),
-        );
-        if let Some(c) = report.rank_proxy_calibration {
-            if let Err(e) = calibration::record(dir, &key, c) {
-                eprintln!("warning: {e}");
-                report.export_errors.push(e);
-            }
-        } else if report.quality.metric == "dequeue_rank_proxy" {
-            if let Some(factor) = calibration::lookup(dir, &key) {
-                if let Some(s) = report.quality.summary.filter(|s| s.count > 0) {
-                    report
-                        .quality
-                        .scalars
-                        .push(("rank_proxy_calibration_applied".to_string(), factor));
-                    report
-                        .quality
-                        .scalars
-                        .push(("rank_corrected_mean".to_string(), s.mean * factor));
-                }
             }
         }
     }
@@ -1378,7 +1348,7 @@ mod tests {
         let b = MultiQueueBackend::heap_policy(
             8,
             DeleteMode::TryLock,
-            PolicyCfg::AdaptiveSticky { s_max: 16 },
+            PolicyCfg::Sticky { ops: 16 },
             1,
         );
         let r = run(&s, &b);
@@ -1395,15 +1365,14 @@ mod tests {
         assert_eq!(totals.reads, r.counts.reads);
         assert_eq!(totals.prefill, 0);
         assert_eq!(r.counts.prefill, 1_000);
-        // Contention counters flowed through the snapshots, and the
-        // adaptive gauge was reported.
+        // Contention counters flowed through the snapshots.
         let c = t.total_contention();
-        assert!(c.adaptive_s >= 1, "adaptive gauge missing: {c:?}");
+        assert!(c.camp_switches >= 1, "sticky camps missing: {c:?}");
         // The series renders into the report JSON.
         let j = r.to_json();
         assert!(j.contains("\"telemetry\":{"), "{j}");
         assert!(j.contains("\"interval_ms\":2"), "{j}");
-        assert!(j.contains("\"adaptive_s\":"), "{j}");
+        assert!(j.contains("\"camp_switches\":"), "{j}");
         // Telemetry stays off (and out of the JSON) by default.
         let plain = run(
             &small("t-plain-telemetry", Family::Queue)
@@ -1634,74 +1603,12 @@ mod tests {
     }
 
     #[test]
-    fn calibration_store_feeds_corrected_rank_to_proxy_runs() {
-        let dir = std::env::temp_dir().join(format!("dlz-engine-calstore-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cal = small("t-calstore", Family::Queue)
-            .threads(1)
-            .mix(OpMix::new(50, 50, 0))
-            .budget(Budget::OpsPerWorker(3_000))
-            .prefill(500)
-            .priorities(Dist::Uniform { n: 1 << 20 })
-            .quality_every(4)
-            .record_history(true)
-            .export(dir.clone())
-            .build();
-        let b = MultiQueueBackend::heap(8, DeleteMode::Strict);
-        let r = run(&cal, &b);
-        assert!(r.verified(), "{:?}", r.verify_error);
-        let c = r.rank_proxy_calibration.expect("history run calibrates");
-        // The history run deposited its factor in the store, keyed by
-        // (backend, policy, skew).
-        let key = calibration::CalibrationKey::new(
-            &r.backend,
-            &cal.choice_policy.label(),
-            &cal.priorities.label(),
-        );
-        assert_eq!(calibration::lookup(&dir, &key), Some(c));
-        // A proxy-only run with the same key reports a corrected-rank
-        // estimate next to the raw proxy.
-        let proxy = small("t-calstore", Family::Queue)
-            .threads(1)
-            .mix(OpMix::new(50, 50, 0))
-            .budget(Budget::OpsPerWorker(3_000))
-            .prefill(500)
-            .priorities(Dist::Uniform { n: 1 << 20 })
-            .quality_every(4)
-            .export(dir.clone())
-            .build();
-        let p = run(&proxy, &MultiQueueBackend::heap(8, DeleteMode::Strict));
-        assert!(p.verified());
-        assert_eq!(p.quality.metric, "dequeue_rank_proxy");
-        assert_eq!(p.quality.get("rank_proxy_calibration_applied"), Some(c));
-        let raw = p.quality.summary.expect("proxy sampled").mean;
-        let corrected = p.quality.get("rank_corrected_mean").expect("corrected");
-        assert!(
-            (corrected - raw * c).abs() < 1e-9,
-            "{corrected} vs {raw}*{c}"
-        );
-        // A different skew misses the store: no corrected estimate.
-        let other = small("t-calstore", Family::Queue)
-            .threads(1)
-            .mix(OpMix::new(50, 50, 0))
-            .budget(Budget::OpsPerWorker(1_000))
-            .prefill(500)
-            .quality_every(4)
-            .export(dir.clone())
-            .build();
-        let o = run(&other, &MultiQueueBackend::heap(8, DeleteMode::Strict));
-        assert!(o.quality.get("rank_corrected_mean").is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn injected_panic_is_tolerated_under_every_policy() {
         use dlz_core::PolicyCfg;
         for policy in [
             PolicyCfg::TwoChoice,
             PolicyCfg::DChoice { d: 4 },
             PolicyCfg::Sticky { ops: 8 },
-            PolicyCfg::AdaptiveSticky { s_max: 8 },
         ] {
             let s = small("t-chaos-policy", Family::Queue)
                 .threads(4)
@@ -1844,16 +1751,11 @@ mod tests {
         let r = run(&s, &MultiQueueBackend::heap(4, DeleteMode::Strict));
         std::fs::remove_file(&blocker).ok();
         assert!(r.verified(), "{:?}", r.verify_error);
-        // Both the history artifact and the calibration-store append
-        // fail on the blocked path; each degrades to a recorded warning.
-        assert_eq!(r.export_errors.len(), 2, "{:?}", r.export_errors);
+        // The history artifact fails on the blocked path and degrades
+        // to a recorded warning.
+        assert_eq!(r.export_errors.len(), 1, "{:?}", r.export_errors);
         assert!(
-            r.export_errors.iter().any(|e| e.contains("history")),
-            "{:?}",
-            r.export_errors
-        );
-        assert!(
-            r.export_errors.iter().any(|e| e.contains("calibration")),
+            r.export_errors[0].contains("history"),
             "{:?}",
             r.export_errors
         );

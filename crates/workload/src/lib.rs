@@ -11,8 +11,8 @@
 //!   (uniform, Zipf, monotone), open/closed/bursty [`Arrival`]s,
 //!   prefill, seed. A named [`Scenario::catalog`] ships ≥ 6 presets.
 //! * [`Backend`] — the single interface every structure implements:
-//!   relaxed counters, the MultiQueue over any substrate, every
-//!   `dlz-pq` linearizable queue, and the TL2 STM
+//!   relaxed counters, the MultiQueue, every `dlz-pq` linearizable
+//!   queue, and the TL2 STM
 //!   (see [`backends`]).
 //! * [`engine::run`] — the concurrent driver: barrier start, sharded
 //!   metrics, deterministic fixed-op or wall-clock budgets.
@@ -61,10 +61,8 @@
 
 pub mod backend;
 pub mod backends;
-pub mod calibration;
 pub mod clients;
 pub mod dist;
-pub mod driver;
 pub mod engine;
 pub mod faults;
 pub mod metrics;
@@ -77,7 +75,6 @@ pub mod telemetry;
 pub use backend::{Backend, QualityReport, QualitySummary, Worker, WorkerCfg};
 pub use clients::{ArrivalShape, ClientReport, ClientStats};
 pub use dist::{Arrival, Dist, Sampler};
-pub use driver::{count_until_stopped, run_throughput, Throughput};
 pub use engine::{run, run_sweep, run_sweep_shared};
 pub use faults::{Fault, FaultPlan, WorkerFaults};
 pub use metrics::{

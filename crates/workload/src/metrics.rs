@@ -195,16 +195,11 @@ impl WorkerMetrics {
 }
 
 /// Backend-internal telemetry drained from a worker at an interval
-/// boundary: the contention counters accumulated since the last drain
-/// plus the policy's current envelope factor (the live `s` for
-/// adaptive stickiness).
+/// boundary: the contention counters accumulated since the last drain.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySample {
     /// Hot-path contention counters since the last drain.
     pub contention: ContentionStats,
-    /// Observed policy envelope factor at drain time (0 when the
-    /// backend reports none).
-    pub envelope_factor: f64,
 }
 
 /// One interval's **delta** snapshot: everything a worker did between
@@ -225,22 +220,16 @@ pub struct IntervalSnapshot {
     pub latency: LogHistogram,
     /// Contention counters accumulated during the interval.
     pub contention: ContentionStats,
-    /// Policy envelope factor observed at the interval boundary
-    /// (max across merged workers).
-    pub envelope_factor: f64,
 }
 
 impl IntervalSnapshot {
     /// Merges another snapshot of the same interval into this one:
-    /// counts, latency and contention add; the envelope factor and end
-    /// offset take the max.
+    /// counts, latency and contention add; the end offset takes the
+    /// max.
     pub fn merge(&mut self, other: &IntervalSnapshot) {
         self.counts.merge(&other.counts);
         self.latency.merge(&other.latency);
         self.contention.merge(&other.contention);
-        if other.envelope_factor > self.envelope_factor {
-            self.envelope_factor = other.envelope_factor;
-        }
         self.end_ms = self.end_ms.max(other.end_ms);
     }
 
@@ -388,11 +377,10 @@ mod tests {
         }
     }
 
-    fn snap(index: u64, updates: u64, try_fails: u64, factor: f64) -> IntervalSnapshot {
+    fn snap(index: u64, updates: u64, try_fails: u64) -> IntervalSnapshot {
         let mut s = IntervalSnapshot {
             index,
             end_ms: (index + 1) * 100,
-            envelope_factor: factor,
             ..IntervalSnapshot::default()
         };
         s.counts.updates = updates;
@@ -403,7 +391,7 @@ mod tests {
 
     #[test]
     fn snapshot_merge_is_associative_and_order_independent() {
-        let (a, b, c) = (snap(0, 10, 3, 2.0), snap(0, 20, 5, 4.0), snap(0, 7, 1, 1.0));
+        let (a, b, c) = (snap(0, 10, 3), snap(0, 20, 5), snap(0, 7, 1));
         // (a ⊕ b) ⊕ c
         let mut left = a.clone();
         left.merge(&b);
@@ -423,14 +411,12 @@ mod tests {
                 left.contention.try_lock_failures,
                 m.contention.try_lock_failures
             );
-            assert_eq!(left.envelope_factor, m.envelope_factor);
             assert_eq!(left.latency.len(), m.latency.len());
             assert_eq!(left.latency.max(), m.latency.max());
             assert_eq!(left.end_ms, m.end_ms);
         }
         assert_eq!(left.counts.updates, 37);
         assert_eq!(left.contention.try_lock_failures, 9);
-        assert_eq!(left.envelope_factor, 4.0);
     }
 
     #[test]
@@ -438,21 +424,20 @@ mod tests {
         let mut series = TelemetrySeries::new(100);
         // Worker A flushed intervals 0 and 2 (stalled through 1);
         // worker B flushed 0 and 1.
-        series.merge_worker(&[snap(0, 5, 2, 1.0), snap(2, 9, 4, 2.0)]);
-        series.merge_worker(&[snap(1, 6, 1, 8.0), snap(0, 3, 0, 1.0)]);
+        series.merge_worker(&[snap(0, 5, 2), snap(2, 9, 4)]);
+        series.merge_worker(&[snap(1, 6, 1), snap(0, 3, 0)]);
         assert_eq!(series.intervals.len(), 3);
         for (i, s) in series.intervals.iter().enumerate() {
             assert_eq!(s.index, i as u64, "dense and aligned");
         }
         assert_eq!(series.intervals[0].counts.updates, 8);
         assert_eq!(series.intervals[1].counts.updates, 6);
-        assert_eq!(series.intervals[1].envelope_factor, 8.0);
         assert_eq!(series.totals().updates, 23);
         assert_eq!(series.total_contention().try_lock_failures, 7);
         // Merge order across workers does not change the series.
         let mut other = TelemetrySeries::new(100);
-        other.merge_worker(&[snap(1, 6, 1, 8.0), snap(0, 3, 0, 1.0)]);
-        other.merge_worker(&[snap(0, 5, 2, 1.0), snap(2, 9, 4, 2.0)]);
+        other.merge_worker(&[snap(1, 6, 1), snap(0, 3, 0)]);
+        other.merge_worker(&[snap(0, 5, 2), snap(2, 9, 4)]);
         assert_eq!(other.totals().updates, series.totals().updates);
         for (x, y) in series.intervals.iter().zip(&other.intervals) {
             assert_eq!(x.counts.updates, y.counts.updates);

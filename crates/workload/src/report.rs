@@ -276,8 +276,7 @@ impl RunReport {
                         .u64("removes_empty", s.counts.removes_empty)
                         .u64("reads", s.counts.reads)
                         .f64("latency_mean_ns", lat.mean_ns)
-                        .u64("latency_p99_ns", lat.p99_ns)
-                        .f64("envelope_factor", s.envelope_factor);
+                        .u64("latency_p99_ns", lat.p99_ns);
                     io.obj("contention", |c| {
                         for (name, value) in s.contention.fields() {
                             c.u64(name, value);

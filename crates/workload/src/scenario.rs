@@ -106,7 +106,7 @@ pub struct Scenario {
     pub quality_every: u32,
     /// Choice-policy dimension for queue backends: which
     /// [`ChoicePolicy`](dlz_core::ChoicePolicy) each worker's handle
-    /// runs (two-choice, d-choice, static or adaptive stickiness).
+    /// runs (two-choice, d-choice or stickiness).
     /// Rank degrades within the policy's envelope (O(s·m) for
     /// stickiness); the quality report carries the bound.
     pub choice_policy: PolicyCfg,
@@ -122,8 +122,8 @@ pub struct Scenario {
     /// clock anyway).
     pub latency_every: u32,
     /// Time-resolved telemetry: when set, every worker flushes a delta
-    /// snapshot (op counts, latency, contention counters, observed
-    /// envelope factor) at each interval boundary, and the report
+    /// snapshot (op counts, latency, contention counters) at each
+    /// interval boundary, and the report
     /// carries the merged, index-aligned
     /// [`TelemetrySeries`](crate::metrics::TelemetrySeries). `None`
     /// (the default) disables the boundary checks entirely — one
@@ -264,15 +264,6 @@ impl Scenario {
                 .prefill(2_000)
                 .record_history(true)
                 .choice_policy(PolicyCfg::Sticky { ops: 16 })
-                .build(),
-            Scenario::builder("mq-hotpath-adaptive-audit", Family::Queue)
-                .about("adaptive-stickiness stamped history through the checker — observed rank must sit inside the observed-s envelope")
-                .threads(4)
-                .mix(OpMix::new(50, 50, 0))
-                .budget(Budget::OpsPerWorker(6_000))
-                .prefill(2_000)
-                .record_history(true)
-                .choice_policy(PolicyCfg::AdaptiveSticky { s_max: 16 })
                 .build(),
             Scenario::builder("fifo-history-audit", Family::Fifo)
                 .about("relaxed FIFO vs exact locked baseline, stamped history through the FIFO checker — dequeue positions are Theorem 7.1's rank error")
@@ -564,12 +555,6 @@ mod tests {
         assert!(s.batch > 1);
         let audit = Scenario::named("mq-hotpath-rank-audit").expect("exists");
         assert!(audit.record_history && !audit.choice_policy.is_default());
-        let adaptive = Scenario::named("mq-hotpath-adaptive-audit").expect("exists");
-        assert!(adaptive.record_history);
-        assert_eq!(
-            adaptive.choice_policy,
-            PolicyCfg::AdaptiveSticky { s_max: 16 }
-        );
         // Pre-existing scenarios keep the paper's fresh-draw behaviour.
         let plain = Scenario::named("queue-balanced").expect("exists");
         assert_eq!(

@@ -117,9 +117,8 @@ fn sample(
 /// `dlz_elapsed_seconds`. When the report carries telemetry, the
 /// run-total contention counters (`dlz_contention_events_total`, one
 /// sample per counter name) and the per-interval gauges
-/// (`dlz_interval_ops`, `dlz_interval_contention_events`,
-/// `dlz_adaptive_s`, `dlz_envelope_factor`) follow, timestamped in
-/// milliseconds since run start.
+/// (`dlz_interval_ops`, `dlz_interval_contention_events`) follow,
+/// timestamped in milliseconds since run start.
 pub fn write_prometheus(report: &RunReport) -> String {
     let mut out = String::new();
     let base = base_labels(report);
@@ -181,9 +180,6 @@ pub fn write_prometheus(report: &RunReport) -> String {
         "Hot-path contention events over the whole run, by counter.",
     );
     for (name, v) in total.fields() {
-        if name == "adaptive_s" {
-            continue; // a gauge, not an event count
-        }
         sample(
             &mut out,
             "dlz_contention_events_total",
@@ -225,9 +221,6 @@ pub fn write_prometheus(report: &RunReport) -> String {
     );
     for s in &t.intervals {
         for (name, v) in s.contention.fields() {
-            if name == "adaptive_s" {
-                continue;
-            }
             sample(
                 &mut out,
                 "dlz_interval_contention_events",
@@ -237,38 +230,6 @@ pub fn write_prometheus(report: &RunReport) -> String {
                 Some(s.end_ms),
             );
         }
-    }
-    head(
-        &mut out,
-        "dlz_adaptive_s",
-        "gauge",
-        "Adaptive-stickiness camp width observed at each interval boundary.",
-    );
-    for s in &t.intervals {
-        sample(
-            &mut out,
-            "dlz_adaptive_s",
-            &base,
-            &[],
-            s.contention.adaptive_s as f64,
-            Some(s.end_ms),
-        );
-    }
-    head(
-        &mut out,
-        "dlz_envelope_factor",
-        "gauge",
-        "Policy envelope factor observed at each interval boundary.",
-    );
-    for s in &t.intervals {
-        sample(
-            &mut out,
-            "dlz_envelope_factor",
-            &base,
-            &[],
-            s.envelope_factor,
-            Some(s.end_ms),
-        );
     }
     out
 }
@@ -495,17 +456,15 @@ mod tests {
         r.cell = Some("prom-test/t=4".into());
         r.grid = vec![("t".into(), "4".into())];
         let mut series = TelemetrySeries::new(100);
-        for (i, (ups, fails, s_now)) in [(60u64, 5u64, 2u64), (60, 9, 8)].iter().enumerate() {
+        for (i, (ups, fails)) in [(60u64, 5u64), (60, 9)].iter().enumerate() {
             let mut snap = IntervalSnapshot {
                 index: i as u64,
                 end_ms: (i as u64 + 1) * 100,
-                envelope_factor: *s_now as f64,
                 ..IntervalSnapshot::default()
             };
             snap.counts.updates = *ups;
             snap.counts.removes = 40;
             snap.contention.try_lock_failures = *fails;
-            snap.contention.adaptive_s = *s_now;
             series.merge_worker(&[snap]);
         }
         r.telemetry = Some(series);
@@ -540,13 +499,16 @@ mod tests {
         );
         assert_eq!(interval_updates[0].timestamp_ms, Some(100));
         assert_eq!(interval_updates[1].timestamp_ms, Some(200));
-        // The adaptive trajectory is visible and nonconstant.
-        let s_vals: Vec<f64> = samples
+        // The per-interval contention trajectory is visible.
+        let fail_vals: Vec<f64> = samples
             .iter()
-            .filter(|s| s.name == "dlz_adaptive_s")
+            .filter(|s| {
+                s.name == "dlz_interval_contention_events"
+                    && s.label("counter") == Some("try_lock_failures")
+            })
             .map(|s| s.value)
             .collect();
-        assert_eq!(s_vals, vec![2.0, 8.0]);
+        assert_eq!(fail_vals, vec![5.0, 9.0]);
         // Total contention aggregates the intervals.
         let fails = samples
             .iter()

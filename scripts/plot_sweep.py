@@ -18,9 +18,9 @@ Two modes:
   Telemetry (--telemetry)
       Time-resolved series from reports run with --telemetry: one row
       per report, per-interval throughput plus a contention counter
-      (default try_lock_failures) and the adaptive-s gauge when present:
+      (default try_lock_failures):
 
-          scenarios --scenario mq-hotpath-adaptive-audit \
+          scenarios --scenario mq-hotpath-rank-audit \
               --telemetry-interval-ms 10 --json run.json
           python3 scripts/plot_sweep.py run.json --telemetry
 """
@@ -180,7 +180,7 @@ def svg_chart(series, x_label, y_label, path):
 
 
 def telemetry_rows(reports, counter):
-    """-> [(label, interval_ms, ops/interval, counter/interval, adaptive_s)]"""
+    """-> [(label, interval_ms, ops/interval, counter/interval)]"""
     rows = []
     for r in reports:
         t = r.get("telemetry")
@@ -188,7 +188,7 @@ def telemetry_rows(reports, counter):
             continue
         label = r.get("cell") or r.get("scenario", "?")
         label = f"{label} :: {r.get('backend', '?')}"
-        ops, events, gauges = [], [], []
+        ops, events = [], []
         for iv in t["series"]:
             ops.append(
                 iv.get("updates", 0)
@@ -198,8 +198,7 @@ def telemetry_rows(reports, counter):
             )
             c = iv.get("contention", {})
             events.append(c.get(counter, 0))
-            gauges.append(c.get("adaptive_s", 0))
-        rows.append((label, t.get("interval_ms", 0), ops, events, gauges))
+        rows.append((label, t.get("interval_ms", 0), ops, events))
     return rows
 
 
@@ -209,18 +208,16 @@ def print_telemetry(rows, counter):
             "no telemetry series found — rerun scenarios with --telemetry "
             "(or --telemetry-interval-ms N)"
         )
-    for label, interval_ms, ops, events, gauges in rows:
+    for label, interval_ms, ops, events in rows:
         print(f"{label}  ({len(ops)} intervals x {interval_ms} ms)")
         print(f"  ops/interval      |{sparkline(ops)}|  max {max(ops)}")
         print(f"  {counter:<17} |{sparkline(events)}|  max {max(events)}")
-        if any(gauges):
-            print(f"  adaptive_s        |{sparkline(gauges)}|  max {max(gauges)}")
         print()
 
 
 def svg_telemetry(rows, counter, path):
     series = {}
-    for label, interval_ms, ops, _events, _gauges in rows:
+    for label, interval_ms, ops, _events in rows:
         step = interval_ms or 1
         series[label] = [((i + 1) * step, v) for i, v in enumerate(ops)]
     svg_chart(series, "time (ms)", "ops per interval", path)

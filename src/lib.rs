@@ -13,9 +13,9 @@
 //!   [`MultiQueue`](dlz_core::MultiQueue) (Algorithm 2), relaxed clocks,
 //!   and the executable distributional-linearizability framework
 //!   (Section 5).
-//! * [`pq`] ([`dlz_pq`]) — priority-queue substrates: binary/pairing
-//!   heaps, a skip list, and the lock-based linearizable queues
-//!   Algorithm 2 builds on.
+//! * [`pq`] ([`dlz_pq`]) — the priority-queue substrate: the binary
+//!   heap and the lock-based linearizable queues Algorithm 2 builds
+//!   on.
 //! * [`sim`] ([`dlz_sim`]) — the analysis objects of Section 6 as code:
 //!   sequential, (1+β), adversarial stale-read and ε-corrupted
 //!   load-balancing processes, with potential-function tracking.

@@ -44,7 +44,6 @@ fn pq_round_trip_is_verdict_identical_across_policies_and_modes() {
         PolicyCfg::TwoChoice,
         PolicyCfg::DChoice { d: 3 },
         PolicyCfg::Sticky { ops: 8 },
-        PolicyCfg::AdaptiveSticky { s_max: 8 },
     ];
     for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
         for policy in policies {
@@ -294,10 +293,6 @@ fn single_thread_op_sequences_are_pinned_per_policy_and_mode() {
         (PolicyCfg::TwoChoice, 0x7882_7b8a_88c5_5ffcu64),
         (PolicyCfg::Sticky { ops: 4 }, 0x6b25_2130_f906_b48e),
         (PolicyCfg::DChoice { d: 3 }, 0x14c5_58bc_e2e3_a1d4),
-        (
-            PolicyCfg::AdaptiveSticky { s_max: 8 },
-            0x3792_a0f3_e8b0_f5b2,
-        ),
     ];
     for (policy, expected) in pinned {
         for mode in [DeleteMode::Strict, DeleteMode::TryLock] {

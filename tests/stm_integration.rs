@@ -61,17 +61,34 @@ fn exact_clock_paper_workload() {
 
 #[test]
 fn relaxed_clock_paper_workload_large_array() {
-    // 100K-object regime: few conflicts, aborts rare.
+    // 100K-object regime: few conflicts. Safety (sum == 2 × commits)
+    // and progress are asserted inside `run_paper_workload`.
     let m = 32;
     let stm = Tl2::new(
         100_000,
         RelaxedClock::new(MultiCounter::new(m), RelaxedClock::suggested_delta(m, 4.0)),
     );
     let stats = run_paper_workload(&stm, 4, 3_000, 0x52);
-    assert!(
-        stats.abort_rate() < 0.5,
-        "large-array abort rate {} unexpectedly high",
+    // The total abort rate is reported, not bounded. With 4 threads on 2
+    // cores a descheduled lock holder makes its peers abort on the
+    // locked slot until it runs again: one run in 45 read 6,268
+    // `locked_read` aborts (rate 0.35) where the others read 0 to 8. An
+    // `ExactClock` twin run beside it does not share the storm (8 aborts
+    // next to those 6,479; in another pair 1,898 next to 227), so a twin
+    // bounds it no better than a constant does.
+    eprintln!(
+        "large-array abort rate {:.4}: {stats:?}",
         stats.abort_rate()
+    );
+    // What the relaxed clock itself adds is future-version aborts (a
+    // read of a slot stamped Δ ahead of the reader's clock sample), and
+    // those follow the workload, not the scheduler: 199 to 246 per
+    // 12,000 commits (1.7% to 2.1%) in each of 45 runs, 30 of them next
+    // to a looping `cargo build --release` (docs/perf/PR-23.md). The
+    // bound is 2.4 times the worst of them.
+    assert!(
+        stats.future_version * 20 <= stats.commits,
+        "future-version aborts are no longer rare on a large array: {stats:?}"
     );
 }
 

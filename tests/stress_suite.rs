@@ -8,7 +8,7 @@ use distlin::core::clock::FaaClock;
 use distlin::core::rng::{Rng64, Xoshiro256};
 use distlin::core::spec::{check_distributional, Event, FifoOp, FifoSpec, History, StampClock};
 use distlin::core::{DeleteMode, MultiCounter, MultiQueue, RelaxedCounter};
-use distlin::pq::SkipListPq;
+use distlin::pq::SeqPriorityQueue;
 use distlin::stm::{ExactClock, Tl2};
 
 #[test]
@@ -72,15 +72,40 @@ fn multicounter_reads_bounded_during_concurrent_run() {
     );
 }
 
+/// A `Q` that is not `BinaryHeap`: an ordered map keyed by (priority,
+/// arrival number), so ties leave in FIFO order.
+#[derive(Default)]
+struct MapQueue<V> {
+    map: std::collections::BTreeMap<(u64, u64), V>,
+    arrivals: u64,
+}
+
+impl<V> SeqPriorityQueue<u64, V> for MapQueue<V> {
+    fn add(&mut self, priority: u64, value: V) {
+        self.map.insert((priority, self.arrivals), value);
+        self.arrivals += 1;
+    }
+    fn delete_min(&mut self) -> Option<(u64, V)> {
+        self.map.pop_first().map(|((p, _), v)| (p, v))
+    }
+    fn read_min(&self) -> Option<(&u64, &V)> {
+        self.map.iter().next().map(|((p, _), v)| (p, v))
+    }
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+    fn clear(&mut self) {
+        self.map.clear();
+    }
+}
+
 #[test]
-fn multiqueue_skiplist_substrate_trylock_mpmc() {
+fn multiqueue_second_substrate_trylock_mpmc() {
     const PRODUCERS: usize = 2;
     const CONSUMERS: usize = 2;
     const PER: u64 = 10_000;
-    let mq: MultiQueue<u64, SkipListPq<u64, u64>> = MultiQueue::with_queues(
-        (0..16)
-            .map(|i| SkipListPq::with_seed(7 + i as u64))
-            .collect(),
+    let mq: MultiQueue<u64, MapQueue<u64>> = MultiQueue::with_queues(
+        (0..16).map(|_| MapQueue::default()).collect(),
         DeleteMode::TryLock,
     );
     let collected: Vec<u64> = std::thread::scope(|s| {

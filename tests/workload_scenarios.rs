@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use distlin::core::{DeleteMode, PolicyCfg};
+use distlin::core::DeleteMode;
 use distlin::workload::backends::{
     ConcurrentPqBackend, CounterBackend, MultiQueueBackend, StmBackend,
 };
@@ -245,32 +245,6 @@ fn tuned_hotpath_backends_conserve_and_stay_within_policy_rank_bound() {
     assert_eq!(q.metric, "dequeue_rank");
     assert_eq!(q.get("linearizable"), Some(1.0), "{q:?}");
     assert_eq!(q.get("within_policy_bound"), Some(1.0), "{q:?}");
-    let ranks = q.summary.expect("ranks");
-    assert!(ranks.count > 0);
-    assert!(ranks.mean <= q.get("rank_bound_policy").expect("bound"));
-}
-
-#[test]
-fn adaptive_policy_audit_stays_within_observed_envelope() {
-    // The AdaptiveSticky catalog scenario: checker-exact ranks against
-    // the observed-s envelope the workers report.
-    let mut audit = Scenario::named("mq-hotpath-adaptive-audit").expect("catalog");
-    audit.threads = 3;
-    audit.budget = Budget::OpsPerWorker(3_000);
-    audit.prefill = 500;
-    audit.seed = SEED;
-    assert_eq!(audit.choice_policy, PolicyCfg::AdaptiveSticky { s_max: 16 });
-    let backend = MultiQueueBackend::heap_policy(12, DeleteMode::Strict, audit.choice_policy, 1);
-    let r = engine::run(&audit, &backend);
-    assert!(r.verified(), "{:?}", r.verify_error);
-    let q = &r.quality;
-    assert_eq!(q.metric, "dequeue_rank");
-    assert_eq!(q.get("linearizable"), Some(1.0), "{q:?}");
-    assert_eq!(q.get("within_policy_bound"), Some(1.0), "{q:?}");
-    // The reported factor is the widest stickiness actually observed,
-    // never above the configured cap.
-    let factor = q.get("policy_factor").expect("factor");
-    assert!((1.0..=16.0).contains(&factor), "factor {factor}");
     let ranks = q.summary.expect("ranks");
     assert!(ranks.count > 0);
     assert!(ranks.mean <= q.get("rank_bound_policy").expect("bound"));
