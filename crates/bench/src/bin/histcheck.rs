@@ -17,9 +17,10 @@
 //!
 //! One JSON object per artifact goes to stdout (an array; `--json FILE`
 //! also writes it to a file); the human-readable verdict table goes to
-//! stderr. Because the replay is the same code path the engine ran
-//! in-process, the summary statistics reproduce the exported run's
-//! `quality` block bit for bit.
+//! stderr. Each verdict is [`dlz_core::spec::judge`] over the loaded
+//! artifact — the function the engine called on the same artifact
+//! in-process — so the summary statistics and the envelope decision
+//! reproduce the exported run's `quality` block bit for bit.
 //!
 //! Exit status: `0` all artifacts linearizable, `1` at least one
 //! verdict failed (unmappable operation, broken stamp discipline, or a
@@ -36,9 +37,7 @@ use std::path::{Path, PathBuf};
 
 use dlz_bench::Table;
 use dlz_core::json;
-use dlz_core::spec::{replay_artifact, HistoryArtifact, ReplayOutcome};
-use dlz_workload::backends::counter::DEVIATION_BOUND_C;
-use dlz_workload::backends::queue::RANK_BOUND_C;
+use dlz_core::spec::{judge, HistoryArtifact, Verdict};
 use dlz_workload::QualitySummary;
 
 fn usage() -> ! {
@@ -98,34 +97,6 @@ fn collect(paths: &[PathBuf]) -> Vec<PathBuf> {
     out
 }
 
-/// The kind-specific metric name, absolute envelope and pass/fail —
-/// mirroring the in-process quality computation exactly.
-fn envelope(a: &HistoryArtifact, s: &QualitySummary) -> (&'static str, f64, bool) {
-    match a.kind() {
-        // An infinite factor means the policy makes no envelope claim
-        // (the engine omits `within_policy_bound` there too): nothing
-        // to exceed, so the artifact passes on its verdict alone.
-        "pq" if a.envelope_factor.is_finite() => {
-            let bound = RANK_BOUND_C * a.envelope_factor * a.queues.unwrap_or(0) as f64;
-            // Vacuous passes are failures, as in the engine: with no
-            // rank samples the envelope verified nothing.
-            let within = s.count > 0 && s.mean <= bound;
-            ("dequeue_rank", bound, within)
-        }
-        "pq" => ("dequeue_rank", f64::INFINITY, true),
-        "counter" => {
-            let bound = DEVIATION_BOUND_C * a.envelope_factor;
-            let within = if a.envelope_factor == 0.0 {
-                s.max == 0.0
-            } else {
-                s.max <= bound
-            };
-            ("read_deviation", bound, within)
-        }
-        _ => ("dequeue_position", f64::INFINITY, true),
-    }
-}
-
 /// Log₂-bucketed histogram of the metric costs: `[le, count]` pairs
 /// where `le` is the bucket's inclusive upper bound (0, 1, 2, 4, ...).
 fn cost_histogram(costs: &[f64]) -> Vec<(u64, u64)> {
@@ -152,11 +123,8 @@ fn cost_histogram(costs: &[f64]) -> Vec<(u64, u64)> {
 struct Checked {
     path: PathBuf,
     artifact: HistoryArtifact,
-    outcome: ReplayOutcome,
+    verdict: Verdict,
     summary: QualitySummary,
-    metric: &'static str,
-    bound: f64,
-    within: bool,
     hist: Vec<(u64, u64)>,
 }
 
@@ -170,53 +138,28 @@ fn check(path: PathBuf) -> Checked {
         // The loud failure mode the format is designed for: file + line.
         Err(e) => fail_load(&path, e),
     };
-    let outcome = replay_artifact(&artifact);
-    let costs = artifact.metric_costs(&outcome);
-    let summary = QualitySummary::from_samples(&costs);
-    let (metric, bound, within) = envelope(&artifact, &summary);
-    let hist = cost_histogram(&costs);
+    let verdict = judge(&artifact);
+    let summary = QualitySummary::from_samples(&verdict.costs);
+    let hist = cost_histogram(&verdict.costs);
     Checked {
         path,
         artifact,
-        outcome,
+        verdict,
         summary,
-        metric,
-        bound,
-        within,
         hist,
     }
 }
 
 fn to_json(c: &Checked) -> String {
-    let a = &c.artifact;
+    let (a, v) = (&c.artifact, &c.verdict);
     let mut o = json::JsonObject::new();
-    o.str("path", &c.path.display().to_string())
-        .str("kind", a.kind())
-        .str("policy", &a.policy)
-        .f64("envelope_factor", a.envelope_factor)
-        .u64("threads", a.threads as u64)
-        .u64("events", a.len() as u64);
-    if let Some(q) = a.queues {
-        o.u64("queues", q as u64);
-    }
-    if let Some(s) = &a.source {
-        o.str("source", s);
-    }
-    if let Some(cell) = &a.cell {
-        o.str("cell", cell);
-    }
-    if !a.grid.is_empty() {
-        o.obj("grid", |g| {
-            for (k, v) in &a.grid {
-                g.str(k, v);
-            }
-        });
-    }
-    o.str("metric", c.metric)
-        .bool("linearizable", c.outcome.is_linearizable())
-        .bool("well_formed", c.outcome.well_formed)
-        .bool("real_time_ok", c.outcome.real_time_ok)
-        .u64("unmappable", c.outcome.unmappable.len() as u64)
+    o.str("path", &c.path.display().to_string());
+    a.describe(&mut o);
+    o.str("metric", v.metric)
+        .bool("linearizable", v.outcome.is_linearizable())
+        .bool("well_formed", v.outcome.well_formed)
+        .bool("real_time_ok", v.outcome.real_time_ok)
+        .u64("unmappable", v.outcome.unmappable.len() as u64)
         .obj("summary", |s| {
             s.u64("count", c.summary.count)
                 .f64("mean", c.summary.mean)
@@ -224,8 +167,8 @@ fn to_json(c: &Checked) -> String {
                 .f64("p99", c.summary.p99)
                 .f64("max", c.summary.max);
         })
-        .f64("bound", c.bound)
-        .bool("within_bound", c.within);
+        .f64("bound", v.bound)
+        .bool("within_bound", v.within);
     let hist: Vec<String> = c.hist.iter().map(|(le, n)| format!("[{le},{n}]")).collect();
     o.raw("cost_hist", &json::array(&hist));
     o.finish()
@@ -274,13 +217,13 @@ fn main() {
             format!("{:.3}", c.summary.mean),
             format!("{:.1}", c.summary.p99),
             format!("{:.1}", c.summary.max),
-            if c.bound.is_finite() {
-                format!("{:.1}", c.bound)
+            if c.verdict.bound.is_finite() {
+                format!("{:.1}", c.verdict.bound)
             } else {
                 "-".to_string()
             },
-            c.within.to_string(),
-            if c.outcome.is_linearizable() {
+            c.verdict.within.to_string(),
+            if c.verdict.outcome.is_linearizable() {
                 "linearizable".to_string()
             } else {
                 "FAILED".to_string()
@@ -303,25 +246,26 @@ fn main() {
     eprint!("{}", table.render());
     let mut failed = false;
     for c in &checked {
-        if !c.outcome.is_linearizable() {
+        let v = &c.verdict;
+        if !v.outcome.is_linearizable() {
             failed = true;
             eprintln!(
                 "VERDICT FAILED: {}: well_formed={} real_time_ok={} unmappable={}",
                 c.path.display(),
-                c.outcome.well_formed,
-                c.outcome.real_time_ok,
-                c.outcome.unmappable.len()
+                v.outcome.well_formed,
+                v.outcome.real_time_ok,
+                v.outcome.unmappable.len()
             );
-        } else if !c.within {
+        } else if !v.within {
             // Reported, not fatal: the envelope is a quality statement,
             // and the in-process engine treats it as data too.
             eprintln!(
                 "note: envelope exceeded: {}: {} mean {:.3} / max {:.1} vs bound {:.1}",
                 c.path.display(),
-                c.metric,
+                v.metric,
                 c.summary.mean,
                 c.summary.max,
-                c.bound
+                v.bound
             );
         }
     }

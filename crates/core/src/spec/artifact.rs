@@ -140,6 +140,19 @@ fn err(line: usize, msg: impl Into<String>) -> ArtifactError {
 }
 
 impl HistoryArtifact {
+    fn new(history: ArtifactHistory, policy: String, envelope_factor: f64) -> Self {
+        HistoryArtifact {
+            history,
+            policy,
+            envelope_factor,
+            threads: 0,
+            queues: None,
+            source: None,
+            cell: None,
+            grid: Vec::new(),
+        }
+    }
+
     /// Packages a priority-queue history with its policy provenance.
     pub fn pq(
         history: History<PqOp>,
@@ -147,15 +160,10 @@ impl HistoryArtifact {
         envelope_factor: f64,
         queues: usize,
     ) -> Self {
+        let history = ArtifactHistory::Pq(history);
         HistoryArtifact {
-            history: ArtifactHistory::Pq(history),
-            policy: policy.into(),
-            envelope_factor,
-            threads: 0,
             queues: Some(queues),
-            source: None,
-            cell: None,
-            grid: Vec::new(),
+            ..Self::new(history, policy.into(), envelope_factor)
         }
     }
 
@@ -163,30 +171,14 @@ impl HistoryArtifact {
     /// scale its read-deviation bound is a multiple of (0 for the exact
     /// baseline, whose deviation must be 0).
     pub fn counter(history: History<CounterOp>, deviation_scale: f64) -> Self {
-        HistoryArtifact {
-            history: ArtifactHistory::Counter(history),
-            policy: "none".to_string(),
-            envelope_factor: deviation_scale,
-            threads: 0,
-            queues: None,
-            source: None,
-            cell: None,
-            grid: Vec::new(),
-        }
+        let history = ArtifactHistory::Counter(history);
+        Self::new(history, "none".to_string(), deviation_scale)
     }
 
     /// Packages a FIFO history (no policy provenance).
     pub fn fifo(history: History<FifoOp>) -> Self {
-        HistoryArtifact {
-            history: ArtifactHistory::Fifo(history),
-            policy: "none".to_string(),
-            envelope_factor: f64::INFINITY,
-            threads: 0,
-            queues: None,
-            source: None,
-            cell: None,
-            grid: Vec::new(),
-        }
+        let history = ArtifactHistory::Fifo(history);
+        Self::new(history, "none".to_string(), f64::INFINITY)
     }
 
     /// The structure-kind tag (`pq`, `counter`, `fifo`).
@@ -204,33 +196,40 @@ impl HistoryArtifact {
         self.history.is_empty()
     }
 
-    /// Serializes the artifact to its line-oriented JSON form
-    /// (header line + one line per event, each `\n`-terminated).
-    pub fn to_json_lines(&self) -> String {
-        let mut header = JsonObject::new();
-        header
-            .u64("schema", SCHEMA_VERSION)
-            .str("kind", self.kind())
+    /// Writes the header's descriptive fields — kind, policy, envelope
+    /// factor, thread and event counts, and whichever of `queues`,
+    /// `source`, `cell` and `grid` are known — into `o`, in the order
+    /// the serialized header and `histcheck`'s verdicts list them.
+    pub fn describe(&self, o: &mut JsonObject) {
+        o.str("kind", self.kind())
             .str("policy", &self.policy)
             .f64("envelope_factor", self.envelope_factor)
             .u64("threads", self.threads as u64)
             .u64("events", self.len() as u64);
         if let Some(q) = self.queues {
-            header.u64("queues", q as u64);
+            o.u64("queues", q as u64);
         }
         if let Some(s) = &self.source {
-            header.str("source", s);
+            o.str("source", s);
         }
         if let Some(c) = &self.cell {
-            header.str("cell", c);
+            o.str("cell", c);
         }
         if !self.grid.is_empty() {
-            header.obj("grid", |g| {
+            o.obj("grid", |g| {
                 for (k, v) in &self.grid {
                     g.str(k, v);
                 }
             });
         }
+    }
+
+    /// Serializes the artifact to its line-oriented JSON form
+    /// (header line + one line per event, each `\n`-terminated).
+    pub fn to_json_lines(&self) -> String {
+        let mut header = JsonObject::new();
+        header.u64("schema", SCHEMA_VERSION);
+        self.describe(&mut header);
         let mut out = header.finish();
         out.push('\n');
         match &self.history {
@@ -348,11 +347,10 @@ impl HistoryArtifact {
         })
     }
 
-    /// The replay-cost samples the kind's quality metric summarizes,
-    /// mirroring the in-process computation exactly: every finite cost
-    /// for queues and FIFOs (inserts cost 0 and are included), but
-    /// **read costs only** for counters (increments are always exact
-    /// and would dilute the deviation metric).
+    /// The replay-cost samples the kind's quality metric summarizes:
+    /// every finite cost for queues and FIFOs (inserts cost 0 and are
+    /// included), but **read costs only** for counters (increments are
+    /// always exact and would dilute the deviation metric).
     ///
     /// `outcome` must be the replay of this artifact (e.g. from
     /// [`replay_artifact`](crate::spec::checker::replay_artifact)).

@@ -71,11 +71,8 @@ where
     }
 }
 
-/// Replays a deserialized [`HistoryArtifact`] through its kind's
-/// canonical relaxation — the offline twin of the in-process path, so
-/// `serialize → parse → replay_artifact` produces the same
-/// [`ReplayOutcome`] (verdict, costs, unmappable indices) as checking
-/// the history before it was ever written out.
+/// Replays a [`HistoryArtifact`] through its kind's canonical
+/// relaxation.
 pub fn replay_artifact(artifact: &HistoryArtifact) -> ReplayOutcome {
     match &artifact.history {
         ArtifactHistory::Pq(h) => check_distributional(&PqSpec, h),
@@ -84,11 +81,84 @@ pub fn replay_artifact(artifact: &HistoryArtifact) -> ReplayOutcome {
     }
 }
 
+/// Generous constant over a queue history's envelope scale, as the core
+/// tests use: the mean dequeue rank is held against
+/// `RANK_BOUND_C · envelope_factor · queues`.
+pub const RANK_BOUND_C: f64 = 30.0;
+
+/// Generous constant over a counter history's `m·ln m` deviation scale
+/// (its `envelope_factor`): the largest read deviation is held against
+/// `DEVIATION_BOUND_C · envelope_factor`.
+pub const DEVIATION_BOUND_C: f64 = 4.0;
+
+/// What [`judge`] found in one history.
+#[derive(Debug)]
+pub struct Verdict {
+    /// Name of the kind's cost metric: `dequeue_rank`, `read_deviation`
+    /// or `dequeue_position`.
+    pub metric: &'static str,
+    /// Events in the judged history.
+    pub events: usize,
+    /// The replay: mapping verdict and every step's cost.
+    pub outcome: ReplayOutcome,
+    /// The samples the metric summarizes
+    /// ([`HistoryArtifact::metric_costs`]).
+    pub costs: Vec<f64>,
+    /// The absolute envelope bound the artifact's metadata selects;
+    /// infinite when it claims none (FIFO histories, policies without a
+    /// rank factor).
+    pub bound: f64,
+    /// `true` iff the costs sit inside the envelope. A queue history
+    /// with no samples verified nothing and is *not* within; a history
+    /// that claims no envelope has nothing to exceed and is.
+    pub within: bool,
+}
+
+/// The one judge of recorded histories: everything a verdict depends on
+/// is in the artifact, so the engine judging a run in-process and
+/// `histcheck` judging its exported file long after compute the same
+/// numbers from the same function.
+///
+/// Replays the artifact ([`replay_artifact`]), selects the metric's
+/// samples, and holds them against the kind's envelope: the **mean**
+/// dequeue rank against [`RANK_BOUND_C`]` · envelope_factor · queues`
+/// (Theorem 7.1 bounds the expectation), the **largest** read
+/// deviation against [`DEVIATION_BOUND_C`]` · envelope_factor` (Lemma
+/// 6.8 holds w.h.p.; a factor of 0 is the exact counter, whose reads
+/// must not deviate at all), nothing for FIFO positions.
+pub fn judge(artifact: &HistoryArtifact) -> Verdict {
+    let outcome = replay_artifact(artifact);
+    let costs = artifact.metric_costs(&outcome);
+    let factor = artifact.envelope_factor;
+    let (metric, bound, within) = match &artifact.history {
+        ArtifactHistory::Pq(_) if factor.is_finite() => {
+            let bound = RANK_BOUND_C * factor * artifact.queues.unwrap_or(0) as f64;
+            let mean = costs.iter().sum::<f64>() / costs.len() as f64;
+            ("dequeue_rank", bound, !costs.is_empty() && mean <= bound)
+        }
+        ArtifactHistory::Pq(_) => ("dequeue_rank", f64::INFINITY, true),
+        ArtifactHistory::Counter(_) => {
+            let bound = DEVIATION_BOUND_C * factor;
+            let max = costs.iter().copied().fold(0.0, f64::max);
+            ("read_deviation", bound, max <= bound)
+        }
+        ArtifactHistory::Fifo(_) => ("dequeue_position", f64::INFINITY, true),
+    };
+    Verdict {
+        metric,
+        events: artifact.len(),
+        outcome,
+        costs,
+        bound,
+        within,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::history::{Event, History, StampClock, ThreadLog};
-    use crate::spec::specs::{CounterOp, PqOp};
+    use crate::spec::history::{Event, History, Recorder};
+    use crate::spec::specs::{CounterOp, FifoOp, PqOp};
 
     fn ev<L>(label: L, stamp: u64) -> Event<L> {
         Event {
@@ -180,29 +250,88 @@ mod tests {
         use crate::counter::MultiCounter;
         use crate::rng::Xoshiro256;
 
-        // Record a single-threaded MultiCounter execution and verify it
-        // maps onto the relaxed counter with bounded costs.
-        let mc = MultiCounter::new(8);
-        let clock = StampClock::new();
-        let mut log = ThreadLog::new(0);
+        // Record a single-threaded MultiCounter execution and judge it:
+        // it maps onto the relaxed counter with bounded costs.
+        let m = 8usize;
+        let mc = MultiCounter::new(m);
+        let rec = Recorder::new();
+        let mut log = rec.log(0);
         let mut rng = Xoshiro256::new(7);
         for _ in 0..500 {
-            log.record(&clock, || {
+            log.record(|clock| {
                 mc.increment_with(&mut rng);
-                (CounterOp::Inc, clock.stamp())
+                Some((CounterOp::Inc, clock.stamp(), ()))
             });
         }
         // A few relaxed reads interleaved at the end.
         for _ in 0..20 {
-            log.record(&clock, || {
+            log.record(|clock| {
                 let v = mc.read_with(&mut rng);
-                (CounterOp::Read { returned: v }, clock.stamp())
+                Some((CounterOp::Read { returned: v }, clock.stamp(), ()))
             });
         }
-        let h = History::from_logs(vec![log]);
-        let out = check_distributional(&CounterSpec, &h);
-        assert!(out.is_linearizable());
-        // Read deviation is at most m * max_gap ≤ generous bound.
-        assert!(out.costs.max() <= (8 * 8 * 8) as f64);
+        drop(log);
+        let scale = m as f64 * (m as f64).ln();
+        let v = rec
+            .judge(|h| HistoryArtifact::counter(h, scale))
+            .expect("a recorded history");
+        assert!(v.outcome.is_linearizable());
+        assert_eq!(
+            (v.metric, v.events, v.costs.len()),
+            ("read_deviation", 520, 20)
+        );
+        assert_eq!(v.bound, DEVIATION_BOUND_C * scale);
+        assert!(
+            v.within,
+            "max {:?} vs bound {}",
+            v.outcome.costs.max(),
+            v.bound
+        );
+        // Judged once: the artifact is kept, the events are gone.
+        assert_eq!(rec.take_artifact().expect("kept").len(), 520);
+        assert!(rec.judge(|h| HistoryArtifact::counter(h, scale)).is_none());
+    }
+
+    #[test]
+    fn the_envelope_is_read_off_the_artifact_alone() {
+        // (A bounded queue history inside its envelope, an unbounded
+        // policy and an exceeded counter bound are driven through
+        // `histcheck` in crates/bench/tests/histcheck_cli.rs.)
+        let pq = |queues| {
+            let h = History {
+                events: vec![
+                    ev(PqOp::Insert { priority: 1 }, 0),
+                    ev(PqOp::Insert { priority: 2 }, 1),
+                    ev(PqOp::DeleteMin { removed: 2 }, 2), // rank 1
+                ],
+            };
+            judge(&HistoryArtifact::pq(h, "p", 2.0, queues))
+        };
+        // Mean rank 1/3 against 30 · 2 · 4; inserts are samples too.
+        let v = pq(4);
+        assert_eq!((v.metric, v.bound, v.within), ("dequeue_rank", 240.0, true));
+        assert_eq!(v.costs, vec![0.0, 0.0, 1.0]);
+        assert!(!pq(0).within, "a bound of 0 is exceeded");
+        // No samples verified nothing.
+        let empty = judge(&HistoryArtifact::pq(History::new(), "p", 1.0, 4));
+        assert!(!empty.within && empty.events == 0);
+
+        // Counters are judged on their reads' largest deviation; scale 0
+        // is the exact counter, which may not deviate at all.
+        let counter = |returned, scale| {
+            let h = History {
+                events: vec![ev(CounterOp::Inc, 0), ev(CounterOp::Read { returned }, 1)],
+            };
+            judge(&HistoryArtifact::counter(h, scale))
+        };
+        assert!(counter(1, 0.0).within && !counter(2, 0.0).within);
+        let v = counter(9, 2.0);
+        assert_eq!((v.costs.clone(), v.bound, v.within), (vec![8.0], 8.0, true));
+
+        let fifo = judge(&HistoryArtifact::fifo(History {
+            events: vec![ev(FifoOp::Enqueue { id: 1 }, 0)],
+        }));
+        assert_eq!(fifo.metric, "dequeue_position");
+        assert!(fifo.bound.is_infinite() && fifo.within);
     }
 }

@@ -14,8 +14,17 @@
 //!   operations — a legal linearization order. Replaying the labels in
 //!   that order through the completed LTS produces the quantitative
 //!   path whose costs the definition distributes over.
+//!
+//! One [`Recorder`] per structure owns all three pieces — the clock,
+//! the per-thread [`ThreadLog`]s and the judged artifact — so every
+//! history in the workspace (the workload backends', the integration
+//! tests') is stamped, salvaged and judged by the same code.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use crate::spec::artifact::HistoryArtifact;
+use crate::spec::checker::{judge, Verdict};
 
 /// A shared monotone stamp source.
 ///
@@ -67,28 +76,105 @@ pub struct Event<L> {
     pub response: u64,
 }
 
-/// Per-thread event buffer; merge into a [`History`] after joining.
+/// Records one structure's concurrent history: the [`StampClock`] every
+/// operation draws from, the events its [`ThreadLog`]s hand back, and
+/// the last judged history packaged for export.
+///
+/// This is the only way a history comes into being: workers take a
+/// [`log`](Self::log), record through it, and drop it; the owner then
+/// [`judge`](Self::judge)s what was handed back (or takes the bare
+/// [`History`] with [`take_history`](Self::take_history)).
 #[derive(Debug)]
-pub struct ThreadLog<L> {
-    thread: usize,
-    events: Vec<Event<L>>,
+pub struct Recorder<L> {
+    clock: StampClock,
+    events: Mutex<Vec<Event<L>>>,
+    artifact: Mutex<Option<HistoryArtifact>>,
 }
 
-impl<L> ThreadLog<L> {
-    /// Creates a log for thread `thread`.
-    pub fn new(thread: usize) -> Self {
+impl<L> Default for Recorder<L> {
+    fn default() -> Self {
+        Recorder {
+            clock: StampClock::new(),
+            events: Mutex::new(Vec::new()),
+            artifact: Mutex::new(None),
+        }
+    }
+}
+
+impl<L> Recorder<L> {
+    /// An empty recorder with a clock starting at stamp 0.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The private event log of thread `thread`. It hands its events
+    /// back to this recorder when dropped.
+    pub fn log(&self, thread: usize) -> ThreadLog<'_, L> {
         ThreadLog {
+            recorder: self,
             thread,
             events: Vec::new(),
         }
     }
 
-    /// Records one completed operation: invoke stamp, the operation
-    /// body (which must return the label and its update stamp), response
-    /// stamp.
-    pub fn record(&mut self, clock: &StampClock, op: impl FnOnce() -> (L, u64)) {
+    /// Drains every event handed back so far into one [`History`], in
+    /// hand-back order.
+    pub fn take_history(&self) -> History<L> {
+        History {
+            events: std::mem::take(&mut *self.events.lock().expect("recorder events")),
+        }
+    }
+
+    /// Judges the recorded history: drains it, lets `package` attach
+    /// the metadata that selects its envelope (see the
+    /// [`HistoryArtifact`] constructors), runs the one [`judge`] over
+    /// the artifact and keeps it for
+    /// [`take_artifact`](Self::take_artifact).
+    /// `None` when nothing was recorded since the last call.
+    pub fn judge(&self, package: impl FnOnce(History<L>) -> HistoryArtifact) -> Option<Verdict> {
+        let history = self.take_history();
+        if history.is_empty() {
+            return None;
+        }
+        let artifact = package(history);
+        let verdict = judge(&artifact);
+        *self.artifact.lock().expect("recorder artifact") = Some(artifact);
+        Some(verdict)
+    }
+
+    /// Drains the artifact the last [`judge`](Self::judge) kept.
+    pub fn take_artifact(&self) -> Option<HistoryArtifact> {
+        self.artifact.lock().expect("recorder artifact").take()
+    }
+}
+
+/// One thread's private event buffer, obtained from
+/// [`Recorder::log`].
+///
+/// Dropping the log hands its events to the recorder, so a worker that
+/// dies between operations loses nothing it completed. A log dropped
+/// *during* an unwind stays passive instead — a second panic out of
+/// `Drop` would abort the process — and its events are lost with the
+/// operation that was in flight.
+#[derive(Debug)]
+pub struct ThreadLog<'r, L> {
+    recorder: &'r Recorder<L>,
+    thread: usize,
+    events: Vec<Event<L>>,
+}
+
+impl<L> ThreadLog<'_, L> {
+    /// Records one operation: invoke stamp, the operation body,
+    /// response stamp. The body draws its update stamp from the clock
+    /// it is handed, inside its atomic update step, and returns the
+    /// label (output baked in), that stamp and a value for the caller.
+    /// A body returning `None` — a dequeue that found nothing — is no
+    /// operation of the history: nothing is logged and no response
+    /// stamp is drawn.
+    pub fn record<R>(&mut self, op: impl FnOnce(&StampClock) -> Option<(L, u64, R)>) -> Option<R> {
+        let clock = &self.recorder.clock;
         let invoke = clock.stamp();
-        let (label, update) = op();
+        let (label, update, out) = op(clock)?;
         let response = clock.stamp();
         self.events.push(Event {
             thread: self.thread,
@@ -97,29 +183,27 @@ impl<L> ThreadLog<L> {
             update,
             response,
         });
+        Some(out)
     }
+}
 
-    /// Records a pre-assembled event.
-    pub fn push(&mut self, event: Event<L>) {
-        self.events.push(event);
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+impl<L> Drop for ThreadLog<'_, L> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.recorder
+                .events
+                .lock()
+                .expect("recorder events")
+                .append(&mut self.events);
+        }
     }
 }
 
 /// A complete concurrent history: all threads' events merged.
 #[derive(Debug, Clone, Default)]
 pub struct History<L> {
-    /// All events; call [`sort_by_update`](Self::sort_by_update) before
-    /// replaying.
+    /// All events, in no particular order: the checker replays them by
+    /// update stamp.
     pub events: Vec<Event<L>>,
 }
 
@@ -127,21 +211,6 @@ impl<L> History<L> {
     /// Creates an empty history.
     pub fn new() -> Self {
         History { events: Vec::new() }
-    }
-
-    /// Merges thread logs into one history.
-    pub fn from_logs(logs: Vec<ThreadLog<L>>) -> Self {
-        let mut events = Vec::with_capacity(logs.iter().map(|l| l.events.len()).sum());
-        for log in logs {
-            events.extend(log.events);
-        }
-        History { events }
-    }
-
-    /// Sorts events by update stamp — the linearization order used by
-    /// the checker.
-    pub fn sort_by_update(&mut self) {
-        self.events.sort_by_key(|e| e.update);
     }
 
     /// Number of events.
@@ -238,14 +307,40 @@ mod tests {
 
     #[test]
     fn record_produces_ordered_stamps() {
-        let clock = StampClock::new();
-        let mut log = ThreadLog::new(0);
-        log.record(&clock, || ("op", clock.stamp()));
-        assert_eq!(log.len(), 1);
-        let h = History::from_logs(vec![log]);
+        let rec = Recorder::new();
+        let mut log = rec.log(0);
+        assert_eq!(log.record(|c| Some(("op", c.stamp(), 7))), Some(7));
+        drop(log);
+        let h = rec.take_history();
+        assert_eq!(h.len(), 1);
         assert!(h.well_formed());
         let e = &h.events[0];
         assert!(e.invoke < e.update && e.update < e.response);
+    }
+
+    #[test]
+    fn an_operation_that_observed_nothing_draws_its_invoke_stamp_only() {
+        let rec = Recorder::new();
+        let mut log = rec.log(0);
+        assert_eq!(log.record(|_| None::<(&str, u64, ())>), None);
+        log.record(|c| Some(("next", c.stamp(), ())));
+        drop(log);
+        let h = rec.take_history();
+        assert_eq!((h.len(), h.events[0].invoke), (1, 1));
+    }
+
+    #[test]
+    fn a_log_dropped_inside_an_unwind_stays_passive() {
+        let rec = std::sync::Arc::new(Recorder::new());
+        let inner = rec.clone();
+        let died = std::thread::spawn(move || {
+            let mut log = inner.log(0);
+            log.record(|c| Some(('b', c.stamp(), ())));
+            panic!("mid-operation");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(rec.take_history().is_empty());
     }
 
     #[test]
@@ -341,13 +436,13 @@ mod tests {
 
     #[test]
     fn merge_multiple_thread_logs() {
-        let clock = StampClock::new();
-        let mut l0 = ThreadLog::new(0);
-        let mut l1 = ThreadLog::new(1);
-        l0.record(&clock, || (0u8, clock.stamp()));
-        l1.record(&clock, || (1u8, clock.stamp()));
-        l0.record(&clock, || (2u8, clock.stamp()));
-        let h = History::from_logs(vec![l0, l1]);
+        let rec = Recorder::new();
+        let (mut l0, mut l1) = (rec.log(0), rec.log(1));
+        l0.record(|c| Some((0u8, c.stamp(), ())));
+        l1.record(|c| Some((1u8, c.stamp(), ())));
+        l0.record(|c| Some((2u8, c.stamp(), ())));
+        drop((l0, l1));
+        let h = rec.take_history();
         assert_eq!(h.len(), 3);
         assert!(h.well_formed());
         assert!(h.respects_real_time());

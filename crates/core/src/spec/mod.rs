@@ -24,11 +24,16 @@
 //! within operation intervals), and replaying in stamp order yields the
 //! sequential path whose costs Definition 5.2 talks about.
 //!
-//! Recorded histories are also *durable evidence*: [`artifact`] gives
-//! them a versioned, policy-tagged serialized form (`.histjsonl`), and
-//! [`checker::replay_artifact`] re-derives the identical verdict from a
-//! deserialized artifact — so external monitors can audit a history
-//! long after the run that produced it.
+//! The path from operations to a verdict exists once. A
+//! [`history::Recorder`] owns the stamp clock, the per-thread logs and
+//! their salvage when a thread dies; [`artifact`] packages what it
+//! recorded with the metadata that selects its envelope, in a versioned
+//! serialized form (`.histjsonl`); and [`checker::judge`] reads replay,
+//! cost samples, bound and within/vacuous decision off the artifact
+//! alone. The workload backends judging a run in-process and
+//! `histcheck` judging the exported file long afterwards therefore call
+//! the same function on the same data — the offline numbers equal the
+//! in-process ones by construction.
 
 pub mod artifact;
 pub mod checker;
@@ -39,9 +44,12 @@ pub mod relaxation;
 pub mod specs;
 
 pub use artifact::{ArtifactError, ArtifactHistory, HistoryArtifact};
-pub use checker::{check_distributional, replay_artifact, ReplayOutcome};
+pub use checker::{
+    check_distributional, judge, replay_artifact, ReplayOutcome, Verdict, DEVIATION_BOUND_C,
+    RANK_BOUND_C,
+};
 pub use exact::{check_linearizable, Linearizability};
-pub use history::{Event, History, StampClock, ThreadLog};
+pub use history::{Event, History, Recorder, StampClock, ThreadLog};
 pub use lts::{Lts, SequentialSpec};
 pub use relaxation::{CostDistribution, PathCost, QuantitativeRelaxation};
 pub use specs::{CounterOp, CounterSpec, FifoOp, FifoSpec, PqOp, PqSpec};

@@ -1,7 +1,7 @@
 //! The unified backend interface every structure in the workspace
 //! implements to be drivable by the engine.
 
-use dlz_core::spec::HistoryArtifact;
+use dlz_core::spec::{HistoryArtifact, Verdict};
 
 use crate::metrics::TelemetrySample;
 use crate::op::{Op, OpCounts};
@@ -56,10 +56,10 @@ pub trait Backend: Sync {
     /// kind, policy label, envelope factor, queue count) already filled
     /// in; the engine adds run metadata (threads, source, sweep cell).
     ///
-    /// History-recording backends stash the artifact while
-    /// [`quality`](Self::quality) replays the history, so this must be
-    /// called *after* `quality()`. Backends that record no history
-    /// return `None` (the default).
+    /// History-recording backends keep the artifact
+    /// [`quality`](Self::quality) judged, so this must be called
+    /// *after* `quality()`. Backends that record no history return
+    /// `None` (the default).
     fn take_history_artifact(&self) -> Option<HistoryArtifact> {
         None
     }
@@ -71,8 +71,11 @@ pub trait Worker {
     /// remove that observed an empty structure.
     fn execute(&mut self, op: &Op) -> bool;
 
-    /// Called once after the run: flush per-thread quality state
-    /// (history logs, deviation samples) back to the backend.
+    /// Called once after a run the worker completed: flush buffered
+    /// operations and per-thread statistics back to the backend. The
+    /// engine skips it for a worker whose thread panicked, so whatever
+    /// conservation and the history verdict depend on goes back when
+    /// the worker is dropped instead (see [`backends`](crate::backends)).
     fn finish(&mut self) {}
 
     /// Drains backend-internal telemetry accumulated since the last
@@ -142,6 +145,21 @@ impl QualityReport {
             summary: None,
             scalars: Vec::new(),
         }
+    }
+
+    /// The head of every history-mode report: the judged metric and
+    /// the distribution of its cost samples.
+    pub(crate) fn judged(verdict: &Verdict) -> Self {
+        QualityReport::named(verdict.metric)
+            .with_summary(QualitySummary::from_samples(&verdict.costs))
+    }
+
+    /// Adds the verdict's `linearizable` flag and `history_ops` count
+    /// (chainable).
+    pub(crate) fn verdict(self, verdict: &Verdict) -> Self {
+        let linearizable = verdict.outcome.is_linearizable();
+        self.scalar("linearizable", f64::from(u8::from(linearizable)))
+            .scalar("history_ops", verdict.events as f64)
     }
 
     /// Adds a named scalar (chainable).

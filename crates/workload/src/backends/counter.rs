@@ -1,31 +1,25 @@
 //! Counter-family backends: every relaxed counter in `dlz-core` behind
 //! the unified [`Backend`] interface.
+//!
+//! In history mode the verdict — each read's deviation from the count
+//! at its linearization point, against `DEVIATION_BOUND_C · m·ln m` —
+//! comes from [`dlz_core::spec::judge`] over the recorded artifact.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use dlz_core::rng::Xoshiro256;
-use dlz_core::spec::{
-    check_distributional, CounterOp, CounterSpec, Event, History, HistoryArtifact, StampClock,
-    ThreadLog,
-};
+use dlz_core::spec::{CounterOp, HistoryArtifact, Recorder, ThreadLog, DEVIATION_BOUND_C};
 use dlz_core::{DChoiceCounter, ExactCounter, MultiCounter, RelaxedCounter, ShardedCounter};
 
+use super::{SampleSink, WorkerSamples};
 use crate::backend::{Backend, QualityReport, QualitySummary, Worker, WorkerCfg};
 use crate::op::{Op, OpCounts, OpKind};
 use crate::scenario::Family;
 
-/// Generous constant over the `m·ln m` deviation scale, as the core
-/// tests use: the reported read-deviation bound is
-/// `DEVIATION_BOUND_C · scale`. Public so offline checkers
-/// (`histcheck`) reconstruct the *same* envelope from an artifact's
-/// `envelope_factor`.
-pub const DEVIATION_BOUND_C: f64 = 4.0;
-
 /// Any counter from `dlz-core`, with explicit-RNG calls where the
 /// concrete type offers them (keeping runs deterministic per seed).
 #[derive(Debug)]
-pub enum AnyCounter {
+enum AnyCounter {
     /// Algorithm 1.
     Multi(MultiCounter),
     /// The d-choice generalization.
@@ -34,6 +28,29 @@ pub enum AnyCounter {
     Sharded(ShardedCounter),
     /// The single fetch-and-add baseline.
     Exact(ExactCounter),
+}
+
+impl AnyCounter {
+    fn sampled_read(&self, rng: &mut Xoshiro256) -> u64 {
+        match self {
+            AnyCounter::Multi(c) => c.read_with(rng),
+            AnyCounter::DChoice(c) => c.read_with(rng),
+            AnyCounter::Sharded(c) => c.read_sample_with(rng),
+            AnyCounter::Exact(c) => c.read(),
+        }
+    }
+
+    /// One unit increment on whatever substrate.
+    fn increment_unit(&self, rng: &mut Xoshiro256, stripe: usize) {
+        match self {
+            AnyCounter::Multi(c) => c.increment_with(rng),
+            AnyCounter::DChoice(c) => c.increment_with(rng),
+            AnyCounter::Sharded(c) => c.increment_stripe(stripe),
+            AnyCounter::Exact(c) => {
+                c.increment();
+            }
+        }
+    }
 }
 
 /// A counter behind the [`Backend`] interface.
@@ -58,13 +75,8 @@ pub struct CounterBackend {
     label: String,
     /// Sum of weights actually applied (conservation ground truth).
     expected: AtomicU64,
-    deviations: Mutex<Vec<f64>>,
-    /// Stamp source and per-thread logs for history mode.
-    clock: StampClock,
-    logs: Mutex<Vec<ThreadLog<CounterOp>>>,
-    /// The last run's history, packaged for export (stashed by
-    /// `quality()`, drained by `take_history_artifact()`).
-    artifact: Mutex<Option<HistoryArtifact>>,
+    deviations: SampleSink,
+    recorder: Recorder<CounterOp>,
 }
 
 impl CounterBackend {
@@ -102,10 +114,8 @@ impl CounterBackend {
             inner,
             label,
             expected: AtomicU64::new(0),
-            deviations: Mutex::new(Vec::new()),
-            clock: StampClock::new(),
-            logs: Mutex::new(Vec::new()),
-            artifact: Mutex::new(None),
+            deviations: SampleSink::default(),
+            recorder: Recorder::new(),
         }
     }
 
@@ -154,12 +164,9 @@ impl Backend for CounterBackend {
             backend: self,
             rng: Xoshiro256::new(cfg.seed),
             stripe: cfg.id % cfg.threads.max(1),
-            thread: cfg.id,
-            quality_every: cfg.quality_every,
-            reads_seen: 0,
             added: 0,
-            deviations: Vec::new(),
-            log: cfg.record_history.then(|| ThreadLog::new(cfg.id)),
+            deviations: self.deviations.worker(cfg.quality_every),
+            log: cfg.record_history.then(|| self.recorder.log(cfg.id)),
         })
     }
 
@@ -181,68 +188,35 @@ impl Backend for CounterBackend {
 
     fn quality(&self) -> QualityReport {
         let scale = self.deviation_scale();
-        let bound = DEVIATION_BOUND_C * scale;
-        // History mode: replay the stamped history through the
-        // relaxed-counter checker. Each read's cost is its deviation
-        // from the count at its linearization point (Lemma 6.8's
-        // metric, exact rather than sampled).
-        let logs = std::mem::take(&mut *self.logs.lock().expect("logs"));
-        if !logs.is_empty() {
-            let history = History::from_logs(logs);
-            let outcome = check_distributional(&CounterSpec, &history);
-            // Costs align 1:1 with labels in update order: the counter
-            // relaxation has no unmappable transitions (every Inc and
-            // Read applies), so nothing is skipped.
-            let labels = history.labels_in_update_order();
-            let read_costs: Vec<f64> = labels
-                .iter()
-                .zip(outcome.costs.samples())
-                .filter(|(l, _)| matches!(l, CounterOp::Read { .. }))
-                .map(|(_, c)| *c)
-                .collect();
-            let summary = QualitySummary::from_samples(&read_costs);
-            let within = if scale == 0.0 {
-                summary.max == 0.0
-            } else {
-                summary.max <= bound
-            };
-            let report = QualityReport::named("read_deviation")
-                .with_summary(summary)
+        let samples = self.deviations.drain();
+        // History mode judges the stamped reads (Lemma 6.8's metric,
+        // exact rather than sampled); the deviation scale travels with
+        // the history as its envelope factor. Otherwise the bracketed
+        // online samples stand in, held against the same bound.
+        let max_gap = self.max_gap() as f64;
+        let tail = |report: QualityReport, bound: f64, within: bool| {
+            report
                 .scalar("scale_m_ln_m", scale)
                 .scalar("bound", bound)
-                .scalar("within_bound", if within { 1.0 } else { 0.0 })
-                .scalar("max_gap", self.max_gap() as f64)
-                .scalar(
-                    "linearizable",
-                    if outcome.is_linearizable() { 1.0 } else { 0.0 },
-                )
-                .scalar("history_ops", history.len() as f64);
-            // Package the checked history for export; the deviation
-            // scale travels as the envelope factor (bound = 4·scale).
-            *self.artifact.lock().expect("artifact") =
-                Some(HistoryArtifact::counter(history, scale));
-            return report;
-        }
-        // Drains the samples so a backend reused across several engine
-        // runs (fig1b's checkpoints) reports per-run, not cumulative,
-        // statistics.
-        let samples = std::mem::take(&mut *self.deviations.lock().expect("deviations"));
-        let summary = QualitySummary::from_samples(&samples);
-        let within = if samples.is_empty() || scale == 0.0 {
-            summary.max == 0.0
-        } else {
-            summary.max <= bound
+                .scalar("within_bound", f64::from(u8::from(within)))
+                .scalar("max_gap", max_gap)
         };
-        QualityReport::named("read_deviation")
-            .with_summary(summary)
-            .scalar("scale_m_ln_m", scale)
-            .scalar("bound", bound)
-            .scalar("within_bound", if within { 1.0 } else { 0.0 })
-            .scalar("max_gap", self.max_gap() as f64)
+        match self
+            .recorder
+            .judge(|history| HistoryArtifact::counter(history, scale))
+        {
+            Some(v) => tail(QualityReport::judged(&v), v.bound, v.within).verdict(&v),
+            None => {
+                let summary = QualitySummary::from_samples(&samples);
+                let bound = DEVIATION_BOUND_C * scale;
+                let report = QualityReport::named("read_deviation").with_summary(summary);
+                tail(report, bound, summary.max <= bound)
+            }
+        }
     }
 
     fn take_history_artifact(&self) -> Option<HistoryArtifact> {
-        self.artifact.lock().expect("artifact").take()
+        self.recorder.take_artifact()
     }
 }
 
@@ -255,83 +229,50 @@ struct CounterWorker<'a> {
     backend: &'a CounterBackend,
     rng: Xoshiro256,
     stripe: usize,
-    thread: usize,
-    quality_every: u32,
-    reads_seen: u32,
+    /// Weight applied so far; joins the backend's `expected` on drop.
     added: u64,
-    deviations: Vec<f64>,
+    deviations: WorkerSamples<'a>,
     /// Stamped `CounterOp` events (history mode only).
-    log: Option<ThreadLog<CounterOp>>,
-}
-
-impl CounterWorker<'_> {
-    fn sampled_read(&mut self) -> u64 {
-        match &self.backend.inner {
-            AnyCounter::Multi(c) => c.read_with(&mut self.rng),
-            AnyCounter::DChoice(c) => c.read_with(&mut self.rng),
-            AnyCounter::Sharded(c) => c.read_sample_with(&mut self.rng),
-            AnyCounter::Exact(c) => c.read(),
-        }
-    }
-
-    /// One unit increment on whatever substrate.
-    fn increment_unit(&mut self) {
-        match &self.backend.inner {
-            AnyCounter::Multi(c) => c.increment_with(&mut self.rng),
-            AnyCounter::DChoice(c) => c.increment_with(&mut self.rng),
-            AnyCounter::Sharded(c) => c.increment_stripe(self.stripe),
-            AnyCounter::Exact(c) => {
-                c.increment();
-            }
-        }
-    }
+    log: Option<ThreadLog<'a, CounterOp>>,
 }
 
 impl Worker for CounterWorker<'_> {
     fn execute(&mut self, op: &Op) -> bool {
-        let clock = &self.backend.clock;
+        let inner = &self.backend.inner;
+        let (rng, stripe) = (&mut self.rng, self.stripe);
         match op.kind {
             OpKind::Update => {
-                if self.log.is_some() {
+                if let Some(log) = &mut self.log {
                     // History mode: the spec's `Inc` is a unit
                     // increment, so apply (and stamp) the weight as
                     // units. The update stamp is drawn right after the
                     // increment's atomic step — inside the operation's
                     // interval, which is all Definition 5.2 needs.
                     for _ in 0..op.weight {
-                        let invoke = clock.stamp();
-                        self.increment_unit();
-                        let update = clock.stamp();
-                        let response = clock.stamp();
-                        if let Some(log) = &mut self.log {
-                            log.push(Event {
-                                thread: self.thread,
-                                label: CounterOp::Inc,
-                                invoke,
-                                update,
-                                response,
-                            });
-                        }
+                        log.record(|clock| {
+                            inner.increment_unit(rng, stripe);
+                            Some((CounterOp::Inc, clock.stamp(), ()))
+                        });
                     }
                 } else {
-                    match &self.backend.inner {
+                    match inner {
                         AnyCounter::Multi(c) => {
                             if op.weight == 1 {
-                                c.increment_with(&mut self.rng);
+                                c.increment_with(rng);
                             } else {
-                                c.add_with(&mut self.rng, op.weight);
+                                c.add_with(rng, op.weight);
                             }
                         }
                         // No weighted add on these substrates: apply the
                         // weight as unit increments so totals stay exact.
                         AnyCounter::DChoice(c) => {
                             for _ in 0..op.weight {
-                                c.increment_with(&mut self.rng);
+                                c.increment_with(rng);
                             }
                         }
                         AnyCounter::Sharded(c) => {
                             for _ in 0..op.weight {
-                                c.increment_stripe(self.stripe);
+                                c.increment_stripe(stripe);
                             }
                         }
                         AnyCounter::Exact(c) => {
@@ -345,54 +286,39 @@ impl Worker for CounterWorker<'_> {
                 true
             }
             OpKind::Remove | OpKind::Read => {
-                if self.log.is_some() {
-                    let invoke = clock.stamp();
-                    let returned = self.sampled_read();
-                    let update = clock.stamp();
-                    let response = clock.stamp();
-                    if let Some(log) = &mut self.log {
-                        log.push(Event {
-                            thread: self.thread,
-                            label: CounterOp::Read { returned },
-                            invoke,
-                            update,
-                            response,
-                        });
-                    }
-                    return true;
-                }
-                self.reads_seen += 1;
-                if self.quality_every > 0 && self.reads_seen.is_multiple_of(self.quality_every) {
+                if let Some(log) = &mut self.log {
+                    log.record(|clock| {
+                        let returned = inner.sampled_read(rng);
+                        Some((CounterOp::Read { returned }, clock.stamp(), ()))
+                    });
+                } else if self.deviations.due() {
                     // Bracket the relaxed read between two exact sums:
                     // the counter is monotone, so the true count at the
                     // read lies in `[lo, hi]` however long this thread
                     // was preempted in between, and only the distance
                     // to that interval is the read's own error.
                     let lo = self.backend.read_exact();
-                    let approx = self.sampled_read();
+                    let approx = inner.sampled_read(rng);
                     let hi = self.backend.read_exact();
                     self.deviations
                         .push(distance_to_bracket(approx, lo, hi) as f64);
                 } else {
-                    self.sampled_read();
+                    inner.sampled_read(rng);
                 }
                 true
             }
         }
     }
+}
 
-    fn finish(&mut self) {
+impl Drop for CounterWorker<'_> {
+    fn drop(&mut self) {
+        // On drop rather than in `finish()`, which a worker that died
+        // between two ops never reaches: its increments were applied
+        // and must count.
         self.backend
             .expected
             .fetch_add(self.added, Ordering::AcqRel);
-        self.backend
-            .deviations
-            .lock()
-            .expect("deviations")
-            .append(&mut self.deviations);
-        if let Some(log) = self.log.take() {
-            self.backend.logs.lock().expect("logs").push(log);
-        }
     }
 }
 

@@ -4,9 +4,9 @@
 //!
 //! `Update` enqueues a fresh, globally unique element id; `Remove`
 //! dequeues; `Read` peeks the published oldest-timestamp hint. With
-//! `record_history` on, every operation is stamped and the recorded
-//! history replays through the distributional-linearizability checker
-//! under [`FifoSpec`]: the step cost is the dequeued element's
+//! `record_history` on, every operation is stamped through the
+//! backend's [`Recorder`] and [`dlz_core::spec::judge`] replays the
+//! history under `FifoSpec`: the step cost is the dequeued element's
 //! **position** in the FIFO order (0 = head = exact), the quantity
 //! Theorem 7.1 bounds by O(m) in expectation.
 
@@ -14,28 +14,15 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use dlz_core::clock::{Clock, FaaClock};
-use dlz_core::spec::{
-    check_distributional, Event, FifoOp, FifoSpec, History, HistoryArtifact, StampClock, ThreadLog,
-};
+use dlz_core::spec::{FifoOp, HistoryArtifact, Recorder, ThreadLog};
 use dlz_core::{AnyPolicy, MqHandle, RelaxedFifo};
 use dlz_pq::{BinaryHeap, ConcurrentPq};
 
+use super::{conserved, SampleSink, WorkerSamples};
 use crate::backend::{Backend, QualityReport, QualitySummary, Worker, WorkerCfg};
 use crate::metrics::TelemetrySample;
 use crate::op::{Op, OpCounts, OpKind};
 use crate::scenario::Family;
-
-/// Shared quality state of the FIFO backends.
-#[derive(Debug, Default)]
-struct FifoQuality {
-    /// Stamped logs (history mode), replayed through the checker.
-    logs: Mutex<Vec<ThreadLog<FifoOp>>>,
-    /// Cheap online samples: `dequeued_ts - oldest_hint` — a
-    /// timestamp-space staleness proxy for the dequeue position.
-    proxies: Mutex<Vec<f64>>,
-    /// The last run's history, packaged for export.
-    artifact: Mutex<Option<HistoryArtifact>>,
-}
 
 /// Element ids pack the worker id above a per-worker sequence number,
 /// so ids are globally unique without shared state (the sequential
@@ -56,8 +43,10 @@ fn element_id(worker: usize, seq: u64) -> u64 {
 pub struct RelaxedFifoBackend {
     fifo: RelaxedFifo<u64, FaaClock>,
     label: String,
-    clock: StampClock,
-    quality: FifoQuality,
+    recorder: Recorder<FifoOp>,
+    /// `dequeued_ts - oldest_hint`: a timestamp-space staleness proxy
+    /// for the dequeue position.
+    proxies: SampleSink,
 }
 
 impl RelaxedFifoBackend {
@@ -66,14 +55,9 @@ impl RelaxedFifoBackend {
         RelaxedFifoBackend {
             fifo: RelaxedFifo::new(m, FaaClock::new()),
             label: format!("relaxed-fifo(m={m})"),
-            clock: StampClock::new(),
-            quality: FifoQuality::default(),
+            recorder: Recorder::new(),
+            proxies: SampleSink::default(),
         }
-    }
-
-    /// The wrapped relaxed FIFO.
-    pub fn fifo(&self) -> &RelaxedFifo<u64, FaaClock> {
-        &self.fifo
     }
 }
 
@@ -92,10 +76,8 @@ impl Backend for RelaxedFifoBackend {
             handle: self.fifo.multiqueue().handle(cfg.seed),
             thread: cfg.id,
             seq: 0,
-            log: cfg.record_history.then(|| ThreadLog::new(cfg.id)),
-            quality_every: cfg.quality_every,
-            removes_seen: 0,
-            proxies: Vec::new(),
+            log: cfg.record_history.then(|| self.recorder.log(cfg.id)),
+            proxy: self.proxies.worker(cfg.quality_every),
         })
     }
 
@@ -104,51 +86,22 @@ impl Backend for RelaxedFifoBackend {
     }
 
     fn verify(&self, counts: &OpCounts) -> Result<(), String> {
-        let residual = self.residual();
-        let inserted = counts.inserted();
-        if inserted == counts.removes + residual {
-            Ok(())
-        } else {
-            Err(format!(
-                "fifo lost items: {inserted} enqueued != {} dequeued + {residual} residual",
-                counts.removes
-            ))
-        }
+        conserved("fifo", counts, self.residual())
     }
 
     fn quality(&self) -> QualityReport {
-        let logs = std::mem::take(&mut *self.quality.logs.lock().expect("logs"));
-        let proxies = std::mem::take(&mut *self.quality.proxies.lock().expect("proxies"));
+        let proxies = self.proxies.drain();
         let m = self.fifo.multiqueue().num_queues() as f64;
-        if !logs.is_empty() {
-            let history = History::from_logs(logs);
-            let outcome = check_distributional(&FifoSpec, &history);
-            let costs: Vec<f64> = outcome
-                .costs
-                .samples()
-                .iter()
-                .copied()
-                .filter(|c| c.is_finite())
-                .collect();
-            let summary = QualitySummary::from_samples(&costs);
-            let report = QualityReport::named("dequeue_position")
-                .with_summary(summary)
-                .scalar("scale_m", m)
-                .scalar(
-                    "linearizable",
-                    if outcome.is_linearizable() { 1.0 } else { 0.0 },
-                )
-                .scalar("history_ops", history.len() as f64);
-            *self.quality.artifact.lock().expect("artifact") = Some(HistoryArtifact::fifo(history));
-            return report;
+        match self.recorder.judge(HistoryArtifact::fifo) {
+            Some(v) => QualityReport::judged(&v).scalar("scale_m", m).verdict(&v),
+            None => QualityReport::named("dequeue_ts_lag_proxy")
+                .with_summary(QualitySummary::from_samples(&proxies))
+                .scalar("scale_m", m),
         }
-        QualityReport::named("dequeue_ts_lag_proxy")
-            .with_summary(QualitySummary::from_samples(&proxies))
-            .scalar("scale_m", m)
     }
 
     fn take_history_artifact(&self) -> Option<HistoryArtifact> {
-        self.quality.artifact.lock().expect("artifact").take()
+        self.recorder.take_artifact()
     }
 }
 
@@ -158,15 +111,14 @@ struct RelaxedFifoWorker<'a> {
     thread: usize,
     /// Per-worker element sequence (packed under the worker id).
     seq: u64,
-    log: Option<ThreadLog<FifoOp>>,
-    quality_every: u32,
-    removes_seen: u32,
-    proxies: Vec<f64>,
+    log: Option<ThreadLog<'a, FifoOp>>,
+    proxy: WorkerSamples<'a>,
 }
 
 impl Worker for RelaxedFifoWorker<'_> {
     fn execute(&mut self, op: &Op) -> bool {
-        let clock = &self.backend.clock;
+        let fifo = &self.backend.fifo;
+        let (handle, log) = (&mut self.handle, &mut self.log);
         match op.kind {
             OpKind::Update => {
                 let id = element_id(self.thread, self.seq);
@@ -174,69 +126,31 @@ impl Worker for RelaxedFifoWorker<'_> {
                 // Algorithm 2: read the clock, insert with the time as
                 // the priority. The FAA clock makes timestamps unique,
                 // so FIFO order is total and replay positions exact.
-                let ts = self.backend.fifo.clock().tick();
-                if let Some(log) = &mut self.log {
-                    let thread = self.thread;
-                    let invoke = clock.stamp();
-                    let update = self.handle.stamped(clock.as_atomic()).insert(ts, id);
-                    let response = clock.stamp();
-                    log.push(Event {
-                        thread,
-                        label: FifoOp::Enqueue { id },
-                        invoke,
-                        update,
-                        response,
-                    });
-                } else {
-                    self.handle.insert(ts, id);
+                let ts = fifo.clock().tick();
+                match log {
+                    Some(log) => {
+                        log.record(|clock| {
+                            let update = handle.stamped(clock.as_atomic()).insert(ts, id);
+                            Some((FifoOp::Enqueue { id }, update, ()))
+                        });
+                    }
+                    None => handle.insert(ts, id),
                 }
                 true
             }
             OpKind::Remove => {
-                self.removes_seen += 1;
-                let sample =
-                    self.quality_every > 0 && self.removes_seen.is_multiple_of(self.quality_every);
-                let hint = if sample {
-                    self.backend.fifo.multiqueue().min_hint()
-                } else {
-                    u64::MAX
+                let remove = || match log {
+                    Some(log) => log.record(|clock| {
+                        let (ts, id, update) = handle.stamped(clock.as_atomic()).dequeue()?;
+                        Some((FifoOp::Dequeue { id }, update, ts))
+                    }),
+                    None => handle.dequeue().map(|(ts, _)| ts),
                 };
-                if self.log.is_some() {
-                    let thread = self.thread;
-                    let invoke = clock.stamp();
-                    match self.handle.stamped(clock.as_atomic()).dequeue() {
-                        Some((ts, id, update)) => {
-                            let response = clock.stamp();
-                            if sample && hint != u64::MAX {
-                                self.proxies.push(ts.saturating_sub(hint) as f64);
-                            }
-                            if let Some(log) = &mut self.log {
-                                log.push(Event {
-                                    thread,
-                                    label: FifoOp::Dequeue { id },
-                                    invoke,
-                                    update,
-                                    response,
-                                });
-                            }
-                            true
-                        }
-                        None => false,
-                    }
-                } else {
-                    match self.handle.dequeue() {
-                        Some((ts, _)) => {
-                            if sample && hint != u64::MAX {
-                                self.proxies.push(ts.saturating_sub(hint) as f64);
-                            }
-                            true
-                        }
-                        None => false,
-                    }
-                }
+                let hint = || fifo.multiqueue().min_hint();
+                self.proxy.around_remove(hint, remove).is_some()
             }
             OpKind::Read => {
-                std::hint::black_box(self.backend.fifo.multiqueue().min_hint());
+                std::hint::black_box(fifo.multiqueue().min_hint());
                 true
             }
         }
@@ -247,18 +161,6 @@ impl Worker for RelaxedFifoWorker<'_> {
             contention: self.handle.take_contention(),
         })
     }
-
-    fn finish(&mut self) {
-        if let Some(log) = self.log.take() {
-            self.backend.quality.logs.lock().expect("logs").push(log);
-        }
-        self.backend
-            .quality
-            .proxies
-            .lock()
-            .expect("proxies")
-            .append(&mut self.proxies);
-    }
 }
 
 /// The exact baseline: one mutex around a `VecDeque`. Every dequeue
@@ -267,8 +169,7 @@ impl Worker for RelaxedFifoWorker<'_> {
 #[derive(Debug, Default)]
 pub struct LockedFifoBackend {
     queue: Mutex<VecDeque<u64>>,
-    clock: StampClock,
-    quality: FifoQuality,
+    recorder: Recorder<FifoOp>,
 }
 
 impl LockedFifoBackend {
@@ -289,10 +190,10 @@ impl Backend for LockedFifoBackend {
 
     fn worker<'a>(&'a self, cfg: WorkerCfg) -> Box<dyn Worker + Send + 'a> {
         Box::new(LockedFifoWorker {
-            backend: self,
+            queue: &self.queue,
             thread: cfg.id,
             seq: 0,
-            log: cfg.record_history.then(|| ThreadLog::new(cfg.id)),
+            log: cfg.record_history.then(|| self.recorder.log(cfg.id)),
         })
     }
 
@@ -301,170 +202,73 @@ impl Backend for LockedFifoBackend {
     }
 
     fn verify(&self, counts: &OpCounts) -> Result<(), String> {
-        let residual = self.residual();
-        let inserted = counts.inserted();
-        if inserted == counts.removes + residual {
-            Ok(())
-        } else {
-            Err(format!(
-                "fifo lost items: {inserted} enqueued != {} dequeued + {residual} residual",
-                counts.removes
-            ))
-        }
+        conserved("fifo", counts, self.residual())
     }
 
     fn quality(&self) -> QualityReport {
-        let logs = std::mem::take(&mut *self.quality.logs.lock().expect("logs"));
-        if !logs.is_empty() {
-            let history = History::from_logs(logs);
-            let outcome = check_distributional(&FifoSpec, &history);
-            let costs: Vec<f64> = outcome
-                .costs
-                .samples()
-                .iter()
-                .copied()
-                .filter(|c| c.is_finite())
-                .collect();
-            let report = QualityReport::named("dequeue_position")
-                .with_summary(QualitySummary::from_samples(&costs))
-                .scalar(
-                    "linearizable",
-                    if outcome.is_linearizable() { 1.0 } else { 0.0 },
-                )
-                .scalar("history_ops", history.len() as f64);
-            *self.quality.artifact.lock().expect("artifact") = Some(HistoryArtifact::fifo(history));
-            return report;
+        match self.recorder.judge(HistoryArtifact::fifo) {
+            Some(v) => QualityReport::judged(&v).verdict(&v),
+            None => QualityReport::named("dequeue_position").scalar("exact_structure", 1.0),
         }
-        QualityReport::named("dequeue_position").scalar("exact_structure", 1.0)
     }
 
     fn take_history_artifact(&self) -> Option<HistoryArtifact> {
-        self.quality.artifact.lock().expect("artifact").take()
+        self.recorder.take_artifact()
     }
 }
 
 struct LockedFifoWorker<'a> {
-    backend: &'a LockedFifoBackend,
+    queue: &'a Mutex<VecDeque<u64>>,
     thread: usize,
     seq: u64,
-    log: Option<ThreadLog<FifoOp>>,
+    log: Option<ThreadLog<'a, FifoOp>>,
 }
 
 impl Worker for LockedFifoWorker<'_> {
     fn execute(&mut self, op: &Op) -> bool {
-        let clock = &self.backend.clock;
+        let queue = self.queue;
         match op.kind {
             OpKind::Update => {
                 let id = element_id(self.thread, self.seq);
                 self.seq += 1;
-                if self.log.is_some() {
-                    let invoke = clock.stamp();
-                    // The update stamp is taken inside the critical
-                    // section: the true linearization point.
-                    let update = {
-                        let mut q = self.backend.queue.lock().expect("queue");
-                        let u = clock.stamp();
-                        q.push_back(id);
-                        u
-                    };
-                    let response = clock.stamp();
-                    if let Some(log) = &mut self.log {
-                        log.push(Event {
-                            thread: self.thread,
-                            label: FifoOp::Enqueue { id },
-                            invoke,
-                            update,
-                            response,
+                match &mut self.log {
+                    Some(log) => {
+                        // The update stamp is taken inside the critical
+                        // section: the true linearization point.
+                        log.record(|clock| {
+                            let mut q = queue.lock().expect("queue");
+                            let update = clock.stamp();
+                            q.push_back(id);
+                            Some((FifoOp::Enqueue { id }, update, ()))
                         });
                     }
-                } else {
-                    self.backend.queue.lock().expect("queue").push_back(id);
+                    None => queue.lock().expect("queue").push_back(id),
                 }
                 true
             }
-            OpKind::Remove => {
-                if self.log.is_some() {
-                    let invoke = clock.stamp();
-                    let (popped, update) = {
-                        let mut q = self.backend.queue.lock().expect("queue");
-                        let u = clock.stamp();
-                        (q.pop_front(), u)
-                    };
-                    let response = clock.stamp();
-                    match popped {
-                        Some(id) => {
-                            if let Some(log) = &mut self.log {
-                                log.push(Event {
-                                    thread: self.thread,
-                                    label: FifoOp::Dequeue { id },
-                                    invoke,
-                                    update,
-                                    response,
-                                });
-                            }
-                            true
-                        }
-                        None => false,
-                    }
-                } else {
-                    self.backend
-                        .queue
-                        .lock()
-                        .expect("queue")
-                        .pop_front()
-                        .is_some()
-                }
-            }
+            OpKind::Remove => match &mut self.log {
+                Some(log) => log
+                    .record(|clock| {
+                        let mut q = queue.lock().expect("queue");
+                        let update = clock.stamp();
+                        let id = q.pop_front()?;
+                        Some((FifoOp::Dequeue { id }, update, ()))
+                    })
+                    .is_some(),
+                None => queue.lock().expect("queue").pop_front().is_some(),
+            },
             OpKind::Read => {
-                std::hint::black_box(self.backend.queue.lock().expect("queue").front().copied());
+                std::hint::black_box(queue.lock().expect("queue").front().copied());
                 true
             }
-        }
-    }
-
-    fn finish(&mut self) {
-        if let Some(log) = self.log.take() {
-            self.backend.quality.logs.lock().expect("logs").push(log);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::drive;
     use super::*;
-
-    fn drive(backend: &dyn Backend, n: u64, record_history: bool) -> OpCounts {
-        let cfg = WorkerCfg {
-            id: 0,
-            threads: 1,
-            seed: 7,
-            record_history,
-            quality_every: 4,
-        };
-        let mut counts = OpCounts::default();
-        let mut w = backend.worker(cfg);
-        for k in 0..n {
-            let kind = if k % 2 == 0 {
-                OpKind::Update
-            } else {
-                OpKind::Remove
-            };
-            let ok = w.execute(&Op {
-                kind,
-                key: k,
-                priority: k,
-                weight: 1,
-            });
-            match (kind, ok) {
-                (OpKind::Update, _) => counts.updates += 1,
-                (OpKind::Remove, true) => counts.removes += 1,
-                (OpKind::Remove, false) => counts.removes_empty += 1,
-                _ => {}
-            }
-        }
-        w.finish();
-        counts
-    }
 
     #[test]
     fn relaxed_fifo_backend_conserves() {

@@ -1,20 +1,123 @@
 //! Backend adapters: every structure family in the workspace behind the
 //! unified [`Backend`] interface.
+//!
+//! What a worker accumulates privately goes back to its backend when
+//! the worker is **dropped**, not in `finish()`: the stamped log
+//! through its [`ThreadLog`](dlz_core::spec::ThreadLog), the cheap
+//! online samples through their per-worker sampler. The engine drops a
+//! worker whose thread panicked outside the unwind, so a dead worker's
+//! completed operations are judged and conserved like everyone else's.
 
 pub mod counter;
 pub mod fifo;
 pub mod queue;
 pub mod stm;
 
-pub use counter::{AnyCounter, CounterBackend};
+pub use counter::CounterBackend;
 pub use fifo::{LockedFifoBackend, RelaxedFifoBackend};
 pub use queue::{ConcurrentPqBackend, MultiQueueBackend};
 pub use stm::StmBackend;
 
+use std::sync::Mutex;
+
 use dlz_core::DeleteMode;
 
 use crate::backend::Backend;
+use crate::op::OpCounts;
 use crate::scenario::{Family, Scenario};
+
+/// The conservation law of every structure that holds items: each one
+/// inserted (prefill included) was removed or is still there.
+fn conserved(what: &str, counts: &OpCounts, residual: u64) -> Result<(), String> {
+    let inserted = counts.inserted();
+    if inserted == counts.removes + residual {
+        Ok(())
+    } else {
+        Err(format!(
+            "{what} lost items: {inserted} inserted != {} removed + {residual} residual",
+            counts.removes
+        ))
+    }
+}
+
+/// A backend's cheap online quality samples (rank proxies, bracketed
+/// read deviations), collected from its workers.
+#[derive(Debug, Default)]
+struct SampleSink(Mutex<Vec<f64>>);
+
+impl SampleSink {
+    /// One worker's private sampler, taking a sample every `every`
+    /// eligible ops (0 = never).
+    fn worker(&self, every: u32) -> WorkerSamples<'_> {
+        WorkerSamples {
+            sink: self,
+            every,
+            seen: 0,
+            samples: Vec::new(),
+        }
+    }
+
+    /// Drained, not cloned: a backend reused across runs (fig1b's
+    /// checkpoints) reports per-run, not cumulative, statistics.
+    fn drain(&self) -> Vec<f64> {
+        std::mem::take(&mut *self.0.lock().expect("samples"))
+    }
+}
+
+/// A worker's sampling cadence and its samples so far; handed to the
+/// [`SampleSink`] on drop (never from inside an unwind, where a second
+/// panic would abort the process).
+struct WorkerSamples<'a> {
+    sink: &'a SampleSink,
+    every: u32,
+    seen: u32,
+    samples: Vec<f64>,
+}
+
+impl WorkerSamples<'_> {
+    /// Counts one eligible op; `true` when it is one to sample.
+    #[inline]
+    fn due(&mut self) -> bool {
+        self.seen += 1;
+        self.every > 0 && self.seen.is_multiple_of(self.every)
+    }
+
+    #[inline]
+    fn push(&mut self, sample: f64) {
+        self.samples.push(sample);
+    }
+
+    /// The dequeue-quality proxy: on the sampling cadence, read the
+    /// structure's published min `hint` just before `remove` runs and
+    /// sample how far above it the removed priority lies — exact-ish
+    /// when priorities are dense and monotone. An empty structure
+    /// (hint `u64::MAX`) or an empty remove yields no sample.
+    #[inline]
+    fn around_remove(
+        &mut self,
+        hint: impl FnOnce() -> u64,
+        remove: impl FnOnce() -> Option<u64>,
+    ) -> Option<u64> {
+        let hint = if self.due() { hint() } else { u64::MAX };
+        let removed = remove()?;
+        if hint != u64::MAX {
+            self.push(removed.saturating_sub(hint) as f64);
+        }
+        Some(removed)
+    }
+}
+
+impl Drop for WorkerSamples<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.sink
+                .0
+                .lock()
+                .expect("samples")
+                .append(&mut self.samples);
+        }
+    }
+}
 
 /// `true` if the scenario asks for a tuned MultiQueue configuration
 /// (a non-default choice policy or batching).
@@ -113,7 +216,45 @@ pub fn policy_roster(scenario: &Scenario) -> Vec<Box<dyn Backend>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::WorkerCfg;
+    use crate::op::{Op, OpKind};
     use dlz_core::PolicyCfg;
+
+    /// One worker alternating update / remove for `n` ops over keys and
+    /// priorities `0..n`, finished and dropped: the queue and FIFO
+    /// backends' unit-test driver.
+    pub(super) fn drive(backend: &dyn Backend, n: u64, record_history: bool) -> OpCounts {
+        let cfg = WorkerCfg {
+            id: 0,
+            threads: 1,
+            seed: 7,
+            record_history,
+            quality_every: 4,
+        };
+        let mut counts = OpCounts::default();
+        let mut w = backend.worker(cfg);
+        for k in 0..n {
+            let kind = if k % 2 == 0 {
+                OpKind::Update
+            } else {
+                OpKind::Remove
+            };
+            let ok = w.execute(&Op {
+                kind,
+                key: k,
+                priority: k,
+                weight: 1,
+            });
+            match (kind, ok) {
+                (OpKind::Update, _) => counts.updates += 1,
+                (OpKind::Remove, true) => counts.removes += 1,
+                (OpKind::Remove, false) => counts.removes_empty += 1,
+                _ => {}
+            }
+        }
+        w.finish();
+        counts
+    }
 
     #[test]
     fn roster_covers_every_family_with_two_plus_backends() {

@@ -1,40 +1,22 @@
 //! Queue-family backends: the MultiQueue (both delete modes, any choice
 //! policy) and every linearizable `dlz-pq` queue.
+//!
+//! Only the MultiQueue records histories. Its verdict — exact dequeue
+//! ranks against the policy's envelope — comes from
+//! [`dlz_core::spec::judge`] over the recorded artifact; the cheap rank
+//! proxy both backends sample is `WorkerSamples::around_remove`.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
-use dlz_core::spec::{
-    check_distributional, Event, History, HistoryArtifact, PqOp, PqSpec, StampClock, ThreadLog,
-};
+use dlz_core::spec::{HistoryArtifact, PqOp, Recorder, ThreadLog, RANK_BOUND_C};
 use dlz_core::{DeleteMode, MqHandle, MultiQueue, PolicyCfg};
 use dlz_pq::{BinaryHeap, CoarsePq, ConcurrentPq, LockedPq};
 
+use super::{conserved, SampleSink, WorkerSamples};
 use crate::backend::{Backend, QualityReport, QualitySummary, Worker, WorkerCfg};
 use crate::metrics::TelemetrySample;
 use crate::op::{Op, OpCounts, OpKind};
 use crate::scenario::Family;
-
-/// Generous constant over the envelope scale, as the core tests use:
-/// the reported rank bound is `RANK_BOUND_C · factor · m`. Public so
-/// offline checkers (`histcheck`) reconstruct the *same* envelope from
-/// an artifact's `envelope_factor` and queue count.
-pub const RANK_BOUND_C: f64 = 30.0;
-
-/// Shared quality state of the queue backends.
-#[derive(Debug, Default)]
-struct QueueQuality {
-    /// Stamped logs (history mode), replayed through the checker.
-    logs: Mutex<Vec<ThreadLog<PqOp>>>,
-    /// Cheap online samples: `removed_priority - min_hint` at dequeue
-    /// time — a priority-space proxy for dequeue rank, exact-ish when
-    /// priorities are dense and monotone.
-    proxies: Mutex<Vec<f64>>,
-    /// The last run's history, packaged for export. Stashed by
-    /// `quality()` (which replays it), drained by
-    /// `take_history_artifact()`.
-    artifact: Mutex<Option<HistoryArtifact>>,
-}
 
 /// The paper's MultiQueue behind the [`Backend`] interface.
 ///
@@ -59,8 +41,10 @@ pub struct MultiQueueBackend {
     mq: MultiQueue<u64>,
     batch: usize,
     label: String,
-    clock: StampClock,
-    quality: QueueQuality,
+    recorder: Recorder<PqOp>,
+    /// `removed_priority - min_hint` at dequeue time: a priority-space
+    /// proxy for the dequeue rank.
+    proxies: SampleSink,
 }
 
 impl MultiQueueBackend {
@@ -85,24 +69,9 @@ impl MultiQueueBackend {
             mq: MultiQueue::with_config((0..m).map(|_| BinaryHeap::new()).collect(), mode, policy),
             batch,
             label: format!("multiqueue-heap(m={m},{mode_tag}{tuning})"),
-            clock: StampClock::new(),
-            quality: QueueQuality::default(),
+            recorder: Recorder::new(),
+            proxies: SampleSink::default(),
         }
-    }
-
-    /// The wrapped MultiQueue.
-    pub fn multiqueue(&self) -> &MultiQueue<u64> {
-        &self.mq
-    }
-
-    /// The choice policy every worker handle is built from.
-    pub fn policy(&self) -> PolicyCfg {
-        self.mq.policy()
-    }
-
-    /// Operations buffered per lock acquisition (1 = unbatched).
-    pub fn batch(&self) -> usize {
-        self.batch
     }
 }
 
@@ -116,20 +85,23 @@ impl Backend for MultiQueueBackend {
     }
 
     fn worker<'a>(&'a self, cfg: WorkerCfg) -> Box<dyn Worker + Send + 'a> {
+        // History mode stamps individual operations: no batching.
+        let batch = if cfg.record_history { 1 } else { self.batch };
+        // A batched worker samples per refill, each of which covers
+        // `batch` removes, so batched runs still produce observations.
+        let every = match cfg.quality_every {
+            0 => 0,
+            every => (every / batch as u32).max(1),
+        };
         Box::new(MultiQueueWorker {
             backend: self,
             handle: self.mq.handle(cfg.seed),
-            thread: cfg.id,
-            log: cfg.record_history.then(|| ThreadLog::new(cfg.id)),
-            quality_every: cfg.quality_every,
-            removes_seen: 0,
-            proxies: Vec::new(),
-            batch: if cfg.record_history { 1 } else { self.batch },
+            log: cfg.record_history.then(|| self.recorder.log(cfg.id)),
+            proxy: self.proxies.worker(every),
+            batch,
             pending_inserts: Vec::new(),
             prefetched: VecDeque::new(),
             scratch: Vec::new(),
-            refills_seen: 0,
-            settled: false,
         })
     }
 
@@ -138,114 +110,69 @@ impl Backend for MultiQueueBackend {
     }
 
     fn verify(&self, counts: &OpCounts) -> Result<(), String> {
-        let residual = self.residual();
-        let inserted = counts.inserted();
-        if inserted == counts.removes + residual {
-            Ok(())
-        } else {
-            Err(format!(
-                "queue lost items: {inserted} inserted != {} removed + {residual} residual",
-                counts.removes
-            ))
-        }
+        conserved("queue", counts, self.residual())
     }
 
     fn quality(&self) -> QualityReport {
-        let logs = std::mem::take(&mut *self.quality.logs.lock().expect("logs"));
-        let m = self.mq.num_queues() as f64;
+        let queues = self.mq.num_queues();
+        let m = queues as f64;
         let scale = m * m.max(2.0).ln();
-        // The policy's envelope: expected rank O(factor·m), with the
-        // same generous constant the test suite uses for the
-        // two-choice Theorem 7.1 checks.
-        let factor = self.mq.policy().envelope_factor();
-        let rank_bound = RANK_BOUND_C * factor * m;
-        if !logs.is_empty() {
-            let history = History::from_logs(logs);
-            let outcome = check_distributional(&PqSpec, &history);
-            let costs: Vec<f64> = outcome
-                .costs
-                .samples()
+        // The policy's envelope: expected rank O(factor·m).
+        let policy = self.mq.policy();
+        let factor = policy.envelope_factor();
+        let proxies = self.proxies.drain();
+        let mut dequeues = 0usize;
+        let verdict = self.recorder.judge(|history| {
+            dequeues = history
+                .events
                 .iter()
-                .copied()
-                .filter(|c| c.is_finite())
-                .collect();
-            let summary = QualitySummary::from_samples(&costs);
-            // Vacuous passes are failures: with no rank samples the
-            // envelope verified nothing, so report it as not-within.
-            let within =
-                if summary.count > 0 && rank_bound.is_finite() && summary.mean <= rank_bound {
-                    1.0
-                } else {
-                    0.0
-                };
-            let mut report = QualityReport::named("dequeue_rank")
-                .with_summary(summary)
+                .filter(|e| matches!(e.label, PqOp::DeleteMin { .. }))
+                .count();
+            // The policy label and envelope factor travel with the
+            // events.
+            HistoryArtifact::pq(history, policy.label(), factor, queues)
+        });
+        let Some(v) = verdict else {
+            let mut report = QualityReport::named("dequeue_rank_proxy")
+                .with_summary(QualitySummary::from_samples(&proxies))
                 .scalar("scale_m_ln_m", scale)
-                .scalar("batch", self.batch as f64)
-                .scalar(
-                    "linearizable",
-                    if outcome.is_linearizable() { 1.0 } else { 0.0 },
-                )
-                .scalar("history_ops", history.len() as f64);
+                .scalar("batch", self.batch as f64);
             if factor.is_finite() {
                 report = report
                     .scalar("policy_factor", factor)
-                    .scalar("rank_bound_policy", rank_bound)
-                    .scalar("within_policy_bound", within);
+                    .scalar("rank_bound_policy", RANK_BOUND_C * factor * m);
             }
-            // Rank-proxy calibration: history workers also sample the
-            // cheap priority-space proxy, so the checker-exact mean
-            // dequeue rank calibrates it — the ratio lets non-history
-            // runs interpret their proxy numbers.
-            let proxies = std::mem::take(&mut *self.quality.proxies.lock().expect("proxies"));
-            if outcome.is_linearizable() && !proxies.is_empty() {
-                let proxy_mean = proxies.iter().sum::<f64>() / proxies.len() as f64;
-                report = report.scalar("rank_proxy_mean", proxy_mean);
-                // With nothing unmappable, costs align 1:1 with labels
-                // in update order; average the dequeues only (inserts
-                // always cost 0 and would dilute the rank).
-                let (mut sum, mut n) = (0.0f64, 0u64);
-                for (l, c) in history
-                    .labels_in_update_order()
-                    .iter()
-                    .zip(outcome.costs.samples())
-                {
-                    if matches!(l, PqOp::DeleteMin { .. }) {
-                        sum += *c;
-                        n += 1;
-                    }
-                }
-                if n > 0 && proxy_mean > 0.0 {
-                    report = report.scalar("rank_proxy_calibration", (sum / n as f64) / proxy_mean);
-                }
-            }
-            // Package the checked history for export: the policy label
-            // and envelope factor travel with the events.
-            *self.quality.artifact.lock().expect("artifact") = Some(HistoryArtifact::pq(
-                history,
-                self.mq.policy().label(),
-                factor,
-                self.mq.num_queues(),
-            ));
             return report;
-        }
-        // Drained, not cloned: a backend reused across runs must report
-        // per-run statistics (the history logs above use mem::take too).
-        let proxies = std::mem::take(&mut *self.quality.proxies.lock().expect("proxies"));
-        let mut report = QualityReport::named("dequeue_rank_proxy")
-            .with_summary(QualitySummary::from_samples(&proxies))
+        };
+        let mut report = QualityReport::judged(&v)
             .scalar("scale_m_ln_m", scale)
-            .scalar("batch", self.batch as f64);
+            .scalar("batch", self.batch as f64)
+            .verdict(&v);
         if factor.is_finite() {
             report = report
                 .scalar("policy_factor", factor)
-                .scalar("rank_bound_policy", rank_bound);
+                .scalar("rank_bound_policy", v.bound)
+                .scalar("within_policy_bound", f64::from(u8::from(v.within)));
+        }
+        // Rank-proxy calibration: history workers also sample the
+        // cheap priority-space proxy, so the checker-exact mean
+        // dequeue rank calibrates it — the ratio lets non-history
+        // runs interpret their proxy numbers.
+        if v.outcome.is_linearizable() && !proxies.is_empty() {
+            let proxy_mean = proxies.iter().sum::<f64>() / proxies.len() as f64;
+            report = report.scalar("rank_proxy_mean", proxy_mean);
+            // Average over the dequeues only: inserts always cost 0,
+            // so they add nothing to the sum and would dilute the rank.
+            if dequeues > 0 && proxy_mean > 0.0 {
+                let rank_mean = v.costs.iter().sum::<f64>() / dequeues as f64;
+                report = report.scalar("rank_proxy_calibration", rank_mean / proxy_mean);
+            }
         }
         report
     }
 
     fn take_history_artifact(&self) -> Option<HistoryArtifact> {
-        self.quality.artifact.lock().expect("artifact").take()
+        self.recorder.take_artifact()
     }
 }
 
@@ -253,13 +180,9 @@ struct MultiQueueWorker<'a> {
     backend: &'a MultiQueueBackend,
     /// The worker's operational surface: private RNG + policy instance.
     handle: MqHandle<'a, u64>,
-    thread: usize,
-    log: Option<ThreadLog<PqOp>>,
-    quality_every: u32,
-    removes_seen: u32,
-    proxies: Vec<f64>,
-    /// Ops buffered per lock acquisition; forced to 1 in history mode,
-    /// which stamps individual operations.
+    log: Option<ThreadLog<'a, PqOp>>,
+    proxy: WorkerSamples<'a>,
+    /// Ops buffered per lock acquisition; 1 in history mode.
     batch: usize,
     /// Updates buffered until a full batch (flushed at `finish`).
     pending_inserts: Vec<(u64, u64)>,
@@ -268,11 +191,6 @@ struct MultiQueueWorker<'a> {
     prefetched: VecDeque<(u64, u64)>,
     /// Reusable buffer for batch dequeues (no per-refill allocation).
     scratch: Vec<(u64, u64)>,
-    /// Refill count, for the batched proxy-sampling cadence.
-    refills_seen: u32,
-    /// Guards [`Self::settle`] so the Drop-based salvage of a panicked
-    /// worker and a normal `finish()` never run the flush twice.
-    settled: bool,
 }
 
 impl MultiQueueWorker<'_> {
@@ -285,50 +203,54 @@ impl MultiQueueWorker<'_> {
     /// Refills the prefetch buffer with one batch dequeue. Flushes our
     /// own buffered inserts first if the structure looks empty, so a
     /// closed-loop worker cannot starve itself.
-    fn refill(&mut self, sample: bool) {
-        let hint = if sample {
-            self.backend.mq.min_hint()
-        } else {
-            u64::MAX
-        };
+    fn refill(&mut self) {
         let mut tmp = std::mem::take(&mut self.scratch);
         tmp.clear();
-        if self.handle.dequeue_batch(self.batch, &mut tmp) == 0 && !self.pending_inserts.is_empty()
-        {
-            self.flush_pending();
-            self.handle.dequeue_batch(self.batch, &mut tmp);
-        }
-        if sample && hint != u64::MAX {
-            if let Some((p, _)) = tmp.first() {
-                self.proxies.push(p.saturating_sub(hint) as f64);
-            }
-        }
+        let (mq, batch) = (&self.backend.mq, self.batch);
+        let (handle, pending) = (&mut self.handle, &mut self.pending_inserts);
+        self.proxy.around_remove(
+            || mq.min_hint(),
+            || {
+                if handle.dequeue_batch(batch, &mut tmp) == 0 && !pending.is_empty() {
+                    handle.insert_batch(pending.drain(..));
+                    handle.dequeue_batch(batch, &mut tmp);
+                }
+                tmp.first().map(|&(p, _)| p)
+            },
+        );
         self.prefetched.extend(tmp.drain(..));
         self.scratch = tmp;
+    }
+
+    /// Flush buffered updates, then return undelivered prefetched
+    /// entries (already removed from the MultiQueue but never handed
+    /// to an op) so the conservation law sees them as residual. Runs
+    /// from `finish()` on clean exits and again, finding nothing, from
+    /// `Drop`; from `Drop` alone when the engine's panic harness
+    /// skipped `finish()`.
+    fn settle(&mut self) {
+        self.flush_pending();
+        if !self.prefetched.is_empty() {
+            self.handle.insert_batch(self.prefetched.drain(..));
+        }
     }
 }
 
 impl Worker for MultiQueueWorker<'_> {
     fn execute(&mut self, op: &Op) -> bool {
-        let clock = &self.backend.clock;
+        let mq = &self.backend.mq;
         match op.kind {
             OpKind::Update => {
                 if let Some(log) = &mut self.log {
-                    let thread = self.thread;
-                    let invoke = clock.stamp();
-                    let update = self
-                        .handle
-                        .stamped(clock.as_atomic())
-                        .insert(op.priority, op.priority);
-                    let response = clock.stamp();
-                    log.push(Event {
-                        thread,
-                        label: PqOp::Insert {
+                    let handle = &mut self.handle;
+                    log.record(|clock| {
+                        let update = handle
+                            .stamped(clock.as_atomic())
+                            .insert(op.priority, op.priority);
+                        let label = PqOp::Insert {
                             priority: op.priority,
-                        },
-                        invoke,
-                        update,
-                        response,
+                        };
+                        Some((label, update, ()))
                     });
                 } else if self.batch > 1 {
                     self.pending_inserts.push((op.priority, op.priority));
@@ -341,73 +263,29 @@ impl Worker for MultiQueueWorker<'_> {
                 true
             }
             OpKind::Remove => {
-                if self.log.is_some() {
+                let handle = &mut self.handle;
+                if let Some(log) = &mut self.log {
                     // History mode also samples the cheap rank proxy so
                     // the checker-exact ranks can calibrate it.
-                    self.removes_seen += 1;
-                    let sample = self.quality_every > 0
-                        && self.removes_seen.is_multiple_of(self.quality_every);
-                    let hint = if sample {
-                        self.backend.mq.min_hint()
-                    } else {
-                        u64::MAX
+                    let remove = || {
+                        log.record(|clock| {
+                            let (p, _, update) = handle.stamped(clock.as_atomic()).dequeue()?;
+                            Some((PqOp::DeleteMin { removed: p }, update, p))
+                        })
                     };
-                    let thread = self.thread;
-                    let invoke = clock.stamp();
-                    match self.handle.stamped(clock.as_atomic()).dequeue() {
-                        Some((p, _, update)) => {
-                            let response = clock.stamp();
-                            if sample && hint != u64::MAX {
-                                self.proxies.push(p.saturating_sub(hint) as f64);
-                            }
-                            if let Some(log) = &mut self.log {
-                                log.push(Event {
-                                    thread,
-                                    label: PqOp::DeleteMin { removed: p },
-                                    invoke,
-                                    update,
-                                    response,
-                                });
-                            }
-                            true
-                        }
-                        None => false,
-                    }
+                    self.proxy.around_remove(|| mq.min_hint(), remove).is_some()
                 } else if self.batch > 1 {
-                    self.removes_seen += 1;
                     if self.prefetched.is_empty() {
-                        // Sampling cadence is per refill (each refill
-                        // covers `batch` removes), so batched runs
-                        // still produce proxy observations.
-                        self.refills_seen += 1;
-                        let cadence = (self.quality_every / self.batch as u32).max(1);
-                        let sample =
-                            self.quality_every > 0 && self.refills_seen.is_multiple_of(cadence);
-                        self.refill(sample);
+                        self.refill();
                     }
                     self.prefetched.pop_front().is_some()
                 } else {
-                    self.removes_seen += 1;
-                    let sample = self.quality_every > 0
-                        && self.removes_seen.is_multiple_of(self.quality_every);
-                    let hint = if sample {
-                        self.backend.mq.min_hint()
-                    } else {
-                        u64::MAX
-                    };
-                    match self.handle.dequeue() {
-                        Some((p, _)) => {
-                            if sample && hint != u64::MAX {
-                                self.proxies.push(p.saturating_sub(hint) as f64);
-                            }
-                            true
-                        }
-                        None => false,
-                    }
+                    let remove = || handle.dequeue().map(|(p, _)| p);
+                    self.proxy.around_remove(|| mq.min_hint(), remove).is_some()
                 }
             }
             OpKind::Read => {
-                std::hint::black_box(self.backend.mq.min_hint());
+                std::hint::black_box(mq.min_hint());
                 true
             }
         }
@@ -425,35 +303,6 @@ impl Worker for MultiQueueWorker<'_> {
 
     fn finish(&mut self) {
         self.settle();
-    }
-}
-
-impl MultiQueueWorker<'_> {
-    /// Flush buffered updates, then return undelivered prefetched
-    /// entries (already removed from the MultiQueue but never handed
-    /// to an op) so the conservation law sees them as residual, and
-    /// hand the history log / quality samples to the backend. Runs at
-    /// most once — from `finish()` on clean exits, or from `Drop` when
-    /// the engine's panic harness skipped `finish()`, so a panicked
-    /// worker's partial history and buffered items are still salvaged.
-    fn settle(&mut self) {
-        if self.settled {
-            return;
-        }
-        self.settled = true;
-        self.flush_pending();
-        if !self.prefetched.is_empty() {
-            self.handle.insert_batch(self.prefetched.drain(..));
-        }
-        if let Some(log) = self.log.take() {
-            self.backend.quality.logs.lock().expect("logs").push(log);
-        }
-        self.backend
-            .quality
-            .proxies
-            .lock()
-            .expect("proxies")
-            .append(&mut self.proxies);
     }
 }
 
@@ -477,7 +326,7 @@ pub struct ConcurrentPqBackend<C: ConcurrentPq<u64>> {
     pq: C,
     label: String,
     exact: bool,
-    quality: QueueQuality,
+    proxies: SampleSink,
 }
 
 impl ConcurrentPqBackend<CoarsePq<u64>> {
@@ -501,7 +350,7 @@ impl<C: ConcurrentPq<u64>> ConcurrentPqBackend<C> {
             pq,
             label: label.to_string(),
             exact,
-            quality: QueueQuality::default(),
+            proxies: SampleSink::default(),
         }
     }
 }
@@ -517,10 +366,8 @@ impl<C: ConcurrentPq<u64>> Backend for ConcurrentPqBackend<C> {
 
     fn worker<'a>(&'a self, cfg: WorkerCfg) -> Box<dyn Worker + Send + 'a> {
         Box::new(ConcurrentPqWorker {
-            backend: self,
-            quality_every: cfg.quality_every,
-            removes_seen: 0,
-            proxies: Vec::new(),
+            pq: &self.pq,
+            proxy: self.proxies.worker(cfg.quality_every),
         })
     }
 
@@ -529,55 +376,32 @@ impl<C: ConcurrentPq<u64>> Backend for ConcurrentPqBackend<C> {
     }
 
     fn verify(&self, counts: &OpCounts) -> Result<(), String> {
-        let residual = self.residual();
-        let inserted = counts.inserted();
-        if inserted == counts.removes + residual {
-            Ok(())
-        } else {
-            Err(format!(
-                "queue lost items: {inserted} inserted != {} removed + {residual} residual",
-                counts.removes
-            ))
-        }
+        conserved("queue", counts, self.residual())
     }
 
     fn quality(&self) -> QualityReport {
-        let proxies = std::mem::take(&mut *self.quality.proxies.lock().expect("proxies"));
         QualityReport::named("dequeue_rank_proxy")
-            .with_summary(QualitySummary::from_samples(&proxies))
+            .with_summary(QualitySummary::from_samples(&self.proxies.drain()))
             .scalar("exact_structure", if self.exact { 1.0 } else { 0.0 })
     }
 }
 
 struct ConcurrentPqWorker<'a, C: ConcurrentPq<u64>> {
-    backend: &'a ConcurrentPqBackend<C>,
-    quality_every: u32,
-    removes_seen: u32,
-    proxies: Vec<f64>,
+    pq: &'a C,
+    proxy: WorkerSamples<'a>,
 }
 
 impl<C: ConcurrentPq<u64>> Worker for ConcurrentPqWorker<'_, C> {
     fn execute(&mut self, op: &Op) -> bool {
-        let pq = &self.backend.pq;
+        let pq = self.pq;
         match op.kind {
             OpKind::Update => {
                 pq.insert(op.priority, op.priority);
                 true
             }
             OpKind::Remove => {
-                self.removes_seen += 1;
-                let sample =
-                    self.quality_every > 0 && self.removes_seen.is_multiple_of(self.quality_every);
-                let hint = if sample { pq.min_hint() } else { u64::MAX };
-                match pq.remove_min() {
-                    Some((p, _)) => {
-                        if sample && hint != u64::MAX {
-                            self.proxies.push(p.saturating_sub(hint) as f64);
-                        }
-                        true
-                    }
-                    None => false,
-                }
+                let remove = || pq.remove_min().map(|(p, _)| p);
+                self.proxy.around_remove(|| pq.min_hint(), remove).is_some()
             }
             OpKind::Read => {
                 std::hint::black_box(pq.min_hint());
@@ -585,53 +409,12 @@ impl<C: ConcurrentPq<u64>> Worker for ConcurrentPqWorker<'_, C> {
             }
         }
     }
-
-    fn finish(&mut self) {
-        self.backend
-            .quality
-            .proxies
-            .lock()
-            .expect("proxies")
-            .append(&mut self.proxies);
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::drive;
     use super::*;
-
-    fn drive(backend: &dyn Backend, n: u64, record_history: bool) -> OpCounts {
-        let cfg = WorkerCfg {
-            id: 0,
-            threads: 1,
-            seed: 7,
-            record_history,
-            quality_every: 4,
-        };
-        let mut counts = OpCounts::default();
-        let mut w = backend.worker(cfg);
-        for k in 0..n {
-            let kind = if k % 2 == 0 {
-                OpKind::Update
-            } else {
-                OpKind::Remove
-            };
-            let ok = w.execute(&Op {
-                kind,
-                key: k,
-                priority: k,
-                weight: 1,
-            });
-            match (kind, ok) {
-                (OpKind::Update, _) => counts.updates += 1,
-                (OpKind::Remove, true) => counts.removes += 1,
-                (OpKind::Remove, false) => counts.removes_empty += 1,
-                _ => {}
-            }
-        }
-        w.finish();
-        counts
-    }
 
     #[test]
     fn multiqueue_backend_conserves_and_reports_proxy() {
@@ -717,9 +500,8 @@ mod tests {
     #[test]
     fn untuned_label_is_unchanged() {
         let b = MultiQueueBackend::heap(4, DeleteMode::Strict);
+        // A non-default policy or batch would show as a label suffix.
         assert_eq!(b.name(), "multiqueue-heap(m=4,strict)");
-        assert_eq!(b.batch(), 1);
-        assert_eq!(b.policy(), PolicyCfg::TwoChoice);
     }
 
     #[test]

@@ -35,9 +35,9 @@
 //!   *visible* in the percentiles instead of silently omitted.
 //!
 //! The engine activates this driver for any scenario with
-//! [`clients`](crate::Scenario::clients) > 0, and also routes the
-//! legacy `Arrival::Open`/`Arrival::Bursty` paths through it (one
-//! client per worker), which is what fixed their latency accounting.
+//! [`clients`](crate::Scenario::clients) > 0. One client per worker
+//! (`clients == threads`) is the classic open loop: each worker paces
+//! itself by one arrival process.
 
 use dlz_core::rng::{Rng64, SplitMix64};
 use dlz_sim::TimerWheel;

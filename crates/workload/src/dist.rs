@@ -1,11 +1,10 @@
-//! Key/priority/weight distributions and arrival processes.
+//! Key/priority/weight distributions.
 //!
-//! Scenarios describe *what* is drawn ([`Dist`]) and *when* operations
-//! are issued ([`Arrival`]) declaratively; [`Sampler`] turns a
-//! distribution into per-worker sampling state. All sampling is
-//! deterministic given the worker's seed.
-
-use std::time::Duration;
+//! Scenarios describe *what* is drawn ([`Dist`]) declaratively;
+//! [`Sampler`] turns a distribution into per-worker sampling state. All
+//! sampling is deterministic given the worker's seed. *When* operations
+//! are issued is the client driver's business
+//! ([`ArrivalShape`](crate::clients::ArrivalShape)).
 
 use dlz_core::rng::Rng64;
 
@@ -159,41 +158,6 @@ impl Sampler {
                 *next += *stride;
                 v
             }
-        }
-    }
-}
-
-/// When operations are issued.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Arrival {
-    /// Closed loop: issue the next operation as soon as the previous one
-    /// completes. Measures peak structure throughput.
-    Closed,
-    /// Open loop: Poisson arrivals at the given per-worker rate;
-    /// latency is measured from the *scheduled* arrival, so queueing
-    /// delay (coordinated omission) is captured, not hidden.
-    Open {
-        /// Mean operations per second issued by each worker.
-        rate_per_worker: f64,
-    },
-    /// Bursts of back-to-back operations separated by idle pauses —
-    /// the stampede pattern of the paper's adversarial schedules.
-    Bursty {
-        /// Operations per burst.
-        burst: u32,
-        /// Idle time between bursts.
-        pause: Duration,
-    },
-}
-
-impl Arrival {
-    /// Short human-readable label used in sweep-cell names and grid
-    /// coordinates (e.g. `closed`, `open(50000/s)`, `bursty(256,2ms)`).
-    pub fn label(&self) -> String {
-        match self {
-            Arrival::Closed => "closed".to_string(),
-            Arrival::Open { rate_per_worker } => format!("open({rate_per_worker}/s)"),
-            Arrival::Bursty { burst, pause } => format!("bursty({burst},{pause:?})"),
         }
     }
 }

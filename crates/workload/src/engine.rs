@@ -8,15 +8,13 @@
 //! timed budgets run against a stop flag.
 //!
 //! Two drivers share that skeleton. The plain closed loop
-//! (`clients == 0`, `Arrival::Closed`) issues ops back-to-back with no
-//! pacing clock. Everything else — simulated-client scenarios
-//! (`clients > 0`) **and** the legacy `Arrival::Open`/`Arrival::Bursty`
-//! paths (one client per worker) — runs through the timer-wheel client
-//! driver ([`clients`](crate::clients)): arrivals are scheduled at
-//! seeded *intended* times, latency is measured from the intended time
-//! (never from op issue, so queueing delay is captured rather than
-//! hidden — no coordinated omission), and the queueing/service split is
-//! recorded per worker.
+//! (`clients == 0`) issues ops back-to-back with no pacing clock.
+//! Simulated-client scenarios (`clients > 0`) run through the
+//! timer-wheel client driver ([`clients`](crate::clients)): arrivals
+//! are scheduled at seeded *intended* times, latency is measured from
+//! the intended time (never from op issue, so queueing delay is
+//! captured rather than hidden — no coordinated omission), and the
+//! queueing/service split is recorded per worker.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,7 +27,7 @@ use dlz_core::rng::{Rng64, Xoshiro256};
 
 use crate::backend::{Backend, Worker, WorkerCfg};
 use crate::clients::{ArrivalShape, ClientReport, ClientSet, ClientStats};
-use crate::dist::{Arrival, Sampler};
+use crate::dist::Sampler;
 use crate::faults::WorkerFaults;
 use crate::metrics::{IntervalSnapshot, LatencySummary, TelemetrySeries, WorkerMetrics};
 use crate::op::{Op, OpCounts, OpKind, OpMix};
@@ -300,38 +298,6 @@ impl<'m> IntervalTracker<'m> {
     }
 }
 
-/// The client-driver mode a scenario runs in: `None` keeps the plain
-/// closed loop; `Some((population, shape))` routes the worker through
-/// the timer wheel. The legacy open/bursty arrivals map to one client
-/// per worker (population == thread count, contiguous sharding gives
-/// each worker exactly one), which is what fixed their latency
-/// accounting: intended arrival times now come from the wheel.
-fn client_mode(scenario: &Scenario) -> Option<(usize, ArrivalShape)> {
-    match (scenario.clients, scenario.arrival) {
-        (0, Arrival::Closed) => None,
-        (0, Arrival::Open { rate_per_worker }) => Some((
-            scenario.threads,
-            ArrivalShape::Poisson {
-                rate: rate_per_worker,
-            },
-        )),
-        (0, Arrival::Bursty { burst, pause }) => {
-            let b = burst.max(1);
-            // Same long-run shape: bursts of `burst` ops spaced `pause`
-            // apart ⇒ per-client rate burst/pause (burst-start gap in
-            // the shape is burst/rate == pause).
-            Some((
-                scenario.threads,
-                ArrivalShape::Bursty {
-                    rate: b as f64 / pause.as_secs_f64().max(1e-6),
-                    burst: b,
-                },
-            ))
-        }
-        (n, _) => Some((n, scenario.arrival_shape)),
-    }
-}
-
 /// The client-driven op loop, in two alternating phases.
 ///
 /// *Admit* takes every arrival that is already due off the worker's
@@ -362,8 +328,6 @@ fn drive_clients(
     tracker: &mut Option<IntervalTracker<'_>>,
     id: usize,
     begin: Instant,
-    total: usize,
-    shape: ArrivalShape,
     cstats: &mut ClientStats,
 ) {
     /// Most arrivals admitted before any is issued. Bounded so that a
@@ -375,6 +339,7 @@ fn drive_clients(
     // Backlog sampling sweeps the wheel's slot lengths — keep it off
     // the per-op path.
     const BACKLOG_EVERY: u64 = 1024;
+    let (total, shape) = (scenario.clients, scenario.arrival_shape);
     let mut set = ClientSet::new(shape, total, id, scenario.threads, scenario.seed, cstats);
     let budget = &scenario.budget;
     let stoppable = matches!(budget, Budget::Timed(_));
@@ -480,11 +445,10 @@ fn drive(
     begin: Instant,
     cstats: &mut Option<ClientStats>,
 ) {
-    if let Some((total, shape)) = client_mode(scenario) {
+    if scenario.clients > 0 {
         let stats = cstats.get_or_insert_with(ClientStats::default);
         drive_clients(
-            worker, sampler, scenario, stop, chaos, metrics, tracker, id, begin, total, shape,
-            stats,
+            worker, sampler, scenario, stop, chaos, metrics, tracker, id, begin, stats,
         );
         return;
     }
@@ -717,9 +681,10 @@ fn run_inner(scenario: &Scenario, backend: &dyn Backend) -> RunReport {
                     if matches!(outcome, WorkerOutcome::Completed) {
                         worker.finish();
                     }
-                    // Panicked workers skip finish(): backends salvage
-                    // partial state (buffered ops, history logs) in
-                    // their worker's Drop instead.
+                    // Panicked workers skip finish(): every backend hands
+                    // what conservation and the verdict depend on
+                    // (buffered ops, applied weight, history log,
+                    // quality samples) back when its worker is dropped.
                     drop(worker);
                     (outcome, metrics, snaps, cstats, begin, end)
                 })
@@ -854,15 +819,9 @@ fn run_inner(scenario: &Scenario, backend: &dyn Backend) -> RunReport {
             workers,
         }
     });
-    // The clients section is reported only for explicit client
-    // scenarios: the legacy open/bursty paths run through the same
-    // driver (their headline latency is measured from intended arrival)
-    // but keep their original report schema.
-    if scenario.clients > 0 {
-        report.clients = client_stats.as_ref().map(|cs| {
-            ClientReport::from_stats(scenario.clients as u64, &scenario.arrival_shape, cs)
-        });
-    }
+    report.clients = client_stats
+        .as_ref()
+        .map(|cs| ClientReport::from_stats(scenario.clients as u64, &scenario.arrival_shape, cs));
     report.telemetry = telemetry;
     report.elapsed = elapsed;
     report.counts = merged.counts;
@@ -983,9 +942,8 @@ mod tests {
         let s = small("t-open", Family::Counter)
             .mix(OpMix::new(100, 0, 0))
             .budget(Budget::OpsPerWorker(200))
-            .arrival(Arrival::Open {
-                rate_per_worker: 20_000.0,
-            })
+            .clients(2)
+            .arrival_shape(ArrivalShape::Poisson { rate: 20_000.0 })
             .build();
         let b = CounterBackend::exact();
         let r = run(&s, &b);
@@ -1000,9 +958,11 @@ mod tests {
         let s = small("t-burst", Family::Queue)
             .mix(OpMix::new(50, 50, 0))
             .budget(Budget::OpsPerWorker(1_000))
-            .arrival(Arrival::Bursty {
+            .clients(2)
+            // 64-op bursts, 200 µs apart.
+            .arrival_shape(ArrivalShape::Bursty {
+                rate: 320_000.0,
                 burst: 64,
-                pause: Duration::from_micros(200),
             })
             .prefill(200)
             .build();
@@ -1024,9 +984,8 @@ mod tests {
         let s = small("t-open-overload", Family::Counter)
             .mix(OpMix::new(100, 0, 0))
             .budget(Budget::OpsPerWorker(5_000))
-            .arrival(Arrival::Open {
-                rate_per_worker: 1e9,
-            })
+            .clients(2)
+            .arrival_shape(ArrivalShape::Poisson { rate: 1e9 })
             .build();
         let r = run(&s, &CounterBackend::exact());
         assert!(r.verified());
@@ -1038,9 +997,11 @@ mod tests {
             r.latency.mean_ns,
             elapsed_ns
         );
-        // No clients were configured, so the report schema is legacy.
-        assert!(r.clients.is_none());
-        assert!(!r.to_json().contains("\"clients\":"));
+        // One client per worker; the report names the arrival process.
+        assert_eq!(r.clients.as_ref().expect("clients section").active, 2);
+        assert!(r
+            .to_json()
+            .contains("\"arrival\":\"poisson(1000000000/s)\""));
     }
 
     #[test]
@@ -1051,9 +1012,10 @@ mod tests {
         let s = small("t-burst-intent", Family::Queue)
             .mix(OpMix::new(50, 50, 0))
             .budget(Budget::OpsPerWorker(4_000))
-            .arrival(Arrival::Bursty {
+            .clients(2)
+            .arrival_shape(ArrivalShape::Bursty {
+                rate: 81_920_000.0,
                 burst: 4_096,
-                pause: Duration::from_micros(50),
             })
             .prefill(2_000)
             .build();
@@ -1218,7 +1180,6 @@ mod tests {
                 true
             }
         }
-        let (total, shape) = client_mode(s).expect("a client scenario");
         let mut worker = Counting(0);
         let (mut metrics, mut cstats) = (WorkerMetrics::default(), ClientStats::default());
         drive_clients(
@@ -1231,8 +1192,6 @@ mod tests {
             &mut None,
             0,
             Instant::now(),
-            total,
-            shape,
             &mut cstats,
         );
         (worker.0, metrics, cstats)
@@ -1603,53 +1562,95 @@ mod tests {
     }
 
     #[test]
-    fn injected_panic_is_tolerated_under_every_policy() {
+    fn a_dead_worker_is_conserved_and_judged_by_every_recording_backend() {
+        use crate::backends::{LockedFifoBackend, RelaxedFifoBackend};
         use dlz_core::PolicyCfg;
-        for policy in [
-            PolicyCfg::TwoChoice,
-            PolicyCfg::DChoice { d: 4 },
-            PolicyCfg::Sticky { ops: 8 },
-        ] {
-            let s = small("t-chaos-policy", Family::Queue)
-                .threads(4)
-                .mix(OpMix::new(50, 50, 0))
-                .budget(Budget::OpsPerWorker(600))
-                .prefill(300)
-                .record_history(true)
+        const DIES_AT: u64 = 200;
+        const OPS: u64 = 600;
+        // Worker 0 panics *before* its op 200: it issued exactly 200 ops,
+        // everyone else their full budget, and it never reaches finish().
+        let chaos = |family, threads: usize, history, policy, backend: &dyn Backend| {
+            let prefill = if family == Family::Counter { 0 } else { 300 };
+            let s = small("t-chaos-backends", family)
+                .threads(threads)
+                .mix(match family {
+                    Family::Counter => OpMix::new(70, 0, 30),
+                    _ => OpMix::new(50, 50, 0),
+                })
+                .budget(Budget::OpsPerWorker(OPS))
+                .prefill(prefill)
+                .quality_every(4)
+                .record_history(history)
                 .choice_policy(policy)
-                .faults_spec("panic:1@200")
+                .faults_spec("panic:0@200")
                 .build();
-            let b = MultiQueueBackend::heap_policy(8, DeleteMode::Strict, policy, 1);
-            let r = run(&s, &b);
-            // No items lost: the panicked worker's partial state was
-            // salvaged, so conservation still closes.
-            assert!(r.verified(), "{policy:?}: {:?}", r.verify_error);
+            let r = run(&s, backend);
+            let who = format!("{} history={history}", r.backend);
+            // No items or increments lost: what the dead worker applied
+            // or still buffered counts, so conservation closes.
+            assert!(r.verified(), "{who}: {:?}", r.verify_error);
             let f = r.faults.as_ref().expect("faults section");
-            assert!(!f.aborted, "{policy:?}");
-            assert_eq!(f.workers.len(), 4);
-            for (id, w) in f.workers.iter().enumerate() {
-                if id == 1 {
-                    assert!(
-                        matches!(w, WorkerOutcome::Panicked(d) if d.contains("injected fault")),
-                        "{policy:?}: worker 1 was {w:?}"
-                    );
-                } else {
-                    assert_eq!(*w, WorkerOutcome::Completed, "{policy:?}: worker {id}");
-                }
+            assert!(!f.aborted, "{who}");
+            assert_eq!(f.workers.len(), threads);
+            assert!(
+                matches!(&f.workers[0], WorkerOutcome::Panicked(d) if d.contains("injected fault")),
+                "{who}: worker 0 was {:?}",
+                f.workers[0]
+            );
+            for w in &f.workers[1..] {
+                assert_eq!(*w, WorkerOutcome::Completed, "{who}");
             }
-            // The panic fires *before* op 200, so worker 1 issued
-            // exactly 200 ops and everyone else their full budget.
-            let attempts =
-                r.counts.updates + r.counts.removes + r.counts.removes_empty + r.counts.reads;
-            assert_eq!(attempts, 3 * 600 + 200, "{policy:?}");
-            // The salvaged partial history (ops 0..200 are complete
-            // operations) still replays linearizable.
-            assert_eq!(r.quality.get("linearizable"), Some(1.0), "{policy:?}");
+            let c = &r.counts;
+            let attempts = c.updates + c.removes + c.removes_empty + c.reads;
+            assert_eq!(attempts, DIES_AT + OPS * (threads as u64 - 1), "{who}");
+            if history {
+                // Its ops 0..200 are complete operations: all of them
+                // are in the judged history, which replays linearizable.
+                let recorded = prefill + c.updates + c.removes + c.reads;
+                assert_eq!(r.quality.get("history_ops"), Some(recorded as f64), "{who}");
+                assert_eq!(r.quality.get("linearizable"), Some(1.0), "{who}");
+            }
             assert!(!r.ok(), "a panicked worker is not a clean run");
             let j = r.to_json();
             assert!(j.contains("\"faults\":{"), "{j}");
             assert!(j.contains("\"outcome\":\"panicked\""), "{j}");
+            r.quality
+                .summary
+                .unwrap_or_else(|| panic!("{who}: no samples"))
+        };
+        let two_choice = PolicyCfg::TwoChoice;
+        for policy in [
+            two_choice,
+            PolicyCfg::DChoice { d: 4 },
+            PolicyCfg::Sticky { ops: 8 },
+        ] {
+            let mq = MultiQueueBackend::heap_policy(8, DeleteMode::Strict, policy, 1);
+            chaos(Family::Queue, 4, true, policy, &mq);
         }
+        let coarse = ConcurrentPqBackend::coarse();
+        chaos(Family::Queue, 2, false, two_choice, &coarse);
+        for history in [false, true] {
+            // The exact counter stamps *after* its fetch_add, so only a
+            // sequential history of it is certain to cost nothing: its
+            // lone worker is the one that dies.
+            let exact = CounterBackend::exact();
+            let cost = chaos(Family::Counter, 1, history, two_choice, &exact);
+            assert_eq!(cost.max, 0.0, "exact-faa history={history}");
+            let multi = CounterBackend::multicounter(8);
+            chaos(Family::Counter, 2, history, two_choice, &multi);
+        }
+        chaos(
+            Family::Fifo,
+            2,
+            true,
+            two_choice,
+            &RelaxedFifoBackend::new(8),
+        );
+        // With worker 0's dequeues missing from the replay, the exact
+        // FIFO's survivors would appear to dequeue out of order.
+        let locked = LockedFifoBackend::new();
+        let cost = chaos(Family::Fifo, 2, true, two_choice, &locked);
+        assert_eq!(cost.max, 0.0, "locked-fifo dequeues the true head");
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!
 //! * [`Scenario`] — a declarative workload: thread count, op budget or
 //!   duration, [`OpMix`], key/priority/weight [`Dist`]ributions
-//!   (uniform, Zipf, monotone), open/closed/bursty [`Arrival`]s,
-//!   prefill, seed. A named [`Scenario::catalog`] ships ≥ 6 presets.
+//!   (uniform, Zipf, monotone), a closed loop or a simulated-client
+//!   population with an [`ArrivalShape`], prefill, seed. A named
+//!   [`Scenario::catalog`] ships ≥ 6 presets.
 //! * [`Backend`] — the single interface every structure implements:
 //!   relaxed counters, the MultiQueue, every `dlz-pq` linearizable
 //!   queue, and the TL2 STM
@@ -17,8 +18,8 @@
 //! * [`engine::run`] — the concurrent driver: barrier start, sharded
 //!   metrics, deterministic fixed-op or wall-clock budgets.
 //! * [`SweepSpec`] / [`engine::run_sweep`] — declarative sweep grids:
-//!   a base scenario × axes (threads, choice policy, mix, skew, batch,
-//!   arrival, seed) expanded into named cells
+//!   a base scenario × axes (threads, choice policy, mix, skew,
+//!   clients, arrival shape, seed) expanded into named cells
 //!   (`queue-balanced/t=8/policy=sticky(s=16)`), executed cell by cell,
 //!   one grid-tagged [`RunReport`] per (cell × backend).
 //! * [`metrics`] — log-bucketed latency histogram (p50/p99/p999 at ~3%
@@ -30,12 +31,13 @@
 //!   stream; latency is measured from *intended* arrival and split
 //!   into queueing + service, defeating coordinated omission.
 //! * Quality wiring — counter backends sample read deviation against
-//!   the exact sum (Lemma 6.8's metric); queue backends either record a
-//!   stamped history and replay it through the
-//!   distributional-linearizability checker of `dlz-core::spec`
-//!   (exact dequeue ranks, Theorem 7.1) or sample a cheap
-//!   priority-space rank proxy; STM backends report abort breakdowns
-//!   and verify the paper's array-sum safety law.
+//!   the exact sum (Lemma 6.8's metric); queue backends sample a cheap
+//!   priority-space rank proxy; with `record_history` on, counter,
+//!   queue and FIFO backends instead record a stamped history through
+//!   `dlz_core::spec::Recorder` and report what `dlz_core::spec::judge`
+//!   finds in it (exact deviations, ranks and positions against the
+//!   envelope); STM backends report abort breakdowns and verify the
+//!   paper's array-sum safety law.
 //! * [`RunReport`] — machine-readable results
 //!   ([`RunReport::to_json`]).
 //!
@@ -74,7 +76,7 @@ pub mod telemetry;
 
 pub use backend::{Backend, QualityReport, QualitySummary, Worker, WorkerCfg};
 pub use clients::{ArrivalShape, ClientReport, ClientStats};
-pub use dist::{Arrival, Dist, Sampler};
+pub use dist::{Dist, Sampler};
 pub use engine::{run, run_sweep, run_sweep_shared};
 pub use faults::{Fault, FaultPlan, WorkerFaults};
 pub use metrics::{

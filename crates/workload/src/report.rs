@@ -4,7 +4,6 @@ use std::time::Duration;
 
 use crate::backend::QualityReport;
 use crate::clients::ClientReport;
-use crate::dist::Arrival;
 use crate::metrics::{LatencySummary, TelemetrySeries};
 use crate::op::OpCounts;
 use crate::scenario::{Budget, Scenario};
@@ -95,8 +94,6 @@ pub struct RunReport {
     pub verify_error: Option<String>,
     /// Budget the run used (echoed into the JSON).
     pub budget: Budget,
-    /// Arrival process the run used.
-    pub arrival: Arrival,
     /// Choice-policy label the scenario carried (queue backends act on
     /// it; other families echo the default).
     pub policy: String,
@@ -117,7 +114,7 @@ pub struct RunReport {
     /// Simulated-client accounting when the scenario set
     /// [`clients`](crate::Scenario::clients) > 0: active clients,
     /// arrival backlog, and the queueing/service latency split (see
-    /// [`ClientReport`]). `None` on legacy thread-per-worker runs.
+    /// [`ClientReport`]). `None` on closed-loop runs.
     pub clients: Option<ClientReport>,
     /// Time-resolved telemetry: the merged, index-aligned per-interval
     /// series when the scenario set
@@ -189,24 +186,11 @@ impl RunReport {
                 });
             }
         }
-        match self.arrival {
-            Arrival::Closed => {
-                o.str("arrival", "closed");
-            }
-            Arrival::Open { rate_per_worker } => {
-                o.obj("arrival", |a| {
-                    a.str("type", "open")
-                        .f64("rate_per_worker", rate_per_worker);
-                });
-            }
-            Arrival::Bursty { burst, pause } => {
-                o.obj("arrival", |a| {
-                    a.str("type", "bursty")
-                        .u64("burst", burst as u64)
-                        .f64("pause_ms", pause.as_secs_f64() * 1e3);
-                });
-            }
-        }
+        // `closed`, or the label of the clients' arrival shape.
+        o.str(
+            "arrival",
+            self.clients.as_ref().map_or("closed", |c| c.shape.as_str()),
+        );
         o.f64("elapsed_s", self.elapsed.as_secs_f64());
         o.obj("throughput", |t| {
             t.u64("total_ops", self.total_ops())
@@ -350,7 +334,6 @@ pub(crate) fn skeleton(scenario: &Scenario, backend_name: String) -> RunReport {
         residual: 0,
         verify_error: None,
         budget: scenario.budget,
-        arrival: scenario.arrival,
         policy: scenario.choice_policy.label(),
         cell: None,
         grid: Vec::new(),

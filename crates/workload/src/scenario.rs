@@ -6,7 +6,7 @@ use std::time::Duration;
 use dlz_core::PolicyCfg;
 
 use crate::clients::ArrivalShape;
-use crate::dist::{Arrival, Dist};
+use crate::dist::Dist;
 use crate::faults::FaultPlan;
 use crate::op::OpMix;
 
@@ -71,10 +71,9 @@ pub struct Scenario {
     pub priorities: Dist,
     /// Weight distribution (counter adds; `Fixed(1)` = plain increments).
     pub weights: Dist,
-    /// Arrival process.
-    pub arrival: Arrival,
-    /// Simulated-client population. `0` (the default) keeps the legacy
-    /// thread-per-worker driver; any positive count routes the run
+    /// Simulated-client population. `0` (the default) is the plain
+    /// closed loop: every worker issues its next op as soon as the
+    /// previous one completes. Any positive count routes the run
     /// through the timer-wheel client driver
     /// ([`clients`](crate::clients)): the population is sharded across
     /// workers, each client follows its own seeded
@@ -82,9 +81,8 @@ pub struct Scenario {
     /// and the report gains a `clients` section with the
     /// queueing/service latency split.
     pub clients: usize,
-    /// Per-client arrival process when [`clients`](Scenario::clients)
-    /// is positive (ignored otherwise — the legacy
-    /// [`arrival`](Scenario::arrival) field governs the 0-client path).
+    /// Per-client arrival process; read only when
+    /// [`clients`](Scenario::clients) is positive.
     pub arrival_shape: ArrivalShape,
     /// Items inserted sequentially before the measured run.
     pub prefill: u64,
@@ -153,7 +151,6 @@ impl Scenario {
                 keys: Dist::Uniform { n: 1 << 16 },
                 priorities: Dist::Monotonic,
                 weights: Dist::Fixed(1),
-                arrival: Arrival::Closed,
                 clients: 0,
                 arrival_shape: ArrivalShape::SelfPaced,
                 prefill: 0,
@@ -213,11 +210,12 @@ impl Scenario {
                 .prefill(1_000)
                 .build(),
             Scenario::builder("queue-bursty", Family::Queue)
-                .about("stampede arrivals: 256-op bursts with 2ms pauses — adversarial schedule")
+                .about("stampede arrivals: one client per worker, 256-op bursts every 2ms — adversarial schedule")
                 .mix(OpMix::new(50, 50, 0))
-                .arrival(Arrival::Bursty {
+                .clients(4)
+                .arrival_shape(ArrivalShape::Bursty {
+                    rate: 128_000.0,
                     burst: 256,
-                    pause: Duration::from_millis(2),
                 })
                 .prefill(5_000)
                 .build(),
@@ -286,12 +284,11 @@ impl Scenario {
                 })
                 .build(),
             Scenario::builder("stm-open-loop", Family::Stm)
-                .about("Poisson arrivals at 50k ops/s/worker — latency under offered load")
+                .about("one Poisson client per worker at 50k ops/s — latency under offered load")
                 .mix(OpMix::new(70, 0, 30))
                 .keys(Dist::Uniform { n: 1 << 16 })
-                .arrival(Arrival::Open {
-                    rate_per_worker: 50_000.0,
-                })
+                .clients(4)
+                .arrival_shape(ArrivalShape::Poisson { rate: 50_000.0 })
                 .build(),
             Scenario::builder("clients-poisson-100k", Family::Queue)
                 .about("100k Poisson clients over 4 workers at a deliberately overloaded aggregate rate — queueing delay visible in the clients section")
@@ -409,14 +406,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Arrival process.
-    pub fn arrival(mut self, a: Arrival) -> Self {
-        self.s.arrival = a;
-        self
-    }
-
-    /// Simulated-client population (0 = legacy thread-per-worker
-    /// driver; see [`Scenario::clients`]).
+    /// Simulated-client population (0 = plain closed loop; see
+    /// [`Scenario::clients`]).
     pub fn clients(mut self, n: usize) -> Self {
         self.s.clients = n;
         self
@@ -533,7 +524,7 @@ mod tests {
             assert!(!s.about.is_empty(), "{} lacks a description", s.name);
         }
         // Every family is represented.
-        for f in [Family::Counter, Family::Queue, Family::Stm] {
+        for f in [Family::Counter, Family::Queue, Family::Fifo, Family::Stm] {
             assert!(cat.iter().any(|s| s.family == f), "{f:?} missing");
         }
     }
@@ -608,7 +599,7 @@ mod tests {
         }
         let big = Scenario::named("clients-poisson-100k").expect("exists");
         assert!(big.clients >= 100_000 && big.threads == 4);
-        // Legacy presets stay on the thread-per-worker driver.
+        // Closed-loop presets stay off the client driver.
         let plain = Scenario::named("queue-balanced").expect("exists");
         assert_eq!(plain.clients, 0);
         assert_eq!(plain.arrival_shape, ArrivalShape::SelfPaced);

@@ -3,7 +3,8 @@
 //! The paper's claims are functions, not points: throughput and rank
 //! cost *versus* thread count, skew and choice policy. A [`SweepSpec`]
 //! holds a base [`Scenario`] plus a list of axes (threads, choice
-//! policy, op mix, key/priority skew, batch, arrival, seed) and expands
+//! policy, op mix, key/priority skew, client population and arrival
+//! shape, seed) and expands
 //! the cartesian grid into concrete [`SweepCell`]s, each naming its
 //! grid coordinates (`queue-balanced/t=8/policy=sticky(s=16)`).
 //! [`engine::run_sweep`](crate::engine::run_sweep) executes the cells
@@ -36,17 +37,16 @@
 use dlz_core::PolicyCfg;
 
 use crate::clients::ArrivalShape;
-use crate::dist::{Arrival, Dist};
+use crate::dist::Dist;
 use crate::op::OpMix;
 use crate::scenario::Scenario;
 
 /// Display (and grid-key) order of the axes. Expansion nests in a
-/// fixed outer→inner order (seed, shape, clients, arrival, keys,
-/// priorities, mix, batch, policy, threads — threads varies
-/// fastest), but cell names and grid coordinates always list axes in
-/// this order.
-const AXIS_ORDER: [&str; 10] = [
-    "t", "policy", "mix", "keys", "prio", "batch", "arrival", "clients", "shape", "seed",
+/// fixed outer→inner order (seed, shape, clients, keys, priorities,
+/// mix, policy, threads — threads varies fastest), but cell names and
+/// grid coordinates always list axes in this order.
+const AXIS_ORDER: [&str; 8] = [
+    "t", "policy", "mix", "keys", "prio", "clients", "shape", "seed",
 ];
 
 /// A base scenario plus the axes to sweep. Empty axes do not vary.
@@ -58,8 +58,6 @@ pub struct SweepSpec {
     mixes: Vec<OpMix>,
     keys: Vec<Dist>,
     priorities: Vec<Dist>,
-    batches: Vec<usize>,
-    arrivals: Vec<Arrival>,
     clients: Vec<usize>,
     shapes: Vec<ArrivalShape>,
     seeds: Vec<u64>,
@@ -73,8 +71,7 @@ pub struct SweepCell {
     pub name: String,
     /// The swept coordinates as `(axis, value-label)` pairs, in the
     /// fixed display order (`t`, `policy`, `mix`, `keys`, `prio`,
-    /// `batch`, `arrival`, `clients`, `shape`, `seed`); empty for a
-    /// 1×1 grid.
+    /// `clients`, `shape`, `seed`); empty for a 1×1 grid.
     pub coords: Vec<(String, String)>,
     /// The fully concrete scenario for this cell (base values with the
     /// cell's coordinates applied; the name stays the base name).
@@ -91,8 +88,6 @@ impl SweepSpec {
             mixes: Vec::new(),
             keys: Vec::new(),
             priorities: Vec::new(),
-            batches: Vec::new(),
-            arrivals: Vec::new(),
             clients: Vec::new(),
             shapes: Vec::new(),
             seeds: Vec::new(),
@@ -142,25 +137,6 @@ impl SweepSpec {
         self
     }
 
-    /// Sweep the per-lock batch size (`batch=` coordinate).
-    ///
-    /// # Panics
-    /// If any value is zero (1 means unbatched).
-    pub fn batches(mut self, values: &[usize]) -> Self {
-        assert!(
-            values.iter().all(|&v| v >= 1),
-            "sweep batch values must be >= 1, got {values:?}"
-        );
-        self.batches = values.to_vec();
-        self
-    }
-
-    /// Sweep the arrival process (`arrival=` coordinate).
-    pub fn arrivals(mut self, values: &[Arrival]) -> Self {
-        self.arrivals = values.to_vec();
-        self
-    }
-
     /// Sweep the simulated-client population (`clients=` coordinate).
     /// `0` means the plain per-worker driver (no client frontend).
     pub fn clients(mut self, values: &[usize]) -> Self {
@@ -190,8 +166,6 @@ impl SweepSpec {
             self.mixes.len(),
             self.keys.len(),
             self.priorities.len(),
-            self.batches.len(),
-            self.arrivals.len(),
             self.clients.len(),
             self.shapes.len(),
             self.seeds.len(),
@@ -210,10 +184,10 @@ impl SweepSpec {
 
     /// Expands the cartesian grid into concrete cells.
     ///
-    /// Nesting order (outer→inner): seed, shape, clients, arrival,
-    /// keys, priorities, mix, batch, policy, threads — so
-    /// the threads axis varies fastest and a `keys × threads` sweep
-    /// groups naturally by skew. The expansion is fully deterministic.
+    /// Nesting order (outer→inner): seed, shape, clients, keys,
+    /// priorities, mix, policy, threads — so the threads axis varies
+    /// fastest and a `keys × threads` sweep groups naturally by skew.
+    /// The expansion is fully deterministic.
     pub fn cells(&self) -> Vec<SweepCell> {
         let mut cells = vec![SweepCell {
             name: String::new(),
@@ -241,13 +215,6 @@ impl SweepSpec {
             |s, &v| s.clients = v,
             |v| v.to_string(),
         );
-        cells = apply_axis(
-            cells,
-            &self.arrivals,
-            "arrival",
-            |s, &v| s.arrival = v,
-            |v| v.label(),
-        );
         cells = apply_axis(cells, &self.keys, "keys", |s, &v| s.keys = v, |v| v.label());
         cells = apply_axis(
             cells,
@@ -257,13 +224,6 @@ impl SweepSpec {
             |v| v.label(),
         );
         cells = apply_axis(cells, &self.mixes, "mix", |s, &v| s.mix = v, |v| v.label());
-        cells = apply_axis(
-            cells,
-            &self.batches,
-            "batch",
-            |s, &v| s.batch = v,
-            |v| v.to_string(),
-        );
         cells = apply_axis(
             cells,
             &self.policies,
@@ -394,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn skew_batch_arrival_and_seed_axes_expand() {
+    fn skew_and_seed_axes_expand() {
         let spec = SweepSpec::new(base())
             .keys(&[
                 Dist::Uniform { n: 1 << 10 },
@@ -404,29 +364,24 @@ mod tests {
                 },
             ])
             .priorities(&[Dist::Monotonic])
-            .batches(&[1, 16])
-            .arrivals(&[Arrival::Closed])
             .seeds(&[1, 2, 3]);
-        assert_eq!(spec.len(), 2 * 2 * 3);
+        assert_eq!(spec.len(), 2 * 3);
         let cells = spec.cells();
-        assert_eq!(cells.len(), 12);
-        // Seed is the outermost axis; batch inner than keys.
+        assert_eq!(cells.len(), 6);
+        // Seed is the outermost axis.
         assert_eq!(cells[0].scenario.seed, 1);
-        assert_eq!(cells[11].scenario.seed, 3);
-        let c = &cells[0];
+        assert_eq!(cells[5].scenario.seed, 3);
         assert_eq!(
-            c.name,
-            "sweep-base/keys=uniform(1024)/prio=monotonic/batch=1/arrival=closed/seed=1"
+            cells[0].name,
+            "sweep-base/keys=uniform(1024)/prio=monotonic/seed=1"
         );
-        assert_eq!(c.scenario.batch, 1);
-        assert!(cells.iter().any(|c| c.scenario.batch == 16));
         assert!(cells
             .iter()
             .any(|c| matches!(c.scenario.keys, Dist::Zipf { .. })));
     }
 
     #[test]
-    fn client_and_shape_axes_expand_between_arrival_and_seed() {
+    fn client_and_shape_axes_expand_between_skew_and_seed() {
         let spec = SweepSpec::new(base())
             .clients(&[0, 100_000])
             .arrival_shapes(&[

@@ -7,11 +7,8 @@
 //! (every operation maps, order respected) and the cost distribution
 //! (read deviations within the paper's O(m log m) scale).
 
-use distlin::core::spec::{
-    check_distributional, CounterOp, CounterSpec, History, StampClock, ThreadLog,
-};
+use distlin::core::spec::{check_distributional, CounterOp, CounterSpec, History, Recorder};
 use distlin::core::{DChoiceCounter, ExactCounter, MultiCounter, RelaxedCounter};
-use std::sync::Mutex;
 
 /// Records a mixed increment/read workload over any RelaxedCounter.
 fn record_workload<C: RelaxedCounter>(
@@ -20,36 +17,32 @@ fn record_workload<C: RelaxedCounter>(
     ops_per_thread: usize,
     read_every: usize,
 ) -> History<CounterOp> {
-    let clock = StampClock::new();
-    let logs = Mutex::new(Vec::new());
+    let recorder = Recorder::new();
     std::thread::scope(|s| {
         for t in 0..threads {
-            let counter = &counter;
-            let clock = &clock;
-            let logs = &logs;
+            let recorder = &recorder;
             s.spawn(move || {
-                let mut log = ThreadLog::new(t);
+                let mut log = recorder.log(t);
                 for k in 0..ops_per_thread {
                     if k % read_every == read_every - 1 {
-                        log.record(clock, || {
+                        log.record(|clock| {
                             let v = counter.read();
                             // Update point of a read: the atomic load
                             // itself. Stamping right after it keeps the
                             // stamp inside the operation interval.
-                            (CounterOp::Read { returned: v }, clock.stamp())
+                            Some((CounterOp::Read { returned: v }, clock.stamp(), ()))
                         });
                     } else {
-                        log.record(clock, || {
+                        log.record(|clock| {
                             counter.increment();
-                            (CounterOp::Inc, clock.stamp())
+                            Some((CounterOp::Inc, clock.stamp(), ()))
                         });
                     }
                 }
-                logs.lock().unwrap().push(log);
             });
         }
     });
-    History::from_logs(logs.into_inner().unwrap())
+    recorder.take_history()
 }
 
 #[test]

@@ -2,11 +2,7 @@
 //! priority-queue process with bounded rank costs (Theorem 7.1, checked
 //! on real concurrent executions through the Section 5 framework).
 
-use std::sync::Mutex;
-
-use distlin::core::spec::{
-    check_distributional, Event, History, PqOp, PqSpec, StampClock, ThreadLog,
-};
+use distlin::core::spec::{check_distributional, History, PqOp, PqSpec, Recorder};
 use distlin::core::{DeleteMode, MqHandle, MultiQueue, TwoChoice};
 
 /// Runs a concurrent stamped workload and returns its history.
@@ -16,53 +12,35 @@ fn stamped_workload(
     ops_per_thread: usize,
     seed: u64,
 ) -> History<PqOp> {
-    let clock = StampClock::new();
-    let logs = Mutex::new(Vec::new());
+    let recorder = Recorder::new();
     std::thread::scope(|s| {
         for t in 0..threads {
-            let clock = &clock;
-            let logs = &logs;
+            let recorder = &recorder;
             s.spawn(move || {
-                // The handle's stamped history mode replaces the old
-                // `*_stamped` method clones; two-choice keeps the
-                // paper's Algorithm 2 behaviour.
+                // Two-choice keeps the paper's Algorithm 2 behaviour.
                 let mut h = MqHandle::with_policy(mq, seed ^ ((t as u64) << 20), TwoChoice);
-                let mut log = ThreadLog::new(t);
+                let mut log = recorder.log(t);
                 // Unique priorities per thread: k * threads + t.
                 let mut k = 0u64;
                 for step in 0..ops_per_thread {
                     if step % 3 < 2 {
                         let p = k * threads as u64 + t as u64;
                         k += 1;
-                        let inv = clock.stamp();
-                        let upd = h.stamped(clock.as_atomic()).insert(p, p);
-                        let resp = clock.stamp();
-                        log.push(Event {
-                            thread: t,
-                            label: PqOp::Insert { priority: p },
-                            invoke: inv,
-                            update: upd,
-                            response: resp,
+                        log.record(|clock| {
+                            let update = h.stamped(clock.as_atomic()).insert(p, p);
+                            Some((PqOp::Insert { priority: p }, update, ()))
                         });
                     } else {
-                        let inv = clock.stamp();
-                        if let Some((p, _, upd)) = h.stamped(clock.as_atomic()).dequeue() {
-                            let resp = clock.stamp();
-                            log.push(Event {
-                                thread: t,
-                                label: PqOp::DeleteMin { removed: p },
-                                invoke: inv,
-                                update: upd,
-                                response: resp,
-                            });
-                        }
+                        log.record(|clock| {
+                            let (p, _, update) = h.stamped(clock.as_atomic()).dequeue()?;
+                            Some((PqOp::DeleteMin { removed: p }, update, ()))
+                        });
                     }
                 }
-                logs.lock().unwrap().push(log);
             });
         }
     });
-    History::from_logs(logs.into_inner().unwrap())
+    recorder.take_history()
 }
 
 #[test]

@@ -1,11 +1,11 @@
-//! Integration tests for the history-artifact subsystem: the serialized
-//! form must be a faithful twin of the in-process path. Serialize →
-//! parse → replay has to give the identical verdict and rank statistics
-//! as in-process checking, across choice policies and both delete
-//! modes; a sweep with an export directory must yield one grid-indexed,
-//! policy-tagged artifact per (cell × backend).
+//! Integration tests for the history-artifact subsystem, end to end:
+//! what the engine reported for a run is what the judge finds in the
+//! run's artifact — in memory, and again after serialize → parse —
+//! across choice policies and both delete modes; a sweep with an export
+//! directory yields one grid-indexed, policy-tagged artifact per
+//! (cell × backend).
 
-use distlin::core::spec::{replay_artifact, HistoryArtifact};
+use distlin::core::spec::{judge, replay_artifact, HistoryArtifact};
 use distlin::core::{DeleteMode, PolicyCfg};
 use distlin::workload::backends::{policy_roster, CounterBackend, MultiQueueBackend};
 use distlin::workload::{
@@ -18,16 +18,17 @@ fn scratch(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Asserts that replaying `artifact` offline reproduces the in-process
-/// quality numbers (`report.quality`) exactly — same f64s, not
-/// approximately.
-fn assert_replay_matches_quality(
+/// Asserts that judging `artifact` reproduces the numbers the engine
+/// reported (`report.quality`) exactly — same f64s, not approximately.
+/// Both come from the one judge; what this checks is that the artifact
+/// carries everything the verdict depends on, through export and back.
+fn assert_judged_as_reported(
     artifact: &HistoryArtifact,
     quality: &distlin::workload::QualityReport,
 ) {
-    let outcome = replay_artifact(artifact);
-    let costs = artifact.metric_costs(&outcome);
-    let summary = QualitySummary::from_samples(&costs);
+    let verdict = judge(artifact);
+    assert_eq!(verdict.metric, quality.metric);
+    let summary = QualitySummary::from_samples(&verdict.costs);
     let expected = quality.summary.expect("history metric has samples");
     assert_eq!(summary.count, expected.count);
     assert_eq!(summary.mean, expected.mean, "mean must match bit for bit");
@@ -35,7 +36,11 @@ fn assert_replay_matches_quality(
     assert_eq!(summary.p99, expected.p99);
     assert_eq!(summary.max, expected.max);
     let linearizable = quality.get("linearizable") == Some(1.0);
-    assert_eq!(outcome.is_linearizable(), linearizable);
+    assert_eq!(verdict.outcome.is_linearizable(), linearizable);
+    let within = quality
+        .get("within_policy_bound")
+        .or(quality.get("within_bound"));
+    assert_eq!(within, Some(f64::from(u8::from(verdict.within))));
 }
 
 #[test]
@@ -65,14 +70,14 @@ fn pq_round_trip_is_verdict_identical_across_policies_and_modes() {
             assert!(artifact.envelope_factor >= 1.0);
 
             // In-process numbers reproduce from the in-memory artifact...
-            assert_replay_matches_quality(&artifact, &r.quality);
+            assert_judged_as_reported(&artifact, &r.quality);
 
             // ...and from its serialized round trip, byte-identically.
             let text = artifact.to_json_lines();
             let parsed = HistoryArtifact::from_json_lines(&text)
                 .unwrap_or_else(|e| panic!("{policy:?}/{mode:?}: {e}"));
             assert_eq!(parsed.to_json_lines(), text, "serialize∘parse ≠ identity");
-            assert_replay_matches_quality(&parsed, &r.quality);
+            assert_judged_as_reported(&parsed, &r.quality);
 
             let a = replay_artifact(&artifact);
             let p = replay_artifact(&parsed);
@@ -101,16 +106,16 @@ fn counter_round_trip_is_verdict_identical() {
     assert_eq!(artifact.kind(), "counter");
     assert_eq!(artifact.policy, "none");
     assert!(artifact.envelope_factor > 0.0, "m·ln m scale travels along");
-    assert_replay_matches_quality(&artifact, &r.quality);
+    assert_judged_as_reported(&artifact, &r.quality);
     let parsed = HistoryArtifact::from_json_lines(&artifact.to_json_lines()).expect("parses");
-    assert_replay_matches_quality(&parsed, &r.quality);
+    assert_judged_as_reported(&parsed, &r.quality);
 }
 
 /// The PR's acceptance criterion: a 2-threads × 2-policies sweep with an
 /// export directory yields one artifact per (cell × backend), each
 /// embedding policy label + envelope factor + grid coordinates, and
-/// `histcheck`-style offline replay reproduces every cell's in-process
-/// verdict and per-rank distribution bit for bit.
+/// judging the file `histcheck` would load reproduces every cell's
+/// reported verdict and per-rank distribution bit for bit.
 #[test]
 fn exported_sweep_grid_replays_bit_for_bit() {
     let dir = scratch("sweep");
@@ -141,7 +146,7 @@ fn exported_sweep_grid_replays_bit_for_bit() {
         assert_eq!(artifact.source.as_deref(), Some(r.backend.as_str()));
 
         // Offline replay == in-process verdict + distribution.
-        assert_replay_matches_quality(&artifact, &r.quality);
+        assert_judged_as_reported(&artifact, &r.quality);
     }
     std::fs::remove_dir_all(&dir).ok();
 }

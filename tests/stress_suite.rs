@@ -6,7 +6,7 @@ use std::sync::Mutex;
 
 use distlin::core::clock::FaaClock;
 use distlin::core::rng::{Rng64, Xoshiro256};
-use distlin::core::spec::{check_distributional, Event, FifoOp, FifoSpec, History, StampClock};
+use distlin::core::spec::{check_distributional, FifoOp, FifoSpec, Recorder, StampClock};
 use distlin::core::{DeleteMode, MultiCounter, MultiQueue, RelaxedCounter};
 use distlin::pq::SeqPriorityQueue;
 use distlin::stm::{ExactClock, Tl2};
@@ -197,53 +197,34 @@ fn relaxed_fifo_history_maps_onto_fifo_spec() {
     let m = 8;
     let mq: MultiQueue<u64> = MultiQueue::new(m);
     let ts = FaaClock::new();
-    let clock = StampClock::new();
-    let logs = Mutex::new(Vec::new());
+    let recorder = Recorder::new();
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let mq = &mq;
             let ts = &ts;
-            let clock = &clock;
-            let logs = &logs;
+            let recorder = &recorder;
             s.spawn(move || {
                 use distlin::core::clock::Clock;
                 let mut h = mq.handle(4000 + t as u64);
-                let mut log = Vec::new();
+                let mut log = recorder.log(t);
                 for step in 0..PER {
                     if step % 3 < 2 {
                         let id = ts.tick(); // unique FIFO identity = timestamp
-                        let inv = clock.stamp();
-                        let upd = h.stamped(clock.as_atomic()).insert(id, id);
-                        let resp = clock.stamp();
-                        log.push(Event {
-                            thread: t,
-                            label: FifoOp::Enqueue { id },
-                            invoke: inv,
-                            update: upd,
-                            response: resp,
+                        log.record(|clock| {
+                            let update = h.stamped(clock.as_atomic()).insert(id, id);
+                            Some((FifoOp::Enqueue { id }, update, ()))
                         });
                     } else {
-                        let inv = clock.stamp();
-                        if let Some((id, _, upd)) = h.stamped(clock.as_atomic()).dequeue() {
-                            let resp = clock.stamp();
-                            log.push(Event {
-                                thread: t,
-                                label: FifoOp::Dequeue { id },
-                                invoke: inv,
-                                update: upd,
-                                response: resp,
-                            });
-                        }
+                        log.record(|clock| {
+                            let (id, _, update) = h.stamped(clock.as_atomic()).dequeue()?;
+                            Some((FifoOp::Dequeue { id }, update, ()))
+                        });
                     }
                 }
-                logs.lock().unwrap().push(log);
             });
         }
     });
-    let mut history = History::new();
-    for log in logs.into_inner().unwrap() {
-        history.events.extend(log);
-    }
+    let history = recorder.take_history();
     assert!(history.well_formed());
     let out = check_distributional(&FifoSpec, &history);
     assert!(out.is_linearizable(), "unmappable: {:?}", out.unmappable);

@@ -14,9 +14,7 @@ use distlin::core::DeleteMode;
 use distlin::workload::backends::{
     ConcurrentPqBackend, CounterBackend, MultiQueueBackend, StmBackend,
 };
-use distlin::workload::{
-    engine, Arrival, ArrivalShape, Backend, Budget, Dist, Family, OpMix, Scenario,
-};
+use distlin::workload::{engine, ArrivalShape, Backend, Budget, Dist, Family, OpMix, Scenario};
 
 const SEED: u64 = 0x5eed_cafe;
 
@@ -187,9 +185,8 @@ fn arrival_processes_drive_every_family() {
         .threads(2)
         .budget(Budget::OpsPerWorker(300))
         .mix(OpMix::new(100, 0, 0))
-        .arrival(Arrival::Open {
-            rate_per_worker: 30_000.0,
-        })
+        .clients(2)
+        .arrival_shape(ArrivalShape::Poisson { rate: 30_000.0 })
         .seed(SEED)
         .build();
     let counter = CounterBackend::sharded(2);
@@ -202,9 +199,11 @@ fn arrival_processes_drive_every_family() {
         .threads(2)
         .budget(Budget::OpsPerWorker(600))
         .mix(OpMix::new(50, 50, 0))
-        .arrival(Arrival::Bursty {
+        .clients(2)
+        // 128-op bursts, 300 µs apart.
+        .arrival_shape(ArrivalShape::Bursty {
+            rate: 128.0 / 300e-6,
             burst: 128,
-            pause: Duration::from_micros(300),
         })
         .prefill(200)
         .seed(SEED)
