@@ -1,33 +1,33 @@
-//! Minimal CLI/env configuration shared by the figure binaries and the
+//! Minimal CLI configuration shared by the figure binaries and the
 //! scenario runner.
 //!
 //! No external argument parser: the binaries take a handful of
-//! `--key value` pairs plus environment fallbacks, so `cargo run` with
-//! no arguments always produces a sensible laptop-scale run.
+//! `--key value` pairs, so `cargo run` with no arguments always
+//! produces a sensible laptop-scale run. Flags are the only input.
 //!
-//! | flag | env | meaning |
-//! |---|---|---|
-//! | `--threads 1,2,4` | `DLZ_THREADS` | thread counts to sweep |
-//! | `--duration-ms 300` | `DLZ_DURATION_MS` | per-point duration |
-//! | `--objects N` | `DLZ_OBJECTS` | TL2 array size(s) |
-//! | `--quick` | `DLZ_QUICK=1` | shrink everything *not explicitly set* for CI smoke |
-//! | `--seed S` | `DLZ_SEED` | base RNG seed |
-//! | `--list` | | `scenarios`: list the catalog and exit |
-//! | `--scenario NAME` | | `scenarios`: run one named scenario |
-//! | `--backends a,b` | | `scenarios`: substring filter on backends |
-//! | `--json FILE` | | `scenarios`: also write the JSON to FILE |
-//! | `--sweep` | `DLZ_SWEEP=1` | `scenarios`: expand the full sweep grid |
-//! | `--policies a,b` | `DLZ_POLICIES` | choice-policy axis (`two-choice,sticky=16,...`) |
-//! | `--mixes a,b` | `DLZ_MIXES` | op-mix axis (`50/50/0,90/0/10,...`) |
-//! | `--keys a,b` | | key-distribution axis (`uniform:1024,zipf:16384:0.9,...`) |
-//! | `--prios a,b` | | priority-distribution axis (same grammar) |
-//! | `--zipf 0.6,0.9` | | skew shorthand: a Zipf axis over the listed thetas |
-//! | `--export-histories DIR` | | `scenarios`: serialize each history run's artifact under DIR |
-//! | `--telemetry` | `DLZ_TELEMETRY=1` | `scenarios`: per-interval snapshots in each report (100ms default) |
-//! | `--telemetry-interval-ms N` | `DLZ_TELEMETRY_MS` | snapshot interval; implies `--telemetry` |
-//! | `--faults SPEC` | `DLZ_FAULTS` | `scenarios`: inject a fault plan (`panic:1@200;slow:3:5..20`) |
-//! | `--clients N[,M]` | `DLZ_CLIENTS` | simulated-client population axis (`0` = plain per-worker driver) |
-//! | `--arrival-shape a,b` | `DLZ_ARRIVAL_SHAPE` | per-client arrival shapes (`poisson:50,diurnal:20:200,...`) |
+//! | flag | meaning |
+//! |---|---|
+//! | `--threads 1,2,4` | thread counts to sweep |
+//! | `--duration-ms 300` | per-point duration |
+//! | `--objects N` | TL2 array size(s) |
+//! | `--quick` | shrink everything *not explicitly set* for CI smoke |
+//! | `--seed S` | base RNG seed |
+//! | `--list` | `scenarios`: list the catalog and exit |
+//! | `--scenario NAME` | `scenarios`: run one named scenario |
+//! | `--backends a,b` | `scenarios`: substring filter on backends |
+//! | `--json FILE` | `scenarios`: also write the JSON to FILE |
+//! | `--sweep` | `scenarios`: expand the full sweep grid |
+//! | `--policies a,b` | choice-policy axis (`two-choice,sticky=16,...`) |
+//! | `--mixes a,b` | op-mix axis (`50/50/0,90/0/10,...`) |
+//! | `--keys a,b` | key-distribution axis (`uniform:1024,zipf:16384:0.9,...`) |
+//! | `--prios a,b` | priority-distribution axis (same grammar) |
+//! | `--zipf 0.6,0.9` | skew shorthand: a Zipf axis over the listed thetas |
+//! | `--export-histories DIR` | `scenarios`: serialize each history run's artifact under DIR |
+//! | `--telemetry` | `scenarios`: per-interval snapshots in each report (100ms default) |
+//! | `--telemetry-interval-ms N` | snapshot interval; implies `--telemetry` |
+//! | `--faults SPEC` | `scenarios`: inject a fault plan (`panic:1@200;slow:3:5..20`) |
+//! | `--clients N[,M]` | simulated-client population axis (`0` = plain per-worker driver) |
+//! | `--arrival-shape a,b` | per-client arrival shapes (`poisson:50,diurnal:20:200,...`) |
 //!
 //! The `Dist` grammar for `--keys`/`--prios`: `uniform:N`, `zipf:N:THETA`
 //! (or `zipf:THETA` with the default 65536-key space), `fixed:V`,
@@ -106,7 +106,7 @@ pub struct Config {
     /// than one value becomes a sweep axis. Only meaningful together
     /// with a non-zero client population.
     pub arrival_shapes: Vec<ArrivalShape>,
-    /// Names of flags/envs explicitly set (so binaries can distinguish
+    /// Names of flags explicitly set (so binaries can distinguish
     /// "defaulted" from "requested").
     set_flags: Vec<String>,
 }
@@ -151,9 +151,8 @@ impl Default for Config {
 }
 
 impl Config {
-    /// Parses `std::env::args` plus environment fallbacks. A malformed
-    /// flag is a usage error: the message goes to stderr and the
-    /// process exits with status 2.
+    /// Parses `std::env::args`. A malformed flag is a usage error: the
+    /// message goes to stderr and the process exits with status 2.
     pub fn from_args() -> Self {
         match Self::try_parse(std::env::args().skip(1).collect()) {
             Ok(cfg) => cfg,
@@ -165,7 +164,7 @@ impl Config {
         }
     }
 
-    /// `true` if the flag (or its env fallback) was explicitly set.
+    /// `true` if the flag was explicitly set.
     pub fn was_set(&self, flag: &str) -> bool {
         self.set_flags.iter().any(|f| f == flag)
     }
@@ -177,70 +176,10 @@ impl Config {
         Self::try_parse(args).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Parses an explicit argument vector plus environment fallbacks,
-    /// returning a usage-error message on malformed input.
+    /// Parses an explicit argument vector, returning a usage-error
+    /// message on malformed input.
     pub fn try_parse(args: Vec<String>) -> Result<Self, String> {
         let mut cfg = Config::default();
-        // Environment first, flags override.
-        if let Ok(v) = std::env::var("DLZ_THREADS") {
-            cfg.threads = parse_list(&v, "DLZ_THREADS", "a thread count")?;
-            if cfg.threads.contains(&0) {
-                return Err("DLZ_THREADS values must be >= 1".into());
-            }
-            cfg.set_flags.push("threads".into());
-        }
-        if let Ok(v) = std::env::var("DLZ_DURATION_MS") {
-            if let Ok(ms) = v.parse::<u64>() {
-                cfg.duration = Duration::from_millis(ms);
-                cfg.set_flags.push("duration-ms".into());
-            }
-        }
-        if let Ok(v) = std::env::var("DLZ_OBJECTS") {
-            cfg.objects = parse_list(&v, "DLZ_OBJECTS", "an object count")?;
-            cfg.set_flags.push("objects".into());
-        }
-        if std::env::var("DLZ_QUICK").as_deref() == Ok("1") {
-            cfg.quick = true;
-        }
-        if std::env::var("DLZ_SWEEP").as_deref() == Ok("1") {
-            cfg.sweep = true;
-        }
-        if let Ok(v) = std::env::var("DLZ_SEED") {
-            if let Ok(s) = v.parse::<u64>() {
-                cfg.seed = s;
-                cfg.set_flags.push("seed".into());
-            }
-        }
-        if let Ok(v) = std::env::var("DLZ_POLICIES") {
-            cfg.policies = parse_policies(&v)?;
-            cfg.set_flags.push("policies".into());
-        }
-        if let Ok(v) = std::env::var("DLZ_MIXES") {
-            cfg.mixes = parse_mixes(&v)?;
-            cfg.set_flags.push("mixes".into());
-        }
-        if std::env::var("DLZ_TELEMETRY").as_deref() == Ok("1") {
-            cfg.telemetry = true;
-        }
-        if let Ok(v) = std::env::var("DLZ_FAULTS") {
-            cfg.faults = Some(FaultPlan::parse(&v).map_err(|e| format!("DLZ_FAULTS: {e}"))?);
-            cfg.set_flags.push("faults".into());
-        }
-        if let Ok(v) = std::env::var("DLZ_CLIENTS") {
-            cfg.clients = parse_list(&v, "DLZ_CLIENTS", "a client count")?;
-            cfg.set_flags.push("clients".into());
-        }
-        if let Ok(v) = std::env::var("DLZ_ARRIVAL_SHAPE") {
-            cfg.arrival_shapes = parse_shapes(&v, "DLZ_ARRIVAL_SHAPE")?;
-            cfg.set_flags.push("arrival-shape".into());
-        }
-        if let Ok(v) = std::env::var("DLZ_TELEMETRY_MS") {
-            if let Ok(ms) = v.parse::<u64>() {
-                cfg.telemetry = true;
-                cfg.telemetry_interval = Duration::from_millis(ms.max(1));
-                cfg.set_flags.push("telemetry-interval-ms".into());
-            }
-        }
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
             match flag.as_str() {
@@ -328,7 +267,7 @@ impl Config {
                 }
                 "--arrival-shape" => {
                     let v = need(&mut it, "--arrival-shape")?;
-                    cfg.arrival_shapes = parse_shapes(&v, "--arrival-shape")?;
+                    cfg.arrival_shapes = parse_shapes(&v)?;
                     cfg.set_flags.push("arrival-shape".into());
                 }
                 "--telemetry" => cfg.telemetry = true,
@@ -523,15 +462,15 @@ fn parse_thetas(s: &str) -> Result<Vec<f64>, String> {
 
 /// Parses a comma-separated arrival-shape list
 /// (`poisson:50,periodic:100,bursty:320:64,diurnal:20:200,flash:5:20:50:50`).
-fn parse_shapes(s: &str, flag: &str) -> Result<Vec<ArrivalShape>, String> {
+fn parse_shapes(s: &str) -> Result<Vec<ArrivalShape>, String> {
     let out: Result<Vec<ArrivalShape>, String> = s
         .split(',')
         .filter(|p| !p.trim().is_empty())
-        .map(|p| ArrivalShape::parse(p).map_err(|e| format!("{flag}: {e}")))
+        .map(|p| ArrivalShape::parse(p).map_err(|e| format!("--arrival-shape: {e}")))
         .collect();
     let out = out?;
     if out.is_empty() {
-        return Err(format!("{flag} needs at least one shape"));
+        return Err("--arrival-shape needs at least one shape".into());
     }
     Ok(out)
 }

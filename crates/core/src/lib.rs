@@ -73,7 +73,6 @@ pub use counter::{
 };
 pub use dlz_pq::ContentionStats;
 pub use queue::{
-    AnyPolicy, ChoiceOp, ChoicePolicy, DChoice, DeleteMode, MqHandle, MqOpTimeout, MultiQueue,
-    MultiQueueBuilder, PolicyCfg, QueueView, RelaxedFifo, SalvageOutcome, Stamped, Sticky,
-    TwoChoice,
+    ChoiceOp, DeleteMode, MqHandle, MqOpTimeout, MultiQueue, MultiQueueBuilder, Policy, PolicyCfg,
+    RelaxedFifo, SalvageOutcome, Stamped,
 };

@@ -1,13 +1,14 @@
 //! Relaxed concurrent queues (Section 7 of the paper).
 //!
 //! * [`MultiQueue`] — Algorithm 2: `m` lock-protected sequential
-//!   priority queues; a pluggable [`ChoicePolicy`] decides which queue
-//!   each operation touches (fresh two-choice sampling by default).
+//!   priority queues; a [`Policy`] decides which queue each operation
+//!   touches (fresh two-choice sampling by default).
 //! * [`MqHandle`] — the operational surface: per-thread RNG + policy
 //!   state, the five generic operations, and the orthogonal
 //!   [`stamped`](MqHandle::stamped) history mode.
-//! * [`policy`] — the choice processes: [`TwoChoice`], [`DChoice`],
-//!   [`Sticky`], plus the declarative [`PolicyCfg`].
+//! * [`policy`] — the choice process: one [`Policy`] type (best of `d`
+//!   hints per dequeue, camps of `s` same-kind ops), built from the
+//!   declarative [`PolicyCfg`] (two-choice, d-choice, sticky).
 //! * [`RelaxedFifo`] — the queue-like façade: priorities are timestamps
 //!   drawn from a [`Clock`](crate::clock::Clock), so dequeues return an
 //!   element among the roughly O(m log m) oldest (Theorem 7.1).
@@ -19,7 +20,5 @@ mod relaxed_fifo;
 pub use multiqueue::{
     DeleteMode, MqHandle, MqOpTimeout, MultiQueue, MultiQueueBuilder, SalvageOutcome, Stamped,
 };
-pub use policy::{
-    AnyPolicy, ChoiceOp, ChoicePolicy, DChoice, PolicyCfg, QueueView, Sticky, TwoChoice,
-};
+pub use policy::{ChoiceOp, Policy, PolicyCfg};
 pub use relaxed_fifo::RelaxedFifo;

@@ -19,8 +19,9 @@
 //!
 //! The paper's guarantee is a property of the **choice process** layered
 //! over the `m` queues, not of one hard-coded method, so the selection
-//! layer is a pluggable [`ChoicePolicy`] (two-choice, d-choice and
-//! stickiness — see [`policy`](crate::queue::policy)).
+//! layer is one concrete [`Policy`] — best of `d` hints per dequeue,
+//! camps of `s` same-kind ops; two-choice, d-choice and stickiness are
+//! its points (see [`policy`](crate::queue::policy)).
 //! The shared [`MultiQueue`] holds only the queues and a default
 //! [`PolicyCfg`]; all per-thread state — the RNG, the policy instance
 //! and the contention counters — lives in an [`MqHandle`], the
@@ -94,9 +95,7 @@ use dlz_pq::{
     Attempt, Backoff, BinaryHeap, ConcurrentPq, ContentionStats, LockedPq, SeqPriorityQueue,
 };
 
-use crate::queue::policy::{
-    AnyPolicy, ChoiceOp, ChoicePolicy, DChoice, PolicyCfg, QueueView, TwoChoice,
-};
+use crate::queue::policy::{ChoiceOp, Policy, PolicyCfg};
 use crate::rng::{with_thread_rng, Rng64, Xoshiro256};
 
 /// What a dequeue does when its chosen queue is contended.
@@ -196,8 +195,8 @@ const NO_DEADLINE: Deadline<Infallible> = None;
 /// The per-thread state one operation runs with. An [`MqHandle`] lends
 /// its own; callers without a handle assemble a throwaway (see
 /// [`MultiQueue::insert_two_choice`]).
-struct OpCtx<'c, P, G> {
-    policy: &'c mut P,
+struct OpCtx<'c, G> {
+    policy: &'c mut Policy,
     rng: &'c mut G,
     stats: &'c mut ContentionStats,
 }
@@ -303,7 +302,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
 
     /// A deterministic operating handle using the structure's default
     /// policy. Equivalent to [`MqHandle::new`].
-    pub fn handle(&self, seed: u64) -> MqHandle<'_, V, Q, AnyPolicy> {
+    pub fn handle(&self, seed: u64) -> MqHandle<'_, V, Q> {
         MqHandle::new(self, seed)
     }
 
@@ -366,7 +365,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     fn run<R, E: Copy>(
         &self,
         op: ChoiceOp,
-        ctx: OpCtx<'_, impl ChoicePolicy, impl Rng64>,
+        ctx: OpCtx<'_, impl Rng64>,
         deadline: Deadline<E>,
         mut body: impl FnMut(&mut Q) -> Option<R>,
     ) -> Result<Option<R>, E> {
@@ -391,8 +390,10 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
                 ChoiceOp::Insert if poisoned_hits >= POISON_RECHOOSE_LIMIT => {
                     self.any_healthy_queue()
                 }
-                ChoiceOp::Insert => Some(policy.choose_insert(rng, self)),
-                ChoiceOp::Dequeue => policy.choose_dequeue(rng, self),
+                ChoiceOp::Insert => Some(policy.choose_insert(rng, self.queues.len())),
+                ChoiceOp::Dequeue => {
+                    policy.choose_dequeue(rng, self.queues.len(), |q| self.queues[q].min_hint())
+                }
             };
             let Some(i) = chosen else {
                 match op {
@@ -425,7 +426,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
                 // publishes the empty hint, so fresh samples steer
                 // clear — no snooze needed and none recorded).
                 Attempt::Poisoned => {
-                    policy.on_poisoned(op, i);
+                    policy.on_poisoned(i);
                     poisoned_hits += 1;
                     continue;
                 }
@@ -435,12 +436,12 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
                 // than hammering the hint lines. Only the former says
                 // anything about emptiness; a held lock does not.
                 Attempt::Ran(None) => {
-                    policy.on_contention(op, i);
+                    policy.on_contention(op);
                     if self.confirmed_empty(stats) {
                         return Ok(None);
                     }
                 }
-                Attempt::Contended => policy.on_contention(op, i),
+                Attempt::Contended => policy.on_contention(op),
             }
             // Near-free at first, escalating to yielding under
             // sustained contention so lock holders get CPU (vital when
@@ -449,12 +450,12 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         }
     }
 
-    /// Enqueue (Algorithm 2's Enqueue under [`TwoChoice`]); returns the
-    /// insert's mark.
+    /// Enqueue (Algorithm 2's Enqueue under [`PolicyCfg::TwoChoice`]);
+    /// returns the insert's mark.
     #[inline]
     fn insert_op<S: Stamp, E: Copy>(
         &self,
-        ctx: OpCtx<'_, impl ChoicePolicy, impl Rng64>,
+        ctx: OpCtx<'_, impl Rng64>,
         deadline: Deadline<E>,
         stamp: S,
         priority: u64,
@@ -469,13 +470,13 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         .map(|mark| mark.expect("an insert lands on the first queue it acquires"))
     }
 
-    /// Dequeue (Algorithm 2's Dequeue under [`TwoChoice`]). `Ok(None)`
-    /// is the confirmed-empty observation documented on
+    /// Dequeue (Algorithm 2's Dequeue under [`PolicyCfg::TwoChoice`]).
+    /// `Ok(None)` is the confirmed-empty observation documented on
     /// [`MqHandle::dequeue`].
     #[inline]
     fn dequeue_op<S: Stamp, E: Copy>(
         &self,
-        ctx: OpCtx<'_, impl ChoicePolicy, impl Rng64>,
+        ctx: OpCtx<'_, impl Rng64>,
         deadline: Deadline<E>,
         stamp: S,
     ) -> Result<Option<(u64, V, S::Mark)>, E> {
@@ -489,7 +490,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     /// order. An empty batch chooses and locks nothing.
     fn insert_batch_op<S: Stamp>(
         &self,
-        ctx: OpCtx<'_, impl ChoicePolicy, impl Rng64>,
+        ctx: OpCtx<'_, impl Rng64>,
         stamp: S,
         items: impl IntoIterator<Item = (u64, V)>,
         mut marks: impl FnMut(S::Mark),
@@ -515,7 +516,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     /// per entry. `0` is the confirmed-empty observation.
     fn dequeue_batch_op<S: Stamp>(
         &self,
-        ctx: OpCtx<'_, impl ChoicePolicy, impl Rng64>,
+        ctx: OpCtx<'_, impl Rng64>,
         stamp: S,
         max: usize,
         mut sink: impl FnMut(u64, V, S::Mark),
@@ -543,7 +544,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     /// [`RelaxedFifo`]: crate::queue::RelaxedFifo
     pub(crate) fn insert_two_choice(&self, rng: &mut impl Rng64, priority: u64, value: V) {
         let ctx = OpCtx {
-            policy: &mut TwoChoice,
+            policy: &mut PolicyCfg::TwoChoice.build(),
             rng,
             stats: &mut ContentionStats::new(),
         };
@@ -554,7 +555,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     /// [`insert_two_choice`](Self::insert_two_choice).
     pub(crate) fn dequeue_two_choice(&self, rng: &mut impl Rng64) -> Option<(u64, V)> {
         let ctx = OpCtx {
-            policy: &mut TwoChoice,
+            policy: &mut PolicyCfg::TwoChoice.build(),
             rng,
             stats: &mut ContentionStats::new(),
         };
@@ -609,22 +610,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     }
 }
 
-/// Policies observe the structure through this read-only view: hint
-/// reads are Algorithm 2's lock-free `ReadMin`.
-impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> QueueView for MultiQueue<V, Q> {
-    fn num_queues(&self) -> usize {
-        self.queues.len()
-    }
-
-    fn queue_hint(&self, i: usize) -> u64 {
-        self.queues[i].min_hint()
-    }
-
-    fn queue_poisoned(&self, i: usize) -> bool {
-        self.queues[i].is_poisoned()
-    }
-}
-
 /// MultiQueues are themselves concurrent priority queues, so they slot
 /// into any code written against [`ConcurrentPq`] (e.g. the SSSP
 /// example uses the exact [`CoarsePq`](dlz_pq::CoarsePq) and the
@@ -656,29 +641,14 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> ConcurrentPq<V> for MultiQueue
 #[derive(Debug, Clone, Default)]
 pub struct MultiQueueBuilder {
     queues: Option<usize>,
-    ratio: Option<usize>,
-    threads: Option<usize>,
     mode: DeleteMode,
     policy: PolicyCfg,
-    seed: Option<u64>,
 }
 
 impl MultiQueueBuilder {
     /// Sets the number of internal queues `m` explicitly.
     pub fn queues(mut self, m: usize) -> Self {
         self.queues = Some(m);
-        self
-    }
-
-    /// Sets the ratio `C = m / n`; combine with [`threads`](Self::threads).
-    pub fn ratio(mut self, c: usize) -> Self {
-        self.ratio = Some(c);
-        self
-    }
-
-    /// Sets the thread count `n` used with [`ratio`](Self::ratio).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
         self
     }
 
@@ -697,26 +667,12 @@ impl MultiQueueBuilder {
         self
     }
 
-    /// Reseeds the calling thread's convenience RNG (see
-    /// [`MultiCounterBuilder::seed`](crate::counter::MultiCounterBuilder::seed)).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
     /// Builds the MultiQueue.
     ///
     /// # Panics
-    /// If neither `queues` nor (`ratio` and `threads`) was given.
+    /// If `queues` was not given.
     pub fn build<V: Send>(self) -> MultiQueue<V> {
-        let m = match (self.queues, self.ratio, self.threads) {
-            (Some(m), _, _) => m,
-            (None, Some(c), Some(n)) => c * n,
-            _ => panic!("MultiQueueBuilder: set .queues(m) or .ratio(c).threads(n)"),
-        };
-        if let Some(seed) = self.seed {
-            crate::rng::reseed_thread_rng(seed);
-        }
+        let m = self.queues.expect("MultiQueueBuilder: set .queues(m)");
         MultiQueue::with_config(
             (0..m).map(|_| BinaryHeap::new()).collect(),
             self.mode,
@@ -727,52 +683,48 @@ impl MultiQueueBuilder {
 
 /// The MultiQueue's operational surface: a structure reference plus the
 /// per-thread state the choice process needs — a private seeded RNG and
-/// a [`ChoicePolicy`] instance.
+/// a [`Policy`] instance.
 ///
-/// [`MqHandle::new`] builds the structure's default policy (runtime
-/// dispatched [`AnyPolicy`]); [`MqHandle::with_policy`] overrides it
-/// with any concrete policy, monomorphized — per-handle policies by
-/// construction, no thread-local machinery.
+/// [`MqHandle::new`] builds the structure's default policy;
+/// [`MqHandle::with_policy`] overrides it with any built [`PolicyCfg`] —
+/// per-handle policies by construction, no thread-local machinery.
 ///
 /// # Example
 /// ```
-/// use dlz_core::queue::{MqHandle, MultiQueue, Sticky};
+/// use dlz_core::queue::{MqHandle, MultiQueue, PolicyCfg};
 ///
 /// let mq: MultiQueue<u64> = MultiQueue::new(8);
 /// // This handle camps on its chosen queues for 4 same-kind ops...
-/// let mut sticky = MqHandle::with_policy(&mq, 1, Sticky::new(4));
+/// let mut sticky = MqHandle::with_policy(&mq, 1, PolicyCfg::Sticky { ops: 4 }.build());
 /// // ...while this one keeps the structure's fresh two-choice default.
 /// let mut fresh = mq.handle(2);
 /// sticky.insert(10, 10);
 /// assert_eq!(fresh.dequeue(), Some((10, 10)));
 /// ```
-pub struct MqHandle<'a, V, Q = BinaryHeap<u64, V>, P = AnyPolicy>
+pub struct MqHandle<'a, V, Q = BinaryHeap<u64, V>>
 where
     V: Send,
     Q: SeqPriorityQueue<u64, V> + Send,
-    P: ChoicePolicy,
 {
     mq: &'a MultiQueue<V, Q>,
     rng: Xoshiro256,
-    policy: P,
+    policy: Policy,
     /// Hot-path contention counters, accumulated without atomics (the
     /// handle is single-owner) and drained by
     /// [`take_contention`](Self::take_contention).
     stats: ContentionStats,
 }
 
-impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q, AnyPolicy> {
+impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
     /// Creates a handle with its own seeded generator and an instance
     /// of the structure's default policy.
     pub fn new(mq: &'a MultiQueue<V, Q>, seed: u64) -> Self {
         MqHandle::with_policy(mq, seed, mq.policy().build())
     }
-}
 
-impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<'a, V, Q, P> {
     /// Creates a handle with its own seeded generator and an explicit
     /// per-handle policy (overriding the structure's default).
-    pub fn with_policy(mq: &'a MultiQueue<V, Q>, seed: u64, policy: P) -> Self {
+    pub fn with_policy(mq: &'a MultiQueue<V, Q>, seed: u64, policy: Policy) -> Self {
         MqHandle {
             mq,
             rng: Xoshiro256::new(seed),
@@ -784,12 +736,6 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
     /// The underlying structure.
     pub fn multiqueue(&self) -> &'a MultiQueue<V, Q> {
         self.mq
-    }
-
-    /// The handle's policy instance (e.g. to read back what a
-    /// caller-supplied policy recorded).
-    pub fn policy(&self) -> &P {
-        &self.policy
     }
 
     /// The contention counters accumulated by this handle's operations
@@ -812,7 +758,7 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
 
     /// Lends the handle's per-thread state to one operation.
     #[inline]
-    fn ctx(&mut self) -> OpCtx<'_, P, Xoshiro256> {
+    fn ctx(&mut self) -> OpCtx<'_, Xoshiro256> {
         OpCtx {
             policy: &mut self.policy,
             rng: &mut self.rng,
@@ -820,12 +766,12 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
         }
     }
 
-    /// Best-of-`k` dequeue: a one-off [`DChoice`] draw on the handle's
-    /// generator and counters, whatever the handle's own policy.
+    /// Best-of-`k` dequeue: a one-off `DChoice { d: k }` draw on the
+    /// handle's generator and counters, whatever the handle's own policy.
     fn dequeue_k_op<S: Stamp>(&mut self, k: usize, stamp: S) -> Option<(u64, V, S::Mark)> {
         assert!(k >= 1, "need at least one choice");
         let ctx = OpCtx {
-            policy: &mut DChoice::new(k),
+            policy: &mut PolicyCfg::DChoice { d: k }.build(),
             rng: &mut self.rng,
             stats: &mut self.stats,
         };
@@ -851,7 +797,7 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
     }
 
     /// Dequeue sampling the best of `k` queues — a one-off
-    /// [`DChoice`] draw regardless of the handle's policy. `k = 1`
+    /// [`PolicyCfg::DChoice`] draw regardless of the handle's policy. `k = 1`
     /// removes from a single random queue (rank relaxation degrades to
     /// the divergent single-choice regime); `k = 2` is Algorithm 2;
     /// larger `k` tightens the rank distribution at the price of `k`
@@ -945,7 +891,7 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
     /// assert_eq!(p, 10);
     /// assert!(s1 > s0);
     /// ```
-    pub fn stamped<'s>(&'s mut self, stamper: &'s AtomicU64) -> Stamped<'s, 'a, V, Q, P> {
+    pub fn stamped<'s>(&'s mut self, stamper: &'s AtomicU64) -> Stamped<'s, 'a, V, Q> {
         Stamped {
             handle: self,
             stamper,
@@ -956,17 +902,16 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> MqHandle<
 /// The handle's history mode — see [`MqHandle::stamped`]. Same policy,
 /// same RNG, same five operations over the same loop; every operation
 /// returns the update stamp drawn inside its critical section.
-pub struct Stamped<'s, 'a, V, Q = BinaryHeap<u64, V>, P = AnyPolicy>
+pub struct Stamped<'s, 'a, V, Q = BinaryHeap<u64, V>>
 where
     V: Send,
     Q: SeqPriorityQueue<u64, V> + Send,
-    P: ChoicePolicy,
 {
-    handle: &'s mut MqHandle<'a, V, Q, P>,
+    handle: &'s mut MqHandle<'a, V, Q>,
     stamper: &'s AtomicU64,
 }
 
-impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> Stamped<'_, '_, V, Q, P> {
+impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> Stamped<'_, '_, V, Q> {
     /// Stamped enqueue; returns the update stamp.
     pub fn insert(&mut self, priority: u64, value: V) -> u64 {
         let Ok(stamp) = self.handle.mq.insert_op(
@@ -1022,13 +967,12 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send, P: ChoicePolicy> Stamped<'_, '
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::policy::Sticky;
     use std::sync::Arc;
 
     #[test]
     fn handle_contention_counters_drain_and_conserve() {
         let mq: MultiQueue<u64> = MultiQueue::new(4);
-        let mut h = MqHandle::with_policy(&mq, 1, Sticky::new(4));
+        let mut h = MqHandle::with_policy(&mq, 1, PolicyCfg::Sticky { ops: 4 }.build());
         // A dequeue on an empty structure ends in a confirmed-empty sweep.
         assert_eq!(h.dequeue(), None);
         assert_eq!(h.contention().empty_confirms, 1);
@@ -1210,8 +1154,7 @@ mod tests {
         assert_eq!(a.num_queues(), 6);
         assert_eq!(a.policy(), PolicyCfg::TwoChoice);
         let b: MultiQueue<()> = MultiQueue::<()>::builder()
-            .ratio(2)
-            .threads(3)
+            .queues(6)
             .delete_mode(DeleteMode::TryLock)
             .policy(PolicyCfg::Sticky { ops: 8 })
             .build();
@@ -1245,9 +1188,11 @@ mod tests {
             let reference: MultiQueue<u64> = MultiQueue::new(8);
             let sticky1: MultiQueue<u64> = MultiQueue::new(8);
             let dchoice2: MultiQueue<u64> = MultiQueue::new(8);
-            let mut hr = MqHandle::with_policy(&reference, seed, TwoChoice);
-            let mut hs = MqHandle::with_policy(&sticky1, seed, Sticky::new(1));
-            let mut hd = MqHandle::with_policy(&dchoice2, seed, DChoice::new(2));
+            let mut hr = MqHandle::with_policy(&reference, seed, PolicyCfg::TwoChoice.build());
+            let mut hs =
+                MqHandle::with_policy(&sticky1, seed, PolicyCfg::Sticky { ops: 1 }.build());
+            let mut hd =
+                MqHandle::with_policy(&dchoice2, seed, PolicyCfg::DChoice { d: 2 }.build());
             // Interleave inserts and dequeues so choices depend on the
             // evolving hint state, not just the RNG stream.
             for step in 0..600u64 {
@@ -1279,57 +1224,32 @@ mod tests {
         // inserts and dequeues on the *real structure*, every s-run of
         // inserts must land on a single queue — dequeue successes (or
         // stale-hint contentions) must not move or reset the insert
-        // camp. A spy policy wrapping `Sticky` records the chosen
-        // insert queues; the old shared-camp bug broke the run
-        // structure because dequeue successes re-camped the shared
-        // state.
-        struct Spy {
-            inner: Sticky,
-            insert_choices: Vec<usize>,
-        }
-        impl ChoicePolicy for Spy {
-            fn choose_insert(&mut self, rng: &mut impl Rng64, view: &impl QueueView) -> usize {
-                let q = self.inner.choose_insert(rng, view);
-                self.insert_choices.push(q);
-                q
-            }
-            fn choose_dequeue(
-                &mut self,
-                rng: &mut impl Rng64,
-                view: &impl QueueView,
-            ) -> Option<usize> {
-                self.inner.choose_dequeue(rng, view)
-            }
-            fn on_success(&mut self, op: ChoiceOp, queue: usize) {
-                self.inner.on_success(op, queue);
-            }
-            fn on_contention(&mut self, op: ChoiceOp, queue: usize) {
-                self.inner.on_contention(op, queue);
-            }
-        }
-
+        // camp. Each insert's landing queue is read off the per-queue
+        // length deltas (one thread, so the only change is the insert's
+        // own); the old shared-camp bug broke the run structure because
+        // dequeue successes re-camped the shared state.
         let m = 8;
         let s = 6usize;
         let mq: MultiQueue<u64> = MultiQueue::new(m);
-        // Prefill through a separate handle so the spy sees only the
-        // measured phase, and dequeues always succeed.
+        // Prefill through a separate handle so only the measured phase
+        // is recorded, and dequeues always succeed.
         let mut prefill = mq.handle(10);
         for p in 0..1_000u64 {
             prefill.insert(p, p);
         }
-        let spy = Spy {
-            inner: Sticky::new(s),
-            insert_choices: Vec::new(),
-        };
-        let mut h = MqHandle::with_policy(&mq, 11, spy);
+        let lens = || -> Vec<usize> { mq.queues.iter().map(|q| q.approx_len()).collect() };
+        let mut h = MqHandle::with_policy(&mq, 11, PolicyCfg::Sticky { ops: s }.build());
+        let mut choices = Vec::new();
         // Strict alternation: insert, dequeue, insert, dequeue, ...
         for p in 1_000..1_000 + 10 * s as u64 {
+            let before = lens();
             h.insert(p, p);
+            let after = lens();
+            choices.extend((0..m).filter(|&q| after[q] == before[q] + 1));
             assert!(h.dequeue().is_some());
         }
         // Exactly s consecutive equal choices per run (strict mode:
         // nothing voids an insert camp early).
-        let choices = &h.policy().insert_choices;
         assert_eq!(choices.len(), 10 * s);
         for run in choices.chunks(s) {
             assert!(
@@ -1660,12 +1580,12 @@ mod tests {
     #[test]
     fn queue_view_reports_poison() {
         let mq: MultiQueue<u64> = MultiQueue::new(2);
-        assert!(!QueueView::queue_poisoned(&mq, 0));
+        assert!(!mq.queues[0].is_poisoned());
         poison_queue(&mq, 0);
-        assert!(QueueView::queue_poisoned(&mq, 0));
-        assert!(!QueueView::queue_poisoned(&mq, 1));
+        assert!(mq.queues[0].is_poisoned());
+        assert!(!mq.queues[1].is_poisoned());
         mq.salvage();
-        assert!(!QueueView::queue_poisoned(&mq, 0));
+        assert!(!mq.queues[0].is_poisoned());
     }
 
     #[test]

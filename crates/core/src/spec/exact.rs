@@ -235,14 +235,14 @@ mod tests {
         // intervals!) until the checker catches an out-of-order
         // dequeue: the structure is demonstrably not linearizable to
         // the exact PQ spec, which is why Definition 5.2 exists.
-        use crate::queue::{MqHandle, MultiQueue, TwoChoice};
+        use crate::queue::{MqHandle, MultiQueue, PolicyCfg};
         use crate::spec::history::StampClock;
 
         let mut found_violation = false;
         'outer: for seed in 0..50u64 {
             let mq: MultiQueue<u64> = MultiQueue::new(4);
             let clock = StampClock::new();
-            let mut h = MqHandle::with_policy(&mq, seed, TwoChoice);
+            let mut h = MqHandle::with_policy(&mq, seed, PolicyCfg::TwoChoice.build());
             let mut events = Vec::new();
             for p in 0..6u64 {
                 let inv = clock.stamp();

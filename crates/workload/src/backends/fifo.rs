@@ -15,8 +15,8 @@ use std::sync::Mutex;
 
 use dlz_core::clock::{Clock, FaaClock};
 use dlz_core::spec::{FifoOp, HistoryArtifact, Recorder, ThreadLog};
-use dlz_core::{AnyPolicy, MqHandle, RelaxedFifo};
-use dlz_pq::{BinaryHeap, ConcurrentPq};
+use dlz_core::{MqHandle, RelaxedFifo};
+use dlz_pq::ConcurrentPq;
 
 use super::{conserved, SampleSink, WorkerSamples};
 use crate::backend::{Backend, QualityReport, QualitySummary, Worker, WorkerCfg};
@@ -107,7 +107,7 @@ impl Backend for RelaxedFifoBackend {
 
 struct RelaxedFifoWorker<'a> {
     backend: &'a RelaxedFifoBackend,
-    handle: MqHandle<'a, u64, BinaryHeap<u64, u64>, AnyPolicy>,
+    handle: MqHandle<'a, u64>,
     thread: usize,
     /// Per-worker element sequence (packed under the worker id).
     seq: u64,

@@ -103,7 +103,7 @@ pub struct Scenario {
     /// (read deviation / rank proxy). 0 disables sampling.
     pub quality_every: u32,
     /// Choice-policy dimension for queue backends: which
-    /// [`ChoicePolicy`](dlz_core::ChoicePolicy) each worker's handle
+    /// [`Policy`](dlz_core::Policy) each worker's handle builds and
     /// runs (two-choice, d-choice or stickiness).
     /// Rank degrades within the policy's envelope (O(s·m) for
     /// stickiness); the quality report carries the bound.

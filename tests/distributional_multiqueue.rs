@@ -3,7 +3,7 @@
 //! on real concurrent executions through the Section 5 framework).
 
 use distlin::core::spec::{check_distributional, History, PqOp, PqSpec, Recorder};
-use distlin::core::{DeleteMode, MqHandle, MultiQueue, TwoChoice};
+use distlin::core::{DeleteMode, MqHandle, MultiQueue, PolicyCfg};
 
 /// Runs a concurrent stamped workload and returns its history.
 fn stamped_workload(
@@ -18,7 +18,8 @@ fn stamped_workload(
             let recorder = &recorder;
             s.spawn(move || {
                 // Two-choice keeps the paper's Algorithm 2 behaviour.
-                let mut h = MqHandle::with_policy(mq, seed ^ ((t as u64) << 20), TwoChoice);
+                let policy = PolicyCfg::TwoChoice.build();
+                let mut h = MqHandle::with_policy(mq, seed ^ ((t as u64) << 20), policy);
                 let mut log = recorder.log(t);
                 // Unique priorities per thread: k * threads + t.
                 let mut k = 0u64;
