@@ -3,24 +3,25 @@
 //! * [`MultiCounter`] — Algorithm 1: `m` cache-padded atomic counters;
 //!   increments go to the smaller of two randomly chosen cells (as seen
 //!   by possibly-stale reads); reads sample one random cell and scale by
-//!   `m`.
-//! * [`DChoiceCounter`] — the d-choice generalization used in ablations
-//!   (`d = 1` is the divergent single-choice process, `d = 2` recovers
-//!   Algorithm 1, larger `d` trades read traffic for tighter balance).
+//!   `m`. [`MultiCounter::with_choices`] samples `d` cells instead
+//!   (`d = 1` is the divergent single-choice process, larger `d` trades
+//!   read traffic for tighter balance); Section 8's relaxed clock is
+//!   [`MultiCounter::increment_sampled`], wrapped by `dlz_stm`'s
+//!   `RelaxedClock`.
+//! * [`ShardedCounter`] — per-thread stripes: exact sums, no bounded
+//!   single-sample read.
 //! * [`ExactCounter`] — a single fetch-and-add word: the linearizable
 //!   baseline whose scalability collapse motivates the whole paper.
 //!
 //! All three implement [`RelaxedCounter`], so benchmarks and tests are
 //! generic over the counter kind.
 
-mod dchoice;
 mod exact;
 mod multi;
 mod sharded;
 
-pub use dchoice::DChoiceCounter;
 pub use exact::ExactCounter;
-pub use multi::{IncrementTrace, MultiCounter, MultiCounterBuilder, PendingIncrement};
+pub use multi::MultiCounter;
 pub use sharded::ShardedCounter;
 
 /// Common interface of all counters in this module.
@@ -60,7 +61,7 @@ mod tests {
     #[test]
     fn trait_object_safety_and_uniform_behaviour() {
         exercise(&ExactCounter::new());
-        exercise(&MultiCounter::builder().counters(8).build());
-        exercise(&DChoiceCounter::new(8, 3, 7));
+        exercise(&MultiCounter::new(8));
+        exercise(&MultiCounter::with_choices(8, 3));
     }
 }

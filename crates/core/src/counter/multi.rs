@@ -1,4 +1,5 @@
-//! The MultiCounter — Algorithm 1 of the paper, verbatim.
+//! The MultiCounter — Algorithm 1 of the paper, and its d-choice
+//! generalization.
 //!
 //! ```text
 //! function Read()
@@ -11,10 +12,21 @@
 //!     Counters[argmin(vi, vj)].increment()
 //! ```
 //!
-//! In a concurrent execution the two reads and the increment are three
-//! separate atomic steps: the values may be stale by the time the
-//! `fetch_add` lands, which is exactly the relaxation Section 6 of the
-//! paper analyzes. Nothing in this implementation re-synchronizes them —
+//! The increment's choice step is written once (`choose`): it samples
+//! `d` cells one after another, draw then load, and keeps a later draw
+//! only on a strictly smaller value. `d = 2` is Algorithm 1; `d = 1` is
+//! random placement, whose gap diverges (Θ(√(t log m / m)) after `t`
+//! balls) — the negative control the paper cites for unbounded
+//! staleness; `d > 2` buys a marginally tighter sequential gap
+//! (`log log m / log d + O(1)`) with more read traffic per increment.
+//! Every increment — plain, weighted, or Section 8's clock tick
+//! ([`increment_sampled`](MultiCounter::increment_sampled)) — is that
+//! step plus one `fetch_add`.
+//!
+//! In a concurrent execution the reads and the increment are separate
+//! atomic steps: the values may be stale by the time the `fetch_add`
+//! lands, which is exactly the relaxation Section 6 of the paper
+//! analyzes. Nothing in this implementation re-synchronizes them —
 //! doing so (e.g. with a lock) would destroy both the scalability and
 //! the model.
 
@@ -24,17 +36,18 @@ use crate::counter::RelaxedCounter;
 use crate::rng::{with_thread_rng, Rng64};
 use dlz_pq::CachePadded;
 
-/// Relaxed approximate counter over `m` distributed atomic cells.
+/// Relaxed approximate counter over `m` distributed atomic cells, each
+/// increment going to the smallest of `d` sampled cells.
 ///
-/// Construct via [`MultiCounter::builder`]. See the module-level docs
-/// for the algorithm and the crate docs for the guarantees.
+/// See the module-level docs for the algorithm and the crate docs for
+/// the guarantees.
 ///
 /// # Example
 /// ```
 /// use dlz_core::{MultiCounter, RelaxedCounter};
 /// use dlz_core::rng::Xoshiro256;
 ///
-/// let c = MultiCounter::builder().counters(16).build();
+/// let c = MultiCounter::new(16);
 /// let mut rng = Xoshiro256::new(1);
 /// for _ in 0..1000 {
 ///     c.increment_with(&mut rng);
@@ -45,21 +58,39 @@ use dlz_pq::CachePadded;
 #[derive(Debug)]
 pub struct MultiCounter {
     cells: Box<[CachePadded<AtomicU64>]>,
+    d: usize,
 }
 
 impl MultiCounter {
-    /// Starts building a MultiCounter.
-    pub fn builder() -> MultiCounterBuilder {
-        MultiCounterBuilder::default()
+    /// Algorithm 1: `m` cells (all zero), two choices per increment.
+    pub fn new(m: usize) -> Self {
+        Self::with_choices(m, 2)
     }
 
-    /// Creates a counter with `m` cells directly (all zero).
-    pub fn new(m: usize) -> Self {
+    /// `m` cells (all zero), `d` choices per increment.
+    ///
+    /// ```
+    /// use dlz_core::{MultiCounter, RelaxedCounter};
+    /// use dlz_core::rng::Xoshiro256;
+    ///
+    /// let c = MultiCounter::with_choices(16, 4);
+    /// let mut rng = Xoshiro256::new(9);
+    /// for _ in 0..1000 {
+    ///     c.increment_with(&mut rng);
+    /// }
+    /// assert_eq!(c.read_exact(), 1000);
+    /// ```
+    ///
+    /// # Panics
+    /// If `m == 0` or `d == 0`.
+    pub fn with_choices(m: usize, d: usize) -> Self {
         assert!(m >= 1, "MultiCounter needs at least one cell");
+        assert!(d >= 1, "MultiCounter needs at least one choice");
         MultiCounter {
             cells: (0..m)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
+            d,
         }
     }
 
@@ -69,80 +100,64 @@ impl MultiCounter {
         self.cells.len()
     }
 
-    /// One two-choice increment using the supplied generator.
+    /// Number of choices per increment (2 for Algorithm 1).
+    pub fn choices(&self) -> usize {
+        self.d
+    }
+
+    /// The choice step: draws an index and loads that cell, `d` times,
+    /// keeping a later draw only on a strictly smaller value (ties go to
+    /// the earlier draw; the paper allows any tie-break). Returns the
+    /// first probe's value and the target cell.
+    ///
+    /// Relaxed loads suffice: each cell is an independent monotone word
+    /// and the algorithm is defined on (possibly stale) per-cell values
+    /// — there is no cross-cell invariant for stronger orderings to
+    /// protect.
+    #[inline]
+    fn choose(&self, rng: &mut impl Rng64) -> (u64, usize) {
+        let m = self.cells.len() as u64;
+        let first = rng.bounded(m) as usize;
+        let sample = self.cells[first].load(Ordering::Relaxed);
+        let (mut target, mut best) = (first, sample);
+        for _ in 1..self.d {
+            let k = rng.bounded(m) as usize;
+            let v = self.cells[k].load(Ordering::Relaxed);
+            if v < best {
+                (target, best) = (k, v);
+            }
+        }
+        (sample, target)
+    }
+
+    /// One increment using the supplied generator.
     #[inline]
     pub fn increment_with(&self, rng: &mut impl Rng64) {
-        let m = self.cells.len() as u64;
-        let i = rng.bounded(m) as usize;
-        let j = rng.bounded(m) as usize;
-        // The paper's two sequential reads. Relaxed suffices: each cell
-        // is an independent monotone word and the algorithm is defined
-        // on (possibly stale) per-cell values — there is no cross-cell
-        // invariant for stronger orderings to protect.
-        let vi = self.cells[i].load(Ordering::Relaxed);
-        let vj = self.cells[j].load(Ordering::Relaxed);
-        // Tie broken toward `i` (the paper allows arbitrary tie-breaks).
-        let target = if vi <= vj { i } else { j };
-        self.cells[target].fetch_add(1, Ordering::Relaxed);
+        self.add_with(rng, 1);
     }
 
-    /// Like [`increment_with`](Self::increment_with) but reports the
-    /// choices made — used by the distributional-linearizability checker
-    /// and by tests that pin down the algorithm's exact behaviour.
-    pub fn increment_traced(&self, rng: &mut impl Rng64) -> IncrementTrace {
-        let m = self.cells.len() as u64;
-        let i = rng.bounded(m) as usize;
-        let j = rng.bounded(m) as usize;
-        let vi = self.cells[i].load(Ordering::Relaxed);
-        let vj = self.cells[j].load(Ordering::Relaxed);
-        let chosen = if vi <= vj { i } else { j };
-        let value_after = self.cells[chosen].fetch_add(1, Ordering::Relaxed) + 1;
-        IncrementTrace {
-            i,
-            j,
-            vi,
-            vj,
-            chosen,
-            value_after,
-        }
-    }
-
-    /// A weighted two-choice increment: adds `weight` to the cell that
-    /// looked smaller. This is the weighted process of Theorem 7.1
-    /// (there with Exp(1) weights); practically it turns the structure
-    /// into a relaxed *metric* counter (bytes, latencies, ...) whose
-    /// sampled reads stay within `O(w_max · m log m)` of the true total
-    /// for bounded weights.
+    /// A weighted increment: adds `weight` to the cell that looked
+    /// smallest. This is the weighted process of Theorem 7.1 (there
+    /// with Exp(1) weights); practically it turns the structure into a
+    /// relaxed *metric* counter (bytes, latencies, ...) whose sampled
+    /// reads stay within `O(w_max · m log m)` of the true total for
+    /// bounded weights.
     #[inline]
     pub fn add_with(&self, rng: &mut impl Rng64, weight: u64) {
-        let m = self.cells.len() as u64;
-        let i = rng.bounded(m) as usize;
-        let j = rng.bounded(m) as usize;
-        let vi = self.cells[i].load(Ordering::Relaxed);
-        let vj = self.cells[j].load(Ordering::Relaxed);
-        let target = if vi <= vj { i } else { j };
+        let (_, target) = self.choose(rng);
         self.cells[target].fetch_add(weight, Ordering::Relaxed);
     }
 
-    /// Convenience weighted add using the thread-local generator.
-    pub fn add(&self, weight: u64) {
-        with_thread_rng(|rng| self.add_with(rng, weight));
-    }
-
-    /// Splits an increment into its *read phase* (this call: draws the
-    /// two indices and reads both cells) and its *update phase*
-    /// ([`PendingIncrement::commit`]). Between the two calls, arbitrary
-    /// other operations may run — this is exactly the adversary's power
-    /// in the paper's model (Section 6.1), so tests can build worst-case
-    /// interleavings like the batch stampede deterministically against
-    /// the real structure.
-    pub fn begin_increment(&self, rng: &mut impl Rng64) -> PendingIncrement {
-        let m = self.cells.len() as u64;
-        let i = rng.bounded(m) as usize;
-        let j = rng.bounded(m) as usize;
-        let vi = self.cells[i].load(Ordering::Relaxed);
-        let vj = self.cells[j].load(Ordering::Relaxed);
-        PendingIncrement { i, j, vi, vj }
+    /// One increment that also returns a relaxed read: `m` times the
+    /// first probe's value, loaded before the update. The probe is a
+    /// uniform cell, so this is, word for word, Algorithm 1's `Read()`
+    /// linearized just before this increment — what Section 8's clock
+    /// needs from a tick, at the cost of one increment.
+    #[inline]
+    pub fn increment_sampled(&self, rng: &mut impl Rng64) -> u64 {
+        let (sample, target) = self.choose(rng);
+        self.cells[target].fetch_add(1, Ordering::Relaxed);
+        sample.saturating_mul(self.cells.len() as u64)
     }
 
     /// One relaxed read using the supplied generator:
@@ -162,22 +177,12 @@ impl MultiCounter {
             .collect()
     }
 
-    /// Value of a single cell.
-    pub fn cell(&self, i: usize) -> u64 {
-        self.cells[i].load(Ordering::Relaxed)
-    }
-
     /// Max minus min over all cells — the "gap" the paper's Theorem 6.1
     /// bounds by `O(log m)`.
     pub fn max_gap(&self) -> u64 {
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        for c in self.cells.iter() {
-            let v = c.load(Ordering::Relaxed);
-            min = min.min(v);
-            max = max.max(v);
-        }
-        max.saturating_sub(min)
+        let values = self.cell_values();
+        let (min, max) = (values.iter().min(), values.iter().max());
+        max.unwrap_or(&0) - min.unwrap_or(&0)
     }
 
     /// Maximum deviation of `m * cell` from the true total — the read
@@ -205,118 +210,6 @@ impl RelaxedCounter for MultiCounter {
 
     fn read_exact(&self) -> u64 {
         self.cells.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-}
-
-/// The read phase of a split increment: stale values captured at
-/// [`MultiCounter::begin_increment`] time, waiting for their update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingIncrement {
-    /// First sampled index.
-    pub i: usize,
-    /// Second sampled index.
-    pub j: usize,
-    /// Value of cell `i` at read time (possibly stale by commit time).
-    pub vi: u64,
-    /// Value of cell `j` at read time (possibly stale by commit time).
-    pub vj: u64,
-}
-
-impl PendingIncrement {
-    /// The update phase: increments the cell that *looked* smaller at
-    /// read time, exactly as Algorithm 1 does when the scheduler delays
-    /// a thread between its reads and its write. Returns the chosen
-    /// index and whether the choice was "wrong" at commit time (the
-    /// chosen cell had strictly larger value than the alternative — the
-    /// corrupted-step event of the analysis).
-    pub fn commit(self, counter: &MultiCounter) -> (usize, bool) {
-        let chosen = if self.vi <= self.vj { self.i } else { self.j };
-        let other = if chosen == self.i { self.j } else { self.i };
-        let wrong = counter.cell(chosen) > counter.cell(other);
-        counter.cells[chosen].fetch_add(1, Ordering::Relaxed);
-        (chosen, wrong)
-    }
-}
-
-/// Everything one two-choice increment did (for checkers and tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IncrementTrace {
-    /// First sampled index.
-    pub i: usize,
-    /// Second sampled index.
-    pub j: usize,
-    /// Value read from cell `i`.
-    pub vi: u64,
-    /// Value read from cell `j`.
-    pub vj: u64,
-    /// Index actually incremented.
-    pub chosen: usize,
-    /// Cell value immediately after the increment.
-    pub value_after: u64,
-}
-
-/// Builder for [`MultiCounter`].
-///
-/// Either set the cell count directly with [`counters`], or derive it
-/// from a thread count and the paper's ratio `C = m / n` with
-/// [`ratio`] + [`threads`]. The analysis requires `m ≥ Cn` for a large
-/// constant `C`; in practice small constants already balance well
-/// (the paper's own experiments use `C ∈ [1, 8]`).
-///
-/// [`counters`]: MultiCounterBuilder::counters
-/// [`ratio`]: MultiCounterBuilder::ratio
-/// [`threads`]: MultiCounterBuilder::threads
-#[derive(Debug, Clone, Default)]
-pub struct MultiCounterBuilder {
-    counters: Option<usize>,
-    ratio: Option<usize>,
-    threads: Option<usize>,
-    seed: Option<u64>,
-}
-
-impl MultiCounterBuilder {
-    /// Sets the number of cells `m` explicitly.
-    pub fn counters(mut self, m: usize) -> Self {
-        self.counters = Some(m);
-        self
-    }
-
-    /// Sets the ratio `C = m / n`; combine with [`threads`](Self::threads).
-    pub fn ratio(mut self, c: usize) -> Self {
-        self.ratio = Some(c);
-        self
-    }
-
-    /// Sets the thread count `n` used with [`ratio`](Self::ratio).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
-        self
-    }
-
-    /// Reseeds the *calling thread's* generator, so that subsequent
-    /// convenience-API calls from this thread are deterministic. Threads
-    /// spawned later are unaffected (they get their own seeds); use the
-    /// `*_with` APIs for full determinism across threads.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Builds the counter.
-    ///
-    /// # Panics
-    /// If neither `counters` nor (`ratio` and `threads`) was given, or if
-    /// the resulting cell count is zero.
-    pub fn build(self) -> MultiCounter {
-        let m = match (self.counters, self.ratio, self.threads) {
-            (Some(m), _, _) => m,
-            (None, Some(c), Some(n)) => c * n,
-            _ => panic!("MultiCounterBuilder: set .counters(m) or .ratio(c).threads(n)"),
-        };
-        if let Some(seed) = self.seed {
-            crate::rng::reseed_thread_rng(seed);
-        }
-        MultiCounter::new(m)
     }
 }
 
@@ -349,6 +242,69 @@ mod tests {
     }
 
     #[test]
+    fn choice_step_is_algorithm_1() {
+        // The oracle: from any state `h`, with `i`, `j` the generator's
+        // next two draws, every form adds to `h[i] <= h[j] ? i : j`,
+        // and the sampled form returns `m·h[i]`.
+        let m = 8u64;
+        for seed in 0..64 {
+            let c = MultiCounter::new(m as usize);
+            let mut rng = Xoshiro256::new(seed);
+            for k in 0..600u64 {
+                let h = c.cell_values();
+                let mut shadow = rng.clone();
+                let (i, j) = (shadow.bounded(m) as usize, shadow.bounded(m) as usize);
+                let weight = if k % 3 == 1 { 1 + k % 7 } else { 1 };
+                match k % 3 {
+                    0 => c.increment_with(&mut rng),
+                    1 => c.add_with(&mut rng, weight),
+                    _ => assert_eq!(c.increment_sampled(&mut rng), m * h[i], "seed {seed}"),
+                }
+                let mut expect = h.clone();
+                expect[if h[i] <= h[j] { i } else { j }] += weight;
+                assert_eq!(c.cell_values(), expect, "seed {seed}, op {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_thread_digests_are_pinned() {
+        // Cells and `read_with` results of 20k seeded ops, folded into
+        // one word each; the constants were recorded from the separate
+        // two-choice and d-choice types this one replaces.
+        const FNV: u64 = 0xcbf2_9ce4_8422_2325;
+        let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
+        let digest = |c: MultiCounter, weighted: bool| {
+            let mut rng = Xoshiro256::new(2018);
+            let mut reads = FNV;
+            for k in 0..20_000u64 {
+                if k % 4 == 3 {
+                    reads = fold(reads, c.read_with(&mut rng));
+                } else if weighted {
+                    c.add_with(&mut rng, 1 + k % 3);
+                } else {
+                    c.increment_with(&mut rng);
+                }
+            }
+            (c.cell_values().into_iter().fold(FNV, fold), reads)
+        };
+        assert_eq!(
+            [
+                digest(MultiCounter::new(8), true),
+                digest(MultiCounter::new(8), false),
+                digest(MultiCounter::with_choices(8, 1), false),
+                digest(MultiCounter::with_choices(16, 4), false),
+            ],
+            [
+                (0x53dd_0d2a_e3b6_0ebd, 0x21dc_18eb_77f8_b845),
+                (0x93c2_ade6_e6b2_4a79, 0xa302_f60e_9bed_67e5),
+                (0xc5b0_dfc2_e709_d329, 0x3597_8330_302d_817d),
+                (0x3000_c798_e6fb_68df, 0x82c7_6eaf_39f6_1565),
+            ]
+        );
+    }
+
+    #[test]
     fn two_choice_balances_tightly() {
         // Sequential two-choice: gap should be O(log m) — use a generous
         // constant. With m=64 and 100k balls, gap > 20 would be
@@ -360,6 +316,74 @@ mod tests {
         }
         assert_eq!(c.read_exact(), 100_000);
         assert!(c.max_gap() <= 20, "gap {} too large", c.max_gap());
+    }
+
+    #[test]
+    fn conservation_holds_for_all_d() {
+        for d in 1..=4 {
+            let c = MultiCounter::with_choices(16, d);
+            let mut rng = Xoshiro256::new(d as u64);
+            for _ in 0..5_000 {
+                c.increment_with(&mut rng);
+            }
+            assert_eq!(c.read_exact(), 5_000, "d={d}");
+        }
+    }
+
+    #[test]
+    fn single_choice_is_visibly_worse_than_two_choice() {
+        // The core phenomenon of the whole literature: with m=64 and
+        // 200k balls, one-choice gap is Θ(√(t/m · log m)) ≈ 100+,
+        // two-choice stays ~log log m. Compare with a huge margin.
+        let m = 64;
+        let t = 200_000u64;
+        let one = MultiCounter::with_choices(m, 1);
+        let two = MultiCounter::with_choices(m, 2);
+        let mut rng1 = Xoshiro256::new(10);
+        let mut rng2 = Xoshiro256::new(10);
+        for _ in 0..t {
+            one.increment_with(&mut rng1);
+            two.increment_with(&mut rng2);
+        }
+        assert!(
+            one.max_gap() >= 4 * two.max_gap(),
+            "one-choice gap {} not >> two-choice gap {}",
+            one.max_gap(),
+            two.max_gap()
+        );
+        assert!(two.max_gap() <= 20, "two-choice gap {}", two.max_gap());
+    }
+
+    #[test]
+    fn more_choices_never_hurt_much() {
+        let m = 64;
+        let four = MultiCounter::with_choices(m, 4);
+        let mut rng = Xoshiro256::new(11);
+        for _ in 0..100_000 {
+            four.increment_with(&mut rng);
+        }
+        assert!(four.max_gap() <= 16, "4-choice gap {}", four.max_gap());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one choice")]
+    fn zero_choices_rejected() {
+        let _ = MultiCounter::with_choices(8, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one cell")]
+    fn zero_cells_rejected() {
+        let _ = MultiCounter::with_choices(0, 2);
+    }
+
+    #[test]
+    fn accessors() {
+        let c = MultiCounter::with_choices(8, 3);
+        assert_eq!(c.num_counters(), 8);
+        assert_eq!(c.choices(), 3);
+        assert_eq!(c.cell_values().len(), 8);
+        assert_eq!(c.max_gap(), 0);
     }
 
     #[test]
@@ -381,30 +405,8 @@ mod tests {
     }
 
     #[test]
-    fn traced_increment_is_faithful() {
-        let c = MultiCounter::new(8);
-        let mut rng = Xoshiro256::new(5);
-        // Replaying the same RNG stream must give identical choices.
-        let mut shadow = Xoshiro256::new(5);
-        for _ in 0..1000 {
-            let before = c.cell_values();
-            let t = c.increment_traced(&mut rng);
-            let i = shadow.bounded(8) as usize;
-            let j = shadow.bounded(8) as usize;
-            assert_eq!((t.i, t.j), (i, j));
-            assert_eq!(t.vi, before[i]);
-            assert_eq!(t.vj, before[j]);
-            let expect = if t.vi <= t.vj { t.i } else { t.j };
-            assert_eq!(t.chosen, expect);
-            assert_eq!(c.cell(t.chosen), before[t.chosen] + 1);
-            assert_eq!(t.value_after, before[t.chosen] + 1);
-        }
-    }
-
-    #[test]
     fn read_scales_by_m() {
         let c = MultiCounter::new(4);
-        // Force a known state: bump each cell by hand through traces.
         let mut rng = Xoshiro256::new(9);
         for _ in 0..400 {
             c.increment_with(&mut rng);
@@ -415,28 +417,6 @@ mod tests {
             assert!(r.is_multiple_of(4));
             assert!((300..=500).contains(&r), "read {r}");
         }
-    }
-
-    #[test]
-    fn builder_forms() {
-        assert_eq!(
-            MultiCounter::builder().counters(10).build().num_counters(),
-            10
-        );
-        assert_eq!(
-            MultiCounter::builder()
-                .ratio(4)
-                .threads(3)
-                .build()
-                .num_counters(),
-            12
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "MultiCounterBuilder")]
-    fn builder_requires_configuration() {
-        let _ = MultiCounter::builder().build();
     }
 
     #[test]
@@ -536,54 +516,6 @@ mod tests {
             hs.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert_eq!(c.read_exact(), total);
-    }
-
-    #[test]
-    fn phased_increment_equals_plain_when_uninterleaved() {
-        let a = MultiCounter::new(8);
-        let b = MultiCounter::new(8);
-        let mut rng_a = Xoshiro256::new(21);
-        let mut rng_b = Xoshiro256::new(21);
-        for _ in 0..2_000 {
-            a.increment_with(&mut rng_a);
-            let p = b.begin_increment(&mut rng_b);
-            let (_, wrong) = p.commit(&b);
-            assert!(!wrong, "no interleaving, no wrong choices");
-        }
-        assert_eq!(a.cell_values(), b.cell_values());
-    }
-
-    #[test]
-    fn stampede_interleaving_biases_toward_wrong_bins() {
-        // The Section 6.1 worked example, on the real structure: all n
-        // "threads" read together, then commit one after another. Late
-        // committers act on stale values; some must pick the bin that
-        // is by then the more loaded one.
-        let m = 16;
-        let n = 16; // deliberately m = n: maximal staleness pressure
-        let c = MultiCounter::new(m);
-        let mut rng = Xoshiro256::new(33);
-        let mut wrong_total = 0u64;
-        for _batch in 0..2_000 {
-            let pending: Vec<PendingIncrement> =
-                (0..n).map(|_| c.begin_increment(&mut rng)).collect();
-            for p in pending {
-                let (_, wrong) = p.commit(&c);
-                wrong_total += u64::from(wrong);
-            }
-        }
-        assert!(
-            wrong_total > 0,
-            "stampedes must produce some stale (wrong) updates"
-        );
-        // Yet conservation and (coarse) balance survive — the theorem's
-        // robustness claim in miniature.
-        assert_eq!(c.read_exact(), 2_000 * n as u64);
-        assert!(
-            c.max_gap() <= 8 * (m as f64).ln() as u64 + 8,
-            "gap {}",
-            c.max_gap()
-        );
     }
 
     #[test]

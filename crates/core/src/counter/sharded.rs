@@ -11,8 +11,8 @@
 //! This is precisely the trade-off that motivates the MultiCounter: the
 //! two-choice rule buys a *provable O(m log m) bound on single-sample
 //! reads* (Lemma 6.8) for the cost of two extra loads per increment.
-//! The fig1a harness and `bench_counter` pit all three designs against
-//! each other.
+//! The `fig1a` binary and the `counter-*` scenarios pit all three
+//! designs against each other.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 

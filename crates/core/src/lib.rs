@@ -11,7 +11,7 @@
 //! | Algorithm 1 (MultiCounter) | [`MultiCounter`] |
 //! | Algorithm 2 (MultiQueue) | [`MultiQueue`], [`RelaxedFifo`] |
 //! | Section 5 (distributional linearizability) | [`spec`] |
-//! | Section 8 (relaxed timestamps) | [`clock`] |
+//! | Section 8 (relaxed timestamps) | `dlz_stm::RelaxedClock`, over [`MultiCounter::increment_sampled`] |
 //!
 //! ## The MultiCounter in one paragraph
 //!
@@ -42,7 +42,7 @@
 //! ```
 //! use dlz_core::{MultiCounter, RelaxedCounter};
 //!
-//! let c = MultiCounter::builder().counters(32).seed(1).build();
+//! let c = MultiCounter::new(32);
 //! std::thread::scope(|s| {
 //!     for _ in 0..2 {
 //!         s.spawn(|| {
@@ -66,11 +66,8 @@ pub mod queue;
 pub mod rng;
 pub mod spec;
 
-pub use clock::{Clock, FaaClock, ManualClock, MonotonicNanoClock, MultiCounterClock};
-pub use counter::{
-    DChoiceCounter, ExactCounter, MultiCounter, MultiCounterBuilder, PendingIncrement,
-    RelaxedCounter, ShardedCounter,
-};
+pub use clock::{Clock, FaaClock, MonotonicNanoClock};
+pub use counter::{ExactCounter, MultiCounter, RelaxedCounter, ShardedCounter};
 pub use dlz_pq::ContentionStats;
 pub use queue::{
     ChoiceOp, DeleteMode, MqHandle, MqOpTimeout, MultiQueue, MultiQueueBuilder, Policy, PolicyCfg,

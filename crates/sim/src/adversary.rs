@@ -255,11 +255,11 @@ mod tests {
 
     #[test]
     fn sequential_schedule_matches_classic_two_choice() {
-        use crate::process::TwoChoice;
+        use crate::process::DChoice;
         // With staleness 0 the async process *is* the classic process:
         // same seed → identical trajectories.
         let mut a = AsyncTwoChoice::new(32, Schedule::Sequential, 9);
-        let mut c = TwoChoice::new(32, 9);
+        let mut c = DChoice::new(32, 2, 9);
         a.run(50_000);
         c.run(50_000);
         assert_eq!(a.bins().weights(), c.bins().weights());

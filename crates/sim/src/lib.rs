@@ -7,8 +7,8 @@
 //! can be checked numerically and the figures regenerated:
 //!
 //! * [`process`] — the classical sequential processes: greedy
-//!   two-choice / d-choice, single-choice (the divergent control),
-//!   the (1+β)-choice process of Peres–Talwar–Wieder, and the
+//!   d-choice (two-choice at d = 2, the divergent single-choice control
+//!   at d = 1), the (1+β)-choice process of Peres–Talwar–Wieder, and the
 //!   exponentially-weighted variant used for MultiQueues (Theorem 7.1).
 //! * [`adversary`] — the paper's concurrency model (Section 6.1):
 //!   operations read bin values at one time and update at a later time
@@ -45,7 +45,7 @@ pub use bins::BinState;
 pub use corrupted::{CorruptedTwoChoice, CorruptionPattern};
 pub use fenwick::Fenwick;
 pub use potential::{PaperConstants, PotentialTrace};
-pub use process::{BallsProcess, DChoice, OnePlusBeta, SingleChoice, TwoChoice, WeightedTwoChoice};
+pub use process::{BallsProcess, DChoice, OnePlusBeta, WeightedTwoChoice};
 pub use queue_process::QueueProcess;
 pub use stats::{RunningStats, Summary};
 pub use wheel::TimerWheel;

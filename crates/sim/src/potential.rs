@@ -123,7 +123,7 @@ impl PotentialTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::TwoChoice;
+    use crate::process::DChoice;
 
     #[test]
     fn constants_chain_matches_paper() {
@@ -149,7 +149,7 @@ mod tests {
         // process: sup_t Γ(t) = O(m). With α = 0.5 and two-choice, the
         // constant is small; allow 10·m + slack.
         let m = 128;
-        let mut p = TwoChoice::new(m, 3);
+        let mut p = DChoice::new(m, 2, 3);
         let mut trace = PotentialTrace::new(0.5, 10_000);
         trace.run(&mut p, 500_000);
         assert_eq!(p.steps_done(), 500_000);
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn trace_samples_at_requested_cadence() {
-        let mut p = TwoChoice::new(8, 4);
+        let mut p = DChoice::new(8, 2, 4);
         let mut trace = PotentialTrace::new(0.25, 100);
         trace.run(&mut p, 1000);
         assert_eq!(trace.gamma.len(), 10);

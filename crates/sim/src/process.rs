@@ -2,11 +2,11 @@
 //!
 //! These are the reference points of the paper's analysis:
 //!
-//! * [`TwoChoice`] / [`DChoice`] — greedy d-choice [Azar et al.]: gap
-//!   `log log m / log d + O(1)` above average, *independent of t*.
-//! * [`SingleChoice`] — random placement: gap `Θ(√(t log m / m))`,
-//!   divergent in t. The paper cites this divergence (\[25\]) as why
-//!   unbounded staleness would be fatal.
+//! * [`DChoice`] — greedy d-choice [Azar et al.]: gap
+//!   `log log m / log d + O(1)` above average, *independent of t*, for
+//!   `d ≥ 2` (`d = 2` is two-choice). At `d = 1` it is random
+//!   placement: gap `Θ(√(t log m / m))`, divergent in t. The paper cites
+//!   this divergence (\[25\]) as why unbounded staleness would be fatal.
 //! * [`OnePlusBeta`] — with probability β place two-choice, else random
 //!   [Peres–Talwar–Wieder]: gap `O(log m / β)`. The analysis shows a
 //!   good(γ) concurrent operation majorizes a (1+β) step with β = 2γ,
@@ -55,39 +55,6 @@ macro_rules! common_impl {
     };
 }
 
-/// Greedy two-choice: insert into the less loaded of two uniform bins.
-#[derive(Debug, Clone)]
-pub struct TwoChoice {
-    bins: BinState,
-    rng: Xoshiro256,
-    steps: u64,
-}
-
-impl TwoChoice {
-    /// `m` bins, deterministic seed.
-    pub fn new(m: usize, seed: u64) -> Self {
-        TwoChoice {
-            bins: BinState::new(m),
-            rng: Xoshiro256::new(seed),
-            steps: 0,
-        }
-    }
-
-    fn step_impl(&mut self) {
-        let m = self.bins.len() as u64;
-        let i = self.rng.bounded(m) as usize;
-        let j = self.rng.bounded(m) as usize;
-        let target = if self.bins.weight(i) <= self.bins.weight(j) {
-            i
-        } else {
-            j
-        };
-        self.bins.add(target, 1.0);
-        self.steps += 1;
-    }
-}
-common_impl!(TwoChoice);
-
 /// Greedy d-choice: insert into the least loaded of `d` uniform bins.
 #[derive(Debug, Clone)]
 pub struct DChoice {
@@ -123,33 +90,6 @@ impl DChoice {
     }
 }
 common_impl!(DChoice);
-
-/// Random placement (d = 1): the divergent control.
-#[derive(Debug, Clone)]
-pub struct SingleChoice {
-    bins: BinState,
-    rng: Xoshiro256,
-    steps: u64,
-}
-
-impl SingleChoice {
-    /// `m` bins, deterministic seed.
-    pub fn new(m: usize, seed: u64) -> Self {
-        SingleChoice {
-            bins: BinState::new(m),
-            rng: Xoshiro256::new(seed),
-            steps: 0,
-        }
-    }
-
-    fn step_impl(&mut self) {
-        let m = self.bins.len() as u64;
-        let i = self.rng.bounded(m) as usize;
-        self.bins.add(i, 1.0);
-        self.steps += 1;
-    }
-}
-common_impl!(SingleChoice);
 
 /// The (1+β)-choice process: coin(β) → two-choice, else random.
 #[derive(Debug, Clone)]
@@ -282,7 +222,7 @@ mod tests {
 
     #[test]
     fn two_choice_gap_is_log_log_small() {
-        let mut p = TwoChoice::new(128, 1);
+        let mut p = DChoice::new(128, 2, 1);
         p.run(500_000);
         assert_eq!(p.steps_done(), 500_000);
         assert_eq!(p.bins().total(), 500_000.0);
@@ -294,8 +234,8 @@ mod tests {
     fn single_choice_diverges_relative_to_two_choice() {
         let m = 64;
         let t = 400_000;
-        let mut one = SingleChoice::new(m, 2);
-        let mut two = TwoChoice::new(m, 2);
+        let mut one = DChoice::new(m, 1, 2);
+        let mut two = DChoice::new(m, 2, 2);
         one.run(t);
         two.run(t);
         assert!(

@@ -7,7 +7,7 @@ use dlz_core::rng::{Rng64, Xoshiro256};
 use dlz_sim::process::{good_op_probabilities, majorizes, one_plus_beta_probabilities};
 use dlz_sim::{
     AsyncTwoChoice, BallsProcess, BinState, CorruptedTwoChoice, CorruptionPattern, DChoice,
-    Fenwick, OnePlusBeta, Schedule, SingleChoice, TwoChoice,
+    Fenwick, OnePlusBeta, Schedule,
 };
 
 /// Runs `case` once per seed in `0..cases`, each on its own generator.
@@ -56,8 +56,8 @@ fn every_process_places_one_ball_per_step() {
         let m = 1 + rng.bounded(63) as usize;
         let seed = rng.next_u64();
         let processes: Vec<Box<dyn BallsProcess>> = vec![
-            Box::new(TwoChoice::new(m, seed)),
-            Box::new(SingleChoice::new(m, seed)),
+            Box::new(DChoice::new(m, 2, seed)),
+            Box::new(DChoice::new(m, 1, seed)),
             Box::new(DChoice::new(m, 3, seed)),
             Box::new(OnePlusBeta::new(m, 0.5, seed)),
             Box::new(AsyncTwoChoice::new(

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dlz_core::rng::Xoshiro256;
 use dlz_core::spec::{CounterOp, HistoryArtifact, Recorder, ThreadLog, DEVIATION_BOUND_C};
-use dlz_core::{DChoiceCounter, ExactCounter, MultiCounter, RelaxedCounter, ShardedCounter};
+use dlz_core::{ExactCounter, MultiCounter, RelaxedCounter, ShardedCounter};
 
 use super::{SampleSink, WorkerSamples};
 use crate::backend::{Backend, QualityReport, QualitySummary, Worker, WorkerCfg};
@@ -20,10 +20,8 @@ use crate::scenario::Family;
 /// concrete type offers them (keeping runs deterministic per seed).
 #[derive(Debug)]
 enum AnyCounter {
-    /// Algorithm 1.
+    /// Algorithm 1, or its d-choice generalization.
     Multi(MultiCounter),
-    /// The d-choice generalization.
-    DChoice(DChoiceCounter),
     /// Per-thread stripes (no bounded single-sample read).
     Sharded(ShardedCounter),
     /// The single fetch-and-add baseline.
@@ -34,7 +32,6 @@ impl AnyCounter {
     fn sampled_read(&self, rng: &mut Xoshiro256) -> u64 {
         match self {
             AnyCounter::Multi(c) => c.read_with(rng),
-            AnyCounter::DChoice(c) => c.read_with(rng),
             AnyCounter::Sharded(c) => c.read_sample_with(rng),
             AnyCounter::Exact(c) => c.read(),
         }
@@ -44,7 +41,6 @@ impl AnyCounter {
     fn increment_unit(&self, rng: &mut Xoshiro256, stripe: usize) {
         match self {
             AnyCounter::Multi(c) => c.increment_with(rng),
-            AnyCounter::DChoice(c) => c.increment_with(rng),
             AnyCounter::Sharded(c) => c.increment_stripe(stripe),
             AnyCounter::Exact(c) => {
                 c.increment();
@@ -88,10 +84,10 @@ impl CounterBackend {
         )
     }
 
-    /// Wraps a d-choice counter.
-    pub fn dchoice(m: usize, d: usize, seed: u64) -> Self {
+    /// Wraps a MultiCounter with `m` cells and `d` choices per update.
+    pub fn dchoice(m: usize, d: usize) -> Self {
         Self::new(
-            AnyCounter::DChoice(DChoiceCounter::new(m, d, seed)),
+            AnyCounter::Multi(MultiCounter::with_choices(m, d)),
             format!("dchoice(m={m},d={d})"),
         )
     }
@@ -122,7 +118,6 @@ impl CounterBackend {
     fn read_exact(&self) -> u64 {
         match &self.inner {
             AnyCounter::Multi(c) => c.read_exact(),
-            AnyCounter::DChoice(c) => c.read_exact(),
             AnyCounter::Sharded(c) => c.read_exact(),
             AnyCounter::Exact(c) => c.read_exact(),
         }
@@ -133,7 +128,6 @@ impl CounterBackend {
     fn deviation_scale(&self) -> f64 {
         let m = match &self.inner {
             AnyCounter::Multi(c) => c.num_counters(),
-            AnyCounter::DChoice(c) => c.num_counters(),
             AnyCounter::Sharded(c) => c.num_stripes(),
             AnyCounter::Exact(_) => return 0.0,
         } as f64;
@@ -143,7 +137,6 @@ impl CounterBackend {
     fn max_gap(&self) -> u64 {
         match &self.inner {
             AnyCounter::Multi(c) => c.max_gap(),
-            AnyCounter::DChoice(c) => c.max_gap(),
             AnyCounter::Sharded(c) => c.max_gap(),
             AnyCounter::Exact(_) => 0,
         }
@@ -256,20 +249,9 @@ impl Worker for CounterWorker<'_> {
                     }
                 } else {
                     match inner {
-                        AnyCounter::Multi(c) => {
-                            if op.weight == 1 {
-                                c.increment_with(rng);
-                            } else {
-                                c.add_with(rng, op.weight);
-                            }
-                        }
+                        AnyCounter::Multi(c) => c.add_with(rng, op.weight),
                         // No weighted add on these substrates: apply the
                         // weight as unit increments so totals stay exact.
-                        AnyCounter::DChoice(c) => {
-                            for _ in 0..op.weight {
-                                c.increment_with(rng);
-                            }
-                        }
                         AnyCounter::Sharded(c) => {
                             for _ in 0..op.weight {
                                 c.increment_stripe(stripe);
@@ -326,12 +308,14 @@ impl Drop for CounterWorker<'_> {
 mod tests {
     use super::*;
 
-    fn run_ops(b: &CounterBackend, n: u64) {
+    /// `n` seeded ops, every fourth a read, updates weighing
+    /// `1 + k % max_weight`.
+    fn run_ops(b: &CounterBackend, n: u64, max_weight: u64, record_history: bool) {
         let cfg = WorkerCfg {
             id: 0,
             threads: 1,
             seed: 42,
-            record_history: false,
+            record_history,
             quality_every: 8,
         };
         let mut w = b.worker(cfg);
@@ -345,7 +329,7 @@ mod tests {
                 kind,
                 key: k,
                 priority: 0,
-                weight: 1 + k % 3,
+                weight: 1 + k % max_weight,
             });
         }
         w.finish();
@@ -367,11 +351,11 @@ mod tests {
     fn all_counter_backends_conserve() {
         for b in [
             CounterBackend::multicounter(16),
-            CounterBackend::dchoice(16, 3, 9),
+            CounterBackend::dchoice(16, 3),
             CounterBackend::sharded(4),
             CounterBackend::exact(),
         ] {
-            run_ops(&b, 4_000);
+            run_ops(&b, 4_000, 3, false);
             let counts = OpCounts::default();
             b.verify(&counts).expect("conservation");
             let q = b.quality();
@@ -381,9 +365,57 @@ mod tests {
     }
 
     #[test]
+    fn dchoice_unit_updates_are_pinned() {
+        // Cells and history-mode reads after 20k seeded unit-weight ops,
+        // folded into one word each; recorded from the d-choice type this
+        // backend wrapped before it became a `MultiCounter`.
+        const FNV: u64 = 0xcbf2_9ce4_8422_2325;
+        let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
+        let cells = |b: &CounterBackend| match &b.inner {
+            AnyCounter::Multi(c) => c.cell_values().into_iter().fold(FNV, fold),
+            _ => unreachable!("dchoice wraps a MultiCounter"),
+        };
+        let (plain, recorded) = (CounterBackend::dchoice(8, 4), CounterBackend::dchoice(8, 4));
+        run_ops(&plain, 20_000, 1, false);
+        run_ops(&recorded, 20_000, 1, true);
+        let events = recorded.recorder.take_history().events;
+        let reads = events.iter().fold(FNV, |h, e| match e.label {
+            CounterOp::Read { returned } => fold(h, returned),
+            CounterOp::Inc => h,
+        });
+        assert_eq!(
+            (cells(&plain), cells(&recorded), reads),
+            (
+                0x3b55_b0fc_1578_38ab,
+                0x3b55_b0fc_1578_38ab,
+                0x7744_76ae_eeb4_a13d
+            )
+        );
+    }
+
+    #[test]
+    fn building_a_counter_does_not_reseed_the_thread_rng() {
+        use dlz_core::rng::{reseed_thread_rng, with_thread_rng, Rng64};
+        let draws = |build: &dyn Fn(usize)| {
+            reseed_thread_rng(5);
+            let draw = |d| {
+                build(d);
+                with_thread_rng(|r| r.next_u64())
+            };
+            (1..=3).map(draw).collect::<Vec<_>>()
+        };
+        let untouched = draws(&|_| {});
+        assert_eq!(
+            draws(&|d| drop(MultiCounter::with_choices(8, d))),
+            untouched
+        );
+        assert_eq!(draws(&|d| drop(CounterBackend::dchoice(8, d))), untouched);
+    }
+
+    #[test]
     fn exact_counter_has_zero_deviation() {
         let b = CounterBackend::exact();
-        run_ops(&b, 2_000);
+        run_ops(&b, 2_000, 3, false);
         let q = b.quality();
         assert_eq!(q.summary.expect("sampled").max, 0.0);
         assert_eq!(q.get("within_bound"), Some(1.0));
@@ -392,7 +424,7 @@ mod tests {
     #[test]
     fn multicounter_deviation_within_bound() {
         let b = CounterBackend::multicounter(32);
-        run_ops(&b, 50_000);
+        run_ops(&b, 50_000, 3, false);
         let q = b.quality();
         assert!(q.summary.expect("sampled").count > 0);
         assert_eq!(q.get("within_bound"), Some(1.0), "{q:?}");

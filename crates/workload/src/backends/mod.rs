@@ -135,7 +135,7 @@ pub fn roster(scenario: &Scenario) -> Vec<Box<dyn Backend>> {
             Box::new(CounterBackend::exact()),
             Box::new(CounterBackend::sharded(n.max(2))),
             Box::new(CounterBackend::multicounter((4 * n).max(8))),
-            Box::new(CounterBackend::dchoice((4 * n).max(8), 4, scenario.seed)),
+            Box::new(CounterBackend::dchoice((4 * n).max(8), 4)),
         ],
         Family::Queue => {
             let m = (4 * n).max(8);

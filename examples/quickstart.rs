@@ -11,7 +11,7 @@ fn main() {
     // ------------------------------------------------------------------
     // 1. A relaxed counter: 64 cells, two-choice increments.
     // ------------------------------------------------------------------
-    let counter = MultiCounter::builder().counters(64).seed(42).build();
+    let counter = MultiCounter::new(64);
 
     std::thread::scope(|s| {
         for t in 0..4 {

@@ -1,10 +1,12 @@
 //! Relaxed timestamps: using a MultiCounter as a scalable clock.
 //!
 //! The Section 8 idea in isolation: threads draw timestamps from (a) a
-//! fetch-and-add clock (exact, contended) and (b) a MultiCounter clock
-//! (relaxed, scalable). We measure throughput and *skew* — how far
-//! timestamp order deviates from real-time order — the quantity the
-//! TL2 integration budgets for with its Δ margin.
+//! fetch-and-add clock (exact, contended) and (b) a MultiCounter tick —
+//! one increment whose first probe, times `m`, is the timestamp, as
+//! `dlz_stm::RelaxedClock` stamps commits (relaxed, scalable). We
+//! measure throughput and *skew* — how far timestamp order deviates
+//! from real-time order — the quantity the TL2 integration budgets for
+//! with its Δ margin.
 //!
 //! ```text
 //! cargo run --release --example relaxed_timestamps
@@ -13,21 +15,28 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use distlin::core::clock::{Clock, FaaClock, MultiCounterClock};
+use distlin::core::clock::{Clock, FaaClock};
+use distlin::core::rng::with_thread_rng;
+use distlin::core::MultiCounter;
+use distlin::stm::RelaxedClock;
 
-/// Stamps events for `dur`, returning (timestamps in issue order per
-/// thread, total count).
-fn stamp_events<C: Clock>(clock: &C, threads: usize, dur: Duration) -> (Vec<Vec<u64>>, u64) {
+/// Stamps events with `tick` for `dur`, returning (timestamps in issue
+/// order per thread, total count).
+fn stamp_events(
+    tick: impl Fn() -> u64 + Sync,
+    threads: usize,
+    dur: Duration,
+) -> (Vec<Vec<u64>>, u64) {
     let stop = AtomicBool::new(false);
     let out = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let clock = &clock;
+                let tick = &tick;
                 let stop = &stop;
                 s.spawn(move || {
                     let mut mine = Vec::new();
                     while !stop.load(Ordering::Relaxed) {
-                        mine.push(clock.tick());
+                        mine.push(tick());
                     }
                     mine
                 })
@@ -63,25 +72,26 @@ fn main() {
 
     let faa = FaaClock::new();
     let t0 = Instant::now();
-    let (streams, total) = stamp_events(&faa, threads, dur);
+    let (streams, total) = stamp_events(|| faa.tick(), threads, dur);
     let faa_rate = total as f64 / t0.elapsed().as_secs_f64() / 1e6;
     let faa_inv = max_per_thread_inversion(&streams);
     println!("  FAA clock        : {faa_rate:.2} M stamps/s, max per-thread inversion {faa_inv}");
 
     let m = 8 * threads;
-    let mc = MultiCounterClock::with_counters(m);
+    let mc = MultiCounter::new(m);
     let t0 = Instant::now();
-    let (streams, total) = stamp_events(&mc, threads, dur);
+    let tick = || with_thread_rng(|rng| mc.increment_sampled(rng));
+    let (streams, total) = stamp_events(tick, threads, dur);
     let mc_rate = total as f64 / t0.elapsed().as_secs_f64() / 1e6;
     let mc_inv = max_per_thread_inversion(&streams);
     println!("  MultiCounter (m={m}): {mc_rate:.2} M stamps/s, max per-thread inversion {mc_inv}");
 
-    let delta = mc.suggested_delta(4.0);
+    let delta = RelaxedClock::suggested_delta(m, 4.0);
     println!("\n  speedup: {:.2}x", mc_rate / faa_rate);
     println!(
         "  suggested Δ margin for m={m}: {delta} (4·m·ln m; observed skew should sit well below)"
     );
-    println!("  final counter gap: {}", mc.counter().max_gap());
+    println!("  final counter gap: {}", mc.max_gap());
     assert!(
         mc_inv <= delta,
         "observed inversion {mc_inv} exceeded the suggested Δ {delta}"

@@ -10,9 +10,8 @@
 //!
 //! * [`core`] ([`dlz_core`]) — the paper's contributions: the
 //!   [`MultiCounter`](dlz_core::MultiCounter) (Algorithm 1), the
-//!   [`MultiQueue`](dlz_core::MultiQueue) (Algorithm 2), relaxed clocks,
-//!   and the executable distributional-linearizability framework
-//!   (Section 5).
+//!   [`MultiQueue`](dlz_core::MultiQueue) (Algorithm 2), and the
+//!   executable distributional-linearizability framework (Section 5).
 //! * [`pq`] ([`dlz_pq`]) — the priority-queue substrate: the binary
 //!   heap and the lock-based linearizable queues Algorithm 2 builds
 //!   on.
@@ -20,8 +19,8 @@
 //!   sequential, (1+β), adversarial stale-read and ε-corrupted
 //!   load-balancing processes, with potential-function tracking.
 //! * [`stm`] ([`dlz_stm`]) — a from-scratch TL2 software transactional
-//!   memory whose global clock can be swapped for a MultiCounter
-//!   (Section 8's application).
+//!   memory whose global clock can be swapped for a MultiCounter — the
+//!   relaxed clock of Section 8.
 //! * [`workload`] ([`dlz_workload`]) — the scenario/traffic-generation
 //!   subsystem: declarative workloads (op mixes, Zipf/uniform/monotone
 //!   distributions, open/closed/bursty arrivals) driven concurrently
@@ -35,7 +34,7 @@
 //! use distlin::core::{MultiCounter, RelaxedCounter};
 //!
 //! // A relaxed counter over 64 cache-padded atomic cells.
-//! let counter = MultiCounter::builder().counters(64).seed(42).build();
+//! let counter = MultiCounter::new(64);
 //! for _ in 0..10_000 {
 //!     counter.increment();
 //! }

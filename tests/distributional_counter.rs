@@ -8,7 +8,7 @@
 //! (read deviations within the paper's O(m log m) scale).
 
 use distlin::core::spec::{check_distributional, CounterOp, CounterSpec, History, Recorder};
-use distlin::core::{DChoiceCounter, ExactCounter, MultiCounter, RelaxedCounter};
+use distlin::core::{ExactCounter, MultiCounter, RelaxedCounter};
 
 /// Records a mixed increment/read workload over any RelaxedCounter.
 fn record_workload<C: RelaxedCounter>(
@@ -105,8 +105,8 @@ fn dchoice_single_choice_still_maps_but_costs_more() {
     // to a *worse* distribution. The checker quantifies exactly that.
     distlin::core::rng::reseed_thread_rng(13);
     let m = 16;
-    let one = DChoiceCounter::new(m, 1, 13);
-    let two = DChoiceCounter::new(m, 2, 13);
+    let one = MultiCounter::with_choices(m, 1);
+    let two = MultiCounter::with_choices(m, 2);
     let h1 = record_workload(&one, 1, 30_000, 3);
     let h2 = record_workload(&two, 1, 30_000, 3);
     let o1 = check_distributional(&CounterSpec, &h1);

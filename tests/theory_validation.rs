@@ -3,8 +3,8 @@
 
 use distlin::sim::process::{good_op_probabilities, majorizes, one_plus_beta_probabilities};
 use distlin::sim::{
-    AsyncTwoChoice, BallsProcess, CorruptedTwoChoice, CorruptionPattern, OnePlusBeta,
-    PaperConstants, PotentialTrace, QueueProcess, Schedule, SingleChoice, TwoChoice,
+    AsyncTwoChoice, BallsProcess, CorruptedTwoChoice, CorruptionPattern, DChoice, OnePlusBeta,
+    PaperConstants, PotentialTrace, QueueProcess, Schedule,
 };
 
 #[test]
@@ -86,8 +86,8 @@ fn paper_constants_are_consistent() {
 fn single_choice_divergence_vs_two_choice() {
     let m = 64;
     let t = 500_000;
-    let mut one = SingleChoice::new(m, 9);
-    let mut two = TwoChoice::new(m, 9);
+    let mut one = DChoice::new(m, 1, 9);
+    let mut two = DChoice::new(m, 2, 9);
     one.run(t);
     two.run(t);
     // Θ(√(t ln m / m)) vs O(log log m): the ratio is large.
