@@ -78,9 +78,7 @@ fn customize(mut s: Scenario, cfg: &Config) -> Scenario {
         }
         s.prefill = s.prefill.min(2_000);
     }
-    if cfg.telemetry {
-        s.telemetry_interval = Some(cfg.telemetry_interval);
-    }
+    s.telemetry_interval = cfg.telemetry.or(s.telemetry_interval);
     if let Some(plan) = &cfg.faults {
         // The highest thread count anywhere in the grid bounds the
         // worker ids a plan may name; the engine simply never compiles
@@ -101,9 +99,7 @@ fn customize(mut s: Scenario, cfg: &Config) -> Scenario {
         s.faults = Some(plan.clone());
     }
     if let Some(dir) = &cfg.export_histories {
-        // The export directory also receives `.prom` telemetry files,
-        // so telemetry-enabled runs export even without a history.
-        if s.record_history || cfg.telemetry {
+        if s.record_history {
             s.export = Some(PathBuf::from(dir));
         } else {
             // An ineffective flag must not pass silently.
@@ -512,14 +508,18 @@ mod tests {
         let cfg = Config::parse(vec![]);
         let s = customize(Scenario::named("queue-balanced").expect("catalog"), &cfg);
         assert!(s.telemetry_interval.is_none());
-        // Telemetry-enabled runs export .prom files even without a
-        // recorded history.
+        // A preset's own interval survives when the flag is absent.
+        let s = customize(Scenario::named("chaos-slow-tail").expect("catalog"), &cfg);
+        assert_eq!(s.telemetry_interval, Some(Duration::from_millis(25)));
+        // Telemetry lives in the report: a telemetry-only run exports
+        // nothing, even with an export directory.
         let cfg = Config::parse(vec![
             "--telemetry".into(),
             "--export-histories".into(),
             "artifacts".into(),
         ]);
         let s = customize(Scenario::named("queue-balanced").expect("catalog"), &cfg);
-        assert_eq!(s.export.as_deref(), Some(std::path::Path::new("artifacts")));
+        assert_eq!(s.telemetry_interval, Some(Duration::from_millis(100)));
+        assert!(s.export.is_none());
     }
 }

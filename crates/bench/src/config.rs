@@ -86,13 +86,11 @@ pub struct Config {
     pub zipf: Vec<f64>,
     /// `scenarios`: directory to serialize history artifacts into.
     pub export_histories: Option<String>,
-    /// `scenarios`: enable time-resolved telemetry (interval snapshots
-    /// in every report; `.prom` exports next to exported histories).
-    pub telemetry: bool,
-    /// Telemetry snapshot interval (only meaningful with
-    /// [`telemetry`](Self::telemetry); setting it via
-    /// `--telemetry-interval-ms` implies `--telemetry`).
-    pub telemetry_interval: Duration,
+    /// `scenarios`: the time-resolved telemetry snapshot interval
+    /// (interval snapshots in every report's `telemetry` object); `None`
+    /// when off. `--telemetry` sets 100 ms, `--telemetry-interval-ms N`
+    /// sets N ms.
+    pub telemetry: Option<Duration>,
     /// `scenarios`: fault plan injected into every selected scenario
     /// (`--faults 'panic:1@200;slow:3:5..20'`). Malformed specs are
     /// usage errors at parse time, not mid-sweep panics.
@@ -140,8 +138,7 @@ impl Default for Config {
             prios: Vec::new(),
             zipf: Vec::new(),
             export_histories: None,
-            telemetry: false,
-            telemetry_interval: Duration::from_millis(100),
+            telemetry: None,
             faults: None,
             clients: Vec::new(),
             arrival_shapes: Vec::new(),
@@ -270,7 +267,9 @@ impl Config {
                     cfg.arrival_shapes = parse_shapes(&v)?;
                     cfg.set_flags.push("arrival-shape".into());
                 }
-                "--telemetry" => cfg.telemetry = true,
+                "--telemetry" => {
+                    cfg.telemetry.get_or_insert(Duration::from_millis(100));
+                }
                 "--telemetry-interval-ms" => {
                     let v = need(&mut it, "--telemetry-interval-ms")?;
                     let ms: u64 = v.parse().map_err(|_| {
@@ -281,8 +280,7 @@ impl Config {
                     if ms == 0 {
                         return Err("--telemetry-interval-ms must be >= 1".into());
                     }
-                    cfg.telemetry = true;
-                    cfg.telemetry_interval = Duration::from_millis(ms);
+                    cfg.telemetry = Some(Duration::from_millis(ms));
                     cfg.set_flags.push("telemetry-interval-ms".into());
                 }
                 "--json" => {
@@ -673,17 +671,21 @@ mod tests {
 
     #[test]
     fn telemetry_flags_parse_and_imply_each_other() {
-        let c = Config::parse(vec![]);
-        assert!(!c.telemetry);
-        assert_eq!(c.telemetry_interval, Duration::from_millis(100));
+        assert_eq!(Config::parse(vec![]).telemetry, None);
         let c = Config::parse(vec!["--telemetry".into()]);
-        assert!(c.telemetry);
-        assert_eq!(c.telemetry_interval, Duration::from_millis(100));
-        // Setting the interval implies enabling telemetry.
+        assert_eq!(c.telemetry, Some(Duration::from_millis(100)));
+        // Setting the interval implies enabling telemetry, and a
+        // `--telemetry` in either order keeps the explicit interval.
         let c = Config::parse(vec!["--telemetry-interval-ms".into(), "25".into()]);
-        assert!(c.telemetry);
-        assert_eq!(c.telemetry_interval, Duration::from_millis(25));
+        assert_eq!(c.telemetry, Some(Duration::from_millis(25)));
         assert!(c.was_set("telemetry-interval-ms"));
+        for args in [
+            ["--telemetry", "--telemetry-interval-ms", "25"],
+            ["--telemetry-interval-ms", "25", "--telemetry"],
+        ] {
+            let c = Config::parse(args.iter().map(|a| a.to_string()).collect());
+            assert_eq!(c.telemetry, Some(Duration::from_millis(25)), "{args:?}");
+        }
         let e = Config::try_parse(vec!["--telemetry-interval-ms".into(), "0".into()]).unwrap_err();
         assert!(e.contains(">= 1"), "{e}");
         let e =

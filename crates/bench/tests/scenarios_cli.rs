@@ -104,36 +104,6 @@ fn telemetry_runs_keep_stdout_pure_and_embed_series() {
 }
 
 #[test]
-fn telemetry_export_writes_parseable_prometheus_files() {
-    let dir = std::env::temp_dir().join(format!("dlz-scenarios-prom-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let out = run(&[
-        "--scenario",
-        "queue-balanced",
-        "--telemetry",
-        "--quick",
-        "--export-histories",
-        dir.to_str().expect("utf8 dir"),
-    ]);
-    assert!(out.status.success(), "exit: {:?}", out.status);
-    let _ = reports_from_stdout(&out);
-    let cell_dir = dir.join("queue-balanced");
-    let mut prom_files = 0;
-    for entry in std::fs::read_dir(&cell_dir).expect("export dir") {
-        let path = entry.expect("entry").path();
-        if path.extension().is_some_and(|e| e == "prom") {
-            let text = std::fs::read_to_string(&path).expect("read .prom");
-            let samples = dlz_workload::parse_prometheus(&text)
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            assert!(!samples.is_empty(), "{}: no samples", path.display());
-            prom_files += 1;
-        }
-    }
-    assert!(prom_files >= 2, "expected one .prom per backend");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn chaos_scenario_reports_faults_and_exits_1() {
     let out = run(&[
         "--scenario",

@@ -612,7 +612,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
 
 /// MultiQueues are themselves concurrent priority queues, so they slot
 /// into any code written against [`ConcurrentPq`] (e.g. the SSSP
-/// example uses the exact [`CoarsePq`](dlz_pq::CoarsePq) and the
+/// example uses one exact [`LockedPq`](dlz_pq::LockedPq) and the
 /// MultiQueue interchangeably). Randomness comes from the thread-local
 /// generator; the choice process is fresh two-choice sampling.
 impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> ConcurrentPq<V> for MultiQueue<V, Q> {

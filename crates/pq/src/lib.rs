@@ -27,9 +27,10 @@
 //!   MultiQueue's operation loop drives. It is the only per-queue
 //!   concurrency discipline: a lock-free claim/drain queue, a flat
 //!   combiner and a `std::sync::Mutex` twin of the packed lock were
-//!   measured against it and removed (README, "Verdicts").
-//! * [`CoarsePq`] — an exact concurrent priority queue (one global lock),
-//!   used as the non-relaxed baseline in benchmarks.
+//!   measured against it and removed (README, "Verdicts"). One
+//!   `LockedPq` over one [`BinaryHeap`] is also the exact (non-relaxed)
+//!   baseline: a single global lock whose every `remove_min` returns
+//!   the true minimum.
 //! * [`ContentionStats`] — plain-`u64`, single-owner hot-path counters
 //!   recorded by [`LockedPq::attempt`] and merged like worker metrics.
 //!
@@ -39,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod binary_heap;
-pub mod coarse;
 pub mod locked;
 pub mod padded;
 pub mod spinlock;
@@ -47,7 +47,6 @@ pub mod stats;
 pub mod traits;
 
 pub use binary_heap::BinaryHeap;
-pub use coarse::CoarsePq;
 pub use locked::{Attempt, LockedPq, PqGuard};
 pub use padded::CachePadded;
 pub use spinlock::Backoff;

@@ -143,7 +143,6 @@ pub fn roster(scenario: &Scenario) -> Vec<Box<dyn Backend>> {
                 Box::new(MultiQueueBackend::heap(m, DeleteMode::Strict)),
                 Box::new(MultiQueueBackend::heap(m, DeleteMode::TryLock)),
                 Box::new(ConcurrentPqBackend::coarse()),
-                Box::new(ConcurrentPqBackend::locked_heap()),
             ];
             // Scenarios with an active policy/batch dimension also run
             // the tuned hot-path configurations, so one report carries
@@ -263,6 +262,17 @@ mod tests {
             assert!(r.len() >= 2, "{}: roster too small", s.name);
             for b in &r {
                 assert_eq!(b.family(), s.family, "{}", b.name());
+            }
+            // One exact baseline beside the two MultiQueue delete modes.
+            if s.family == Family::Queue && !tuned(&s) {
+                let m = (4 * s.threads).max(8);
+                let names: Vec<String> = r.iter().map(|b| b.name()).collect();
+                let want = [
+                    format!("multiqueue-heap(m={m},strict)"),
+                    format!("multiqueue-heap(m={m},trylock)"),
+                    "coarse-pq".into(),
+                ];
+                assert_eq!(names, want, "{}", s.name);
             }
         }
     }

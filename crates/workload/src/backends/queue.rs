@@ -1,5 +1,5 @@
 //! Queue-family backends: the MultiQueue (both delete modes, any choice
-//! policy) and every linearizable `dlz-pq` queue.
+//! policy) and the exact one-lock `dlz-pq` baseline.
 //!
 //! Only the MultiQueue records histories. Its verdict — exact dequeue
 //! ranks against the policy's envelope — comes from
@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 use dlz_core::spec::{HistoryArtifact, PqOp, Recorder, ThreadLog, RANK_BOUND_C};
 use dlz_core::{DeleteMode, MqHandle, MultiQueue, PolicyCfg};
-use dlz_pq::{BinaryHeap, CoarsePq, ConcurrentPq, LockedPq};
+use dlz_pq::{BinaryHeap, ConcurrentPq, LockedPq};
 
 use super::{conserved, SampleSink, WorkerSamples};
 use crate::backend::{Backend, QualityReport, QualitySummary, Worker, WorkerCfg};
@@ -318,46 +318,28 @@ impl Drop for MultiQueueWorker<'_> {
     }
 }
 
-/// Any linearizable [`ConcurrentPq`] behind the [`Backend`] interface —
-/// [`CoarsePq`], [`LockedPq`] (and, via its trait impl, the MultiQueue
-/// itself when thread-local randomness is fine).
+/// The exact baseline behind the [`Backend`] interface: one
+/// [`LockedPq`] — a single global lock around one binary heap — whose
+/// every dequeue returns the true minimum.
 #[derive(Debug)]
-pub struct ConcurrentPqBackend<C: ConcurrentPq<u64>> {
-    pq: C,
-    label: String,
-    exact: bool,
+pub struct ConcurrentPqBackend {
+    pq: LockedPq<u64>,
     proxies: SampleSink,
 }
 
-impl ConcurrentPqBackend<CoarsePq<u64>> {
-    /// The single-global-lock exact baseline.
+impl ConcurrentPqBackend {
+    /// The single-global-lock exact baseline, labelled `coarse-pq`.
     pub fn coarse() -> Self {
-        Self::new(CoarsePq::new(), "coarse-pq", true)
-    }
-}
-
-impl ConcurrentPqBackend<LockedPq<u64, BinaryHeap<u64, u64>>> {
-    /// One spinlocked binary heap (exact, hint-published).
-    pub fn locked_heap() -> Self {
-        Self::new(LockedPq::new(BinaryHeap::new()), "locked-heap", true)
-    }
-}
-
-impl<C: ConcurrentPq<u64>> ConcurrentPqBackend<C> {
-    /// Wraps an arbitrary concurrent priority queue.
-    pub fn new(pq: C, label: &str, exact: bool) -> Self {
         ConcurrentPqBackend {
-            pq,
-            label: label.to_string(),
-            exact,
+            pq: LockedPq::new(BinaryHeap::new()),
             proxies: SampleSink::default(),
         }
     }
 }
 
-impl<C: ConcurrentPq<u64>> Backend for ConcurrentPqBackend<C> {
+impl Backend for ConcurrentPqBackend {
     fn name(&self) -> String {
-        self.label.clone()
+        "coarse-pq".into()
     }
 
     fn family(&self) -> Family {
@@ -382,16 +364,16 @@ impl<C: ConcurrentPq<u64>> Backend for ConcurrentPqBackend<C> {
     fn quality(&self) -> QualityReport {
         QualityReport::named("dequeue_rank_proxy")
             .with_summary(QualitySummary::from_samples(&self.proxies.drain()))
-            .scalar("exact_structure", if self.exact { 1.0 } else { 0.0 })
+            .scalar("exact_structure", 1.0)
     }
 }
 
-struct ConcurrentPqWorker<'a, C: ConcurrentPq<u64>> {
-    pq: &'a C,
+struct ConcurrentPqWorker<'a> {
+    pq: &'a LockedPq<u64>,
     proxy: WorkerSamples<'a>,
 }
 
-impl<C: ConcurrentPq<u64>> Worker for ConcurrentPqWorker<'_, C> {
+impl Worker for ConcurrentPqWorker<'_> {
     fn execute(&mut self, op: &Op) -> bool {
         let pq = self.pq;
         match op.kind {
@@ -441,15 +423,10 @@ mod tests {
 
     #[test]
     fn exact_backends_conserve() {
-        let backends: Vec<Box<dyn Backend>> = vec![
-            Box::new(ConcurrentPqBackend::coarse()),
-            Box::new(ConcurrentPqBackend::locked_heap()),
-        ];
-        for b in &backends {
-            let counts = drive(b.as_ref(), 1_000, false);
-            b.verify(&counts)
-                .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-        }
+        let b = ConcurrentPqBackend::coarse();
+        let counts = drive(&b, 1_000, false);
+        b.verify(&counts)
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
     }
 
     #[test]

@@ -497,7 +497,6 @@ fn run_cell(scenario: &Scenario, backend: &dyn Backend, cell: Option<&SweepCell>
         report.cell = Some(cell.name.clone());
         report.grid = cell.coords.clone();
     }
-    report.rank_proxy_calibration = report.quality.get("rank_proxy_calibration");
     if let Some(dir) = &scenario.export {
         // Degrade export failures to warnings: the measurements are
         // already in hand, and one bad path must not destroy a sweep.
@@ -505,27 +504,8 @@ fn run_cell(scenario: &Scenario, backend: &dyn Backend, cell: Option<&SweepCell>
             eprintln!("warning: {e}");
             report.export_errors.push(e);
         }
-        if report.telemetry.is_some() {
-            if let Err(e) = export_prometheus(dir, &report) {
-                eprintln!("warning: {e}");
-                report.export_errors.push(e);
-            }
-        }
     }
     report
-}
-
-/// Writes the run's telemetry as one Prometheus text-exposition file,
-/// keyed like the history artifacts: `<dir>/<cell>/<backend>.prom`.
-fn export_prometheus(dir: &Path, report: &RunReport) -> Result<(), String> {
-    let key = report.cell.as_deref().unwrap_or(&report.scenario);
-    let path = dir.join(key).join(format!("{}.prom", report.backend));
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)
-            .map_err(|e| format!("create telemetry-export dir {}: {e}", parent.display()))?;
-    }
-    std::fs::write(&path, crate::telemetry::write_prometheus(report))
-        .map_err(|e| format!("write telemetry export {}: {e}", path.display()))
 }
 
 /// Serializes the backend's recorded history (if any) as one artifact
@@ -1325,8 +1305,8 @@ mod tests {
         assert_eq!(totals.prefill, 0);
         assert_eq!(r.counts.prefill, 1_000);
         // Contention counters flowed through the snapshots.
-        let c = t.total_contention();
-        assert!(c.camp_switches >= 1, "sticky camps missing: {c:?}");
+        let camps: u64 = t.intervals.iter().map(|s| s.contention.camp_switches).sum();
+        assert!(camps >= 1, "sticky camps missing");
         // The series renders into the report JSON.
         let j = r.to_json();
         assert!(j.contains("\"telemetry\":{"), "{j}");
@@ -1341,46 +1321,6 @@ mod tests {
         );
         assert!(plain.telemetry.is_none());
         assert!(!plain.to_json().contains("\"telemetry\":"));
-    }
-
-    #[test]
-    fn telemetry_sweep_exports_prometheus_per_cell() {
-        use crate::telemetry::parse_prometheus;
-        use dlz_core::PolicyCfg;
-        let dir = std::env::temp_dir().join(format!("dlz-engine-prom-{}", std::process::id()));
-        let base = small("t-prom-sweep", Family::Queue)
-            .mix(OpMix::new(50, 50, 0))
-            .budget(Budget::OpsPerWorker(4_000))
-            .prefill(500)
-            .telemetry_interval(Duration::from_millis(2))
-            .export(dir.clone())
-            .build();
-        let spec =
-            SweepSpec::new(base).policies(&[PolicyCfg::TwoChoice, PolicyCfg::Sticky { ops: 8 }]);
-        let reports = run_sweep(&spec, |cell| {
-            vec![Box::new(MultiQueueBackend::heap_policy(
-                8,
-                DeleteMode::Strict,
-                cell.scenario.choice_policy,
-                1,
-            )) as Box<dyn Backend>]
-        });
-        assert_eq!(reports.len(), 2);
-        for r in &reports {
-            assert!(r.verified(), "{:?}", r.verify_error);
-            let cell = r.cell.as_deref().expect("sweep tag");
-            let path = dir.join(cell).join(format!("{}.prom", r.backend));
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("missing {}: {e}", path.display()));
-            let samples = parse_prometheus(&text).expect("exported file parses strictly");
-            // Every sample carries the cell's grid coordinates.
-            let first = samples.first().expect("samples");
-            assert_eq!(first.label("cell"), Some(cell));
-            assert_eq!(first.label("axis_policy"), Some(r.policy.as_str()));
-            // The time series made it to disk.
-            assert!(samples.iter().any(|s| s.name == "dlz_interval_ops"));
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1517,14 +1457,15 @@ mod tests {
         let s = small("t-noexport", Family::Queue)
             .mix(OpMix::new(50, 50, 0))
             .prefill(100)
+            .telemetry_interval(Duration::from_millis(2))
             .export(dir.clone())
             .build();
         let b = MultiQueueBackend::heap(4, DeleteMode::Strict);
         let r = run(&s, &b);
-        assert!(r.verified());
+        assert!(r.verified() && r.telemetry.is_some());
         assert!(
             !dir.join("t-noexport").exists(),
-            "no history recorded, so no artifact may be written"
+            "no history recorded, so nothing may be written: telemetry lives in the report"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1548,16 +1489,19 @@ mod tests {
         assert!(r.verified(), "{:?}", r.verify_error);
         assert!(r.quality.get("rank_proxy_mean").expect("proxy mean") > 0.0);
         let c = r
-            .rank_proxy_calibration
+            .quality
+            .get("rank_proxy_calibration")
             .expect("calibration on history runs");
         assert!(c.is_finite() && c > 0.0, "calibration {c}");
-        assert!(r.to_json().contains("\"rank_proxy_calibration\":"));
+        // Reported once, inside `quality`.
+        let j = r.to_json();
+        assert_eq!(j.matches("\"rank_proxy_calibration\":").count(), 1, "{j}");
         // Non-history runs carry no calibration field.
         let plain = run(
             &small("t-plain", Family::Queue).prefill(100).build(),
             &MultiQueueBackend::heap(8, DeleteMode::Strict),
         );
-        assert!(plain.rank_proxy_calibration.is_none());
+        assert!(plain.quality.get("rank_proxy_calibration").is_none());
         assert!(!plain.to_json().contains("rank_proxy_calibration"));
     }
 

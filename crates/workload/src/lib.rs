@@ -12,7 +12,7 @@
 //!   population with an [`ArrivalShape`], prefill, seed. A named
 //!   [`Scenario::catalog`] ships ≥ 6 presets.
 //! * [`Backend`] — the single interface every structure implements:
-//!   relaxed counters, the MultiQueue, every `dlz-pq` linearizable
+//!   relaxed counters, the MultiQueue, the exact one-lock `dlz-pq`
 //!   queue, and the TL2 STM
 //!   (see [`backends`]).
 //! * [`engine::run`] — the concurrent driver: barrier start, sharded
@@ -72,7 +72,6 @@ pub mod op;
 pub mod report;
 pub mod scenario;
 pub mod sweep;
-pub mod telemetry;
 
 pub use backend::{Backend, QualityReport, QualitySummary, Worker, WorkerCfg};
 pub use clients::{ArrivalShape, ClientReport, ClientStats};
@@ -86,4 +85,3 @@ pub use op::{Op, OpCounts, OpKind, OpMix};
 pub use report::{FaultReport, RunReport, WorkerOutcome};
 pub use scenario::{Budget, Family, Scenario, ScenarioBuilder};
 pub use sweep::{SweepCell, SweepSpec};
-pub use telemetry::{parse_prometheus, write_prometheus, PromSample};

@@ -287,16 +287,6 @@ impl TelemetrySeries {
         }
         t
     }
-
-    /// Sum of every interval's contention counters (gauge takes the
-    /// max, as [`ContentionStats::merge`] defines).
-    pub fn total_contention(&self) -> ContentionStats {
-        let mut t = ContentionStats::new();
-        for s in &self.intervals {
-            t.merge(&s.contention);
-        }
-        t
-    }
 }
 
 /// Latency summary extracted from a merged histogram, for reports.
@@ -433,7 +423,12 @@ mod tests {
         assert_eq!(series.intervals[0].counts.updates, 8);
         assert_eq!(series.intervals[1].counts.updates, 6);
         assert_eq!(series.totals().updates, 23);
-        assert_eq!(series.total_contention().try_lock_failures, 7);
+        let fails: u64 = series
+            .intervals
+            .iter()
+            .map(|s| s.contention.try_lock_failures)
+            .sum();
+        assert_eq!(fails, 7);
         // Merge order across workers does not change the series.
         let mut other = TelemetrySeries::new(100);
         other.merge_worker(&[snap(1, 6, 1), snap(0, 3, 0)]);

@@ -105,12 +105,6 @@ pub struct RunReport {
     /// Swept grid coordinates as `(axis, value-label)` pairs; empty
     /// outside sweeps and for 1×1 grids with no explicit axes.
     pub grid: Vec<(String, String)>,
-    /// Ratio of the checker-exact mean dequeue rank to the mean
-    /// `dequeue_rank_proxy` sample, measured on history scenarios —
-    /// the correction factor that makes the cheap proxy interpretable
-    /// on non-history runs. `None` when the run recorded no history or
-    /// the proxy drew no (or only zero) samples.
-    pub rank_proxy_calibration: Option<f64>,
     /// Simulated-client accounting when the scenario set
     /// [`clients`](crate::Scenario::clients) > 0: active clients,
     /// arrival backlog, and the queueing/service latency split (see
@@ -125,9 +119,9 @@ pub struct RunReport {
     /// Fault-injection outcome when the scenario armed a fault plan;
     /// `None` for healthy runs.
     pub faults: Option<FaultReport>,
-    /// Artifact-export failures (history / Prometheus writes). The run
-    /// itself is unaffected — the engine degrades export errors to
-    /// warnings — but they are recorded here so callers can fail loudly.
+    /// History-artifact export failures. The run itself is unaffected —
+    /// the engine degrades export errors to warnings — but they are
+    /// recorded here so callers can fail loudly.
     pub export_errors: Vec<String>,
 }
 
@@ -221,9 +215,6 @@ impl RunReport {
                 qo.f64(name, *value);
             }
         });
-        if let Some(c) = self.rank_proxy_calibration {
-            o.f64("rank_proxy_calibration", c);
-        }
         if let Some(c) = &self.clients {
             o.obj("clients", |co| {
                 co.u64("count", c.clients)
@@ -337,7 +328,6 @@ pub(crate) fn skeleton(scenario: &Scenario, backend_name: String) -> RunReport {
         policy: scenario.choice_policy.label(),
         cell: None,
         grid: Vec::new(),
-        rank_proxy_calibration: None,
         clients: None,
         telemetry: None,
         faults: None,

@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use distlin::core::rng::{Rng64, Xoshiro256};
 use distlin::core::MultiQueue;
-use distlin::pq::{CoarsePq, ConcurrentPq};
+use distlin::pq::{BinaryHeap, ConcurrentPq, LockedPq};
 
 /// Compressed sparse row graph with u32 weights.
 struct Graph {
@@ -144,7 +144,7 @@ fn main() {
         graph.edges.len()
     );
 
-    let exact: CoarsePq<u32> = CoarsePq::with_capacity(n);
+    let exact: LockedPq<u32> = LockedPq::new(BinaryHeap::with_capacity(n));
     let (d_exact, wasted_exact, t_exact) = sssp(&graph, 0, &exact, threads);
     println!("  exact coarse PQ : {t_exact:.3}s, {wasted_exact} stale pops");
 

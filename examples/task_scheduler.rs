@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use distlin::core::clock::FaaClock;
 use distlin::core::RelaxedFifo;
-use distlin::pq::{CoarsePq, ConcurrentPq};
+use distlin::pq::{BinaryHeap, ConcurrentPq, LockedPq};
 
 const PRODUCERS: usize = 2;
 const CONSUMERS: usize = 2;
@@ -106,7 +106,7 @@ fn main() {
 
     // Exact scheduler: one big lock; timestamps from a shared FAA clock.
     let submit_clock = FaaClock::new();
-    let exact: CoarsePq<u64> = CoarsePq::with_capacity(total as usize);
+    let exact: LockedPq<u64> = LockedPq::new(BinaryHeap::with_capacity(total as usize));
     let (secs, executed, inv) = run_pipeline(
         |id| {
             use distlin::core::clock::Clock;
