@@ -267,6 +267,20 @@ mod tests {
     }
 
     #[test]
+    fn sequential_weighted_schedule_matches_classic_weighted_two_choice() {
+        use crate::process::WeightedTwoChoice;
+        // Staleness 0 draws nothing extra: the async weighted process is
+        // the classic one, draw for draw.
+        for seed in 0..4 {
+            let mut a = AsyncWeightedTwoChoice::new(64, Schedule::Sequential, seed);
+            let mut c = WeightedTwoChoice::new(64, seed);
+            a.run(200_000);
+            c.run(200_000);
+            assert_eq!(a.bins().weights(), c.bins().weights(), "seed {seed}");
+        }
+    }
+
+    #[test]
     #[allow(clippy::needless_range_loop)]
     fn stale_weight_reconstruction_is_exact() {
         // Brute-force check: replay the process and compare stale values

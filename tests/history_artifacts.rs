@@ -5,9 +5,11 @@
 //! directory yields one grid-indexed, policy-tagged artifact per
 //! (cell × backend).
 
-use distlin::core::spec::{judge, replay_artifact, HistoryArtifact};
+use distlin::core::spec::{judge, replay_artifact, ArtifactHistory, FifoOp, HistoryArtifact};
 use distlin::core::{DeleteMode, PolicyCfg};
-use distlin::workload::backends::{policy_roster, CounterBackend, MultiQueueBackend};
+use distlin::workload::backends::{
+    policy_roster, CounterBackend, MultiQueueBackend, RelaxedFifoBackend,
+};
 use distlin::workload::{
     engine, Backend, Budget, Family, OpMix, QualitySummary, Scenario, SweepSpec,
 };
@@ -308,4 +310,40 @@ fn single_thread_op_sequences_are_pinned_per_policy_and_mode() {
             );
         }
     }
+}
+
+#[test]
+fn single_thread_relaxed_fifo_history_is_pinned() {
+    // The FIFO is the one history whose update stamps and enqueue
+    // timestamps both come from fetch-and-add words, so this digest pins
+    // both: every event's kind, element id, invoke / update / response
+    // stamps and thread, the prefill worker's included.
+    let s = Scenario::builder("pinned-fifo", Family::Fifo)
+        .threads(1)
+        .budget(Budget::OpsPerWorker(2_000))
+        .mix(OpMix::new(50, 45, 5))
+        .prefill(200)
+        .record_history(true)
+        .seed(0x5eed_f1f0)
+        .build();
+    let b = RelaxedFifoBackend::new(8);
+    let r = engine::run(&s, &b);
+    assert!(r.verified(), "{:?}", r.verify_error);
+    let artifact = b.take_history_artifact().expect("history recorded");
+    let ArtifactHistory::Fifo(history) = artifact.history else {
+        panic!("a FIFO backend records a FIFO history");
+    };
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for e in &history.events {
+        // The op-sequence digest's kind codes: 1 = insert, 2 = dequeue.
+        let (kind, id) = match e.label {
+            FifoOp::Enqueue { id } => (1, id),
+            FifoOp::Dequeue { id } => (2, id),
+        };
+        fold(&mut digest, kind, id, e.invoke);
+        fold(&mut digest, e.update, e.response, e.thread as u64);
+    }
+    assert!(history.len() > 2_000, "prefill and run both recorded");
+    let expected = 0x73b6_4539_d9b3_e737u64;
+    assert_eq!(digest, expected, "digest {digest:#018x} != pinned {expected:#018x}");
 }
