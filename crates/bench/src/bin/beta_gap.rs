@@ -13,7 +13,7 @@
 use dlz_bench::tables::f3;
 use dlz_bench::{Config, Table};
 use dlz_sim::process::{good_op_probabilities, majorizes, one_plus_beta_probabilities};
-use dlz_sim::{BallsProcess, OnePlusBeta};
+use dlz_sim::{OnePlusBeta, PotentialTrace};
 
 fn main() {
     let cfg = Config::from_args();
@@ -24,15 +24,9 @@ fn main() {
     println!("Section 6.2: (1+beta)-choice process, m = {m}, {steps} steps\n");
     let mut table = Table::new(&["beta", "max_gap", "ln(m)/beta", "gap·beta/ln(m)"]);
     for beta in [1.0, 0.5, 0.25, 0.125, 0.0625] {
-        let mut p = OnePlusBeta::new(m, beta, cfg.seed);
-        let mut max_gap: f64 = 0.0;
-        let chunk = 10_000;
-        let mut done = 0;
-        while done < steps {
-            p.run(chunk.min(steps - done));
-            done += chunk;
-            max_gap = max_gap.max(p.bins().gap());
-        }
+        let mut trace = PotentialTrace::new(1.0, 10_000);
+        trace.run(&mut OnePlusBeta::new(m, beta, cfg.seed), steps);
+        let max_gap = trace.max_gap();
         table.row(vec![
             f3(beta),
             f3(max_gap),

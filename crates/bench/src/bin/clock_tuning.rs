@@ -19,8 +19,8 @@ use std::time::Instant;
 use dlz_bench::tables::f3;
 use dlz_bench::{Config, Table};
 use dlz_core::rng::{Rng64, Xoshiro256};
-use dlz_core::MultiCounter;
-use dlz_stm::{ClockStrategy, ExactClock, Gv4Clock, Gv5Clock, RelaxedClock, Tl2, TxStats};
+use dlz_core::{ExactCounter, MultiCounter};
+use dlz_stm::{ClockStrategy, RelaxedClock, Tl2, TxStats};
 
 fn run<C: ClockStrategy>(stm: &Tl2<C>, threads: usize, per: usize, seed: u64) -> (f64, TxStats) {
     let all = Mutex::new(TxStats::default());
@@ -67,54 +67,30 @@ fn main() {
     );
     let mut table = Table::new(&["clock", "m", "delta", "Mtx/s", "abort%", "future aborts"]);
 
-    let exact = Tl2::new(objects, ExactClock::new());
-    let (mops, stats) = run(&exact, threads, per, cfg.seed);
-    table.row(vec![
-        "exact(GV1)".into(),
-        "-".into(),
-        "-".into(),
-        f3(mops),
-        format!("{:.2}", stats.abort_rate() * 100.0),
-        stats.future_version.to_string(),
-    ]);
-
-    // TL2's own improved clocks, for context: the deterministic points
-    // on the same traffic-vs-aborts trade-off curve the MultiCounter
-    // clock explores probabilistically.
-    let gv4 = Tl2::new(objects, Gv4Clock::new());
-    let (mops, stats) = run(&gv4, threads, per, cfg.seed);
-    table.row(vec![
-        "gv4(CAS)".into(),
-        "-".into(),
-        "-".into(),
-        f3(mops),
-        format!("{:.2}", stats.abort_rate() * 100.0),
-        stats.future_version.to_string(),
-    ]);
-    let gv5 = Tl2::new(objects, Gv5Clock::new());
-    let (mops, stats) = run(&gv5, threads, per, cfg.seed);
-    table.row(vec![
-        "gv5(inc-on-abort)".into(),
-        "-".into(),
-        "-".into(),
-        f3(mops),
-        format!("{:.2}", stats.abort_rate() * 100.0),
-        stats.future_version.to_string(),
-    ]);
-
-    for (m_factor, kappa) in [(8usize, 4.0), (4, 2.0), (2, 3.0), (2, 1.0), (1, 1.0)] {
-        let m = (m_factor * threads).max(2);
-        let delta = RelaxedClock::suggested_delta(m, kappa);
-        let stm = Tl2::new(objects, RelaxedClock::new(MultiCounter::new(m), delta));
-        let (mops, stats) = run(&stm, threads, per, cfg.seed);
+    let mut row = |clock: &str, m: String, delta: String, (mops, stats): (f64, TxStats)| {
         table.row(vec![
-            "relaxed".into(),
-            m.to_string(),
-            delta.to_string(),
+            clock.into(),
+            m,
+            delta,
             f3(mops),
             format!("{:.2}", stats.abort_rate() * 100.0),
             stats.future_version.to_string(),
         ]);
+    };
+
+    let exact = Tl2::new(objects, ExactCounter::new());
+    row(
+        "exact(GV1)",
+        "-".into(),
+        "-".into(),
+        run(&exact, threads, per, cfg.seed),
+    );
+    for (m_factor, kappa) in [(8usize, 4.0), (4, 2.0), (2, 3.0), (2, 1.0), (1, 1.0)] {
+        let m = (m_factor * threads).max(2);
+        let delta = RelaxedClock::suggested_delta(m, kappa);
+        let stm = Tl2::new(objects, RelaxedClock::new(MultiCounter::new(m), delta));
+        let measured = run(&stm, threads, per, cfg.seed);
+        row("relaxed", m.to_string(), delta.to_string(), measured);
     }
     table.print();
     println!("\nExpected shape: throughput falls and future-version aborts climb as Δ grows;");

@@ -12,7 +12,7 @@
 
 use dlz_bench::tables::f3;
 use dlz_bench::{Config, Table};
-use dlz_sim::{BallsProcess, CorruptedTwoChoice, CorruptionPattern};
+use dlz_sim::{CorruptedTwoChoice, CorruptionPattern, PotentialTrace};
 
 fn main() {
     let cfg = Config::from_args();
@@ -50,14 +50,9 @@ fn main() {
     for (name, pattern) in patterns {
         let mut p = CorruptedTwoChoice::new(m, pattern, cfg.seed);
         // Sample the gap along the way; report the worst.
-        let mut max_gap: f64 = 0.0;
-        let chunk = 10_000.min(steps);
-        let mut done = 0;
-        while done < steps {
-            p.run(chunk.min(steps - done));
-            done += chunk;
-            max_gap = max_gap.max(p.bins().gap());
-        }
+        let mut trace = PotentialTrace::new(1.0, 10_000);
+        trace.run(&mut p, steps);
+        let max_gap = trace.max_gap();
         table.row(vec![
             name,
             f3(pattern.rate()),

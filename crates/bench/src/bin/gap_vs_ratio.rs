@@ -15,7 +15,7 @@
 
 use dlz_bench::tables::f3;
 use dlz_bench::{Config, Table};
-use dlz_sim::{AsyncTwoChoice, BallsProcess, Schedule};
+use dlz_sim::{AsyncTwoChoice, PotentialTrace, Schedule};
 
 fn main() {
     let cfg = Config::from_args();
@@ -40,14 +40,9 @@ fn main() {
     ] {
         let n = m * den / num;
         let mut p = AsyncTwoChoice::new(m, Schedule::BatchStampede { n }, cfg.seed);
-        let mut max_gap: f64 = 0.0;
-        let chunk = 10_000;
-        let mut done = 0;
-        while done < steps {
-            p.run(chunk.min(steps - done));
-            done += chunk;
-            max_gap = max_gap.max(p.bins().gap());
-        }
+        let mut trace = PotentialTrace::new(1.0, 10_000);
+        trace.run(&mut p, steps);
+        let max_gap = trace.max_gap();
         table.row(vec![
             format!("{num}/{den}"),
             n.to_string(),

@@ -1,9 +1,16 @@
-//! The exact, linearizable counter baseline.
+//! The exact, linearizable counter: the workspace's one fetch-and-add
+//! word.
 //!
 //! A single fetch-and-add word. Correct and simple — and the scalability
 //! bottleneck the paper starts from: every increment contends on one
 //! cache line, so throughput *decreases* as threads are added (Fig. 1a's
 //! implicit baseline, and TL2's global-clock problem in Section 8).
+//!
+//! It is also every exact stamp source: the history recorder's stamps
+//! (`spec::Recorder`), the MultiQueue's update stamps
+//! ([`MqHandle::stamped`](crate::MqHandle::stamped)), the relaxed FIFO's
+//! enqueue timestamps (Algorithm 2's `Clock.Read()`) and TL2's exact
+//! global clock (GV1, in `dlz_stm`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -34,35 +41,33 @@ impl ExactCounter {
         }
     }
 
-    /// Creates a counter starting at `v`.
-    pub const fn with_value(v: u64) -> Self {
-        ExactCounter {
-            value: CachePadded::new(AtomicU64::new(v)),
-        }
-    }
-
     /// Atomically adds one and returns the *previous* value (the
     /// hardware fetch-and-increment of the paper's system model).
+    ///
+    /// Acquire/Release: a thread that reads value `v` also sees every
+    /// write made before the increment that produced `v` (TL2 orders
+    /// commit write-backs with version numbers through this). Values are
+    /// unique, and their order extends the real-time order of the calls.
     #[inline]
     pub fn fetch_increment(&self) -> u64 {
-        self.value.fetch_add(1, Ordering::Relaxed)
+        self.value.fetch_add(1, Ordering::AcqRel)
     }
 }
 
 impl RelaxedCounter for ExactCounter {
     #[inline]
     fn increment(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
+        self.fetch_increment();
     }
 
     #[inline]
     fn read(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.value.load(Ordering::Acquire)
     }
 
     #[inline]
     fn read_exact(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.read()
     }
 }
 
@@ -78,13 +83,6 @@ mod tests {
             assert_eq!(c.fetch_increment(), i);
         }
         assert_eq!(c.read(), 100);
-    }
-
-    #[test]
-    fn with_value_starts_there() {
-        let c = ExactCounter::with_value(41);
-        c.increment();
-        assert_eq!(c.read(), 42);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //!
 //! | Paper | Here |
 //! |---|---|
+//! | System model's fetch-and-increment: Section 5's stamps, Algorithm 2's `Clock.Read()`, TL2's exact clock (GV1) | [`ExactCounter`], the one fetch-and-add word |
 //! | Algorithm 1 (MultiCounter) | [`MultiCounter`] |
 //! | Algorithm 2 (MultiQueue) | [`MultiQueue`], [`RelaxedFifo`] |
 //! | Section 5 (distributional linearizability) | [`spec`] |
@@ -59,14 +60,12 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod counter;
 pub mod json;
 pub mod queue;
 pub mod rng;
 pub mod spec;
 
-pub use clock::{Clock, FaaClock, MonotonicNanoClock};
 pub use counter::{ExactCounter, MultiCounter, RelaxedCounter, ShardedCounter};
 pub use dlz_pq::ContentionStats;
 pub use queue::{

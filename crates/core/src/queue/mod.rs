@@ -10,8 +10,8 @@
 //!   hints per dequeue, camps of `s` same-kind ops), built from the
 //!   declarative [`PolicyCfg`] (two-choice, d-choice, sticky).
 //! * [`RelaxedFifo`] — the queue-like façade: priorities are timestamps
-//!   drawn from a [`Clock`](crate::clock::Clock), so dequeues return an
-//!   element among the roughly O(m log m) oldest (Theorem 7.1).
+//!   drawn from an [`ExactCounter`](crate::ExactCounter), so dequeues
+//!   return an element among the roughly O(m log m) oldest (Theorem 7.1).
 
 mod multiqueue;
 pub mod policy;

@@ -87,7 +87,6 @@
 //!   within the policy's documented envelope (O(s·m) for stickiness).
 
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use dlz_pq::locked::EMPTY_HINT;
@@ -95,6 +94,7 @@ use dlz_pq::{
     Attempt, Backoff, BinaryHeap, ConcurrentPq, ContentionStats, LockedPq, SeqPriorityQueue,
 };
 
+use crate::counter::ExactCounter;
 use crate::queue::policy::{ChoiceOp, Policy, PolicyCfg};
 use crate::rng::{with_thread_rng, Rng64, Xoshiro256};
 
@@ -224,11 +224,11 @@ impl Stamp for NoStamp {
 }
 
 /// History mode: update stamps from the caller's shared counter.
-impl Stamp for &AtomicU64 {
+impl Stamp for &ExactCounter {
     type Mark = u64;
     #[inline]
     fn draw(self) -> u64 {
-        self.fetch_add(1, Ordering::AcqRel)
+        self.fetch_increment()
     }
 }
 
@@ -880,18 +880,17 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
     ///
     /// # Example
     /// ```
-    /// use std::sync::atomic::AtomicU64;
-    /// use dlz_core::MultiQueue;
+    /// use dlz_core::{ExactCounter, MultiQueue};
     ///
     /// let mq: MultiQueue<u64> = MultiQueue::new(4);
-    /// let stamper = AtomicU64::new(0);
+    /// let stamper = ExactCounter::new();
     /// let mut h = mq.handle(7);
     /// let s0 = h.stamped(&stamper).insert(10, 10);
     /// let (p, _, s1) = h.stamped(&stamper).dequeue().unwrap();
     /// assert_eq!(p, 10);
     /// assert!(s1 > s0);
     /// ```
-    pub fn stamped<'s>(&'s mut self, stamper: &'s AtomicU64) -> Stamped<'s, 'a, V, Q> {
+    pub fn stamped<'s>(&'s mut self, stamper: &'s ExactCounter) -> Stamped<'s, 'a, V, Q> {
         Stamped {
             handle: self,
             stamper,
@@ -908,7 +907,7 @@ where
     Q: SeqPriorityQueue<u64, V> + Send,
 {
     handle: &'s mut MqHandle<'a, V, Q>,
-    stamper: &'s AtomicU64,
+    stamper: &'s ExactCounter,
 }
 
 impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> Stamped<'_, '_, V, Q> {
@@ -967,6 +966,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> Stamped<'_, '_, V, Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     #[test]
@@ -1071,7 +1071,7 @@ mod tests {
     #[test]
     fn stamped_ops_produce_unique_ordered_stamps() {
         let mq: MultiQueue<u64> = MultiQueue::new(4);
-        let stamper = AtomicU64::new(0);
+        let stamper = ExactCounter::new();
         let mut h = mq.handle(7);
         let mut stamps = Vec::new();
         for p in 0..100u64 {
@@ -1295,7 +1295,7 @@ mod tests {
             DeleteMode::Strict,
             PolicyCfg::Sticky { ops: 5 },
         );
-        let stamper = AtomicU64::new(0);
+        let stamper = ExactCounter::new();
         let mut h = mq.handle(11);
         let mut stamps = Vec::new();
         for p in 0..150u64 {
@@ -1344,7 +1344,7 @@ mod tests {
     #[test]
     fn stamped_batch_ops_stamp_every_item_uniquely() {
         let mq: MultiQueue<u64> = MultiQueue::new(4);
-        let stamper = AtomicU64::new(0);
+        let stamper = ExactCounter::new();
         let mut h = mq.handle(13);
         let mut stamps = Vec::new();
         let items: Vec<(u64, u64)> = (0..50).map(|i| (i, i)).collect();
@@ -1666,7 +1666,7 @@ mod tests {
             // (bounded, batch): the batch forms take no deadline.
             for (bounded, batch) in [(false, false), (true, false), (false, true)] {
                 fill_and_drain(mode, bounded, batch, NoStamp);
-                let stamper = AtomicU64::new(1);
+                let stamper = ExactCounter::new();
                 let [inserted, served] = fill_and_drain(mode, bounded, batch, &stamper);
                 let what = format!("{mode:?} / bounded: {bounded} / batch: {batch}");
                 let mut stamps: Vec<u64> = inserted.iter().chain(&served).map(|e| e.1).collect();
@@ -1743,7 +1743,7 @@ mod tests {
     fn concurrent_stamps_are_unique_and_complete() {
         use std::collections::BTreeSet;
         let mq = Arc::new(mq_on(4, DeleteMode::Strict));
-        let stamper = AtomicU64::new(0);
+        let stamper = ExactCounter::new();
         let threads = 4usize;
         let per = 500u64;
         let mut all: Vec<(u64, u64)> = std::thread::scope(|s| {

@@ -3,25 +3,25 @@
 //! Section 7.1: "to enqueue, a thread reads the wall clock, chooses a
 //! random priority queue, and adds the element to that priority queue
 //! with priority given by the time." This wrapper does exactly that,
-//! generic over the [`Clock`]. With an exact clock every element has a
-//! unique, insertion-ordered timestamp, so dequeue rank error equals
-//! "how far from FIFO" the structure is — the quantity Theorem 7.1
-//! bounds by O(m) in expectation.
+//! with an [`ExactCounter`] as the clock: every element has a unique,
+//! insertion-ordered timestamp, so dequeue rank error equals "how far
+//! from FIFO" the structure is — the quantity Theorem 7.1 bounds by
+//! O(m) in expectation.
 
-use dlz_pq::{BinaryHeap, SeqPriorityQueue};
+use dlz_pq::BinaryHeap;
 
-use crate::clock::{Clock, FaaClock};
+use crate::counter::ExactCounter;
 use crate::queue::{DeleteMode, MultiQueue};
 use crate::rng::{with_thread_rng, Rng64};
 
-/// A relaxed FIFO queue: MultiQueue + clock-assigned priorities.
+/// A relaxed FIFO queue: MultiQueue + counter-assigned priorities.
 ///
 /// # Example
 /// ```
-/// use dlz_core::{RelaxedFifo, clock::FaaClock};
+/// use dlz_core::RelaxedFifo;
 /// use dlz_core::rng::Xoshiro256;
 ///
-/// let q: RelaxedFifo<&str> = RelaxedFifo::new(4, FaaClock::new());
+/// let q: RelaxedFifo<&str> = RelaxedFifo::new(4);
 /// let mut rng = Xoshiro256::new(1);
 /// q.enqueue_with(&mut rng, "first");
 /// q.enqueue_with(&mut rng, "second");
@@ -31,42 +31,28 @@ use crate::rng::{with_thread_rng, Rng64};
 /// assert_ne!(a, b);
 /// ```
 #[derive(Debug)]
-pub struct RelaxedFifo<V, C = FaaClock, Q = BinaryHeap<u64, V>>
-where
-    V: Send,
-    C: Clock,
-    Q: SeqPriorityQueue<u64, V> + Send,
-{
-    mq: MultiQueue<V, Q>,
-    clock: C,
+pub struct RelaxedFifo<V: Send> {
+    mq: MultiQueue<V>,
+    clock: ExactCounter,
 }
 
-impl<V: Send, C: Clock> RelaxedFifo<V, C> {
+impl<V: Send> RelaxedFifo<V> {
     /// Creates a relaxed FIFO with `m` internal binary-heap queues.
-    pub fn new(m: usize, clock: C) -> Self {
+    pub fn new(m: usize) -> Self {
         RelaxedFifo {
             mq: MultiQueue::with_queues(
                 (0..m).map(|_| BinaryHeap::new()).collect(),
                 DeleteMode::Strict,
             ),
-            clock,
-        }
-    }
-}
-
-impl<V: Send, C: Clock, Q: SeqPriorityQueue<u64, V> + Send> RelaxedFifo<V, C, Q> {
-    /// Builds from explicit internal queues.
-    pub fn with_queues(queues: Vec<Q>, mode: DeleteMode, clock: C) -> Self {
-        RelaxedFifo {
-            mq: MultiQueue::with_queues(queues, mode),
-            clock,
+            clock: ExactCounter::new(),
         }
     }
 
-    /// Enqueue with an explicit generator; the timestamp comes from the
-    /// clock at call time (Algorithm 2's `Clock.Read()`).
+    /// Enqueue with an explicit generator; the timestamp is drawn from
+    /// the clock at call time (Algorithm 2's `Clock.Read()`).
     pub fn enqueue_with(&self, rng: &mut impl Rng64, value: V) {
-        self.mq.insert_two_choice(rng, self.clock.tick(), value);
+        self.mq
+            .insert_two_choice(rng, self.clock.fetch_increment(), value);
     }
 
     /// Dequeue with an explicit generator: an approximately-oldest
@@ -101,12 +87,12 @@ impl<V: Send, C: Clock, Q: SeqPriorityQueue<u64, V> + Send> RelaxedFifo<V, C, Q>
     }
 
     /// The underlying MultiQueue (for checkers and diagnostics).
-    pub fn multiqueue(&self) -> &MultiQueue<V, Q> {
+    pub fn multiqueue(&self) -> &MultiQueue<V> {
         &self.mq
     }
 
-    /// The clock used for timestamps.
-    pub fn clock(&self) -> &C {
+    /// The counter that draws the enqueue timestamps.
+    pub fn clock(&self) -> &ExactCounter {
         &self.clock
     }
 }
@@ -114,13 +100,13 @@ impl<V: Send, C: Clock, Q: SeqPriorityQueue<u64, V> + Send> RelaxedFifo<V, C, Q>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{FaaClock, MonotonicNanoClock};
+    use crate::counter::RelaxedCounter;
     use crate::rng::Xoshiro256;
     use std::sync::Arc;
 
     #[test]
     fn everything_enqueued_is_dequeued_once() {
-        let q: RelaxedFifo<u64> = RelaxedFifo::new(8, FaaClock::new());
+        let q: RelaxedFifo<u64> = RelaxedFifo::new(8);
         let mut rng = Xoshiro256::new(1);
         for v in 0..2_000u64 {
             q.enqueue_with(&mut rng, v);
@@ -135,7 +121,7 @@ mod tests {
         // Sequential execution, m = 8: the dequeue rank (how many older
         // elements were still present) must stay O(m)-ish.
         let m = 8;
-        let q: RelaxedFifo<u64> = RelaxedFifo::new(m, FaaClock::new());
+        let q: RelaxedFifo<u64> = RelaxedFifo::new(m);
         let mut rng = Xoshiro256::new(2);
         let n = 5_000u64;
         for v in 0..n {
@@ -154,21 +140,16 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_timestamps_are_monotone_per_thread() {
-        let q: RelaxedFifo<u64, MonotonicNanoClock> =
-            RelaxedFifo::new(4, MonotonicNanoClock::new());
+    fn dequeued_timestamps_follow_enqueue_order() {
+        let q: RelaxedFifo<u64> = RelaxedFifo::new(4);
         let mut rng = Xoshiro256::new(3);
         for v in 0..100u64 {
             q.enqueue_with(&mut rng, v);
         }
-        // Timestamps seen at dequeue reflect enqueue order: element v's
-        // timestamp <= element (v+1)'s (single-threaded enqueues).
-        let mut ts_by_value = vec![0u64; 100];
+        // The timestamp a dequeue reports is the one its element was
+        // enqueued with: one draw per enqueue, in enqueue order.
         while let Some((ts, v)) = q.dequeue_with_timestamp(&mut rng) {
-            ts_by_value[v as usize] = ts;
-        }
-        for w in ts_by_value.windows(2) {
-            assert!(w[0] <= w[1]);
+            assert_eq!(ts, v);
         }
     }
 
@@ -177,7 +158,7 @@ mod tests {
         const PRODUCERS: usize = 2;
         const CONSUMERS: usize = 2;
         const PER: u64 = 5_000;
-        let q: Arc<RelaxedFifo<u64>> = Arc::new(RelaxedFifo::new(8, FaaClock::new()));
+        let q: Arc<RelaxedFifo<u64>> = Arc::new(RelaxedFifo::new(8));
         let got: Vec<u64> = std::thread::scope(|s| {
             for t in 0..PRODUCERS {
                 let q = Arc::clone(&q);
@@ -213,11 +194,11 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let q: RelaxedFifo<u8> = RelaxedFifo::new(3, FaaClock::new());
+        let q: RelaxedFifo<u8> = RelaxedFifo::new(3);
         assert!(q.is_empty());
         assert_eq!(q.multiqueue().num_queues(), 3);
         q.enqueue(9);
         assert_eq!(q.len(), 1);
-        assert!(q.clock().now() >= 1);
+        assert_eq!(q.clock().read(), 1);
     }
 }

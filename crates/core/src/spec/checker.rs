@@ -258,16 +258,20 @@ mod tests {
         let mut log = rec.log(0);
         let mut rng = Xoshiro256::new(7);
         for _ in 0..500 {
-            log.record(|clock| {
+            log.record(|stamps| {
                 mc.increment_with(&mut rng);
-                Some((CounterOp::Inc, clock.stamp(), ()))
+                Some((CounterOp::Inc, stamps.fetch_increment(), ()))
             });
         }
         // A few relaxed reads interleaved at the end.
         for _ in 0..20 {
-            log.record(|clock| {
+            log.record(|stamps| {
                 let v = mc.read_with(&mut rng);
-                Some((CounterOp::Read { returned: v }, clock.stamp(), ()))
+                Some((
+                    CounterOp::Read { returned: v },
+                    stamps.fetch_increment(),
+                    (),
+                ))
             });
         }
         drop(log);

@@ -236,24 +236,24 @@ mod tests {
         // dequeue: the structure is demonstrably not linearizable to
         // the exact PQ spec, which is why Definition 5.2 exists.
         use crate::queue::{MqHandle, MultiQueue, PolicyCfg};
-        use crate::spec::history::StampClock;
+        use crate::ExactCounter;
 
         let mut found_violation = false;
         'outer: for seed in 0..50u64 {
             let mq: MultiQueue<u64> = MultiQueue::new(4);
-            let clock = StampClock::new();
+            let stamps = ExactCounter::new();
             let mut h = MqHandle::with_policy(&mq, seed, PolicyCfg::TwoChoice.build());
             let mut events = Vec::new();
             for p in 0..6u64 {
-                let inv = clock.stamp();
+                let inv = stamps.fetch_increment();
                 h.insert(p, p);
-                let resp = clock.stamp();
+                let resp = stamps.fetch_increment();
                 events.push(ev_at(PqOp::Insert { priority: p }, inv, resp));
             }
             for _ in 0..6 {
-                let inv = clock.stamp();
+                let inv = stamps.fetch_increment();
                 if let Some((p, _)) = h.dequeue() {
-                    let resp = clock.stamp();
+                    let resp = stamps.fetch_increment();
                     events.push(ev_at(PqOp::DeleteMin { removed: p }, inv, resp));
                 }
             }

@@ -5,7 +5,9 @@
 //! process `R` that preserves outputs and the order of non-overlapping
 //! operations. We build that mapping *constructively*:
 //!
-//! * A global [`StampClock`] issues strictly increasing stamps.
+//! * One [`ExactCounter`] per recorder issues strictly increasing
+//!   stamps: its `fetch_increment` values are unique, and their order
+//!   extends the real-time order of the draws.
 //! * Each operation records an *invoke* stamp, an *update* stamp taken
 //!   inside its atomic update step (the `fetch_add`, or inside the
 //!   internal queue's critical section), and a *response* stamp.
@@ -15,51 +17,16 @@
 //!   that order through the completed LTS produces the quantitative
 //!   path whose costs the definition distributes over.
 //!
-//! One [`Recorder`] per structure owns all three pieces — the clock,
-//! the per-thread [`ThreadLog`]s and the judged artifact — so every
-//! history in the workspace (the workload backends', the integration
-//! tests') is stamped, salvaged and judged by the same code.
+//! One [`Recorder`] per structure owns all three pieces — the stamp
+//! counter, the per-thread [`ThreadLog`]s and the judged artifact — so
+//! every history in the workspace (the workload backends', the
+//! integration tests') is stamped, salvaged and judged by the same code.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::spec::artifact::HistoryArtifact;
 use crate::spec::checker::{judge, Verdict};
-
-/// A shared monotone stamp source.
-///
-/// Stamps are handed out by `fetch_add`, so they are unique and their
-/// numeric order extends the real-time order of the stamping events.
-#[derive(Debug, Default)]
-pub struct StampClock {
-    next: AtomicU64,
-}
-
-impl StampClock {
-    /// Creates a clock starting at stamp 0.
-    pub const fn new() -> Self {
-        StampClock {
-            next: AtomicU64::new(0),
-        }
-    }
-
-    /// Draws the next stamp.
-    #[inline]
-    pub fn stamp(&self) -> u64 {
-        self.next.fetch_add(1, Ordering::AcqRel)
-    }
-
-    /// Access to the raw atomic, for structures whose stamped operations
-    /// take an `&AtomicU64` (e.g. `MultiQueue::insert_stamped`).
-    pub fn as_atomic(&self) -> &AtomicU64 {
-        &self.next
-    }
-
-    /// How many stamps have been issued.
-    pub fn issued(&self) -> u64 {
-        self.next.load(Ordering::Acquire)
-    }
-}
+use crate::ExactCounter;
 
 /// One completed operation in a recorded history.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,9 +43,9 @@ pub struct Event<L> {
     pub response: u64,
 }
 
-/// Records one structure's concurrent history: the [`StampClock`] every
-/// operation draws from, the events its [`ThreadLog`]s hand back, and
-/// the last judged history packaged for export.
+/// Records one structure's concurrent history: the [`ExactCounter`]
+/// every operation draws its stamps from, the events its [`ThreadLog`]s
+/// hand back, and the last judged history packaged for export.
 ///
 /// This is the only way a history comes into being: workers take a
 /// [`log`](Self::log), record through it, and drop it; the owner then
@@ -86,7 +53,7 @@ pub struct Event<L> {
 /// [`History`] with [`take_history`](Self::take_history)).
 #[derive(Debug)]
 pub struct Recorder<L> {
-    clock: StampClock,
+    stamps: ExactCounter,
     events: Mutex<Vec<Event<L>>>,
     artifact: Mutex<Option<HistoryArtifact>>,
 }
@@ -94,7 +61,7 @@ pub struct Recorder<L> {
 impl<L> Default for Recorder<L> {
     fn default() -> Self {
         Recorder {
-            clock: StampClock::new(),
+            stamps: ExactCounter::new(),
             events: Mutex::new(Vec::new()),
             artifact: Mutex::new(None),
         }
@@ -102,7 +69,7 @@ impl<L> Default for Recorder<L> {
 }
 
 impl<L> Recorder<L> {
-    /// An empty recorder with a clock starting at stamp 0.
+    /// An empty recorder whose first stamp is 0.
     pub fn new() -> Self {
         Self::default()
     }
@@ -165,17 +132,21 @@ pub struct ThreadLog<'r, L> {
 
 impl<L> ThreadLog<'_, L> {
     /// Records one operation: invoke stamp, the operation body,
-    /// response stamp. The body draws its update stamp from the clock
-    /// it is handed, inside its atomic update step, and returns the
-    /// label (output baked in), that stamp and a value for the caller.
+    /// response stamp. The body draws its update stamp from the counter
+    /// it is handed (`fetch_increment`), inside its atomic update step,
+    /// and returns the label (output baked in), that stamp and a value
+    /// for the caller.
     /// A body returning `None` — a dequeue that found nothing — is no
     /// operation of the history: nothing is logged and no response
     /// stamp is drawn.
-    pub fn record<R>(&mut self, op: impl FnOnce(&StampClock) -> Option<(L, u64, R)>) -> Option<R> {
-        let clock = &self.recorder.clock;
-        let invoke = clock.stamp();
-        let (label, update, out) = op(clock)?;
-        let response = clock.stamp();
+    pub fn record<R>(
+        &mut self,
+        op: impl FnOnce(&ExactCounter) -> Option<(L, u64, R)>,
+    ) -> Option<R> {
+        let stamps = &self.recorder.stamps;
+        let invoke = stamps.fetch_increment();
+        let (label, update, out) = op(stamps)?;
+        let response = stamps.fetch_increment();
         self.events.push(Event {
             thread: self.thread,
             label,
@@ -245,40 +216,20 @@ impl<L> History<L> {
 
     /// Checks that update order respects the real-time order of
     /// non-overlapping operations: if `a.response < b.invoke` then
-    /// `a.update < b.update`. With stamps from one [`StampClock`] this
+    /// `a.update < b.update`. With stamps from one [`ExactCounter`] this
     /// holds by construction; the checker asserts it anyway.
     pub fn respects_real_time(&self) -> bool {
-        // Sort by update; then for any pair out of real-time order the
-        // earlier-responding op would appear after the later-invoked
-        // one. O(n log n) check via max-invoke prefix scanning.
+        // No event may be ordered (by update stamp) before one that
+        // responded before it was invoked: scan in reverse update order,
+        // keeping the smallest response among the later events.
         let mut by_update: Vec<&Event<L>> = self.events.iter().collect();
         by_update.sort_by_key(|e| e.update);
-        // For each event in update order, all *previous* events must not
-        // have responded before this one was... precisely: no earlier
-        // event (in update order) may have invoke > this response.
-        // Equivalently: running max of response so far must not exceed
-        // any later event's... simplest correct check: for consecutive
-        // scan, track min response of all events seen so far is not
-        // needed; we need: for every pair i<j (update order),
-        // NOT (events[j].response < events[i].invoke).
-        // That is: min over j>i of response must be >= ... do it with a
-        // suffix-min of response and compare with invoke.
-        let n = by_update.len();
-        if n == 0 {
-            return true;
-        }
-        let mut suffix_min_resp = vec![u64::MAX; n];
-        let mut m = u64::MAX;
-        for i in (0..n).rev() {
-            m = m.min(by_update[i].response);
-            suffix_min_resp[i] = m;
-        }
-        for i in 0..n.saturating_sub(1) {
-            if suffix_min_resp[i + 1] < by_update[i].invoke {
-                return false;
-            }
-        }
-        true
+        let mut later_min_response = u64::MAX;
+        by_update.iter().rev().all(|e| {
+            let ordered = later_min_response >= e.invoke;
+            later_min_response = later_min_response.min(e.response);
+            ordered
+        })
     }
 
     /// The labels in update order (consumes sorting internally).
@@ -297,19 +248,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stamp_clock_is_strictly_increasing() {
-        let c = StampClock::new();
-        let a = c.stamp();
-        let b = c.stamp();
-        assert!(b > a);
-        assert_eq!(c.issued(), 2);
-    }
-
-    #[test]
     fn record_produces_ordered_stamps() {
         let rec = Recorder::new();
         let mut log = rec.log(0);
-        assert_eq!(log.record(|c| Some(("op", c.stamp(), 7))), Some(7));
+        assert_eq!(
+            log.record(|c| Some(("op", c.fetch_increment(), 7))),
+            Some(7)
+        );
         drop(log);
         let h = rec.take_history();
         assert_eq!(h.len(), 1);
@@ -323,7 +268,7 @@ mod tests {
         let rec = Recorder::new();
         let mut log = rec.log(0);
         assert_eq!(log.record(|_| None::<(&str, u64, ())>), None);
-        log.record(|c| Some(("next", c.stamp(), ())));
+        log.record(|c| Some(("next", c.fetch_increment(), ())));
         drop(log);
         let h = rec.take_history();
         assert_eq!((h.len(), h.events[0].invoke), (1, 1));
@@ -335,7 +280,7 @@ mod tests {
         let inner = rec.clone();
         let died = std::thread::spawn(move || {
             let mut log = inner.log(0);
-            log.record(|c| Some(('b', c.stamp(), ())));
+            log.record(|c| Some(('b', c.fetch_increment(), ())));
             panic!("mid-operation");
         })
         .join();
@@ -438,9 +383,9 @@ mod tests {
     fn merge_multiple_thread_logs() {
         let rec = Recorder::new();
         let (mut l0, mut l1) = (rec.log(0), rec.log(1));
-        l0.record(|c| Some((0u8, c.stamp(), ())));
-        l1.record(|c| Some((1u8, c.stamp(), ())));
-        l0.record(|c| Some((2u8, c.stamp(), ())));
+        l0.record(|c| Some((0u8, c.fetch_increment(), ())));
+        l1.record(|c| Some((1u8, c.fetch_increment(), ())));
+        l0.record(|c| Some((2u8, c.fetch_increment(), ())));
         drop((l0, l1));
         let h = rec.take_history();
         assert_eq!(h.len(), 3);

@@ -25,7 +25,9 @@
 //! sequential path whose costs Definition 5.2 talks about.
 //!
 //! The path from operations to a verdict exists once. A
-//! [`history::Recorder`] owns the stamp clock, the per-thread logs and
+//! [`history::Recorder`] owns the stamp counter (the workspace's one
+//! fetch-and-add word, [`ExactCounter`](crate::ExactCounter)), the
+//! per-thread logs and
 //! their salvage when a thread dies; [`artifact`] packages what it
 //! recorded with the metadata that selects its envelope, in a versioned
 //! serialized form (`.histjsonl`); and [`checker::judge`] reads replay,
@@ -49,7 +51,7 @@ pub use checker::{
     RANK_BOUND_C,
 };
 pub use exact::{check_linearizable, Linearizability};
-pub use history::{Event, History, Recorder, StampClock, ThreadLog};
+pub use history::{Event, History, Recorder, ThreadLog};
 pub use lts::{Lts, SequentialSpec};
 pub use relaxation::{CostDistribution, PathCost, QuantitativeRelaxation};
 pub use specs::{CounterOp, CounterSpec, FifoOp, FifoSpec, PqOp, PqSpec};

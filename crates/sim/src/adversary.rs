@@ -268,15 +268,24 @@ mod tests {
 
     #[test]
     fn sequential_weighted_schedule_matches_classic_weighted_two_choice() {
-        use crate::process::WeightedTwoChoice;
         // Staleness 0 draws nothing extra: the async weighted process is
-        // the classic one, draw for draw.
+        // the classic one, draw for draw — two uniform bins, the lighter
+        // one (ties to the first) gets an Exp(1) weight by inversion.
         for seed in 0..4 {
             let mut a = AsyncWeightedTwoChoice::new(64, Schedule::Sequential, seed);
-            let mut c = WeightedTwoChoice::new(64, seed);
             a.run(200_000);
-            c.run(200_000);
-            assert_eq!(a.bins().weights(), c.bins().weights(), "seed {seed}");
+            let (mut bins, mut rng) = (BinState::new(64), Xoshiro256::new(seed));
+            for _ in 0..200_000 {
+                let i = rng.bounded(64) as usize;
+                let j = rng.bounded(64) as usize;
+                let target = if bins.weight(i) <= bins.weight(j) {
+                    i
+                } else {
+                    j
+                };
+                bins.add(target, -(1.0 - rng.uniform_f64()).ln());
+            }
+            assert_eq!(a.bins().weights(), bins.weights(), "seed {seed}");
         }
     }
 

@@ -45,7 +45,7 @@ pub use bins::BinState;
 pub use corrupted::{CorruptedTwoChoice, CorruptionPattern};
 pub use fenwick::Fenwick;
 pub use potential::{PaperConstants, PotentialTrace};
-pub use process::{BallsProcess, DChoice, OnePlusBeta, WeightedTwoChoice};
+pub use process::{BallsProcess, DChoice, OnePlusBeta};
 pub use queue_process::QueueProcess;
 pub use stats::{RunningStats, Summary};
 pub use wheel::TimerWheel;

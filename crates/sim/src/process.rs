@@ -11,10 +11,13 @@
 //!   [Peres–Talwar–Wieder]: gap `O(log m / β)`. The analysis shows a
 //!   good(γ) concurrent operation majorizes a (1+β) step with β = 2γ,
 //!   which is how Theorem 6.1 inherits the O(log m) bound.
-//! * [`WeightedTwoChoice`] — two-choice with Exp(1) increments: the
-//!   generalization Theorem 7.1 needs for MultiQueues (the timestamp
-//!   differences between consecutive head elements are approximately
-//!   exponential).
+//!
+//! Theorem 7.1's weighted setting — two-choice with Exp(1) increments,
+//! the generalization MultiQueues need (the timestamp differences
+//! between consecutive head elements are approximately exponential) —
+//! is [`AsyncWeightedTwoChoice`](crate::AsyncWeightedTwoChoice); at
+//! [`Schedule::Sequential`](crate::Schedule::Sequential) it is the
+//! classical sequential process, draw for draw.
 
 use dlz_core::rng::{Rng64, Xoshiro256};
 
@@ -136,46 +139,6 @@ impl OnePlusBeta {
 }
 common_impl!(OnePlusBeta);
 
-/// Two-choice with Exp(1) weights (Theorem 7.1's setting).
-#[derive(Debug, Clone)]
-pub struct WeightedTwoChoice {
-    bins: BinState,
-    rng: Xoshiro256,
-    steps: u64,
-}
-
-impl WeightedTwoChoice {
-    /// `m` bins, deterministic seed.
-    pub fn new(m: usize, seed: u64) -> Self {
-        WeightedTwoChoice {
-            bins: BinState::new(m),
-            rng: Xoshiro256::new(seed),
-            steps: 0,
-        }
-    }
-
-    /// Exp(1) sample by inversion: −ln(1 − U).
-    fn sample_exp(&mut self) -> f64 {
-        let u = self.rng.uniform_f64();
-        -(1.0 - u).ln()
-    }
-
-    fn step_impl(&mut self) {
-        let m = self.bins.len() as u64;
-        let i = self.rng.bounded(m) as usize;
-        let j = self.rng.bounded(m) as usize;
-        let target = if self.bins.weight(i) <= self.bins.weight(j) {
-            i
-        } else {
-            j
-        };
-        let w = self.sample_exp();
-        self.bins.add(target, w);
-        self.steps += 1;
-    }
-}
-common_impl!(WeightedTwoChoice);
-
 /// The exact per-rank probability vector of the (1+β) process (Section
 /// 6.2): `p_i = (1−β)/m + β·(2(m−i)+1)/m²` for the i-th *least* loaded
 /// bin, i ∈ 1..=m.
@@ -274,7 +237,8 @@ mod tests {
 
     #[test]
     fn weighted_process_total_is_near_t() {
-        let mut w = WeightedTwoChoice::new(64, 5);
+        use crate::{AsyncWeightedTwoChoice, Schedule};
+        let mut w = AsyncWeightedTwoChoice::new(64, Schedule::Sequential, 5);
         w.run(100_000);
         // E[W] = 1, so total ≈ t within a few sigma (σ = √t).
         let total = w.bins().total();

@@ -1,5 +1,6 @@
-//! Global-clock strategies for TL2: exact fetch-and-add vs the paper's
-//! relaxed MultiCounter clock with Δ future-writing.
+//! Global-clock strategies for TL2: exact fetch-and-add (GV1, the
+//! [`ExactCounter`]) vs the paper's relaxed MultiCounter clock with Δ
+//! future-writing — the two clocks Section 8 compares.
 //!
 //! TL2's correctness argument leans on the global version clock `G`:
 //! a transaction reads `rv = G` at start and trusts any location whose
@@ -20,10 +21,8 @@
 //! probe of the two-choice increment that advances the clock (see
 //! [`RelaxedClock`]'s `write_version`), not a second `Read()` after it.
 
-use dlz_core::clock::Clock;
-use dlz_core::counter::{MultiCounter, RelaxedCounter};
+use dlz_core::counter::{ExactCounter, MultiCounter, RelaxedCounter};
 use dlz_core::rng::with_thread_rng;
-use dlz_core::FaaClock;
 
 /// How a TL2 instance obtains read and write versions.
 pub trait ClockStrategy: Send + Sync {
@@ -45,7 +44,7 @@ pub trait ClockStrategy: Send + Sync {
     /// Called by the engine after every abort.
     ///
     /// The relaxed clock uses this for liveness, in the spirit of TL2's
-    /// GV5 ("increment on abort") variant: a thread that keeps aborting
+    /// GV5 ("increment on abort") clock: a thread that keeps aborting
     /// on future versions nudges the distributed clock forward, so the
     /// global time is guaranteed to pass the blocking version even if
     /// no other thread is committing. Exact clocks need no such help.
@@ -53,147 +52,22 @@ pub trait ClockStrategy: Send + Sync {
 }
 
 /// The TL2 baseline: one fetch-and-add word (called GV1 in TL2's
-/// terminology).
-#[derive(Debug, Default)]
-pub struct ExactClock {
-    clock: FaaClock,
-}
-
-impl ExactClock {
-    /// Creates a clock at zero.
-    pub fn new() -> Self {
-        ExactClock {
-            clock: FaaClock::new(),
-        }
-    }
-
-    /// Current value (diagnostics).
-    pub fn now(&self) -> u64 {
-        self.clock.now()
-    }
-}
-
-impl ClockStrategy for ExactClock {
+/// terminology). Every writing commit draws a unique version, so the
+/// clock orders commits exactly — and every commit is a contended RMW on
+/// one cache line, the bottleneck Section 8 attacks.
+impl ClockStrategy for ExactCounter {
     #[inline]
     fn read_version(&self, _tmax: u64) -> u64 {
-        self.clock.now()
+        self.read()
     }
 
     #[inline]
     fn write_version(&self, _tmax: u64, _max_old_version: u64) -> u64 {
-        self.clock.tick()
+        self.fetch_increment() + 1
     }
 
     fn is_exact(&self) -> bool {
         true
-    }
-}
-
-/// TL2's GV4 ("pass on failure") clock: a CAS that tolerates losing.
-///
-/// A committer tries `CAS(G, g, g+1)` once. If the CAS fails, some
-/// other committer has already advanced the clock past `g`, and the
-/// *observed* new value can safely be used as this transaction's write
-/// version too (both hold disjoint write-locks, and any reader that
-/// must be ordered after either of them will see a version larger than
-/// its `rv` either way). This halves the RMW traffic under heavy
-/// commit contention at the cost of occasionally sharing write
-/// versions, which in turn forbids the `wv == rv + 1` validation
-/// short-cut — so [`is_exact`](ClockStrategy::is_exact) is `false`.
-#[derive(Debug, Default)]
-pub struct Gv4Clock {
-    time: dlz_pq::CachePadded<std::sync::atomic::AtomicU64>,
-}
-
-impl Gv4Clock {
-    /// Creates a clock at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current value (diagnostics).
-    pub fn now(&self) -> u64 {
-        self.time.load(std::sync::atomic::Ordering::Acquire)
-    }
-}
-
-impl ClockStrategy for Gv4Clock {
-    fn read_version(&self, _tmax: u64) -> u64 {
-        self.time.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    fn write_version(&self, _tmax: u64, _max_old_version: u64) -> u64 {
-        use std::sync::atomic::Ordering;
-        let cur = self.time.load(Ordering::Relaxed);
-        match self
-            .time
-            .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => cur + 1,
-            // Lost the race: adopt the winner's (strictly larger) value.
-            Err(actual) => actual,
-        }
-    }
-
-    fn is_exact(&self) -> bool {
-        false // shared write versions: the rv+1 short-cut is unsound
-    }
-}
-
-/// TL2's GV5 ("increment on abort") clock.
-///
-/// Commits use `G + 1` *without* writing `G`; the clock only advances
-/// when a transaction aborts on a too-new version. Writes to the clock
-/// cache line become rare, but every freshly written location carries a
-/// version one ahead of `G`, so the *first* reader of any recent write
-/// aborts once (and advances `G` in doing so) — a deliberate trade of
-/// extra aborts for less clock traffic. This is the deterministic
-/// ancestor of the paper's relaxed design: Section 8's MultiCounter
-/// clock makes the same "stamp ahead, let readers catch up" bet, but
-/// with a scalable counter and a probabilistic skew bound instead of a
-/// single word.
-#[derive(Debug, Default)]
-pub struct Gv5Clock {
-    time: dlz_pq::CachePadded<std::sync::atomic::AtomicU64>,
-}
-
-impl Gv5Clock {
-    /// Creates a clock at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current value (diagnostics).
-    pub fn now(&self) -> u64 {
-        self.time.load(std::sync::atomic::Ordering::Acquire)
-    }
-}
-
-impl ClockStrategy for Gv5Clock {
-    fn read_version(&self, _tmax: u64) -> u64 {
-        self.time.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    fn write_version(&self, _tmax: u64, max_old_version: u64) -> u64 {
-        use std::sync::atomic::Ordering;
-        // No store: stamp one ahead of the current time (and past any
-        // overwritten version, which may itself be one ahead).
-        (self.time.load(Ordering::Acquire)).max(max_old_version) + 1
-    }
-
-    fn is_exact(&self) -> bool {
-        false
-    }
-
-    fn on_abort(&self, reason: crate::tx::AbortReason) {
-        use std::sync::atomic::Ordering;
-        // Catch the clock up so the retry can see the blocking version.
-        if matches!(
-            reason,
-            crate::tx::AbortReason::FutureVersion | crate::tx::AbortReason::ReadValidation
-        ) {
-            self.time.fetch_add(1, Ordering::AcqRel);
-        }
     }
 }
 
@@ -294,12 +168,43 @@ mod tests {
 
     #[test]
     fn exact_clock_monotone_unique() {
-        let c = ExactClock::new();
+        let c = ExactCounter::new();
         let rv = c.read_version(0);
         let wv1 = c.write_version(0, 0);
         let wv2 = c.write_version(0, 0);
-        assert!(rv < wv1 && wv1 < wv2);
+        assert_eq!((rv, wv1, wv2, c.read()), (0, 1, 2, 2));
         assert!(ClockStrategy::is_exact(&c));
+    }
+
+    #[test]
+    fn faa_clock_unique_under_contention() {
+        // TL2's `wv == rv + 1` short-cut is sound only if no two commits
+        // share a write version.
+        let c = ExactCounter::new();
+        let mut all: Vec<u64> = std::thread::scope(|s| {
+            let hs: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..10_000)
+                            .map(|_| c.write_version(0, 0))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            hs.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        all.sort_unstable();
+        assert_eq!(all, (1..=40_000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn per_thread_monotonicity_across_threads() {
+        // A transaction that begins after a commit returned must see it:
+        // its read version, on any thread, is at least that write version.
+        let c = ExactCounter::new();
+        let wv = c.write_version(0, 0);
+        let rv = std::thread::scope(|s| s.spawn(|| c.read_version(0)).join().unwrap());
+        assert!(rv >= wv);
     }
 
     #[test]
@@ -344,40 +249,6 @@ mod tests {
         let c = RelaxedClock::new(MultiCounter::new(8), 10);
         // Counter is near zero, but the thread has seen timestamp 999.
         assert!(c.read_version(999) >= 999);
-    }
-
-    #[test]
-    fn gv4_versions_never_decrease() {
-        let c = Gv4Clock::new();
-        let mut last = 0;
-        for _ in 0..100 {
-            let wv = c.write_version(0, 0);
-            assert!(wv >= last);
-            assert!(wv > c.read_version(0).saturating_sub(1));
-            last = wv;
-        }
-        assert_eq!(c.now(), 100); // uncontended: every CAS succeeds
-    }
-
-    #[test]
-    fn gv5_does_not_advance_on_commit() {
-        let c = Gv5Clock::new();
-        let wv1 = c.write_version(0, 0);
-        let wv2 = c.write_version(0, 0);
-        assert_eq!(wv1, 1);
-        assert_eq!(wv2, 1, "GV5 shares versions until an abort advances G");
-        assert_eq!(c.now(), 0);
-        c.on_abort(crate::tx::AbortReason::FutureVersion);
-        assert_eq!(c.now(), 1);
-        assert_eq!(c.write_version(0, 0), 2);
-        // Overwritten versions are still respected.
-        assert_eq!(c.write_version(0, 10), 11);
-    }
-
-    #[test]
-    fn gv4_gv5_are_not_exact() {
-        assert!(!ClockStrategy::is_exact(&Gv4Clock::new()));
-        assert!(!ClockStrategy::is_exact(&Gv5Clock::new()));
     }
 
     #[test]

@@ -34,17 +34,19 @@ use crate::vlock::{is_locked, version_of};
 
 /// A TL2 software transactional memory over a [`TArray`].
 ///
-/// Generic over the [`ClockStrategy`]: [`ExactClock`] gives classical
-/// TL2, [`RelaxedClock`] gives the paper's Section-8 variant.
+/// Generic over the [`ClockStrategy`]: an [`ExactCounter`] gives
+/// classical TL2 (GV1), [`RelaxedClock`] gives the paper's Section-8
+/// variant.
 ///
-/// [`ExactClock`]: crate::clock::ExactClock
+/// [`ExactCounter`]: dlz_core::ExactCounter
 /// [`RelaxedClock`]: crate::clock::RelaxedClock
 ///
 /// # Example
 /// ```
-/// use dlz_stm::{Tl2, ExactClock};
+/// use dlz_core::ExactCounter;
+/// use dlz_stm::Tl2;
 ///
-/// let stm = Tl2::new(16, ExactClock::new());
+/// let stm = Tl2::new(16, ExactCounter::new());
 /// let mut thread = stm.thread();
 /// // Transfer 10 units from cell 0 to cell 1, atomically.
 /// thread.run(|tx| {
@@ -251,13 +253,13 @@ fn restore(array: &TArray, held: &[WriteEntry]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{ExactClock, RelaxedClock};
-    use dlz_core::MultiCounter;
+    use crate::clock::RelaxedClock;
+    use dlz_core::{ExactCounter, MultiCounter, RelaxedCounter};
     use std::sync::Arc;
 
     #[test]
     fn single_threaded_increments() {
-        let stm = Tl2::new(4, ExactClock::new());
+        let stm = Tl2::new(4, ExactCounter::new());
         let mut t = stm.thread();
         for _ in 0..100 {
             t.run(|tx| tx.add(2, 1));
@@ -269,19 +271,19 @@ mod tests {
 
     #[test]
     fn read_only_transactions_commit_without_clock_ticks() {
-        let stm = Tl2::new(4, ExactClock::new());
+        let stm = Tl2::new(4, ExactCounter::new());
         let mut t = stm.thread();
-        let before = stm.clock().now();
+        let before = stm.clock().read();
         let v = t.run(|tx| tx.read(0));
         assert_eq!(v, 0);
-        assert_eq!(stm.clock().now(), before, "read-only must not tick");
+        assert_eq!(stm.clock().read(), before, "read-only must not tick");
     }
 
     #[test]
     fn atomic_transfer_preserves_sum() {
         let stm = Arc::new(Tl2::from_values(
             &[1000, 1000, 1000, 1000],
-            ExactClock::new(),
+            ExactCounter::new(),
         ));
         std::thread::scope(|s| {
             for t in 0..4usize {
@@ -316,7 +318,7 @@ mod tests {
     fn paper_workload_exact_clock() {
         // The Section 8 benchmark: pick 2 random slots, increment both.
         // Safety check: final sum == 2 × commits.
-        let stm = Arc::new(Tl2::new(256, ExactClock::new()));
+        let stm = Arc::new(Tl2::new(256, ExactCounter::new()));
         let total_commits: u64 = std::thread::scope(|s| {
             let hs: Vec<_> = (0..4usize)
                 .map(|t| {
@@ -387,103 +389,10 @@ mod tests {
     }
 
     #[test]
-    fn paper_workload_gv4_and_gv5() {
-        use crate::clock::{Gv4Clock, Gv5Clock};
-        fn run<C: crate::clock::ClockStrategy>(stm: &Tl2<C>) -> u64 {
-            std::thread::scope(|s| {
-                let hs: Vec<_> = (0..4usize)
-                    .map(|t| {
-                        let stm = &stm;
-                        s.spawn(move || {
-                            let mut h = stm.thread();
-                            let mut x: u64 = 0xF5 + t as u64;
-                            for _ in 0..3_000 {
-                                x ^= x << 13;
-                                x ^= x >> 7;
-                                x ^= x << 17;
-                                let i = (x % 512) as usize;
-                                let j = ((x >> 16) % 512) as usize;
-                                h.run(|tx| {
-                                    tx.add(i, 1)?;
-                                    tx.add(j, 1)?;
-                                    Ok(())
-                                });
-                            }
-                            h.stats().commits
-                        })
-                    })
-                    .collect();
-                hs.into_iter().map(|h| h.join().unwrap()).sum()
-            })
-        }
-        let gv4 = Tl2::new(512, Gv4Clock::new());
-        let commits = run(&gv4);
-        assert_eq!(commits, 12_000);
-        assert_eq!(gv4.array().sum_quiescent(), 2 * commits as u128);
-
-        let gv5 = Tl2::new(512, Gv5Clock::new());
-        let commits = run(&gv5);
-        assert_eq!(commits, 12_000);
-        assert_eq!(gv5.array().sum_quiescent(), 2 * commits as u128);
-    }
-
-    #[test]
-    fn gv5_snapshot_consistency() {
-        // GV5 shares write versions aggressively; the pairwise-invariant
-        // test is the sharpest detector of unsound sharing.
-        use crate::clock::Gv5Clock;
-        let pairs = 32usize;
-        let init: Vec<u64> = (0..2 * pairs)
-            .map(|i| if i % 2 == 0 { 50 } else { 0 })
-            .collect();
-        let stm = Tl2::from_values(&init, Gv5Clock::new());
-        std::thread::scope(|s| {
-            for t in 0..2 {
-                let stm = &stm;
-                s.spawn(move || {
-                    let mut h = stm.thread();
-                    let mut x: u64 = 0x77 + t as u64;
-                    for _ in 0..3_000 {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        let k = (x % pairs as u64) as usize;
-                        h.run(|tx| {
-                            let a = tx.read(2 * k)?;
-                            let b = tx.read(2 * k + 1)?;
-                            if a >= 1 {
-                                tx.write(2 * k, a - 1);
-                                tx.write(2 * k + 1, b + 1);
-                            }
-                            Ok(())
-                        });
-                    }
-                });
-            }
-            for t in 0..2 {
-                let stm = &stm;
-                s.spawn(move || {
-                    let mut h = stm.thread();
-                    let mut x: u64 = 0x99 + t as u64;
-                    for _ in 0..3_000 {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        let k = (x % pairs as u64) as usize;
-                        let (a, b) = h.run(|tx| Ok((tx.read(2 * k)?, tx.read(2 * k + 1)?)));
-                        assert_eq!(a + b, 50, "torn read under GV5");
-                    }
-                });
-            }
-        });
-        assert_eq!(stm.array().sum_quiescent(), 50 * pairs as u128);
-    }
-
-    #[test]
     fn conflicting_writers_serialize() {
         // All threads increment the SAME slot: maximal contention, the
         // final value must still be exact.
-        let stm = Arc::new(Tl2::new(1, ExactClock::new()));
+        let stm = Arc::new(Tl2::new(1, ExactCounter::new()));
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let stm = Arc::clone(&stm);
@@ -500,7 +409,7 @@ mod tests {
 
     #[test]
     fn try_once_reports_abort() {
-        let stm = Tl2::new(2, ExactClock::new());
+        let stm = Tl2::new(2, ExactCounter::new());
         // Hold a lock to force LockBusy.
         let old = stm.array().slot(0).lock.try_lock().unwrap();
         let mut h = stm.thread();
@@ -520,21 +429,24 @@ mod tests {
         assert_eq!(h.stats().lock_busy, 1);
     }
 
-    /// A write on one handle, then `try_once(read)` retried from a
-    /// second handle with nobody else committing. Returns the attempt
-    /// that committed; only `on_abort` can move the clock past the stamp.
-    fn try_once_attempts_past_a_future_stamp<C: ClockStrategy>(stm: &Tl2<C>) -> u32 {
+    #[test]
+    fn try_once_retries_get_past_a_future_stamp() {
+        // A write on one handle, then `try_once(read)` retried from a
+        // second handle with nobody else committing: only `on_abort` can
+        // move the clock past the stamp, so a retry must commit.
+        let stm = Tl2::new(2, RelaxedClock::new(MultiCounter::new(4), 16));
         stm.thread().run(|tx| {
             tx.write(0, 99);
             Ok(())
         });
         let mut reader = stm.thread();
-        for attempt in 1..=64 {
+        for attempt in 1..=64u64 {
             match reader.try_once(|tx| tx.read(0)) {
                 Ok(v) => {
                     assert_eq!(v, 99);
-                    assert_eq!(reader.stats().aborts, u64::from(attempt) - 1);
-                    return attempt;
+                    assert_eq!(reader.stats().aborts, attempt - 1);
+                    assert!(attempt > 1, "the write is future-stamped");
+                    return;
                 }
                 Err(reason) => assert_eq!(reason, AbortReason::FutureVersion),
             }
@@ -543,22 +455,11 @@ mod tests {
     }
 
     #[test]
-    fn try_once_retries_get_past_a_future_stamp() {
-        use crate::clock::Gv5Clock;
-        let relaxed = Tl2::new(2, RelaxedClock::new(MultiCounter::new(4), 16));
-        assert!(try_once_attempts_past_a_future_stamp(&relaxed) > 1);
-        // GV5 stamps one ahead and its on_abort ticks once: exactly the
-        // two attempts `run` needs.
-        let gv5 = Tl2::new(2, Gv5Clock::new());
-        assert_eq!(try_once_attempts_past_a_future_stamp(&gv5), 2);
-    }
-
-    #[test]
     fn failed_commit_restores_every_lock_it_took() {
         // Write set {0, 1, 2} with slot 2 held elsewhere: commit locks
         // 0 and 1, fails on 2, and must hand 0 and 1 back at their old
         // versions — the write set is the only record of what it holds.
-        let stm = Tl2::new(3, ExactClock::new());
+        let stm = Tl2::new(3, ExactCounter::new());
         let mut h = stm.thread();
         h.run(|tx| {
             tx.write(0, 7);
@@ -585,7 +486,7 @@ mod tests {
         // h1 reads slot 0, h2 commits over it, h1 then writes slot 0:
         // h1 holds the lock at validation time, so the verdict has to
         // come from the pre-lock word kept in its write-set entry.
-        let stm = Tl2::new(1, ExactClock::new());
+        let stm = Tl2::new(1, ExactCounter::new());
         let (mut h1, mut h2) = (stm.thread(), stm.thread());
         let r = h1.try_once(|tx| {
             let v = tx.read(0)?;
@@ -602,7 +503,7 @@ mod tests {
 
     #[test]
     fn user_abort_retries_until_condition() {
-        let stm = Tl2::new(1, ExactClock::new());
+        let stm = Tl2::new(1, ExactCounter::new());
         let mut h = stm.thread();
         let mut attempts = 0;
         h.run(|tx| {

@@ -9,8 +9,9 @@
 //!
 //! ## The two clock strategies
 //!
-//! * [`ExactClock`] — baseline TL2. One FAA word; every writing commit
-//!   bumps it; serializability is unconditional.
+//! * [`dlz_core::ExactCounter`] — baseline TL2 (GV1). The workspace's
+//!   one fetch-and-add word is the clock; every writing commit bumps it;
+//!   serializability is unconditional.
 //! * [`RelaxedClock`] — the paper's variant. Read versions are relaxed
 //!   MultiCounter samples; commit versions are stamped **in the
 //!   future** (`max(tmax, sample, overwritten versions) + Δ`), so that
@@ -64,7 +65,7 @@ pub mod tarray;
 pub mod tx;
 pub mod vlock;
 
-pub use clock::{ClockStrategy, ExactClock, Gv4Clock, Gv5Clock, RelaxedClock};
+pub use clock::{ClockStrategy, RelaxedClock};
 pub use engine::{Tl2, TxThread};
 pub use stats::TxStats;
 pub use tarray::TArray;

@@ -8,8 +8,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use dlz_core::rng::{reseed_thread_rng, Rng64, Xoshiro256};
-use dlz_core::MultiCounter;
-use dlz_stm::{Abort, ClockStrategy, ExactClock, RelaxedClock, Tl2, Tx, TxStats};
+use dlz_core::{ExactCounter, MultiCounter};
+use dlz_stm::{Abort, ClockStrategy, RelaxedClock, Tl2, Tx, TxStats};
 
 thread_local! {
     /// Allocations made by this thread. Per thread, so the libtest
@@ -58,8 +58,8 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCS.get() - before
 }
 
-fn exact(slots: usize) -> Tl2<ExactClock> {
-    Tl2::new(slots, ExactClock::new())
+fn exact(slots: usize) -> Tl2<ExactCounter> {
+    Tl2::new(slots, ExactCounter::new())
 }
 
 fn relaxed(slots: usize) -> Tl2<RelaxedClock> {
@@ -118,7 +118,7 @@ fn steady_state<C: ClockStrategy>(stm: &Tl2<C>) -> (u64, TxStats) {
 #[test]
 fn steady_state_transactions_do_not_allocate() {
     let (allocs, stats) = steady_state(&exact(8));
-    assert_eq!(allocs, 0, "ExactClock: {stats:?}");
+    assert_eq!(allocs, 0, "exact clock: {stats:?}");
     assert_eq!(stats.commits, TXNS + 2);
     assert_eq!(stats.user, 2 * (TXNS / 3));
 
@@ -186,7 +186,7 @@ fn under_a_held_lock<C: ClockStrategy>(stm: &Tl2<C>) -> (u64, u64, TxStats) {
 fn attempts_aborted_by_a_held_lock_do_not_allocate() {
     let (allocs, holder_allocs, stats) = under_a_held_lock(&exact(WIDE));
     assert!(stats.locked_read + stats.lock_busy > 0, "{stats:?}");
-    assert_eq!((allocs, holder_allocs), (0, 0), "ExactClock: {stats:?}");
+    assert_eq!((allocs, holder_allocs), (0, 0), "exact clock: {stats:?}");
 
     let (allocs, holder_allocs, stats) = under_a_held_lock(&relaxed(WIDE));
     assert!(stats.locked_read + stats.lock_busy > 0, "{stats:?}");

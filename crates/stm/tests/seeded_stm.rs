@@ -4,9 +4,9 @@
 //! plain-array model. A failing case prints its seed.
 
 use dlz_core::rng::{reseed_thread_rng, Rng64, Xoshiro256};
-use dlz_core::MultiCounter;
+use dlz_core::{ExactCounter, MultiCounter};
 use dlz_stm::vlock::{is_locked, pack, version_of, MAX_VERSION};
-use dlz_stm::{ClockStrategy, ExactClock, RelaxedClock, Tl2};
+use dlz_stm::{ClockStrategy, RelaxedClock, Tl2};
 
 /// Runs `case` once per seed in `0..cases`, each on its own generator
 /// and with the thread generator (the relaxed clock's) reseeded alike.
@@ -173,7 +173,7 @@ fn check_sequential_equivalence<C: ClockStrategy>(
 #[test]
 fn sequential_equivalence_exact_clock() {
     for_each_seed(64, |rng| {
-        let stm = Tl2::new(SLOTS, ExactClock::new());
+        let stm = Tl2::new(SLOTS, ExactCounter::new());
         check_sequential_equivalence(&stm, &random_programs(rng), rng);
     });
 }

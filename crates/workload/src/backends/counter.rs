@@ -242,9 +242,9 @@ impl Worker for CounterWorker<'_> {
                     // increment's atomic step — inside the operation's
                     // interval, which is all Definition 5.2 needs.
                     for _ in 0..op.weight {
-                        log.record(|clock| {
+                        log.record(|stamps| {
                             inner.increment_unit(rng, stripe);
-                            Some((CounterOp::Inc, clock.stamp(), ()))
+                            Some((CounterOp::Inc, stamps.fetch_increment(), ()))
                         });
                     }
                 } else {
@@ -269,9 +269,9 @@ impl Worker for CounterWorker<'_> {
             }
             OpKind::Remove | OpKind::Read => {
                 if let Some(log) = &mut self.log {
-                    log.record(|clock| {
+                    log.record(|stamps| {
                         let returned = inner.sampled_read(rng);
-                        Some((CounterOp::Read { returned }, clock.stamp(), ()))
+                        Some((CounterOp::Read { returned }, stamps.fetch_increment(), ()))
                     });
                 } else if self.deviations.due() {
                     // Bracket the relaxed read between two exact sums:

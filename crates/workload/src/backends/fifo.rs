@@ -13,7 +13,6 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use dlz_core::clock::{Clock, FaaClock};
 use dlz_core::spec::{FifoOp, HistoryArtifact, Recorder, ThreadLog};
 use dlz_core::{MqHandle, RelaxedFifo};
 use dlz_pq::ConcurrentPq;
@@ -36,12 +35,12 @@ fn element_id(worker: usize, seq: u64) -> u64 {
 /// Workers operate through their own [`MqHandle`] over the wrapped
 /// structure's MultiQueue, so the hot path carries the same contention
 /// telemetry as the priority-queue backends; enqueue timestamps come
-/// from the structure's shared [`FaaClock`] (Algorithm 2's
+/// from the structure's shared fetch-and-add counter (Algorithm 2's
 /// `Clock.Read()`), which makes the FIFO order total and the replay
 /// costs exact positions.
 #[derive(Debug)]
 pub struct RelaxedFifoBackend {
-    fifo: RelaxedFifo<u64, FaaClock>,
+    fifo: RelaxedFifo<u64>,
     label: String,
     recorder: Recorder<FifoOp>,
     /// `dequeued_ts - oldest_hint`: a timestamp-space staleness proxy
@@ -53,7 +52,7 @@ impl RelaxedFifoBackend {
     /// A relaxed FIFO over `m` internal binary heaps.
     pub fn new(m: usize) -> Self {
         RelaxedFifoBackend {
-            fifo: RelaxedFifo::new(m, FaaClock::new()),
+            fifo: RelaxedFifo::new(m),
             label: format!("relaxed-fifo(m={m})"),
             recorder: Recorder::new(),
             proxies: SampleSink::default(),
@@ -124,13 +123,13 @@ impl Worker for RelaxedFifoWorker<'_> {
                 let id = element_id(self.thread, self.seq);
                 self.seq += 1;
                 // Algorithm 2: read the clock, insert with the time as
-                // the priority. The FAA clock makes timestamps unique,
-                // so FIFO order is total and replay positions exact.
-                let ts = fifo.clock().tick();
+                // the priority. The fetch-and-add clock makes timestamps
+                // unique, so FIFO order is total and replay positions exact.
+                let ts = fifo.clock().fetch_increment();
                 match log {
                     Some(log) => {
-                        log.record(|clock| {
-                            let update = handle.stamped(clock.as_atomic()).insert(ts, id);
+                        log.record(|stamps| {
+                            let update = handle.stamped(stamps).insert(ts, id);
                             Some((FifoOp::Enqueue { id }, update, ()))
                         });
                     }
@@ -140,8 +139,8 @@ impl Worker for RelaxedFifoWorker<'_> {
             }
             OpKind::Remove => {
                 let remove = || match log {
-                    Some(log) => log.record(|clock| {
-                        let (ts, id, update) = handle.stamped(clock.as_atomic()).dequeue()?;
+                    Some(log) => log.record(|stamps| {
+                        let (ts, id, update) = handle.stamped(stamps).dequeue()?;
                         Some((FifoOp::Dequeue { id }, update, ts))
                     }),
                     None => handle.dequeue().map(|(ts, _)| ts),
@@ -235,9 +234,9 @@ impl Worker for LockedFifoWorker<'_> {
                     Some(log) => {
                         // The update stamp is taken inside the critical
                         // section: the true linearization point.
-                        log.record(|clock| {
+                        log.record(|stamps| {
                             let mut q = queue.lock().expect("queue");
-                            let update = clock.stamp();
+                            let update = stamps.fetch_increment();
                             q.push_back(id);
                             Some((FifoOp::Enqueue { id }, update, ()))
                         });
@@ -248,9 +247,9 @@ impl Worker for LockedFifoWorker<'_> {
             }
             OpKind::Remove => match &mut self.log {
                 Some(log) => log
-                    .record(|clock| {
+                    .record(|stamps| {
                         let mut q = queue.lock().expect("queue");
-                        let update = clock.stamp();
+                        let update = stamps.fetch_increment();
                         let id = q.pop_front()?;
                         Some((FifoOp::Dequeue { id }, update, ()))
                     })

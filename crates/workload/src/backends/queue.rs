@@ -243,10 +243,8 @@ impl Worker for MultiQueueWorker<'_> {
             OpKind::Update => {
                 if let Some(log) = &mut self.log {
                     let handle = &mut self.handle;
-                    log.record(|clock| {
-                        let update = handle
-                            .stamped(clock.as_atomic())
-                            .insert(op.priority, op.priority);
+                    log.record(|stamps| {
+                        let update = handle.stamped(stamps).insert(op.priority, op.priority);
                         let label = PqOp::Insert {
                             priority: op.priority,
                         };
@@ -268,8 +266,8 @@ impl Worker for MultiQueueWorker<'_> {
                     // History mode also samples the cheap rank proxy so
                     // the checker-exact ranks can calibrate it.
                     let remove = || {
-                        log.record(|clock| {
-                            let (p, _, update) = handle.stamped(clock.as_atomic()).dequeue()?;
+                        log.record(|stamps| {
+                            let (p, _, update) = handle.stamped(stamps).dequeue()?;
                             Some((PqOp::DeleteMin { removed: p }, update, p))
                         })
                     };

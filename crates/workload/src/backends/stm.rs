@@ -3,8 +3,8 @@
 use std::sync::Mutex;
 
 use dlz_core::rng::{Rng64, Xoshiro256};
-use dlz_core::MultiCounter;
-use dlz_stm::{ClockStrategy, ExactClock, RelaxedClock, Tl2, TxStats};
+use dlz_core::{ExactCounter, MultiCounter};
+use dlz_stm::{ClockStrategy, RelaxedClock, Tl2, TxStats};
 
 use crate::backend::{Backend, QualityReport, Worker, WorkerCfg};
 use crate::op::{Op, OpCounts, OpKind};
@@ -25,11 +25,11 @@ pub struct StmBackend<C: ClockStrategy> {
     stats: Mutex<TxStats>,
 }
 
-impl StmBackend<ExactClock> {
+impl StmBackend<ExactCounter> {
     /// Baseline TL2 (single fetch-and-add clock) over `slots` cells.
     pub fn exact(slots: usize) -> Self {
         StmBackend {
-            stm: Tl2::new(slots, ExactClock::new()),
+            stm: Tl2::new(slots, ExactCounter::new()),
             label: format!("stm-exact(slots={slots})"),
             slots: slots as u64,
             stats: Mutex::new(TxStats::default()),

@@ -15,9 +15,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use distlin::core::clock::{Clock, FaaClock};
 use distlin::core::rng::with_thread_rng;
-use distlin::core::MultiCounter;
+use distlin::core::{ExactCounter, MultiCounter};
 use distlin::stm::RelaxedClock;
 
 /// Stamps events with `tick` for `dur`, returning (timestamps in issue
@@ -70,9 +69,9 @@ fn main() {
 
     println!("Timestamping with {threads} threads for {dur:?}:\n");
 
-    let faa = FaaClock::new();
+    let faa = ExactCounter::new();
     let t0 = Instant::now();
-    let (streams, total) = stamp_events(|| faa.tick(), threads, dur);
+    let (streams, total) = stamp_events(|| faa.fetch_increment(), threads, dur);
     let faa_rate = total as f64 / t0.elapsed().as_secs_f64() / 1e6;
     let faa_inv = max_per_thread_inversion(&streams);
     println!("  FAA clock        : {faa_rate:.2} M stamps/s, max per-thread inversion {faa_inv}");

@@ -15,8 +15,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use distlin::core::rng::{Rng64, Xoshiro256};
-use distlin::core::MultiCounter;
-use distlin::stm::{ClockStrategy, ExactClock, RelaxedClock, Tl2, TxStats};
+use distlin::core::{ExactCounter, MultiCounter};
+use distlin::stm::{ClockStrategy, RelaxedClock, Tl2, TxStats};
 
 // 100K accounts puts the workload in the paper's Fig-1(c)/(d) regime:
 // the fraction of accounts carrying a future timestamp at any moment is
@@ -101,7 +101,7 @@ fn main() {
 
     let initial = vec![INITIAL; ACCOUNTS];
 
-    let exact = Tl2::from_values(&initial, ExactClock::new());
+    let exact = Tl2::from_values(&initial, ExactCounter::new());
     run_bank("exact clock", &exact, threads, dur);
 
     // Clock sizing: small m and tight κ keep Δ (and with it the

@@ -17,8 +17,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-use distlin::core::clock::FaaClock;
-use distlin::core::RelaxedFifo;
+use distlin::core::{ExactCounter, RelaxedFifo};
 use distlin::pq::{BinaryHeap, ConcurrentPq, LockedPq};
 
 const PRODUCERS: usize = 2;
@@ -105,13 +104,10 @@ fn main() {
     );
 
     // Exact scheduler: one big lock; timestamps from a shared FAA clock.
-    let submit_clock = FaaClock::new();
+    let submit_clock = ExactCounter::new();
     let exact: LockedPq<u64> = LockedPq::new(BinaryHeap::with_capacity(total as usize));
     let (secs, executed, inv) = run_pipeline(
-        |id| {
-            use distlin::core::clock::Clock;
-            exact.insert(submit_clock.tick(), id)
-        },
+        |id| exact.insert(submit_clock.fetch_increment(), id),
         || exact.remove_min(),
     );
     assert_eq!(executed, total);
@@ -120,10 +116,9 @@ fn main() {
         total as f64 / secs / 1e6
     );
 
-    // Relaxed scheduler: MultiQueue with FAA timestamps (deterministic;
-    // MonotonicNanoClock behaves identically).
+    // Relaxed scheduler: MultiQueue with FAA timestamps.
     let m = 4 * (PRODUCERS + CONSUMERS);
-    let mq: RelaxedFifo<u64> = RelaxedFifo::new(m, FaaClock::new());
+    let mq: RelaxedFifo<u64> = RelaxedFifo::new(m);
     let (secs, executed, inv) = run_pipeline(
         |id| mq.enqueue(id),
         || distlin::core::rng::with_thread_rng(|rng| mq.dequeue_with_timestamp(rng)),

@@ -25,17 +25,21 @@ fn record_workload<C: RelaxedCounter>(
                 let mut log = recorder.log(t);
                 for k in 0..ops_per_thread {
                     if k % read_every == read_every - 1 {
-                        log.record(|clock| {
+                        log.record(|stamps| {
                             let v = counter.read();
                             // Update point of a read: the atomic load
                             // itself. Stamping right after it keeps the
                             // stamp inside the operation interval.
-                            Some((CounterOp::Read { returned: v }, clock.stamp(), ()))
+                            Some((
+                                CounterOp::Read { returned: v },
+                                stamps.fetch_increment(),
+                                (),
+                            ))
                         });
                     } else {
-                        log.record(|clock| {
+                        log.record(|stamps| {
                             counter.increment();
-                            Some((CounterOp::Inc, clock.stamp(), ()))
+                            Some((CounterOp::Inc, stamps.fetch_increment(), ()))
                         });
                     }
                 }

@@ -27,13 +27,13 @@ fn stamped_workload(
                     if step % 3 < 2 {
                         let p = k * threads as u64 + t as u64;
                         k += 1;
-                        log.record(|clock| {
-                            let update = h.stamped(clock.as_atomic()).insert(p, p);
+                        log.record(|stamps| {
+                            let update = h.stamped(stamps).insert(p, p);
                             Some((PqOp::Insert { priority: p }, update, ()))
                         });
                     } else {
-                        log.record(|clock| {
-                            let (p, _, update) = h.stamped(clock.as_atomic()).dequeue()?;
+                        log.record(|stamps| {
+                            let (p, _, update) = h.stamped(stamps).dequeue()?;
                             Some((PqOp::DeleteMin { removed: p }, update, ()))
                         });
                     }

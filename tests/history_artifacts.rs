@@ -205,8 +205,7 @@ fn fold(digest: &mut u64, kind: u64, priority: u64, stamp: u64) {
 /// callback that observes a still-held lock changes it.
 fn pinned_op_sequence_digest(policy: PolicyCfg, mode: DeleteMode) -> u64 {
     use distlin::core::rng::{Rng64, Xoshiro256};
-    use distlin::core::MultiQueue;
-    use std::sync::atomic::AtomicU64;
+    use distlin::core::{ExactCounter, MultiQueue};
     use std::time::Duration;
 
     const INSERT: u64 = 1;
@@ -217,7 +216,9 @@ fn pinned_op_sequence_digest(policy: PolicyCfg, mode: DeleteMode) -> u64 {
         .delete_mode(mode)
         .policy(policy)
         .build();
-    let stamper = AtomicU64::new(1);
+    // The pinned stamps start at 1: draw stamp 0 away first.
+    let stamper = ExactCounter::new();
+    stamper.fetch_increment();
     let mut h = mq.handle(0xd16e_57ed);
     let mut script = Xoshiro256::new(0x5c21_97ed);
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -345,5 +346,8 @@ fn single_thread_relaxed_fifo_history_is_pinned() {
     }
     assert!(history.len() > 2_000, "prefill and run both recorded");
     let expected = 0x73b6_4539_d9b3_e737u64;
-    assert_eq!(digest, expected, "digest {digest:#018x} != pinned {expected:#018x}");
+    assert_eq!(
+        digest, expected,
+        "digest {digest:#018x} != pinned {expected:#018x}"
+    );
 }

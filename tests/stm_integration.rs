@@ -4,8 +4,8 @@
 use std::sync::Mutex;
 
 use distlin::core::rng::{Rng64, Xoshiro256};
-use distlin::core::MultiCounter;
-use distlin::stm::{ClockStrategy, ExactClock, RelaxedClock, Tl2, TxStats};
+use distlin::core::{ExactCounter, MultiCounter};
+use distlin::stm::{ClockStrategy, RelaxedClock, Tl2, TxStats};
 
 /// Runs the paper's benchmark (increment two random slots per txn) and
 /// verifies the safety condition: final sum == 2 × commits.
@@ -54,7 +54,7 @@ fn run_paper_workload<C: ClockStrategy>(
 
 #[test]
 fn exact_clock_paper_workload() {
-    let stm = Tl2::new(1_000, ExactClock::new());
+    let stm = Tl2::new(1_000, ExactCounter::new());
     let stats = run_paper_workload(&stm, 4, 5_000, 0x51);
     assert_eq!(stats.commits, 20_000);
 }
@@ -73,7 +73,7 @@ fn relaxed_clock_paper_workload_large_array() {
     // cores a descheduled lock holder makes its peers abort on the
     // locked slot until it runs again: one run in 45 read 6,268
     // `locked_read` aborts (rate 0.35) where the others read 0 to 8. An
-    // `ExactClock` twin run beside it does not share the storm (8 aborts
+    // exact-clock twin run beside it does not share the storm (8 aborts
     // next to those 6,479; in another pair 1,898 next to 227), so a twin
     // bounds it no better than a constant does.
     eprintln!(
@@ -110,7 +110,7 @@ fn relaxed_clock_small_array_survives_heavy_aborts() {
 
 #[test]
 fn exact_clock_heavy_conflict_single_slot() {
-    let stm = Tl2::new(1, ExactClock::new());
+    let stm = Tl2::new(1, ExactCounter::new());
     std::thread::scope(|s| {
         for _ in 0..4 {
             let stm = &stm;
@@ -134,7 +134,7 @@ fn snapshot_consistency_under_transfers() {
     let init: Vec<u64> = (0..2 * pairs)
         .map(|i| if i % 2 == 0 { 100 } else { 0 })
         .collect();
-    let stm = Tl2::from_values(&init, ExactClock::new());
+    let stm = Tl2::from_values(&init, ExactCounter::new());
     std::thread::scope(|s| {
         // Writers.
         for t in 0..2 {

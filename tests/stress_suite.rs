@@ -4,12 +4,11 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use distlin::core::clock::FaaClock;
 use distlin::core::rng::{Rng64, Xoshiro256};
-use distlin::core::spec::{check_distributional, FifoOp, FifoSpec, Recorder, StampClock};
-use distlin::core::{DeleteMode, MultiCounter, MultiQueue, RelaxedCounter};
+use distlin::core::spec::{check_distributional, FifoOp, FifoSpec, Recorder};
+use distlin::core::{DeleteMode, ExactCounter, MultiCounter, MultiQueue, RelaxedCounter};
 use distlin::pq::SeqPriorityQueue;
-use distlin::stm::{ExactClock, Tl2};
+use distlin::stm::Tl2;
 
 #[test]
 fn multicounter_reads_bounded_during_concurrent_run() {
@@ -152,7 +151,7 @@ fn stm_random_transaction_sizes_conserve() {
     const PER: usize = 2_000;
     const SLOTS: usize = 256;
     const INIT: u64 = 100;
-    let stm = Tl2::from_values(&[INIT; SLOTS], ExactClock::new());
+    let stm = Tl2::from_values(&[INIT; SLOTS], ExactCounter::new());
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let stm = &stm;
@@ -196,7 +195,7 @@ fn relaxed_fifo_history_maps_onto_fifo_spec() {
     const PER: usize = 4_000;
     let m = 8;
     let mq: MultiQueue<u64> = MultiQueue::new(m);
-    let ts = FaaClock::new();
+    let ts = ExactCounter::new();
     let recorder = Recorder::new();
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -204,19 +203,18 @@ fn relaxed_fifo_history_maps_onto_fifo_spec() {
             let ts = &ts;
             let recorder = &recorder;
             s.spawn(move || {
-                use distlin::core::clock::Clock;
                 let mut h = mq.handle(4000 + t as u64);
                 let mut log = recorder.log(t);
                 for step in 0..PER {
                     if step % 3 < 2 {
-                        let id = ts.tick(); // unique FIFO identity = timestamp
-                        log.record(|clock| {
-                            let update = h.stamped(clock.as_atomic()).insert(id, id);
+                        let id = ts.fetch_increment(); // unique FIFO identity = timestamp
+                        log.record(|stamps| {
+                            let update = h.stamped(stamps).insert(id, id);
                             Some((FifoOp::Enqueue { id }, update, ()))
                         });
                     } else {
-                        log.record(|clock| {
-                            let (id, _, update) = h.stamped(clock.as_atomic()).dequeue()?;
+                        log.record(|stamps| {
+                            let (id, _, update) = h.stamped(stamps).dequeue()?;
                             Some((FifoOp::Dequeue { id }, update, ()))
                         });
                     }
@@ -241,13 +239,13 @@ fn stamped_and_plain_ops_interoperate() {
     // Mixing stamped and unstamped operations on the same MultiQueue
     // must not lose elements (stamped ops are plain ops + bookkeeping).
     let mq: MultiQueue<u64> = MultiQueue::new(4);
-    let clock = StampClock::new();
+    let stamps = ExactCounter::new();
     let mut h = mq.handle(5);
     for v in 0..100u64 {
         if v % 2 == 0 {
             h.insert(v, v);
         } else {
-            h.stamped(clock.as_atomic()).insert(v, v);
+            h.stamped(&stamps).insert(v, v);
         }
     }
     let mut n = 0;
@@ -255,7 +253,7 @@ fn stamped_and_plain_ops_interoperate() {
         let got = if n % 2 == 0 {
             h.dequeue().map(|(p, _)| p)
         } else {
-            h.stamped(clock.as_atomic()).dequeue().map(|(p, _, _)| p)
+            h.stamped(&stamps).dequeue().map(|(p, _, _)| p)
         };
         if got.is_none() {
             break;
