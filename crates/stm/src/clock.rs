@@ -44,7 +44,7 @@ pub trait ClockStrategy: Send + Sync {
     /// Called by the engine after every abort.
     ///
     /// The relaxed clock uses this for liveness, in the spirit of TL2's
-    /// GV5 ("increment on abort") clock: a thread that keeps aborting
+    /// GV5 ("increment on abort") variant: a thread that keeps aborting
     /// on future versions nudges the distributed clock forward, so the
     /// global time is guaranteed to pass the blocking version even if
     /// no other thread is committing. Exact clocks need no such help.
