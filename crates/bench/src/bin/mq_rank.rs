@@ -18,8 +18,9 @@
 
 use dlz_bench::tables::f3;
 use dlz_bench::{Config, Table};
+use dlz_core::spec::CostDistribution;
 use dlz_core::DeleteMode;
-use dlz_sim::{QueueProcess, Summary};
+use dlz_sim::QueueProcess;
 use dlz_workload::backends::MultiQueueBackend;
 use dlz_workload::{engine, Backend, Budget, Dist, Family, OpMix, Scenario, SweepSpec};
 
@@ -38,7 +39,7 @@ fn sequential_section(cfg: &Config) {
                 let (_, rank) = p.remove_retrying(staleness).expect("non-empty");
                 ranks.push(rank as f64);
             }
-            let s = Summary::from_samples(ranks);
+            let s = CostDistribution::from_samples(ranks);
             table.row(vec![
                 m.to_string(),
                 staleness.to_string(),

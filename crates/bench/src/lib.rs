@@ -3,8 +3,8 @@
 //! Shared machinery for the binaries that regenerate every figure of
 //! the paper (see `src/bin/`):
 //!
-//! * [`tables`] — aligned-column table / CSV output.
-//! * [`config`] — tiny CLI/env configuration shared by all binaries
+//! * [`tables`] — aligned-column table output.
+//! * [`config`] — tiny CLI configuration shared by all binaries
 //!   (`--threads 1,2,4`, `--duration-ms 300`, `--quick`, ...).
 //!
 //! The figure binaries (`fig1a`, `fig1b`, `fig1cde`, `mq_rank`) are

@@ -1,7 +1,5 @@
-//! Aligned table output for the figure binaries.
-//!
-//! Prints right-aligned columns to stdout, or CSV when the environment
-//! variable `DLZ_CSV=1` is set (for piping into a plotting script).
+//! Aligned table output for the figure binaries: right-aligned columns
+//! on stdout.
 
 /// A simple column-aligned table builder.
 #[derive(Debug, Clone)]
@@ -42,26 +40,8 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders the table (aligned text, or CSV when `DLZ_CSV=1`).
+    /// Renders the table as right-aligned text.
     pub fn render(&self) -> String {
-        if std::env::var("DLZ_CSV").as_deref() == Ok("1") {
-            return self.render_csv();
-        }
-        self.render_aligned()
-    }
-
-    fn render_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    fn render_aligned(&self) -> String {
         let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for r in &self.rows {
@@ -114,20 +94,13 @@ mod tests {
         let mut t = Table::new(&["a", "long-header"]);
         t.row(vec!["1".into(), "2".into()]);
         t.row(vec!["100".into(), "20000".into()]);
-        let s = t.render_aligned();
+        let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
         // All rows same width.
         assert_eq!(lines[0].len(), lines[2].len());
         assert_eq!(lines[2].len(), lines[3].len());
         assert!(lines[3].ends_with("20000"));
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let mut t = Table::new(&["x", "y"]);
-        t.row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.render_csv(), "x,y\n1,2\n");
     }
 
     #[test]

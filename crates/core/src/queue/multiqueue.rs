@@ -1430,7 +1430,9 @@ mod tests {
     /// leaving the queue poisoned with its entries intact.
     fn poison_queue(mq: &MultiQueue<u64>, i: usize) {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            mq.queues[i].with_locked(|_| -> () { panic!("injected fault") })
+            mq.queues[i].attempt(true, &mut ContentionStats::new(), |_| -> () {
+                panic!("injected fault")
+            })
         }));
         assert!(r.is_err(), "the injected panic must propagate");
         assert!(mq.queues[i].is_poisoned(), "queue {i} should be poisoned");
@@ -1512,22 +1514,24 @@ mod tests {
         let mq: MultiQueue<u64> = MultiQueue::new(2);
         let mut h = mq.handle(33);
         h.insert(5, 5);
-        // Emulate stalled lock holders: both locks held indefinitely.
-        let g0 = mq.queues[0].lock();
-        let g1 = mq.queues[1].lock();
+        // Emulate stalled lock holders: both locks held while the bounded
+        // ops run (a nested attempt on a second queue holds both).
         let short = Duration::from_millis(20);
-        assert_eq!(
-            h.try_dequeue_for(short),
-            Err(MqOpTimeout {
-                op: ChoiceOp::Dequeue,
-                timeout: short,
+        let held = mq.queues[0].attempt(true, &mut ContentionStats::new(), |_| {
+            mq.queues[1].attempt(true, &mut ContentionStats::new(), |_| {
+                assert_eq!(
+                    h.try_dequeue_for(short),
+                    Err(MqOpTimeout {
+                        op: ChoiceOp::Dequeue,
+                        timeout: short,
+                    })
+                );
+                let err = h.try_insert_for(7, 7, short).unwrap_err();
+                assert_eq!(err.op, ChoiceOp::Insert);
+                assert!(err.to_string().contains("did not complete"));
             })
-        );
-        let err = h.try_insert_for(7, 7, short).unwrap_err();
-        assert_eq!(err.op, ChoiceOp::Insert);
-        assert!(err.to_string().contains("did not complete"));
-        drop(g0);
-        drop(g1);
+        });
+        assert_eq!(held, Attempt::Ran(Attempt::Ran(())));
         // Locks released: the bounded ops serve normally.
         assert_eq!(h.try_insert_for(7, 7, Duration::from_secs(5)), Ok(()));
         let mut seen = Vec::new();

@@ -24,108 +24,57 @@ pub trait SequentialSpec {
     fn step(&self, state: &Self::State, label: &Self::Label) -> Option<Self::State>;
 }
 
-/// Convenience runner over a [`SequentialSpec`].
-#[derive(Debug, Clone, Copy)]
-pub struct Lts<'a, S: SequentialSpec> {
-    spec: &'a S,
-}
-
-impl<'a, S: SequentialSpec> Lts<'a, S> {
-    /// Wraps a specification.
-    pub fn new(spec: &'a S) -> Self {
-        Lts { spec }
-    }
-
-    /// Runs a label sequence from the initial state; `None` as soon as a
-    /// transition is illegal.
-    pub fn run(&self, labels: &[S::Label]) -> Option<S::State> {
-        let mut state = self.spec.initial();
-        for l in labels {
-            state = self.spec.step(&state, l)?;
-        }
-        Some(state)
-    }
-
-    /// Membership in the sequential specification: `u ∈ S` iff
-    /// `q0 →u` (the remark after Definition 5.1).
-    pub fn accepts(&self, labels: &[S::Label]) -> bool {
-        self.run(labels).is_some()
-    }
-
-    /// Runs a sequence, returning the trace of states (initial included).
-    pub fn trace(&self, labels: &[S::Label]) -> Option<Vec<S::State>> {
-        let mut states = vec![self.spec.initial()];
-        for l in labels {
-            let next = self.spec.step(states.last().expect("non-empty"), l)?;
-            states.push(next);
-        }
-        Some(states)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::specs::{CounterOp, CounterSpec};
 
-    /// A toy spec: a counter whose `Read` must return the exact count.
-    struct ToyCounter;
+    const INC: CounterOp = CounterOp::Inc;
 
-    #[derive(Clone, Debug, PartialEq)]
-    enum ToyOp {
-        Inc,
-        Read(u64),
+    fn read(returned: u64) -> CounterOp {
+        CounterOp::Read { returned }
     }
 
-    impl SequentialSpec for ToyCounter {
-        type State = u64;
-        type Label = ToyOp;
-
-        fn initial(&self) -> u64 {
-            0
+    /// The states a label path visits (initial included), or `None` as
+    /// soon as a transition is illegal.
+    fn trace(labels: &[CounterOp]) -> Option<Vec<u64>> {
+        let mut states = vec![CounterSpec.initial()];
+        for l in labels {
+            states.push(CounterSpec.step(states.last()?, l)?);
         }
+        Some(states)
+    }
 
-        fn step(&self, state: &u64, label: &ToyOp) -> Option<u64> {
-            match label {
-                ToyOp::Inc => Some(state + 1),
-                ToyOp::Read(v) if *v == *state => Some(*state),
-                ToyOp::Read(_) => None,
-            }
-        }
+    /// Membership in the specification: `u ∈ S` iff `q0 →u` (the remark
+    /// after Definition 5.1).
+    fn accepts(labels: &[CounterOp]) -> bool {
+        trace(labels).is_some()
     }
 
     #[test]
     fn accepts_legal_histories() {
-        let spec = ToyCounter;
-        let lts = Lts::new(&spec);
-        assert!(lts.accepts(&[ToyOp::Inc, ToyOp::Inc, ToyOp::Read(2)]));
-        assert!(lts.accepts(&[]));
+        assert!(accepts(&[INC, INC, read(2)]));
+        assert!(accepts(&[]));
     }
 
     #[test]
     fn rejects_illegal_histories() {
-        let spec = ToyCounter;
-        let lts = Lts::new(&spec);
-        assert!(!lts.accepts(&[ToyOp::Inc, ToyOp::Read(5)]));
+        assert!(!accepts(&[INC, read(5)]));
     }
 
     #[test]
     fn prefix_closure_holds_by_construction() {
         // If a sequence is accepted, every prefix is accepted: this is
         // guaranteed by the step-by-step definition; spot-check it.
-        let spec = ToyCounter;
-        let lts = Lts::new(&spec);
-        let seq = vec![ToyOp::Inc, ToyOp::Read(1), ToyOp::Inc, ToyOp::Read(2)];
-        assert!(lts.accepts(&seq));
+        let seq = [INC, read(1), INC, read(2)];
+        assert!(accepts(&seq));
         for k in 0..seq.len() {
-            assert!(lts.accepts(&seq[..k]));
+            assert!(accepts(&seq[..k]));
         }
     }
 
     #[test]
     fn trace_returns_every_state() {
-        let spec = ToyCounter;
-        let lts = Lts::new(&spec);
-        let t = lts.trace(&[ToyOp::Inc, ToyOp::Inc]).unwrap();
-        assert_eq!(t, vec![0, 1, 2]);
+        assert_eq!(trace(&[INC, INC]), Some(vec![0, 1, 2]));
     }
 }

@@ -7,8 +7,9 @@
 //!    any method ([`lts`], [`relaxation`]).
 //! 2. **Cost function** — `cost(q, m, q') = 0` iff the transition is
 //!    legal in `LTS(S)` ([`relaxation::QuantitativeRelaxation::apply`]).
-//! 3. **Path cost** — a monotone accumulation of step costs
-//!    ([`relaxation::PathCost`]).
+//! 3. **Path cost** — a monotone accumulation of step costs. The judge
+//!    reads the per-step costs directly (their mean or their maximum
+//!    against a bound), so no path cost is computed.
 //! 4. **Probability distribution** — a distribution over the costs
 //!    incurred at each step. We *measure* it instead of assuming it:
 //!    the [`checker`] replays recorded concurrent histories through the
@@ -52,6 +53,6 @@ pub use checker::{
 };
 pub use exact::{check_linearizable, Linearizability};
 pub use history::{Event, History, Recorder, ThreadLog};
-pub use lts::{Lts, SequentialSpec};
-pub use relaxation::{CostDistribution, PathCost, QuantitativeRelaxation};
+pub use lts::SequentialSpec;
+pub use relaxation::{CostDistribution, QuantitativeRelaxation};
 pub use specs::{CounterOp, CounterSpec, FifoOp, FifoSpec, PqOp, PqSpec};

@@ -1,13 +1,12 @@
 //! Quantitative relaxations: the completed LTS with transition costs.
 //!
-//! Steps 1–3 of the paper's construction (Section 5): complete the LTS
-//! so every method is enabled in every state, attach a cost that is zero
-//! exactly on the legal transitions, and accumulate path costs
-//! monotonically. Step 4 (the probability distribution on costs) is
-//! *empirical* in this crate: see [`CostDistribution`] and the
+//! Steps 1–2 of the paper's construction (Section 5): complete the LTS
+//! so every method is enabled in every state, and attach a cost that is
+//! zero exactly on the legal transitions. The judge reads the per-step
+//! costs themselves, so no path cost (step 3) is accumulated. Step 4
+//! (the probability distribution on costs) is *empirical* in this
+//! crate: see [`CostDistribution`] and the
 //! [`checker`](crate::spec::checker).
-
-use crate::spec::lts::SequentialSpec;
 
 /// A completed, cost-annotated LTS (`LTSc(S)` plus `cost`).
 ///
@@ -18,9 +17,9 @@ use crate::spec::lts::SequentialSpec;
 /// * `apply(q, l).1 == 0.0` **iff** the underlying spec allows `q →l`.
 /// * Costs are non-negative.
 pub trait QuantitativeRelaxation {
-    /// Abstract state, as in [`SequentialSpec`].
+    /// Abstract state, as in [`SequentialSpec`](crate::spec::SequentialSpec).
     type State: Clone;
-    /// Method labels, as in [`SequentialSpec`].
+    /// Method labels, as in [`SequentialSpec`](crate::spec::SequentialSpec).
     type Label: Clone;
 
     /// The initial state.
@@ -38,89 +37,6 @@ pub trait QuantitativeRelaxation {
         let (next, cost) = self.apply(state, label);
         *state = next;
         cost
-    }
-}
-
-/// How per-step costs combine into a path cost. Both are monotone with
-/// respect to prefix order, as the paper requires of `pcost`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathCost {
-    /// Total accumulated cost.
-    Sum,
-    /// Worst single step.
-    Max,
-}
-
-impl PathCost {
-    /// Folds a cost sequence.
-    pub fn fold(self, costs: &[f64]) -> f64 {
-        match self {
-            PathCost::Sum => costs.iter().sum(),
-            PathCost::Max => costs.iter().cloned().fold(0.0, f64::max),
-        }
-    }
-}
-
-/// Runs a quantitative path `q1 →(m1,k1) q2 →(m2,k2) ...` and returns
-/// the final state plus the quantitative trace's costs `(k1, k2, ...)`.
-pub fn quantitative_path<R: QuantitativeRelaxation>(
-    rel: &R,
-    labels: &[R::Label],
-) -> (R::State, Vec<f64>) {
-    let mut state = rel.initial();
-    let mut costs = Vec::with_capacity(labels.len());
-    for l in labels {
-        let (next, cost) = rel.apply(&state, l);
-        costs.push(cost);
-        state = next;
-    }
-    (state, costs)
-}
-
-/// Canonical way to obtain a relaxation from a spec plus a cost rule.
-///
-/// Wraps a [`SequentialSpec`] `S` together with a *completion function*
-/// that says how to transition (and at what cost) when the base spec
-/// forbids the move. The blanket cost law "0 iff legal" holds as long as
-/// the completion function never returns cost 0.
-pub struct Completed<S, F> {
-    spec: S,
-    complete: F,
-}
-
-impl<S, F> Completed<S, F>
-where
-    S: SequentialSpec,
-    F: Fn(&S::State, &S::Label) -> (S::State, f64),
-{
-    /// Builds a completed LTS from `spec` and the completion rule.
-    pub fn new(spec: S, complete: F) -> Self {
-        Completed { spec, complete }
-    }
-
-    /// The wrapped base specification.
-    pub fn spec(&self) -> &S {
-        &self.spec
-    }
-}
-
-impl<S, F> QuantitativeRelaxation for Completed<S, F>
-where
-    S: SequentialSpec,
-    F: Fn(&S::State, &S::Label) -> (S::State, f64),
-{
-    type State = S::State;
-    type Label = S::Label;
-
-    fn initial(&self) -> S::State {
-        self.spec.initial()
-    }
-
-    fn apply(&self, state: &S::State, label: &S::Label) -> (S::State, f64) {
-        match self.spec.step(state, label) {
-            Some(next) => (next, 0.0),
-            None => (self.complete)(state, label),
-        }
     }
 }
 
@@ -205,9 +121,6 @@ impl CostDistribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::lts::SequentialSpec;
-
-    struct Exact;
 
     #[derive(Clone)]
     enum Op {
@@ -215,7 +128,11 @@ mod tests {
         Get(u64),
     }
 
-    impl SequentialSpec for Exact {
+    /// An exact FIFO completed by depth: a get that does not return the
+    /// first element costs how deep the returned one was.
+    struct Depth;
+
+    impl QuantitativeRelaxation for Depth {
         type State = Vec<u64>;
         type Label = Op;
 
@@ -223,77 +140,46 @@ mod tests {
             Vec::new()
         }
 
-        fn step(&self, s: &Vec<u64>, l: &Op) -> Option<Vec<u64>> {
-            match l {
+        fn apply(&self, s: &Vec<u64>, l: &Op) -> (Vec<u64>, f64) {
+            let mut s = s.clone();
+            let cost = match *l {
                 Op::Put(v) => {
-                    let mut s = s.clone();
-                    s.push(*v);
-                    Some(s)
+                    s.push(v);
+                    0.0
                 }
-                Op::Get(v) => {
-                    // exact: must return the first element
-                    let first = *s.first()?;
-                    if first == *v {
-                        Some(s[1..].to_vec())
-                    } else {
-                        None
+                Op::Get(v) => match s.iter().position(|&x| x == v) {
+                    Some(p) => {
+                        s.remove(p);
+                        p as f64
                     }
-                }
-            }
+                    None => f64::INFINITY,
+                },
+            };
+            (s, cost)
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn relaxed() -> Completed<Exact, impl Fn(&Vec<u64>, &Op) -> (Vec<u64>, f64)> {
-        Completed::new(Exact, |s: &Vec<u64>, l: &Op| match l {
-            Op::Put(_) => unreachable!("puts are always legal"),
-            Op::Get(v) => {
-                // cost = how deep in the queue the returned element was
-                let pos = s.iter().position(|x| x == v);
-                match pos {
-                    Some(p) => {
-                        let mut s = s.clone();
-                        s.remove(p);
-                        (s, p as f64)
-                    }
-                    None => (s.clone(), f64::INFINITY),
-                }
-            }
-        })
+    /// The per-step costs of a label path, through the default
+    /// `apply_mut`.
+    fn costs(labels: &[Op]) -> Vec<f64> {
+        let mut state = Depth.initial();
+        labels
+            .iter()
+            .map(|l| Depth.apply_mut(&mut state, l))
+            .collect()
     }
 
     #[test]
     fn legal_transitions_cost_zero() {
-        let rel = relaxed();
-        let (_, costs) = quantitative_path(&rel, &[Op::Put(1), Op::Put(2), Op::Get(1), Op::Get(2)]);
-        assert_eq!(costs, vec![0.0, 0.0, 0.0, 0.0]);
+        let path = [Op::Put(1), Op::Put(2), Op::Get(1), Op::Get(2)];
+        assert_eq!(costs(&path), vec![0.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn illegal_transitions_cost_positive() {
-        let rel = relaxed();
-        let (_, costs) = quantitative_path(&rel, &[Op::Put(1), Op::Put(2), Op::Get(2)]);
-        assert_eq!(costs, vec![0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn path_cost_modes() {
-        let costs = [0.0, 2.0, 1.0, 3.0];
-        assert_eq!(PathCost::Sum.fold(&costs), 6.0);
-        assert_eq!(PathCost::Max.fold(&costs), 3.0);
-    }
-
-    #[test]
-    fn path_cost_is_monotone_in_prefix() {
-        let costs = [1.0, 0.5, 2.0, 0.0, 4.0];
-        for mode in [PathCost::Sum, PathCost::Max] {
-            let mut last = 0.0;
-            for k in 0..=costs.len() {
-                let c = mode.fold(&costs[..k]);
-                assert!(c >= last, "{mode:?} not monotone at {k}");
-                last = c;
-            }
-        }
+        let path = [Op::Put(1), Op::Put(2), Op::Get(2), Op::Get(1), Op::Get(1)];
+        assert_eq!(costs(&path)[..4], [0.0, 0.0, 1.0, 0.0]);
+        assert!(costs(&path)[4].is_infinite(), "an absent element");
     }
 
     #[test]
@@ -309,12 +195,26 @@ mod tests {
     }
 
     #[test]
+    fn distribution_quantiles_by_nearest_rank() {
+        let d = CostDistribution::from_samples((1..=100).rev().map(|i| i as f64).collect());
+        assert_eq!(d.len(), 100);
+        assert_eq!(d.quantile(0.0), 1.0);
+        assert_eq!(d.quantile(0.5), 50.0);
+        assert_eq!(d.quantile(0.99), 99.0);
+        assert_eq!(d.quantile(1.0), 100.0);
+        assert_eq!(d.max(), 100.0);
+        assert!((d.mean() - 50.5).abs() < 1e-12);
+        assert!((d.tail_mass(90.0) - 0.10).abs() < 1e-12);
+    }
+
+    #[test]
     fn distribution_edge_cases() {
         let d = CostDistribution::new();
         assert!(d.is_empty());
         assert_eq!(d.mean(), 0.0);
         assert_eq!(d.max(), 0.0);
         assert_eq!(d.quantile(0.9), 0.0);
+        assert_eq!(d.tail_mass(0.0), 0.0);
         let mut a = CostDistribution::from_samples(vec![1.0]);
         a.merge(&CostDistribution::from_samples(vec![3.0]));
         assert_eq!(a.len(), 2);

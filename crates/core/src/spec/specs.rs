@@ -280,114 +280,92 @@ impl QuantitativeRelaxation for FifoSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::lts::Lts;
-    use crate::spec::relaxation::quantitative_path;
+
+    const INC: CounterOp = CounterOp::Inc;
+    fn read(returned: u64) -> CounterOp {
+        CounterOp::Read { returned }
+    }
+    fn ins(priority: u64) -> PqOp {
+        PqOp::Insert { priority }
+    }
+    fn del(removed: u64) -> PqOp {
+        PqOp::DeleteMin { removed }
+    }
+    fn enq(id: u64) -> FifoOp {
+        FifoOp::Enqueue { id }
+    }
+    fn deq(id: u64) -> FifoOp {
+        FifoOp::Dequeue { id }
+    }
+
+    /// Membership in the exact specification: a fold over `step`.
+    fn accepts<S: SequentialSpec>(spec: &S, labels: &[S::Label]) -> bool {
+        labels
+            .iter()
+            .try_fold(spec.initial(), |q, l| spec.step(&q, l))
+            .is_some()
+    }
+
+    /// The per-step costs of a label path, through `apply` and through
+    /// the checker's in-place `apply_mut`, which must agree.
+    fn costs<R: QuantitativeRelaxation>(rel: &R, labels: &[R::Label]) -> Vec<f64> {
+        let (mut by_value, mut in_place) = (rel.initial(), rel.initial());
+        let mut out = Vec::new();
+        for l in labels {
+            let (next, cost) = rel.apply(&by_value, l);
+            by_value = next;
+            assert_eq!(rel.apply_mut(&mut in_place, l), cost);
+            out.push(cost);
+        }
+        out
+    }
 
     #[test]
     fn counter_exact_spec() {
-        let lts = Lts::new(&CounterSpec);
-        assert!(lts.accepts(&[
-            CounterOp::Inc,
-            CounterOp::Read { returned: 1 },
-            CounterOp::Inc,
-            CounterOp::Read { returned: 2 },
-        ]));
-        assert!(!lts.accepts(&[CounterOp::Read { returned: 1 }]));
+        assert!(accepts(&CounterSpec, &[INC, read(1), INC, read(2)]));
+        assert!(!accepts(&CounterSpec, &[read(1)]));
     }
 
     #[test]
     fn counter_relaxation_costs_deviation() {
-        let (_, costs) = quantitative_path(
-            &CounterSpec,
-            &[
-                CounterOp::Inc,
-                CounterOp::Inc,
-                CounterOp::Read { returned: 5 }, // true count 2 → cost 3
-                CounterOp::Read { returned: 2 }, // exact → cost 0
-            ],
-        );
+        // True count 2: reading 5 costs 3, reading 2 is exact.
+        let costs = costs(&CounterSpec, &[INC, INC, read(5), read(2)]);
         assert_eq!(costs, vec![0.0, 0.0, 3.0, 0.0]);
     }
 
     #[test]
     fn pq_exact_spec_only_removes_min() {
-        let lts = Lts::new(&PqSpec);
-        assert!(lts.accepts(&[
-            PqOp::Insert { priority: 5 },
-            PqOp::Insert { priority: 3 },
-            PqOp::DeleteMin { removed: 3 },
-            PqOp::DeleteMin { removed: 5 },
-        ]));
-        assert!(!lts.accepts(&[
-            PqOp::Insert { priority: 5 },
-            PqOp::Insert { priority: 3 },
-            PqOp::DeleteMin { removed: 5 },
-        ]));
-        assert!(!lts.accepts(&[PqOp::DeleteMin { removed: 1 }]));
+        assert!(accepts(&PqSpec, &[ins(5), ins(3), del(3), del(5)]));
+        assert!(!accepts(&PqSpec, &[ins(5), ins(3), del(5)]));
+        assert!(!accepts(&PqSpec, &[del(1)]));
     }
 
     #[test]
     fn pq_relaxation_costs_rank() {
-        let (_, costs) = quantitative_path(
-            &PqSpec,
-            &[
-                PqOp::Insert { priority: 10 },
-                PqOp::Insert { priority: 20 },
-                PqOp::Insert { priority: 30 },
-                PqOp::DeleteMin { removed: 30 }, // rank 2
-                PqOp::DeleteMin { removed: 10 }, // rank 0
-                PqOp::DeleteMin { removed: 20 }, // rank 0
-            ],
-        );
-        assert_eq!(costs, vec![0.0, 0.0, 0.0, 2.0, 0.0, 0.0]);
+        // Removing 30 from {10, 20, 30} costs its rank 2; then ranks 0.
+        let path = [ins(10), ins(20), ins(30), del(30), del(10), del(20)];
+        assert_eq!(costs(&PqSpec, &path), vec![0.0, 0.0, 0.0, 2.0, 0.0, 0.0]);
     }
 
     #[test]
     fn pq_relaxation_duplicates_and_absent() {
-        let (_, costs) = quantitative_path(
-            &PqSpec,
-            &[
-                PqOp::Insert { priority: 7 },
-                PqOp::Insert { priority: 7 },
-                PqOp::DeleteMin { removed: 7 },
-                PqOp::DeleteMin { removed: 7 },
-                PqOp::DeleteMin { removed: 7 }, // absent → ∞
-            ],
-        );
+        // The third removal of 7 finds it absent: cost ∞.
+        let costs = costs(&PqSpec, &[ins(7), ins(7), del(7), del(7), del(7)]);
         assert_eq!(&costs[..4], &[0.0, 0.0, 0.0, 0.0]);
         assert!(costs[4].is_infinite());
     }
 
     #[test]
     fn fifo_relaxation_costs_position() {
-        let (_, costs) = quantitative_path(
-            &FifoSpec,
-            &[
-                FifoOp::Enqueue { id: 1 },
-                FifoOp::Enqueue { id: 2 },
-                FifoOp::Enqueue { id: 3 },
-                FifoOp::Dequeue { id: 2 }, // position 1
-                FifoOp::Dequeue { id: 1 }, // position 0
-                FifoOp::Dequeue { id: 3 }, // position 0
-            ],
-        );
-        assert_eq!(costs, vec![0.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
+        // Dequeuing 2 from [1, 2, 3] costs its position 1; then 0.
+        let path = [enq(1), enq(2), enq(3), deq(2), deq(1), deq(3)];
+        assert_eq!(costs(&FifoSpec, &path), vec![0.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
     }
 
     #[test]
     fn fifo_exact_spec_is_fifo() {
-        let lts = Lts::new(&FifoSpec);
-        assert!(lts.accepts(&[
-            FifoOp::Enqueue { id: 1 },
-            FifoOp::Enqueue { id: 2 },
-            FifoOp::Dequeue { id: 1 },
-            FifoOp::Dequeue { id: 2 },
-        ]));
-        assert!(!lts.accepts(&[
-            FifoOp::Enqueue { id: 1 },
-            FifoOp::Enqueue { id: 2 },
-            FifoOp::Dequeue { id: 2 },
-        ]));
+        assert!(accepts(&FifoSpec, &[enq(1), enq(2), deq(1), deq(2)]));
+        assert!(!accepts(&FifoSpec, &[enq(1), enq(2), deq(2)]));
     }
 
     #[test]
@@ -396,13 +374,7 @@ mod tests {
         // deterministic workload.
         let spec = PqSpec;
         let mut state = <PqSpec as QuantitativeRelaxation>::initial(&spec);
-        let labels = [
-            PqOp::Insert { priority: 4 },
-            PqOp::Insert { priority: 2 },
-            PqOp::DeleteMin { removed: 4 },
-            PqOp::DeleteMin { removed: 2 },
-        ];
-        for l in labels {
+        for l in [ins(4), ins(2), del(4), del(2)] {
             let legal = SequentialSpec::step(&spec, &state, &l).is_some();
             let (next, cost) = QuantitativeRelaxation::apply(&spec, &state, &l);
             assert_eq!(legal, cost == 0.0, "law violated at {l:?}");

@@ -17,7 +17,7 @@
 //! `Drop` refills the gap, so a panicking `P::cmp` unwinds to an array
 //! that still holds every entry exactly once (the heap *order* may be
 //! broken; `delete_min` still drains everything, which is what
-//! `PqGuard`'s poison-then-salvage path relies on). All unchecked
+//! `LockedPq`'s poison-then-`salvage_into` path relies on). All unchecked
 //! indexing lives in that guard. The layout is the plain binary one:
 //! children of `i` at `2i + 1` and `2i + 2`.
 

@@ -24,7 +24,10 @@
 //!   *ReadMin* step of Algorithm 2 without taking the lock and without
 //!   false sharing. [`LockedPq::attempt`] — one whole operation as a
 //!   closure, ending in an [`Attempt`] — is the surface the
-//!   MultiQueue's operation loop drives. It is the only per-queue
+//!   MultiQueue's operation loop drives, and the only way to run code
+//!   under the lock; [`LockedPq::salvage_into`], which drains a
+//!   poisoned queue back into service, is the only way to take the
+//!   lock despite poison. The packed lock is the only per-queue
 //!   concurrency discipline: a lock-free claim/drain queue, a flat
 //!   combiner and a `std::sync::Mutex` twin of the packed lock were
 //!   measured against it and removed (README, "Verdicts"). One
@@ -47,7 +50,7 @@ pub mod stats;
 pub mod traits;
 
 pub use binary_heap::BinaryHeap;
-pub use locked::{Attempt, LockedPq, PqGuard};
+pub use locked::{Attempt, LockedPq};
 pub use padded::CachePadded;
 pub use spinlock::Backoff;
 pub use stats::ContentionStats;

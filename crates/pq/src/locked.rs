@@ -42,9 +42,10 @@
 //! in this linearizable queue, and the lock is released (hint
 //! republished, generation bumped) before `attempt` returns.
 //!
-//! `attempt`, [`lock`](LockedPq::lock), [`try_lock`](LockedPq::try_lock)
-//! and [`salvage_lock`](LockedPq::salvage_lock) are four disciplines
-//! over one acquire loop.
+//! `attempt` and [`salvage_into`](LockedPq::salvage_into) are the two
+//! disciplines over one acquire loop: `attempt` never touches a
+//! poisoned queue, `salvage_into` acquires one despite its poison to
+//! drain it and return it to service. Nothing else runs under the lock.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,7 +70,7 @@ pub enum Attempt<R> {
     Contended,
     /// A previous critical section panicked mid-mutation, so the
     /// sequential queue behind the lock may be inconsistent: re-choose
-    /// another queue. Recover with [`LockedPq::salvage_lock`], which
+    /// another queue. Recover with [`LockedPq::salvage_into`], which
     /// drains whatever is still readable under a fresh generation and
     /// clears the mark. Reported immediately, never waited on, and not
     /// counted as contention.
@@ -214,15 +215,14 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
     /// poison (else reports [`Attempt::Poisoned`] without acquiring).
     /// Snoozes while the lock is held and CAS retries lost to a
     /// concurrent release land in `stats`, which the guard keeps for
-    /// the release protocol's hint republishes; every `stats` branch
-    /// folds away when inlined with a constant `None`.
+    /// the release protocol's hint republishes.
     #[inline]
     fn acquire<'g>(
         &'g self,
         block: bool,
         salvage: bool,
-        mut stats: Option<&'g mut ContentionStats>,
-    ) -> Attempt<PqGuard<'g, V, Q>> {
+        stats: &'g mut ContentionStats,
+    ) -> Attempt<Guard<'g, V, Q>> {
         let mut backoff = Backoff::new();
         let mut cur = self.hot.header.load(Ordering::Relaxed);
         loop {
@@ -234,14 +234,10 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
             }
             if header::is_locked(cur) {
                 if !block {
-                    if let Some(s) = stats {
-                        s.try_lock_failures += 1;
-                    }
+                    stats.try_lock_failures += 1;
                     return Attempt::Contended;
                 }
-                if let Some(s) = stats.as_deref_mut() {
-                    s.note_snooze(backoff.is_yielding());
-                }
+                stats.note_snooze(backoff.is_yielding());
                 backoff.snooze();
                 cur = self.hot.header.load(Ordering::Relaxed);
                 continue;
@@ -255,67 +251,12 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
                 Ordering::Acquire,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return Attempt::Ran(PqGuard { pq: self, stats }),
+                Ok(_) => return Attempt::Ran(Guard { pq: self, stats }),
                 Err(now) => {
-                    if let Some(s) = stats.as_deref_mut() {
-                        s.cas_retries += 1;
-                    }
+                    stats.cas_retries += 1;
                     cur = now;
                 }
             }
-        }
-    }
-
-    /// Acquires the lock, spinning with exponential backoff until free.
-    ///
-    /// The returned guard dereferences to the sequential queue; dropping
-    /// it refreshes the published hint (only if the minimum changed),
-    /// bumps the generation and releases the lock — all in one atomic
-    /// store on the packed header.
-    ///
-    /// # Panics
-    /// If the queue is poisoned (a previous critical section panicked) —
-    /// the `Mutex::lock().unwrap()` idiom. Poison-aware callers use
-    /// [`attempt`](Self::attempt).
-    #[inline]
-    pub fn lock(&self) -> PqGuard<'_, V, Q> {
-        match self.acquire(true, false, None) {
-            Attempt::Ran(guard) => guard,
-            _ => panic!("queue poisoned"),
-        }
-    }
-
-    /// Attempts to acquire the lock without blocking; `None` only on an
-    /// actually-held lock.
-    ///
-    /// # Panics
-    /// If the queue is poisoned (see [`lock`](Self::lock)).
-    #[inline]
-    pub fn try_lock(&self) -> Option<PqGuard<'_, V, Q>> {
-        match self.acquire(false, false, None) {
-            Attempt::Ran(guard) => Some(guard),
-            Attempt::Contended => None,
-            Attempt::Poisoned => panic!("queue poisoned"),
-        }
-    }
-
-    /// Acquires the lock *despite* poison, for recovery: spins past
-    /// contention and keeps the poison flag set for the duration of the
-    /// critical section (so concurrent [`attempt`](Self::attempt)s keep
-    /// seeing [`Attempt::Poisoned`] rather than blocking on the
-    /// salvage). Dropping the guard runs the normal release protocol —
-    /// it recounts the queue, republishes the real min hint, bumps the
-    /// generation and clears the poison flag, returning the queue to
-    /// service.
-    ///
-    /// The sequential queue may be in whatever state the panicked
-    /// mutation left it; callers should restrict themselves to
-    /// operations that tolerate that (draining via `delete_min`, or
-    /// replacing the contents outright).
-    pub fn salvage_lock(&self) -> PqGuard<'_, V, Q> {
-        match self.acquire(true, true, None) {
-            Attempt::Ran(guard) => guard,
-            _ => unreachable!("a salvage acquisition waits out contention and ignores poison"),
         }
     }
 
@@ -333,30 +274,39 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
         stats: &mut ContentionStats,
         body: impl FnOnce(&mut Q) -> R,
     ) -> Attempt<R> {
-        match self.acquire(block, false, Some(stats)) {
-            Attempt::Ran(mut guard) => Attempt::Ran(body(&mut guard)),
+        match self.acquire(block, false, stats) {
+            Attempt::Ran(mut guard) => Attempt::Ran(body(guard.queue())),
             Attempt::Contended => Attempt::Contended,
             Attempt::Poisoned => Attempt::Poisoned,
         }
     }
 
-    /// Salvages a poisoned queue: drains every entry the sequential
-    /// queue still serves into `out` and returns the queue to service
-    /// (the guard's release recounts, republishes the hint and clears
-    /// the poison bit). Also usable on a healthy queue as a blocking
-    /// drain.
+    /// Salvages a poisoned queue: waits out contention, acquires the
+    /// lock *despite* the poison and drains every entry the sequential
+    /// queue still serves into `out`. The poison flag stays set while
+    /// it drains, so concurrent [`attempt`](Self::attempt)s keep seeing
+    /// [`Attempt::Poisoned`] rather than blocking on the salvage; the
+    /// release then recounts, republishes the real min hint, bumps the
+    /// generation and clears the poison, returning the queue to
+    /// service. Draining by `delete_min` is all it asks of a queue a
+    /// panicked mutation may have left inconsistent. Also usable on a
+    /// healthy queue as a blocking drain.
     pub fn salvage_into(&self, out: &mut Vec<(u64, V)>) {
-        let mut g = self.salvage_lock();
-        while let Some(e) = g.delete_min() {
-            out.push(e);
-        }
+        let mut stats = ContentionStats::new();
+        let Attempt::Ran(mut guard) = self.acquire(true, true, &mut stats) else {
+            unreachable!("a salvage acquisition waits out contention and ignores poison")
+        };
+        out.extend(std::iter::from_fn(|| guard.queue().delete_min()));
     }
 
-    /// Locks the queue and runs `f` on it, then refreshes the hint.
-    /// Escape hatch for multi-operation critical sections.
-    pub fn with_locked<R>(&self, f: impl FnOnce(&mut Q) -> R) -> R {
-        let mut guard = self.lock();
-        f(&mut guard)
+    /// `attempt` that waits out contention and panics on a poisoned
+    /// queue — the `Mutex::lock().unwrap()` idiom behind the
+    /// [`ConcurrentPq`] impl.
+    fn run<R>(&self, body: impl FnOnce(&mut Q) -> R) -> R {
+        match self.attempt(true, &mut ContentionStats::new(), body) {
+            Attempt::Ran(r) => r,
+            _ => panic!("queue poisoned"),
+        }
     }
 
     /// `true` if the lock is currently held. Snapshot only.
@@ -366,8 +316,8 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
 
     /// `true` if the queue is poisoned: a previous critical section
     /// panicked, so the sequential queue may be inconsistent. Cleared
-    /// by a completed [`salvage_lock`](Self::salvage_lock) critical
-    /// section. Snapshot only.
+    /// by a completed [`salvage_into`](Self::salvage_into). Snapshot
+    /// only.
     pub fn is_poisoned(&self) -> bool {
         header::is_poisoned(self.hot.header.load(Ordering::Relaxed))
     }
@@ -423,14 +373,16 @@ impl<V, Q: SeqPriorityQueue<u64, V> + Default> Default for LockedPq<V, Q> {
 }
 
 impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> ConcurrentPq<V> for LockedPq<V, Q> {
+    /// # Panics
+    /// If the queue is poisoned (a previous critical section panicked).
     fn insert(&self, priority: u64, value: V) {
-        let mut guard = self.lock();
-        guard.add(priority, value);
+        self.run(|q| q.add(priority, value))
     }
 
+    /// # Panics
+    /// If the queue is poisoned (a previous critical section panicked).
     fn remove_min(&self) -> Option<(u64, V)> {
-        let mut guard = self.lock();
-        guard.delete_min()
+        self.run(|q| q.delete_min())
     }
 
     #[inline]
@@ -444,38 +396,31 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> ConcurrentPq<V> for LockedPq<V
     }
 }
 
-/// RAII guard over a [`LockedPq`]'s sequential queue.
+/// The held lock of a [`LockedPq`], private to `attempt` and
+/// `salvage_into`.
 ///
 /// Dropping the guard performs the whole release protocol: refresh the
 /// published hint if (and only if) the minimum changed, then store the
-/// unlocked header with the new count and a bumped generation. While
-/// the lock bit is set every competing CAS fails without writing, so
-/// the release is a plain `Release` store — one atomic op, not three.
-pub struct PqGuard<'a, V, Q: SeqPriorityQueue<u64, V>> {
+/// unlocked header with the new count and a bumped generation (or, when
+/// unwinding from a panic, the poisoned one). While the lock bit is set
+/// every competing CAS fails without writing, so the release is a plain
+/// `Release` store — one atomic op, not three.
+struct Guard<'a, V, Q: SeqPriorityQueue<u64, V>> {
     pq: &'a LockedPq<V, Q>,
-    /// Counter sink for the release protocol (hint republishes); `None`
-    /// unless acquired through [`LockedPq::attempt`].
-    stats: Option<&'a mut ContentionStats>,
+    /// Counter sink for the release protocol (hint republishes).
+    stats: &'a mut ContentionStats,
 }
 
-impl<V, Q: SeqPriorityQueue<u64, V>> std::ops::Deref for PqGuard<'_, V, Q> {
-    type Target = Q;
+impl<V, Q: SeqPriorityQueue<u64, V>> Guard<'_, V, Q> {
+    /// The sequential queue behind the held lock.
     #[inline]
-    fn deref(&self) -> &Q {
-        // SAFETY: the guard proves exclusive ownership of the lock bit.
-        unsafe { &*self.pq.inner.get() }
-    }
-}
-
-impl<V, Q: SeqPriorityQueue<u64, V>> std::ops::DerefMut for PqGuard<'_, V, Q> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut Q {
+    fn queue(&mut self) -> &mut Q {
         // SAFETY: the guard proves exclusive ownership of the lock bit.
         unsafe { &mut *self.pq.inner.get() }
     }
 }
 
-impl<V, Q: SeqPriorityQueue<u64, V>> Drop for PqGuard<'_, V, Q> {
+impl<V, Q: SeqPriorityQueue<u64, V>> Drop for Guard<'_, V, Q> {
     #[inline]
     fn drop(&mut self) {
         let hot = &self.pq.hot;
@@ -496,8 +441,8 @@ impl<V, Q: SeqPriorityQueue<u64, V>> Drop for PqGuard<'_, V, Q> {
             return;
         }
         // SAFETY: the guard proves exclusive ownership of the lock bit.
-        // Read through the `pq` reference (not `Deref` on `self`) so the
-        // borrow does not conflict with draining `self.stats` below.
+        // Read through the `pq` reference (not `self.queue()`) so the
+        // borrow does not conflict with bumping `self.stats` below.
         let queue: &Q = unsafe { &*self.pq.inner.get() };
         let top = queue.read_min().map(|(p, _)| *p).unwrap_or(EMPTY_HINT);
         // Publish only when the minimum moved: the common case (insert
@@ -508,9 +453,7 @@ impl<V, Q: SeqPriorityQueue<u64, V>> Drop for PqGuard<'_, V, Q> {
             // reader that sees the new hint sees a value that was
             // genuinely the minimum inside the critical section.
             hot.top.store(top, Ordering::Release);
-            if let Some(s) = self.stats.as_deref_mut() {
-                s.hint_republishes += 1;
-            }
+            self.stats.hint_republishes += 1;
         }
         let word = hot.header.load(Ordering::Relaxed);
         let gen = header::generation(word).wrapping_add(1);
@@ -531,15 +474,27 @@ mod tests {
         move |q| q.add(p, v)
     }
 
+    /// Panics inside `q`'s critical section (before mutating it),
+    /// leaving the queue poisoned with its entries intact.
+    fn poison<V, Q: SeqPriorityQueue<u64, V>>(q: &LockedPq<V, Q>) {
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            q.attempt(true, &mut ContentionStats::new(), |_| -> () {
+                panic!("injected fault")
+            })
+        }));
+        assert!(unwound.is_err(), "the injected panic must propagate");
+        assert!(q.is_poisoned());
+    }
+
     #[test]
     fn contended_attempts_count_failures_and_successes_leave_counts_alone() {
         let q: LockedPq<u64> = LockedPq::new(BinaryHeap::new());
         let mut stats = ContentionStats::new();
-        {
-            let _held = q.lock();
+        let held = q.attempt(true, &mut ContentionStats::new(), |_| {
             assert_eq!(q.attempt(false, &mut stats, add(1, 7)), Attempt::Contended);
             assert_eq!(q.attempt(false, &mut stats, add(1, 7)), Attempt::Contended);
-        }
+        });
+        assert_eq!(held, Attempt::Ran(()));
         assert_eq!(stats.try_lock_failures, 2);
         assert_eq!(q.approx_len(), 0, "a contended attempt runs no body");
         // Uncontended acquisition records nothing.
@@ -597,8 +552,11 @@ mod tests {
                 .count()
         });
         assert_eq!(pushed, Attempt::Ran(3));
+        // Published at release, not per add: the lock is free again and
+        // the hint and count show the whole batch.
         assert_eq!(q.generation().unwrap(), g0 + 1);
         assert_eq!(stats.hint_republishes, 1, "4, then 1, published once as 1");
+        assert_eq!(q.min_hint(), 1);
         assert_eq!(q.approx_len(), 3);
         let mut got = Vec::new();
         let popped = q.attempt(true, &mut stats, |q| {
@@ -653,30 +611,32 @@ mod tests {
         let mut stats = ContentionStats::new();
         let pop = |q: &mut BinaryHeap<u64, u64>| q.delete_min();
         assert!(!q.is_locked());
-        let held = q.lock();
-        assert!(q.is_locked());
         // What a body captured stays with the caller for re-routing.
         let mut entry = Some((6u64, 60u64));
         let mut items = vec![(4u64, 40u64), (2, 20)].into_iter();
         items.next(); // a partially consumed iterator stays as it was
         let mut ran = 0usize;
-        for _ in 0..2 {
-            let outcome = q.attempt(false, &mut stats, |q| {
-                ran += 1;
-                let (p, v) = entry.take().unwrap();
-                q.add(p, v);
-                items.by_ref().for_each(|(p, v)| q.add(p, v));
-            });
-            assert_eq!(outcome, Attempt::Contended);
-        }
-        // Contended is not "ran and found it empty": a held lock says
-        // nothing about what the queue holds (it holds an entry here).
-        assert_eq!(q.attempt(false, &mut stats, pop), Attempt::Contended);
+        let held = q.attempt(true, &mut ContentionStats::new(), |_| {
+            assert!(q.is_locked());
+            for _ in 0..2 {
+                let outcome = q.attempt(false, &mut stats, |q| {
+                    ran += 1;
+                    let (p, v) = entry.take().unwrap();
+                    q.add(p, v);
+                    items.by_ref().for_each(|(p, v)| q.add(p, v));
+                });
+                assert_eq!(outcome, Attempt::Contended);
+            }
+            // Contended is not "ran and found it empty": a held lock
+            // says nothing about what the queue holds (it holds an
+            // entry here).
+            assert_eq!(q.attempt(false, &mut stats, pop), Attempt::Contended);
+        });
+        assert_eq!(held, Attempt::Ran(()));
         assert_eq!(ran, 0, "a contended attempt serves nothing");
         assert_eq!(entry, Some((6, 60)));
         assert_eq!(items.collect::<Vec<_>>(), vec![(2, 20)]);
         assert_eq!(stats.try_lock_failures, 3);
-        drop(held);
         // Released and drained: the same attempts now run, and say empty.
         assert_eq!(
             q.attempt(false, &mut stats, pop),
@@ -696,11 +656,7 @@ mod tests {
                 Attempt::Ran(())
             );
         }
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            q.with_locked(|_inner| panic!("injected"));
-        }));
-        assert!(unwound.is_err());
-        assert!(q.is_poisoned());
+        poison(&q);
         let before = stats;
         for block in [false, true] {
             let mut ran = false;
@@ -762,7 +718,7 @@ mod tests {
         assert!(q.generation().expect("unlocked") > g1);
         // Seqlock discipline: no generation is observable mid-critical-
         // section, so optimistic readers cannot miss in-flight writes.
-        q.with_locked(|_inner| {
+        q.attempt(true, &mut ContentionStats::new(), |_| {
             assert_eq!(q.generation(), None);
         });
         assert!(q.generation().is_some());
@@ -795,20 +751,6 @@ mod tests {
         let q = LockedPq::new(h);
         assert_eq!(q.min_hint(), 2);
         assert_eq!(q.approx_len(), 2);
-    }
-
-    #[test]
-    fn guard_api_publishes_on_drop() {
-        let q: LockedPq<u32> = LockedPq::default();
-        {
-            let mut g = q.lock();
-            g.add(4, 40);
-            g.add(2, 20);
-            // Hint is refreshed at drop, not per-op.
-        }
-        assert_eq!(q.min_hint(), 2);
-        assert_eq!(q.approx_len(), 2);
-        assert!(q.try_lock().is_some());
     }
 
     #[test]
@@ -903,11 +845,7 @@ mod tests {
         let q: LockedPq<u32> = LockedPq::default();
         q.insert(3, 30);
         q.insert(1, 10);
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            q.with_locked(|_inner| panic!("injected fault"));
-        }));
-        assert!(unwound.is_err());
-        assert!(q.is_poisoned());
+        poison(&q);
         assert!(!q.is_locked());
         // Poisoned queues advertise empty, so hint samplers skip them,
         // and the stale pre-panic count survives as the estimate of
@@ -924,11 +862,14 @@ mod tests {
         // republishes the real hint and clears the poison.
         let mut salvaged = Vec::new();
         {
-            let mut g = q.salvage_lock();
+            let mut salvage_stats = ContentionStats::new();
+            let Attempt::Ran(mut g) = q.acquire(true, true, &mut salvage_stats) else {
+                panic!("a salvage acquisition ignores poison")
+            };
             // Mid-salvage the queue still reads poisoned to everyone
             // else (locked + poisoned), so nobody camps on its lock.
             assert_eq!(q.attempt(false, &mut stats, |_| ()), Attempt::Poisoned);
-            while let Some(item) = g.delete_min() {
+            while let Some(item) = g.queue().delete_min() {
                 salvaged.push(item);
             }
         }
@@ -942,22 +883,20 @@ mod tests {
         assert_eq!(q.remove_min(), Some((7, 70)));
     }
 
+    /// The `ConcurrentPq` ops are the infallible acquisitions: on a
+    /// poisoned queue they panic, like `Mutex::lock().unwrap()`.
     #[test]
     fn infallible_lock_panics_on_poison_like_mutex_unwrap() {
         let q: LockedPq<u32> = LockedPq::default();
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            q.with_locked(|_inner| panic!("injected fault"));
-        }));
-        assert!(q.is_poisoned());
-        for attempt in [
+        q.insert(1, 10);
+        poison(&q);
+        for op in [
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.insert(2, 20))),
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = q.lock();
-            })),
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = q.try_lock();
+                let _ = q.remove_min();
             })),
         ] {
-            let msg = attempt.expect_err("poisoned lock must panic");
+            let msg = op.expect_err("an op on a poisoned queue must panic");
             let text = msg
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
@@ -965,8 +904,9 @@ mod tests {
                 .unwrap_or_default();
             assert!(text.contains("poisoned"), "panic message: {text}");
         }
-        // The poison itself is untouched by the failed acquires.
+        // The failed ops touched neither the poison nor the entries.
         assert!(q.is_poisoned());
+        assert_eq!(q.approx_len(), 1);
     }
 
     /// A `Q` that is not [`BinaryHeap`]: an ordered map keyed by

@@ -23,7 +23,7 @@
 //!   plus its stale-read variant.
 //! * [`potential`] — the potential functions Φ, Ψ, Γ of the analysis
 //!   and the constants (β, ε, α) the paper derives.
-//! * [`bins`], [`stats`], [`fenwick`] — shared substrate.
+//! * [`bins`], [`fenwick`] — shared substrate.
 //! * [`wheel`] — a hierarchical timer wheel (the binning idiom applied
 //!   to virtual time) scheduling the workload layer's simulated-client
 //!   arrivals deterministically.
@@ -37,7 +37,6 @@ pub mod fenwick;
 pub mod potential;
 pub mod process;
 pub mod queue_process;
-pub mod stats;
 pub mod wheel;
 
 pub use adversary::{AsyncTwoChoice, AsyncWeightedTwoChoice, Schedule};
@@ -47,5 +46,4 @@ pub use fenwick::Fenwick;
 pub use potential::{PaperConstants, PotentialTrace};
 pub use process::{BallsProcess, DChoice, OnePlusBeta};
 pub use queue_process::QueueProcess;
-pub use stats::{RunningStats, Summary};
 pub use wheel::TimerWheel;
