@@ -1,4 +1,5 @@
-//! An array-backed binary min-heap with FIFO tie-breaking.
+//! An array-backed binary min-heap with FIFO tie-breaking, fronted by
+//! a four-entry sorted buffer.
 //!
 //! `std::collections::BinaryHeap` is a max-heap without a stable ordering
 //! for equal priorities, so we implement our own. Entries with equal
@@ -7,6 +8,31 @@
 //! same internal queue with the same timestamp must come out in enqueue
 //! order for the queue-like sequential specification to make sense).
 //!
+//! # The front buffer
+//!
+//! The smallest entries — up to four — sit in a sorted buffer held
+//! inline in the struct, beside the `Vec` header, in descending key
+//! order so the minimum is the last occupied slot (the small deletion
+//! buffer of Williams, Sanders & Dementiev, "Engineering MultiQueues",
+//! ESA 2021). Keys are `(priority, insertion index)`, so they are
+//! unique and the invariant is strict:
+//!
+//! * the buffer is sorted, and its maximum is below the heap root;
+//! * the buffer is empty only when the heap is empty too.
+//!
+//! `delete_min` pops the buffer's last slot; when that empties the
+//! buffer, it refills it with up to four heap pops in a row before
+//! returning. `add` puts a key below the buffer's maximum (or any key,
+//! into an empty buffer) into the buffer, evicting the maximum into the
+//! heap when the buffer is full; every other key goes onto the heap.
+//! `read_min` — which `LockedPq`'s release runs on every operation —
+//! reads the buffer alone. So three of every four dequeues, and every
+//! release, touch only the struct, never the heap array that other
+//! cores keep writing. The size is fixed at four. Buffers of 8 and 16
+//! won a little on shallow heaps and lost more on the cache-missing
+//! deep-drain shape, where a refill holds the lock for all of its pops
+//! (README, "Verdicts").
+//!
 //! # Sifting through a hole
 //!
 //! Both sifts lift the moving entry out of the array once, move each
@@ -14,17 +40,31 @@
 //! put the entry back where the walk ends — one write per level where a
 //! `Vec::swap` walk does two, and no bounds check per level. The gap is a
 //! `Hole` guard, the device `std::collections::BinaryHeap` uses: its
-//! `Drop` refills the gap, so a panicking `P::cmp` unwinds to an array
-//! that still holds every entry exactly once (the heap *order* may be
-//! broken; `delete_min` still drains everything, which is what
-//! `LockedPq`'s poison-then-`salvage_into` path relies on). All unchecked
-//! indexing lives in that guard. The layout is the plain binary one:
-//! children of `i` at `2i + 1` and `2i + 2`.
+//! `Drop` refills the gap. All unchecked indexing lives in that guard.
+//! The layout is the plain binary one: children of `i` at `2i + 1` and
+//! `2i + 2`.
+//!
+//! # Panics in `P::cmp`
+//!
+//! A panicking comparison unwinds to a heap that still holds every
+//! entry it held exactly once, except at most the one entry the
+//! interrupted call had in hand (the value `add` was given or `delete_min` was
+//! about to return), which is dropped. The *order* may be broken: the
+//! `Hole` refills the array's gap, a refill moves each heap root into
+//! the buffer before it sifts, an eviction moves the buffer's maximum
+//! into the array before it sifts up, and a refill cut short leaves its
+//! slots ascending rather than descending. Whatever the state,
+//! `delete_min` still drains all of them — it pops the buffer's last
+//! slot and refills an empty buffer first — which is what `LockedPq`'s
+//! poison-then-`salvage_into` path relies on.
 
 use std::mem::ManuallyDrop;
 use std::ptr;
 
 use crate::traits::SeqPriorityQueue;
+
+/// Capacity of the sorted front buffer.
+const BUFFER: usize = 4;
 
 /// One heap entry: priority, tie-breaking sequence number, payload.
 #[derive(Debug, Clone)]
@@ -42,7 +82,8 @@ impl<P: Ord, V> Entry<P, V> {
     }
 }
 
-/// A binary min-heap over `(P, insertion index)` keys.
+/// A binary min-heap over `(P, insertion index)` keys, with its
+/// smallest entries in a sorted front buffer (see the module docs).
 ///
 /// # Example
 /// ```
@@ -58,6 +99,10 @@ impl<P: Ord, V> Entry<P, V> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BinaryHeap<P, V> {
+    /// The smallest entries in descending key order: `front[..len]` are
+    /// occupied, the minimum last; the rest are `None`.
+    front: [Option<Entry<P, V>>; BUFFER],
+    len: usize,
     entries: Vec<Entry<P, V>>,
     next_seq: u64,
 }
@@ -71,16 +116,15 @@ impl<P: Ord, V> Default for BinaryHeap<P, V> {
 impl<P: Ord, V> BinaryHeap<P, V> {
     /// Creates an empty heap.
     pub fn new() -> Self {
-        BinaryHeap {
-            entries: Vec::new(),
-            next_seq: 0,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty heap that can hold `cap` entries without
+    /// Creates an empty heap whose array can hold `cap` entries without
     /// reallocating.
     pub fn with_capacity(cap: usize) -> Self {
         BinaryHeap {
+            front: [const { None }; BUFFER],
+            len: 0,
             entries: Vec::with_capacity(cap),
             next_seq: 0,
         }
@@ -93,16 +137,67 @@ impl<P: Ord, V> BinaryHeap<P, V> {
 
     /// Drains the heap in priority order into a vector.
     pub fn into_sorted_vec(mut self) -> Vec<(P, V)> {
-        let mut out = Vec::with_capacity(self.entries.len());
+        let mut out = Vec::with_capacity(self.len());
         while let Some(e) = self.delete_min() {
             out.push(e);
         }
         out
     }
 
-    /// Iterates over entries in unspecified (heap) order.
+    /// Iterates over entries in unspecified order.
     pub fn iter_unordered(&self) -> impl Iterator<Item = (&P, &V)> {
-        self.entries.iter().map(|e| (&e.priority, &e.value))
+        self.front
+            .iter()
+            .flatten()
+            .chain(&self.entries)
+            .map(|e| (&e.priority, &e.value))
+    }
+
+    /// The occupied buffer slot `i`.
+    #[inline]
+    fn slot(&self, i: usize) -> &Entry<P, V> {
+        self.front[i]
+            .as_ref()
+            .expect("slots below len are occupied")
+    }
+
+    /// Puts `e` into the buffer at its sorted place, evicting the
+    /// maximum into the heap when the buffer is full. `e` must be below
+    /// the maximum unless the buffer is empty.
+    fn insert_front(&mut self, e: Entry<P, V>) {
+        // The search compares before anything moves; after an eviction
+        // only `sift_up` compares, with the old maximum already in the
+        // array. Either way a panic leaves every entry but `e` in place.
+        let mut at = (1..self.len)
+            .find(|&i| self.slot(i).key() < e.key())
+            .unwrap_or(self.len);
+        if self.len == BUFFER {
+            let max = self.front[0].take().expect("a full buffer");
+            self.front.rotate_left(1);
+            self.len -= 1;
+            at -= 1;
+            self.entries.push(max);
+            self.sift_up(self.entries.len() - 1);
+        }
+        self.front[at..=self.len].rotate_right(1);
+        self.front[at] = Some(e);
+        self.len += 1;
+    }
+
+    /// Moves up to four heap minima into the empty buffer. Each root
+    /// enters the buffer before the array sifts, and the slots fill
+    /// ascending and are reversed at the end, so a panic mid-refill
+    /// leaves every entry in place once.
+    fn refill(&mut self) {
+        debug_assert_eq!(self.len, 0, "refill of a non-empty buffer");
+        while self.len < BUFFER && !self.entries.is_empty() {
+            self.front[self.len] = Some(self.entries.swap_remove(0));
+            self.len += 1;
+            if !self.entries.is_empty() {
+                self.sift_down(0);
+            }
+        }
+        self.front[..self.len].reverse();
     }
 
     /// Moves the entry at `pos` up to its place.
@@ -147,10 +242,22 @@ impl<P: Ord, V> BinaryHeap<P, V> {
         }
     }
 
-    /// Verifies the heap invariant; used by tests and debug assertions.
+    /// Verifies the buffer and heap invariants; used by tests and debug
+    /// assertions.
     #[doc(hidden)]
     pub fn check_invariant(&self) -> bool {
-        (1..self.entries.len()).all(|i| self.entries[i].key() >= self.entries[(i - 1) / 2].key())
+        let (front, rest) = self.front.split_at(self.len);
+        let front_ok = front.iter().all(Option::is_some)
+            && rest.iter().all(Option::is_none)
+            && (1..self.len).all(|i| self.slot(i - 1).key() > self.slot(i).key());
+        let boundary_ok = match (self.len, self.entries.first()) {
+            (_, None) => true,
+            (0, Some(_)) => false,
+            (_, Some(root)) => self.slot(0).key() < root.key(),
+        };
+        let heap_ok = (1..self.entries.len())
+            .all(|i| self.entries[i].key() >= self.entries[(i - 1) / 2].key());
+        front_ok && boundary_ok && heap_ok
     }
 }
 
@@ -237,35 +344,46 @@ impl<P: Ord, V> SeqPriorityQueue<P, V> for BinaryHeap<P, V> {
     fn add(&mut self, priority: P, value: V) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.entries.push(Entry {
+        let e = Entry {
             priority,
             seq,
             value,
-        });
-        self.sift_up(self.entries.len() - 1);
+        };
+        if self.len == 0 || e.key() < self.slot(0).key() {
+            self.insert_front(e);
+        } else {
+            self.entries.push(e);
+            self.sift_up(self.entries.len() - 1);
+        }
     }
 
     fn delete_min(&mut self) -> Option<(P, V)> {
-        if self.entries.is_empty() {
-            return None;
+        // Empty buffer over a non-empty heap: only after a panic.
+        if self.len == 0 {
+            self.refill();
         }
-        // The last entry takes the root's place and sifts down from it.
-        let e = self.entries.swap_remove(0);
-        if !self.entries.is_empty() {
-            self.sift_down(0);
+        self.len = self.len.checked_sub(1)?;
+        let e = self.front[self.len]
+            .take()
+            .expect("slots below len are occupied");
+        if self.len == 0 {
+            self.refill();
         }
         Some((e.priority, e.value))
     }
 
     fn read_min(&self) -> Option<(&P, &V)> {
-        self.entries.first().map(|e| (&e.priority, &e.value))
+        let e = self.front[..self.len].last()?.as_ref()?;
+        Some((&e.priority, &e.value))
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.len + self.entries.len()
     }
 
     fn clear(&mut self) {
+        self.front = [const { None }; BUFFER];
+        self.len = 0;
         self.entries.clear();
         self.next_seq = 0;
     }
@@ -326,6 +444,56 @@ mod tests {
         for i in 0..50 {
             assert_eq!(h.delete_min(), Some((0, i)));
         }
+    }
+
+    #[test]
+    fn fifo_ties_straddle_the_buffer_heap_boundary() {
+        let mut h = BinaryHeap::new();
+        for v in 0..6u64 {
+            h.add(5u64, v);
+            assert!(h.check_invariant());
+        }
+        // The first tie went into the empty buffer, the rest onto the
+        // heap: a later tie is a larger key.
+        assert_eq!((h.len, h.entries.len()), (1, 5));
+        assert_eq!(h.delete_min(), Some((5, 0)));
+        // That pop emptied the buffer, which refilled with ties 1..=4.
+        assert_eq!((h.len, h.entries.len()), (4, 1));
+        h.add(5, 6); // above the buffer's maximum, tie 4: onto the heap
+        h.add(3, 7); // below it: into the buffer, evicting tie 4
+        assert_eq!((h.len, h.entries.len()), (4, 3));
+        assert_eq!(h.entries[0].value, 4, "the evicted tie is the heap root");
+        assert!(h.check_invariant());
+        let drained: Vec<_> = std::iter::from_fn(|| h.delete_min()).collect();
+        let ties = (1..=6).map(|v| (5, v));
+        assert_eq!(
+            drained,
+            [(3, 7)].into_iter().chain(ties).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_full_buffer_evicts_its_maximum_into_the_heap() {
+        let mut h = BinaryHeap::new();
+        // Each add is below the buffer's maximum, so all four stay there.
+        for p in [60u64, 50, 40, 30] {
+            h.add(p, p);
+        }
+        assert_eq!((h.len, h.entries.len()), (BUFFER, 0));
+        h.add(45, 45);
+        assert_eq!((h.len, h.entries.len()), (BUFFER, 1));
+        assert_eq!(h.entries[0].priority, 60, "the old maximum left the buffer");
+        h.add(100, 100); // above the buffer's maximum: heap
+        h.add(5, 5); // evicts 50, which becomes the heap root
+        assert_eq!(h.entries[0].priority, 50);
+        let front: Vec<u64> = (0..h.len).map(|i| h.slot(i).priority).collect();
+        assert_eq!(front, [45, 40, 30, 5]);
+        assert_eq!(h.read_min(), Some((&5, &5)));
+        assert!(h.check_invariant());
+        assert_eq!(
+            h.into_sorted_vec(),
+            [5, 30, 40, 45, 50, 60, 100].map(|p| (p, p))
+        );
     }
 
     #[test]
@@ -492,11 +660,25 @@ mod tests {
     fn a_panicking_comparison_leaves_every_value_exactly_once() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         const ADDS: usize = 48;
+        /// Where a blown fuse interrupted the script.
+        #[derive(Clone, Copy, PartialEq)]
+        enum Site {
+            /// A `delete_min` whose pop emptied the buffer: inside the
+            /// refill's `sift_down`, the only comparisons there.
+            Refill,
+            /// An `add` that had already evicted the buffer's maximum:
+            /// inside the eviction's `sift_up`, the only comparisons
+            /// after the eviction.
+            Eviction,
+            Elsewhere,
+        }
         // The script: 48 adds with 8 deletes mixed in, then a full drain.
-        let run = |fuse: i64, drops: &[std::cell::Cell<u32>]| -> (bool, usize) {
+        let run = |fuse: i64, drops: &[std::cell::Cell<u32>]| -> (Option<Site>, usize) {
             let countdown = std::cell::Cell::new(fuse);
             let mut heap: BinaryHeap<Fuse<'_>, Counted<'_>> = BinaryHeap::new();
             let mut returned = 0usize;
+            // (is an add, buffer length, heap length) before each call.
+            let mut before = (false, 0usize, 0usize);
             let blew = catch_unwind(AssertUnwindSafe(|| {
                 let mut x = 0x2545f4914f6cdd1du64;
                 for id in 0..ADDS {
@@ -505,18 +687,27 @@ mod tests {
                         p,
                         countdown: &countdown,
                     };
+                    before = (true, heap.len, heap.entries.len());
                     heap.add(p, Counted { id, drops });
+                    before = (false, heap.len, heap.entries.len());
                     if id % 6 == 5 && heap.delete_min().is_some() {
                         returned += 1;
                     }
                 }
+                before = (false, heap.len, heap.entries.len());
                 while heap.delete_min().is_some() {
                     returned += 1;
+                    before = (false, heap.len, heap.entries.len());
                 }
             }))
             .is_err();
-            // Whatever the panic interrupted, the array holds distinct
-            // live values: no id twice, none already dropped.
+            let site = blew.then_some(match before {
+                (false, 1, h) if h >= 2 => Site::Refill,
+                (true, BUFFER, _) if heap.len == BUFFER - 1 => Site::Eviction,
+                _ => Site::Elsewhere,
+            });
+            // Whatever the panic interrupted, the buffer and the array
+            // hold distinct live values: no id twice, none dropped.
             countdown.set(-1);
             let mut seen = [false; ADDS];
             for (_, v) in heap.iter_unordered() {
@@ -536,13 +727,13 @@ mod tests {
                 salvaged += 1;
             }
             assert_eq!(salvaged, held, "fuse {fuse}");
-            (blew, returned + salvaged)
+            (site, returned + salvaged)
         };
         // Every k: fuses grow until one outlasts the whole script.
-        let mut blown = 0;
+        let mut hits = Vec::new();
         for fuse in 0.. {
             let drops: Vec<_> = (0..ADDS).map(|_| std::cell::Cell::new(0)).collect();
-            let (blew, served) = run(fuse, &drops);
+            let (site, served) = run(fuse, &drops);
             // Every value that entered was dropped exactly once by now:
             // served, or (at most one) in flight in the panicking call.
             let entered = drops.iter().filter(|d| d.get() > 0).count();
@@ -551,15 +742,32 @@ mod tests {
                 "double drop, fuse {fuse}"
             );
             assert!(
-                served == entered || (blew && served + 1 == entered),
+                served == entered || (site.is_some() && served + 1 == entered),
                 "fuse {fuse}: {served} served of {entered} entered"
             );
-            if !blew {
-                assert_eq!(served, ADDS, "an unblown run serves everything");
-                break;
+            match site {
+                Some(site) => hits.push(site),
+                None => {
+                    assert_eq!(served, ADDS, "an unblown run serves everything");
+                    break;
+                }
             }
-            blown += 1;
         }
-        assert!(blown > 100, "the script should compare a lot, got {blown}");
+        let count = |want: Site| hits.iter().filter(|&&s| s == want).count();
+        assert!(
+            hits.len() > 100,
+            "the script should compare a lot, got {}",
+            hits.len()
+        );
+        assert!(
+            count(Site::Refill) > 100,
+            "refill sift_down fuses: {}",
+            count(Site::Refill)
+        );
+        assert!(
+            count(Site::Eviction) >= 5,
+            "eviction sift_up fuses: {}",
+            count(Site::Eviction)
+        );
     }
 }

@@ -8,7 +8,8 @@
 //!
 //! * [`SeqPriorityQueue`] — the sequential interface (`add`, `delete_min`,
 //!   `read_min`) that the paper's MultiQueue builds on.
-//! * [`BinaryHeap`] — the one implementation: an array heap that breaks
+//! * [`BinaryHeap`] — the one implementation: an array heap, fronted by
+//!   a four-entry sorted buffer of its smallest entries, that breaks
 //!   priority ties in FIFO order using an internal sequence number,
 //!   which is what gives the MultiQueue its queue-like semantics when
 //!   priorities are timestamps. A pairing heap and a skip list were

@@ -1,10 +1,12 @@
-//! Seeded property test for dlz-pq (std only): `BinaryHeap` behaves
-//! like a sorted model under random operation sequences. A failing case
-//! prints its seed.
+//! Seeded property tests for dlz-pq (std only): `BinaryHeap` behaves
+//! like a sorted model under random operation sequences, and
+//! `LockedPq` publishes that model's minimum. A failing case prints its
+//! seed.
 
 use std::collections::BTreeMap;
 
-use dlz_pq::{BinaryHeap, SeqPriorityQueue};
+use dlz_pq::locked::EMPTY_HINT;
+use dlz_pq::{BinaryHeap, ConcurrentPq, LockedPq, SeqPriorityQueue};
 
 /// SplitMix64: the crate has no generator of its own.
 fn next(x: &mut u64) -> u64 {
@@ -71,5 +73,33 @@ fn binary_heap_matches_sorted_model_and_drains_it_in_order() {
         }
         let want: Vec<(u64, u64)> = model.into_iter().map(|((p, _), v)| (p, v)).collect();
         assert_eq!(heap.into_sorted_vec(), want);
+    });
+}
+
+/// 600 random inserts and removals through `LockedPq`, in alternating
+/// grow and drain phases of 100: after every op the published hint is
+/// the model's minimum and the count its size. Queues some dozens deep
+/// over 64 priorities make the heap's front-buffer refills (every
+/// fourth removal) and evictions (an insert below a full buffer's
+/// maximum) frequent, and the drain phases reach the empty queue.
+#[test]
+fn locked_pq_hint_is_the_true_minimum_after_every_op() {
+    for_each_seed(32, |x| {
+        let q: LockedPq<u64> = LockedPq::default();
+        let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        for step in 0..600u64 {
+            let grow = (step / 100) % 2 == 0;
+            if (next(x) % 10 < 7) == grow {
+                let p = next(x) % 64;
+                q.insert(p, step);
+                model.insert((p, step), step);
+            } else {
+                let want = model.pop_first().map(|((p, _), v)| (p, v));
+                assert_eq!(q.remove_min(), want, "step {step}");
+            }
+            let min = model.keys().next().map_or(EMPTY_HINT, |&(p, _)| p);
+            assert_eq!(q.min_hint(), min, "step {step}");
+            assert_eq!(q.approx_len(), model.len(), "step {step}");
+        }
     });
 }

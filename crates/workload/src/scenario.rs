@@ -332,7 +332,13 @@ impl Scenario {
                 .budget(Budget::OpsPerWorker(1_200))
                 .prefill(2_000)
                 .record_history(true)
-                .telemetry_interval(Duration::from_millis(25))
+                // The watchdog aborts after two no-progress intervals.
+                // 100 ms leaves margin over the 30 ms stall and over the
+                // panic hook's backtrace capture, which runs before the
+                // panicking worker is marked finished: a debug build's
+                // capture on a loaded 2-core host outlasts two 25 ms
+                // intervals.
+                .telemetry_interval(Duration::from_millis(100))
                 .faults_spec("panic:1@400;stall:2@300:30;slow:3:5..20")
                 .build(),
             Scenario::builder("chaos-slow-tail", Family::Queue)
