@@ -1,13 +1,14 @@
 //! Seeded property tests for dlz-sim (std only): Fenwick prefix sums
-//! against a plain vector, ball conservation of every process, the
-//! gap and potential identities of `BinState`, and the monotonicity of
-//! majorization in the bias. A failing case prints its seed.
+//! against a plain vector, ball conservation and the pinned trajectory
+//! of every process, the gap and potential identities of `BinState`,
+//! and the monotonicity of majorization in the bias. A failing case
+//! prints its seed.
 
 use dlz_core::rng::{Rng64, Xoshiro256};
 use dlz_sim::process::{good_op_probabilities, majorizes, one_plus_beta_probabilities};
 use dlz_sim::{
-    AsyncTwoChoice, BallsProcess, BinState, CorruptedTwoChoice, CorruptionPattern, DChoice,
-    Fenwick, OnePlusBeta, Schedule,
+    AsyncTwoChoice, AsyncWeightedTwoChoice, BallsProcess, BinState, CorruptedTwoChoice,
+    CorruptionPattern, DChoice, Fenwick, OnePlusBeta, Schedule,
 };
 
 /// Runs `case` once per seed in `0..cases`, each on its own generator.
@@ -77,6 +78,73 @@ fn every_process_places_one_ball_per_step() {
             assert_eq!(p.steps_done(), steps, "process {which}");
         }
     });
+}
+
+/// Runs `p` for 20,000 steps and folds every bin weight's `f64` bits,
+/// then the `[wrong-choice, corrupted-step]` counters, into one word.
+fn pin<P: BallsProcess>(mut p: P, counters: fn(&P) -> [u64; 2]) -> u64 {
+    p.run(20_000);
+    let words = p.bins().weights().iter().map(|w| w.to_bits());
+    let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    words.chain(counters(&p)).fold(0xcbf2_9ce4_8422_2325, mix)
+}
+
+fn none<P>(_: &P) -> [u64; 2] {
+    [0, 0]
+}
+
+fn wrong(p: &AsyncTwoChoice) -> [u64; 2] {
+    [p.wrong_choices(), 0]
+}
+
+fn corrupted(p: &CorruptedTwoChoice) -> [u64; 2] {
+    [0, p.corrupted_steps()]
+}
+
+#[test]
+fn every_process_reproduces_its_pinned_trajectory() {
+    // A changed constant means a draw moved, a tie broke the other way,
+    // or a stale weight was reconstructed differently.
+    const STAMPEDE: Schedule = Schedule::BatchStampede { n: 8 };
+    const ROBIN: Schedule = Schedule::RoundRobin { n: 4 };
+    const UNIFORM: Schedule = Schedule::UniformDelay { max: 16 };
+    const IID: CorruptionPattern = CorruptionPattern::Iid { eps: 0.25 };
+    const BURST: CorruptionPattern = CorruptionPattern::Burst {
+        period: 128,
+        burst: 32,
+    };
+    const NONE: CorruptionPattern = CorruptionPattern::None;
+    let runs: [fn(usize, u64) -> u64; 11] = [
+        |m, s| pin(DChoice::new(m, 1, s), none),
+        |m, s| pin(DChoice::new(m, 2, s), none),
+        |m, s| pin(DChoice::new(m, 3, s), none),
+        |m, s| pin(OnePlusBeta::new(m, 0.5, s), none),
+        |m, s| pin(AsyncTwoChoice::new(m, STAMPEDE, s), wrong),
+        |m, s| pin(AsyncTwoChoice::new(m, ROBIN, s), wrong),
+        |m, s| pin(AsyncTwoChoice::new(m, UNIFORM, s), wrong),
+        |m, s| pin(AsyncWeightedTwoChoice::new(m, STAMPEDE, s), none),
+        |m, s| pin(CorruptedTwoChoice::new(m, IID, s), corrupted),
+        |m, s| pin(CorruptedTwoChoice::new(m, BURST, s), corrupted),
+        |m, s| pin(CorruptedTwoChoice::new(m, NONE, s), corrupted),
+    ];
+    // One row per run above, one column per (m, seed) point.
+    let pinned: [[u64; 2]; 11] = [
+        [0xbccc_5b89_9815_1194, 0x5d28_fb3c_6586_5c8d],
+        [0x8bea_4056_e3c6_4f0e, 0x0dd2_5243_4cfd_2b62],
+        [0x9ea5_110d_1c9e_4153, 0x9f1c_d6b1_46bd_bf73],
+        [0xf9d5_156b_6f79_4edd, 0x7f33_e765_bfb2_c3ca],
+        [0x3059_2d0f_3674_9c8b, 0xcd65_1e85_aa05_dce4],
+        [0xa460_f55f_a71a_e666, 0x4de0_b3e0_4bca_379a],
+        [0x2e18_aa55_7f94_04ba, 0x1c58_1371_3c31_5e53],
+        [0x9f90_2d70_4d26_a27b, 0x11f9_9ca8_771b_1491],
+        [0x114a_2d55_e00a_a028, 0x6653_dc0b_cdd5_e86f],
+        [0x8325_0db6_c427_8d78, 0xcdc8_b727_534c_4c61],
+        [0x8bea_4056_e3c6_4f0e, 0x0dd2_5243_4cfd_2b62],
+    ];
+    for (row, (run, pinned)) in runs.iter().zip(pinned).enumerate() {
+        let got = [(64, 1), (37, 0xd15c)].map(|(m, seed)| run(m, seed));
+        assert_eq!(got, pinned, "row {row} moved to {got:#018x?}");
+    }
 }
 
 #[test]
