@@ -13,7 +13,7 @@
 
 use dlz_bench::tables::f3;
 use dlz_bench::{Config, Table};
-use dlz_sim::{AsyncTwoChoice, PotentialTrace, Schedule};
+use dlz_sim::{Allocation, PotentialTrace, Rule, Schedule};
 
 fn main() {
     let cfg = Config::from_args();
@@ -42,8 +42,8 @@ fn main() {
             ("roundrobin(n)", Schedule::RoundRobin { n }),
             ("uniform(2n)", Schedule::UniformDelay { max: 2 * n }),
         ];
-        for (name, sched) in schedules {
-            let mut p = AsyncTwoChoice::new(m, sched, cfg.seed ^ m as u64);
+        for (name, schedule) in schedules {
+            let mut p = Allocation::new(m, Rule::Async { schedule }, cfg.seed ^ m as u64);
             let mut trace = PotentialTrace::new(alpha, 10_000);
             trace.run(&mut p, steps);
             let lnm = (m as f64).ln();

@@ -13,7 +13,7 @@
 use dlz_bench::tables::f3;
 use dlz_bench::{Config, Table};
 use dlz_sim::process::{good_op_probabilities, majorizes, one_plus_beta_probabilities};
-use dlz_sim::{OnePlusBeta, PotentialTrace};
+use dlz_sim::{Allocation, PotentialTrace, Rule};
 
 fn main() {
     let cfg = Config::from_args();
@@ -25,7 +25,8 @@ fn main() {
     let mut table = Table::new(&["beta", "max_gap", "ln(m)/beta", "gap·beta/ln(m)"]);
     for beta in [1.0, 0.5, 0.25, 0.125, 0.0625] {
         let mut trace = PotentialTrace::new(1.0, 10_000);
-        trace.run(&mut OnePlusBeta::new(m, beta, cfg.seed), steps);
+        let mut p = Allocation::new(m, Rule::OnePlusBeta { beta }, cfg.seed);
+        trace.run(&mut p, steps);
         let max_gap = trace.max_gap();
         table.row(vec![
             f3(beta),

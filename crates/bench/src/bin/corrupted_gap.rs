@@ -12,7 +12,7 @@
 
 use dlz_bench::tables::f3;
 use dlz_bench::{Config, Table};
-use dlz_sim::{CorruptedTwoChoice, CorruptionPattern, PotentialTrace};
+use dlz_sim::{Allocation, CorruptionPattern, PotentialTrace, Rule};
 
 fn main() {
     let cfg = Config::from_args();
@@ -48,7 +48,7 @@ fn main() {
     ];
 
     for (name, pattern) in patterns {
-        let mut p = CorruptedTwoChoice::new(m, pattern, cfg.seed);
+        let mut p = Allocation::new(m, Rule::Corrupted { pattern }, cfg.seed);
         // Sample the gap along the way; report the worst.
         let mut trace = PotentialTrace::new(1.0, 10_000);
         trace.run(&mut p, steps);

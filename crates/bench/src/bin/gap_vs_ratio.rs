@@ -15,7 +15,7 @@
 
 use dlz_bench::tables::f3;
 use dlz_bench::{Config, Table};
-use dlz_sim::{AsyncTwoChoice, PotentialTrace, Schedule};
+use dlz_sim::{Allocation, PotentialTrace, Rule, Schedule};
 
 fn main() {
     let cfg = Config::from_args();
@@ -39,7 +39,8 @@ fn main() {
         (1, 8),
     ] {
         let n = m * den / num;
-        let mut p = AsyncTwoChoice::new(m, Schedule::BatchStampede { n }, cfg.seed);
+        let schedule = Schedule::BatchStampede { n };
+        let mut p = Allocation::new(m, Rule::Async { schedule }, cfg.seed);
         let mut trace = PotentialTrace::new(1.0, 10_000);
         trace.run(&mut p, steps);
         let max_gap = trace.max_gap();

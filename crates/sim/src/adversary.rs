@@ -1,265 +1,28 @@
-//! The asynchronous stale-read process under an oblivious adversary —
-//! the paper's model of the concurrent MultiCounter (Section 6.1).
-//!
-//! The paper rephrases the concurrent process via the principle of
-//! deferred decisions: *"at the time when the update is scheduled, the
-//! thread generates two uniform random indices i and j, and is given
-//! values v_i and v_j for the two corresponding bins, read at previous
-//! (possibly different) points in time."* The adversary fixes, for each
-//! operation, how far in the past those reads happened (its contention
-//! ℓ); the only constraint is that at most `n` operations are active at
-//! once, so staleness within a schedule is bounded by a function of
-//! `n`.
-//!
-//! [`AsyncTwoChoice`] implements exactly that: each step draws fresh
-//! indices, looks up the bins' values *s steps ago* (s chosen by the
-//! [`Schedule`]), and increments the apparent minimum. Historical
-//! values are reconstructed exactly from a ring buffer of recent
-//! placements — `x_b(t−s) = x_b(t) − (# placements into b during the
-//! last s steps)`.
-
-use std::collections::VecDeque;
-
-use dlz_core::rng::{Rng64, Xoshiro256};
-
-use crate::bins::BinState;
-use crate::process::BallsProcess;
-
-/// How the oblivious adversary delays updates relative to reads.
-///
-/// Staleness is measured in completed update steps between an
-/// operation's reads and its update — the paper's contention ℓ.
-/// An oblivious adversary cannot react to coin flips, so any *fixed or
-/// independently randomized* staleness sequence is a legal schedule;
-/// these are the named ones used in the paper and the benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Schedule {
-    /// No concurrency: reads happen at update time (classical process).
-    Sequential,
-    /// The paper's worst-case illustration: batches of `n` threads all
-    /// read simultaneously, then update one after another. The k-th
-    /// updater of a batch acts on information k steps old.
-    BatchStampede {
-        /// Batch size = number of threads `n`.
-        n: usize,
-    },
-    /// Every operation's staleness drawn uniformly from `0..=max`.
-    UniformDelay {
-        /// Maximum staleness.
-        max: usize,
-    },
-    /// Steady-state pipeline of `n` threads: every operation acts on
-    /// information exactly `n − 1` steps old.
-    RoundRobin {
-        /// Number of threads.
-        n: usize,
-    },
-}
-
-impl Schedule {
-    /// Upper bound on staleness this schedule can produce.
-    pub fn max_staleness(&self) -> usize {
-        match *self {
-            Schedule::Sequential => 0,
-            Schedule::BatchStampede { n } => n.saturating_sub(1),
-            Schedule::UniformDelay { max } => max,
-            Schedule::RoundRobin { n } => n.saturating_sub(1),
-        }
-    }
-
-    /// Staleness of the `t`-th operation.
-    fn staleness(&self, t: u64, rng: &mut impl Rng64) -> usize {
-        match *self {
-            Schedule::Sequential => 0,
-            Schedule::BatchStampede { n } => (t % n as u64) as usize,
-            Schedule::UniformDelay { max } => rng.bounded(max as u64 + 1) as usize,
-            Schedule::RoundRobin { n } => n.saturating_sub(1),
-        }
-    }
-}
-
-/// The asynchronous two-choice process of Theorem 6.1.
-#[derive(Debug, Clone)]
-pub struct AsyncTwoChoice {
-    bins: BinState,
-    rng: Xoshiro256,
-    schedule: Schedule,
-    /// Bin indices of the most recent `max_staleness` placements,
-    /// oldest first.
-    recent: VecDeque<u32>,
-    steps: u64,
-    /// Steps on which the operation picked the bin that was *actually*
-    /// more loaded at update time (a "wrong" choice caused by staleness)
-    wrong_choices: u64,
-}
-
-impl AsyncTwoChoice {
-    /// `m` bins under `schedule`, deterministic seed.
-    pub fn new(m: usize, schedule: Schedule, seed: u64) -> Self {
-        AsyncTwoChoice {
-            bins: BinState::new(m),
-            rng: Xoshiro256::new(seed),
-            schedule,
-            recent: VecDeque::with_capacity(schedule.max_staleness() + 1),
-            steps: 0,
-            wrong_choices: 0,
-        }
-    }
-
-    /// The schedule in force.
-    pub fn schedule(&self) -> Schedule {
-        self.schedule
-    }
-
-    /// How many updates inserted into the bin that was more loaded at
-    /// update time — the "corrupted" steps of the analysis.
-    pub fn wrong_choices(&self) -> u64 {
-        self.wrong_choices
-    }
-
-    /// The weight bin `b` had `s` completed steps ago.
-    fn stale_weight(&self, b: usize, s: usize) -> f64 {
-        let recent_hits = self
-            .recent
-            .iter()
-            .rev()
-            .take(s)
-            .filter(|&&x| x as usize == b)
-            .count();
-        self.bins.weight(b) - recent_hits as f64
-    }
-
-    fn step_impl(&mut self) {
-        let m = self.bins.len() as u64;
-        let s = self.schedule.staleness(self.steps, &mut self.rng);
-        // Deferred decisions: indices drawn now, values read s steps ago.
-        let i = self.rng.bounded(m) as usize;
-        let j = self.rng.bounded(m) as usize;
-        let vi = self.stale_weight(i, s);
-        let vj = self.stale_weight(j, s);
-        let target = if vi <= vj { i } else { j };
-        // Bookkeeping for the analysis: was that the wrong bin *now*?
-        let other = if target == i { j } else { i };
-        if self.bins.weight(target) > self.bins.weight(other) {
-            self.wrong_choices += 1;
-        }
-        self.bins.add(target, 1.0);
-        let cap = self.schedule.max_staleness();
-        if cap > 0 {
-            self.recent.push_back(target as u32);
-            if self.recent.len() > cap {
-                self.recent.pop_front();
-            }
-        }
-        self.steps += 1;
-    }
-}
-
-impl BallsProcess for AsyncTwoChoice {
-    fn step(&mut self) {
-        self.step_impl();
-    }
-
-    fn bins(&self) -> &BinState {
-        &self.bins
-    }
-
-    fn steps_done(&self) -> u64 {
-        self.steps
-    }
-}
-
-/// The asynchronous **weighted** two-choice process: stale reads *and*
-/// Exp(1) increments — the exact setting of Theorem 7.1, where the
-/// MultiQueue's timestamp gaps between consecutive head elements are
-/// modeled as exponential weights.
-#[derive(Debug, Clone)]
-pub struct AsyncWeightedTwoChoice {
-    bins: BinState,
-    rng: Xoshiro256,
-    schedule: Schedule,
-    /// (bin, weight) of the most recent placements, oldest first.
-    recent: VecDeque<(u32, f64)>,
-    steps: u64,
-}
-
-impl AsyncWeightedTwoChoice {
-    /// `m` bins under `schedule`, deterministic seed.
-    pub fn new(m: usize, schedule: Schedule, seed: u64) -> Self {
-        AsyncWeightedTwoChoice {
-            bins: BinState::new(m),
-            rng: Xoshiro256::new(seed),
-            schedule,
-            recent: VecDeque::with_capacity(schedule.max_staleness() + 1),
-            steps: 0,
-        }
-    }
-
-    /// The schedule in force.
-    pub fn schedule(&self) -> Schedule {
-        self.schedule
-    }
-
-    /// The weight bin `b` had `s` completed steps ago.
-    fn stale_weight(&self, b: usize, s: usize) -> f64 {
-        let recent_weight: f64 = self
-            .recent
-            .iter()
-            .rev()
-            .take(s)
-            .filter(|&&(x, _)| x as usize == b)
-            .map(|&(_, w)| w)
-            .sum();
-        self.bins.weight(b) - recent_weight
-    }
-
-    fn step_impl(&mut self) {
-        let m = self.bins.len() as u64;
-        let s = self.schedule.staleness(self.steps, &mut self.rng);
-        let i = self.rng.bounded(m) as usize;
-        let j = self.rng.bounded(m) as usize;
-        let vi = self.stale_weight(i, s);
-        let vj = self.stale_weight(j, s);
-        let target = if vi <= vj { i } else { j };
-        // Exp(1) by inversion.
-        let w = -(1.0 - self.rng.uniform_f64()).ln();
-        self.bins.add(target, w);
-        let cap = self.schedule.max_staleness();
-        if cap > 0 {
-            self.recent.push_back((target as u32, w));
-            if self.recent.len() > cap {
-                self.recent.pop_front();
-            }
-        }
-        self.steps += 1;
-    }
-}
-
-impl BallsProcess for AsyncWeightedTwoChoice {
-    fn step(&mut self) {
-        self.step_impl();
-    }
-
-    fn bins(&self) -> &BinState {
-        &self.bins
-    }
-
-    fn steps_done(&self) -> u64 {
-        self.steps
-    }
-}
+//! Tests of the stale-read rules, [`Rule::Async`](crate::Rule::Async)
+//! and [`Rule::AsyncWeighted`](crate::Rule::AsyncWeighted): the
+//! paper's concurrency model of Section 6.1 and Theorem 7.1's weighted
+//! setting.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use dlz_core::rng::{Rng64, Xoshiro256};
+
+    use crate::{Allocation, BinState, Rule, Schedule};
+
+    fn unit(m: usize, schedule: Schedule, seed: u64) -> Allocation {
+        Allocation::new(m, Rule::Async { schedule }, seed)
+    }
+
+    fn weighted(m: usize, schedule: Schedule, seed: u64) -> Allocation {
+        Allocation::new(m, Rule::AsyncWeighted { schedule }, seed)
+    }
 
     #[test]
     fn sequential_schedule_matches_classic_two_choice() {
-        use crate::process::DChoice;
         // With staleness 0 the async process *is* the classic process:
         // same seed → identical trajectories.
-        let mut a = AsyncTwoChoice::new(32, Schedule::Sequential, 9);
-        let mut c = DChoice::new(32, 2, 9);
+        let mut a = unit(32, Schedule::Sequential, 9);
+        let mut c = Allocation::new(32, Rule::DChoice { d: 2 }, 9);
         a.run(50_000);
         c.run(50_000);
         assert_eq!(a.bins().weights(), c.bins().weights());
@@ -272,7 +35,7 @@ mod tests {
         // the classic one, draw for draw — two uniform bins, the lighter
         // one (ties to the first) gets an Exp(1) weight by inversion.
         for seed in 0..4 {
-            let mut a = AsyncWeightedTwoChoice::new(64, Schedule::Sequential, seed);
+            let mut a = weighted(64, Schedule::Sequential, seed);
             a.run(200_000);
             let (mut bins, mut rng) = (BinState::new(64), Xoshiro256::new(seed));
             for _ in 0..200_000 {
@@ -290,27 +53,33 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
     fn stale_weight_reconstruction_is_exact() {
         // Brute-force check: replay the process and compare stale values
-        // against an explicitly stored history of snapshots.
-        let m = 8;
-        let sched = Schedule::RoundRobin { n: 5 };
-        let mut p = AsyncTwoChoice::new(m, sched, 3);
-        let mut snapshots: Vec<Vec<f64>> = vec![p.bins().weights().to_vec()];
-        for _ in 0..2_000 {
-            p.step();
-            snapshots.push(p.bins().weights().to_vec());
-        }
-        // After t steps, stale_weight(b, s) must equal snapshot[t - s][b]
-        let t = snapshots.len() - 1;
-        for s in 0..=4usize {
-            for b in 0..m {
-                assert_eq!(
-                    p.stale_weight(b, s),
-                    snapshots[t - s][b],
-                    "bin {b} staleness {s}"
-                );
+        // against an explicitly stored history of snapshots. Unit weights
+        // come back exactly, Exp(1) weights up to rounding.
+        let cases = [
+            (unit(8, Schedule::RoundRobin { n: 5 }, 3), 2_000, 4, 0.0),
+            (weighted(8, Schedule::RoundRobin { n: 4 }, 3), 500, 3, 1e-9),
+        ];
+        for (mut p, steps, max_staleness, tolerance) in cases {
+            let mut snapshots: Vec<Vec<f64>> = vec![p.bins().weights().to_vec()];
+            for _ in 0..steps {
+                p.step();
+                snapshots.push(p.bins().weights().to_vec());
+            }
+            // After t steps, stale_weights(a, b, s) must equal
+            // snapshot[t - s] at a and at b, for every pair (a = b too).
+            let t = snapshots.len() - 1;
+            for s in 0..=max_staleness {
+                for (a, b) in (0..8).flat_map(|a| (0..8).map(move |b| (a, b))) {
+                    let (got_a, got_b) = p.stale_weights(a, b, s);
+                    let (want_a, want_b) = (snapshots[t - s][a], snapshots[t - s][b]);
+                    assert!(
+                        (got_a - want_a).abs() <= tolerance && (got_b - want_b).abs() <= tolerance,
+                        "{:?}: bins {a}, {b} staleness {s}: ({got_a}, {got_b})",
+                        p.rule()
+                    );
+                }
             }
         }
     }
@@ -321,7 +90,7 @@ mod tests {
         // under the stampede schedule.
         let n = 8;
         let m = 64;
-        let mut p = AsyncTwoChoice::new(m, Schedule::BatchStampede { n }, 7);
+        let mut p = unit(m, Schedule::BatchStampede { n }, 7);
         p.run(500_000);
         assert!(
             p.bins().gap() <= 4.0 * (m as f64).ln(),
@@ -334,7 +103,7 @@ mod tests {
     fn staleness_produces_wrong_choices() {
         // With heavy staleness, some updates must land on the currently
         // more loaded bin — the phenomenon Section 6.1 discusses.
-        let mut p = AsyncTwoChoice::new(16, Schedule::UniformDelay { max: 64 }, 5);
+        let mut p = unit(16, Schedule::UniformDelay { max: 64 }, 5);
         p.run(100_000);
         assert!(p.wrong_choices() > 0);
         // ...but still a small fraction at this staleness/bin ratio.
@@ -344,7 +113,7 @@ mod tests {
     #[test]
     fn more_staleness_means_worse_balance() {
         let run = |sched| {
-            let mut p = AsyncTwoChoice::new(32, sched, 11);
+            let mut p = unit(32, sched, 11);
             p.run(300_000);
             p.bins().gap()
         };
@@ -358,11 +127,23 @@ mod tests {
 
     #[test]
     fn weighted_async_total_tracks_t() {
-        let mut p = AsyncWeightedTwoChoice::new(64, Schedule::BatchStampede { n: 8 }, 13);
-        p.run(100_000);
-        // E[W] = 1: total within a few σ = √t of t.
-        assert!((p.bins().total() - 100_000.0).abs() < 5.0 * (100_000f64).sqrt());
-        assert_eq!(p.steps_done(), 100_000);
+        for (schedule, seed) in [
+            (Schedule::Sequential, 5),
+            (Schedule::BatchStampede { n: 8 }, 13),
+        ] {
+            let mut p = weighted(64, schedule, seed);
+            p.run(100_000);
+            assert_eq!(p.steps_done(), 100_000);
+            // E[W] = 1: total within a few σ = √t of t.
+            let total = p.bins().total();
+            assert!(
+                (total - 100_000.0).abs() < 5.0 * (100_000f64).sqrt(),
+                "{schedule:?}"
+            );
+            // Gap O(log m) for the weighted process too.
+            let gap = p.bins().gap();
+            assert!(gap <= 40.0, "{schedule:?}: gap {gap}");
+        }
     }
 
     #[test]
@@ -371,37 +152,13 @@ mod tests {
         // reads. The potential argument gives gap O(log m) again
         // (weighted constants are larger — allow slack).
         let m = 64;
-        let mut p = AsyncWeightedTwoChoice::new(m, Schedule::BatchStampede { n: 8 }, 7);
+        let mut p = weighted(m, Schedule::BatchStampede { n: 8 }, 7);
         p.run(400_000);
         assert!(
             p.bins().gap() <= 10.0 * (m as f64).ln(),
             "weighted gap {} too large",
             p.bins().gap()
         );
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn weighted_stale_reconstruction_consistent() {
-        let m = 8;
-        let sched = Schedule::RoundRobin { n: 4 };
-        let mut p = AsyncWeightedTwoChoice::new(m, sched, 3);
-        let mut snapshots: Vec<Vec<f64>> = vec![p.bins().weights().to_vec()];
-        for _ in 0..500 {
-            p.step();
-            snapshots.push(p.bins().weights().to_vec());
-        }
-        let t = snapshots.len() - 1;
-        for s in 0..=3usize {
-            for b in 0..m {
-                let got = p.stale_weight(b, s);
-                let want = snapshots[t - s][b];
-                assert!(
-                    (got - want).abs() < 1e-9,
-                    "bin {b} staleness {s}: {got} vs {want}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,139 +1,18 @@
-//! The ε-corrupted two-choice process — the reduction at the heart of
-//! the paper's proof.
-//!
-//! Section 6.3 bounds the potential of the asynchronous process by
-//! splitting operations into *good(γ)* ones (biased toward the lesser
-//! loaded bin, probability ≥ 1/2 + γ of an untouched target) and *bad*
-//! ones (assumed adversarially biased toward the **more** loaded bin).
-//! Lemma 6.6 shows at most `n` of any `Cn` consecutive operations can
-//! be bad. The analysis therefore reduces to: *a two-choice process
-//! where an (at most) ε = 1/C fraction of updates is corrupted — in any
-//! adversarially chosen order — still has an O(log m) gap.*
-//!
-//! [`CorruptedTwoChoice`] simulates that reduced process directly, with
-//! both i.i.d. corruption and the burst patterns an adversary would
-//! actually use (Lemma 6.7's worst case is `n` bad steps in a row).
-
-use dlz_core::rng::{Rng64, Xoshiro256};
-
-use crate::bins::BinState;
-use crate::process::BallsProcess;
-
-/// When the adversary corrupts a step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CorruptionPattern {
-    /// Each step independently corrupted with probability ε.
-    Iid {
-        /// Corruption probability ε ∈ [0, 1].
-        eps: f64,
-    },
-    /// Deterministic bursts: in every window of `period` steps, the
-    /// first `burst` are corrupted (the adversary schedules all its bad
-    /// steps back-to-back — the worst case of Lemma 6.7).
-    Burst {
-        /// Window length (the paper's `Cn`).
-        period: u64,
-        /// Corrupted steps per window (the paper's `n`).
-        burst: u64,
-    },
-    /// Never corrupt (control).
-    None,
-}
-
-impl CorruptionPattern {
-    fn is_corrupted(&self, t: u64, rng: &mut impl Rng64) -> bool {
-        match *self {
-            CorruptionPattern::Iid { eps } => rng.coin(eps),
-            CorruptionPattern::Burst { period, burst } => t % period < burst,
-            CorruptionPattern::None => false,
-        }
-    }
-
-    /// Long-run fraction of corrupted steps.
-    pub fn rate(&self) -> f64 {
-        match *self {
-            CorruptionPattern::Iid { eps } => eps,
-            CorruptionPattern::Burst { period, burst } => burst as f64 / period as f64,
-            CorruptionPattern::None => 0.0,
-        }
-    }
-}
-
-/// Two-choice with adversarially corrupted steps: a corrupted step
-/// inserts into the **more** loaded of its two uniform choices.
-#[derive(Debug, Clone)]
-pub struct CorruptedTwoChoice {
-    bins: BinState,
-    rng: Xoshiro256,
-    pattern: CorruptionPattern,
-    steps: u64,
-    corrupted_steps: u64,
-}
-
-impl CorruptedTwoChoice {
-    /// `m` bins under `pattern`, deterministic seed.
-    pub fn new(m: usize, pattern: CorruptionPattern, seed: u64) -> Self {
-        CorruptedTwoChoice {
-            bins: BinState::new(m),
-            rng: Xoshiro256::new(seed),
-            pattern,
-            steps: 0,
-            corrupted_steps: 0,
-        }
-    }
-
-    /// The corruption pattern in force.
-    pub fn pattern(&self) -> CorruptionPattern {
-        self.pattern
-    }
-
-    /// Number of corrupted steps so far.
-    pub fn corrupted_steps(&self) -> u64 {
-        self.corrupted_steps
-    }
-
-    fn step_impl(&mut self) {
-        let m = self.bins.len() as u64;
-        let corrupt = self.pattern.is_corrupted(self.steps, &mut self.rng);
-        let i = self.rng.bounded(m) as usize;
-        let j = self.rng.bounded(m) as usize;
-        let (lo, hi) = if self.bins.weight(i) <= self.bins.weight(j) {
-            (i, j)
-        } else {
-            (j, i)
-        };
-        let target = if corrupt {
-            self.corrupted_steps += 1;
-            hi
-        } else {
-            lo
-        };
-        self.bins.add(target, 1.0);
-        self.steps += 1;
-    }
-}
-
-impl BallsProcess for CorruptedTwoChoice {
-    fn step(&mut self) {
-        self.step_impl();
-    }
-
-    fn bins(&self) -> &BinState {
-        &self.bins
-    }
-
-    fn steps_done(&self) -> u64 {
-        self.steps
-    }
-}
+//! Tests of [`Rule::Corrupted`](crate::Rule::Corrupted), the
+//! ε-corrupted two-choice process at the heart of the paper's proof
+//! (Section 6.3).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Allocation, CorruptionPattern, Rule};
+
+    fn corrupted(m: usize, pattern: CorruptionPattern, seed: u64) -> Allocation {
+        Allocation::new(m, Rule::Corrupted { pattern }, seed)
+    }
 
     #[test]
     fn no_corruption_matches_two_choice_statistics() {
-        let mut p = CorruptedTwoChoice::new(64, CorruptionPattern::None, 1);
+        let mut p = corrupted(64, CorruptionPattern::None, 1);
         p.run(200_000);
         assert_eq!(p.corrupted_steps(), 0);
         assert!(p.bins().gap() <= 12.0, "gap {}", p.bins().gap());
@@ -141,7 +20,7 @@ mod tests {
 
     #[test]
     fn iid_corruption_rate_is_respected() {
-        let mut p = CorruptedTwoChoice::new(16, CorruptionPattern::Iid { eps: 0.25 }, 2);
+        let mut p = corrupted(16, CorruptionPattern::Iid { eps: 0.25 }, 2);
         p.run(100_000);
         let rate = p.corrupted_steps() as f64 / 100_000.0;
         assert!((rate - 0.25).abs() < 0.01, "rate {rate}");
@@ -152,7 +31,7 @@ mod tests {
         // The paper's robustness claim: ε = 1/C corruption still gives
         // an O(log m) gap. Test ε = 1/16 over a long run.
         let m = 64;
-        let mut p = CorruptedTwoChoice::new(m, CorruptionPattern::Iid { eps: 1.0 / 16.0 }, 3);
+        let mut p = corrupted(m, CorruptionPattern::Iid { eps: 1.0 / 16.0 }, 3);
         p.run(1_000_000);
         assert!(
             p.bins().gap() <= 6.0 * (m as f64).ln(),
@@ -170,7 +49,7 @@ mod tests {
             period: 128,
             burst: 8,
         };
-        let mut p = CorruptedTwoChoice::new(m, pattern, 4);
+        let mut p = corrupted(m, pattern, 4);
         p.run(1_000_000);
         assert!((pattern.rate() - 1.0 / 16.0).abs() < 1e-12);
         assert!(
@@ -185,8 +64,8 @@ mod tests {
         // ε = 1: always insert into the more loaded bin — the gap must
         // blow up (worse than single choice). Negative control.
         let m = 16;
-        let mut worst = CorruptedTwoChoice::new(m, CorruptionPattern::Iid { eps: 1.0 }, 5);
-        let mut clean = CorruptedTwoChoice::new(m, CorruptionPattern::None, 5);
+        let mut worst = corrupted(m, CorruptionPattern::Iid { eps: 1.0 }, 5);
+        let mut clean = corrupted(m, CorruptionPattern::None, 5);
         worst.run(100_000);
         clean.run(100_000);
         assert!(
@@ -200,7 +79,7 @@ mod tests {
     #[test]
     fn corruption_monotone_in_eps() {
         let gap = |eps, seed| {
-            let mut p = CorruptedTwoChoice::new(32, CorruptionPattern::Iid { eps }, seed);
+            let mut p = corrupted(32, CorruptionPattern::Iid { eps }, seed);
             p.run(300_000);
             p.bins().gap()
         };

@@ -6,18 +6,15 @@
 //! implements every process appearing in that analysis so the theorems
 //! can be checked numerically and the figures regenerated:
 //!
-//! * [`process`] — the classical sequential processes: greedy
-//!   d-choice (two-choice at d = 2, the divergent single-choice control
-//!   at d = 1), the (1+β)-choice process of Peres–Talwar–Wieder, and the
-//!   exponentially-weighted variant used for MultiQueues (Theorem 7.1).
-//! * [`adversary`] — the paper's concurrency model (Section 6.1):
-//!   operations read bin values at one time and update at a later time
-//!   chosen by an oblivious adversary; random choices are deferred to
-//!   update time. Includes the batch-stampede schedule the paper uses
-//!   to show adversarial bias.
-//! * [`corrupted`] — the ε-corrupted process at the heart of the proof:
-//!   an adversarially chosen fraction of steps insert into the *more*
-//!   loaded bin.
+//! * [`process`] — the one allocation process, [`Allocation`], and
+//!   the [`Rule`] that picks its step: greedy d-choice (two-choice at
+//!   d = 2, the divergent single-choice control at d = 1), the
+//!   (1+β)-choice process of Peres–Talwar–Wieder, the paper's
+//!   concurrency model of stale reads under an oblivious adversary's
+//!   [`Schedule`] (Section 6.1), the ε-corrupted process at the heart
+//!   of the proof ([`CorruptionPattern`], Section 6.3), and the
+//!   exponentially-weighted stale process used for MultiQueues
+//!   (Theorem 7.1).
 //! * [`queue_process`] — the sequential MultiQueue rank process of
 //!   Alistarh et al. \[3\], with exact rank tracking via a Fenwick tree,
 //!   plus its stale-read variant.
@@ -30,20 +27,21 @@
 
 #![warn(missing_docs)]
 
-pub mod adversary;
 pub mod bins;
-pub mod corrupted;
 pub mod fenwick;
 pub mod potential;
 pub mod process;
 pub mod queue_process;
 pub mod wheel;
 
-pub use adversary::{AsyncTwoChoice, AsyncWeightedTwoChoice, Schedule};
+// Tests of the stale-read rules (Section 6.1, Theorem 7.1) and of the
+// corrupted rule (Section 6.3), beside `process`'s own.
+mod adversary;
+mod corrupted;
+
 pub use bins::BinState;
-pub use corrupted::{CorruptedTwoChoice, CorruptionPattern};
 pub use fenwick::Fenwick;
 pub use potential::{PaperConstants, PotentialTrace};
-pub use process::{BallsProcess, DChoice, OnePlusBeta};
+pub use process::{Allocation, CorruptionPattern, Rule, Schedule};
 pub use queue_process::QueueProcess;
 pub use wheel::TimerWheel;

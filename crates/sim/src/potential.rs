@@ -7,7 +7,7 @@
 //! [`PaperConstants`] packages the constants chain of Section 6.3
 //! (γ → β → ε → α, and the threshold C).
 
-use crate::process::BallsProcess;
+use crate::process::Allocation;
 
 /// The constant chain of the paper's analysis, derived from the
 /// good-operation bias γ.
@@ -89,7 +89,7 @@ impl PotentialTrace {
 
     /// Runs `process` for `steps` steps, sampling along the way
     /// (including a final sample at the end).
-    pub fn run<P: BallsProcess>(&mut self, process: &mut P, steps: u64) {
+    pub fn run(&mut self, process: &mut Allocation, steps: u64) {
         let mut done = 0;
         while done < steps {
             let chunk = self.sample_every.min(steps - done);
@@ -123,7 +123,7 @@ impl PotentialTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::DChoice;
+    use crate::process::Rule;
 
     #[test]
     fn constants_chain_matches_paper() {
@@ -149,7 +149,7 @@ mod tests {
         // process: sup_t Γ(t) = O(m). With α = 0.5 and two-choice, the
         // constant is small; allow 10·m + slack.
         let m = 128;
-        let mut p = DChoice::new(m, 2, 3);
+        let mut p = Allocation::new(m, Rule::DChoice { d: 2 }, 3);
         let mut trace = PotentialTrace::new(0.5, 10_000);
         trace.run(&mut p, 500_000);
         assert_eq!(p.steps_done(), 500_000);
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn trace_samples_at_requested_cadence() {
-        let mut p = DChoice::new(8, 2, 4);
+        let mut p = Allocation::new(8, Rule::DChoice { d: 2 }, 4);
         let mut trace = PotentialTrace::new(0.25, 100);
         trace.run(&mut p, 1000);
         assert_eq!(trace.gamma.len(), 10);

@@ -10,7 +10,7 @@
 //!
 //! [`QueueProcess`] implements the sequential process with exact rank
 //! queries (Fenwick tree over the label space) and, mirroring
-//! [`AsyncTwoChoice`](crate::adversary::AsyncTwoChoice), a *stale*
+//! [`Rule::Async`](crate::Rule::Async), a *stale*
 //! removal variant where the two heads are observed `s` removals in the
 //! past — the concurrent MultiQueue's ReadMin staleness.
 
@@ -55,19 +55,9 @@ impl QueueProcess {
         }
     }
 
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
     /// Number of elements currently present.
     pub fn live(&self) -> usize {
         self.live
-    }
-
-    /// Labels issued so far.
-    pub fn inserted(&self) -> u64 {
-        self.next_label
     }
 
     /// Inserts the next label into a uniformly random bin.
@@ -109,7 +99,7 @@ impl QueueProcess {
     /// still present at removal time. Returns `None` if both sampled
     /// bins appear empty (the caller may retry — matching the
     /// MultiQueue's redraw) or if the structure is empty.
-    pub fn remove_stale(&mut self, s: usize) -> Option<(u64, usize)> {
+    fn remove_stale(&mut self, s: usize) -> Option<(u64, usize)> {
         assert!(
             s <= self.max_staleness,
             "staleness {s} exceeds configured max {}",
@@ -149,11 +139,6 @@ impl QueueProcess {
             }
         }
         Some((label, rank))
-    }
-
-    /// Sequential removal (staleness 0): the process of reference \[3\].
-    pub fn remove(&mut self) -> Option<(u64, usize)> {
-        self.remove_stale(0)
     }
 
     /// Removes with retries until an element is returned (or the

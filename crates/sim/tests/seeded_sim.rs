@@ -6,10 +6,7 @@
 
 use dlz_core::rng::{Rng64, Xoshiro256};
 use dlz_sim::process::{good_op_probabilities, majorizes, one_plus_beta_probabilities};
-use dlz_sim::{
-    AsyncTwoChoice, AsyncWeightedTwoChoice, BallsProcess, BinState, CorruptedTwoChoice,
-    CorruptionPattern, DChoice, Fenwick, OnePlusBeta, Schedule,
-};
+use dlz_sim::{Allocation, BinState, CorruptionPattern, Fenwick, Rule, Schedule};
 
 /// Runs `case` once per seed in `0..cases`, each on its own generator.
 /// If a case panics, its seed goes to stderr before the panic travels on.
@@ -56,33 +53,42 @@ fn every_process_places_one_ball_per_step() {
         let steps = 1 + rng.bounded(4_999);
         let m = 1 + rng.bounded(63) as usize;
         let seed = rng.next_u64();
-        let processes: Vec<Box<dyn BallsProcess>> = vec![
-            Box::new(DChoice::new(m, 2, seed)),
-            Box::new(DChoice::new(m, 1, seed)),
-            Box::new(DChoice::new(m, 3, seed)),
-            Box::new(OnePlusBeta::new(m, 0.5, seed)),
-            Box::new(AsyncTwoChoice::new(
-                m,
-                Schedule::BatchStampede { n: 4 },
-                seed,
-            )),
-            Box::new(CorruptedTwoChoice::new(
-                m,
-                CorruptionPattern::Iid { eps: 0.3 },
-                seed,
-            )),
+        let stampede = Schedule::BatchStampede { n: 4 };
+        let rules = [
+            Rule::DChoice { d: 2 },
+            Rule::DChoice { d: 1 },
+            Rule::DChoice { d: 3 },
+            Rule::OnePlusBeta { beta: 0.5 },
+            Rule::Async { schedule: stampede },
+            Rule::Corrupted {
+                pattern: CorruptionPattern::Iid { eps: 0.3 },
+            },
+            Rule::AsyncWeighted { schedule: stampede },
         ];
-        for (which, mut p) in processes.into_iter().enumerate() {
+        for rule in rules {
+            let mut p = Allocation::new(m, rule, seed);
             p.run(steps);
-            assert_eq!(p.bins().total(), steps as f64, "process {which}, m {m}");
-            assert_eq!(p.steps_done(), steps, "process {which}");
+            assert_eq!(p.steps_done(), steps, "{rule:?}");
+            let bins = p.bins();
+            if let Rule::AsyncWeighted { .. } = rule {
+                // One Exp(1) ball per step: every ball is positive, and
+                // the running total is the bins' sum.
+                let sum: f64 = bins.weights().iter().sum();
+                assert!(bins.total() > 0.0, "{rule:?}, m {m}");
+                assert!(
+                    (sum - bins.total()).abs() <= 1e-9 * bins.total(),
+                    "{rule:?}, m {m}"
+                );
+            } else {
+                assert_eq!(bins.total(), steps as f64, "{rule:?}, m {m}");
+            }
         }
     });
 }
 
 /// Runs `p` for 20,000 steps and folds every bin weight's `f64` bits,
 /// then the `[wrong-choice, corrupted-step]` counters, into one word.
-fn pin<P: BallsProcess>(mut p: P, counters: fn(&P) -> [u64; 2]) -> u64 {
+fn pin(mut p: Allocation, counters: fn(&Allocation) -> [u64; 2]) -> u64 {
     p.run(20_000);
     let words = p.bins().weights().iter().map(|w| w.to_bits());
     let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -93,11 +99,11 @@ fn none<P>(_: &P) -> [u64; 2] {
     [0, 0]
 }
 
-fn wrong(p: &AsyncTwoChoice) -> [u64; 2] {
+fn wrong(p: &Allocation) -> [u64; 2] {
     [p.wrong_choices(), 0]
 }
 
-fn corrupted(p: &CorruptedTwoChoice) -> [u64; 2] {
+fn corrupted(p: &Allocation) -> [u64; 2] {
     [0, p.corrupted_steps()]
 }
 
@@ -106,26 +112,38 @@ fn every_process_reproduces_its_pinned_trajectory() {
     // A changed constant means a draw moved, a tie broke the other way,
     // or a stale weight was reconstructed differently.
     const STAMPEDE: Schedule = Schedule::BatchStampede { n: 8 };
-    const ROBIN: Schedule = Schedule::RoundRobin { n: 4 };
-    const UNIFORM: Schedule = Schedule::UniformDelay { max: 16 };
-    const IID: CorruptionPattern = CorruptionPattern::Iid { eps: 0.25 };
-    const BURST: CorruptionPattern = CorruptionPattern::Burst {
-        period: 128,
-        burst: 32,
+    const ASYNC_STAMPEDE: Rule = Rule::Async { schedule: STAMPEDE };
+    const ASYNC_ROBIN: Rule = Rule::Async {
+        schedule: Schedule::RoundRobin { n: 4 },
     };
-    const NONE: CorruptionPattern = CorruptionPattern::None;
+    const ASYNC_UNIFORM: Rule = Rule::Async {
+        schedule: Schedule::UniformDelay { max: 16 },
+    };
+    const WEIGHTED_STAMPEDE: Rule = Rule::AsyncWeighted { schedule: STAMPEDE };
+    const IID: Rule = Rule::Corrupted {
+        pattern: CorruptionPattern::Iid { eps: 0.25 },
+    };
+    const BURST: Rule = Rule::Corrupted {
+        pattern: CorruptionPattern::Burst {
+            period: 128,
+            burst: 32,
+        },
+    };
+    const NONE: Rule = Rule::Corrupted {
+        pattern: CorruptionPattern::None,
+    };
     let runs: [fn(usize, u64) -> u64; 11] = [
-        |m, s| pin(DChoice::new(m, 1, s), none),
-        |m, s| pin(DChoice::new(m, 2, s), none),
-        |m, s| pin(DChoice::new(m, 3, s), none),
-        |m, s| pin(OnePlusBeta::new(m, 0.5, s), none),
-        |m, s| pin(AsyncTwoChoice::new(m, STAMPEDE, s), wrong),
-        |m, s| pin(AsyncTwoChoice::new(m, ROBIN, s), wrong),
-        |m, s| pin(AsyncTwoChoice::new(m, UNIFORM, s), wrong),
-        |m, s| pin(AsyncWeightedTwoChoice::new(m, STAMPEDE, s), none),
-        |m, s| pin(CorruptedTwoChoice::new(m, IID, s), corrupted),
-        |m, s| pin(CorruptedTwoChoice::new(m, BURST, s), corrupted),
-        |m, s| pin(CorruptedTwoChoice::new(m, NONE, s), corrupted),
+        |m, s| pin(Allocation::new(m, Rule::DChoice { d: 1 }, s), none),
+        |m, s| pin(Allocation::new(m, Rule::DChoice { d: 2 }, s), none),
+        |m, s| pin(Allocation::new(m, Rule::DChoice { d: 3 }, s), none),
+        |m, s| pin(Allocation::new(m, Rule::OnePlusBeta { beta: 0.5 }, s), none),
+        |m, s| pin(Allocation::new(m, ASYNC_STAMPEDE, s), wrong),
+        |m, s| pin(Allocation::new(m, ASYNC_ROBIN, s), wrong),
+        |m, s| pin(Allocation::new(m, ASYNC_UNIFORM, s), wrong),
+        |m, s| pin(Allocation::new(m, WEIGHTED_STAMPEDE, s), none),
+        |m, s| pin(Allocation::new(m, IID, s), corrupted),
+        |m, s| pin(Allocation::new(m, BURST, s), corrupted),
+        |m, s| pin(Allocation::new(m, NONE, s), corrupted),
     ];
     // One row per run above, one column per (m, seed) point.
     let pinned: [[u64; 2]; 11] = [

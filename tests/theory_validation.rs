@@ -3,8 +3,7 @@
 
 use distlin::sim::process::{good_op_probabilities, majorizes, one_plus_beta_probabilities};
 use distlin::sim::{
-    AsyncTwoChoice, BallsProcess, CorruptedTwoChoice, CorruptionPattern, DChoice, OnePlusBeta,
-    PaperConstants, PotentialTrace, QueueProcess, Schedule,
+    Allocation, CorruptionPattern, PaperConstants, PotentialTrace, QueueProcess, Rule, Schedule,
 };
 
 #[test]
@@ -12,7 +11,8 @@ fn theorem_6_1_gap_logarithmic_under_adversary() {
     // m = 8n regime, stampede schedule, long run, sampled gap.
     let m = 256;
     let n = 32;
-    let mut p = AsyncTwoChoice::new(m, Schedule::BatchStampede { n }, 0xF00);
+    let schedule = Schedule::BatchStampede { n };
+    let mut p = Allocation::new(m, Rule::Async { schedule }, 0xF00);
     let mut trace = PotentialTrace::new(0.5, 20_000);
     trace.run(&mut p, 1_000_000);
     let bound = 4.0 * (m as f64).ln();
@@ -27,7 +27,8 @@ fn theorem_6_1_gap_logarithmic_under_adversary() {
 fn lemma_6_7_potential_linear_in_m() {
     for m in [64usize, 256] {
         let n = m / 8;
-        let mut p = AsyncTwoChoice::new(m, Schedule::RoundRobin { n }, 0xF1);
+        let schedule = Schedule::RoundRobin { n };
+        let mut p = Allocation::new(m, Rule::Async { schedule }, 0xF1);
         let mut trace = PotentialTrace::new(0.25, 20_000);
         trace.run(&mut p, 500_000);
         assert!(
@@ -42,8 +43,11 @@ fn lemma_6_7_potential_linear_in_m() {
 fn corruption_robustness_vs_divergence() {
     // ε = 1/16 bounded; ε = 1 divergent — the dichotomy the proof needs.
     let m = 128;
-    let mut ok = CorruptedTwoChoice::new(m, CorruptionPattern::Iid { eps: 1.0 / 16.0 }, 1);
-    let mut bad = CorruptedTwoChoice::new(m, CorruptionPattern::Iid { eps: 1.0 }, 1);
+    let iid = |eps| Rule::Corrupted {
+        pattern: CorruptionPattern::Iid { eps },
+    };
+    let mut ok = Allocation::new(m, iid(1.0 / 16.0), 1);
+    let mut bad = Allocation::new(m, iid(1.0), 1);
     ok.run(600_000);
     bad.run(600_000);
     assert!(ok.bins().gap() <= 6.0 * (m as f64).ln());
@@ -55,8 +59,8 @@ fn one_plus_beta_gap_scales_inverse_beta() {
     // Gap(β=1/8) should exceed Gap(β=1) (β=1 is pure two-choice)
     // roughly by a factor related to 1/β; assert direction + order.
     let m = 128;
-    let mut tight = OnePlusBeta::new(m, 1.0, 3);
-    let mut loose = OnePlusBeta::new(m, 0.125, 3);
+    let mut tight = Allocation::new(m, Rule::OnePlusBeta { beta: 1.0 }, 3);
+    let mut loose = Allocation::new(m, Rule::OnePlusBeta { beta: 0.125 }, 3);
     tight.run(500_000);
     loose.run(500_000);
     assert!(loose.bins().gap() > tight.bins().gap());
@@ -86,8 +90,8 @@ fn paper_constants_are_consistent() {
 fn single_choice_divergence_vs_two_choice() {
     let m = 64;
     let t = 500_000;
-    let mut one = DChoice::new(m, 1, 9);
-    let mut two = DChoice::new(m, 2, 9);
+    let mut one = Allocation::new(m, Rule::DChoice { d: 1 }, 9);
+    let mut two = Allocation::new(m, Rule::DChoice { d: 2 }, 9);
     one.run(t);
     two.run(t);
     // Θ(√(t ln m / m)) vs O(log log m): the ratio is large.
