@@ -52,36 +52,52 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stale_weight_reconstruction_is_exact() {
-        // Brute-force check: replay the process and compare stale values
-        // against an explicitly stored history of snapshots. Unit weights
-        // come back exactly, Exp(1) weights up to rounding.
-        let cases = [
-            (unit(8, Schedule::RoundRobin { n: 5 }, 3), 2_000, 4, 0.0),
-            (weighted(8, Schedule::RoundRobin { n: 4 }, 3), 500, 3, 1e-9),
-        ];
-        for (mut p, steps, max_staleness, tolerance) in cases {
-            let mut snapshots: Vec<Vec<f64>> = vec![p.bins().weights().to_vec()];
-            for _ in 0..steps {
-                p.step();
-                snapshots.push(p.bins().weights().to_vec());
-            }
-            // After t steps, stale_weights(a, b, s) must equal
-            // snapshot[t - s] at a and at b, for every pair (a = b too).
-            let t = snapshots.len() - 1;
-            for s in 0..=max_staleness {
-                for (a, b) in (0..8).flat_map(|a| (0..8).map(move |b| (a, b))) {
-                    let (got_a, got_b) = p.stale_weights(a, b, s);
-                    let (want_a, want_b) = (snapshots[t - s][a], snapshots[t - s][b]);
-                    assert!(
-                        (got_a - want_a).abs() <= tolerance && (got_b - want_b).abs() <= tolerance,
-                        "{:?}: bins {a}, {b} staleness {s}: ({got_a}, {got_b})",
-                        p.rule()
-                    );
-                }
+    /// Brute-force check: replay `p` for `steps` steps and compare its
+    /// stale values against an explicitly stored history of snapshots.
+    fn assert_stale_reads_match_history(
+        mut p: Allocation,
+        steps: usize,
+        max_staleness: usize,
+        tolerance: f64,
+    ) {
+        let m = p.bins().weights().len();
+        let mut snapshots: Vec<Vec<f64>> = vec![p.bins().weights().to_vec()];
+        for _ in 0..steps {
+            p.step();
+            snapshots.push(p.bins().weights().to_vec());
+        }
+        // After t steps, stale_weights(a, b, s) must equal
+        // snapshot[t - s] at a and at b, for every pair (a = b too).
+        let t = snapshots.len() - 1;
+        for s in 0..=max_staleness {
+            for (a, b) in (0..m).flat_map(|a| (0..m).map(move |b| (a, b))) {
+                let (got_a, got_b) = p.stale_weights(a, b, s);
+                let (want_a, want_b) = (snapshots[t - s][a], snapshots[t - s][b]);
+                assert!(
+                    (got_a - want_a).abs() <= tolerance && (got_b - want_b).abs() <= tolerance,
+                    "{:?}: bins {a}, {b} staleness {s}: ({got_a}, {got_b})",
+                    p.rule()
+                );
             }
         }
+    }
+
+    #[test]
+    fn stale_weight_reconstruction_is_exact() {
+        // Unit weights come back exactly.
+        assert_stale_reads_match_history(unit(8, Schedule::RoundRobin { n: 5 }, 3), 2_000, 4, 0.0);
+    }
+
+    #[test]
+    fn weighted_stale_reconstruction_consistent() {
+        // Exp(1) weights share the unit rule's stale-read ring; they
+        // come back up to rounding.
+        assert_stale_reads_match_history(
+            weighted(8, Schedule::RoundRobin { n: 4 }, 3),
+            500,
+            3,
+            1e-9,
+        );
     }
 
     #[test]
@@ -127,23 +143,15 @@ mod tests {
 
     #[test]
     fn weighted_async_total_tracks_t() {
-        for (schedule, seed) in [
-            (Schedule::Sequential, 5),
-            (Schedule::BatchStampede { n: 8 }, 13),
-        ] {
-            let mut p = weighted(64, schedule, seed);
-            p.run(100_000);
-            assert_eq!(p.steps_done(), 100_000);
-            // E[W] = 1: total within a few σ = √t of t.
-            let total = p.bins().total();
-            assert!(
-                (total - 100_000.0).abs() < 5.0 * (100_000f64).sqrt(),
-                "{schedule:?}"
-            );
-            // Gap O(log m) for the weighted process too.
-            let gap = p.bins().gap();
-            assert!(gap <= 40.0, "{schedule:?}: gap {gap}");
-        }
+        // Stale reads under the stampede; the Sequential case is
+        // process::tests::weighted_process_total_is_near_t.
+        let mut p = weighted(64, Schedule::BatchStampede { n: 8 }, 13);
+        p.run(100_000);
+        assert_eq!(p.steps_done(), 100_000);
+        // E[W] = 1: total within a few σ = √t of t.
+        assert!((p.bins().total() - 100_000.0).abs() < 5.0 * (100_000f64).sqrt());
+        // Gap O(log m) for the weighted process too.
+        assert!(p.bins().gap() <= 40.0, "gap {}", p.bins().gap());
     }
 
     #[test]

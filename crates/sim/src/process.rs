@@ -406,6 +406,26 @@ mod tests {
     }
 
     #[test]
+    fn weighted_process_total_is_near_t() {
+        // Fresh reads; the stale-read case is
+        // adversary::tests::weighted_async_total_tracks_t.
+        let mut w = Allocation::new(
+            64,
+            Rule::AsyncWeighted {
+                schedule: Schedule::Sequential,
+            },
+            5,
+        );
+        w.run(100_000);
+        assert_eq!(w.steps_done(), 100_000);
+        // E[W] = 1, so total ≈ t within a few sigma (σ = √t).
+        let total = w.bins().total();
+        assert!((total - 100_000.0).abs() < 5.0 * (100_000.0f64).sqrt());
+        // Gap O(log m) for the weighted process too.
+        assert!(w.bins().gap() <= 40.0, "gap {}", w.bins().gap());
+    }
+
+    #[test]
     fn more_choices_tighter_gap() {
         let m = 128;
         let t = 200_000;
