@@ -37,14 +37,16 @@
 //!   section for the Section 5 checker.
 //!
 //! Every one of them is the same three steps — choose a queue, run the
-//! operation on it if its lock can be had, react to how that ended —
+//! operation on it under its lock, react to how that ended —
 //! so there is **one operation loop**, private to [`MultiQueue`]. It
 //! takes the operation kind, the caller's per-thread context, an
 //! optional deadline and the operation itself as a closure over the
 //! chosen sequential queue; choosing, the poisoned-queue fallback,
 //! backoff, the policy callbacks, the emptiness proof and the deadline
 //! check exist there and nowhere else. Insert, dequeue and their batch
-//! forms are short closures over it; a deadline only forces try-lock
+//! forms are short closures over it. There is one acquisition rule: an
+//! operation waits for the lock of the queue it chose, as Algorithm 2
+//! does. A deadline is the one exception — it forces try-lock
 //! acquisition (never wait on a lock a stalled thread may hold) and
 //! carries the error to return, so an unbounded operation has none.
 //! History stamping is a type parameter of those closures, not a
@@ -98,15 +100,20 @@ use crate::counter::ExactCounter;
 use crate::queue::policy::{ChoiceOp, Policy, PolicyCfg};
 use crate::rng::{with_thread_rng, Rng64, Xoshiro256};
 
-/// What a dequeue does when its chosen queue is contended.
+/// The acquisition rule, which has one value: an operation locks the
+/// queue it chose (Algorithm 2 as written), waiting for it unless a
+/// `try_*_for` deadline forbids waiting.
+///
+/// The type stays only because the `dlz-benchmark` crate passes it to
+/// [`MultiQueue::with_config`] and [`MultiQueueBuilder::delete_mode`]
+/// (and, in `dlz-workload`, to `MultiQueueBackend::heap` and
+/// `heap_policy`); all four ignore it, and a change to the benchmark
+/// crate drops those parameters together with this type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeleteMode {
-    /// Lock the chosen queue unconditionally (Algorithm 2 as written).
+    /// Lock the chosen queue (Algorithm 2 as written).
     #[default]
     Strict,
-    /// If the chosen queue's lock is taken, redraw two fresh queues
-    /// instead of waiting (the Rihani-et-al. practical variant).
-    TryLock,
 }
 
 /// A relaxed concurrent priority queue over `m` locked sequential queues.
@@ -136,7 +143,6 @@ where
     /// Each [`LockedPq`] keeps its hot words cache padded, so adjacent
     /// queues in this array never false-share.
     queues: Box<[LockedPq<V, Q>]>,
-    mode: DeleteMode,
     /// Default choice policy; every [`handle`](Self::handle) builds its
     /// own per-handle instance from this config.
     policy: PolicyCfg,
@@ -251,35 +257,28 @@ impl<V: Send> MultiQueue<V> {
         MultiQueueBuilder::default()
     }
 
-    /// Creates a MultiQueue with `m` binary-heap queues, strict deletes,
+    /// Creates a MultiQueue with `m` binary-heap queues and the
     /// two-choice policy.
     pub fn new(m: usize) -> Self {
-        Self::with_queues(
+        Self::with_config(
             (0..m).map(|_| BinaryHeap::new()).collect(),
             DeleteMode::Strict,
+            PolicyCfg::TwoChoice,
         )
     }
 }
 
 impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
-    /// Builds from explicit sequential queues (any substrate) and mode.
+    /// Builds from explicit sequential queues (any substrate, entries
+    /// already in them included) and a default choice policy. The
+    /// [`DeleteMode`] argument has one value and is ignored.
     ///
     /// # Panics
     /// If `queues` is empty.
-    pub fn with_queues(queues: Vec<Q>, mode: DeleteMode) -> Self {
-        Self::with_config(queues, mode, PolicyCfg::TwoChoice)
-    }
-
-    /// Builds from explicit sequential queues, mode and default choice
-    /// policy.
-    ///
-    /// # Panics
-    /// If `queues` is empty.
-    pub fn with_config(queues: Vec<Q>, mode: DeleteMode, policy: PolicyCfg) -> Self {
+    pub fn with_config(queues: Vec<Q>, _: DeleteMode, policy: PolicyCfg) -> Self {
         assert!(!queues.is_empty(), "MultiQueue needs at least one queue");
         MultiQueue {
             queues: queues.into_iter().map(LockedPq::new).collect(),
-            mode,
             policy,
         }
     }
@@ -287,11 +286,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     /// Number of internal queues (the paper's `m`).
     pub fn num_queues(&self) -> usize {
         self.queues.len()
-    }
-
-    /// The configured delete mode.
-    pub fn mode(&self) -> DeleteMode {
-        self.mode
     }
 
     /// The structure's default choice policy (what [`handle`](Self::handle)
@@ -350,11 +344,11 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     }
 
     /// The operation loop — the only one. Chooses a queue for `op`
-    /// through the context's policy, runs `body` on it if its lock can
-    /// be had (waiting for it only in strict mode without a deadline),
-    /// and reacts to how that ended until the operation lands, the
-    /// structure is confirmed empty (`Ok(None)`, dequeues only) or the
-    /// deadline passes (`Err` of the error the deadline carries).
+    /// through the context's policy, runs `body` on it under its lock
+    /// (waiting for the lock unless there is a deadline), and reacts to
+    /// how that ended until the operation lands, the structure is
+    /// confirmed empty (`Ok(None)`, dequeues only) or the deadline
+    /// passes (`Err` of the error the deadline carries).
     ///
     /// `body` runs inside the chosen queue's critical section, at most
     /// once per acquisition and never after it returned `Some`: an
@@ -370,11 +364,11 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         mut body: impl FnMut(&mut Q) -> Option<R>,
     ) -> Result<Option<R>, E> {
         let OpCtx { policy, rng, stats } = ctx;
-        // Strict mode waits for the chosen queue's lock; try-lock mode
-        // redraws instead, and so does any operation with a deadline —
+        // An operation waits for the lock of the queue it chose, as
+        // Algorithm 2 does; only one with a deadline redraws instead —
         // the point of one is to never wait on an acquisition a stalled
         // thread may hold.
-        let block = self.mode == DeleteMode::Strict && deadline.is_none();
+        let block = deadline.is_none();
         let mut backoff = Backoff::new();
         let mut poisoned_hits = 0u32;
         loop {
@@ -641,7 +635,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> ConcurrentPq<V> for MultiQueue
 #[derive(Debug, Clone, Default)]
 pub struct MultiQueueBuilder {
     queues: Option<usize>,
-    mode: DeleteMode,
     policy: PolicyCfg,
 }
 
@@ -652,9 +645,8 @@ impl MultiQueueBuilder {
         self
     }
 
-    /// Sets the delete mode (default [`DeleteMode::Strict`]).
-    pub fn delete_mode(mut self, mode: DeleteMode) -> Self {
-        self.mode = mode;
+    /// Accepts the one [`DeleteMode`] and changes nothing.
+    pub fn delete_mode(self, _: DeleteMode) -> Self {
         self
     }
 
@@ -675,7 +667,7 @@ impl MultiQueueBuilder {
         let m = self.queues.expect("MultiQueueBuilder: set .queues(m)");
         MultiQueue::with_config(
             (0..m).map(|_| BinaryHeap::new()).collect(),
-            self.mode,
+            DeleteMode::Strict,
             self.policy,
         )
     }
@@ -821,12 +813,11 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
     }
 
     /// Bounded-retry insert: like [`insert`](Self::insert) but never
-    /// blocks on a held lock (try-lock acquisition regardless of the
-    /// structure's [`DeleteMode`]) and gives up with a structured
-    /// [`MqOpTimeout`] once `timeout` elapses — e.g. when stalled
-    /// threads hold every lock the policy samples, or every queue is
-    /// poisoned (where [`insert`](Self::insert) panics). On `Err` the
-    /// value is dropped, not inserted.
+    /// blocks on a held lock (it chooses again instead) and gives up
+    /// with a structured [`MqOpTimeout`] once `timeout` elapses — e.g.
+    /// when stalled threads hold every lock the policy samples, or
+    /// every queue is poisoned (where [`insert`](Self::insert) panics).
+    /// On `Err` the value is dropped, not inserted.
     pub fn try_insert_for(
         &mut self,
         priority: u64,
@@ -1053,9 +1044,10 @@ mod tests {
 
     #[test]
     fn works_over_a_second_sequential_queue() {
-        let mq: MultiQueue<u64, MapQueue<u64>> = MultiQueue::with_queues(
+        let mq: MultiQueue<u64, MapQueue<u64>> = MultiQueue::with_config(
             (0..4).map(|_| MapQueue::default()).collect(),
             DeleteMode::Strict,
+            PolicyCfg::TwoChoice,
         );
         let mut h = mq.handle(6);
         for p in 0..200u64 {
@@ -1155,11 +1147,10 @@ mod tests {
         assert_eq!(a.policy(), PolicyCfg::TwoChoice);
         let b: MultiQueue<()> = MultiQueue::<()>::builder()
             .queues(6)
-            .delete_mode(DeleteMode::TryLock)
+            .delete_mode(DeleteMode::Strict)
             .policy(PolicyCfg::Sticky { ops: 8 })
             .build();
         assert_eq!(b.num_queues(), 6);
-        assert_eq!(b.mode(), DeleteMode::TryLock);
         assert_eq!(b.policy(), PolicyCfg::Sticky { ops: 8 });
         assert!(!b.policy().is_default());
     }
@@ -1248,8 +1239,8 @@ mod tests {
             choices.extend((0..m).filter(|&q| after[q] == before[q] + 1));
             assert!(h.dequeue().is_some());
         }
-        // Exactly s consecutive equal choices per run (strict mode:
-        // nothing voids an insert camp early).
+        // Exactly s consecutive equal choices per run (one thread never
+        // contends: nothing voids an insert camp early).
         assert_eq!(choices.len(), 10 * s);
         for run in choices.chunks(s) {
             assert!(
@@ -1268,24 +1259,22 @@ mod tests {
 
     #[test]
     fn sticky_handle_conserves_in_both_modes() {
-        for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
-            let mq: MultiQueue<u64> = MultiQueue::with_config(
-                (0..8).map(|_| BinaryHeap::new()).collect(),
-                mode,
-                PolicyCfg::Sticky { ops: 6 },
-            );
-            let mut h = MqHandle::new(&mq, 10);
-            for p in 0..2_000u64 {
-                h.insert(p, p);
-            }
-            assert_eq!(mq.len(), 2_000);
-            let mut n = 0;
-            while h.dequeue().is_some() {
-                n += 1;
-            }
-            assert_eq!(n, 2_000, "{mode:?}");
-            assert_eq!(mq.len(), 0);
+        let mq: MultiQueue<u64> = MultiQueue::with_config(
+            (0..8).map(|_| BinaryHeap::new()).collect(),
+            DeleteMode::Strict,
+            PolicyCfg::Sticky { ops: 6 },
+        );
+        let mut h = MqHandle::new(&mq, 10);
+        for p in 0..2_000u64 {
+            h.insert(p, p);
         }
+        assert_eq!(mq.len(), 2_000);
+        let mut n = 0;
+        while h.dequeue().is_some() {
+            n += 1;
+        }
+        assert_eq!(n, 2_000);
+        assert_eq!(mq.len(), 0);
     }
 
     #[test]
@@ -1313,32 +1302,28 @@ mod tests {
 
     #[test]
     fn batch_ops_conserve_and_amortize() {
-        for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
-            let mq: MultiQueue<u64> =
-                MultiQueue::with_queues((0..8).map(|_| BinaryHeap::new()).collect(), mode);
-            let mut h = mq.handle(12);
-            let mut inserted = 0usize;
-            for chunk in 0..100u64 {
-                let items: Vec<(u64, u64)> =
-                    (0..7).map(|i| (chunk * 7 + i, chunk * 7 + i)).collect();
-                inserted += h.insert_batch(items);
-            }
-            assert_eq!(inserted, 700);
-            assert_eq!(mq.len(), 700);
-            let mut out = Vec::new();
-            loop {
-                let n = h.dequeue_batch(16, &mut out);
-                if n == 0 {
-                    break;
-                }
-            }
-            assert_eq!(out.len(), 700, "{mode:?}");
-            let mut ps: Vec<u64> = out.iter().map(|(p, _)| *p).collect();
-            ps.sort_unstable();
-            ps.dedup();
-            assert_eq!(ps.len(), 700, "batch dequeue duplicated or lost items");
-            assert_eq!(mq.len(), 0);
+        let mq: MultiQueue<u64> = MultiQueue::new(8);
+        let mut h = mq.handle(12);
+        let mut inserted = 0usize;
+        for chunk in 0..100u64 {
+            let items: Vec<(u64, u64)> = (0..7).map(|i| (chunk * 7 + i, chunk * 7 + i)).collect();
+            inserted += h.insert_batch(items);
         }
+        assert_eq!(inserted, 700);
+        assert_eq!(mq.len(), 700);
+        let mut out = Vec::new();
+        loop {
+            let n = h.dequeue_batch(16, &mut out);
+            if n == 0 {
+                break;
+            }
+        }
+        assert_eq!(out.len(), 700);
+        let mut ps: Vec<u64> = out.iter().map(|(p, _)| *p).collect();
+        ps.sort_unstable();
+        ps.dedup();
+        assert_eq!(ps.len(), 700, "batch dequeue duplicated or lost items");
+        assert_eq!(mq.len(), 0);
     }
 
     #[test]
@@ -1486,30 +1471,6 @@ mod tests {
     }
 
     #[test]
-    fn trylock_mode_routes_around_poison_too() {
-        let mq: MultiQueue<u64> = MultiQueue::with_queues(
-            (0..4).map(|_| BinaryHeap::new()).collect(),
-            DeleteMode::TryLock,
-        );
-        let mut h = mq.handle(32);
-        for p in 0..200u64 {
-            h.insert(p, p);
-        }
-        let stranded = mq.queues[1].approx_len();
-        poison_queue(&mq, 1);
-        let mut n = 0usize;
-        while h.dequeue().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 200 - stranded);
-        assert_eq!(mq.salvage().items_recovered, stranded);
-        while h.dequeue().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 200);
-    }
-
-    #[test]
     fn try_ops_time_out_instead_of_blocking_on_held_locks() {
         let mq: MultiQueue<u64> = MultiQueue::new(2);
         let mut h = mq.handle(33);
@@ -1542,6 +1503,44 @@ mod tests {
         assert_eq!(seen, vec![5, 7]);
         // Confirmed empty is Ok(None), not a timeout.
         assert_eq!(h.try_dequeue_for(short), Ok(None));
+    }
+
+    #[test]
+    fn an_undeadlined_dequeue_waits_for_its_chosen_lock_and_does_not_redraw() {
+        // The one acquisition rule: queue 0 holds the minimum, queue 1
+        // larger items, and another thread holds queue 0's lock for
+        // about 20 ms. A dequeue whose two-choice draw includes queue 0
+        // must wait that lock out and serve queue 0's minimum; a
+        // redraw would have served queue 1 (hint 10) and counted a
+        // try-lock failure.
+        const SEED: u64 = 2;
+        let mut first = Xoshiro256::new(SEED);
+        let draw = [first.bounded(2), first.bounded(2)];
+        assert!(draw.contains(&0), "seed {SEED} draws {draw:?}");
+        let mut a = BinaryHeap::new();
+        a.add(1u64, 1u64);
+        let mut b = BinaryHeap::new();
+        b.add(10u64, 10u64);
+        b.add(11, 11);
+        let mq: MultiQueue<u64> =
+            MultiQueue::with_config(vec![a, b], DeleteMode::Strict, PolicyCfg::TwoChoice);
+        let mut h = mq.handle(SEED);
+        let held = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                mq.queues[0].attempt(true, &mut ContentionStats::new(), |_| {
+                    held.store(true, std::sync::atomic::Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(20));
+                })
+            });
+            while !held.load(std::sync::atomic::Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            assert_eq!(h.dequeue(), Some((1, 1)));
+        });
+        let c = h.take_contention();
+        assert_eq!(c.try_lock_failures, 0, "{c:?}");
+        assert!(c.backoff_spins + c.backoff_yields > 0, "it waited: {c:?}");
     }
 
     #[test]
@@ -1599,7 +1598,8 @@ mod tests {
         a.add(2, 2);
         let mut b = BinaryHeap::new();
         b.add(3u64, 3u64);
-        let mq: MultiQueue<u64> = MultiQueue::with_queues(vec![a, b], DeleteMode::Strict);
+        let mq: MultiQueue<u64> =
+            MultiQueue::with_config(vec![a, b], DeleteMode::Strict, PolicyCfg::TwoChoice);
         assert_eq!(mq.len(), 3);
         let mut h = mq.handle(16);
         let mut got: Vec<u64> = std::iter::from_fn(|| h.dequeue().map(|(p, _)| p)).collect();
@@ -1607,24 +1607,14 @@ mod tests {
         assert_eq!(got, vec![1, 2, 3]);
     }
 
-    /// A two-choice binary-heap MultiQueue with `m` queues in `mode`.
-    fn mq_on(m: usize, mode: DeleteMode) -> MultiQueue<u64> {
-        MultiQueue::with_queues((0..m).map(|_| BinaryHeap::new()).collect(), mode)
-    }
-
     /// Drives one operation form through fill-then-drain at the generic
     /// ops every public method is a one-line call into, checking
     /// conservation (each of `N` entries served exactly once, value
     /// intact, structure empty after). Returns each entry's insert and
     /// dequeue marks, keyed by priority.
-    fn fill_and_drain<S: Stamp>(
-        mode: DeleteMode,
-        bounded: bool,
-        batch: bool,
-        stamp: S,
-    ) -> [Vec<(u64, S::Mark)>; 2] {
+    fn fill_and_drain<S: Stamp>(bounded: bool, batch: bool, stamp: S) -> [Vec<(u64, S::Mark)>; 2] {
         const N: u64 = 600;
-        let mq = mq_on(8, mode);
+        let mq: MultiQueue<u64> = MultiQueue::new(8);
         let mut h = mq.handle(90);
         let deadline = || bounded.then(|| (Instant::now() + Duration::from_secs(3_600), "late"));
         let (mut inserted, mut served) = (Vec::new(), Vec::new());
@@ -1666,57 +1656,54 @@ mod tests {
 
     #[test]
     fn every_op_form_conserves_under_every_acquisition_and_stamp_mode() {
-        for mode in MODES {
-            // (bounded, batch): the batch forms take no deadline.
-            for (bounded, batch) in [(false, false), (true, false), (false, true)] {
-                fill_and_drain(mode, bounded, batch, NoStamp);
-                let stamper = ExactCounter::new();
-                let [inserted, served] = fill_and_drain(mode, bounded, batch, &stamper);
-                let what = format!("{mode:?} / bounded: {bounded} / batch: {batch}");
-                let mut stamps: Vec<u64> = inserted.iter().chain(&served).map(|e| e.1).collect();
-                stamps.sort_unstable();
-                stamps.dedup();
-                assert_eq!(stamps.len(), 1_200, "stamps must be unique: {what}");
-                for (p, s) in served {
-                    assert!(inserted[p as usize].1 < s, "entry {p} served first: {what}");
-                }
+        // (bounded, batch): the batch forms take no deadline; a bounded
+        // operation acquires without waiting, an unbounded one waits.
+        for (bounded, batch) in [(false, false), (true, false), (false, true)] {
+            fill_and_drain(bounded, batch, NoStamp);
+            let stamper = ExactCounter::new();
+            let [inserted, served] = fill_and_drain(bounded, batch, &stamper);
+            let what = format!("bounded: {bounded} / batch: {batch}");
+            let mut stamps: Vec<u64> = inserted.iter().chain(&served).map(|e| e.1).collect();
+            stamps.sort_unstable();
+            stamps.dedup();
+            assert_eq!(stamps.len(), 1_200, "stamps must be unique: {what}");
+            for (p, s) in served {
+                assert!(inserted[p as usize].1 < s, "entry {p} served first: {what}");
             }
         }
     }
 
     #[test]
     fn mixed_ops_conserve_under_concurrency() {
-        for mode in MODES {
-            let mq = Arc::new(mq_on(4, mode));
-            let threads = 4usize;
-            let per = 2_000u64;
-            let popped: u64 = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let mq = Arc::clone(&mq);
-                        s.spawn(move || {
-                            let mut h = mq.handle(t as u64 + 1);
-                            let mut got = 0u64;
-                            for i in 0..per {
-                                h.insert(i, i);
-                                if i % 3 == 0 && h.dequeue().is_some() {
-                                    got += 1;
-                                }
+        let mq: Arc<MultiQueue<u64>> = Arc::new(MultiQueue::new(4));
+        let threads = 4usize;
+        let per = 2_000u64;
+        let popped: u64 = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let mq = Arc::clone(&mq);
+                    s.spawn(move || {
+                        let mut h = mq.handle(t as u64 + 1);
+                        let mut got = 0u64;
+                        for i in 0..per {
+                            h.insert(i, i);
+                            if i % 3 == 0 && h.dequeue().is_some() {
+                                got += 1;
                             }
-                            got
-                        })
+                        }
+                        got
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum()
-            });
-            let left = mq.drain_sorted().len() as u64;
-            assert_eq!(
-                popped + left,
-                threads as u64 * per,
-                "lost or duplicated entries in {mode:?}"
-            );
-            assert!(mq.is_empty());
-        }
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        let left = mq.drain_sorted().len() as u64;
+        assert_eq!(
+            popped + left,
+            threads as u64 * per,
+            "lost or duplicated entries"
+        );
+        assert!(mq.is_empty());
     }
 
     #[test]
@@ -1746,7 +1733,7 @@ mod tests {
     #[test]
     fn concurrent_stamps_are_unique_and_complete() {
         use std::collections::BTreeSet;
-        let mq = Arc::new(mq_on(4, DeleteMode::Strict));
+        let mq: Arc<MultiQueue<u64>> = Arc::new(MultiQueue::new(4));
         let stamper = ExactCounter::new();
         let threads = 4usize;
         let per = 500u64;
@@ -1789,7 +1776,7 @@ mod tests {
 
     #[test]
     fn salvage_recovers_several_poisoned_queues() {
-        let mq = mq_on(4, DeleteMode::Strict);
+        let mq: MultiQueue<u64> = MultiQueue::new(4);
         let mut h = mq.handle(21);
         for p in 0..200u64 {
             h.insert(p, p);
@@ -1810,61 +1797,55 @@ mod tests {
         assert!(mq.is_empty());
     }
 
-    const MODES: [DeleteMode; 2] = [DeleteMode::Strict, DeleteMode::TryLock];
-
     #[test]
     fn a_lone_item_among_64_queues_is_always_found() {
         // Two samples out of 64 miss a lone item ~97% of the time: a
         // missed sample is a reason to re-choose, never an answer.
-        for mode in MODES {
-            let mq = mq_on(64, mode);
-            let mut h = mq.handle(51);
-            let mut out = Vec::new();
-            for round in 0..60u64 {
-                h.insert(round, round);
-                let got = match round % 3 {
-                    0 => h.dequeue(),
-                    1 => {
-                        assert_eq!(h.dequeue_batch(4, &mut out), 1);
-                        out.pop()
-                    }
-                    _ => h.try_dequeue_for(Duration::from_secs(60)).unwrap(),
-                };
-                assert_eq!(got, Some((round, round)), "{mode:?}");
-            }
-            assert_eq!(h.contention().empty_confirms, 0, "{mode:?}");
+        let mq: MultiQueue<u64> = MultiQueue::new(64);
+        let mut h = mq.handle(51);
+        let mut out = Vec::new();
+        for round in 0..60u64 {
+            h.insert(round, round);
+            let got = match round % 3 {
+                0 => h.dequeue(),
+                1 => {
+                    assert_eq!(h.dequeue_batch(4, &mut out), 1);
+                    out.pop()
+                }
+                _ => h.try_dequeue_for(Duration::from_secs(60)).unwrap(),
+            };
+            assert_eq!(got, Some((round, round)));
         }
+        assert_eq!(h.contention().empty_confirms, 0);
     }
 
     #[test]
     fn empty_and_fully_poisoned_structures_confirm_once_without_spinning() {
-        for mode in MODES {
-            for poisoned in [false, true] {
-                let mq = mq_on(8, mode);
-                let mut h = mq.handle(52);
-                if poisoned {
-                    // Stranded items are unreachable, so the structure
-                    // is empty as far as a dequeue goes.
-                    for p in 0..40u64 {
-                        h.insert(p, p);
-                    }
-                    for i in 0..8 {
-                        poison_queue(&mq, i);
-                    }
+        for poisoned in [false, true] {
+            let mq: MultiQueue<u64> = MultiQueue::new(8);
+            let mut h = mq.handle(52);
+            if poisoned {
+                // Stranded items are unreachable, so the structure is
+                // empty as far as a dequeue goes.
+                for p in 0..40u64 {
+                    h.insert(p, p);
                 }
-                h.take_contention();
-                let what = format!("{mode:?} / poisoned: {poisoned}");
-                let mut out = Vec::new();
-                assert_eq!(mq.is_empty(), !poisoned, "{what}");
-                assert_eq!(h.dequeue(), None, "{what}");
-                assert_eq!(h.contention().empty_confirms, 1, "{what}");
-                assert_eq!(h.dequeue_batch(4, &mut out), 0, "{what}");
-                assert_eq!(h.contention().empty_confirms, 2, "{what}");
-                assert_eq!(h.try_dequeue_for(Duration::from_secs(60)), Ok(None));
-                let c = h.take_contention();
-                assert_eq!(c.empty_confirms, 3, "{what}");
-                assert_eq!(c.backoff_spins + c.backoff_yields, 0, "{what}");
+                for i in 0..8 {
+                    poison_queue(&mq, i);
+                }
             }
+            h.take_contention();
+            let what = format!("poisoned: {poisoned}");
+            let mut out = Vec::new();
+            assert_eq!(mq.is_empty(), !poisoned, "{what}");
+            assert_eq!(h.dequeue(), None, "{what}");
+            assert_eq!(h.contention().empty_confirms, 1, "{what}");
+            assert_eq!(h.dequeue_batch(4, &mut out), 0, "{what}");
+            assert_eq!(h.contention().empty_confirms, 2, "{what}");
+            assert_eq!(h.try_dequeue_for(Duration::from_secs(60)), Ok(None));
+            let c = h.take_contention();
+            assert_eq!(c.empty_confirms, 3, "{what}");
+            assert_eq!(c.backoff_spins + c.backoff_yields, 0, "{what}");
         }
     }
 
@@ -1935,20 +1916,16 @@ mod tests {
 
     #[test]
     fn no_dequeue_reports_empty_over_a_standing_backlog() {
-        for mode in MODES {
-            assert_producers_vs_consumers(&mq_on(8, mode), &format!("{mode:?}"));
-        }
+        assert_producers_vs_consumers(&MultiQueue::new(8), "two-choice");
     }
 
     #[test]
     fn sticky_concurrent_producers_consumers_conserve() {
-        for mode in MODES {
-            let mq = MultiQueue::with_config(
-                (0..16).map(|_| BinaryHeap::new()).collect(),
-                mode,
-                PolicyCfg::Sticky { ops: 8 },
-            );
-            assert_producers_vs_consumers(&mq, &format!("sticky(8) / {mode:?}"));
-        }
+        let mq = MultiQueue::with_config(
+            (0..16).map(|_| BinaryHeap::new()).collect(),
+            DeleteMode::Strict,
+            PolicyCfg::Sticky { ops: 8 },
+        );
+        assert_producers_vs_consumers(&mq, "sticky(8)");
     }
 }

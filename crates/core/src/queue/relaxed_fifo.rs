@@ -8,10 +8,8 @@
 //! from FIFO" the structure is — the quantity Theorem 7.1 bounds by
 //! O(m) in expectation.
 
-use dlz_pq::BinaryHeap;
-
 use crate::counter::ExactCounter;
-use crate::queue::{DeleteMode, MultiQueue};
+use crate::queue::MultiQueue;
 use crate::rng::{with_thread_rng, Rng64};
 
 /// A relaxed FIFO queue: MultiQueue + counter-assigned priorities.
@@ -40,10 +38,7 @@ impl<V: Send> RelaxedFifo<V> {
     /// Creates a relaxed FIFO with `m` internal binary-heap queues.
     pub fn new(m: usize) -> Self {
         RelaxedFifo {
-            mq: MultiQueue::with_queues(
-                (0..m).map(|_| BinaryHeap::new()).collect(),
-                DeleteMode::Strict,
-            ),
+            mq: MultiQueue::new(m),
             clock: ExactCounter::new(),
         }
     }

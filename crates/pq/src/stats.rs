@@ -23,7 +23,10 @@
 /// All fields are monotone event counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContentionStats {
-    /// `try_lock` attempts that found the lock held by another thread.
+    /// Non-waiting lock attempts (`attempt(false, ..)`) that found the
+    /// lock held by another thread. A MultiQueue operation waits for
+    /// the lock of the queue it chose, so there only a deadline-bounded
+    /// one (`try_insert_for` / `try_dequeue_for`) can count here.
     pub try_lock_failures: u64,
     /// Lock-acquire CAS attempts that lost to a concurrent header
     /// update (the queue was *unlocked* but the header moved under us).

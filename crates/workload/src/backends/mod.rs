@@ -141,22 +141,15 @@ pub fn roster(scenario: &Scenario) -> Vec<Box<dyn Backend>> {
             let m = (4 * n).max(8);
             let mut backends: Vec<Box<dyn Backend>> = vec![
                 Box::new(MultiQueueBackend::heap(m, DeleteMode::Strict)),
-                Box::new(MultiQueueBackend::heap(m, DeleteMode::TryLock)),
                 Box::new(ConcurrentPqBackend::coarse()),
             ];
             // Scenarios with an active policy/batch dimension also run
-            // the tuned hot-path configurations, so one report carries
+            // the tuned hot-path configuration, so one report carries
             // the before/after comparison.
             if tuned(scenario) {
                 backends.push(Box::new(MultiQueueBackend::heap_policy(
                     m,
                     DeleteMode::Strict,
-                    scenario.choice_policy,
-                    scenario.batch,
-                )));
-                backends.push(Box::new(MultiQueueBackend::heap_policy(
-                    m,
-                    DeleteMode::TryLock,
                     scenario.choice_policy,
                     scenario.batch,
                 )));
@@ -180,14 +173,14 @@ pub fn roster(scenario: &Scenario) -> Vec<Box<dyn Backend>> {
     }
 }
 
-/// The roster for one cell of a **policy sweep**: only backends that
-/// actually act on the scenario's `choice_policy` (the policy-driven
-/// MultiQueue in both delete modes), so every cell along the policy
-/// axis runs the same backend set and every report's policy label is
-/// truthful. Works for the default policy too (`heap_policy` with
-/// two-choice is the comparable baseline point), unlike [`roster`],
-/// which adds tuned variants only when the policy deviates and would
-/// tag policy-oblivious backends with the swept label.
+/// The roster for one cell of a **policy sweep**: only the backend that
+/// actually acts on the scenario's `choice_policy` (the policy-driven
+/// MultiQueue), so every cell along the policy axis runs the same
+/// backend set and every report's policy label is truthful. Works for
+/// the default policy too (`heap_policy` with two-choice is the
+/// comparable baseline point), unlike [`roster`], which adds a tuned
+/// variant only when the policy deviates and would tag
+/// policy-oblivious backends with the swept label.
 ///
 /// Returns an empty vector for non-queue families (no backend acts on
 /// a policy there).
@@ -196,20 +189,12 @@ pub fn policy_roster(scenario: &Scenario) -> Vec<Box<dyn Backend>> {
         return Vec::new();
     }
     let m = (4 * scenario.threads).max(8);
-    vec![
-        Box::new(MultiQueueBackend::heap_policy(
-            m,
-            DeleteMode::Strict,
-            scenario.choice_policy,
-            scenario.batch,
-        )),
-        Box::new(MultiQueueBackend::heap_policy(
-            m,
-            DeleteMode::TryLock,
-            scenario.choice_policy,
-            scenario.batch,
-        )),
-    ]
+    vec![Box::new(MultiQueueBackend::heap_policy(
+        m,
+        DeleteMode::Strict,
+        scenario.choice_policy,
+        scenario.batch,
+    ))]
 }
 
 #[cfg(test)]
@@ -263,15 +248,19 @@ mod tests {
             for b in &r {
                 assert_eq!(b.family(), s.family, "{}", b.name());
             }
-            // One exact baseline beside the two MultiQueue delete modes.
-            if s.family == Family::Queue && !tuned(&s) {
+            // One exact baseline beside the MultiQueue, plus one tuned
+            // MultiQueue when the scenario deviates.
+            if s.family == Family::Queue {
                 let m = (4 * s.threads).max(8);
                 let names: Vec<String> = r.iter().map(|b| b.name()).collect();
-                let want = [
-                    format!("multiqueue-heap(m={m},strict)"),
-                    format!("multiqueue-heap(m={m},trylock)"),
-                    "coarse-pq".into(),
-                ];
+                let mut want = vec![format!("multiqueue-heap(m={m},strict)"), "coarse-pq".into()];
+                if tuned(&s) {
+                    want.push(format!(
+                        "multiqueue-heap(m={m},strict,{},b={})",
+                        s.choice_policy.label(),
+                        s.batch
+                    ));
+                }
                 assert_eq!(names, want, "{}", s.name);
             }
         }
@@ -280,18 +269,21 @@ mod tests {
     #[test]
     fn policy_roster_is_uniform_across_the_policy_axis() {
         let mut s = Scenario::named("queue-balanced").expect("catalog");
-        // Same backend set (by count and delete modes) for the default
-        // and a deviating policy — no ragged series along the axis.
+        // One backend for the default and a deviating policy alike —
+        // no ragged series along the axis — and it acts on the policy.
         s.choice_policy = PolicyCfg::TwoChoice;
         let default_names: Vec<String> = policy_roster(&s).iter().map(|b| b.name()).collect();
         s.choice_policy = PolicyCfg::Sticky { ops: 16 };
         let sticky_names: Vec<String> = policy_roster(&s).iter().map(|b| b.name()).collect();
-        assert_eq!(default_names.len(), 2);
-        assert_eq!(sticky_names.len(), 2);
-        // Every backend in a policy cell really acts on the policy.
-        for n in &sticky_names {
-            assert!(n.contains("sticky(s=16)"), "{n}");
-        }
+        let m = (4 * s.threads).max(8);
+        assert_eq!(default_names, [format!("multiqueue-heap(m={m},strict)")]);
+        assert_eq!(
+            sticky_names,
+            [format!(
+                "multiqueue-heap(m={m},strict,sticky(s=16),b={})",
+                s.batch
+            )]
+        );
         // Non-queue families have no policy-acting backend.
         let c = Scenario::named("counter-read-heavy").expect("catalog");
         assert!(policy_roster(&c).is_empty());

@@ -1,5 +1,5 @@
-//! Queue-family backends: the MultiQueue (both delete modes, any choice
-//! policy) and the exact one-lock `dlz-pq` baseline.
+//! Queue-family backends: the MultiQueue (any choice policy) and the
+//! exact one-lock `dlz-pq` baseline.
 //!
 //! Only the MultiQueue records histories. Its verdict — exact dequeue
 //! ranks against the policy's envelope — comes from
@@ -48,18 +48,16 @@ pub struct MultiQueueBackend {
 }
 
 impl MultiQueueBackend {
-    /// The default configuration: two-choice, unbatched.
+    /// The default configuration: two-choice, unbatched. The
+    /// [`DeleteMode`] argument has one value and is ignored.
     pub fn heap(m: usize, mode: DeleteMode) -> Self {
         Self::heap_policy(m, mode, PolicyCfg::TwoChoice, 1)
     }
 
-    /// An explicit choice policy and batch size.
+    /// An explicit choice policy and batch size. The label keeps its
+    /// `strict` tag, so report names and export paths do not move.
     pub fn heap_policy(m: usize, mode: DeleteMode, policy: PolicyCfg, batch: usize) -> Self {
         let batch = batch.max(1);
-        let mode_tag = match mode {
-            DeleteMode::Strict => "strict",
-            DeleteMode::TryLock => "trylock",
-        };
         let tuning = if !policy.is_default() || batch > 1 {
             format!(",{},b={batch}", policy.label())
         } else {
@@ -68,7 +66,7 @@ impl MultiQueueBackend {
         MultiQueueBackend {
             mq: MultiQueue::with_config((0..m).map(|_| BinaryHeap::new()).collect(), mode, policy),
             batch,
-            label: format!("multiqueue-heap(m={m},{mode_tag}{tuning})"),
+            label: format!("multiqueue-heap(m={m},strict{tuning})"),
             recorder: Recorder::new(),
             proxies: SampleSink::default(),
         }
@@ -429,18 +427,16 @@ mod tests {
 
     #[test]
     fn policy_backend_conserves_with_sticky_and_batch() {
-        for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
-            let b = MultiQueueBackend::heap_policy(8, mode, PolicyCfg::Sticky { ops: 8 }, 8);
-            assert!(b.name().contains("sticky(s=8),b=8"), "{}", b.name());
-            let counts = drive(&b, 3_000, false);
-            b.verify(&counts)
-                .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
-            let q = b.quality();
-            assert_eq!(q.metric, "dequeue_rank_proxy");
-            assert_eq!(q.get("policy_factor"), Some(8.0));
-            assert_eq!(q.get("batch"), Some(8.0));
-            assert!(q.get("rank_bound_policy").unwrap_or(0.0) > 0.0);
-        }
+        let b =
+            MultiQueueBackend::heap_policy(8, DeleteMode::Strict, PolicyCfg::Sticky { ops: 8 }, 8);
+        assert!(b.name().contains("sticky(s=8),b=8"), "{}", b.name());
+        let counts = drive(&b, 3_000, false);
+        b.verify(&counts).expect("conservation");
+        let q = b.quality();
+        assert_eq!(q.metric, "dequeue_rank_proxy");
+        assert_eq!(q.get("policy_factor"), Some(8.0));
+        assert_eq!(q.get("batch"), Some(8.0));
+        assert!(q.get("rank_bound_policy").unwrap_or(0.0) > 0.0);
     }
 
     #[test]
@@ -463,13 +459,11 @@ mod tests {
 
     #[test]
     fn heap_backends_conserve_in_both_modes_and_labels_carry_no_sub_tag() {
-        for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
-            let b = MultiQueueBackend::heap_policy(4, mode, PolicyCfg::TwoChoice, 1);
-            assert!(!b.name().contains("sub="), "{}", b.name());
-            let counts = drive(&b, 2_000, false);
-            b.verify(&counts)
-                .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-        }
+        let b = MultiQueueBackend::heap_policy(4, DeleteMode::Strict, PolicyCfg::TwoChoice, 1);
+        assert!(!b.name().contains("sub="), "{}", b.name());
+        let counts = drive(&b, 2_000, false);
+        b.verify(&counts)
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
     }
 
     #[test]

@@ -946,7 +946,7 @@ mod tests {
             })
             .prefill(200)
             .build();
-        let b = MultiQueueBackend::heap(4, DeleteMode::TryLock);
+        let b = MultiQueueBackend::heap(4, DeleteMode::Strict);
         let r = run(&s, &b);
         assert!(r.verified(), "{:?}", r.verify_error);
         let attempts =
@@ -999,7 +999,7 @@ mod tests {
             })
             .prefill(2_000)
             .build();
-        let r = run(&s, &MultiQueueBackend::heap(4, DeleteMode::TryLock));
+        let r = run(&s, &MultiQueueBackend::heap(4, DeleteMode::Strict));
         assert!(r.verified(), "{:?}", r.verify_error);
         let attempts =
             r.counts.updates + r.counts.removes + r.counts.removes_empty + r.counts.reads;
@@ -1284,12 +1284,8 @@ mod tests {
             .prefill(1_000)
             .telemetry_interval(Duration::from_millis(2))
             .build();
-        let b = MultiQueueBackend::heap_policy(
-            8,
-            DeleteMode::TryLock,
-            PolicyCfg::Sticky { ops: 16 },
-            1,
-        );
+        let b =
+            MultiQueueBackend::heap_policy(8, DeleteMode::Strict, PolicyCfg::Sticky { ops: 16 }, 1);
         let r = run(&s, &b);
         assert!(r.verified(), "{:?}", r.verify_error);
         let t = r.telemetry.as_ref().expect("telemetry series");
@@ -1639,7 +1635,7 @@ mod tests {
             .telemetry_interval(Duration::from_millis(25))
             .faults_spec("stall:0@100:30;slow:1:1..5")
             .build();
-        let b = MultiQueueBackend::heap(4, DeleteMode::TryLock);
+        let b = MultiQueueBackend::heap(4, DeleteMode::Strict);
         let r = run(&s, &b);
         assert!(r.verified(), "{:?}", r.verify_error);
         let f = r.faults.as_ref().expect("faults section");

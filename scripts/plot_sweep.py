@@ -7,8 +7,8 @@ renders an ASCII chart to stdout and (with --out) a self-contained SVG.
 Two modes:
 
   Throughput (default)
-      One series per policy (and delete mode), throughput in mops on the
-      y axis against a numeric grid axis (default `t`, the thread axis):
+      One series per policy, throughput in mops on the y axis against
+      a numeric grid axis (default `t`, the thread axis):
 
           scenarios --scenario queue-balanced --sweep \
               --threads 1,2,4,8 --policies two-choice,sticky=16 \
@@ -18,7 +18,8 @@ Two modes:
   Telemetry (--telemetry)
       Time-resolved series from reports run with --telemetry: one row
       per report, per-interval throughput plus a contention counter
-      (default try_lock_failures):
+      (default backoff_spins: an operation waiting out a held lock
+      snoozes, and only a deadline-bounded one fails a lock attempt):
 
           scenarios --scenario mq-hotpath-rank-audit \
               --telemetry-interval-ms 10 --json run.json
@@ -47,16 +48,15 @@ def load_reports(path):
 
 
 def series_label(report, series_key):
-    label = report.get("grid", {}).get(series_key) or report.get(series_key)
-    if label is None:
-        label = report.get("backend", "?")
-    # Split strict/trylock variants of the same policy into their own
-    # series; the delete mode is part of the backend label.
-    backend = report.get("backend", "")
-    for mode in ("strict", "trylock"):
-        if f",{mode}" in backend or f"({mode}" in backend:
-            return f"{label} [{mode}]"
-    return str(label)
+    label = report.get("grid", {}).get(series_key)
+    if label is not None:
+        return str(label)
+    # No such grid axis (e.g. a thread-only sweep over the whole roster):
+    # one series per backend kind, its label up to the parameters (which
+    # vary with the thread count), tagged with the report's own value.
+    kind = report.get("backend", "?").split("(")[0]
+    value = report.get(series_key)
+    return kind if value is None else f"{value} [{kind}]"
 
 
 def x_value(report, x_key):
@@ -231,8 +231,8 @@ def main():
     ap.add_argument("--telemetry", action="store_true", help="render per-interval time series instead")
     ap.add_argument(
         "--counter",
-        default="try_lock_failures",
-        help="contention counter for telemetry mode (default try_lock_failures)",
+        default="backoff_spins",
+        help="contention counter for telemetry mode (default backoff_spins)",
     )
     ap.add_argument("--out", help="write an SVG chart here as well")
     args = ap.parse_args()

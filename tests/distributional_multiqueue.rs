@@ -3,7 +3,7 @@
 //! on real concurrent executions through the Section 5 framework).
 
 use distlin::core::spec::{check_distributional, History, PqOp, PqSpec, Recorder};
-use distlin::core::{DeleteMode, MqHandle, MultiQueue, PolicyCfg};
+use distlin::core::{MqHandle, MultiQueue, PolicyCfg};
 
 /// Runs a concurrent stamped workload and returns its history.
 fn stamped_workload(
@@ -93,19 +93,6 @@ fn single_internal_queue_is_exact() {
     let out = check_distributional(&PqSpec, &h);
     assert!(out.is_linearizable());
     assert_eq!(out.costs.max(), 0.0);
-}
-
-#[test]
-fn trylock_mode_also_maps() {
-    let mq: MultiQueue<u64> =
-        MultiQueue::with_queues((0..8).map(|_| dlz_pq_heap()).collect(), DeleteMode::TryLock);
-    let h = stamped_workload(&mq, 4, 4_000, 0xDD);
-    let out = check_distributional(&PqSpec, &h);
-    assert!(out.is_linearizable());
-}
-
-fn dlz_pq_heap() -> distlin::pq::BinaryHeap<u64, u64> {
-    distlin::pq::BinaryHeap::new()
 }
 
 #[test]

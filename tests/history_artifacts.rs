@@ -1,9 +1,8 @@
 //! Integration tests for the history-artifact subsystem, end to end:
 //! what the engine reported for a run is what the judge finds in the
 //! run's artifact — in memory, and again after serialize → parse —
-//! across choice policies and both delete modes; a sweep with an export
-//! directory yields one grid-indexed, policy-tagged artifact per
-//! (cell × backend).
+//! across choice policies; a sweep with an export directory yields one
+//! grid-indexed, policy-tagged artifact per (cell × backend).
 
 use distlin::core::spec::{judge, replay_artifact, ArtifactHistory, FifoOp, HistoryArtifact};
 use distlin::core::{DeleteMode, PolicyCfg};
@@ -52,42 +51,40 @@ fn pq_round_trip_is_verdict_identical_across_policies_and_modes() {
         PolicyCfg::DChoice { d: 3 },
         PolicyCfg::Sticky { ops: 8 },
     ];
-    for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
-        for policy in policies {
-            let s = Scenario::builder("rt", Family::Queue)
-                .threads(2)
-                .budget(Budget::OpsPerWorker(1_200))
-                .mix(OpMix::new(55, 45, 0))
-                .prefill(300)
-                .record_history(true)
-                .choice_policy(policy)
-                .seed(0xab5e_11ed)
-                .build();
-            let b = MultiQueueBackend::heap_policy(8, mode, policy, 1);
-            let r = engine::run(&s, &b);
-            assert!(r.verified(), "{policy:?}/{mode:?}: {:?}", r.verify_error);
-            let artifact = b.take_history_artifact().expect("history was recorded");
-            assert_eq!(artifact.policy, policy.label());
-            assert_eq!(artifact.queues, Some(8));
-            assert!(artifact.envelope_factor >= 1.0);
+    for policy in policies {
+        let s = Scenario::builder("rt", Family::Queue)
+            .threads(2)
+            .budget(Budget::OpsPerWorker(1_200))
+            .mix(OpMix::new(55, 45, 0))
+            .prefill(300)
+            .record_history(true)
+            .choice_policy(policy)
+            .seed(0xab5e_11ed)
+            .build();
+        let b = MultiQueueBackend::heap_policy(8, DeleteMode::Strict, policy, 1);
+        let r = engine::run(&s, &b);
+        assert!(r.verified(), "{policy:?}: {:?}", r.verify_error);
+        let artifact = b.take_history_artifact().expect("history was recorded");
+        assert_eq!(artifact.policy, policy.label());
+        assert_eq!(artifact.queues, Some(8));
+        assert!(artifact.envelope_factor >= 1.0);
 
-            // In-process numbers reproduce from the in-memory artifact...
-            assert_judged_as_reported(&artifact, &r.quality);
+        // In-process numbers reproduce from the in-memory artifact...
+        assert_judged_as_reported(&artifact, &r.quality);
 
-            // ...and from its serialized round trip, byte-identically.
-            let text = artifact.to_json_lines();
-            let parsed = HistoryArtifact::from_json_lines(&text)
-                .unwrap_or_else(|e| panic!("{policy:?}/{mode:?}: {e}"));
-            assert_eq!(parsed.to_json_lines(), text, "serialize∘parse ≠ identity");
-            assert_judged_as_reported(&parsed, &r.quality);
+        // ...and from its serialized round trip, byte-identically.
+        let text = artifact.to_json_lines();
+        let parsed =
+            HistoryArtifact::from_json_lines(&text).unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+        assert_eq!(parsed.to_json_lines(), text, "serialize∘parse ≠ identity");
+        assert_judged_as_reported(&parsed, &r.quality);
 
-            let a = replay_artifact(&artifact);
-            let p = replay_artifact(&parsed);
-            assert_eq!(a.costs.samples(), p.costs.samples());
-            assert_eq!(a.unmappable, p.unmappable);
-            assert_eq!(a.well_formed, p.well_formed);
-            assert_eq!(a.real_time_ok, p.real_time_ok);
-        }
+        let a = replay_artifact(&artifact);
+        let p = replay_artifact(&parsed);
+        assert_eq!(a.costs.samples(), p.costs.samples());
+        assert_eq!(a.unmappable, p.unmappable);
+        assert_eq!(a.well_formed, p.well_formed);
+        assert_eq!(a.real_time_ok, p.real_time_ok);
     }
 }
 
@@ -129,7 +126,7 @@ fn exported_sweep_grid_replays_bit_for_bit() {
         .threads(&[1, 2])
         .policies(&[PolicyCfg::TwoChoice, PolicyCfg::Sticky { ops: 4 }]);
     let reports = engine::run_sweep(&spec, |cell| policy_roster(&cell.scenario));
-    assert_eq!(reports.len(), 8, "4 cells × 2 delete modes");
+    assert_eq!(reports.len(), 4, "4 cells × 1 backend");
 
     for r in &reports {
         assert!(r.verified(), "{:?}: {:?}", r.cell, r.verify_error);
@@ -203,7 +200,7 @@ fn fold(digest: &mut u64, kind: u64, priority: u64, stamp: u64) {
 /// function of the seed alone, so its digest pins the choice process —
 /// one extra RNG draw, a stamp drawn away from its mutation, or a policy
 /// callback that observes a still-held lock changes it.
-fn pinned_op_sequence_digest(policy: PolicyCfg, mode: DeleteMode) -> u64 {
+fn pinned_op_sequence_digest(policy: PolicyCfg) -> u64 {
     use distlin::core::rng::{Rng64, Xoshiro256};
     use distlin::core::{ExactCounter, MultiQueue};
     use std::time::Duration;
@@ -213,7 +210,6 @@ fn pinned_op_sequence_digest(policy: PolicyCfg, mode: DeleteMode) -> u64 {
     const EMPTY: u64 = 3;
     let mq: MultiQueue<u64> = MultiQueue::<u64>::builder()
         .queues(8)
-        .delete_mode(mode)
         .policy(policy)
         .build();
     // The pinned stamps start at 1: draw stamp 0 away first.
@@ -295,21 +291,20 @@ fn pinned_op_sequence_digest(policy: PolicyCfg, mode: DeleteMode) -> u64 {
 #[test]
 fn single_thread_op_sequences_are_pinned_per_policy_and_mode() {
     // Recorded at the commit before the six retry loops became one; the
-    // collapse had to reproduce them exactly. One thread never contends,
-    // so try-lock mode must replay strict mode's sequence too.
+    // collapse had to reproduce them exactly, and so did the removal of
+    // the second acquisition rule (one thread never contends, so both
+    // rules had replayed the same sequence).
     let pinned = [
         (PolicyCfg::TwoChoice, 0x7882_7b8a_88c5_5ffcu64),
         (PolicyCfg::Sticky { ops: 4 }, 0x6b25_2130_f906_b48e),
         (PolicyCfg::DChoice { d: 3 }, 0x14c5_58bc_e2e3_a1d4),
     ];
     for (policy, expected) in pinned {
-        for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
-            let got = pinned_op_sequence_digest(policy, mode);
-            assert_eq!(
-                got, expected,
-                "{policy:?}/{mode:?}: digest {got:#018x} != pinned {expected:#018x}"
-            );
-        }
+        let got = pinned_op_sequence_digest(policy);
+        assert_eq!(
+            got, expected,
+            "{policy:?}: digest {got:#018x} != pinned {expected:#018x}"
+        );
     }
 }
 

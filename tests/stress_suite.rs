@@ -6,7 +6,9 @@ use std::sync::Mutex;
 
 use distlin::core::rng::{Rng64, Xoshiro256};
 use distlin::core::spec::{check_distributional, FifoOp, FifoSpec, Recorder};
-use distlin::core::{DeleteMode, ExactCounter, MultiCounter, MultiQueue, RelaxedCounter};
+use distlin::core::{
+    DeleteMode, ExactCounter, MultiCounter, MultiQueue, PolicyCfg, RelaxedCounter,
+};
 use distlin::pq::SeqPriorityQueue;
 use distlin::stm::Tl2;
 
@@ -99,13 +101,14 @@ impl<V> SeqPriorityQueue<u64, V> for MapQueue<V> {
 }
 
 #[test]
-fn multiqueue_second_substrate_trylock_mpmc() {
+fn multiqueue_second_substrate_mpmc() {
     const PRODUCERS: usize = 2;
     const CONSUMERS: usize = 2;
     const PER: u64 = 10_000;
-    let mq: MultiQueue<u64, MapQueue<u64>> = MultiQueue::with_queues(
+    let mq: MultiQueue<u64, MapQueue<u64>> = MultiQueue::with_config(
         (0..16).map(|_| MapQueue::default()).collect(),
-        DeleteMode::TryLock,
+        DeleteMode::Strict,
+        PolicyCfg::TwoChoice,
     );
     let collected: Vec<u64> = std::thread::scope(|s| {
         for t in 0..PRODUCERS {

@@ -208,7 +208,7 @@ fn arrival_processes_drive_every_family() {
         .prefill(200)
         .seed(SEED)
         .build();
-    let mq = MultiQueueBackend::heap(4, DeleteMode::TryLock);
+    let mq = MultiQueueBackend::heap(4, DeleteMode::Strict);
     let r = engine::run(&bursty, &mq);
     assert!(r.verified(), "{:?}", r.verify_error);
     assert_eq!(r.counts.inserted(), r.counts.removes + r.residual);
