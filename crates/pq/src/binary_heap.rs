@@ -97,14 +97,19 @@ impl<P: Ord, V> Entry<P, V> {
 /// assert_eq!(h.delete_min(), Some((5, "five-again")));
 /// assert_eq!(h.delete_min(), None);
 /// ```
+// The field order is load-bearing: repr(C) puts the words every
+// operation writes (`len`, the `Vec` header, `next_seq`) first, so that
+// inside a `LockedPq` they share the lock word's cache line.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct BinaryHeap<P, V> {
-    /// The smallest entries in descending key order: `front[..len]` are
-    /// occupied, the minimum last; the rest are `None`.
-    front: [Option<Entry<P, V>>; BUFFER],
+    /// Occupied slots of `front`.
     len: usize,
     entries: Vec<Entry<P, V>>,
     next_seq: u64,
+    /// The smallest entries in descending key order: `front[..len]` are
+    /// occupied, the minimum last; the rest are `None`.
+    front: [Option<Entry<P, V>>; BUFFER],
 }
 
 impl<P: Ord, V> Default for BinaryHeap<P, V> {
@@ -123,10 +128,10 @@ impl<P: Ord, V> BinaryHeap<P, V> {
     /// reallocating.
     pub fn with_capacity(cap: usize) -> Self {
         BinaryHeap {
-            front: [const { None }; BUFFER],
             len: 0,
             entries: Vec::with_capacity(cap),
             next_seq: 0,
+            front: [const { None }; BUFFER],
         }
     }
 
@@ -396,6 +401,21 @@ impl<P: Ord, V> FromIterator<(P, V)> for BinaryHeap<P, V> {
             h.add(p, v);
         }
         h
+    }
+}
+
+#[cfg(test)]
+impl<P, V> BinaryHeap<P, V> {
+    /// Where the words every operation writes (`len`, the `Vec` header,
+    /// `next_seq`) end, in bytes from the start of the struct.
+    pub(crate) fn header_end() -> usize {
+        use std::mem::{offset_of, size_of};
+        let ends = [
+            offset_of!(Self, len) + size_of::<usize>(),
+            offset_of!(Self, entries) + size_of::<Vec<Entry<P, V>>>(),
+            offset_of!(Self, next_seq) + size_of::<u64>(),
+        ];
+        ends.into_iter().max().expect("three fields")
     }
 }
 

@@ -16,17 +16,19 @@
 //!   measured against it and removed (README, "Verdicts").
 //! * [`Backoff`] — exponential backoff (spin, then yield) for contended
 //!   retry loops.
-//! * [`CachePadded`] — 128-byte cache-line padding, shared with
-//!   `dlz-core` so every hot word in the workspace uses one definition.
+//! * [`CachePadded`] — 128-byte cache-line padding for `dlz-core`'s
+//!   counters (`ExactCounter`, `MultiCounter`, `ShardedCounter`).
 //! * [`LockedPq`] — a linearizable concurrent priority queue whose lock
 //!   flag, generation and entry count are packed into a single atomic
-//!   header word (see [`locked::header`]), cache-padded together with
-//!   the published minimum hint so that readers can perform the
-//!   *ReadMin* step of Algorithm 2 without taking the lock and without
-//!   false sharing. [`LockedPq::attempt`] — one whole operation as a
-//!   closure, ending in an [`Attempt`] — is the surface the
-//!   MultiQueue's operation loop drives, and the only way to run code
-//!   under the lock; [`LockedPq::salvage_into`], which drains a
+//!   header word (see [`locked::header`]). The header, the published
+//!   minimum hint and the heap's own header words share one cache line,
+//!   so readers perform the *ReadMin* step of Algorithm 2 without taking
+//!   the lock, and the lock holder's heap-header writes ride on the
+//!   line its lock CAS already moved; the struct's 128-byte alignment
+//!   keeps adjacent queues from false sharing. [`LockedPq::attempt`] —
+//!   one whole operation as a closure, ending in an [`Attempt`] — is
+//!   the surface the MultiQueue's operation loop drives, and the only
+//!   way to run code under the lock; [`LockedPq::salvage_into`], which drains a
 //!   poisoned queue back into service, is the only way to take the
 //!   lock despite poison. The packed lock is the only per-queue
 //!   concurrency discipline: a lock-free claim/drain queue, a flat

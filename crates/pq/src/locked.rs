@@ -11,12 +11,19 @@
 //!   Acquiring the lock, bumping the generation and refreshing the
 //!   count at release are single atomic operations on one cache line,
 //!   where the previous layout paid for three separate atomic words.
-//! * **Padded hot slot.** The header and the published min hint share
-//!   one [`CachePadded`] slot, so the lock-free `ReadMin` step touches
-//!   exactly one cache line and adjacent queues in the MultiQueue's
-//!   array never false-share. The sequential queue's own data starts on
-//!   the following line, so heap mutations under the lock do not
-//!   invalidate concurrent hint readers.
+//! * **One line for the lock, the hint and the heap header.**
+//!   `LockedPq` is `repr(C, align(128))`: the header and the published
+//!   min hint sit unpadded at offset 0 and the sequential queue follows
+//!   at once, so [`BinaryHeap`]'s first fields — buffer length, `Vec`
+//!   header, sequence counter — share their 64-byte line. The lock
+//!   holder writes those words on every operation, and the header CAS
+//!   that takes the lock already writes that line, so they move between
+//!   cores with it instead of as a second line. The lock-free `ReadMin`
+//!   step still touches exactly one line. Heap writes under the lock do
+//!   invalidate hint readers' copy of it, but the acquiring CAS and the
+//!   releasing store of the header invalidate it anyway. The 128-byte
+//!   alignment keeps adjacent queues in the MultiQueue's array off each
+//!   other's lines and adjacent-line prefetch pairs.
 //! * **Publish only on change.** The hint word is stored only when the
 //!   minimum actually changed; an insert of a non-minimal element or a
 //!   delete that does not move the front costs readers nothing.
@@ -49,37 +56,47 @@
 //!
 //! # Lines an operation touches
 //!
-//! A `LockedPq<u64>` over [`BinaryHeap`] is 384 bytes, 128-aligned. By
-//! 64-byte line: `H` holds the header and the hint; `F1` and `F2` hold
-//! the heap's front-buffer slots 0–1 and 2–3; `S` holds the buffer
-//! length, the heap array's `Vec` header and the sequence counter. The
-//! heap array is a separate allocation: root first, 24-byte entries,
-//! so the top three levels fill six lines. A shared line is one that
-//! another core writes. On a 2-worker MultiQueue of m = 8, an op touches:
+//! A `LockedPq<u64>` over [`BinaryHeap`] is 256 bytes, 128-aligned. By
+//! 64-byte line: `H` holds the header, the hint, the buffer length, the
+//! heap array's `Vec` header and the sequence counter (bytes 0–55);
+//! the four 32-byte front-buffer slots fill bytes 56–183, so `F1` holds
+//! most of slot 0, slot 1 and the start of slot 2, and `F2` the rest of
+//! slot 2 and slot 3; the last line is padding no operation touches.
+//! The heap array is a separate allocation: root first, 24-byte
+//! entries, so the top three levels fill six lines. A shared line is one
+//! that another core writes. On a 2-worker MultiQueue of m = 8, an op
+//! touches:
 //!
 //! | op | shared lines |
 //! |---|---|
-//! | dequeue served by the buffer (3 in 4) | 2 sampled `H` (one CAS'd and released), `S`, 1–2 of `F1`/`F2`: **4–5, no array line** |
-//! | dequeue that refills the buffer (1 in 4) | the same, plus four pops: root and tail lines and four sift paths (~11 levels at 2,500 entries, top ~6 lines hot): **~10–16** |
-//! | insert onto the heap | `H`, `S`, `F1` (the buffer maximum it is routed by), the array tail and a sift-up of O(1) levels: **4–5** |
-//! | insert into the buffer | `H`, `S`, `F1`/`F2`; an eviction adds the tail and a sift-up to the root: **3–4, or ~15 when it evicts** |
+//! | dequeue served by the buffer (3 in 4) | 2 sampled `H` (one CAS'd and released), 1–2 of `F1`/`F2`: **3–4, no array line** |
+//! | dequeue that refills the buffer (1 in 4) | the same, plus four pops: root and tail lines and four sift paths (~11 levels at 2,500 entries, top ~6 lines hot): **~9–15** |
+//! | insert onto the heap | `H`, `F1` (the buffer maximum it is routed by), the array tail and a sift-up of O(1) levels: **3–4** |
+//! | insert into the buffer | `H`, `F1`/`F2`; an eviction adds the tail and a sift-up to the root: **2–3, or ~14 when it evicts** |
+//!
+//! Each row is one line below the padded layout's, which kept the hint
+//! and header alone on `H` and put the buffer length, `Vec` header and
+//! sequence counter on a line `S` of their own, written by every
+//! operation too (384 bytes per queue). On the traced ladder the
+//! one-line layout cut the 2-thread dequeue rung by 78 ns and the
+//! insert rung by 32 ns (5 of 5 pairs).
 //!
 //! Without the buffer every dequeue paid the refill row's array cost
 //! for one pop: 2 `H`, the `Vec` header's line, the root, tail and top
 //! path lines, about 6–7 shared lines. Checked against the traced
-//! ladder (`mq-balanced`, medians of 10 runs, ~70 ns per line moved
-//! between cores), (t2 − t1) ÷ 70 ns gives a dequeue 6.5 lines before
-//! the buffer and 5.4 after, and an insert 3.3 and 3.4. The ladder's
-//! rungs run 2,048-op bursts of one kind, where only 1.4% of inserts
-//! enter the buffer. Interleaved 50/50, most do (84%, a quarter of
-//! them evicting, in a 2-thread m = 8 run), because a new uniform key
-//! usually falls below the fourth-smallest resident.
+//! ladder of the padded layout (`mq-balanced`, medians of 10 runs,
+//! ~70 ns per line moved between cores), (t2 − t1) ÷ 70 ns gives a
+//! dequeue 6.5 lines before the buffer and 5.4 after, and an insert
+//! 3.3 and 3.4. The ladder's rungs run 2,048-op bursts of one kind,
+//! where only 1.4% of inserts enter the buffer. Interleaved 50/50, most
+//! do (84%, a quarter of them evicting, in a 2-thread m = 8 run),
+//! because a new uniform key usually falls below the fourth-smallest
+//! resident.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::binary_heap::BinaryHeap;
-use crate::padded::CachePadded;
 use crate::spinlock::Backoff;
 use crate::stats::ContentionStats;
 use crate::traits::{ConcurrentPq, SeqPriorityQueue};
@@ -177,8 +194,9 @@ pub mod header {
     }
 }
 
-/// The cache-padded hot slot: packed header plus published min hint.
-/// Exactly the two words the lock-free paths touch, on their own line.
+/// The hot words: packed header plus published min hint, the two words
+/// the lock-free paths touch. Unpadded: the sequential queue's header
+/// follows them on the same line (see the module docs).
 #[derive(Debug)]
 struct Hot {
     /// Packed lock / generation / count (see [`header`]).
@@ -200,15 +218,17 @@ struct Hot {
 /// assert_eq!(q.min_hint(), 2);
 /// assert_eq!(q.remove_min(), Some((2, "two")));
 /// ```
-// repr(C) guarantees the declared field order: the padded hot slot
-// first, the queue data after it — the no-false-sharing invariant the
-// module docs promise must not depend on repr(Rust) layout whims.
-#[repr(C)]
+// repr(C) guarantees the declared field order: the hot words at offset
+// 0, the queue right after them, so the header CAS that takes the lock
+// also brings in the queue's own header (`BinaryHeap` orders its fields
+// for this). align(128) keeps adjacent queues of an array off each
+// other's lines and adjacent-line prefetch pairs.
+#[repr(C, align(128))]
 pub struct LockedPq<V, Q = BinaryHeap<u64, V>>
 where
     Q: SeqPriorityQueue<u64, V>,
 {
-    hot: CachePadded<Hot>,
+    hot: Hot,
     /// The sequential queue; exclusive access is granted by the header
     /// word's lock bit.
     inner: UnsafeCell<Q>,
@@ -228,10 +248,10 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
         let top = queue.read_min().map(|(p, _)| *p).unwrap_or(EMPTY_HINT);
         let count = queue.len() as u64;
         LockedPq {
-            hot: CachePadded::new(Hot {
+            hot: Hot {
                 header: AtomicU64::new(header::pack(false, 0, count)),
                 top: AtomicU64::new(top),
-            }),
+            },
             inner: UnsafeCell::new(queue),
             _marker: std::marker::PhantomData,
         }
@@ -724,15 +744,24 @@ mod tests {
     }
 
     #[test]
-    fn hot_slot_is_padded_and_queue_data_is_off_the_hint_line() {
-        let q: LockedPq<u32> = LockedPq::default();
-        assert_eq!(std::mem::align_of_val(&q), 128);
-        let base = &q as *const _ as usize;
-        let inner = q.inner.get() as usize;
-        assert!(
-            inner - base >= 128,
-            "queue data must start past the padded hot slot"
-        );
+    fn one_line_holds_the_lock_the_hint_and_the_heap_header() {
+        use std::mem::{align_of, offset_of, size_of};
+        type Q = LockedPq<u64>;
+        assert_eq!(align_of::<Q>(), 128);
+        assert_eq!(size_of::<Q>(), 256);
+        // End offsets of the header, the hint and the heap's `len`,
+        // `Vec` header and `next_seq`: all on the first 64-byte line.
+        let hot = offset_of!(Q, hot);
+        let ends = [
+            hot + offset_of!(Hot, header) + size_of::<AtomicU64>(),
+            hot + offset_of!(Hot, top) + size_of::<AtomicU64>(),
+            offset_of!(Q, inner) + BinaryHeap::<u64, u64>::header_end(),
+        ];
+        assert!(ends.iter().all(|&end| end <= 64), "ends {ends:?}");
+        // Adjacent queues of an array stay off each other's line pairs.
+        let queues: Box<[Q]> = (0..2).map(|_| Q::default()).collect();
+        let gap = &queues[1] as *const Q as usize - &queues[0] as *const Q as usize;
+        assert!(gap >= 128, "adjacent queues {gap} bytes apart");
     }
 
     #[test]

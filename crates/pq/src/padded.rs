@@ -1,18 +1,18 @@
 //! Cache-line padding to prevent false sharing.
 //!
-//! The MultiQueue spreads contention over `m` independent spinlocked
-//! queues; the MultiCounter does the same over `m` atomic words. If the
-//! hot words of adjacent slots shared cache lines, hardware would
-//! re-serialize them: every lock acquisition or hint publish would
-//! invalidate its neighbours' lines and the structure would scale no
-//! better than a single lock. [`CachePadded<T>`] aligns each value to
-//! 128 bytes — two 64-byte lines — because Intel's adjacent-line
-//! prefetcher pairs lines, so 64-byte alignment alone still exhibits
-//! false sharing in practice.
+//! The MultiCounter spreads contention over `m` independent atomic
+//! words. If adjacent words shared cache lines, hardware would
+//! re-serialize them: every increment would invalidate its neighbours'
+//! lines and the counter would scale no better than a single word.
+//! [`CachePadded<T>`] aligns each value to 128 bytes — two 64-byte
+//! lines — because Intel's adjacent-line prefetcher pairs lines, so
+//! 64-byte alignment alone still exhibits false sharing in practice.
 //!
-//! This lives in `dlz-pq` (the lowest crate in the workspace) so that
-//! both the per-queue concurrency header ([`LockedPq`](crate::LockedPq))
-//! and `dlz-core`'s counters share one definition.
+//! It serves `dlz-core`'s counters: `ExactCounter`'s one word and the
+//! cells of `MultiCounter` and `ShardedCounter`. (It lives in
+//! `dlz-pq`, the lowest crate in the workspace.) [`LockedPq`](crate::LockedPq)
+//! does not use it: its header shares a line with the queue it guards,
+//! and the struct's own 128-byte alignment keeps adjacent queues apart.
 
 use std::ops::{Deref, DerefMut};
 

@@ -31,12 +31,6 @@ impl Backoff {
         Backoff { step: 0 }
     }
 
-    /// Resets to the initial (cheapest) state.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
     /// Waits a little, increasing the wait on each successive call.
     #[inline]
     pub fn snooze(&mut self) {
@@ -73,7 +67,5 @@ mod tests {
             b.snooze();
         }
         assert!(b.is_yielding());
-        b.reset();
-        assert!(!b.is_yielding());
     }
 }

@@ -24,13 +24,16 @@ count for neither side) and a verdict:
               nine tenths of all pairs and median gap, in the better
               direction, larger than the parent's quartile distance
 
-stderr: one line per run with `correct` and `failed` passed through.
+stderr: first each binary's path, size and SHA-256, so a table can be
+tied to the builds it compared; then one line per run with `correct`
+and `failed` passed through.
 Exit 0 when every verdict holds; 1 on a BREACH or a claim not met; 3 when
 a run reported `failed > 0` or `correct: false`, exited non-zero or
 printed no result; 2 on a usage error. Run it on an otherwise idle host.
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -59,6 +62,13 @@ def run_once(binary, workload, seed, passthrough):
     if not (isinstance(result, dict) and isinstance(result.get("metrics"), dict)):
         result = None
     return result, proc.returncode
+
+
+def describe(side, binary):
+    """`side: path, size, sha256` of one binary, for the stderr log."""
+    path = Path(binary).resolve()
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    return f"{side}: {path}, {path.stat().st_size} bytes, sha256 {digest}"
 
 
 def quartiles(xs):
@@ -133,6 +143,8 @@ def main():
         ap.error(f"--claim {args.claim}: workload not in --workloads")
 
     sides = {"parent": args.parent, "change": args.change}
+    for side, binary in sides.items():
+        print(describe(side, binary), file=sys.stderr)
     # samples[workload][metric][side] = one value per pair, in pair order
     samples = {w: {} for w in workloads}
     broken = []
