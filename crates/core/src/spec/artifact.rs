@@ -346,36 +346,6 @@ impl HistoryArtifact {
             grid,
         })
     }
-
-    /// The replay-cost samples the kind's quality metric summarizes:
-    /// every finite cost for queues and FIFOs (inserts cost 0 and are
-    /// included), but **read costs only** for counters (increments are
-    /// always exact and would dilute the deviation metric).
-    ///
-    /// `outcome` must be the replay of this artifact (e.g. from
-    /// [`replay_artifact`](crate::spec::checker::replay_artifact)).
-    pub fn metric_costs(&self, outcome: &crate::spec::checker::ReplayOutcome) -> Vec<f64> {
-        match &self.history {
-            ArtifactHistory::Counter(h) => {
-                // Counter relaxations map every label (no unmappable
-                // transitions), so costs align 1:1 with labels in
-                // update order.
-                h.labels_in_update_order()
-                    .iter()
-                    .zip(outcome.costs.samples())
-                    .filter(|(l, _)| matches!(l, CounterOp::Read { .. }))
-                    .map(|(_, c)| *c)
-                    .collect()
-            }
-            _ => outcome
-                .costs
-                .samples()
-                .iter()
-                .copied()
-                .filter(|c| c.is_finite())
-                .collect(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

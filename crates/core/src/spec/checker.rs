@@ -11,7 +11,7 @@
 use crate::spec::artifact::{ArtifactHistory, HistoryArtifact};
 use crate::spec::history::History;
 use crate::spec::relaxation::{CostDistribution, QuantitativeRelaxation};
-use crate::spec::specs::{CounterSpec, FifoSpec, PqSpec};
+use crate::spec::specs::{CounterOp, CounterSpec, FifoOp, FifoSpec, PqOp, PqSpec};
 
 /// Result of replaying a history against a relaxation.
 #[derive(Debug)]
@@ -81,21 +81,103 @@ pub fn replay_artifact(artifact: &HistoryArtifact) -> ReplayOutcome {
     }
 }
 
-/// Generous constant over a queue history's envelope scale, as the core
-/// tests use: the mean dequeue rank is held against
-/// `RANK_BOUND_C · envelope_factor · queues`.
-pub const RANK_BOUND_C: f64 = 30.0;
+/// Generous constants over a queue history's `factor · queues` rank
+/// scale and a counter history's `m·ln m` deviation scale ([`envelope`]).
+const RANK_BOUND_C: f64 = 30.0;
+const DEVIATION_BOUND_C: f64 = 4.0;
 
-/// Generous constant over a counter history's `m·ln m` deviation scale
-/// (its `envelope_factor`): the largest read deviation is held against
-/// `DEVIATION_BOUND_C · envelope_factor`.
-pub const DEVIATION_BOUND_C: f64 = 4.0;
+/// The structure kinds a verdict can be about.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
+    /// Priority queues: dequeue ranks.
+    Pq,
+    /// Counters: read deviations.
+    Counter,
+    /// FIFO queues: dequeue positions.
+    Fifo,
+}
+
+/// What a kind's metric samples must meet: a bound, held against their
+/// mean or against their largest value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Envelope {
+    /// The metric: `dequeue_rank`, `read_deviation` or `dequeue_position`.
+    pub metric: &'static str,
+    /// The absolute bound; infinite when none is claimed.
+    pub bound: f64,
+    by_max: bool,
+}
+
+impl Envelope {
+    /// `true` iff `costs` sit inside the envelope. No samples under a
+    /// mean bound verified nothing and are *not* within; an envelope
+    /// that claims no bound has nothing to exceed.
+    pub fn holds(&self, costs: &[f64]) -> bool {
+        let mean = costs.iter().sum::<f64>() / costs.len() as f64;
+        match (self.bound, self.by_max) {
+            (f64::INFINITY, _) => true,
+            (bound, true) => costs.iter().all(|&c| c <= bound),
+            (bound, false) => !costs.is_empty() && mean <= bound,
+        }
+    }
+}
+
+/// The one envelope rule, for [`judge`] and for the workload backends'
+/// online samples: the **mean** dequeue rank against `RANK_BOUND_C ·
+/// factor · queues` for a policy's rank factor (Theorem 7.1 bounds the
+/// expectation; an infinite factor claims no bound), the **largest**
+/// read deviation against `DEVIATION_BOUND_C · factor` for the `m·ln m`
+/// scale (Lemma 6.8 holds w.h.p.; a factor of 0 is the exact counter,
+/// whose reads must not deviate at all), nothing for FIFO positions.
+pub fn envelope(kind: Kind, factor: f64, queues: usize) -> Envelope {
+    let (metric, bound, by_max) = match kind {
+        Kind::Pq if factor.is_finite() => {
+            ("dequeue_rank", RANK_BOUND_C * factor * queues as f64, false)
+        }
+        Kind::Pq => ("dequeue_rank", f64::INFINITY, false),
+        Kind::Counter => ("read_deviation", DEVIATION_BOUND_C * factor, true),
+        Kind::Fifo => ("dequeue_position", f64::INFINITY, false),
+    };
+    Envelope {
+        metric,
+        bound,
+        by_max,
+    }
+}
+
+impl HistoryArtifact {
+    /// The samples the kind's metric summarizes: the finite replay costs
+    /// of exactly the ops it names — delete-mins, reads or dequeues, not
+    /// the inserts, increments or enqueues that always cost 0.
+    /// `outcome` must be this artifact's [`replay_artifact`].
+    pub fn metric_costs(&self, outcome: &ReplayOutcome) -> Vec<f64> {
+        match &self.history {
+            ArtifactHistory::Pq(h) => kept(h, outcome, |l| matches!(l, PqOp::DeleteMin { .. })),
+            ArtifactHistory::Counter(h) => {
+                kept(h, outcome, |l| matches!(l, CounterOp::Read { .. }))
+            }
+            ArtifactHistory::Fifo(h) => kept(h, outcome, |l| matches!(l, FifoOp::Dequeue { .. })),
+        }
+    }
+}
+
+/// The costs of the labels `keep` names: the mappable labels, in replay
+/// order, paired with the outcome's costs (one each).
+fn kept<L: Clone>(h: &History<L>, outcome: &ReplayOutcome, keep: impl Fn(&L) -> bool) -> Vec<f64> {
+    let labels = h.labels_in_update_order();
+    labels
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| outcome.unmappable.binary_search(i).is_err())
+        .zip(outcome.costs.samples())
+        .filter_map(|((_, l), &cost)| keep(l).then_some(cost))
+        .collect()
+}
 
 /// What [`judge`] found in one history.
 #[derive(Debug)]
 pub struct Verdict {
-    /// Name of the kind's cost metric: `dequeue_rank`, `read_deviation`
-    /// or `dequeue_position`.
+    /// Name of the kind's cost metric ([`Envelope::metric`]).
     pub metric: &'static str,
     /// Events in the judged history.
     pub events: usize,
@@ -108,9 +190,7 @@ pub struct Verdict {
     /// infinite when it claims none (FIFO histories, policies without a
     /// rank factor).
     pub bound: f64,
-    /// `true` iff the costs sit inside the envelope. A queue history
-    /// with no samples verified nothing and is *not* within; a history
-    /// that claims no envelope has nothing to exceed and is.
+    /// `true` iff the costs sit inside the envelope ([`Envelope::holds`]).
     pub within: bool,
 }
 
@@ -119,38 +199,26 @@ pub struct Verdict {
 /// `histcheck` judging its exported file long after compute the same
 /// numbers from the same function.
 ///
-/// Replays the artifact ([`replay_artifact`]), selects the metric's
-/// samples, and holds them against the kind's envelope: the **mean**
-/// dequeue rank against [`RANK_BOUND_C`]` · envelope_factor · queues`
-/// (Theorem 7.1 bounds the expectation), the **largest** read
-/// deviation against [`DEVIATION_BOUND_C`]` · envelope_factor` (Lemma
-/// 6.8 holds w.h.p.; a factor of 0 is the exact counter, whose reads
-/// must not deviate at all), nothing for FIFO positions.
+/// Replays the artifact ([`replay_artifact`]), takes the metric's
+/// samples ([`HistoryArtifact::metric_costs`]) and holds them against
+/// the kind's [`envelope`] for the artifact's `envelope_factor` and
+/// `queues`.
 pub fn judge(artifact: &HistoryArtifact) -> Verdict {
     let outcome = replay_artifact(artifact);
     let costs = artifact.metric_costs(&outcome);
-    let factor = artifact.envelope_factor;
-    let (metric, bound, within) = match &artifact.history {
-        ArtifactHistory::Pq(_) if factor.is_finite() => {
-            let bound = RANK_BOUND_C * factor * artifact.queues.unwrap_or(0) as f64;
-            let mean = costs.iter().sum::<f64>() / costs.len() as f64;
-            ("dequeue_rank", bound, !costs.is_empty() && mean <= bound)
-        }
-        ArtifactHistory::Pq(_) => ("dequeue_rank", f64::INFINITY, true),
-        ArtifactHistory::Counter(_) => {
-            let bound = DEVIATION_BOUND_C * factor;
-            let max = costs.iter().copied().fold(0.0, f64::max);
-            ("read_deviation", bound, max <= bound)
-        }
-        ArtifactHistory::Fifo(_) => ("dequeue_position", f64::INFINITY, true),
+    let kind = match &artifact.history {
+        ArtifactHistory::Pq(_) => Kind::Pq,
+        ArtifactHistory::Counter(_) => Kind::Counter,
+        ArtifactHistory::Fifo(_) => Kind::Fifo,
     };
+    let envelope = envelope(kind, artifact.envelope_factor, artifact.queues.unwrap_or(0));
     Verdict {
-        metric,
+        metric: envelope.metric,
         events: artifact.len(),
         outcome,
+        within: envelope.holds(&costs),
         costs,
-        bound,
-        within,
+        bound: envelope.bound,
     }
 }
 
@@ -311,10 +379,10 @@ mod tests {
             };
             judge(&HistoryArtifact::pq(h, "p", 2.0, queues))
         };
-        // Mean rank 1/3 against 30 · 2 · 4; inserts are samples too.
+        // Mean rank 1 against 30 · 2 · 4; inserts are not samples.
         let v = pq(4);
         assert_eq!((v.metric, v.bound, v.within), ("dequeue_rank", 240.0, true));
-        assert_eq!(v.costs, vec![0.0, 0.0, 1.0]);
+        assert_eq!(v.costs, vec![1.0]);
         assert!(!pq(0).within, "a bound of 0 is exceeded");
         // No samples verified nothing.
         let empty = judge(&HistoryArtifact::pq(History::new(), "p", 1.0, 4));
@@ -337,5 +405,60 @@ mod tests {
         }));
         assert_eq!(fifo.metric, "dequeue_position");
         assert!(fifo.bound.is_infinite() && fifo.within);
+    }
+
+    /// `k` inserts, then one removal of the element of rank `r`.
+    fn k_then_one<L>(k: u64, put: impl Fn(u64) -> L, take: L) -> History<L> {
+        let mut events: Vec<_> = (0..k).map(|i| ev(put(i), i)).collect();
+        events.push(ev(take, k));
+        History { events }
+    }
+
+    #[test]
+    fn a_verdict_samples_only_the_ops_its_metric_names() {
+        let (k, r) = (9, 4);
+        let mean = |costs: &[f64]| costs.iter().sum::<f64>() / costs.len() as f64;
+
+        let pq = k_then_one(
+            k,
+            |priority| PqOp::Insert { priority },
+            PqOp::DeleteMin { removed: r },
+        );
+        let v = judge(&HistoryArtifact::pq(pq, "p", 1.0, 4));
+        assert_eq!(
+            (v.costs.clone(), mean(&v.costs)),
+            (vec![r as f64], r as f64)
+        );
+        assert!(v.within, "rank {r} against {}", v.bound);
+
+        let fifo = k_then_one(k, |id| FifoOp::Enqueue { id }, FifoOp::Dequeue { id: r });
+        let v = judge(&HistoryArtifact::fifo(fifo));
+        assert_eq!(
+            (v.costs.clone(), mean(&v.costs)),
+            (vec![r as f64], r as f64)
+        );
+
+        // Counters sampled their reads alone before; nothing changes.
+        let counter = k_then_one(k, |_| CounterOp::Inc, CounterOp::Read { returned: k + r });
+        let v = judge(&HistoryArtifact::counter(counter, 1.0));
+        assert_eq!((v.costs, v.bound, v.within), (vec![r as f64], 4.0, true));
+    }
+
+    #[test]
+    fn samples_stay_with_their_labels_past_an_unmappable_op() {
+        let h = History {
+            events: vec![
+                ev(PqOp::Insert { priority: 5 }, 0),
+                ev(PqOp::Insert { priority: 7 }, 1),
+                ev(PqOp::Insert { priority: 9 }, 2),
+                ev(PqOp::DeleteMin { removed: 99 }, 3), // never inserted
+                ev(PqOp::Insert { priority: 1 }, 4),
+                ev(PqOp::DeleteMin { removed: 7 }, 5), // rank 2: 1 and 5
+                ev(PqOp::DeleteMin { removed: 1 }, 6), // rank 0
+            ],
+        };
+        let v = judge(&HistoryArtifact::pq(h, "p", 1.0, 4));
+        assert_eq!(v.outcome.unmappable, vec![3]);
+        assert_eq!(v.costs, vec![2.0, 0.0]);
     }
 }

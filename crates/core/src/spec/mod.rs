@@ -33,7 +33,10 @@
 //! recorded with the metadata that selects its envelope, in a versioned
 //! serialized form (`.histjsonl`); and [`checker::judge`] reads replay,
 //! cost samples, bound and within/vacuous decision off the artifact
-//! alone. The workload backends judging a run in-process and
+//! alone. Which ops' costs are a metric's samples
+//! ([`HistoryArtifact::metric_costs`]) and which bound they must meet
+//! ([`checker::envelope`], also held against the backends' online
+//! samples) are each decided once, in [`checker`]. The workload backends judging a run in-process and
 //! `histcheck` judging the exported file long afterwards therefore call
 //! the same function on the same data — the offline numbers equal the
 //! in-process ones by construction.
@@ -48,8 +51,7 @@ pub mod specs;
 
 pub use artifact::{ArtifactError, ArtifactHistory, HistoryArtifact};
 pub use checker::{
-    check_distributional, judge, replay_artifact, ReplayOutcome, Verdict, DEVIATION_BOUND_C,
-    RANK_BOUND_C,
+    check_distributional, envelope, judge, replay_artifact, Envelope, Kind, ReplayOutcome, Verdict,
 };
 pub use exact::{check_linearizable, Linearizability};
 pub use history::{Event, History, Recorder, ThreadLog};

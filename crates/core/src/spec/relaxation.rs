@@ -8,7 +8,10 @@
 //! crate: see [`CostDistribution`] and the
 //! [`checker`](crate::spec::checker).
 
-/// A completed, cost-annotated LTS (`LTSc(S)` plus `cost`).
+use crate::spec::lts::SequentialSpec;
+
+/// A completed, cost-annotated LTS (`LTSc(S)` plus `cost`) over the
+/// states, labels and initial state of its [`SequentialSpec`].
 ///
 /// Laws (checked by the property tests in this module and relied on by
 /// the checker):
@@ -16,27 +19,18 @@
 /// * `apply` is total — completion means every label is enabled.
 /// * `apply(q, l).1 == 0.0` **iff** the underlying spec allows `q →l`.
 /// * Costs are non-negative.
-pub trait QuantitativeRelaxation {
-    /// Abstract state, as in [`SequentialSpec`](crate::spec::SequentialSpec).
-    type State: Clone;
-    /// Method labels, as in [`SequentialSpec`](crate::spec::SequentialSpec).
-    type Label: Clone;
+pub trait QuantitativeRelaxation: SequentialSpec {
+    /// Applies `label` unconditionally in place, returning the
+    /// transition cost (0 iff legal in the base specification). The
+    /// checker replays long histories through this.
+    fn apply_mut(&self, state: &mut Self::State, label: &Self::Label) -> f64;
 
-    /// The initial state.
-    fn initial(&self) -> Self::State;
-
-    /// Applies `label` unconditionally, returning the successor state
-    /// and the transition cost (0 iff legal in the base specification).
-    fn apply(&self, state: &Self::State, label: &Self::Label) -> (Self::State, f64);
-
-    /// In-place variant of [`apply`](Self::apply), used by the checker
-    /// on long histories. The default delegates to `apply` (one state
-    /// clone per step); implementations with large states (multisets,
-    /// queues) should override it with a true in-place update.
-    fn apply_mut(&self, state: &mut Self::State, label: &Self::Label) -> f64 {
-        let (next, cost) = self.apply(state, label);
-        *state = next;
-        cost
+    /// By-value form of [`apply_mut`](Self::apply_mut): the successor
+    /// state and the transition cost.
+    fn apply(&self, state: &Self::State, label: &Self::Label) -> (Self::State, f64) {
+        let mut next = state.clone();
+        let cost = self.apply_mut(&mut next, label);
+        (next, cost)
     }
 }
 
@@ -132,7 +126,7 @@ mod tests {
     /// first element costs how deep the returned one was.
     struct Depth;
 
-    impl QuantitativeRelaxation for Depth {
+    impl SequentialSpec for Depth {
         type State = Vec<u64>;
         type Label = Op;
 
@@ -140,9 +134,22 @@ mod tests {
             Vec::new()
         }
 
-        fn apply(&self, s: &Vec<u64>, l: &Op) -> (Vec<u64>, f64) {
+        fn step(&self, s: &Vec<u64>, l: &Op) -> Option<Vec<u64>> {
             let mut s = s.clone();
-            let cost = match *l {
+            match *l {
+                Op::Put(v) => s.push(v),
+                Op::Get(v) if s.first() == Some(&v) => {
+                    s.remove(0);
+                }
+                Op::Get(_) => return None,
+            }
+            Some(s)
+        }
+    }
+
+    impl QuantitativeRelaxation for Depth {
+        fn apply_mut(&self, s: &mut Vec<u64>, l: &Op) -> f64 {
+            match *l {
                 Op::Put(v) => {
                     s.push(v);
                     0.0
@@ -154,13 +161,11 @@ mod tests {
                     }
                     None => f64::INFINITY,
                 },
-            };
-            (s, cost)
+            }
         }
     }
 
-    /// The per-step costs of a label path, through the default
-    /// `apply_mut`.
+    /// The per-step costs of a label path, through `apply_mut`.
     fn costs(labels: &[Op]) -> Vec<f64> {
         let mut state = Depth.initial();
         labels

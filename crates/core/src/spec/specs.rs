@@ -1,9 +1,10 @@
 //! Concrete specifications and their canonical relaxations: counter,
 //! priority queue, FIFO queue.
 //!
-//! Each type implements both [`SequentialSpec`] (the exact structure)
-//! and [`QuantitativeRelaxation`] (the completed LTS with the cost
-//! function the paper uses for it):
+//! Each type implements both [`SequentialSpec`] (the exact structure,
+//! which declares its state, labels and initial state) and
+//! [`QuantitativeRelaxation`] (the completed LTS with the cost function
+//! the paper uses for it, written once as an in-place update):
 //!
 //! | structure | cost of a relaxed step |
 //! |---|---|
@@ -58,17 +59,13 @@ impl SequentialSpec for CounterSpec {
 }
 
 impl QuantitativeRelaxation for CounterSpec {
-    type State = u64;
-    type Label = CounterOp;
-
-    fn initial(&self) -> u64 {
-        0
-    }
-
-    fn apply(&self, state: &u64, label: &CounterOp) -> (u64, f64) {
+    fn apply_mut(&self, state: &mut u64, label: &CounterOp) -> f64 {
         match label {
-            CounterOp::Inc => (state + 1, 0.0),
-            CounterOp::Read { returned } => (*state, returned.abs_diff(*state) as f64),
+            CounterOp::Inc => {
+                *state += 1;
+                0.0
+            }
+            CounterOp::Read { returned } => returned.abs_diff(*state) as f64,
         }
     }
 }
@@ -151,19 +148,6 @@ impl SequentialSpec for PqSpec {
 }
 
 impl QuantitativeRelaxation for PqSpec {
-    type State = PqState;
-    type Label = PqOp;
-
-    fn initial(&self) -> PqState {
-        BTreeMap::new()
-    }
-
-    fn apply(&self, state: &PqState, label: &PqOp) -> (PqState, f64) {
-        let mut next = state.clone();
-        let cost = self.apply_mut(&mut next, label);
-        (next, cost)
-    }
-
     fn apply_mut(&self, state: &mut PqState, label: &PqOp) -> f64 {
         match label {
             PqOp::Insert { priority } => {
@@ -247,19 +231,6 @@ impl SequentialSpec for FifoSpec {
 }
 
 impl QuantitativeRelaxation for FifoSpec {
-    type State = VecDeque<u64>;
-    type Label = FifoOp;
-
-    fn initial(&self) -> VecDeque<u64> {
-        VecDeque::new()
-    }
-
-    fn apply(&self, state: &VecDeque<u64>, label: &FifoOp) -> (VecDeque<u64>, f64) {
-        let mut next = state.clone();
-        let cost = self.apply_mut(&mut next, label);
-        (next, cost)
-    }
-
     fn apply_mut(&self, state: &mut VecDeque<u64>, label: &FifoOp) -> f64 {
         match label {
             FifoOp::Enqueue { id } => {
@@ -373,10 +344,10 @@ mod tests {
         // The fundamental cost law, checked on the PQ spec across a
         // deterministic workload.
         let spec = PqSpec;
-        let mut state = <PqSpec as QuantitativeRelaxation>::initial(&spec);
+        let mut state = spec.initial();
         for l in [ins(4), ins(2), del(4), del(2)] {
-            let legal = SequentialSpec::step(&spec, &state, &l).is_some();
-            let (next, cost) = QuantitativeRelaxation::apply(&spec, &state, &l);
+            let legal = spec.step(&state, &l).is_some();
+            let (next, cost) = spec.apply(&state, &l);
             assert_eq!(legal, cost == 0.0, "law violated at {l:?}");
             state = next;
         }

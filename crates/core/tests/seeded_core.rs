@@ -7,7 +7,7 @@ use std::fmt::Debug;
 
 use dlz_core::rng::{Rng64, Xoshiro256};
 use dlz_core::spec::{
-    CounterOp, CounterSpec, FifoOp, FifoSpec, PqOp, PqSpec, QuantitativeRelaxation, SequentialSpec,
+    CounterOp, CounterSpec, FifoOp, FifoSpec, PqOp, PqSpec, QuantitativeRelaxation,
 };
 use dlz_core::MultiQueue;
 
@@ -50,17 +50,17 @@ fn multiqueue_drain_returns_exact_multiset() {
 /// exactly when the exact specification allows it, and then lands in
 /// the exact successor; `apply` and `apply_mut` agree on cost and state.
 /// Returns the costs.
-fn check_laws<S, St, L>(spec: &S, labels: &[L]) -> Vec<f64>
+fn check_laws<S>(spec: &S, labels: &[S::Label]) -> Vec<f64>
 where
-    S: SequentialSpec<State = St, Label = L> + QuantitativeRelaxation<State = St, Label = L>,
-    St: Clone + PartialEq + Debug,
-    L: Clone + Debug,
+    S: QuantitativeRelaxation,
+    S::State: PartialEq + Debug,
+    S::Label: Debug,
 {
-    let mut pure = QuantitativeRelaxation::initial(spec);
+    let mut pure = spec.initial();
     let mut in_place = pure.clone();
     let mut costs = Vec::with_capacity(labels.len());
     for l in labels {
-        let exact = SequentialSpec::step(spec, &pure, l);
+        let exact = spec.step(&pure, l);
         let (next, cost) = spec.apply(&pure, l);
         let cost_in_place = spec.apply_mut(&mut in_place, l);
         assert!(cost >= 0.0, "{l:?} cost {cost}");

@@ -48,7 +48,10 @@ pub trait Backend: Sync {
     fn verify(&self, counts: &OpCounts) -> Result<(), String>;
 
     /// Backend-specific quality metrics accumulated during the run
-    /// (read deviation, dequeue rank, abort rate, ...).
+    /// (read deviation, dequeue rank, abort rate, ...). A backend that
+    /// recorded a history reports [`dlz_core::spec::judge`]'s verdict
+    /// on it (see [`QualityReport`]); online samples are held against
+    /// the same [`dlz_core::spec::envelope`].
     fn quality(&self) -> QualityReport;
 
     /// Drains the last run's recorded stamped history as a serializable
@@ -126,13 +129,20 @@ impl QualitySummary {
 
 /// A named quality metric with an optional sample distribution and
 /// free-form named scalars (bounds, flags, rates).
+///
+/// A judged report (a recorded history replayed by
+/// [`dlz_core::spec::judge`]) summarizes exactly the metric's samples
+/// — dequeue ranks, dequeue positions or read deviations, never the
+/// inserts' zeros — and carries the verdict once, as `bound` and
+/// `within_bound` (when an envelope is claimed), `linearizable` and
+/// `history_ops`.
 #[derive(Debug, Clone, Default)]
 pub struct QualityReport {
     /// Metric name: `read_deviation`, `dequeue_rank`, `abort_rate`, ...
     pub metric: String,
     /// Distribution of the metric's samples, when sampled.
     pub summary: Option<QualitySummary>,
-    /// Named scalar facts (e.g. `("bound_m_ln_m", 266.0)`,
+    /// Named scalar facts (e.g. `("scale_m_ln_m", 266.0)`,
     /// `("within_bound", 1.0)`, `("linearizable", 1.0)`).
     pub scalars: Vec<(String, f64)>,
 }
@@ -154,12 +164,26 @@ impl QualityReport {
             .with_summary(QualitySummary::from_samples(&verdict.costs))
     }
 
-    /// Adds the verdict's `linearizable` flag and `history_ops` count
+    /// Adds the verdict: its envelope (`bound`, `within_bound`) when it
+    /// claims one, its `linearizable` flag and its `history_ops` count
     /// (chainable).
     pub(crate) fn verdict(self, verdict: &Verdict) -> Self {
+        let report = if verdict.bound.is_finite() {
+            self.within(verdict.bound, verdict.within)
+        } else {
+            self
+        };
         let linearizable = verdict.outcome.is_linearizable();
-        self.scalar("linearizable", f64::from(u8::from(linearizable)))
+        report
+            .scalar("linearizable", f64::from(u8::from(linearizable)))
             .scalar("history_ops", verdict.events as f64)
+    }
+
+    /// Adds an envelope's `bound` and whether the samples are
+    /// `within_bound` (chainable).
+    pub(crate) fn within(self, bound: f64, within: bool) -> Self {
+        self.scalar("bound", bound)
+            .scalar("within_bound", f64::from(u8::from(within)))
     }
 
     /// Adds a named scalar (chainable).

@@ -2,13 +2,15 @@
 //! the unified [`Backend`] interface.
 //!
 //! In history mode the verdict — each read's deviation from the count
-//! at its linearization point, against `DEVIATION_BOUND_C · m·ln m` —
-//! comes from [`dlz_core::spec::judge`] over the recorded artifact.
+//! at its linearization point, against the envelope that
+//! [`dlz_core::spec::envelope`] gives for the `m·ln m` scale — comes from
+//! [`dlz_core::spec::judge`] over the recorded artifact; the online
+//! samples are held against the same envelope.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dlz_core::rng::Xoshiro256;
-use dlz_core::spec::{CounterOp, HistoryArtifact, Recorder, ThreadLog, DEVIATION_BOUND_C};
+use dlz_core::spec::{envelope, CounterOp, HistoryArtifact, Kind, Recorder, ThreadLog};
 use dlz_core::{ExactCounter, MultiCounter, RelaxedCounter, ShardedCounter};
 
 use super::{SampleSink, WorkerSamples};
@@ -182,28 +184,25 @@ impl Backend for CounterBackend {
     fn quality(&self) -> QualityReport {
         let scale = self.deviation_scale();
         let samples = self.deviations.drain();
+        let facts = |report: QualityReport| {
+            report
+                .scalar("scale_m_ln_m", scale)
+                .scalar("max_gap", self.max_gap() as f64)
+        };
         // History mode judges the stamped reads (Lemma 6.8's metric,
         // exact rather than sampled); the deviation scale travels with
         // the history as its envelope factor. Otherwise the bracketed
-        // online samples stand in, held against the same bound.
-        let max_gap = self.max_gap() as f64;
-        let tail = |report: QualityReport, bound: f64, within: bool| {
-            report
-                .scalar("scale_m_ln_m", scale)
-                .scalar("bound", bound)
-                .scalar("within_bound", f64::from(u8::from(within)))
-                .scalar("max_gap", max_gap)
-        };
+        // online samples stand in, held against the same envelope.
         match self
             .recorder
             .judge(|history| HistoryArtifact::counter(history, scale))
         {
-            Some(v) => tail(QualityReport::judged(&v), v.bound, v.within).verdict(&v),
+            Some(v) => facts(QualityReport::judged(&v)).verdict(&v),
             None => {
-                let summary = QualitySummary::from_samples(&samples);
-                let bound = DEVIATION_BOUND_C * scale;
-                let report = QualityReport::named("read_deviation").with_summary(summary);
-                tail(report, bound, summary.max <= bound)
+                let envelope = envelope(Kind::Counter, scale, 0);
+                let report = QualityReport::named(envelope.metric)
+                    .with_summary(QualitySummary::from_samples(&samples));
+                facts(report).within(envelope.bound, envelope.holds(&samples))
             }
         }
     }

@@ -1,14 +1,14 @@
 //! Queue-family backends: the MultiQueue (any choice policy) and the
 //! exact one-lock `dlz-pq` baseline.
 //!
-//! Only the MultiQueue records histories. Its verdict — exact dequeue
-//! ranks against the policy's envelope — comes from
+//! Only the MultiQueue records histories. Its verdict — the exact ranks
+//! of its dequeues against the policy's envelope — comes from
 //! [`dlz_core::spec::judge`] over the recorded artifact; the cheap rank
 //! proxy both backends sample is `WorkerSamples::around_remove`.
 
 use std::collections::VecDeque;
 
-use dlz_core::spec::{HistoryArtifact, PqOp, Recorder, ThreadLog, RANK_BOUND_C};
+use dlz_core::spec::{envelope, HistoryArtifact, Kind, PqOp, Recorder, ThreadLog};
 use dlz_core::{DeleteMode, MqHandle, MultiQueue, PolicyCfg};
 use dlz_pq::{BinaryHeap, ConcurrentPq, LockedPq};
 
@@ -33,9 +33,9 @@ use crate::scenario::Family;
 /// `batch` dimension buffers `k` ops per lock acquisition on top.
 /// History mode stamps individual operations, so it honours the policy
 /// but ignores batching. The quality report carries the policy's rank
-/// envelope — `RANK_BOUND_C · factor · m`, where `factor` is the
-/// policy's [`envelope_factor`](PolicyCfg::envelope_factor) (`s` for
-/// sticky policies).
+/// envelope as `bound`: [`dlz_core::spec::envelope`] of the policy's
+/// [`envelope_factor`](PolicyCfg::envelope_factor) (`s` for sticky
+/// policies) and `m`.
 #[derive(Debug)]
 pub struct MultiQueueBackend {
     mq: MultiQueue<u64>,
@@ -119,39 +119,30 @@ impl Backend for MultiQueueBackend {
         let policy = self.mq.policy();
         let factor = policy.envelope_factor();
         let proxies = self.proxies.drain();
-        let mut dequeues = 0usize;
-        let verdict = self.recorder.judge(|history| {
-            dequeues = history
-                .events
-                .iter()
-                .filter(|e| matches!(e.label, PqOp::DeleteMin { .. }))
-                .count();
-            // The policy label and envelope factor travel with the
-            // events.
-            HistoryArtifact::pq(history, policy.label(), factor, queues)
-        });
-        let Some(v) = verdict else {
-            let mut report = QualityReport::named("dequeue_rank_proxy")
-                .with_summary(QualitySummary::from_samples(&proxies))
-                .scalar("scale_m_ln_m", scale)
-                .scalar("batch", self.batch as f64);
-            if factor.is_finite() {
-                report = report
-                    .scalar("policy_factor", factor)
-                    .scalar("rank_bound_policy", RANK_BOUND_C * factor * m);
-            }
-            return report;
-        };
-        let mut report = QualityReport::judged(&v)
-            .scalar("scale_m_ln_m", scale)
-            .scalar("batch", self.batch as f64)
-            .verdict(&v);
-        if factor.is_finite() {
-            report = report
-                .scalar("policy_factor", factor)
-                .scalar("rank_bound_policy", v.bound)
-                .scalar("within_policy_bound", f64::from(u8::from(v.within)));
+        // The policy label and envelope factor travel with the events.
+        let verdict = self
+            .recorder
+            .judge(|history| HistoryArtifact::pq(history, policy.label(), factor, queues));
+        let mut report = match &verdict {
+            Some(v) => QualityReport::judged(v),
+            None => QualityReport::named("dequeue_rank_proxy")
+                .with_summary(QualitySummary::from_samples(&proxies)),
         }
+        .scalar("scale_m_ln_m", scale)
+        .scalar("batch", self.batch as f64);
+        if factor.is_finite() {
+            report = report.scalar("policy_factor", factor);
+        }
+        let Some(v) = verdict else {
+            // Proxies are priority gaps, not ranks: only the bound shows.
+            let bound = envelope(Kind::Pq, factor, queues).bound;
+            return if factor.is_finite() {
+                report.scalar("bound", bound)
+            } else {
+                report
+            };
+        };
+        report = report.verdict(&v);
         // Rank-proxy calibration: history workers also sample the
         // cheap priority-space proxy, so the checker-exact mean
         // dequeue rank calibrates it — the ratio lets non-history
@@ -159,10 +150,8 @@ impl Backend for MultiQueueBackend {
         if v.outcome.is_linearizable() && !proxies.is_empty() {
             let proxy_mean = proxies.iter().sum::<f64>() / proxies.len() as f64;
             report = report.scalar("rank_proxy_mean", proxy_mean);
-            // Average over the dequeues only: inserts always cost 0,
-            // so they add nothing to the sum and would dilute the rank.
-            if dequeues > 0 && proxy_mean > 0.0 {
-                let rank_mean = v.costs.iter().sum::<f64>() / dequeues as f64;
+            if !v.costs.is_empty() && proxy_mean > 0.0 {
+                let rank_mean = v.costs.iter().sum::<f64>() / v.costs.len() as f64;
                 report = report.scalar("rank_proxy_calibration", rank_mean / proxy_mean);
             }
         }
@@ -413,7 +402,9 @@ mod tests {
         let q = b.quality();
         assert_eq!(q.metric, "dequeue_rank");
         assert_eq!(q.get("linearizable"), Some(1.0), "{q:?}");
-        assert!(q.summary.expect("costs").count > 0);
+        // One rank per successful dequeue; inserts are not samples.
+        let count = q.summary.expect("costs").count;
+        assert!(count > 0 && count == counts.removes, "{q:?}");
         assert!(q.is_finite());
     }
 
@@ -436,7 +427,7 @@ mod tests {
         assert_eq!(q.metric, "dequeue_rank_proxy");
         assert_eq!(q.get("policy_factor"), Some(8.0));
         assert_eq!(q.get("batch"), Some(8.0));
-        assert!(q.get("rank_bound_policy").unwrap_or(0.0) > 0.0);
+        assert_eq!(q.get("bound"), Some(30.0 * 8.0 * 8.0));
     }
 
     #[test]
@@ -451,10 +442,10 @@ mod tests {
         let q = b.quality();
         assert_eq!(q.metric, "dequeue_rank");
         assert_eq!(q.get("linearizable"), Some(1.0), "{q:?}");
-        assert_eq!(q.get("within_policy_bound"), Some(1.0), "{q:?}");
+        assert_eq!(q.get("within_bound"), Some(1.0), "{q:?}");
         let s = q.summary.expect("costs");
         assert!(s.count > 0);
-        assert!(s.mean <= q.get("rank_bound_policy").expect("bound"));
+        assert!(s.mean <= q.get("bound").expect("bound"));
     }
 
     #[test]

@@ -38,9 +38,7 @@ fn assert_judged_as_reported(
     assert_eq!(summary.max, expected.max);
     let linearizable = quality.get("linearizable") == Some(1.0);
     assert_eq!(verdict.outcome.is_linearizable(), linearizable);
-    let within = quality
-        .get("within_policy_bound")
-        .or(quality.get("within_bound"));
+    let within = quality.get("within_bound");
     assert_eq!(within, Some(f64::from(u8::from(verdict.within))));
 }
 

@@ -243,10 +243,10 @@ fn tuned_hotpath_backends_conserve_and_stay_within_policy_rank_bound() {
     let q = &r.quality;
     assert_eq!(q.metric, "dequeue_rank");
     assert_eq!(q.get("linearizable"), Some(1.0), "{q:?}");
-    assert_eq!(q.get("within_policy_bound"), Some(1.0), "{q:?}");
+    assert_eq!(q.get("within_bound"), Some(1.0), "{q:?}");
     let ranks = q.summary.expect("ranks");
     assert!(ranks.count > 0);
-    assert!(ranks.mean <= q.get("rank_bound_policy").expect("bound"));
+    assert!(ranks.mean <= q.get("bound").expect("bound"));
 }
 
 #[test]
