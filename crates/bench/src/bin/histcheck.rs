@@ -28,9 +28,10 @@
 //! error names the file and the 1-based line of the damage) or the
 //! usage was wrong. An exceeded envelope is *reported* (`within_bound:
 //! false` plus a stderr warning) but is not a verdict failure — the
-//! in-process engine treats it as data too, and some baselines (e.g.
-//! the sharded counter, which has no bounded single-sample read) sit
-//! outside the two-choice bound by design.
+//! in-process engine treats it as data too. A structure without a
+//! bounded cost claims no envelope (`envelope_factor: null`, an
+//! infinite `bound`): the FIFO's positions and the sharded counter's
+//! one-stripe reads.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};

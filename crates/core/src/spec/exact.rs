@@ -13,6 +13,9 @@
 //! NP-complete); intended for histories of up to a few dozen
 //! operations, which is plenty to exhibit non-linearizability of a
 //! relaxed structure and to sanity-check exact ones.
+//!
+//! Compiled for tests only: a small-history oracle, not a second
+//! verdict path beside `checker::judge`.
 
 use crate::spec::history::History;
 use crate::spec::lts::SequentialSpec;

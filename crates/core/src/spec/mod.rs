@@ -43,7 +43,8 @@
 
 pub mod artifact;
 pub mod checker;
-pub mod exact;
+#[cfg(test)]
+mod exact;
 pub mod history;
 pub mod lts;
 pub mod relaxation;
@@ -53,7 +54,6 @@ pub use artifact::{ArtifactError, ArtifactHistory, HistoryArtifact};
 pub use checker::{
     check_distributional, envelope, judge, replay_artifact, Envelope, Kind, ReplayOutcome, Verdict,
 };
-pub use exact::{check_linearizable, Linearizability};
 pub use history::{Event, History, Recorder, ThreadLog};
 pub use lts::SequentialSpec;
 pub use relaxation::{CostDistribution, QuantitativeRelaxation};

@@ -17,9 +17,10 @@ pub struct WorkerCfg {
     pub threads: usize,
     /// Seed for this worker's private generator(s).
     pub seed: u64,
-    /// Record stamped history events (queue family; small budgets only).
+    /// Record stamped history events (small budgets only).
     pub record_history: bool,
-    /// Sample a quality observation every N eligible ops (0 = never).
+    /// Counter backends sample the bracketed deviation of every N-th
+    /// read (0 = never); no other backend samples online.
     pub quality_every: u32,
 }
 
@@ -168,20 +169,19 @@ impl QualityReport {
     /// claims one, its `linearizable` flag and its `history_ops` count
     /// (chainable).
     pub(crate) fn verdict(self, verdict: &Verdict) -> Self {
-        let report = if verdict.bound.is_finite() {
-            self.within(verdict.bound, verdict.within)
-        } else {
-            self
-        };
         let linearizable = verdict.outcome.is_linearizable();
-        report
+        self.within(verdict.bound, verdict.within)
             .scalar("linearizable", f64::from(u8::from(linearizable)))
             .scalar("history_ops", verdict.events as f64)
     }
 
     /// Adds an envelope's `bound` and whether the samples are
-    /// `within_bound` (chainable).
+    /// `within_bound`; nothing when the bound is infinite, which claims
+    /// none (chainable).
     pub(crate) fn within(self, bound: f64, within: bool) -> Self {
+        if !bound.is_finite() {
+            return self;
+        }
         self.scalar("bound", bound)
             .scalar("within_bound", f64::from(u8::from(within)))
     }

@@ -5,15 +5,17 @@
 //! at its linearization point, against the envelope that
 //! [`dlz_core::spec::envelope`] gives for the `m·ln m` scale — comes from
 //! [`dlz_core::spec::judge`] over the recorded artifact; the online
-//! samples are held against the same envelope.
+//! samples (the bracketed deviations each worker collects) are held
+//! against the same envelope. The sharded counter claims none: its
+//! scale is infinite, so its reports carry no `bound`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use dlz_core::rng::Xoshiro256;
 use dlz_core::spec::{envelope, CounterOp, HistoryArtifact, Kind, Recorder, ThreadLog};
 use dlz_core::{ExactCounter, MultiCounter, RelaxedCounter, ShardedCounter};
 
-use super::{SampleSink, WorkerSamples};
 use crate::backend::{Backend, QualityReport, QualitySummary, Worker, WorkerCfg};
 use crate::op::{Op, OpCounts, OpKind};
 use crate::scenario::Family;
@@ -126,13 +128,15 @@ impl CounterBackend {
     }
 
     /// The deviation scale the paper's Lemma 6.8 bounds: `m·ln m` for
-    /// cell-sampling counters; 0 for the exact baseline.
+    /// the MultiCounter; 0 for the exact baseline, whose reads must not
+    /// deviate; infinite for the sharded counter, whose one-stripe read
+    /// has no such bound, so its envelope claims none.
     fn deviation_scale(&self) -> f64 {
         let m = match &self.inner {
-            AnyCounter::Multi(c) => c.num_counters(),
-            AnyCounter::Sharded(c) => c.num_stripes(),
+            AnyCounter::Multi(c) => c.num_counters() as f64,
+            AnyCounter::Sharded(_) => return f64::INFINITY,
             AnyCounter::Exact(_) => return 0.0,
-        } as f64;
+        };
         m * m.max(2.0).ln()
     }
 
@@ -185,9 +189,12 @@ impl Backend for CounterBackend {
         let scale = self.deviation_scale();
         let samples = self.deviations.drain();
         let facts = |report: QualityReport| {
-            report
-                .scalar("scale_m_ln_m", scale)
-                .scalar("max_gap", self.max_gap() as f64)
+            let report = if scale.is_finite() {
+                report.scalar("scale_m_ln_m", scale)
+            } else {
+                report
+            };
+            report.scalar("max_gap", self.max_gap() as f64)
         };
         // History mode judges the stamped reads (Lemma 6.8's metric,
         // exact rather than sampled); the deviation scale travels with
@@ -215,6 +222,66 @@ impl Backend for CounterBackend {
 /// How far `read` lies outside `[lo, hi]` (0 anywhere inside it).
 fn distance_to_bracket(read: u64, lo: u64, hi: u64) -> u64 {
     lo.saturating_sub(read).max(read.saturating_sub(hi))
+}
+
+/// A counter backend's online quality samples (bracketed read
+/// deviations, Lemma 6.8's metric), collected from its workers.
+#[derive(Debug, Default)]
+struct SampleSink(Mutex<Vec<f64>>);
+
+impl SampleSink {
+    /// One worker's private sampler, taking a sample every `every`
+    /// eligible ops (0 = never).
+    fn worker(&self, every: u32) -> WorkerSamples<'_> {
+        WorkerSamples {
+            sink: self,
+            every,
+            seen: 0,
+            samples: Vec::new(),
+        }
+    }
+
+    /// Drained, not cloned: a backend reused across runs (fig1b's
+    /// checkpoints) reports per-run, not cumulative, statistics.
+    fn drain(&self) -> Vec<f64> {
+        std::mem::take(&mut *self.0.lock().expect("samples"))
+    }
+}
+
+/// A worker's sampling cadence and its samples so far; handed to the
+/// [`SampleSink`] on drop (never from inside an unwind, where a second
+/// panic would abort the process).
+struct WorkerSamples<'a> {
+    sink: &'a SampleSink,
+    every: u32,
+    seen: u32,
+    samples: Vec<f64>,
+}
+
+impl WorkerSamples<'_> {
+    /// Counts one eligible op; `true` when it is one to sample.
+    #[inline]
+    fn due(&mut self) -> bool {
+        self.seen += 1;
+        self.every > 0 && self.seen.is_multiple_of(self.every)
+    }
+
+    #[inline]
+    fn push(&mut self, sample: f64) {
+        self.samples.push(sample);
+    }
+}
+
+impl Drop for WorkerSamples<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.sink
+                .0
+                .lock()
+                .expect("samples")
+                .append(&mut self.samples);
+        }
+    }
 }
 
 struct CounterWorker<'a> {
@@ -418,6 +485,30 @@ mod tests {
         let q = b.quality();
         assert_eq!(q.summary.expect("sampled").max, 0.0);
         assert_eq!(q.get("within_bound"), Some(1.0));
+    }
+
+    #[test]
+    fn only_the_multicounter_claims_a_read_deviation_envelope() {
+        // A sharded read samples one stripe: Lemma 6.8 bounds nothing
+        // there, so neither the online nor the judged report carries a
+        // bound, while the MultiCounter's envelope stays in both.
+        for record_history in [false, true] {
+            let sharded = CounterBackend::sharded(4);
+            run_ops(&sharded, 4_000, 1, record_history);
+            let q = sharded.quality();
+            for key in ["bound", "within_bound", "scale_m_ln_m"] {
+                assert_eq!(q.get(key), None, "{key}: {q:?}");
+            }
+            assert!(q.is_finite(), "{q:?}");
+            if record_history {
+                let a = sharded.take_history_artifact().expect("history");
+                assert!(a.envelope_factor.is_infinite());
+            }
+            let multi = CounterBackend::multicounter(16);
+            run_ops(&multi, 4_000, 1, record_history);
+            let q = multi.quality();
+            assert_eq!(q.get("within_bound"), Some(1.0), "{q:?}");
+        }
     }
 
     #[test]

@@ -8,17 +8,19 @@
 //! backend's [`Recorder`] and [`dlz_core::spec::judge`] replays the
 //! history under `FifoSpec`: the step cost is the dequeued element's
 //! **position** in the FIFO order (0 = head = exact), the quantity
-//! Theorem 7.1 bounds by O(m) in expectation.
+//! Theorem 7.1 bounds by O(m) in expectation. A position exists only
+//! there: without a history both backends report the `dequeue_position`
+//! metric's name and their scalar facts, no samples.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use dlz_core::spec::{FifoOp, HistoryArtifact, Recorder, ThreadLog};
+use dlz_core::spec::{envelope, FifoOp, HistoryArtifact, Kind, Recorder, ThreadLog};
 use dlz_core::{MqHandle, RelaxedFifo};
 use dlz_pq::ConcurrentPq;
 
-use super::{conserved, SampleSink, WorkerSamples};
-use crate::backend::{Backend, QualityReport, QualitySummary, Worker, WorkerCfg};
+use super::conserved;
+use crate::backend::{Backend, QualityReport, Worker, WorkerCfg};
 use crate::metrics::TelemetrySample;
 use crate::op::{Op, OpCounts, OpKind};
 use crate::scenario::Family;
@@ -43,9 +45,6 @@ pub struct RelaxedFifoBackend {
     fifo: RelaxedFifo<u64>,
     label: String,
     recorder: Recorder<FifoOp>,
-    /// `dequeued_ts - oldest_hint`: a timestamp-space staleness proxy
-    /// for the dequeue position.
-    proxies: SampleSink,
 }
 
 impl RelaxedFifoBackend {
@@ -55,7 +54,6 @@ impl RelaxedFifoBackend {
             fifo: RelaxedFifo::new(m),
             label: format!("relaxed-fifo(m={m})"),
             recorder: Recorder::new(),
-            proxies: SampleSink::default(),
         }
     }
 }
@@ -76,7 +74,6 @@ impl Backend for RelaxedFifoBackend {
             thread: cfg.id,
             seq: 0,
             log: cfg.record_history.then(|| self.recorder.log(cfg.id)),
-            proxy: self.proxies.worker(cfg.quality_every),
         })
     }
 
@@ -89,13 +86,10 @@ impl Backend for RelaxedFifoBackend {
     }
 
     fn quality(&self) -> QualityReport {
-        let proxies = self.proxies.drain();
         let m = self.fifo.multiqueue().num_queues() as f64;
         match self.recorder.judge(HistoryArtifact::fifo) {
             Some(v) => QualityReport::judged(&v).scalar("scale_m", m).verdict(&v),
-            None => QualityReport::named("dequeue_ts_lag_proxy")
-                .with_summary(QualitySummary::from_samples(&proxies))
-                .scalar("scale_m", m),
+            None => QualityReport::named(envelope(Kind::Fifo, 0.0, 0).metric).scalar("scale_m", m),
         }
     }
 
@@ -111,7 +105,6 @@ struct RelaxedFifoWorker<'a> {
     /// Per-worker element sequence (packed under the worker id).
     seq: u64,
     log: Option<ThreadLog<'a, FifoOp>>,
-    proxy: WorkerSamples<'a>,
 }
 
 impl Worker for RelaxedFifoWorker<'_> {
@@ -137,17 +130,15 @@ impl Worker for RelaxedFifoWorker<'_> {
                 }
                 true
             }
-            OpKind::Remove => {
-                let remove = || match log {
-                    Some(log) => log.record(|stamps| {
-                        let (ts, id, update) = handle.stamped(stamps).dequeue()?;
-                        Some((FifoOp::Dequeue { id }, update, ts))
-                    }),
-                    None => handle.dequeue().map(|(ts, _)| ts),
-                };
-                let hint = || fifo.multiqueue().min_hint();
-                self.proxy.around_remove(hint, remove).is_some()
-            }
+            OpKind::Remove => match log {
+                Some(log) => log
+                    .record(|stamps| {
+                        let (_, id, update) = handle.stamped(stamps).dequeue()?;
+                        Some((FifoOp::Dequeue { id }, update, ()))
+                    })
+                    .is_some(),
+                None => handle.dequeue().is_some(),
+            },
             OpKind::Read => {
                 std::hint::black_box(fifo.multiqueue().min_hint());
                 true
@@ -207,7 +198,8 @@ impl Backend for LockedFifoBackend {
     fn quality(&self) -> QualityReport {
         match self.recorder.judge(HistoryArtifact::fifo) {
             Some(v) => QualityReport::judged(&v).verdict(&v),
-            None => QualityReport::named("dequeue_position").scalar("exact_structure", 1.0),
+            None => QualityReport::named(envelope(Kind::Fifo, 0.0, 0).metric)
+                .scalar("exact_structure", 1.0),
         }
     }
 
@@ -275,8 +267,9 @@ mod tests {
         let counts = drive(&b, 2_000, false);
         b.verify(&counts).expect("conservation");
         let q = b.quality();
-        assert_eq!(q.metric, "dequeue_ts_lag_proxy");
-        assert!(q.is_finite());
+        assert_eq!(q.metric, "dequeue_position");
+        assert!(q.summary.is_none(), "no positions without a history: {q:?}");
+        assert_eq!(q.get("scale_m"), Some(4.0));
     }
 
     #[test]

@@ -3,10 +3,15 @@
 //!
 //! What a worker accumulates privately goes back to its backend when
 //! the worker is **dropped**, not in `finish()`: the stamped log
-//! through its [`ThreadLog`](dlz_core::spec::ThreadLog), the cheap
-//! online samples through their per-worker sampler. The engine drops a
-//! worker whose thread panicked outside the unwind, so a dead worker's
-//! completed operations are judged and conserved like everyone else's.
+//! through its [`ThreadLog`](dlz_core::spec::ThreadLog), a counter's
+//! bracketed read deviations through its per-worker sampler. The engine
+//! drops a worker whose thread panicked outside the unwind, so a dead
+//! worker's completed operations are judged and conserved like everyone
+//! else's.
+//!
+//! A queue or FIFO rank exists only where [`dlz_core::spec::judge`]
+//! replayed a recorded history: without one, their reports carry the
+//! kind's metric name and scalar facts but no samples.
 
 pub mod counter;
 pub mod fifo;
@@ -17,8 +22,6 @@ pub use counter::CounterBackend;
 pub use fifo::{LockedFifoBackend, RelaxedFifoBackend};
 pub use queue::{ConcurrentPqBackend, MultiQueueBackend};
 pub use stm::StmBackend;
-
-use std::sync::Mutex;
 
 use dlz_core::DeleteMode;
 
@@ -37,85 +40,6 @@ fn conserved(what: &str, counts: &OpCounts, residual: u64) -> Result<(), String>
             "{what} lost items: {inserted} inserted != {} removed + {residual} residual",
             counts.removes
         ))
-    }
-}
-
-/// A backend's cheap online quality samples (rank proxies, bracketed
-/// read deviations), collected from its workers.
-#[derive(Debug, Default)]
-struct SampleSink(Mutex<Vec<f64>>);
-
-impl SampleSink {
-    /// One worker's private sampler, taking a sample every `every`
-    /// eligible ops (0 = never).
-    fn worker(&self, every: u32) -> WorkerSamples<'_> {
-        WorkerSamples {
-            sink: self,
-            every,
-            seen: 0,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Drained, not cloned: a backend reused across runs (fig1b's
-    /// checkpoints) reports per-run, not cumulative, statistics.
-    fn drain(&self) -> Vec<f64> {
-        std::mem::take(&mut *self.0.lock().expect("samples"))
-    }
-}
-
-/// A worker's sampling cadence and its samples so far; handed to the
-/// [`SampleSink`] on drop (never from inside an unwind, where a second
-/// panic would abort the process).
-struct WorkerSamples<'a> {
-    sink: &'a SampleSink,
-    every: u32,
-    seen: u32,
-    samples: Vec<f64>,
-}
-
-impl WorkerSamples<'_> {
-    /// Counts one eligible op; `true` when it is one to sample.
-    #[inline]
-    fn due(&mut self) -> bool {
-        self.seen += 1;
-        self.every > 0 && self.seen.is_multiple_of(self.every)
-    }
-
-    #[inline]
-    fn push(&mut self, sample: f64) {
-        self.samples.push(sample);
-    }
-
-    /// The dequeue-quality proxy: on the sampling cadence, read the
-    /// structure's published min `hint` just before `remove` runs and
-    /// sample how far above it the removed priority lies — exact-ish
-    /// when priorities are dense and monotone. An empty structure
-    /// (hint `u64::MAX`) or an empty remove yields no sample.
-    #[inline]
-    fn around_remove(
-        &mut self,
-        hint: impl FnOnce() -> u64,
-        remove: impl FnOnce() -> Option<u64>,
-    ) -> Option<u64> {
-        let hint = if self.due() { hint() } else { u64::MAX };
-        let removed = remove()?;
-        if hint != u64::MAX {
-            self.push(removed.saturating_sub(hint) as f64);
-        }
-        Some(removed)
-    }
-}
-
-impl Drop for WorkerSamples<'_> {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            self.sink
-                .0
-                .lock()
-                .expect("samples")
-                .append(&mut self.samples);
-        }
     }
 }
 
@@ -213,7 +137,7 @@ mod tests {
             threads: 1,
             seed: 7,
             record_history,
-            quality_every: 4,
+            quality_every: 0,
         };
         let mut counts = OpCounts::default();
         let mut w = backend.worker(cfg);

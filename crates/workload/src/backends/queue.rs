@@ -3,8 +3,9 @@
 //!
 //! Only the MultiQueue records histories. Its verdict — the exact ranks
 //! of its dequeues against the policy's envelope — comes from
-//! [`dlz_core::spec::judge`] over the recorded artifact; the cheap rank
-//! proxy both backends sample is `WorkerSamples::around_remove`.
+//! [`dlz_core::spec::judge`] over the recorded artifact, and a rank
+//! exists nowhere else: without a history both backends report the
+//! `dequeue_rank` metric's name and their scalar facts, no samples.
 
 use std::collections::VecDeque;
 
@@ -12,8 +13,8 @@ use dlz_core::spec::{envelope, HistoryArtifact, Kind, PqOp, Recorder, ThreadLog}
 use dlz_core::{DeleteMode, MqHandle, MultiQueue, PolicyCfg};
 use dlz_pq::{BinaryHeap, ConcurrentPq, LockedPq};
 
-use super::{conserved, SampleSink, WorkerSamples};
-use crate::backend::{Backend, QualityReport, QualitySummary, Worker, WorkerCfg};
+use super::conserved;
+use crate::backend::{Backend, QualityReport, Worker, WorkerCfg};
 use crate::metrics::TelemetrySample;
 use crate::op::{Op, OpCounts, OpKind};
 use crate::scenario::Family;
@@ -42,9 +43,6 @@ pub struct MultiQueueBackend {
     batch: usize,
     label: String,
     recorder: Recorder<PqOp>,
-    /// `removed_priority - min_hint` at dequeue time: a priority-space
-    /// proxy for the dequeue rank.
-    proxies: SampleSink,
 }
 
 impl MultiQueueBackend {
@@ -68,7 +66,6 @@ impl MultiQueueBackend {
             batch,
             label: format!("multiqueue-heap(m={m},strict{tuning})"),
             recorder: Recorder::new(),
-            proxies: SampleSink::default(),
         }
     }
 }
@@ -85,17 +82,10 @@ impl Backend for MultiQueueBackend {
     fn worker<'a>(&'a self, cfg: WorkerCfg) -> Box<dyn Worker + Send + 'a> {
         // History mode stamps individual operations: no batching.
         let batch = if cfg.record_history { 1 } else { self.batch };
-        // A batched worker samples per refill, each of which covers
-        // `batch` removes, so batched runs still produce observations.
-        let every = match cfg.quality_every {
-            0 => 0,
-            every => (every / batch as u32).max(1),
-        };
         Box::new(MultiQueueWorker {
             backend: self,
             handle: self.mq.handle(cfg.seed),
             log: cfg.record_history.then(|| self.recorder.log(cfg.id)),
-            proxy: self.proxies.worker(every),
             batch,
             pending_inserts: Vec::new(),
             prefetched: VecDeque::new(),
@@ -118,44 +108,26 @@ impl Backend for MultiQueueBackend {
         // The policy's envelope: expected rank O(factor·m).
         let policy = self.mq.policy();
         let factor = policy.envelope_factor();
-        let proxies = self.proxies.drain();
         // The policy label and envelope factor travel with the events.
         let verdict = self
             .recorder
             .judge(|history| HistoryArtifact::pq(history, policy.label(), factor, queues));
+        let envelope = envelope(Kind::Pq, factor, queues);
         let mut report = match &verdict {
             Some(v) => QualityReport::judged(v),
-            None => QualityReport::named("dequeue_rank_proxy")
-                .with_summary(QualitySummary::from_samples(&proxies)),
+            None => QualityReport::named(envelope.metric),
         }
         .scalar("scale_m_ln_m", scale)
         .scalar("batch", self.batch as f64);
         if factor.is_finite() {
             report = report.scalar("policy_factor", factor);
         }
-        let Some(v) = verdict else {
-            // Proxies are priority gaps, not ranks: only the bound shows.
-            let bound = envelope(Kind::Pq, factor, queues).bound;
-            return if factor.is_finite() {
-                report.scalar("bound", bound)
-            } else {
-                report
-            };
-        };
-        report = report.verdict(&v);
-        // Rank-proxy calibration: history workers also sample the
-        // cheap priority-space proxy, so the checker-exact mean
-        // dequeue rank calibrates it — the ratio lets non-history
-        // runs interpret their proxy numbers.
-        if v.outcome.is_linearizable() && !proxies.is_empty() {
-            let proxy_mean = proxies.iter().sum::<f64>() / proxies.len() as f64;
-            report = report.scalar("rank_proxy_mean", proxy_mean);
-            if !v.costs.is_empty() && proxy_mean > 0.0 {
-                let rank_mean = v.costs.iter().sum::<f64>() / v.costs.len() as f64;
-                report = report.scalar("rank_proxy_calibration", rank_mean / proxy_mean);
-            }
+        match verdict {
+            Some(v) => report.verdict(&v),
+            // No ranks without a history: only the bound shows.
+            None if factor.is_finite() => report.scalar("bound", envelope.bound),
+            None => report,
         }
-        report
     }
 
     fn take_history_artifact(&self) -> Option<HistoryArtifact> {
@@ -168,7 +140,6 @@ struct MultiQueueWorker<'a> {
     /// The worker's operational surface: private RNG + policy instance.
     handle: MqHandle<'a, u64>,
     log: Option<ThreadLog<'a, PqOp>>,
-    proxy: WorkerSamples<'a>,
     /// Ops buffered per lock acquisition; 1 in history mode.
     batch: usize,
     /// Updates buffered until a full batch (flushed at `finish`).
@@ -193,18 +164,11 @@ impl MultiQueueWorker<'_> {
     fn refill(&mut self) {
         let mut tmp = std::mem::take(&mut self.scratch);
         tmp.clear();
-        let (mq, batch) = (&self.backend.mq, self.batch);
         let (handle, pending) = (&mut self.handle, &mut self.pending_inserts);
-        self.proxy.around_remove(
-            || mq.min_hint(),
-            || {
-                if handle.dequeue_batch(batch, &mut tmp) == 0 && !pending.is_empty() {
-                    handle.insert_batch(pending.drain(..));
-                    handle.dequeue_batch(batch, &mut tmp);
-                }
-                tmp.first().map(|&(p, _)| p)
-            },
-        );
+        if handle.dequeue_batch(self.batch, &mut tmp) == 0 && !pending.is_empty() {
+            handle.insert_batch(pending.drain(..));
+            handle.dequeue_batch(self.batch, &mut tmp);
+        }
         self.prefetched.extend(tmp.drain(..));
         self.scratch = tmp;
     }
@@ -250,23 +214,18 @@ impl Worker for MultiQueueWorker<'_> {
             OpKind::Remove => {
                 let handle = &mut self.handle;
                 if let Some(log) = &mut self.log {
-                    // History mode also samples the cheap rank proxy so
-                    // the checker-exact ranks can calibrate it.
-                    let remove = || {
-                        log.record(|stamps| {
-                            let (p, _, update) = handle.stamped(stamps).dequeue()?;
-                            Some((PqOp::DeleteMin { removed: p }, update, p))
-                        })
-                    };
-                    self.proxy.around_remove(|| mq.min_hint(), remove).is_some()
+                    log.record(|stamps| {
+                        let (p, _, update) = handle.stamped(stamps).dequeue()?;
+                        Some((PqOp::DeleteMin { removed: p }, update, ()))
+                    })
+                    .is_some()
                 } else if self.batch > 1 {
                     if self.prefetched.is_empty() {
                         self.refill();
                     }
                     self.prefetched.pop_front().is_some()
                 } else {
-                    let remove = || handle.dequeue().map(|(p, _)| p);
-                    self.proxy.around_remove(|| mq.min_hint(), remove).is_some()
+                    handle.dequeue().is_some()
                 }
             }
             OpKind::Read => {
@@ -309,7 +268,6 @@ impl Drop for MultiQueueWorker<'_> {
 #[derive(Debug)]
 pub struct ConcurrentPqBackend {
     pq: LockedPq<u64>,
-    proxies: SampleSink,
 }
 
 impl ConcurrentPqBackend {
@@ -317,7 +275,6 @@ impl ConcurrentPqBackend {
     pub fn coarse() -> Self {
         ConcurrentPqBackend {
             pq: LockedPq::new(BinaryHeap::new()),
-            proxies: SampleSink::default(),
         }
     }
 }
@@ -331,11 +288,8 @@ impl Backend for ConcurrentPqBackend {
         Family::Queue
     }
 
-    fn worker<'a>(&'a self, cfg: WorkerCfg) -> Box<dyn Worker + Send + 'a> {
-        Box::new(ConcurrentPqWorker {
-            pq: &self.pq,
-            proxy: self.proxies.worker(cfg.quality_every),
-        })
+    fn worker<'a>(&'a self, _cfg: WorkerCfg) -> Box<dyn Worker + Send + 'a> {
+        Box::new(ConcurrentPqWorker { pq: &self.pq })
     }
 
     fn residual(&self) -> u64 {
@@ -347,15 +301,12 @@ impl Backend for ConcurrentPqBackend {
     }
 
     fn quality(&self) -> QualityReport {
-        QualityReport::named("dequeue_rank_proxy")
-            .with_summary(QualitySummary::from_samples(&self.proxies.drain()))
-            .scalar("exact_structure", 1.0)
+        QualityReport::named(envelope(Kind::Pq, 0.0, 0).metric).scalar("exact_structure", 1.0)
     }
 }
 
 struct ConcurrentPqWorker<'a> {
     pq: &'a LockedPq<u64>,
-    proxy: WorkerSamples<'a>,
 }
 
 impl Worker for ConcurrentPqWorker<'_> {
@@ -366,10 +317,7 @@ impl Worker for ConcurrentPqWorker<'_> {
                 pq.insert(op.priority, op.priority);
                 true
             }
-            OpKind::Remove => {
-                let remove = || pq.remove_min().map(|(p, _)| p);
-                self.proxy.around_remove(|| pq.min_hint(), remove).is_some()
-            }
+            OpKind::Remove => pq.remove_min().is_some(),
             OpKind::Read => {
                 std::hint::black_box(pq.min_hint());
                 true
@@ -384,13 +332,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn multiqueue_backend_conserves_and_reports_proxy() {
+    fn multiqueue_backend_conserves_and_reports_no_ranks_without_a_history() {
         let b = MultiQueueBackend::heap(4, DeleteMode::Strict);
         let counts = drive(&b, 2_000, false);
         b.verify(&counts).expect("conservation");
         let q = b.quality();
-        assert_eq!(q.metric, "dequeue_rank_proxy");
+        assert_eq!(q.metric, "dequeue_rank");
+        assert!(
+            q.summary.is_none(),
+            "ranks come from the judge alone: {q:?}"
+        );
         assert_eq!(q.get("policy_factor"), Some(1.0));
+        assert_eq!(q.get("within_bound"), None);
         assert!(q.is_finite());
     }
 
@@ -424,7 +377,8 @@ mod tests {
         let counts = drive(&b, 3_000, false);
         b.verify(&counts).expect("conservation");
         let q = b.quality();
-        assert_eq!(q.metric, "dequeue_rank_proxy");
+        assert_eq!(q.metric, "dequeue_rank");
+        assert!(q.summary.is_none(), "{q:?}");
         assert_eq!(q.get("policy_factor"), Some(8.0));
         assert_eq!(q.get("batch"), Some(8.0));
         assert_eq!(q.get("bound"), Some(30.0 * 8.0 * 8.0));
@@ -462,14 +416,5 @@ mod tests {
         let b = MultiQueueBackend::heap(4, DeleteMode::Strict);
         // A non-default policy or batch would show as a label suffix.
         assert_eq!(b.name(), "multiqueue-heap(m=4,strict)");
-    }
-
-    #[test]
-    fn exact_pq_proxy_is_zero_sequentially() {
-        let b = ConcurrentPqBackend::coarse();
-        let _ = drive(&b, 2_000, false);
-        let q = b.quality();
-        let s = q.summary.expect("sampled");
-        assert_eq!(s.max, 0.0, "exact queue dequeues the true min: {s:?}");
     }
 }

@@ -1467,41 +1467,6 @@ mod tests {
     }
 
     #[test]
-    fn history_run_reports_rank_proxy_calibration() {
-        // Single worker + uniform priorities over 8 queues: the proxy
-        // (removed − global min hint) draws strictly positive samples,
-        // so the exact-rank calibration ratio is well defined.
-        let s = small("t-calib", Family::Queue)
-            .threads(1)
-            .mix(OpMix::new(50, 50, 0))
-            .budget(Budget::OpsPerWorker(3_000))
-            .prefill(500)
-            .priorities(Dist::Uniform { n: 1 << 20 })
-            .quality_every(4)
-            .record_history(true)
-            .build();
-        let b = MultiQueueBackend::heap(8, DeleteMode::Strict);
-        let r = run(&s, &b);
-        assert!(r.verified(), "{:?}", r.verify_error);
-        assert!(r.quality.get("rank_proxy_mean").expect("proxy mean") > 0.0);
-        let c = r
-            .quality
-            .get("rank_proxy_calibration")
-            .expect("calibration on history runs");
-        assert!(c.is_finite() && c > 0.0, "calibration {c}");
-        // Reported once, inside `quality`.
-        let j = r.to_json();
-        assert_eq!(j.matches("\"rank_proxy_calibration\":").count(), 1, "{j}");
-        // Non-history runs carry no calibration field.
-        let plain = run(
-            &small("t-plain", Family::Queue).prefill(100).build(),
-            &MultiQueueBackend::heap(8, DeleteMode::Strict),
-        );
-        assert!(plain.quality.get("rank_proxy_calibration").is_none());
-        assert!(!plain.to_json().contains("rank_proxy_calibration"));
-    }
-
-    #[test]
     fn a_dead_worker_is_conserved_and_judged_by_every_recording_backend() {
         use crate::backends::{LockedFifoBackend, RelaxedFifoBackend};
         use dlz_core::PolicyCfg;
@@ -1554,9 +1519,11 @@ mod tests {
             let j = r.to_json();
             assert!(j.contains("\"faults\":{"), "{j}");
             assert!(j.contains("\"outcome\":\"panicked\""), "{j}");
-            r.quality
-                .summary
-                .unwrap_or_else(|| panic!("{who}: no samples"))
+            // Ranks and positions come from a judged history alone;
+            // counters also sample their reads online.
+            let sampled = history || family == Family::Counter;
+            assert_eq!(r.quality.summary.is_some(), sampled, "{who}");
+            r.quality.summary.unwrap_or_default()
         };
         let two_choice = PolicyCfg::TwoChoice;
         for policy in [

@@ -31,13 +31,13 @@
 //!   stream; latency is measured from *intended* arrival and split
 //!   into queueing + service, defeating coordinated omission.
 //! * Quality wiring — counter backends sample read deviation against
-//!   the exact sum (Lemma 6.8's metric); queue backends sample a cheap
-//!   priority-space rank proxy; with `record_history` on, counter,
-//!   queue and FIFO backends instead record a stamped history through
+//!   the exact sum (Lemma 6.8's metric); with `record_history` on,
+//!   counter, queue and FIFO backends record a stamped history through
 //!   `dlz_core::spec::Recorder` and report what `dlz_core::spec::judge`
 //!   finds in it (exact deviations, ranks and positions against the
-//!   envelope); STM backends report abort breakdowns and verify the
-//!   paper's array-sum safety law.
+//!   envelope). A queue or FIFO rank comes from the judge alone: without
+//!   a history those reports carry no samples. STM backends report
+//!   abort breakdowns and verify the paper's array-sum safety law.
 //! * [`RunReport`] — machine-readable results
 //!   ([`RunReport::to_json`]).
 //!

@@ -99,8 +99,10 @@ pub struct Scenario {
     /// whole sweep yields a grid-indexed directory offline checkers can
     /// consume. No effect unless the run records a history.
     pub export: Option<PathBuf>,
-    /// Sample a quality observation every this many eligible ops
-    /// (read deviation / rank proxy). 0 disables sampling.
+    /// Counter backends bracket every this many reads between two exact
+    /// sums and sample the read's deviation (Lemma 6.8's metric); 0
+    /// disables sampling. Queue and FIFO backends sample nothing
+    /// online: their ranks come from a recorded history.
     pub quality_every: u32,
     /// Choice-policy dimension for queue backends: which
     /// [`Policy`](dlz_core::Policy) each worker's handle builds and
@@ -468,7 +470,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Quality sampling cadence (0 disables).
+    /// Counter read-deviation sampling cadence (0 disables; see
+    /// [`Scenario::quality_every`]).
     pub fn quality_every(mut self, every: u32) -> Self {
         self.s.quality_every = every;
         self

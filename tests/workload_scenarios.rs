@@ -121,7 +121,11 @@ fn exact_pq_family_conserves_and_dequeues_true_minima() {
         report.counts.removes + report.residual
     );
     let q = &report.quality;
-    assert_eq!(q.metric, "dequeue_rank_proxy");
+    assert_eq!(q.metric, "dequeue_rank");
+    assert!(
+        q.summary.is_none(),
+        "ranks come from a judged history alone: {q:?}"
+    );
     assert!(q.is_finite(), "{q:?}");
     assert_eq!(q.get("exact_structure"), Some(1.0));
 }
