@@ -15,8 +15,10 @@ use dlz_bench::tables::f3;
 use dlz_bench::{Config, Table};
 use dlz_sim::{Allocation, PotentialTrace, Rule, Schedule};
 
+const FLAGS: &[&str] = &["--seed", "--quick"];
+
 fn main() {
-    let cfg = Config::from_args();
+    let cfg = Config::from_args(FLAGS);
     let steps = cfg.steps(2_000_000);
     let alpha = 0.5; // potential exponent for reporting (any α works)
 

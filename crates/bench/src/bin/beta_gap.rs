@@ -15,8 +15,10 @@ use dlz_bench::{Config, Table};
 use dlz_sim::process::{good_op_probabilities, majorizes, one_plus_beta_probabilities};
 use dlz_sim::{Allocation, PotentialTrace, Rule};
 
+const FLAGS: &[&str] = &["--seed", "--quick"];
+
 fn main() {
-    let cfg = Config::from_args();
+    let cfg = Config::from_args(FLAGS);
     let m = 256usize;
     let steps = cfg.steps(2_000_000);
     let lnm = (m as f64).ln();

@@ -56,8 +56,10 @@ fn run<C: ClockStrategy>(stm: &Tl2<C>, threads: usize, per: usize, seed: u64) ->
     (stats.commits as f64 / elapsed / 1e6, stats)
 }
 
+const FLAGS: &[&str] = &["--seed", "--quick", "--threads"];
+
 fn main() {
-    let cfg = Config::from_args();
+    let cfg = Config::from_args(FLAGS);
     let threads = *cfg.threads.last().expect("non-empty");
     let objects = 100_000;
     let per = cfg.steps(100_000) as usize;

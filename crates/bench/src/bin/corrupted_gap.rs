@@ -14,8 +14,10 @@ use dlz_bench::tables::f3;
 use dlz_bench::{Config, Table};
 use dlz_sim::{Allocation, CorruptionPattern, PotentialTrace, Rule};
 
+const FLAGS: &[&str] = &["--seed", "--quick"];
+
 fn main() {
-    let cfg = Config::from_args();
+    let cfg = Config::from_args(FLAGS);
     let steps = cfg.steps(2_000_000);
     let m = 256usize;
     let lnm = (m as f64).ln();

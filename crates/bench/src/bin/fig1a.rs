@@ -21,8 +21,10 @@ use dlz_bench::{Config, Table};
 use dlz_workload::backends::CounterBackend;
 use dlz_workload::{engine, Backend, Budget, Family, OpMix, Scenario, SweepSpec};
 
+const FLAGS: &[&str] = &["--seed", "--quick", "--threads", "--duration-ms"];
+
 fn main() {
-    let cfg = Config::from_args();
+    let cfg = Config::from_args(FLAGS);
     let ratios = [1usize, 2, 4, 8];
 
     println!("Figure 1(a): MultiCounter increment throughput (Mops/s) vs threads");

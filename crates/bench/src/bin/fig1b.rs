@@ -17,8 +17,10 @@ use dlz_bench::{Config, Table};
 use dlz_workload::backends::CounterBackend;
 use dlz_workload::{engine, Budget, Family, OpMix, Scenario, SweepSpec};
 
+const FLAGS: &[&str] = &["--seed", "--quick"];
+
 fn main() {
-    let cfg = Config::from_args();
+    let cfg = Config::from_args(FLAGS);
     let m = 64usize;
     let total = cfg.steps(2_000_000);
     let checkpoints = 20u64;

@@ -30,8 +30,16 @@ fn cell(report: &RunReport, backend_name: &str) -> (f64, f64, bool) {
     (report.mops(), abort_rate, report.verified())
 }
 
+const FLAGS: &[&str] = &[
+    "--seed",
+    "--quick",
+    "--threads",
+    "--duration-ms",
+    "--objects",
+];
+
 fn main() {
-    let cfg = Config::from_args();
+    let cfg = Config::from_args(FLAGS);
     println!("Figures 1(c)-(e): TL2 array benchmark — 2 random increments per txn");
     println!(
         "duration per point: {:?}; objects sweep: {:?}\n",

@@ -9,18 +9,20 @@
 //! produced it (or shipped to an external monitor).
 //!
 //! ```text
-//! cargo run --release -p dlz-bench --bin scenarios -- --quick --sweep \
+//! cargo run --release -p dlz-bench --bin scenarios -- --quick \
 //!     --scenario queue-balanced-audit --threads 1,2 \
 //!     --policies two-choice,sticky=4 --export-histories hist/
 //! cargo run --release -p dlz-bench --bin histcheck -- hist/
 //! ```
 //!
-//! One JSON object per artifact goes to stdout (an array; `--json FILE`
-//! also writes it to a file); the human-readable verdict table goes to
-//! stderr. Each verdict is [`dlz_core::spec::judge`] over the loaded
-//! artifact — the function the engine called on the same artifact
-//! in-process — so the summary statistics and the envelope decision
-//! reproduce the exported run's `quality` block bit for bit.
+//! Paths are the only input: any argument that starts with `-`,
+//! `--help` included, prints the usage. One JSON object per artifact
+//! goes to stdout (an array; redirect it to keep a file); the
+//! human-readable verdict table goes to stderr. Each verdict is
+//! [`dlz_core::spec::judge`] over the loaded artifact — the function
+//! the engine called on the same artifact in-process — so the summary
+//! statistics and the envelope decision reproduce the exported run's
+//! `quality` block bit for bit.
 //!
 //! Exit status: `0` all artifacts linearizable, `1` at least one
 //! verdict failed (unmappable operation, broken stamp discipline, or a
@@ -33,7 +35,6 @@
 //! infinite `bound`): the FIFO's positions and the sharded counter's
 //! one-stripe reads.
 
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use dlz_bench::Table;
@@ -42,7 +43,7 @@ use dlz_core::spec::{judge, HistoryArtifact, Verdict};
 use dlz_workload::QualitySummary;
 
 fn usage() -> ! {
-    eprintln!("usage: histcheck [--json FILE] <artifact.histjsonl | directory>...");
+    eprintln!("usage: histcheck <artifact.histjsonl | directory>...");
     std::process::exit(2);
 }
 
@@ -176,23 +177,11 @@ fn to_json(c: &Checked) -> String {
 }
 
 fn main() {
-    let mut json_path: Option<String> = None;
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => match it.next() {
-                Some(v) => json_path = Some(v),
-                None => usage(),
-            },
-            "--help" | "-h" => usage(),
-            other if other.starts_with("--") => usage(),
-            other => paths.push(PathBuf::from(other)),
-        }
-    }
-    if paths.is_empty() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.is_empty() || args.iter().any(|a| a.starts_with('-')) {
         usage();
     }
+    let paths: Vec<PathBuf> = args.iter().map(PathBuf::from).collect();
     let files = collect(&paths);
     if files.is_empty() {
         eprintln!("histcheck: no .histjsonl artifacts under the given paths");
@@ -233,15 +222,7 @@ fn main() {
     }
 
     let rendered: Vec<String> = checked.iter().map(to_json).collect();
-    let array = json::array(&rendered);
-    println!("{array}");
-    if let Some(path) = &json_path {
-        let mut f = std::fs::File::create(path)
-            .unwrap_or_else(|e| fail_load(Path::new(path), format!("cannot create: {e}")));
-        f.write_all(array.as_bytes()).expect("write --json file");
-        f.write_all(b"\n").expect("write --json file");
-        eprintln!("wrote {} verdicts to {path}", checked.len());
-    }
+    println!("{}", json::array(&rendered));
 
     eprintln!();
     eprint!("{}", table.render());

@@ -108,8 +108,10 @@ fn concurrent_section(cfg: &Config) {
     println!("mean rank stays O(m), tail within the m·ln(m) scale (Theorem 7.1).");
 }
 
+const FLAGS: &[&str] = &["--seed", "--quick", "--threads"];
+
 fn main() {
-    let cfg = Config::from_args();
+    let cfg = Config::from_args(FLAGS);
     println!(
         "Theorem 7.1: MultiQueue rank guarantees (threads sweep {:?})\n",
         cfg.threads

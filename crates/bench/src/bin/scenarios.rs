@@ -6,10 +6,10 @@
 //! cargo run --release -p dlz-bench --bin scenarios -- --list
 //! cargo run --release -p dlz-bench --bin scenarios -- --scenario queue-balanced
 //! cargo run --release -p dlz-bench --bin scenarios -- --scenario stm-hot-keys \
-//!     --threads 8 --duration-ms 1000 --backends relaxed --json out.json
+//!     --threads 8 --duration-ms 1000 --backends relaxed > out.json
 //!
 //! # sweep grids: threads × policies × mixes, one JSON array out
-//! cargo run --release -p dlz-bench --bin scenarios -- --sweep \
+//! cargo run --release -p dlz-bench --bin scenarios -- \
 //!     --scenario queue-balanced --threads 1,2,4,8 \
 //!     --policies two-choice,sticky=16
 //! ```
@@ -17,22 +17,19 @@
 //! Every run is a sweep grid (the single-run path is a 1×1 grid): the
 //! JSON array holds one object per (cell × backend), each tagged with
 //! its cell name and grid coordinates. `--threads 2,4,8` runs **every**
-//! listed thread count — nothing is silently dropped. `--sweep` without
-//! `--threads` sweeps the default power-of-two thread ladder. JSON goes
-//! to stdout; human-readable progress goes to stderr, so the output can
-//! be piped straight into `jq` or a plotting script. `--quick` shrinks
-//! only the dimensions not explicitly set.
+//! listed thread count — nothing is silently dropped. JSON goes to
+//! stdout (redirect it to keep a file); human-readable progress goes to
+//! stderr, so the output can be piped straight into `jq` or a plotting
+//! script. `--quick` shrinks only the dimensions not explicitly set.
 
 use std::collections::BTreeSet;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dlz_bench::config::DEFAULT_DIST_N;
 use dlz_bench::{Config, Table};
 use dlz_core::json;
 use dlz_workload::backends::{policy_roster, roster};
-use dlz_workload::{engine, Budget, Dist, Family, RunReport, Scenario, SweepSpec};
+use dlz_workload::{engine, Budget, Family, RunReport, Scenario, SweepSpec};
 
 fn list(catalog: &[Scenario]) {
     let mut table = Table::new(&["scenario", "family", "threads", "description"]);
@@ -52,28 +49,28 @@ fn list(catalog: &[Scenario]) {
 /// scenario. Quick mode only shrinks dimensions the user did **not**
 /// explicitly set: `--quick --threads 8` runs 8 threads.
 fn customize(mut s: Scenario, cfg: &Config) -> Scenario {
-    if cfg.was_set("threads") {
+    if cfg.was_set("--threads") {
         // Base value only; the sweep grid carries the full list.
         s.threads = *cfg.threads.last().expect("non-empty sweep");
     }
-    if cfg.was_set("seed") {
+    if cfg.was_set("--seed") {
         s.seed = cfg.seed;
     }
     match s.budget {
-        Budget::Timed(_) if cfg.was_set("duration-ms") => {
+        Budget::Timed(_) if cfg.was_set("--duration-ms") => {
             s.budget = Budget::Timed(cfg.duration);
         }
         _ => {}
     }
     if cfg.quick {
         s.budget = match s.budget {
-            Budget::Timed(d) if !cfg.was_set("duration-ms") => {
+            Budget::Timed(d) if !cfg.was_set("--duration-ms") => {
                 Budget::Timed(d.min(Duration::from_millis(50)))
             }
             Budget::OpsPerWorker(n) => Budget::OpsPerWorker((n / 10).max(100)),
             other => other,
         };
-        if !cfg.was_set("threads") {
+        if !cfg.was_set("--threads") {
             s.threads = s.threads.min(2);
         }
         s.prefill = s.prefill.min(2_000);
@@ -83,7 +80,7 @@ fn customize(mut s: Scenario, cfg: &Config) -> Scenario {
         // The highest thread count anywhere in the grid bounds the
         // worker ids a plan may name; the engine simply never compiles
         // faults for workers a smaller cell does not spawn.
-        let max_threads = if cfg.sweep || cfg.was_set("threads") {
+        let max_threads = if cfg.was_set("--threads") {
             cfg.threads.iter().copied().max().unwrap_or(s.threads)
         } else {
             s.threads
@@ -113,12 +110,12 @@ fn customize(mut s: Scenario, cfg: &Config) -> Scenario {
 }
 
 /// Builds the sweep grid for one catalog preset: the customized base
-/// plus the CLI axes. Without `--sweep` and without explicit axes this
-/// is a 1×1 grid — the single-run path.
+/// plus the CLI axes. Without explicit axes this is a 1×1 grid — the
+/// single-run path.
 fn build_spec(base: Scenario, cfg: &Config) -> SweepSpec {
     let family = base.family;
     let mut spec = SweepSpec::new(base);
-    if cfg.sweep || cfg.was_set("threads") {
+    if cfg.was_set("--threads") {
         spec = spec.threads(&cfg.threads);
     }
     if !cfg.policies.is_empty() {
@@ -146,29 +143,30 @@ fn build_spec(base: Scenario, cfg: &Config) -> SweepSpec {
     if !cfg.prios.is_empty() {
         spec = spec.priorities(&cfg.prios);
     }
-    if !cfg.zipf.is_empty() {
-        // Skew shorthand: one Zipf axis over the listed thetas, applied
-        // to the family's natural skew dimension — priorities for queue
-        // scenarios (their keys are unused), keys everywhere else.
-        let dists: Vec<Dist> = cfg
-            .zipf
-            .iter()
-            .map(|&theta| Dist::Zipf {
-                n: DEFAULT_DIST_N,
-                theta,
-            })
-            .collect();
-        spec = if family == Family::Queue {
-            spec.priorities(&dists)
-        } else {
-            spec.keys(&dists)
-        };
-    }
     spec
 }
 
+const FLAGS: &[&str] = &[
+    "--quick",
+    "--seed",
+    "--threads",
+    "--duration-ms",
+    "--list",
+    "--scenario",
+    "--backends",
+    "--policies",
+    "--mixes",
+    "--keys",
+    "--prios",
+    "--export-histories",
+    "--telemetry-interval-ms",
+    "--faults",
+    "--clients",
+    "--arrival-shape",
+];
+
 fn main() {
-    let cfg = Config::from_args();
+    let cfg = Config::from_args(FLAGS);
     let catalog = Scenario::catalog();
 
     if cfg.list {
@@ -210,7 +208,7 @@ fn main() {
     let mut matched = 0usize;
     for preset in selected {
         let base = customize(preset, &cfg);
-        if cfg.was_set("duration-ms") && matches!(base.budget, Budget::OpsPerWorker(_)) {
+        if cfg.was_set("--duration-ms") && matches!(base.budget, Budget::OpsPerWorker(_)) {
             // An ineffective override must not pass silently.
             eprintln!(
                 "warning: --duration-ms has no effect on '{}' (fixed-op budget {:?})",
@@ -282,15 +280,7 @@ fn main() {
     }
 
     let rendered: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-    let array = json::array(&rendered);
-    println!("{array}");
-
-    if let Some(path) = &cfg.json {
-        let mut f = std::fs::File::create(path).expect("create --json file");
-        f.write_all(array.as_bytes()).expect("write --json file");
-        f.write_all(b"\n").expect("write --json file");
-        eprintln!("wrote {} reports to {path}", reports.len());
-    }
+    println!("{}", json::array(&rendered));
 
     eprintln!();
     eprint!("{}", summary.render());
@@ -331,20 +321,25 @@ fn main() {
 mod tests {
     use super::*;
     use dlz_core::PolicyCfg;
+    use dlz_workload::Dist;
+
+    fn parse(args: &[&str]) -> Config {
+        Config::try_parse(FLAGS, args.iter().map(|a| a.to_string())).expect("flags parse")
+    }
 
     #[test]
     fn quick_only_shrinks_dimensions_the_user_did_not_set() {
         // Regression: `--quick --threads 8` used to clamp to 2 threads
         // because customize() applied the quick shrink after the
         // explicit --threads override.
-        let cfg = Config::parse(vec!["--quick".into(), "--threads".into(), "8".into()]);
+        let cfg = parse(&["--quick", "--threads", "8"]);
         let s = customize(Scenario::named("queue-balanced").expect("catalog"), &cfg);
         assert_eq!(s.threads, 8, "--quick must not clamp an explicit --threads");
         // Unset dimensions still shrink.
         assert!(matches!(s.budget, Budget::Timed(d) if d <= Duration::from_millis(50)));
 
         // Without an explicit thread count, quick still clamps.
-        let cfg = Config::parse(vec!["--quick".into()]);
+        let cfg = parse(&["--quick"]);
         let s = customize(
             Scenario::named("mq-hotpath-dequeue-heavy").expect("catalog"),
             &cfg,
@@ -352,20 +347,14 @@ mod tests {
         assert_eq!(s.threads, 2);
 
         // An explicit duration survives quick mode too.
-        let cfg = Config::parse(vec!["--quick".into(), "--duration-ms".into(), "400".into()]);
+        let cfg = parse(&["--quick", "--duration-ms", "400"]);
         let s = customize(Scenario::named("queue-balanced").expect("catalog"), &cfg);
         assert_eq!(s.budget, Budget::Timed(Duration::from_millis(400)));
     }
 
     #[test]
     fn build_spec_expands_cli_axes() {
-        let cfg = Config::parse(vec![
-            "--sweep".into(),
-            "--threads".into(),
-            "1,2".into(),
-            "--policies".into(),
-            "two-choice,sticky=16".into(),
-        ]);
+        let cfg = parse(&["--threads", "1,2", "--policies", "two-choice,sticky=16"]);
         let base = customize(Scenario::named("queue-balanced").expect("catalog"), &cfg);
         let spec = build_spec(base, &cfg);
         assert_eq!(spec.len(), 4, "2 threads × 2 policies");
@@ -376,13 +365,13 @@ mod tests {
             .any(|c| c.scenario.choice_policy == PolicyCfg::Sticky { ops: 16 }));
 
         // Single-run path: a 1×1 grid, nothing dropped.
-        let cfg = Config::parse(vec![]);
+        let cfg = parse(&[]);
         let base = customize(Scenario::named("queue-balanced").expect("catalog"), &cfg);
         let spec = build_spec(base, &cfg);
         assert_eq!(spec.len(), 1);
 
-        // `--threads 2,4,8` without --sweep runs every listed count.
-        let cfg = Config::parse(vec!["--threads".into(), "2,4,8".into()]);
+        // `--threads 2,4,8` runs every listed count.
+        let cfg = parse(&["--threads", "2,4,8"]);
         let base = customize(Scenario::named("queue-balanced").expect("catalog"), &cfg);
         let spec = build_spec(base, &cfg);
         assert_eq!(spec.len(), 3, "an explicit sweep list must not be dropped");
@@ -390,7 +379,7 @@ mod tests {
         assert_eq!(threads, vec![2, 4, 8]);
 
         // --policies on a non-queue family is ignored (with a note).
-        let cfg = Config::parse(vec!["--policies".into(), "sticky=4".into()]);
+        let cfg = parse(&["--policies", "sticky=4"]);
         let base = customize(
             Scenario::named("counter-read-heavy").expect("catalog"),
             &cfg,
@@ -404,12 +393,12 @@ mod tests {
         use dlz_workload::ArrivalShape;
         // `--quick` must not shrink the client population: the preset
         // keeps its 100k clients while budgets and prefill shrink.
-        let cfg = Config::parse(vec![
-            "--quick".into(),
-            "--clients".into(),
-            "200000".into(),
-            "--arrival-shape".into(),
-            "poisson:50,periodic:50".into(),
+        let cfg = parse(&[
+            "--quick",
+            "--clients",
+            "200000",
+            "--arrival-shape",
+            "poisson:50,periodic:50",
         ]);
         let base = customize(
             Scenario::named("clients-poisson-100k").expect("catalog"),
@@ -422,7 +411,7 @@ mod tests {
         assert!(cells[0].name.contains("/clients=200000/shape=poisson("));
         assert!(cells[1].name.contains("/shape=periodic("));
         // Without the flags, the preset's own client setup rules.
-        let cfg = Config::parse(vec!["--quick".into()]);
+        let cfg = parse(&["--quick"]);
         let base = customize(
             Scenario::named("clients-poisson-100k").expect("catalog"),
             &cfg,
@@ -436,7 +425,7 @@ mod tests {
     #[test]
     fn skew_axes_follow_the_family() {
         // Queue scenarios skew their priorities ...
-        let cfg = Config::parse(vec!["--zipf".into(), "0.6,0.9".into()]);
+        let cfg = parse(&["--prios", "zipf:65536:0.6,zipf:65536:0.9"]);
         let base = customize(Scenario::named("queue-balanced").expect("catalog"), &cfg);
         let spec = build_spec(base, &cfg);
         assert_eq!(spec.len(), 2);
@@ -447,6 +436,7 @@ mod tests {
         assert!(cells[0].name.contains("/prio=zipf("), "{}", cells[0].name);
 
         // ... counter (and STM) scenarios skew their keys.
+        let cfg = parse(&["--keys", "zipf:65536:0.6,zipf:65536:0.9"]);
         let base = customize(
             Scenario::named("counter-read-heavy").expect("catalog"),
             &cfg,
@@ -458,12 +448,7 @@ mod tests {
             .all(|c| matches!(c.scenario.keys, Dist::Zipf { .. })));
 
         // Explicit --keys/--prios apply verbatim and compose.
-        let cfg = Config::parse(vec![
-            "--keys".into(),
-            "uniform:64,zipf:128:0.9".into(),
-            "--prios".into(),
-            "monotonic".into(),
-        ]);
+        let cfg = parse(&["--keys", "uniform:64,zipf:128:0.9", "--prios", "monotonic"]);
         let base = customize(Scenario::named("queue-balanced").expect("catalog"), &cfg);
         let spec = build_spec(base, &cfg);
         assert_eq!(spec.len(), 2, "2 keys × 1 prio");
@@ -472,7 +457,7 @@ mod tests {
 
     #[test]
     fn export_histories_applies_only_to_history_scenarios() {
-        let cfg = Config::parse(vec!["--export-histories".into(), "histdir".into()]);
+        let cfg = parse(&["--export-histories", "histdir"]);
         let audit = customize(
             Scenario::named("queue-balanced-audit").expect("catalog"),
             &cfg,
@@ -487,25 +472,25 @@ mod tests {
 
     #[test]
     fn faults_flag_threads_the_plan_into_every_scenario() {
-        let cfg = Config::parse(vec!["--faults".into(), "panic:0@50;slow:1:2..9".into()]);
+        let cfg = parse(&["--faults", "panic:0@50;slow:1:2..9"]);
         let s = customize(Scenario::named("queue-balanced").expect("catalog"), &cfg);
         assert_eq!(
             s.faults.as_ref().map(|p| p.spec()),
             Some("panic:0@50;slow:1:2..9")
         );
         // Off by default.
-        let cfg = Config::parse(vec![]);
+        let cfg = parse(&[]);
         let s = customize(Scenario::named("queue-balanced").expect("catalog"), &cfg);
         assert!(s.faults.is_none());
     }
 
     #[test]
     fn telemetry_flag_arms_interval_snapshots() {
-        let cfg = Config::parse(vec!["--telemetry-interval-ms".into(), "20".into()]);
+        let cfg = parse(&["--telemetry-interval-ms", "20"]);
         let s = customize(Scenario::named("queue-balanced").expect("catalog"), &cfg);
         assert_eq!(s.telemetry_interval, Some(Duration::from_millis(20)));
         // Off by default.
-        let cfg = Config::parse(vec![]);
+        let cfg = parse(&[]);
         let s = customize(Scenario::named("queue-balanced").expect("catalog"), &cfg);
         assert!(s.telemetry_interval.is_none());
         // A preset's own interval survives when the flag is absent.
@@ -513,10 +498,11 @@ mod tests {
         assert_eq!(s.telemetry_interval, Some(Duration::from_millis(25)));
         // Telemetry lives in the report: a telemetry-only run exports
         // nothing, even with an export directory.
-        let cfg = Config::parse(vec![
-            "--telemetry".into(),
-            "--export-histories".into(),
-            "artifacts".into(),
+        let cfg = parse(&[
+            "--telemetry-interval-ms",
+            "100",
+            "--export-histories",
+            "artifacts",
         ]);
         let s = customize(Scenario::named("queue-balanced").expect("catalog"), &cfg);
         assert_eq!(s.telemetry_interval, Some(Duration::from_millis(100)));

@@ -4,8 +4,8 @@
 //! the paper (see `src/bin/`):
 //!
 //! * [`tables`] — aligned-column table output.
-//! * [`config`] — tiny CLI configuration shared by all binaries
-//!   (`--threads 1,2,4`, `--duration-ms 300`, `--quick`, ...).
+//! * [`config`] — the one flag parser; each binary passes it the flags
+//!   it reads (`--threads 1,2,4`, `--duration-ms 300`, `--quick`, ...).
 //!
 //! The figure binaries (`fig1a`, `fig1b`, `fig1cde`, `mq_rank`) are
 //! thin wrappers over the `dlz-workload` scenario engine; the

@@ -60,8 +60,7 @@ fn valid_artifact() -> String {
 fn valid_artifact_passes_and_emits_verdict_json() {
     let dir = scratch("valid");
     std::fs::write(dir.join("a.histjsonl"), valid_artifact()).expect("write");
-    let json_out = dir.join("check.json");
-    let out = run(&["--json", json_out.to_str().unwrap(), dir.to_str().unwrap()]);
+    let out = run(&[dir.to_str().unwrap()]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     for needle in [
@@ -75,9 +74,6 @@ fn valid_artifact_passes_and_emits_verdict_json() {
     ] {
         assert!(stdout.contains(needle), "missing {needle} in {stdout}");
     }
-    // --json writes the same array to the file.
-    let written = std::fs::read_to_string(&json_out).expect("json file");
-    assert_eq!(written.trim(), stdout.trim());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -244,6 +240,23 @@ fn usage_errors_exit_two() {
     let out = run(&[]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    // Paths are the only input: the removed `--json FILE` is a usage
+    // error, with or without a path after it, and so is any flag.
+    let dir = scratch("flags");
+    std::fs::write(dir.join("a.histjsonl"), valid_artifact()).expect("write");
+    let path = dir.to_str().unwrap();
+    for args in [
+        &["--json", "out.json", path][..],
+        &[path, "--json", "out.json"][..],
+        &["--help"][..],
+        &["--bogus", path][..],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
     // Nonexistent path.
     let out = run(&["/no/such/dlz-path"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");

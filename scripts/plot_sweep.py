@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Plot sweep artifacts produced by the `scenarios` binary.
 
-Pure stdlib: reads the JSON array written by `scenarios --sweep --json`,
+Pure stdlib: reads the JSON array `scenarios` writes to stdout,
 renders an ASCII chart to stdout and (with --out) a self-contained SVG.
 
 Two modes:
@@ -10,19 +10,19 @@ Two modes:
       One series per policy, throughput in mops on the y axis against
       a numeric grid axis (default `t`, the thread axis):
 
-          scenarios --scenario queue-balanced --sweep \
+          scenarios --scenario queue-balanced \
               --threads 1,2,4,8 --policies two-choice,sticky=16 \
-              --json sweep.json
+              > sweep.json
           python3 scripts/plot_sweep.py sweep.json --out sweep.svg
 
-  Telemetry (--telemetry)
-      Time-resolved series from reports run with --telemetry: one row
-      per report, per-interval throughput plus a contention counter
-      (default backoff_spins: an operation waiting out a held lock
-      snoozes, and only a deadline-bounded one fails a lock attempt):
+  Telemetry (plot_sweep.py --telemetry)
+      Time-resolved series from reports run with --telemetry-interval-ms
+      N: one row per report, per-interval throughput plus a contention
+      counter (default backoff_spins: an operation waiting out a held
+      lock snoozes, and only a deadline-bounded one fails a lock attempt):
 
           scenarios --scenario mq-hotpath-rank-audit \
-              --telemetry-interval-ms 10 --json run.json
+              --telemetry-interval-ms 10 > run.json
           python3 scripts/plot_sweep.py run.json --telemetry
 """
 
@@ -205,8 +205,8 @@ def telemetry_rows(reports, counter):
 def print_telemetry(rows, counter):
     if not rows:
         raise SystemExit(
-            "no telemetry series found — rerun scenarios with --telemetry "
-            "(or --telemetry-interval-ms N)"
+            "no telemetry series found — rerun scenarios with "
+            "--telemetry-interval-ms N"
         )
     for label, interval_ms, ops, events in rows:
         print(f"{label}  ({len(ops)} intervals x {interval_ms} ms)")
@@ -225,7 +225,7 @@ def svg_telemetry(rows, counter, path):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("artifact", help="JSON array from `scenarios [--sweep] --json`")
+    ap.add_argument("artifact", help="JSON array from `scenarios` stdout")
     ap.add_argument("--x", default="t", help="numeric grid axis for the x axis (default t)")
     ap.add_argument("--series", default="policy", help="grid axis naming the series (default policy)")
     ap.add_argument("--telemetry", action="store_true", help="render per-interval time series instead")
@@ -250,7 +250,7 @@ def main():
     if not series:
         raise SystemExit(
             f"no ({args.x}, mops) points found — is this a sweep artifact with a "
-            f"'{args.x}' axis? (run scenarios with --sweep --threads ...)"
+            f"'{args.x}' axis? (run scenarios with --threads 1,2,...)"
         )
     print(ascii_chart(series, args.x, "mops"))
     if args.out:
