@@ -4,8 +4,9 @@
 //!   priority queues; a [`Policy`] decides which queue each operation
 //!   touches (fresh two-choice sampling by default).
 //! * [`MqHandle`] — the operational surface: per-thread RNG + policy
-//!   state, the five generic operations, and the orthogonal
-//!   [`stamped`](MqHandle::stamped) history mode.
+//!   state, insert / dequeue and their batch and deadline-bounded forms,
+//!   and the orthogonal [`stamped`](MqHandle::stamped) history mode
+//!   (a stamped single insert / dequeue).
 //! * [`policy`] — the choice process: one [`Policy`] type (best of `d`
 //!   hints per dequeue, camps of `s` same-kind ops), built from the
 //!   declarative [`PolicyCfg`] (two-choice, d-choice, sticky).

@@ -27,16 +27,20 @@
 //! and the contention counters — lives in an [`MqHandle`], the
 //! operational surface:
 //!
-//! * [`MqHandle::insert`] / [`MqHandle::dequeue`] /
-//!   [`MqHandle::dequeue_k`] / [`MqHandle::insert_batch`] /
-//!   [`MqHandle::dequeue_batch`] — the five operations, plus the
+//! * [`MqHandle::insert`] / [`MqHandle::dequeue`], their batch forms
+//!   [`MqHandle::insert_batch`] / [`MqHandle::dequeue_batch`] and the
 //!   deadline-bounded [`MqHandle::try_insert_for`] /
 //!   [`MqHandle::try_dequeue_for`];
-//! * [`MqHandle::stamped`] — the orthogonal history mode: the same five
-//!   operations, each drawing an update-point stamp inside its critical
-//!   section for the Section 5 checker.
+//! * [`MqHandle::stamped`] — the orthogonal history mode: a stamped
+//!   [`Stamped::insert`] / [`Stamped::dequeue`], each drawing an
+//!   update-point stamp inside its critical section for the Section 5
+//!   checker. These single insert / delete-min events are what a
+//!   recorded history holds; a batch is never recorded.
 //!
-//! Every one of them is the same three steps — choose a queue, run the
+//! Best-of-`d` dequeues are a policy like any other:
+//! `MqHandle::with_policy(&mq, seed, PolicyCfg::DChoice { d }.build())`.
+//!
+//! Every handle operation is the same three steps — choose a queue, run the
 //! operation on it under its lock, react to how that ended —
 //! so there is **one operation loop**, private to [`MultiQueue`]. It
 //! takes the operation kind, the caller's per-thread context, an
@@ -49,10 +53,10 @@
 //! does. A deadline is the one exception — it forces try-lock
 //! acquisition (never wait on a lock a stalled thread may hold) and
 //! carries the error to return, so an unbounded operation has none.
-//! History stamping is a type parameter of those closures, not a
-//! second set of methods: the unstamped form draws `()`, the stamped
-//! form draws a `u64` from the caller's counter, in both cases right
-//! after the mutation and inside the critical section.
+//! History stamping is a type parameter of the single insert and
+//! dequeue closures, not a second loop: the unstamped form draws `()`,
+//! the stamped form draws a `u64` from the caller's counter, in both
+//! cases right after the mutation and inside the critical section.
 //!
 //! Below the choice process there is one per-queue concurrency
 //! discipline — the paper's "m linearizable priority queues" are `m`
@@ -480,14 +484,11 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     }
 
     /// Batch enqueue into one chosen queue: one lock acquisition, one
-    /// hint publish, one mark per item handed to `marks` in insertion
-    /// order. An empty batch chooses and locks nothing.
-    fn insert_batch_op<S: Stamp>(
+    /// hint publish. An empty batch chooses and locks nothing.
+    fn insert_batch_op(
         &self,
         ctx: OpCtx<'_, impl Rng64>,
-        stamp: S,
         items: impl IntoIterator<Item = (u64, V)>,
-        mut marks: impl FnMut(S::Mark),
     ) -> usize {
         let mut items = items.into_iter().peekable();
         if items.peek().is_none() {
@@ -497,7 +498,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             let mut n = 0usize;
             for (p, v) in items.by_ref() {
                 q.add(p, v);
-                marks(stamp.draw());
                 n += 1;
             }
             Some(n)
@@ -506,14 +506,13 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     }
 
     /// Batch dequeue of up to `max` entries from one chosen queue under
-    /// one lock acquisition; `sink` receives `(priority, value, mark)`
-    /// per entry. `0` is the confirmed-empty observation.
-    fn dequeue_batch_op<S: Stamp>(
+    /// one lock acquisition, appended to `out`. `0` is the
+    /// confirmed-empty observation.
+    fn dequeue_batch_op(
         &self,
         ctx: OpCtx<'_, impl Rng64>,
-        stamp: S,
         max: usize,
-        mut sink: impl FnMut(u64, V, S::Mark),
+        out: &mut Vec<(u64, V)>,
     ) -> usize {
         if max == 0 {
             return 0;
@@ -521,8 +520,8 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         let Ok(n) = self.run(ChoiceOp::Dequeue, ctx, NO_DEADLINE, |q| {
             let mut n = 0usize;
             while n < max {
-                let Some((p, v)) = q.delete_min() else { break };
-                sink(p, v, stamp.draw());
+                let Some(entry) = q.delete_min() else { break };
+                out.push(entry);
                 n += 1;
             }
             (n > 0).then_some(n)
@@ -725,11 +724,6 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
         }
     }
 
-    /// The underlying structure.
-    pub fn multiqueue(&self) -> &'a MultiQueue<V, Q> {
-        self.mq
-    }
-
     /// The contention counters accumulated by this handle's operations
     /// since creation (or the last [`take_contention`]), with the
     /// policy's own counters (camp switches) flushed in.
@@ -758,19 +752,6 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
         }
     }
 
-    /// Best-of-`k` dequeue: a one-off `DChoice { d: k }` draw on the
-    /// handle's generator and counters, whatever the handle's own policy.
-    fn dequeue_k_op<S: Stamp>(&mut self, k: usize, stamp: S) -> Option<(u64, V, S::Mark)> {
-        assert!(k >= 1, "need at least one choice");
-        let ctx = OpCtx {
-            policy: &mut PolicyCfg::DChoice { d: k }.build(),
-            rng: &mut self.rng,
-            stats: &mut self.stats,
-        };
-        let Ok(served) = self.mq.dequeue_op(ctx, NO_DEADLINE, stamp);
-        served
-    }
-
     /// Enqueue through the handle's policy.
     pub fn insert(&mut self, priority: u64, value: V) {
         let Ok(()) = self
@@ -788,19 +769,6 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
         served.map(unstamped)
     }
 
-    /// Dequeue sampling the best of `k` queues — a one-off
-    /// [`PolicyCfg::DChoice`] draw regardless of the handle's policy. `k = 1`
-    /// removes from a single random queue (rank relaxation degrades to
-    /// the divergent single-choice regime); `k = 2` is Algorithm 2;
-    /// larger `k` tightens the rank distribution at the price of `k`
-    /// hint reads per dequeue.
-    ///
-    /// # Panics
-    /// If `k == 0`.
-    pub fn dequeue_k(&mut self, k: usize) -> Option<(u64, V)> {
-        self.dequeue_k_op(k, NoStamp).map(unstamped)
-    }
-
     /// Inserts a whole batch into one policy-chosen queue under a
     /// single lock acquisition, with a single hint publish. Returns the
     /// number of items inserted; an empty batch is a no-op.
@@ -809,7 +777,7 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
     /// rank effect is like stickiness with `s = batch` (the batch lands
     /// in one queue), degrading within the same O(s·m) envelope.
     pub fn insert_batch(&mut self, items: impl IntoIterator<Item = (u64, V)>) -> usize {
-        self.mq.insert_batch_op(self.ctx(), NoStamp, items, |()| {})
+        self.mq.insert_batch_op(self.ctx(), items)
     }
 
     /// Bounded-retry insert: like [`insert`](Self::insert) but never
@@ -857,17 +825,16 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
     /// Returns `0` only after observing a globally empty structure —
     /// the same emptiness contract as [`dequeue`](Self::dequeue).
     pub fn dequeue_batch(&mut self, max: usize, out: &mut Vec<(u64, V)>) -> usize {
-        self.mq
-            .dequeue_batch_op(self.ctx(), NoStamp, max, |p, v, ()| out.push((p, v)))
+        self.mq.dequeue_batch_op(self.ctx(), max, out)
     }
 
-    /// Switches the handle into **history mode**: the same five
-    /// operations over the same loop, each drawing an update-point
-    /// stamp from `stamper` inside its critical section — i.e. at the
-    /// operation's linearization point in the underlying linearizable
-    /// queue, right after the mutation. The
-    /// distributional-linearizability checker replays histories in
-    /// stamp order (Definition 5.2's mapping).
+    /// Switches the handle into **history mode**: a single
+    /// [`insert`](Stamped::insert) or [`dequeue`](Stamped::dequeue) over
+    /// the same loop, drawing an update-point stamp from `stamper`
+    /// inside its critical section — i.e. at the operation's
+    /// linearization point in the underlying linearizable queue, right
+    /// after the mutation. The distributional-linearizability checker
+    /// replays histories in stamp order (Definition 5.2's mapping).
     ///
     /// # Example
     /// ```
@@ -890,8 +857,9 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
 }
 
 /// The handle's history mode — see [`MqHandle::stamped`]. Same policy,
-/// same RNG, same five operations over the same loop; every operation
-/// returns the update stamp drawn inside its critical section.
+/// same RNG, same loop; its [`insert`](Self::insert) and
+/// [`dequeue`](Self::dequeue) return the update stamp drawn inside their
+/// critical section. These are the events a recorded history holds.
 pub struct Stamped<'s, 'a, V, Q = BinaryHeap<u64, V>>
 where
     V: Send,
@@ -921,36 +889,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> Stamped<'_, '_, V, Q> {
             .mq
             .dequeue_op(self.handle.ctx(), NO_DEADLINE, self.stamper);
         served
-    }
-
-    /// Stamped best-of-`k` dequeue (see [`MqHandle::dequeue_k`]).
-    ///
-    /// # Panics
-    /// If `k == 0`.
-    pub fn dequeue_k(&mut self, k: usize) -> Option<(u64, V, u64)> {
-        self.handle.dequeue_k_op(k, self.stamper)
-    }
-
-    /// Stamped batch enqueue: one lock acquisition, one stamp per item
-    /// (pushed onto `stamps` in insertion order). Returns the count.
-    pub fn insert_batch(
-        &mut self,
-        items: impl IntoIterator<Item = (u64, V)>,
-        stamps: &mut Vec<u64>,
-    ) -> usize {
-        self.handle
-            .mq
-            .insert_batch_op(self.handle.ctx(), self.stamper, items, |s| stamps.push(s))
-    }
-
-    /// Stamped batch dequeue: one lock acquisition, one stamp per
-    /// entry, appended to `out` as `(priority, value, stamp)`.
-    pub fn dequeue_batch(&mut self, max: usize, out: &mut Vec<(u64, V, u64)>) -> usize {
-        self.handle
-            .mq
-            .dequeue_batch_op(self.handle.ctx(), self.stamper, max, |p, v, s| {
-                out.push((p, v, s))
-            })
     }
 }
 
@@ -1082,12 +1020,13 @@ mod tests {
     fn k_choice_dequeue_conserves_for_all_k() {
         for k in [1usize, 2, 4] {
             let mq: MultiQueue<u64> = MultiQueue::new(8);
-            let mut h = mq.handle(40 + k as u64);
+            let mut h =
+                MqHandle::with_policy(&mq, 40 + k as u64, PolicyCfg::DChoice { d: k }.build());
             for p in 0..500u64 {
                 h.insert(p, p);
             }
             let mut n = 0;
-            while h.dequeue_k(k).is_some() {
+            while h.dequeue().is_some() {
                 n += 1;
             }
             assert_eq!(n, 500, "k={k}");
@@ -1100,7 +1039,7 @@ mod tests {
         let rank_sum = |k: usize| {
             let m = 16;
             let mq: MultiQueue<u64> = MultiQueue::new(m);
-            let mut h = mq.handle(77);
+            let mut h = MqHandle::with_policy(&mq, 77, PolicyCfg::DChoice { d: k }.build());
             let n = 4_000u64;
             for p in 0..n {
                 h.insert(p, p);
@@ -1108,7 +1047,7 @@ mod tests {
             let mut present: BTreeSet<u64> = (0..n).collect();
             let mut sum = 0usize;
             for _ in 0..n {
-                let (p, _) = h.dequeue_k(k).unwrap();
+                let (p, _) = h.dequeue().unwrap();
                 sum += present.range(..p).count();
                 present.remove(&p);
             }
@@ -1119,14 +1058,6 @@ mod tests {
         let four = rank_sum(4);
         assert!(one > two, "k=1 total rank {one} should exceed k=2 {two}");
         assert!(two >= four, "k=2 total rank {two} should be >= k=4 {four}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one choice")]
-    fn zero_choice_dequeue_rejected() {
-        let mq: MultiQueue<u64> = MultiQueue::new(2);
-        let mut h = mq.handle(1);
-        let _ = h.dequeue_k(0);
     }
 
     #[test]
@@ -1167,7 +1098,7 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 50);
-        assert_eq!(h.multiqueue().num_queues(), 4);
+        assert!(mq.is_empty());
     }
 
     #[test]
@@ -1324,25 +1255,6 @@ mod tests {
         ps.dedup();
         assert_eq!(ps.len(), 700, "batch dequeue duplicated or lost items");
         assert_eq!(mq.len(), 0);
-    }
-
-    #[test]
-    fn stamped_batch_ops_stamp_every_item_uniquely() {
-        let mq: MultiQueue<u64> = MultiQueue::new(4);
-        let stamper = ExactCounter::new();
-        let mut h = mq.handle(13);
-        let mut stamps = Vec::new();
-        let items: Vec<(u64, u64)> = (0..50).map(|i| (i, i)).collect();
-        assert_eq!(h.stamped(&stamper).insert_batch(items, &mut stamps), 50);
-        assert_eq!(stamps.len(), 50);
-        let mut out = Vec::new();
-        while h.stamped(&stamper).dequeue_batch(8, &mut out) > 0 {}
-        assert_eq!(out.len(), 50);
-        stamps.extend(out.iter().map(|&(_, _, s)| s));
-        stamps.sort_unstable();
-        stamps.dedup();
-        assert_eq!(stamps.len(), 100, "stamps must be unique");
-        assert!(mq.is_empty());
     }
 
     #[test]
@@ -1607,43 +1519,32 @@ mod tests {
         assert_eq!(got, vec![1, 2, 3]);
     }
 
-    /// Drives one operation form through fill-then-drain at the generic
-    /// ops every public method is a one-line call into, checking
-    /// conservation (each of `N` entries served exactly once, value
-    /// intact, structure empty after). Returns each entry's insert and
-    /// dequeue marks, keyed by priority.
-    fn fill_and_drain<S: Stamp>(bounded: bool, batch: bool, stamp: S) -> [Vec<(u64, S::Mark)>; 2] {
+    /// Fills a fresh structure with `N` entries through `fill` (one call
+    /// per chunk of six, returning a mark per entry), drains it through
+    /// `drain` until a call serves nothing, and checks conservation:
+    /// each entry served exactly once, value intact, structure empty
+    /// after. Returns each entry's insert and dequeue marks, keyed by
+    /// priority.
+    fn fill_and_drain<M>(
+        mut fill: impl FnMut(&mut MqHandle<'_, u64>, Vec<(u64, u64)>) -> Vec<M>,
+        mut drain: impl FnMut(&mut MqHandle<'_, u64>) -> Vec<(u64, u64, M)>,
+    ) -> [Vec<(u64, M)>; 2] {
         const N: u64 = 600;
         let mq: MultiQueue<u64> = MultiQueue::new(8);
         let mut h = mq.handle(90);
-        let deadline = || bounded.then(|| (Instant::now() + Duration::from_secs(3_600), "late"));
         let (mut inserted, mut served) = (Vec::new(), Vec::new());
-        if batch {
-            for first in (0..N).step_by(6) {
-                let items = (first..first + 6).map(|p| (p, p * 10));
-                let mut marks = Vec::new();
-                let n = mq.insert_batch_op(h.ctx(), stamp, items, |m| marks.push(m));
-                assert_eq!((n, marks.len()), (6, 6));
-                inserted.extend((first..).zip(marks));
-            }
-        } else {
-            for p in 0..N {
-                let mark = mq.insert_op(h.ctx(), deadline(), stamp, p, p * 10);
-                inserted.push((p, mark.expect("uncontended")));
-            }
+        for first in (0..N).step_by(6) {
+            let marks = fill(&mut h, (first..first + 6).map(|p| (p, p * 10)).collect());
+            assert_eq!(marks.len(), 6);
+            inserted.extend((first..).zip(marks));
         }
         assert_eq!(mq.len(), N as usize);
         loop {
-            let before = served.len();
-            if batch {
-                mq.dequeue_batch_op(h.ctx(), stamp, 5, |p, v, m| served.push((p, v, m)));
-            } else {
-                let got = mq.dequeue_op(h.ctx(), deadline(), stamp);
-                served.extend(got.expect("uncontended"));
-            }
-            if served.len() == before {
+            let got = drain(&mut h);
+            if got.is_empty() {
                 break;
             }
+            served.extend(got);
         }
         assert!(mq.is_empty());
         assert!(served.iter().all(|(p, v, _)| *v == p * 10));
@@ -1654,15 +1555,34 @@ mod tests {
         [inserted, served]
     }
 
+    /// [`fill_and_drain`] through the single insert and dequeue at the
+    /// generic ops every public method is a one-line call into.
+    fn single_ops<S: Stamp>(bounded: bool, stamp: S) -> [Vec<(u64, S::Mark)>; 2] {
+        let deadline = || bounded.then(|| (Instant::now() + Duration::from_secs(3_600), "late"));
+        fill_and_drain(
+            |h, items| {
+                let marks = items.into_iter().map(|(p, v)| {
+                    let mark = h.mq.insert_op(h.ctx(), deadline(), stamp, p, v);
+                    mark.expect("uncontended")
+                });
+                marks.collect()
+            },
+            |h| {
+                let served = h.mq.dequeue_op(h.ctx(), deadline(), stamp);
+                served.expect("uncontended").into_iter().collect()
+            },
+        )
+    }
+
     #[test]
     fn every_op_form_conserves_under_every_acquisition_and_stamp_mode() {
-        // (bounded, batch): the batch forms take no deadline; a bounded
-        // operation acquires without waiting, an unbounded one waits.
-        for (bounded, batch) in [(false, false), (true, false), (false, true)] {
-            fill_and_drain(bounded, batch, NoStamp);
+        // A bounded operation acquires without waiting, an unbounded one
+        // waits; only the single forms are stamped.
+        for bounded in [false, true] {
+            single_ops(bounded, NoStamp);
             let stamper = ExactCounter::new();
-            let [inserted, served] = fill_and_drain(bounded, batch, &stamper);
-            let what = format!("bounded: {bounded} / batch: {batch}");
+            let [inserted, served] = single_ops(bounded, &stamper);
+            let what = format!("bounded: {bounded}");
             let mut stamps: Vec<u64> = inserted.iter().chain(&served).map(|e| e.1).collect();
             stamps.sort_unstable();
             stamps.dedup();
@@ -1671,6 +1591,15 @@ mod tests {
                 assert!(inserted[p as usize].1 < s, "entry {p} served first: {what}");
             }
         }
+        // The batch forms take no deadline and no stamp.
+        fill_and_drain(
+            |h, items| vec![(); h.mq.insert_batch_op(h.ctx(), items)],
+            |h| {
+                let mut out = Vec::new();
+                h.mq.dequeue_batch_op(h.ctx(), 5, &mut out);
+                out.into_iter().map(|(p, v)| (p, v, ())).collect()
+            },
+        );
     }
 
     #[test]

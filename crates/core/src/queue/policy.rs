@@ -291,43 +291,19 @@ impl PolicyCfg {
         }
     }
 
-    /// Parses a policy description — the inverse of [`label`](Self::label)
-    /// plus the compact CLI forms:
-    ///
-    /// * `two-choice` (also `twochoice`, `2choice`)
-    /// * `d-choice=4` (also `dchoice4`, `d-choice(d=4)`)
-    /// * `sticky=16` (also `sticky16`, `sticky(s=16)`)
+    /// Parses a policy's one spelling: `two-choice`, `d-choice=N` or
+    /// `sticky=N`. A [`label`](Self::label) names a policy in reports;
+    /// it is not a second input form.
     pub fn parse(s: &str) -> Result<PolicyCfg, String> {
-        // Normalize the label round-trip forms down to `name=N`.
-        let t = s
-            .trim()
-            .to_lowercase()
-            .replace("(s=", "=")
-            .replace("(d=", "=")
-            .replace(['(', ')'], "");
-        let (name, num) = match t.find(|c: char| c.is_ascii_digit()) {
-            Some(i) if i > 0 => (&t[..i], &t[i..]),
-            _ => (t.as_str(), ""),
+        let num = |text: &str, what: &str| {
+            text.parse::<usize>()
+                .map_err(|_| format!("policy '{s}': '{text}' is not a valid {what}"))
         };
-        let name = name.trim_end_matches(['=', '-', '_']);
-        let parse_num = |what: &str| -> Result<usize, String> {
-            num.parse::<usize>()
-                .map_err(|_| format!("policy '{s}': '{num}' is not a valid {what}"))
-        };
-        match name {
-            "two-choice" | "twochoice" | "two_choice" | "2choice" => {
-                if num.is_empty() {
-                    Ok(PolicyCfg::TwoChoice)
-                } else {
-                    // A numeric suffix on a no-parameter policy is most
-                    // likely a typo for sticky=N / d-choice=N — reject
-                    // rather than silently drop it.
-                    Err(format!("policy '{s}': two-choice takes no parameter"))
-                }
-            }
-            "d-choice" | "dchoice" | "d" => Ok(PolicyCfg::DChoice { d: parse_num("d")? }),
-            "sticky" | "s" => Ok(PolicyCfg::Sticky {
-                ops: parse_num("camp length")?,
+        match s.split_once('=') {
+            None if s == "two-choice" => Ok(PolicyCfg::TwoChoice),
+            Some(("d-choice", n)) => Ok(PolicyCfg::DChoice { d: num(n, "d")? }),
+            Some(("sticky", n)) => Ok(PolicyCfg::Sticky {
+                ops: num(n, "camp length")?,
             }),
             _ => Err(format!(
                 "unknown policy '{s}' (expected two-choice, d-choice=N or sticky=N)"
@@ -511,28 +487,15 @@ mod tests {
     }
 
     #[test]
-    fn policy_parse_accepts_compact_and_label_forms() {
+    fn policy_parse_takes_one_spelling_per_policy() {
         for (text, want) in [
             ("two-choice", PolicyCfg::TwoChoice),
-            ("twochoice", PolicyCfg::TwoChoice),
-            ("2choice", PolicyCfg::TwoChoice),
             ("d-choice=4", PolicyCfg::DChoice { d: 4 }),
-            ("dchoice4", PolicyCfg::DChoice { d: 4 }),
             ("sticky=16", PolicyCfg::Sticky { ops: 16 }),
-            ("sticky16", PolicyCfg::Sticky { ops: 16 }),
-            ("Sticky(s=8)", PolicyCfg::Sticky { ops: 8 }),
         ] {
             assert_eq!(PolicyCfg::parse(text), Ok(want), "{text}");
             // FromStr delegates.
             assert_eq!(text.parse::<PolicyCfg>(), Ok(want));
-        }
-        // Every label round-trips through parse.
-        for cfg in [
-            PolicyCfg::TwoChoice,
-            PolicyCfg::DChoice { d: 3 },
-            PolicyCfg::Sticky { ops: 16 },
-        ] {
-            assert_eq!(PolicyCfg::parse(&cfg.label()), Ok(cfg), "{}", cfg.label());
         }
         for bad in [
             "",
@@ -540,10 +503,24 @@ mod tests {
             "sticky=x",
             "frobnicate",
             "d-choice",
+            "d-choice=",
             // A numeric suffix on the parameterless policy is rejected,
             // not silently dropped.
             "two-choice16",
-            "twochoice8",
+            "two-choice=8",
+            // The removed aliases, label forms and case folding.
+            "twochoice",
+            "two_choice",
+            "2choice",
+            "dchoice4",
+            "d=4",
+            "s=16",
+            "sticky16",
+            "sticky(s=8)",
+            "d-choice(d=3)",
+            "Sticky=8",
+            "TWO-CHOICE",
+            " two-choice",
         ] {
             assert!(PolicyCfg::parse(bad).is_err(), "{bad} should not parse");
         }

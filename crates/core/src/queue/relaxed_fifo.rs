@@ -10,9 +10,13 @@
 
 use crate::counter::ExactCounter;
 use crate::queue::MultiQueue;
-use crate::rng::{with_thread_rng, Rng64};
+use crate::rng::Rng64;
 
 /// A relaxed FIFO queue: MultiQueue + counter-assigned priorities.
+///
+/// One enqueue and one dequeue, both on the caller's generator (wrap
+/// them in [`with_thread_rng`](crate::rng::with_thread_rng) for the
+/// thread-local one).
 ///
 /// # Example
 /// ```
@@ -23,10 +27,12 @@ use crate::rng::{with_thread_rng, Rng64};
 /// let mut rng = Xoshiro256::new(1);
 /// q.enqueue_with(&mut rng, "first");
 /// q.enqueue_with(&mut rng, "second");
-/// // Dequeues return *approximately* oldest-first; both come out.
-/// let a = q.dequeue_with(&mut rng).unwrap();
-/// let b = q.dequeue_with(&mut rng).unwrap();
+/// // Dequeues return *approximately* oldest-first, each with its
+/// // enqueue timestamp; both come out.
+/// let (ta, a) = q.dequeue_with(&mut rng).unwrap();
+/// let (tb, b) = q.dequeue_with(&mut rng).unwrap();
 /// assert_ne!(a, b);
+/// assert_ne!(ta, tb);
 /// ```
 #[derive(Debug)]
 pub struct RelaxedFifo<V: Send> {
@@ -51,24 +57,9 @@ impl<V: Send> RelaxedFifo<V> {
     }
 
     /// Dequeue with an explicit generator: an approximately-oldest
-    /// element, or `None` if observed empty.
-    pub fn dequeue_with(&self, rng: &mut impl Rng64) -> Option<V> {
-        self.dequeue_with_timestamp(rng).map(|(_, v)| v)
-    }
-
-    /// Dequeue returning the element's enqueue timestamp too.
-    pub fn dequeue_with_timestamp(&self, rng: &mut impl Rng64) -> Option<(u64, V)> {
+    /// element with its enqueue timestamp, or `None` if observed empty.
+    pub fn dequeue_with(&self, rng: &mut impl Rng64) -> Option<(u64, V)> {
         self.mq.dequeue_two_choice(rng)
-    }
-
-    /// Convenience enqueue using the thread-local generator.
-    pub fn enqueue(&self, value: V) {
-        with_thread_rng(|rng| self.enqueue_with(rng, value));
-    }
-
-    /// Convenience dequeue using the thread-local generator.
-    pub fn dequeue(&self) -> Option<V> {
-        with_thread_rng(|rng| self.dequeue_with(rng))
     }
 
     /// Observed number of queued elements. Exact when quiescent.
@@ -106,7 +97,9 @@ mod tests {
         for v in 0..2_000u64 {
             q.enqueue_with(&mut rng, v);
         }
-        let mut out: Vec<u64> = std::iter::from_fn(|| q.dequeue_with(&mut rng)).collect();
+        let mut out: Vec<u64> = std::iter::from_fn(|| q.dequeue_with(&mut rng))
+            .map(|(_, v)| v)
+            .collect();
         out.sort_unstable();
         assert_eq!(out, (0..2_000u64).collect::<Vec<_>>());
     }
@@ -125,7 +118,7 @@ mod tests {
         use std::collections::BTreeSet;
         let mut present: BTreeSet<u64> = (0..n).collect();
         let mut max_rank = 0;
-        while let Some(v) = q.dequeue_with(&mut rng) {
+        while let Some((_, v)) = q.dequeue_with(&mut rng) {
             let rank = present.range(..v).count();
             max_rank = max_rank.max(rank);
             present.remove(&v);
@@ -143,7 +136,7 @@ mod tests {
         }
         // The timestamp a dequeue reports is the one its element was
         // enqueued with: one draw per enqueue, in enqueue order.
-        while let Some((ts, v)) = q.dequeue_with_timestamp(&mut rng) {
+        while let Some((ts, v)) = q.dequeue_with(&mut rng) {
             assert_eq!(ts, v);
         }
     }
@@ -172,7 +165,7 @@ mod tests {
                         let mut got = Vec::new();
                         let target = PRODUCERS as u64 * PER / CONSUMERS as u64;
                         while (got.len() as u64) < target {
-                            if let Some(v) = q.dequeue_with(&mut rng) {
+                            if let Some((_, v)) = q.dequeue_with(&mut rng) {
                                 got.push(v);
                             }
                         }
@@ -192,7 +185,7 @@ mod tests {
         let q: RelaxedFifo<u8> = RelaxedFifo::new(3);
         assert!(q.is_empty());
         assert_eq!(q.multiqueue().num_queues(), 3);
-        q.enqueue(9);
+        q.enqueue_with(&mut Xoshiro256::new(4), 9);
         assert_eq!(q.len(), 1);
         assert_eq!(q.clock().read(), 1);
     }

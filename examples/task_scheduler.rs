@@ -17,6 +17,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
+use distlin::core::rng::with_thread_rng;
 use distlin::core::{ExactCounter, RelaxedFifo};
 use distlin::pq::{BinaryHeap, ConcurrentPq, LockedPq};
 
@@ -120,8 +121,8 @@ fn main() {
     let m = 4 * (PRODUCERS + CONSUMERS);
     let mq: RelaxedFifo<u64> = RelaxedFifo::new(m);
     let (secs, executed, inv) = run_pipeline(
-        |id| mq.enqueue(id),
-        || distlin::core::rng::with_thread_rng(|rng| mq.dequeue_with_timestamp(rng)),
+        |id| with_thread_rng(|rng| mq.enqueue_with(rng, id)),
+        || with_thread_rng(|rng| mq.dequeue_with(rng)),
     );
     assert_eq!(executed, total);
     println!(

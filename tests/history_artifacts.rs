@@ -192,9 +192,9 @@ fn fold(digest: &mut u64, kind: u64, priority: u64, stamp: u64) {
     }
 }
 
-/// One thread, one seeded handle, every operation form (single, best-of-k,
-/// batch, bounded; stamped and unstamped interleaved on the same RNG and
-/// policy state): the exact `(kind, priority, stamp)` sequence is a
+/// One thread, one seeded handle, every operation form (single, batch,
+/// bounded; stamped and unstamped interleaved on the same RNG and policy
+/// state): the exact `(kind, priority, stamp)` sequence is a
 /// function of the seed alone, so its digest pins the choice process —
 /// one extra RNG draw, a stamp drawn away from its mutation, or a policy
 /// callback that observes a still-held lock changes it.
@@ -217,7 +217,6 @@ fn pinned_op_sequence_digest(policy: PolicyCfg) -> u64 {
     let mut script = Xoshiro256::new(0x5c21_97ed);
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut next_priority = 0u64;
-    let mut stamps = Vec::new();
     let mut out = Vec::new();
     let long = Duration::from_secs(3_600);
     for _ in 0..4_000 {
@@ -232,17 +231,15 @@ fn pinned_op_sequence_digest(policy: PolicyCfg) -> u64 {
                 let s = h.stamped(&stamper).insert(p, v);
                 fold(&mut digest, INSERT, p, s);
             }
-            4 => {
-                stamps.clear();
-                let items: Vec<(u64, u64)> = (0..5).map(|_| fresh()).collect();
-                let n = h.stamped(&stamper).insert_batch(items.clone(), &mut stamps);
-                assert_eq!((n, stamps.len()), (5, 5));
-                for ((p, _), s) in items.iter().zip(&stamps) {
-                    fold(&mut digest, INSERT, *p, *s);
-                }
-            }
             // Unstamped forms share the handle's RNG and policy state:
             // they must consume exactly the draws their stamped twins do.
+            4 => {
+                let items: Vec<(u64, u64)> = (0..5).map(|_| fresh()).collect();
+                assert_eq!(h.insert_batch(items.clone()), 5);
+                for (p, _) in items {
+                    fold(&mut digest, INSERT, p, 0);
+                }
+            }
             5 => {
                 let (p, v) = fresh();
                 h.insert(p, v);
@@ -253,23 +250,19 @@ fn pinned_op_sequence_digest(policy: PolicyCfg) -> u64 {
                 h.try_insert_for(p, v, long).expect("uncontended");
                 fold(&mut digest, INSERT, p, 0);
             }
-            7..=8 => match h.stamped(&stamper).dequeue() {
-                Some((p, _, s)) => fold(&mut digest, DEQUEUE, p, s),
-                None => fold(&mut digest, EMPTY, 0, 0),
-            },
-            9 => match h.stamped(&stamper).dequeue_k(3) {
+            7..=9 => match h.stamped(&stamper).dequeue() {
                 Some((p, _, s)) => fold(&mut digest, DEQUEUE, p, s),
                 None => fold(&mut digest, EMPTY, 0, 0),
             },
             10 => {
                 out.clear();
-                let n = h.stamped(&stamper).dequeue_batch(4, &mut out);
+                let n = h.dequeue_batch(4, &mut out);
                 assert_eq!(n, out.len());
                 if n == 0 {
                     fold(&mut digest, EMPTY, 0, 0);
                 }
-                for &(p, _, s) in &out {
-                    fold(&mut digest, DEQUEUE, p, s);
+                for &(p, _) in &out {
+                    fold(&mut digest, DEQUEUE, p, 0);
                 }
             }
             _ => match h.try_dequeue_for(long).expect("uncontended") {
@@ -288,14 +281,14 @@ fn pinned_op_sequence_digest(policy: PolicyCfg) -> u64 {
 
 #[test]
 fn single_thread_op_sequences_are_pinned_per_policy_and_mode() {
-    // Recorded at the commit before the six retry loops became one; the
-    // collapse had to reproduce them exactly, and so did the removal of
-    // the second acquisition rule (one thread never contends, so both
-    // rules had replayed the same sequence).
+    // Recorded before the per-call best-of-k dequeue and the stamped
+    // batch forms were deleted, with their arms already replaced by a
+    // stamped dequeue and the unstamped batch forms (stamp 0); the
+    // deletion had to reproduce them exactly.
     let pinned = [
-        (PolicyCfg::TwoChoice, 0x7882_7b8a_88c5_5ffcu64),
-        (PolicyCfg::Sticky { ops: 4 }, 0x6b25_2130_f906_b48e),
-        (PolicyCfg::DChoice { d: 3 }, 0x14c5_58bc_e2e3_a1d4),
+        (PolicyCfg::TwoChoice, 0x21a3_b6f9_9f81_a1eeu64),
+        (PolicyCfg::Sticky { ops: 4 }, 0x3dee_1c26_5ca5_97c9),
+        (PolicyCfg::DChoice { d: 3 }, 0xf9f8_5207_5e4f_96b5),
     ];
     for (policy, expected) in pinned {
         let got = pinned_op_sequence_digest(policy);
