@@ -74,9 +74,10 @@
 //!
 //! # Hot-path engineering
 //!
-//! * Each [`LockedPq`] packs lock flag, generation and entry count into
-//!   one cache-padded atomic header next to the min hint, so a `ReadMin`
-//!   touches one line and adjacent queues never false-share.
+//! * Each [`LockedPq`] packs lock flag, poison flag and entry count
+//!   into one atomic header next to the min hint, on a 128-byte-aligned
+//!   line, so a `ReadMin` touches one line and adjacent queues never
+//!   false-share.
 //! * A successful operation touches **no structure-wide word**: only the
 //!   hints it sampled and the one queue it acquired, which is the
 //!   paper's premise (a shared size counter would be one cache line
@@ -559,9 +560,9 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     /// Best-effort recovery of poisoned queues: for every poisoned
     /// queue, acquires it past the poison, drains whatever entries the
     /// underlying sequential queue still serves consistently, returns
-    /// the queue to service under a fresh generation (the normal guard
-    /// release recounts, republishes the hint and clears the poison
-    /// bit), and reinserts the recovered entries into healthy queues.
+    /// the queue to service (the normal guard release recounts,
+    /// republishes the hint and clears the poison bit), and reinserts
+    /// the recovered entries into healthy queues.
     ///
     /// "Still consistent" is the sequential queue's own view: a panic
     /// in the middle of `add`/`delete_min` leaves whatever state that
@@ -1776,6 +1777,28 @@ mod tests {
             assert_eq!(c.empty_confirms, 3, "{what}");
             assert_eq!(c.backoff_spins + c.backoff_yields, 0, "{what}");
         }
+    }
+
+    /// A `u64::MAX` priority is an item like any other: its queue's
+    /// hint must not read as empty, or no dequeue would choose it and
+    /// the emptiness sweep, which counts it, would never confirm.
+    #[test]
+    fn a_maximal_priority_is_dequeued() {
+        let mq: MultiQueue<u64> = MultiQueue::new(4);
+        let mut h = mq.handle(54);
+        h.insert(u64::MAX, 7);
+        let timeout = Duration::from_millis(200);
+        assert_eq!(h.try_dequeue_for(timeout), Ok(Some((u64::MAX, 7))));
+        // Beside a smaller item, in whichever order the choice serves them.
+        h.insert(5, 5);
+        h.insert(u64::MAX, 8);
+        let mut served: Vec<_> = (0..2)
+            .map(|_| h.try_dequeue_for(timeout).expect("served in time"))
+            .collect();
+        served.sort();
+        assert_eq!(served, [Some((5, 5)), Some((u64::MAX, 8))]);
+        assert_eq!(h.try_dequeue_for(timeout), Ok(None));
+        assert!(mq.is_empty());
     }
 
     /// Two producers against two consumers (handles on the structure's

@@ -328,18 +328,14 @@ mod tests {
         for _ in 0..500 {
             log.record(|stamps| {
                 mc.increment_with(&mut rng);
-                Some((CounterOp::Inc, stamps.fetch_increment(), ()))
+                Some((CounterOp::Inc, stamps.fetch_increment()))
             });
         }
         // A few relaxed reads interleaved at the end.
         for _ in 0..20 {
             log.record(|stamps| {
                 let v = mc.read_with(&mut rng);
-                Some((
-                    CounterOp::Read { returned: v },
-                    stamps.fetch_increment(),
-                    (),
-                ))
+                Some((CounterOp::Read { returned: v }, stamps.fetch_increment()))
             });
         }
         drop(log);

@@ -134,18 +134,16 @@ impl<L> ThreadLog<'_, L> {
     /// Records one operation: invoke stamp, the operation body,
     /// response stamp. The body draws its update stamp from the counter
     /// it is handed (`fetch_increment`), inside its atomic update step,
-    /// and returns the label (output baked in), that stamp and a value
-    /// for the caller.
+    /// and returns the label (output baked in) and that stamp.
     /// A body returning `None` — a dequeue that found nothing — is no
-    /// operation of the history: nothing is logged and no response
-    /// stamp is drawn.
-    pub fn record<R>(
-        &mut self,
-        op: impl FnOnce(&ExactCounter) -> Option<(L, u64, R)>,
-    ) -> Option<R> {
+    /// operation of the history: nothing is logged, no response stamp
+    /// is drawn and `record` returns `false`.
+    pub fn record(&mut self, op: impl FnOnce(&ExactCounter) -> Option<(L, u64)>) -> bool {
         let stamps = &self.recorder.stamps;
         let invoke = stamps.fetch_increment();
-        let (label, update, out) = op(stamps)?;
+        let Some((label, update)) = op(stamps) else {
+            return false;
+        };
         let response = stamps.fetch_increment();
         self.events.push(Event {
             thread: self.thread,
@@ -154,7 +152,7 @@ impl<L> ThreadLog<'_, L> {
             update,
             response,
         });
-        Some(out)
+        true
     }
 }
 
@@ -251,10 +249,7 @@ mod tests {
     fn record_produces_ordered_stamps() {
         let rec = Recorder::new();
         let mut log = rec.log(0);
-        assert_eq!(
-            log.record(|c| Some(("op", c.fetch_increment(), 7))),
-            Some(7)
-        );
+        assert!(log.record(|c| Some(("op", c.fetch_increment()))));
         drop(log);
         let h = rec.take_history();
         assert_eq!(h.len(), 1);
@@ -267,8 +262,8 @@ mod tests {
     fn an_operation_that_observed_nothing_draws_its_invoke_stamp_only() {
         let rec = Recorder::new();
         let mut log = rec.log(0);
-        assert_eq!(log.record(|_| None::<(&str, u64, ())>), None);
-        log.record(|c| Some(("next", c.fetch_increment(), ())));
+        assert!(!log.record(|_| None::<(&str, u64)>));
+        log.record(|c| Some(("next", c.fetch_increment())));
         drop(log);
         let h = rec.take_history();
         assert_eq!((h.len(), h.events[0].invoke), (1, 1));
@@ -280,7 +275,7 @@ mod tests {
         let inner = rec.clone();
         let died = std::thread::spawn(move || {
             let mut log = inner.log(0);
-            log.record(|c| Some(('b', c.fetch_increment(), ())));
+            log.record(|c| Some(('b', c.fetch_increment())));
             panic!("mid-operation");
         })
         .join();
@@ -383,9 +378,9 @@ mod tests {
     fn merge_multiple_thread_logs() {
         let rec = Recorder::new();
         let (mut l0, mut l1) = (rec.log(0), rec.log(1));
-        l0.record(|c| Some((0u8, c.fetch_increment(), ())));
-        l1.record(|c| Some((1u8, c.fetch_increment(), ())));
-        l0.record(|c| Some((2u8, c.fetch_increment(), ())));
+        l0.record(|c| Some((0u8, c.fetch_increment())));
+        l1.record(|c| Some((1u8, c.fetch_increment())));
+        l0.record(|c| Some((2u8, c.fetch_increment())));
         drop((l0, l1));
         let h = rec.take_history();
         assert_eq!(h.len(), 3);

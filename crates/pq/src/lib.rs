@@ -19,8 +19,8 @@
 //! * [`CachePadded`] — 128-byte cache-line padding for `dlz-core`'s
 //!   counters (`ExactCounter`, `MultiCounter`, `ShardedCounter`).
 //! * [`LockedPq`] — a linearizable concurrent priority queue whose lock
-//!   flag, generation and entry count are packed into a single atomic
-//!   header word (see [`locked::header`]). The header, the published
+//!   flag, poison flag and entry count are packed into a single atomic
+//!   header word. The header, the published
 //!   minimum hint and the heap's own header words share one cache line,
 //!   so readers perform the *ReadMin* step of Algorithm 2 without taking
 //!   the lock, and the lock holder's heap-header writes ride on the

@@ -5,12 +5,11 @@
 //! supporting `Add`, `DeleteMin` and `ReadMin`. [`LockedPq`] provides
 //! exactly that, engineered for the MultiQueue's contention profile:
 //!
-//! * **One packed header word.** Lock state, a generation counter and
-//!   the entry count live in a single `AtomicU64`
-//!   (see [`header`]), updated with atomic-try-update-style CAS loops.
-//!   Acquiring the lock, bumping the generation and refreshing the
-//!   count at release are single atomic operations on one cache line,
-//!   where the previous layout paid for three separate atomic words.
+//! * **One packed header word.** The lock flag, the poison flag and
+//!   the entry count live in a single `AtomicU64`. Acquiring the lock
+//!   is one CAS and releasing it, with the refreshed count, one store,
+//!   both on one cache line, where an earlier layout paid for three
+//!   separate atomic words.
 //! * **One line for the lock, the hint and the heap header.**
 //!   `LockedPq` is `repr(C, align(128))`: the header and the published
 //!   min hint sit unpadded at offset 0 and the sequential queue follows
@@ -47,7 +46,7 @@
 //! it captured. The closure runs *inside* the critical section, so a
 //! history stamp drawn in it marks the operation's linearization point
 //! in this linearizable queue, and the lock is released (hint
-//! republished, generation bumped) before `attempt` returns.
+//! republished, count stored) before `attempt` returns.
 //!
 //! `attempt` and [`salvage_into`](LockedPq::salvage_into) are the two
 //! disciplines over one acquire loop: `attempt` never touches a
@@ -73,6 +72,11 @@
 //! | dequeue that refills the buffer (1 in 4) | the same, plus four pops: root and tail lines and four sift paths (~11 levels at 2,500 entries, top ~6 lines hot): **~9–15** |
 //! | insert onto the heap | `H`, `F1` (the buffer maximum it is routed by), the array tail and a sift-up of O(1) levels: **3–4** |
 //! | insert into the buffer | `H`, `F1`/`F2`; an eviction adds the tail and a sift-up to the root: **2–3, or ~14 when it evicts** |
+//!
+//! In every row the acquired queue's header takes two writes: the
+//! acquiring CAS and the releasing store, which reads nothing first
+//! (the count it stores is the queue's, or on a panic the one the CAS
+//! saw).
 //!
 //! Each row is one line below the padded layout's, which kept the hint
 //! and header alone on `H` and put the buffer length, `Vec` header and
@@ -102,7 +106,18 @@ use crate::stats::ContentionStats;
 use crate::traits::{ConcurrentPq, SeqPriorityQueue};
 
 /// Value published in the hint word when the queue is (believed) empty.
+/// A non-empty queue never publishes it: a minimum of `u64::MAX` is
+/// published as `EMPTY_HINT - 1`, still a lower bound of the minimum.
 pub const EMPTY_HINT: u64 = u64::MAX;
+
+/// The hint `queue` publishes: its minimum priority, clamped below
+/// [`EMPTY_HINT`], or `EMPTY_HINT` when it is empty.
+#[inline]
+fn hint_of<V, Q: SeqPriorityQueue<u64, V>>(queue: &Q) -> u64 {
+    queue
+        .read_min()
+        .map_or(EMPTY_HINT, |(p, _)| (*p).min(EMPTY_HINT - 1))
+}
 
 /// How one acquisition — and, through [`LockedPq::attempt`], one whole
 /// operation — on one queue ended.
@@ -116,57 +131,42 @@ pub enum Attempt<R> {
     /// A previous critical section panicked mid-mutation, so the
     /// sequential queue behind the lock may be inconsistent: re-choose
     /// another queue. Recover with [`LockedPq::salvage_into`], which
-    /// drains whatever is still readable under a fresh generation and
-    /// clears the mark. Reported immediately, never waited on, and not
-    /// counted as contention.
+    /// drains whatever is still readable, recounts and clears the mark.
+    /// Reported immediately, never waited on, and not counted as
+    /// contention.
     Poisoned,
 }
 
 /// Bit layout of the packed per-queue header word.
 ///
 /// ```text
-/// 63       62         61........40 39...........0
-/// [locked] [poisoned] [generation] [entry count ]
+/// 63       62         61............0
+/// [locked] [poisoned] [ entry count ]
 /// ```
 ///
 /// * bit 63 — the lock flag (test-and-test-and-set via CAS);
 /// * bit 62 — the poison flag: set at release when the critical
 ///   section unwound from a panic, so the sequential queue may be
-///   inconsistent. [`pack`](header::pack) never sets it — only the panicking release
-///   path ORs it in, and every normal release clears it;
-/// * bits 40..=61 — a 22-bit generation, bumped on every unlock, so
-///   optimistic readers can detect that the queue changed between two
-///   header loads (a seqlock in miniature);
-/// * bits 0..=39 — the entry count (2^40 entries ≈ 10^12; counts
-///   saturate rather than overflow into the generation).
-pub mod header {
+///   inconsistent. [`pack`](header::pack) never sets it — only the
+///   panicking release ORs it in, and every normal release clears it;
+/// * bits 0..=61 — the entry count, saturating rather than overflowing
+///   into the flags.
+mod header {
     /// The lock flag.
     pub const LOCK_BIT: u64 = 1 << 63;
     /// The poison flag: the last critical section panicked.
     pub const POISON_BIT: u64 = 1 << 62;
-    /// First bit of the generation field.
-    pub const GEN_SHIFT: u32 = 40;
-    /// Width of the generation field.
-    pub const GEN_BITS: u32 = 22;
-    /// Mask of the generation field (in place).
-    pub const GEN_MASK: u64 = ((1 << GEN_BITS) - 1) << GEN_SHIFT;
     /// Mask of the count field.
-    pub const COUNT_MASK: u64 = (1 << GEN_SHIFT) - 1;
+    pub const COUNT_MASK: u64 = POISON_BIT - 1;
 
-    /// Packs the three fields into one word. `count` saturates at
-    /// [`COUNT_MASK`]; `generation` wraps within its field. The poison
-    /// flag is never packed — the panicking release path ORs
-    /// [`POISON_BIT`] in explicitly, so every normal release clears it.
+    /// Packs the lock flag and the count into one word. `count`
+    /// saturates at [`COUNT_MASK`]. The poison flag is never packed —
+    /// the panicking release ORs [`POISON_BIT`] in explicitly, so every
+    /// normal release clears it.
     #[inline]
-    pub const fn pack(locked: bool, generation: u64, count: u64) -> u64 {
+    pub fn pack(locked: bool, count: u64) -> u64 {
         let lock = if locked { LOCK_BIT } else { 0 };
-        let gen = (generation << GEN_SHIFT) & GEN_MASK;
-        let cnt = if count > COUNT_MASK {
-            COUNT_MASK
-        } else {
-            count
-        };
-        lock | gen | cnt
+        lock | count.min(COUNT_MASK)
     }
 
     /// `true` if the word's lock flag is set.
@@ -181,12 +181,6 @@ pub mod header {
         word & POISON_BIT != 0
     }
 
-    /// The word's generation field.
-    #[inline]
-    pub const fn generation(word: u64) -> u64 {
-        (word & GEN_MASK) >> GEN_SHIFT
-    }
-
     /// The word's entry count field.
     #[inline]
     pub const fn count(word: u64) -> u64 {
@@ -199,7 +193,7 @@ pub mod header {
 /// follows them on the same line (see the module docs).
 #[derive(Debug)]
 struct Hot {
-    /// Packed lock / generation / count (see [`header`]).
+    /// Packed lock / poison / count (see `header`).
     header: AtomicU64,
     /// Current minimum priority, or [`EMPTY_HINT`]. Updated while the
     /// lock is held, and only when the minimum changed; read without
@@ -245,12 +239,10 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
     /// Wraps a sequential queue. Any pre-existing entries are reflected
     /// in the hint and count.
     pub fn new(queue: Q) -> Self {
-        let top = queue.read_min().map(|(p, _)| *p).unwrap_or(EMPTY_HINT);
-        let count = queue.len() as u64;
         LockedPq {
             hot: Hot {
-                header: AtomicU64::new(header::pack(false, 0, count)),
-                top: AtomicU64::new(top),
+                header: AtomicU64::new(header::pack(false, queue.len() as u64)),
+                top: AtomicU64::new(hint_of(&queue)),
             },
             inner: UnsafeCell::new(queue),
             _marker: std::marker::PhantomData,
@@ -292,14 +284,20 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
             }
             // CAS only on an unlocked snapshot, and retry while the
             // word changes under us but stays unlocked (another
-            // thread's release updated count/generation).
+            // thread's release updated the count).
             match self.hot.header.compare_exchange_weak(
                 cur,
                 cur | header::LOCK_BIT,
                 Ordering::Acquire,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return Attempt::Ran(Guard { pq: self, stats }),
+                Ok(_) => {
+                    return Attempt::Ran(Guard {
+                        pq: self,
+                        stats,
+                        count: header::count(cur),
+                    })
+                }
                 Err(now) => {
                     stats.cas_retries += 1;
                     cur = now;
@@ -334,11 +332,11 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
     /// queue still serves into `out`. The poison flag stays set while
     /// it drains, so concurrent [`attempt`](Self::attempt)s keep seeing
     /// [`Attempt::Poisoned`] rather than blocking on the salvage; the
-    /// release then recounts, republishes the real min hint, bumps the
-    /// generation and clears the poison, returning the queue to
-    /// service. Draining by `delete_min` is all it asks of a queue a
-    /// panicked mutation may have left inconsistent. Also usable on a
-    /// healthy queue as a blocking drain.
+    /// release then recounts, republishes the real min hint and clears
+    /// the poison, returning the queue to service. Draining by
+    /// `delete_min` is all it asks of a queue a panicked mutation may
+    /// have left inconsistent. Also usable on a healthy queue as a
+    /// blocking drain.
     pub fn salvage_into(&self, out: &mut Vec<(u64, V)>) {
         let mut stats = ContentionStats::new();
         let Attempt::Ran(mut guard) = self.acquire(true, true, &mut stats) else {
@@ -370,23 +368,6 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
         header::is_poisoned(self.hot.header.load(Ordering::Relaxed))
     }
 
-    /// The header's generation, or `None` while the lock is held.
-    ///
-    /// The generation bumps on every unlock, so two equal `Some` reads
-    /// bracket a window in which the queue did not change. The `None`
-    /// case is what makes that sound: while the lock bit is set the
-    /// owner may be mutating the queue without having bumped the
-    /// generation yet, so optimistic readers must treat it as "retry"
-    /// (standard seqlock discipline).
-    pub fn generation(&self) -> Option<u64> {
-        let word = self.hot.header.load(Ordering::Acquire);
-        if header::is_locked(word) {
-            None
-        } else {
-            Some(header::generation(word))
-        }
-    }
-
     /// Lock-free read of the published minimum hint (Algorithm 2's
     /// `ReadMin`); [`EMPTY_HINT`] when the queue is believed empty.
     #[inline]
@@ -407,7 +388,7 @@ impl<V, Q: SeqPriorityQueue<u64, V>> std::fmt::Debug for LockedPq<V, Q> {
         let word = self.hot.header.load(Ordering::Relaxed);
         f.debug_struct("LockedPq")
             .field("locked", &header::is_locked(word))
-            .field("generation", &header::generation(word))
+            .field("poisoned", &header::is_poisoned(word))
             .field("count", &header::count(word))
             .field("top", &self.hot.top.load(Ordering::Relaxed))
             .finish_non_exhaustive()
@@ -449,14 +430,17 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> ConcurrentPq<V> for LockedPq<V
 ///
 /// Dropping the guard performs the whole release protocol: refresh the
 /// published hint if (and only if) the minimum changed, then store the
-/// unlocked header with the new count and a bumped generation (or, when
-/// unwinding from a panic, the poisoned one). While the lock bit is set
-/// every competing CAS fails without writing, so the release is a plain
-/// `Release` store — one atomic op, not three.
+/// unlocked header with the new count (or, when unwinding from a panic,
+/// the poisoned pre-lock count). While the lock bit is set every
+/// competing CAS fails without writing, so the release is a plain
+/// `Release` store that never reads the header first.
 struct Guard<'a, V, Q: SeqPriorityQueue<u64, V>> {
     pq: &'a LockedPq<V, Q>,
     /// Counter sink for the release protocol (hint republishes).
     stats: &'a mut ContentionStats,
+    /// The entry count the acquiring CAS saw: what a poisoned release
+    /// stores, since it must not read the queue.
+    count: u64,
 }
 
 impl<V, Q: SeqPriorityQueue<u64, V>> Guard<'_, V, Q> {
@@ -480,10 +464,8 @@ impl<V, Q: SeqPriorityQueue<u64, V>> Drop for Guard<'_, V, Q> {
             // lock poisoned with the stale pre-lock count preserved as
             // the best estimate of what is stranded.
             hot.top.store(EMPTY_HINT, Ordering::Release);
-            let word = hot.header.load(Ordering::Relaxed);
-            let gen = header::generation(word).wrapping_add(1);
             hot.header.store(
-                header::pack(false, gen, header::count(word)) | header::POISON_BIT,
+                header::pack(false, self.count) | header::POISON_BIT,
                 Ordering::Release,
             );
             return;
@@ -492,7 +474,7 @@ impl<V, Q: SeqPriorityQueue<u64, V>> Drop for Guard<'_, V, Q> {
         // Read through the `pq` reference (not `self.queue()`) so the
         // borrow does not conflict with bumping `self.stats` below.
         let queue: &Q = unsafe { &*self.pq.inner.get() };
-        let top = queue.read_min().map(|(p, _)| *p).unwrap_or(EMPTY_HINT);
+        let top = hint_of(queue);
         // Publish only when the minimum moved: the common case (insert
         // of a non-minimal element, or a delete behind the front) costs
         // hint readers nothing.
@@ -503,12 +485,8 @@ impl<V, Q: SeqPriorityQueue<u64, V>> Drop for Guard<'_, V, Q> {
             hot.top.store(top, Ordering::Release);
             self.stats.hint_republishes += 1;
         }
-        let word = hot.header.load(Ordering::Relaxed);
-        let gen = header::generation(word).wrapping_add(1);
-        hot.header.store(
-            header::pack(false, gen, queue.len() as u64),
-            Ordering::Release,
-        );
+        hot.header
+            .store(header::pack(false, queue.len() as u64), Ordering::Release);
     }
 }
 
@@ -592,7 +570,6 @@ mod tests {
     fn a_batch_body_amortizes_one_acquisition_and_one_hint_publish() {
         let q: LockedPq<u64> = LockedPq::default();
         let mut stats = ContentionStats::new();
-        let g0 = q.generation().unwrap();
         let pushed = q.attempt(true, &mut stats, |q| {
             [(4, 40u64), (1, 10), (9, 90)]
                 .into_iter()
@@ -602,7 +579,7 @@ mod tests {
         assert_eq!(pushed, Attempt::Ran(3));
         // Published at release, not per add: the lock is free again and
         // the hint and count show the whole batch.
-        assert_eq!(q.generation().unwrap(), g0 + 1);
+        assert!(!q.is_locked());
         assert_eq!(stats.hint_republishes, 1, "4, then 1, published once as 1");
         assert_eq!(q.min_hint(), 1);
         assert_eq!(q.approx_len(), 3);
@@ -612,8 +589,8 @@ mod tests {
         });
         assert_eq!(popped, Attempt::Ran(()));
         assert_eq!(got, vec![(1, 10), (4, 40)]);
-        assert_eq!(q.generation().unwrap(), g0 + 2);
         assert_eq!(stats.hint_republishes, 2);
+        assert_eq!(q.approx_len(), 1);
     }
 
     #[test]
@@ -722,25 +699,18 @@ mod tests {
 
     #[test]
     fn header_pack_unpack_roundtrip() {
-        for (locked, gen, count) in [
-            (false, 0u64, 0u64),
-            (true, 1, 1),
-            (false, (1 << header::GEN_BITS) - 1, header::COUNT_MASK),
-            (true, 12345, 678910),
-        ] {
-            let w = header::pack(locked, gen, count);
-            assert_eq!(header::is_locked(w), locked);
-            assert_eq!(header::generation(w), gen & ((1 << header::GEN_BITS) - 1));
-            assert_eq!(header::count(w), count.min(header::COUNT_MASK));
+        use header::{count, is_locked, is_poisoned, pack, COUNT_MASK, POISON_BIT};
+        for locked in [false, true] {
+            for poisoned in [false, true] {
+                for n in [0u64, 1, 678_910, COUNT_MASK, COUNT_MASK + 1, u64::MAX] {
+                    let w = pack(locked, n) | if poisoned { POISON_BIT } else { 0 };
+                    assert_eq!(is_locked(w), locked);
+                    assert_eq!(is_poisoned(w), poisoned);
+                    // The count saturates rather than spill into a flag.
+                    assert_eq!(count(w), n.min(COUNT_MASK));
+                }
+            }
         }
-    }
-
-    #[test]
-    fn header_count_saturates_without_clobbering_generation() {
-        let w = header::pack(true, 7, u64::MAX);
-        assert_eq!(header::count(w), header::COUNT_MASK);
-        assert_eq!(header::generation(w), 7);
-        assert!(header::is_locked(w));
     }
 
     #[test]
@@ -765,23 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_bumps_on_every_unlock_and_hides_while_locked() {
-        let q: LockedPq<u32> = LockedPq::default();
-        let g0 = q.generation().expect("unlocked");
-        q.insert(5, 50);
-        let g1 = q.generation().expect("unlocked");
-        assert!(g1 > g0);
-        q.remove_min();
-        assert!(q.generation().expect("unlocked") > g1);
-        // Seqlock discipline: no generation is observable mid-critical-
-        // section, so optimistic readers cannot miss in-flight writes.
-        q.attempt(true, &mut ContentionStats::new(), |_| {
-            assert_eq!(q.generation(), None);
-        });
-        assert!(q.generation().is_some());
-    }
-
-    #[test]
     fn hint_tracks_min() {
         let q: LockedPq<u32> = LockedPq::default();
         assert_eq!(q.min_hint(), EMPTY_HINT);
@@ -798,6 +751,24 @@ mod tests {
         assert_eq!(q.min_hint(), 10);
         q.remove_min();
         assert_eq!(q.min_hint(), EMPTY_HINT);
+    }
+
+    /// A minimum of `u64::MAX` must not read as empty, or no hint
+    /// sampler would ever choose the queue that holds it.
+    #[test]
+    fn a_maximal_priority_publishes_a_hint_below_empty() {
+        let q: LockedPq<u32> = LockedPq::default();
+        q.insert(u64::MAX, 1);
+        assert_eq!(q.min_hint(), EMPTY_HINT - 1);
+        q.insert(4, 2);
+        assert_eq!(q.min_hint(), 4);
+        q.remove_min();
+        assert_eq!(q.min_hint(), EMPTY_HINT - 1);
+        assert_eq!(q.remove_min(), Some((u64::MAX, 1)));
+        assert_eq!(q.min_hint(), EMPTY_HINT);
+        let mut h = BinaryHeap::new();
+        h.add(u64::MAX, 'a');
+        assert_eq!(LockedPq::new(h).min_hint(), EMPTY_HINT - 1);
     }
 
     #[test]
@@ -888,12 +859,11 @@ mod tests {
 
     #[test]
     fn header_pack_never_sets_poison_and_poison_preserves_fields() {
-        let w = header::pack(true, 5, 9);
+        let w = header::pack(true, 9);
         assert!(!header::is_poisoned(w));
         let p = w | header::POISON_BIT;
         assert!(header::is_poisoned(p));
         assert!(header::is_locked(p));
-        assert_eq!(header::generation(p), 5);
         assert_eq!(header::count(p), 9);
     }
 
@@ -902,7 +872,17 @@ mod tests {
         let q: LockedPq<u32> = LockedPq::default();
         q.insert(3, 30);
         q.insert(1, 10);
-        poison(&q);
+        // Panic after a mutation: the queue holds three entries, but a
+        // poisoned release must not read it, so the header keeps the
+        // pre-lock count the acquiring CAS saw.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            q.attempt(true, &mut ContentionStats::new(), |q| -> () {
+                q.add(5, 50);
+                panic!("injected fault")
+            })
+        }));
+        assert!(unwound.is_err());
+        assert!(q.is_poisoned());
         assert!(!q.is_locked());
         // Poisoned queues advertise empty, so hint samplers skip them,
         // and the stale pre-panic count survives as the estimate of
@@ -930,7 +910,7 @@ mod tests {
                 salvaged.push(item);
             }
         }
-        assert_eq!(salvaged, vec![(1, 10), (3, 30)]);
+        assert_eq!(salvaged, vec![(1, 10), (3, 30), (5, 50)]);
         assert!(!q.is_poisoned());
         assert_eq!(q.approx_len(), 0);
         assert_eq!(q.min_hint(), EMPTY_HINT);

@@ -310,7 +310,7 @@ impl Worker for CounterWorker<'_> {
                     for _ in 0..op.weight {
                         log.record(|stamps| {
                             inner.increment_unit(rng, stripe);
-                            Some((CounterOp::Inc, stamps.fetch_increment(), ()))
+                            Some((CounterOp::Inc, stamps.fetch_increment()))
                         });
                     }
                 } else {
@@ -337,7 +337,7 @@ impl Worker for CounterWorker<'_> {
                 if let Some(log) = &mut self.log {
                     log.record(|stamps| {
                         let returned = inner.sampled_read(rng);
-                        Some((CounterOp::Read { returned }, stamps.fetch_increment(), ()))
+                        Some((CounterOp::Read { returned }, stamps.fetch_increment()))
                     });
                 } else if self.deviations.due() {
                     // Bracket the relaxed read between two exact sums:

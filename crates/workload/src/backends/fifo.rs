@@ -123,7 +123,7 @@ impl Worker for RelaxedFifoWorker<'_> {
                     Some(log) => {
                         log.record(|stamps| {
                             let update = handle.stamped(stamps).insert(ts, id);
-                            Some((FifoOp::Enqueue { id }, update, ()))
+                            Some((FifoOp::Enqueue { id }, update))
                         });
                     }
                     None => handle.insert(ts, id),
@@ -131,12 +131,10 @@ impl Worker for RelaxedFifoWorker<'_> {
                 true
             }
             OpKind::Remove => match log {
-                Some(log) => log
-                    .record(|stamps| {
-                        let (_, id, update) = handle.stamped(stamps).dequeue()?;
-                        Some((FifoOp::Dequeue { id }, update, ()))
-                    })
-                    .is_some(),
+                Some(log) => log.record(|stamps| {
+                    let (_, id, update) = handle.stamped(stamps).dequeue()?;
+                    Some((FifoOp::Dequeue { id }, update))
+                }),
                 None => handle.dequeue().is_some(),
             },
             OpKind::Read => {
@@ -230,7 +228,7 @@ impl Worker for LockedFifoWorker<'_> {
                             let mut q = queue.lock().expect("queue");
                             let update = stamps.fetch_increment();
                             q.push_back(id);
-                            Some((FifoOp::Enqueue { id }, update, ()))
+                            Some((FifoOp::Enqueue { id }, update))
                         });
                     }
                     None => queue.lock().expect("queue").push_back(id),
@@ -238,14 +236,12 @@ impl Worker for LockedFifoWorker<'_> {
                 true
             }
             OpKind::Remove => match &mut self.log {
-                Some(log) => log
-                    .record(|stamps| {
-                        let mut q = queue.lock().expect("queue");
-                        let update = stamps.fetch_increment();
-                        let id = q.pop_front()?;
-                        Some((FifoOp::Dequeue { id }, update, ()))
-                    })
-                    .is_some(),
+                Some(log) => log.record(|stamps| {
+                    let mut q = queue.lock().expect("queue");
+                    let update = stamps.fetch_increment();
+                    let id = q.pop_front()?;
+                    Some((FifoOp::Dequeue { id }, update))
+                }),
                 None => queue.lock().expect("queue").pop_front().is_some(),
             },
             OpKind::Read => {

@@ -199,7 +199,7 @@ impl Worker for MultiQueueWorker<'_> {
                         let label = PqOp::Insert {
                             priority: op.priority,
                         };
-                        Some((label, update, ()))
+                        Some((label, update))
                     });
                 } else if self.batch > 1 {
                     self.pending_inserts.push((op.priority, op.priority));
@@ -216,9 +216,8 @@ impl Worker for MultiQueueWorker<'_> {
                 if let Some(log) = &mut self.log {
                     log.record(|stamps| {
                         let (p, _, update) = handle.stamped(stamps).dequeue()?;
-                        Some((PqOp::DeleteMin { removed: p }, update, ()))
+                        Some((PqOp::DeleteMin { removed: p }, update))
                     })
-                    .is_some()
                 } else if self.batch > 1 {
                     if self.prefetched.is_empty() {
                         self.refill();

@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use distlin::core::rng::with_thread_rng;
 use distlin::core::{ExactCounter, RelaxedFifo};
-use distlin::pq::{BinaryHeap, ConcurrentPq, LockedPq};
+use distlin::pq::{Attempt, BinaryHeap, ConcurrentPq, ContentionStats, LockedPq, SeqPriorityQueue};
 
 const PRODUCERS: usize = 2;
 const CONSUMERS: usize = 2;
@@ -104,11 +104,17 @@ fn main() {
         "Task pipeline: {PRODUCERS} producers x {TASKS_PER_PRODUCER} tasks, {CONSUMERS} consumers\n"
     );
 
-    // Exact scheduler: one big lock; timestamps from a shared FAA clock.
+    // Exact scheduler: one big lock; timestamps from a shared FAA clock,
+    // drawn inside the critical section, so stamp order is queue order.
     let submit_clock = ExactCounter::new();
     let exact: LockedPq<u64> = LockedPq::new(BinaryHeap::with_capacity(total as usize));
     let (secs, executed, inv) = run_pipeline(
-        |id| exact.insert(submit_clock.fetch_increment(), id),
+        |id| {
+            let submitted = exact.attempt(true, &mut ContentionStats::new(), |q| {
+                q.add(submit_clock.fetch_increment(), id)
+            });
+            assert_eq!(submitted, Attempt::Ran(()));
+        },
         || exact.remove_min(),
     );
     assert_eq!(executed, total);
@@ -131,7 +137,8 @@ fn main() {
     );
 
     println!("\nEvery task ran exactly once in both schedulers. The exact queue's");
-    println!("inversion is 0 by construction; the MultiQueue overtakes by a bounded");
+    println!("inversion is 0 by construction (each timestamp is drawn under the lock");
+    println!("that inserts it); the MultiQueue overtakes by a bounded");
     println!("amount (the O(m log m) rank relaxation of Theorem 7.1) in exchange for");
     println!("spreading the scheduler hotspot over m internal queues.");
 }

@@ -30,16 +30,12 @@ fn record_workload<C: RelaxedCounter>(
                             // Update point of a read: the atomic load
                             // itself. Stamping right after it keeps the
                             // stamp inside the operation interval.
-                            Some((
-                                CounterOp::Read { returned: v },
-                                stamps.fetch_increment(),
-                                (),
-                            ))
+                            Some((CounterOp::Read { returned: v }, stamps.fetch_increment()))
                         });
                     } else {
                         log.record(|stamps| {
                             counter.increment();
-                            Some((CounterOp::Inc, stamps.fetch_increment(), ()))
+                            Some((CounterOp::Inc, stamps.fetch_increment()))
                         });
                     }
                 }

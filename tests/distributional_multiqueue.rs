@@ -29,12 +29,12 @@ fn stamped_workload(
                         k += 1;
                         log.record(|stamps| {
                             let update = h.stamped(stamps).insert(p, p);
-                            Some((PqOp::Insert { priority: p }, update, ()))
+                            Some((PqOp::Insert { priority: p }, update))
                         });
                     } else {
                         log.record(|stamps| {
                             let (p, _, update) = h.stamped(stamps).dequeue()?;
-                            Some((PqOp::DeleteMin { removed: p }, update, ()))
+                            Some((PqOp::DeleteMin { removed: p }, update))
                         });
                     }
                 }

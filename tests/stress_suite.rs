@@ -213,12 +213,12 @@ fn relaxed_fifo_history_maps_onto_fifo_spec() {
                         let id = ts.fetch_increment(); // unique FIFO identity = timestamp
                         log.record(|stamps| {
                             let update = h.stamped(stamps).insert(id, id);
-                            Some((FifoOp::Enqueue { id }, update, ()))
+                            Some((FifoOp::Enqueue { id }, update))
                         });
                     } else {
                         log.record(|stamps| {
                             let (id, _, update) = h.stamped(stamps).dequeue()?;
-                            Some((FifoOp::Dequeue { id }, update, ()))
+                            Some((FifoOp::Dequeue { id }, update))
                         });
                     }
                 }
