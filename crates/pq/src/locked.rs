@@ -702,12 +702,29 @@ mod tests {
         use header::{count, is_locked, is_poisoned, pack, COUNT_MASK, POISON_BIT};
         for locked in [false, true] {
             for poisoned in [false, true] {
-                for n in [0u64, 1, 678_910, COUNT_MASK, COUNT_MASK + 1, u64::MAX] {
+                for n in [0u64, 1, 678_910, COUNT_MASK] {
                     let w = pack(locked, n) | if poisoned { POISON_BIT } else { 0 };
                     assert_eq!(is_locked(w), locked);
                     assert_eq!(is_poisoned(w), poisoned);
-                    // The count saturates rather than spill into a flag.
-                    assert_eq!(count(w), n.min(COUNT_MASK));
+                    assert_eq!(count(w), n);
+                }
+            }
+        }
+    }
+
+    /// A count too wide for its field saturates at `COUNT_MASK` rather
+    /// than spill into the bits above it. Those were once a generation
+    /// field; now they are the lock and poison flags.
+    #[test]
+    fn header_count_saturates_without_clobbering_generation() {
+        use header::{count, is_locked, is_poisoned, pack, COUNT_MASK, POISON_BIT};
+        for locked in [false, true] {
+            for poisoned in [false, true] {
+                for n in [COUNT_MASK + 1, u64::MAX] {
+                    let w = pack(locked, n) | if poisoned { POISON_BIT } else { 0 };
+                    assert_eq!(count(w), COUNT_MASK);
+                    assert_eq!(is_locked(w), locked);
+                    assert_eq!(is_poisoned(w), poisoned);
                 }
             }
         }
