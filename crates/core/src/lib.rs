@@ -10,7 +10,7 @@
 //! |---|---|
 //! | System model's fetch-and-increment: Section 5's stamps, Algorithm 2's `Clock.Read()`, TL2's exact clock (GV1) | [`ExactCounter`], the one fetch-and-add word |
 //! | Algorithm 1 (MultiCounter) | [`MultiCounter`] |
-//! | Algorithm 2 (MultiQueue) | [`MultiQueue`], [`RelaxedFifo`] |
+//! | Algorithm 2 (MultiQueue), Section 7.1's relaxed FIFO | [`MultiQueue`], operated through an [`MqHandle`]; the FIFO's priorities are [`ExactCounter`] ticks |
 //! | Section 5 (distributional linearizability) | [`spec`] |
 //! | Section 8 (relaxed timestamps) | `dlz_stm::RelaxedClock`, over [`MultiCounter::increment_sampled`] |
 //!
@@ -70,5 +70,5 @@ pub use counter::{ExactCounter, MultiCounter, RelaxedCounter, ShardedCounter};
 pub use dlz_pq::ContentionStats;
 pub use queue::{
     ChoiceOp, DeleteMode, MqHandle, MqOpTimeout, MultiQueue, MultiQueueBuilder, Policy, PolicyCfg,
-    RelaxedFifo, SalvageOutcome, Stamped,
+    SalvageOutcome, Stamped,
 };

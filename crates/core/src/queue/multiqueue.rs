@@ -12,8 +12,9 @@
 //! ```
 //!
 //! This module implements the priority-queue core (explicit `u64`
-//! priorities); [`RelaxedFifo`](crate::queue::RelaxedFifo) adds the
-//! timestamping of the paper's queue semantics on top.
+//! priorities). Section 7.1's relaxed FIFO is the same structure with
+//! clock-tick priorities: its caller draws each from an
+//! [`ExactCounter`] and inserts it as the priority.
 //!
 //! # Architecture: structure × choice policy × handle, one loop
 //!
@@ -40,12 +41,15 @@
 //! Best-of-`d` dequeues are a policy like any other:
 //! `MqHandle::with_policy(&mq, seed, PolicyCfg::DChoice { d }.build())`.
 //!
-//! Every handle operation is the same three steps — choose a queue, run the
+//! Every operation is the same three steps — choose a queue, run the
 //! operation on it under its lock, react to how that ended —
-//! so there is **one operation loop**, private to [`MultiQueue`]. It
-//! takes the operation kind, the caller's per-thread context, an
-//! optional deadline and the operation itself as a closure over the
-//! chosen sequential queue; choosing, the poisoned-queue fallback,
+//! so there is **one operation loop**, private to [`MqHandle`]. It
+//! runs on the handle's own policy, generator and contention counters
+//! and takes the operation kind, an optional deadline and the
+//! operation itself as a closure over the chosen sequential queue.
+//! There is no other way in: every operation, including
+//! [`MultiQueue::salvage`]'s re-homing and the [`ConcurrentPq`] impl,
+//! runs on a handle. Choosing, the poisoned-queue fallback,
 //! backoff, the policy callbacks, the emptiness proof and the deadline
 //! check exist there and nowhere else. Insert, dequeue and their batch
 //! forms are short closures over it. There is one acquisition rule: an
@@ -203,15 +207,6 @@ type Deadline<E> = Option<(Instant, E)>;
 /// that pass this have none to handle.
 const NO_DEADLINE: Deadline<Infallible> = None;
 
-/// The per-thread state one operation runs with. An [`MqHandle`] lends
-/// its own; callers without a handle assemble a throwaway (see
-/// [`MultiQueue::insert_two_choice`]).
-struct OpCtx<'c, G> {
-    policy: &'c mut Policy,
-    rng: &'c mut G,
-    stats: &'c mut ContentionStats,
-}
-
 /// How an operation marks its linearization point. The mark is drawn
 /// inside the chosen queue's critical section, right after the
 /// mutation it belongs to — the operation's linearization point in the
@@ -299,10 +294,11 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         self.policy
     }
 
-    /// A deterministic operating handle using the structure's default
-    /// policy. Equivalent to [`MqHandle::new`].
+    /// A deterministic operating handle: its own generator seeded with
+    /// `seed` and an instance of the structure's default policy
+    /// ([`MqHandle::with_policy`] takes an explicit one).
     pub fn handle(&self, seed: u64) -> MqHandle<'_, V, Q> {
-        MqHandle::new(self, seed)
+        MqHandle::with_policy(self, seed, self.policy.build())
     }
 
     /// Total entries across queues, via an O(m) sweep of the per-queue
@@ -348,215 +344,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         empty
     }
 
-    /// The operation loop — the only one. Chooses a queue for `op`
-    /// through the context's policy, runs `body` on it under its lock
-    /// (waiting for the lock unless there is a deadline), and reacts to
-    /// how that ended until the operation lands, the structure is
-    /// confirmed empty (`Ok(None)`, dequeues only) or the deadline
-    /// passes (`Err` of the error the deadline carries).
-    ///
-    /// `body` runs inside the chosen queue's critical section, at most
-    /// once per acquisition and never after it returned `Some`: an
-    /// insert body moves its entries in and always returns `Some`; a
-    /// dequeue body returns `None` when the queue it was given turned
-    /// out empty. The lock is released before any policy callback runs.
-    #[inline]
-    fn run<R, E: Copy>(
-        &self,
-        op: ChoiceOp,
-        ctx: OpCtx<'_, impl Rng64>,
-        deadline: Deadline<E>,
-        mut body: impl FnMut(&mut Q) -> Option<R>,
-    ) -> Result<Option<R>, E> {
-        let OpCtx { policy, rng, stats } = ctx;
-        // An operation waits for the lock of the queue it chose, as
-        // Algorithm 2 does; only one with a deadline redraws instead —
-        // the point of one is to never wait on an acquisition a stalled
-        // thread may hold.
-        let block = deadline.is_none();
-        let mut backoff = Backoff::new();
-        let mut poisoned_hits = 0u32;
-        loop {
-            if let Some((_, passed)) = deadline.filter(|(at, _)| Instant::now() >= *at) {
-                return Err(passed);
-            }
-            let chosen = match op {
-                // After enough consecutive poisoned choices, stop
-                // trusting the policy's draw and take any healthy queue
-                // directly — inserts must land somewhere, and a small-m
-                // structure with most queues poisoned could otherwise
-                // redraw for a long time.
-                ChoiceOp::Insert if poisoned_hits >= POISON_RECHOOSE_LIMIT => {
-                    self.any_healthy_queue()
-                }
-                ChoiceOp::Insert => Some(policy.choose_insert(rng, self.queues.len())),
-                ChoiceOp::Dequeue => {
-                    policy.choose_dequeue(rng, self.queues.len(), |q| self.queues[q].min_hint())
-                }
-            };
-            let Some(i) = chosen else {
-                match op {
-                    // Nowhere to land. Without a deadline that is fatal
-                    // (nothing here can un-poison a queue); with one,
-                    // wait it out in case a salvager gets there first.
-                    ChoiceOp::Insert => assert!(
-                        deadline.is_some(),
-                        "every queue is poisoned; salvage() before inserting"
-                    ),
-                    // Only *evidence* of emptiness — no candidate here,
-                    // or an acquired queue that was empty below — pays
-                    // for the sweep.
-                    ChoiceOp::Dequeue => {
-                        if self.confirmed_empty(stats) {
-                            return Ok(None);
-                        }
-                    }
-                }
-                snooze(&mut backoff, stats);
-                continue;
-            };
-            match self.queues[i].attempt(block, stats, &mut body) {
-                Attempt::Ran(Some(done)) => {
-                    policy.on_success(op, i);
-                    return Ok(Some(done));
-                }
-                // Poison is not contention: evict any camp on the dead
-                // queue and re-choose immediately (the poisoned queue
-                // publishes the empty hint, so fresh samples steer
-                // clear — no snooze needed and none recorded).
-                Attempt::Poisoned => {
-                    policy.on_poisoned(i);
-                    poisoned_hits += 1;
-                    continue;
-                }
-                // A stale hint or drained camp (ran, found nothing) or
-                // a contended acquisition: void any camp — the next
-                // choice draws elsewhere — and back off below rather
-                // than hammering the hint lines. Only the former says
-                // anything about emptiness; a held lock does not.
-                Attempt::Ran(None) => {
-                    policy.on_contention(op);
-                    if self.confirmed_empty(stats) {
-                        return Ok(None);
-                    }
-                }
-                Attempt::Contended => policy.on_contention(op),
-            }
-            // Near-free at first, escalating to yielding under
-            // sustained contention so lock holders get CPU (vital when
-            // oversubscribed).
-            snooze(&mut backoff, stats);
-        }
-    }
-
-    /// Enqueue (Algorithm 2's Enqueue under [`PolicyCfg::TwoChoice`]);
-    /// returns the insert's mark.
-    #[inline]
-    fn insert_op<S: Stamp, E: Copy>(
-        &self,
-        ctx: OpCtx<'_, impl Rng64>,
-        deadline: Deadline<E>,
-        stamp: S,
-        priority: u64,
-        value: V,
-    ) -> Result<S::Mark, E> {
-        let mut entry = Some((priority, value));
-        self.run(ChoiceOp::Insert, ctx, deadline, |q| {
-            let (p, v) = entry.take()?;
-            q.add(p, v);
-            Some(stamp.draw())
-        })
-        .map(|mark| mark.expect("an insert lands on the first queue it acquires"))
-    }
-
-    /// Dequeue (Algorithm 2's Dequeue under [`PolicyCfg::TwoChoice`]).
-    /// `Ok(None)` is the confirmed-empty observation documented on
-    /// [`MqHandle::dequeue`].
-    #[inline]
-    fn dequeue_op<S: Stamp, E: Copy>(
-        &self,
-        ctx: OpCtx<'_, impl Rng64>,
-        deadline: Deadline<E>,
-        stamp: S,
-    ) -> Result<Option<(u64, V, S::Mark)>, E> {
-        self.run(ChoiceOp::Dequeue, ctx, deadline, |q| {
-            q.delete_min().map(|(p, v)| (p, v, stamp.draw()))
-        })
-    }
-
-    /// Batch enqueue into one chosen queue: one lock acquisition, one
-    /// hint publish. An empty batch chooses and locks nothing.
-    fn insert_batch_op(
-        &self,
-        ctx: OpCtx<'_, impl Rng64>,
-        items: impl IntoIterator<Item = (u64, V)>,
-    ) -> usize {
-        let mut items = items.into_iter().peekable();
-        if items.peek().is_none() {
-            return 0;
-        }
-        let Ok(n) = self.run(ChoiceOp::Insert, ctx, NO_DEADLINE, |q| {
-            let mut n = 0usize;
-            for (p, v) in items.by_ref() {
-                q.add(p, v);
-                n += 1;
-            }
-            Some(n)
-        });
-        n.expect("a batch lands on the first queue it acquires")
-    }
-
-    /// Batch dequeue of up to `max` entries from one chosen queue under
-    /// one lock acquisition, appended to `out`. `0` is the
-    /// confirmed-empty observation.
-    fn dequeue_batch_op(
-        &self,
-        ctx: OpCtx<'_, impl Rng64>,
-        max: usize,
-        out: &mut Vec<(u64, V)>,
-    ) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let Ok(n) = self.run(ChoiceOp::Dequeue, ctx, NO_DEADLINE, |q| {
-            let mut n = 0usize;
-            while n < max {
-                let Some(entry) = q.delete_min() else { break };
-                out.push(entry);
-                n += 1;
-            }
-            (n > 0).then_some(n)
-        });
-        n.unwrap_or(0)
-    }
-
-    /// Insert for callers without a handle ([`RelaxedFifo`], the
-    /// [`ConcurrentPq`] impl, [`salvage`](Self::salvage)): fresh
-    /// two-choice sampling from the caller's generator, contention
-    /// counters discarded.
-    ///
-    /// [`RelaxedFifo`]: crate::queue::RelaxedFifo
-    pub(crate) fn insert_two_choice(&self, rng: &mut impl Rng64, priority: u64, value: V) {
-        let ctx = OpCtx {
-            policy: &mut PolicyCfg::TwoChoice.build(),
-            rng,
-            stats: &mut ContentionStats::new(),
-        };
-        let Ok(()) = self.insert_op(ctx, NO_DEADLINE, NoStamp, priority, value);
-    }
-
-    /// Dequeue for callers without a handle; see
-    /// [`insert_two_choice`](Self::insert_two_choice).
-    pub(crate) fn dequeue_two_choice(&self, rng: &mut impl Rng64) -> Option<(u64, V)> {
-        let ctx = OpCtx {
-            policy: &mut PolicyCfg::TwoChoice.build(),
-            rng,
-            stats: &mut ContentionStats::new(),
-        };
-        let Ok(served) = self.dequeue_op(ctx, NO_DEADLINE, NoStamp);
-        served.map(unstamped)
-    }
-
     /// Best-effort recovery of poisoned queues: for every poisoned
     /// queue, acquires it past the poison, drains whatever entries the
     /// underlying sequential queue still serves consistently, returns
@@ -583,14 +370,21 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             out.queues_salvaged += 1;
         }
         out.items_recovered = recovered.len();
-        // Re-home the survivors through the normal insert path (which
-        // skips any queue poisoned since), under a fixed seed: salvage
-        // is a recovery sweep, deterministic given the drained set.
-        let mut rng = Xoshiro256::new(0x5a17a9e);
+        // Re-home the survivors through a handle's insert (which skips
+        // any queue poisoned since), under a fixed seed: salvage is a
+        // recovery sweep, deterministic given the drained set.
+        let mut rehome = MqHandle::with_policy(self, 0x5a17a9e, PolicyCfg::TwoChoice.build());
         for (p, v) in recovered {
-            self.insert_two_choice(&mut rng, p, v);
+            rehome.insert(p, v);
         }
         out
+    }
+
+    /// The [`ConcurrentPq`] impl's per-call handle: two-choice, seeded
+    /// from the thread-local generator.
+    fn throwaway_handle(&self) -> MqHandle<'_, V, Q> {
+        let seed = with_thread_rng(|rng| rng.next_u64());
+        MqHandle::with_policy(self, seed, PolicyCfg::TwoChoice.build())
     }
 
     /// Drains everything into a sorted vector (sequential; for tests).
@@ -607,15 +401,15 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
 /// MultiQueues are themselves concurrent priority queues, so they slot
 /// into any code written against [`ConcurrentPq`] (e.g. the SSSP
 /// example uses one exact [`LockedPq`](dlz_pq::LockedPq) and the
-/// MultiQueue interchangeably). Randomness comes from the thread-local
-/// generator; the choice process is fresh two-choice sampling.
+/// MultiQueue interchangeably). Each call runs on a throwaway handle:
+/// fresh two-choice sampling, seeded from the thread-local generator.
 impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> ConcurrentPq<V> for MultiQueue<V, Q> {
     fn insert(&self, priority: u64, value: V) {
-        with_thread_rng(|rng| self.insert_two_choice(rng, priority, value));
+        self.throwaway_handle().insert(priority, value);
     }
 
     fn remove_min(&self) -> Option<(u64, V)> {
-        with_thread_rng(|rng| self.dequeue_two_choice(rng))
+        self.throwaway_handle().dequeue()
     }
 
     fn min_hint(&self) -> u64 {
@@ -677,7 +471,7 @@ impl MultiQueueBuilder {
 /// per-thread state the choice process needs — a private seeded RNG and
 /// a [`Policy`] instance.
 ///
-/// [`MqHandle::new`] builds the structure's default policy;
+/// [`MultiQueue::handle`] builds the structure's default policy;
 /// [`MqHandle::with_policy`] overrides it with any built [`PolicyCfg`] —
 /// per-handle policies by construction, no thread-local machinery.
 ///
@@ -708,12 +502,6 @@ where
 }
 
 impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
-    /// Creates a handle with its own seeded generator and an instance
-    /// of the structure's default policy.
-    pub fn new(mq: &'a MultiQueue<V, Q>, seed: u64) -> Self {
-        MqHandle::with_policy(mq, seed, mq.policy().build())
-    }
-
     /// Creates a handle with its own seeded generator and an explicit
     /// per-handle policy (overriding the structure's default).
     pub fn with_policy(mq: &'a MultiQueue<V, Q>, seed: u64, policy: Policy) -> Self {
@@ -743,21 +531,143 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
         self.stats.take()
     }
 
-    /// Lends the handle's per-thread state to one operation.
+    /// The operation loop — the only one. Chooses a queue for `op`
+    /// through the handle's policy, runs `body` on it under its lock
+    /// (waiting for the lock unless there is a deadline), and reacts to
+    /// how that ended until the operation lands, the structure is
+    /// confirmed empty (`Ok(None)`, dequeues only) or the deadline
+    /// passes (`Err` of the error the deadline carries).
+    ///
+    /// `body` runs inside the chosen queue's critical section, at most
+    /// once per acquisition and never after it returned `Some`: an
+    /// insert body moves its entries in and always returns `Some`; a
+    /// dequeue body returns `None` when the queue it was given turned
+    /// out empty. The lock is released before any policy callback runs.
     #[inline]
-    fn ctx(&mut self) -> OpCtx<'_, Xoshiro256> {
-        OpCtx {
-            policy: &mut self.policy,
-            rng: &mut self.rng,
-            stats: &mut self.stats,
+    fn run<R, E: Copy>(
+        &mut self,
+        op: ChoiceOp,
+        deadline: Deadline<E>,
+        mut body: impl FnMut(&mut Q) -> Option<R>,
+    ) -> Result<Option<R>, E> {
+        let mq = self.mq;
+        let (rng, policy, stats) = (&mut self.rng, &mut self.policy, &mut self.stats);
+        // An operation waits for the lock of the queue it chose, as
+        // Algorithm 2 does; only one with a deadline redraws instead —
+        // the point of one is to never wait on an acquisition a stalled
+        // thread may hold.
+        let block = deadline.is_none();
+        let mut backoff = Backoff::new();
+        let mut poisoned_hits = 0u32;
+        loop {
+            if let Some((_, passed)) = deadline.filter(|(at, _)| Instant::now() >= *at) {
+                return Err(passed);
+            }
+            let chosen = match op {
+                // After enough consecutive poisoned choices, stop
+                // trusting the policy's draw and take any healthy queue
+                // directly — inserts must land somewhere, and a small-m
+                // structure with most queues poisoned could otherwise
+                // redraw for a long time.
+                ChoiceOp::Insert if poisoned_hits >= POISON_RECHOOSE_LIMIT => {
+                    mq.any_healthy_queue()
+                }
+                ChoiceOp::Insert => Some(policy.choose_insert(rng, mq.queues.len())),
+                ChoiceOp::Dequeue => {
+                    policy.choose_dequeue(rng, mq.queues.len(), |q| mq.queues[q].min_hint())
+                }
+            };
+            let Some(i) = chosen else {
+                match op {
+                    // Nowhere to land. Without a deadline that is fatal
+                    // (nothing here can un-poison a queue); with one,
+                    // wait it out in case a salvager gets there first.
+                    ChoiceOp::Insert => assert!(
+                        deadline.is_some(),
+                        "every queue is poisoned; salvage() before inserting"
+                    ),
+                    // Only *evidence* of emptiness — no candidate here,
+                    // or an acquired queue that was empty below — pays
+                    // for the sweep.
+                    ChoiceOp::Dequeue => {
+                        if mq.confirmed_empty(stats) {
+                            return Ok(None);
+                        }
+                    }
+                }
+                snooze(&mut backoff, stats);
+                continue;
+            };
+            match mq.queues[i].attempt(block, stats, &mut body) {
+                Attempt::Ran(Some(done)) => {
+                    policy.on_success(op, i);
+                    return Ok(Some(done));
+                }
+                // Poison is not contention: evict any camp on the dead
+                // queue and re-choose immediately (the poisoned queue
+                // publishes the empty hint, so fresh samples steer
+                // clear — no snooze needed and none recorded).
+                Attempt::Poisoned => {
+                    policy.on_poisoned(i);
+                    poisoned_hits += 1;
+                    continue;
+                }
+                // A stale hint or drained camp (ran, found nothing) or
+                // a contended acquisition: void any camp — the next
+                // choice draws elsewhere — and back off below rather
+                // than hammering the hint lines. Only the former says
+                // anything about emptiness; a held lock does not.
+                Attempt::Ran(None) => {
+                    policy.on_contention(op);
+                    if mq.confirmed_empty(stats) {
+                        return Ok(None);
+                    }
+                }
+                Attempt::Contended => policy.on_contention(op),
+            }
+            // Near-free at first, escalating to yielding under
+            // sustained contention so lock holders get CPU (vital when
+            // oversubscribed).
+            snooze(&mut backoff, stats);
         }
+    }
+
+    /// Enqueue (Algorithm 2's Enqueue under [`PolicyCfg::TwoChoice`]);
+    /// returns the insert's mark.
+    #[inline]
+    fn insert_op<S: Stamp, E: Copy>(
+        &mut self,
+        deadline: Deadline<E>,
+        stamp: S,
+        priority: u64,
+        value: V,
+    ) -> Result<S::Mark, E> {
+        let mut entry = Some((priority, value));
+        self.run(ChoiceOp::Insert, deadline, |q| {
+            let (p, v) = entry.take()?;
+            q.add(p, v);
+            Some(stamp.draw())
+        })
+        .map(|mark| mark.expect("an insert lands on the first queue it acquires"))
+    }
+
+    /// Dequeue (Algorithm 2's Dequeue under [`PolicyCfg::TwoChoice`]).
+    /// `Ok(None)` is the confirmed-empty observation documented on
+    /// [`dequeue`](Self::dequeue).
+    #[inline]
+    fn dequeue_op<S: Stamp, E: Copy>(
+        &mut self,
+        deadline: Deadline<E>,
+        stamp: S,
+    ) -> Result<Option<(u64, V, S::Mark)>, E> {
+        self.run(ChoiceOp::Dequeue, deadline, |q| {
+            q.delete_min().map(|(p, v)| (p, v, stamp.draw()))
+        })
     }
 
     /// Enqueue through the handle's policy.
     pub fn insert(&mut self, priority: u64, value: V) {
-        let Ok(()) = self
-            .mq
-            .insert_op(self.ctx(), NO_DEADLINE, NoStamp, priority, value);
+        let Ok(()) = self.insert_op(NO_DEADLINE, NoStamp, priority, value);
     }
 
     /// Dequeue through the handle's policy.
@@ -766,7 +676,7 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
     /// with concurrent enqueuers a `None` means "empty at some sample
     /// point", the strongest statement a relaxed queue can make.
     pub fn dequeue(&mut self) -> Option<(u64, V)> {
-        let Ok(served) = self.mq.dequeue_op(self.ctx(), NO_DEADLINE, NoStamp);
+        let Ok(served) = self.dequeue_op(NO_DEADLINE, NoStamp);
         served.map(unstamped)
     }
 
@@ -778,7 +688,19 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
     /// rank effect is like stickiness with `s = batch` (the batch lands
     /// in one queue), degrading within the same O(s·m) envelope.
     pub fn insert_batch(&mut self, items: impl IntoIterator<Item = (u64, V)>) -> usize {
-        self.mq.insert_batch_op(self.ctx(), items)
+        let mut items = items.into_iter().peekable();
+        if items.peek().is_none() {
+            return 0;
+        }
+        let Ok(n) = self.run(ChoiceOp::Insert, NO_DEADLINE, |q| {
+            let mut n = 0usize;
+            for (p, v) in items.by_ref() {
+                q.add(p, v);
+                n += 1;
+            }
+            Some(n)
+        });
+        n.expect("a batch lands on the first queue it acquires")
     }
 
     /// Bounded-retry insert: like [`insert`](Self::insert) but never
@@ -798,8 +720,7 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
             timeout,
         };
         let deadline = Some((Instant::now() + timeout, timed_out));
-        self.mq
-            .insert_op(self.ctx(), deadline, NoStamp, priority, value)
+        self.insert_op(deadline, NoStamp, priority, value)
     }
 
     /// Bounded-retry dequeue: like [`dequeue`](Self::dequeue) but never
@@ -814,8 +735,7 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
             timeout,
         };
         let deadline = Some((Instant::now() + timeout, timed_out));
-        self.mq
-            .dequeue_op(self.ctx(), deadline, NoStamp)
+        self.dequeue_op(deadline, NoStamp)
             .map(|served| served.map(unstamped))
     }
 
@@ -826,7 +746,19 @@ impl<'a, V: Send, Q: SeqPriorityQueue<u64, V> + Send> MqHandle<'a, V, Q> {
     /// Returns `0` only after observing a globally empty structure —
     /// the same emptiness contract as [`dequeue`](Self::dequeue).
     pub fn dequeue_batch(&mut self, max: usize, out: &mut Vec<(u64, V)>) -> usize {
-        self.mq.dequeue_batch_op(self.ctx(), max, out)
+        if max == 0 {
+            return 0;
+        }
+        let Ok(n) = self.run(ChoiceOp::Dequeue, NO_DEADLINE, |q| {
+            let mut n = 0usize;
+            while n < max {
+                let Some(entry) = q.delete_min() else { break };
+                out.push(entry);
+                n += 1;
+            }
+            (n > 0).then_some(n)
+        });
+        n.unwrap_or(0)
     }
 
     /// Switches the handle into **history mode**: a single
@@ -873,22 +805,15 @@ where
 impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> Stamped<'_, '_, V, Q> {
     /// Stamped enqueue; returns the update stamp.
     pub fn insert(&mut self, priority: u64, value: V) -> u64 {
-        let Ok(stamp) = self.handle.mq.insert_op(
-            self.handle.ctx(),
-            NO_DEADLINE,
-            self.stamper,
-            priority,
-            value,
-        );
+        let Ok(stamp) = self
+            .handle
+            .insert_op(NO_DEADLINE, self.stamper, priority, value);
         stamp
     }
 
     /// Stamped dequeue; returns `(priority, value, update stamp)`.
     pub fn dequeue(&mut self) -> Option<(u64, V, u64)> {
-        let Ok(served) = self
-            .handle
-            .mq
-            .dequeue_op(self.handle.ctx(), NO_DEADLINE, self.stamper);
+        let Ok(served) = self.handle.dequeue_op(NO_DEADLINE, self.stamper);
         served
     }
 }
@@ -933,25 +858,32 @@ mod tests {
     #[test]
     fn rank_error_is_bounded_in_practice() {
         // Sequential use: dequeue rank should be O(m); test a generous
-        // multiple. (Statistical, deterministic seed.)
+        // multiple. (Statistical, deterministic seeds.) Priorities
+        // inserted in ascending order are Section 7.1's relaxed FIFO,
+        // whose clock ticks are exactly that: the rank is how far from
+        // FIFO the dequeue was.
         let m = 8usize;
-        let mq: MultiQueue<()> = MultiQueue::new(m);
-        let mut h = mq.handle(4);
-        let n = 10_000u64;
-        for p in 0..n {
-            h.insert(p, ());
+        for (seed, n) in [(4, 10_000u64), (2, 5_000)] {
+            let mq: MultiQueue<()> = MultiQueue::new(m);
+            let mut h = mq.handle(seed);
+            for p in 0..n {
+                h.insert(p, ());
+            }
+            use std::collections::BTreeSet;
+            let mut present: BTreeSet<u64> = (0..n).collect();
+            let mut max_rank = 0usize;
+            for _ in 0..n {
+                let (p, ()) = h.dequeue().unwrap();
+                let rank = present.range(..p).count();
+                max_rank = max_rank.max(rank);
+                present.remove(&p);
+            }
+            // Theory: expected rank O(m), max over n steps O(m log n)-ish.
+            assert!(
+                max_rank <= 30 * m,
+                "max rank {max_rank} too large, seed {seed}"
+            );
         }
-        use std::collections::BTreeSet;
-        let mut present: BTreeSet<u64> = (0..n).collect();
-        let mut max_rank = 0usize;
-        for _ in 0..n {
-            let (p, ()) = h.dequeue().unwrap();
-            let rank = present.range(..p).count();
-            max_rank = max_rank.max(rank);
-            present.remove(&p);
-        }
-        // Theory: expected rank O(m), max over n steps O(m log n)-ish.
-        assert!(max_rank <= 30 * m, "max rank {max_rank} too large");
     }
 
     /// A `Q` that is not [`BinaryHeap`]: an ordered map keyed by
@@ -1090,7 +1022,7 @@ mod tests {
     #[test]
     fn handle_wraps_rng() {
         let mq: MultiQueue<u64> = MultiQueue::new(4);
-        let mut h = MqHandle::new(&mq, 9);
+        let mut h = mq.handle(9);
         for p in 0..50 {
             h.insert(p, p);
         }
@@ -1196,7 +1128,7 @@ mod tests {
             DeleteMode::Strict,
             PolicyCfg::Sticky { ops: 6 },
         );
-        let mut h = MqHandle::new(&mq, 10);
+        let mut h = mq.handle(10);
         for p in 0..2_000u64 {
             h.insert(p, p);
         }
@@ -1283,7 +1215,7 @@ mod tests {
             DeleteMode::Strict,
             PolicyCfg::Sticky { ops: s },
         );
-        let mut h = MqHandle::new(&mq, 14);
+        let mut h = mq.handle(14);
         let n = 8_000u64;
         for p in 0..n {
             h.insert(p, p);
@@ -1563,13 +1495,13 @@ mod tests {
         fill_and_drain(
             |h, items| {
                 let marks = items.into_iter().map(|(p, v)| {
-                    let mark = h.mq.insert_op(h.ctx(), deadline(), stamp, p, v);
+                    let mark = h.insert_op(deadline(), stamp, p, v);
                     mark.expect("uncontended")
                 });
                 marks.collect()
             },
             |h| {
-                let served = h.mq.dequeue_op(h.ctx(), deadline(), stamp);
+                let served = h.dequeue_op(deadline(), stamp);
                 served.expect("uncontended").into_iter().collect()
             },
         )
@@ -1594,10 +1526,10 @@ mod tests {
         }
         // The batch forms take no deadline and no stamp.
         fill_and_drain(
-            |h, items| vec![(); h.mq.insert_batch_op(h.ctx(), items)],
+            |h, items| vec![(); h.insert_batch(items)],
             |h| {
                 let mut out = Vec::new();
-                h.mq.dequeue_batch_op(h.ctx(), 5, &mut out);
+                h.dequeue_batch(5, &mut out);
                 out.into_iter().map(|(p, v)| (p, v, ())).collect()
             },
         );
@@ -1725,6 +1657,26 @@ mod tests {
         }
         assert_eq!(n, 200, "entries lost through salvage");
         assert!(mq.is_empty());
+    }
+
+    #[test]
+    fn salvage_placement_is_pinned() {
+        // Salvage re-homes survivors under its fixed seed, so where they
+        // land is a function of the drained set alone: a changed vector
+        // means a draw or the choice of re-home path moved.
+        let mq: MultiQueue<u64> = MultiQueue::new(8);
+        let mut h = mq.handle(22);
+        for p in 0..400u64 {
+            h.insert(p, p);
+        }
+        poison_queue(&mq, 1);
+        poison_queue(&mq, 6);
+        let before: Vec<usize> = mq.queues.iter().map(|q| q.approx_len()).collect();
+        let outcome = mq.salvage();
+        assert_eq!(outcome.items_recovered, before[1] + before[6]);
+        let after: Vec<usize> = mq.queues.iter().map(|q| q.approx_len()).collect();
+        assert_eq!(before, [54, 47, 56, 57, 48, 47, 45, 46]);
+        assert_eq!(after, [65, 11, 64, 67, 63, 57, 17, 56]);
     }
 
     #[test]

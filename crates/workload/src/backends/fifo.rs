@@ -1,4 +1,4 @@
-//! FIFO-family backends: the paper's [`RelaxedFifo`] (Section 7.1's
+//! FIFO-family backends: the paper's relaxed FIFO (Section 7.1's
 //! MultiQueue with clock-assigned timestamp priorities) and an exact
 //! locked baseline.
 //!
@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use dlz_core::spec::{envelope, FifoOp, HistoryArtifact, Kind, Recorder, ThreadLog};
-use dlz_core::{MqHandle, RelaxedFifo};
+use dlz_core::{ExactCounter, MqHandle, MultiQueue};
 use dlz_pq::ConcurrentPq;
 
 use super::conserved;
@@ -32,17 +32,24 @@ fn element_id(worker: usize, seq: u64) -> u64 {
     ((worker as u64) << 40) | seq
 }
 
-/// The paper's relaxed FIFO behind the [`Backend`] interface.
+/// The paper's relaxed FIFO behind the [`Backend`] interface: a
+/// [`MultiQueue`] whose priorities are timestamps.
 ///
-/// Workers operate through their own [`MqHandle`] over the wrapped
-/// structure's MultiQueue, so the hot path carries the same contention
-/// telemetry as the priority-queue backends; enqueue timestamps come
-/// from the structure's shared fetch-and-add counter (Algorithm 2's
-/// `Clock.Read()`), which makes the FIFO order total and the replay
-/// costs exact positions.
+/// Section 7.1: "to enqueue, a thread reads the wall clock, chooses a
+/// random priority queue, and adds the element to that priority queue
+/// with priority given by the time." The clock here is an
+/// [`ExactCounter`] (Algorithm 2's `Clock.Read()`): every element has a
+/// unique, insertion-ordered timestamp, so the FIFO order is total and
+/// a dequeue's replay cost is exactly how far from FIFO it was — the
+/// quantity Theorem 7.1 bounds by O(m) in expectation.
+///
+/// Workers operate through their own [`MqHandle`], so the hot path
+/// carries the same contention telemetry as the priority-queue
+/// backends.
 #[derive(Debug)]
 pub struct RelaxedFifoBackend {
-    fifo: RelaxedFifo<u64>,
+    mq: MultiQueue<u64>,
+    clock: ExactCounter,
     label: String,
     recorder: Recorder<FifoOp>,
 }
@@ -51,7 +58,8 @@ impl RelaxedFifoBackend {
     /// A relaxed FIFO over `m` internal binary heaps.
     pub fn new(m: usize) -> Self {
         RelaxedFifoBackend {
-            fifo: RelaxedFifo::new(m),
+            mq: MultiQueue::new(m),
+            clock: ExactCounter::new(),
             label: format!("relaxed-fifo(m={m})"),
             recorder: Recorder::new(),
         }
@@ -70,7 +78,7 @@ impl Backend for RelaxedFifoBackend {
     fn worker<'a>(&'a self, cfg: WorkerCfg) -> Box<dyn Worker + Send + 'a> {
         Box::new(RelaxedFifoWorker {
             backend: self,
-            handle: self.fifo.multiqueue().handle(cfg.seed),
+            handle: self.mq.handle(cfg.seed),
             thread: cfg.id,
             seq: 0,
             log: cfg.record_history.then(|| self.recorder.log(cfg.id)),
@@ -78,7 +86,7 @@ impl Backend for RelaxedFifoBackend {
     }
 
     fn residual(&self) -> u64 {
-        self.fifo.len() as u64
+        self.mq.len() as u64
     }
 
     fn verify(&self, counts: &OpCounts) -> Result<(), String> {
@@ -86,7 +94,7 @@ impl Backend for RelaxedFifoBackend {
     }
 
     fn quality(&self) -> QualityReport {
-        let m = self.fifo.multiqueue().num_queues() as f64;
+        let m = self.mq.num_queues() as f64;
         match self.recorder.judge(HistoryArtifact::fifo) {
             Some(v) => QualityReport::judged(&v).scalar("scale_m", m).verdict(&v),
             None => QualityReport::named(envelope(Kind::Fifo, 0.0, 0).metric).scalar("scale_m", m),
@@ -109,7 +117,7 @@ struct RelaxedFifoWorker<'a> {
 
 impl Worker for RelaxedFifoWorker<'_> {
     fn execute(&mut self, op: &Op) -> bool {
-        let fifo = &self.backend.fifo;
+        let backend = self.backend;
         let (handle, log) = (&mut self.handle, &mut self.log);
         match op.kind {
             OpKind::Update => {
@@ -118,7 +126,7 @@ impl Worker for RelaxedFifoWorker<'_> {
                 // Algorithm 2: read the clock, insert with the time as
                 // the priority. The fetch-and-add clock makes timestamps
                 // unique, so FIFO order is total and replay positions exact.
-                let ts = fifo.clock().fetch_increment();
+                let ts = backend.clock.fetch_increment();
                 match log {
                     Some(log) => {
                         log.record(|stamps| {
@@ -138,7 +146,7 @@ impl Worker for RelaxedFifoWorker<'_> {
                 None => handle.dequeue().is_some(),
             },
             OpKind::Read => {
-                std::hint::black_box(fifo.multiqueue().min_hint());
+                std::hint::black_box(backend.mq.min_hint());
                 true
             }
         }
