@@ -252,12 +252,12 @@ fn snooze(backoff: &mut Backoff, stats: &mut ContentionStats) {
 }
 
 impl<V: Send> MultiQueue<V> {
-    /// Starts building a binary-heap-backed MultiQueue.
+    /// Starts building a `BinaryHeap`-backed MultiQueue.
     pub fn builder() -> MultiQueueBuilder {
         MultiQueueBuilder::default()
     }
 
-    /// Creates a MultiQueue with `m` binary-heap queues and the
+    /// Creates a MultiQueue with `m` `BinaryHeap` queues and the
     /// two-choice policy.
     pub fn new(m: usize) -> Self {
         Self::with_config(
@@ -425,7 +425,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> ConcurrentPq<V> for MultiQueue
     }
 }
 
-/// Builder for binary-heap-backed [`MultiQueue`]s.
+/// Builder for `BinaryHeap`-backed [`MultiQueue`]s.
 #[derive(Debug, Clone, Default)]
 pub struct MultiQueueBuilder {
     queues: Option<usize>,

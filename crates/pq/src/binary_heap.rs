@@ -1,5 +1,5 @@
-//! An array-backed binary min-heap with FIFO tie-breaking, fronted by
-//! a four-entry sorted buffer.
+//! An array-backed 4-ary min-heap with FIFO tie-breaking, fronted by a
+//! four-entry sorted buffer.
 //!
 //! `std::collections::BinaryHeap` is a max-heap without a stable ordering
 //! for equal priorities, so we implement our own. Entries with equal
@@ -33,16 +33,41 @@
 //! deep-drain shape, where a refill holds the lock for all of its pops
 //! (README, "Verdicts").
 //!
-//! # Sifting through a hole
+//! # The layout and the descent
 //!
-//! Both sifts lift the moving entry out of the array once, move each
-//! child (or parent) on its path into the gap with a single write, and
-//! put the entry back where the walk ends — one write per level where a
-//! `Vec::swap` walk does two, and no bounds check per level. The gap is a
-//! `Hole` guard, the device `std::collections::BinaryHeap` uses: its
-//! `Drop` refills the gap. All unchecked indexing lives in that guard.
-//! The layout is the plain binary one: children of `i` at `2i + 1` and
-//! `2i + 2`.
+//! Beneath the buffer the array is an implicit **4-ary** heap: the
+//! children of `i` are `4i + 1 ..= 4i + 4` and its parent is
+//! `(i - 1) / 4`, so a heap of 2,500 entries is about 6 levels deep
+//! where a binary one is about 11. `ARITY` is a private constant, as
+//! `BUFFER` is: there is no knob and no second layout.
+//!
+//! A refill's `sift_down` descends bottom-up, as
+//! `std::collections::BinaryHeap::pop` does. It lifts the root out and
+//! moves the hole to the smallest of its four children at every level,
+//! without comparing the lifted entry, until the hole has no full group
+//! of children below it; a partial last group (1–3 children, all
+//! leaves) gives the hole its smallest member, and the lifted entry
+//! then sifts up from where the hole stopped. The entry a refill lifts
+//! is the array's old tail, which usually belongs near the bottom, so
+//! the descent does not spend a comparison per level on it.
+//! The smallest child comes from a two-round tournament, `min(c0, c1)`
+//! and `min(c2, c3)` then the smaller of the two, with each index
+//! picked by arithmetic on a comparison `as usize`, so a level costs no
+//! unpredictable branch. That makes every load's address depend on the
+//! comparison before it, so at each level the lines of the hole's 16
+//! grandchildren — the next level's children, whichever child wins —
+//! are prefetched two levels ahead of the hole. The prefetch is what
+//! keeps a cache-missing descent from serialising its misses: without
+//! it the branch-free descent lost `mq-deep-drain` by 36% (README,
+//! "Verdicts").
+//!
+//! Both sifts move through a hole: the moving entry is lifted out of
+//! the array once, each child (or parent) on its path moves into the gap
+//! with a single write, and the entry goes back where the walk ends —
+//! one write per level where a `Vec::swap` walk does two, and no bounds
+//! check per level. The gap is a `Hole` guard, the device
+//! `std::collections::BinaryHeap` uses: its `Drop` refills the gap. All
+//! unchecked indexing, and the prefetch hint, live in that guard.
 //!
 //! # Panics in `P::cmp`
 //!
@@ -66,6 +91,9 @@ use crate::traits::SeqPriorityQueue;
 /// Capacity of the sorted front buffer.
 const BUFFER: usize = 4;
 
+/// Children per array node.
+const ARITY: usize = 4;
+
 /// One heap entry: priority, tie-breaking sequence number, payload.
 #[derive(Debug, Clone)]
 struct Entry<P, V> {
@@ -82,8 +110,9 @@ impl<P: Ord, V> Entry<P, V> {
     }
 }
 
-/// A binary min-heap over `(P, insertion index)` keys, with its
-/// smallest entries in a sorted front buffer (see the module docs).
+/// A 4-ary min-heap over `(P, insertion index)` keys, with its
+/// smallest entries in a sorted front buffer (see the module docs). The
+/// name predates the 4-ary layout.
 ///
 /// # Example
 /// ```
@@ -199,7 +228,7 @@ impl<P: Ord, V> BinaryHeap<P, V> {
             self.front[self.len] = Some(self.entries.swap_remove(0));
             self.len += 1;
             if !self.entries.is_empty() {
-                self.sift_down(0);
+                self.sift_down();
             }
         }
         self.front[..self.len].reverse();
@@ -209,7 +238,7 @@ impl<P: Ord, V> BinaryHeap<P, V> {
     fn sift_up(&mut self, pos: usize) {
         let mut hole = Hole::new(&mut self.entries, pos);
         while hole.pos > 0 {
-            let parent = (hole.pos - 1) / 2;
+            let parent = (hole.pos - 1) / ARITY;
             // SAFETY: `parent < hole.pos`, which is in bounds, so
             // `parent` is in bounds and is not the hole.
             if hole.element().key() >= unsafe { hole.get(parent) }.key() {
@@ -220,31 +249,45 @@ impl<P: Ord, V> BinaryHeap<P, V> {
         }
     }
 
-    /// Moves the entry at `pos` down to its place.
-    fn sift_down(&mut self, pos: usize) {
+    /// Moves the root entry to its place: the hole descends along the
+    /// smallest children to the bottom, and the entry sifts up from
+    /// there (see the module docs).
+    fn sift_down(&mut self) {
         let end = self.entries.len();
-        let mut hole = Hole::new(&mut self.entries, pos);
-        let mut child = 2 * hole.pos + 1;
-        // Both children exist while `child + 1 < end`.
-        while child + 1 < end {
-            // SAFETY: `child` and `child + 1` are below `end`, the slice
-            // length, and above `hole.pos`.
-            if unsafe { hole.get(child + 1).key() < hole.get(child).key() } {
-                child += 1;
-            }
-            // SAFETY: `child < end` and `child > hole.pos`, as above.
-            if hole.element().key() <= unsafe { hole.get(child) }.key() {
-                return;
+        let mut hole = Hole::new(&mut self.entries, 0);
+        let mut child = 1;
+        // All four children exist while `child + ARITY <= end`.
+        while child + ARITY <= end {
+            // The children of `child..child + ARITY` are contiguous.
+            hole.prefetch(ARITY * child + 1, ARITY * ARITY);
+            // SAFETY: `child..child + ARITY` is below `end`, the slice
+            // length, and above `hole.pos`; `a` and `b` are in it.
+            let smallest = unsafe {
+                let lt = |i: usize, j: usize| (hole.get(i).key() < hole.get(j).key()) as usize;
+                let a = child + lt(child + 1, child);
+                let b = child + 2 + lt(child + 3, child + 2);
+                a + lt(b, a) * (b - a)
+            };
+            // SAFETY: `smallest` is one of those children.
+            unsafe { hole.move_to(smallest) };
+            child = ARITY * hole.pos + 1;
+        }
+        // A partial last group: its 1–3 children are leaves.
+        if child < end {
+            let mut smallest = child;
+            for c in child + 1..end {
+                // SAFETY: `c` and `smallest` are below `end` and above
+                // `hole.pos`.
+                if unsafe { hole.get(c).key() < hole.get(smallest).key() } {
+                    smallest = c;
+                }
             }
             // SAFETY: as above.
-            unsafe { hole.move_to(child) };
-            child = 2 * hole.pos + 1;
+            unsafe { hole.move_to(smallest) };
         }
-        // SAFETY (both calls): `child == end - 1` is in bounds and above
-        // `hole.pos`.
-        if child + 1 == end && unsafe { hole.get(child) }.key() < hole.element().key() {
-            unsafe { hole.move_to(child) };
-        }
+        let pos = hole.pos;
+        drop(hole);
+        self.sift_up(pos);
     }
 
     /// Verifies the buffer and heap invariants; used by tests and debug
@@ -261,7 +304,7 @@ impl<P: Ord, V> BinaryHeap<P, V> {
             (_, Some(root)) => self.slot(0).key() < root.key(),
         };
         let heap_ok = (1..self.entries.len())
-            .all(|i| self.entries[i].key() >= self.entries[(i - 1) / 2].key());
+            .all(|i| self.entries[i].key() >= self.entries[(i - 1) / ARITY].key());
         front_ok && boundary_ok && heap_ok
     }
 }
@@ -330,6 +373,37 @@ impl<'a, T> Hole<'a, T> {
             ptr::copy_nonoverlapping(base.add(index), base.add(self.pos), 1);
         }
         self.pos = index;
+    }
+
+    /// Hints the cache to load the lines of `data[first..first + count]`,
+    /// clipped to the slice. A hint only: the addresses are computed with
+    /// `wrapping_add` and never dereferenced, and a `first` past the end
+    /// prefetches nothing. On targets other than x86_64, and under Miri,
+    /// it does nothing.
+    #[inline]
+    fn prefetch(&self, first: usize, count: usize) {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            const LINE: usize = 64;
+            let end = (first + count).min(self.data.len());
+            if first >= end {
+                return;
+            }
+            let base = self.data.as_ptr();
+            let stop = base.wrapping_add(end) as *const u8;
+            let start = base.wrapping_add(first) as *const u8;
+            let mut line = start.wrapping_sub(start as usize % LINE);
+            while line < stop {
+                // SAFETY: a prefetch is a hint that never faults and
+                // reads nothing into the program; `line` is not
+                // dereferenced.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(line.cast()) };
+                line = line.wrapping_add(LINE);
+            }
+        }
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        let _ = (first, count);
     }
 }
 
@@ -632,6 +706,58 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn every_small_size_keeps_the_invariant_and_drains_in_key_order() {
+        // Sizes 0..=70 cover a root alone, partial last groups of 1–3
+        // children and exact multiples of the arity, for the array and
+        // for every heap a drain's refills leave behind.
+        for n in 0..=70u64 {
+            for order in ["ascending", "descending", "all-equal"] {
+                let priority = |i: u64| match order {
+                    "ascending" => i,
+                    "descending" => 1_000 - i,
+                    _ => 7,
+                };
+                let mut h = BinaryHeap::new();
+                for i in 0..n {
+                    h.add(priority(i), i);
+                    assert!(h.check_invariant(), "{order}, size {n}, add {i}");
+                }
+                let mut want: Vec<(u64, u64)> = (0..n).map(|i| (priority(i), i)).collect();
+                // Key order: priority, then insertion order among ties.
+                want.sort_unstable();
+                for (k, &w) in want.iter().enumerate() {
+                    assert_eq!(h.delete_min(), Some(w), "{order}, size {n}, pop {k}");
+                    assert!(h.check_invariant(), "{order}, size {n}, pop {k}");
+                }
+                assert_eq!(h.delete_min(), None);
+            }
+        }
+    }
+
+    #[test]
+    fn a_deep_heap_drains_like_std() {
+        use std::cmp::Reverse;
+        // 2^17 + 3 entries: the last grandchild group of the array
+        // straddles its end, so the prefetch range is clipped. (Miri
+        // runs a smaller heap of the same shape.)
+        let shift = if cfg!(miri) { 9 } else { 17 };
+        let n = (1u64 << shift) + 3;
+        let mut x = 0x853c49e6748fea9bu64;
+        let mut ours: BinaryHeap<u64, u64> = BinaryHeap::new();
+        let mut reference = std::collections::BinaryHeap::new();
+        for seq in 0..n {
+            let p = xorshift(&mut x) % 4_096;
+            ours.add(p, seq);
+            reference.push(Reverse((p, seq)));
+        }
+        assert!(ours.check_invariant());
+        while let Some(Reverse(want)) = reference.pop() {
+            assert_eq!(ours.delete_min(), Some(want));
+        }
+        assert_eq!(ours.delete_min(), None);
     }
 
     /// A priority whose comparison panics once a shared countdown runs

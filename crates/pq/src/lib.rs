@@ -8,11 +8,14 @@
 //!
 //! * [`SeqPriorityQueue`] — the sequential interface (`add`, `delete_min`,
 //!   `read_min`) that the paper's MultiQueue builds on.
-//! * [`BinaryHeap`] — the one implementation: an array heap, fronted by
-//!   a four-entry sorted buffer of its smallest entries, that breaks
-//!   priority ties in FIFO order using an internal sequence number,
-//!   which is what gives the MultiQueue its queue-like semantics when
-//!   priorities are timestamps. A pairing heap and a skip list were
+//! * [`BinaryHeap`] — the one implementation: an implicit 4-ary array
+//!   heap, fronted by a four-entry sorted buffer of its smallest
+//!   entries, that breaks priority ties in FIFO order using an internal
+//!   sequence number, which is what gives the MultiQueue its queue-like
+//!   semantics when priorities are timestamps. A pop's descent picks
+//!   each level's smallest child without a branch and prefetches the
+//!   grandchildren's lines; the name predates the 4-ary layout. A
+//!   pairing heap, a skip list and three other 4-ary descents were
 //!   measured against it and removed (README, "Verdicts").
 //! * [`Backoff`] — exponential backoff (spin, then yield) for contended
 //!   retry loops.

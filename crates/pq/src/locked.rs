@@ -62,14 +62,15 @@
 //! most of slot 0, slot 1 and the start of slot 2, and `F2` the rest of
 //! slot 2 and slot 3; the last line is padding no operation touches.
 //! The heap array is a separate allocation: root first, 24-byte
-//! entries, so the top three levels fill six lines. A shared line is one
+//! entries, four children per node, so the top three levels (21
+//! entries) fill eight lines. A shared line is one
 //! that another core writes. On a 2-worker MultiQueue of m = 8, an op
 //! touches:
 //!
 //! | op | shared lines |
 //! |---|---|
 //! | dequeue served by the buffer (3 in 4) | 2 sampled `H` (one CAS'd and released), 1–2 of `F1`/`F2`: **3–4, no array line** |
-//! | dequeue that refills the buffer (1 in 4) | the same, plus four pops: root and tail lines and four sift paths (~11 levels at 2,500 entries, top ~6 lines hot): **~9–15** |
+//! | dequeue that refills the buffer (1 in 4) | the same, plus four pops: root and tail lines and four sift paths (~6 levels at 2,500 entries, down from ~11 in the binary layout; top ~8 lines hot): **~9–15** |
 //! | insert onto the heap | `H`, `F1` (the buffer maximum it is routed by), the array tail and a sift-up of O(1) levels: **3–4** |
 //! | insert into the buffer | `H`, `F1`/`F2`; an eviction adds the tail and a sift-up to the root: **2–3, or ~14 when it evicts** |
 //!

@@ -55,7 +55,7 @@ pub struct RelaxedFifoBackend {
 }
 
 impl RelaxedFifoBackend {
-    /// A relaxed FIFO over `m` internal binary heaps.
+    /// A relaxed FIFO over `m` internal `BinaryHeap`s.
     pub fn new(m: usize) -> Self {
         RelaxedFifoBackend {
             mq: MultiQueue::new(m),

@@ -262,7 +262,7 @@ impl Drop for MultiQueueWorker<'_> {
 }
 
 /// The exact baseline behind the [`Backend`] interface: one
-/// [`LockedPq`] — a single global lock around one binary heap — whose
+/// [`LockedPq`] — a single global lock around one `BinaryHeap` — whose
 /// every dequeue returns the true minimum.
 #[derive(Debug)]
 pub struct ConcurrentPqBackend {
